@@ -17,19 +17,21 @@
 //! 2. **Cache** — every component's satisfying-count polynomial and
 //!    every root group's unsatisfying-count polynomial, plus
 //!    *leave-one-out environments* (prefix/suffix convolutions of all
-//!    the other groups' polynomials, combined divide-and-conquer) and
-//!    their correlations with the Shapley weight numerators
-//!    `k!·(m−1−k)!`.
+//!    the other groups' polynomials, combined divide-and-conquer), and
+//!    the Shapley weight numerators `w[k] = k!·(m−1−k)!`.
 //! 3. **Recount** — for fact `f`, recompute only `f`'s root group under
 //!    the two [`FactMask`] views (`f` removed, `f` exogenized; no
-//!    database clones), and contract the short difference vector
-//!    against the cached weight environment. Facts outside every scope
-//!    ("free") and facts whose root value lacks positive support
-//!    ("junk") are answered as exact zeros without any recounting.
+//!    database clones). The short difference vector `d` of the two
+//!    counts is zero for many facts; otherwise it is lifted through its
+//!    environment and weighted, `Σ_t (d ⊛ E)[t]·w[t]` (Theorem 3.1's
+//!    contraction). Facts outside every scope ("free") and facts whose
+//!    root value lacks positive support ("junk") are answered as exact
+//!    zeros without any recounting.
 //!
 //! The per-fact cost drops from `O(m)` full-database DP work (plus two
 //! database clones) to amortized `O(|group|)` — the recount touches one
-//! root group and a dot product of its length.
+//! root group, and the contraction runs once per distinct
+//! `(weight class, d)` pair.
 //!
 //! ## Incremental maintenance
 //!
@@ -48,9 +50,9 @@
 //! through [`cqshap_numeric::poly`]'s scoped-thread trees with
 //! size-dispatched Karatsuba/NTT convolution, and the junk binomial
 //! factors are `O(n)` Pascal shifts).
-//! Only the touched group's counting recursion is re-run; the weight
-//! correlations (embarrassingly parallel, shared with compile) are then
-//! refreshed against the new `k!·(m−1−k)!` numerators. Structural
+//! Only the touched group's counting recursion is re-run; the report
+//! memos are then cleared and, when `m` moved, the weight numerators
+//! rebuilt (word-size ratio steps). Structural
 //! drift — a root group appearing or dying, a query atom resolving
 //! differently — makes `update` report that a full recompile is needed.
 //!
@@ -62,17 +64,18 @@
 // cqshap-lint: allow-file(no-panic-index) -- counting kernels index component scopes and weight tables sized in the same function
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::convert::Infallible;
+use std::hash::Hash;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use cqshap_db::{ConstId, Database, FactId, FactMask, RelId};
-use cqshap_numeric::{BigInt, BigRational, BigUint, FactorialTable};
+use cqshap_numeric::{BigInt, BigRational, BigUint, FactorialTable, ShapleyWeights};
 use cqshap_obs::{phase as obs_phase, Counter, Span};
 use cqshap_query::{ConjunctiveQuery, Term};
 
 use crate::budget::{self, CancelToken};
 use crate::domain::{eval_rec, CountingDomain, EvalDomain, FactProbabilities, ProbabilityDomain};
 use crate::error::CoreError;
-use crate::parallel::par_map_with;
 use crate::satcount::{
     connected_components, find_root_var, resolve_query, root_candidates, root_group_scopes,
     scope_endo_count, MaskedDb, PAtom, ResolvedQuery,
@@ -85,6 +88,8 @@ static CLASS_MEMO_HIT: Counter = Counter::new(obs_phase::CTR_CLASS_MEMO_HIT);
 static CLASS_MEMO_MISS: Counter = Counter::new(obs_phase::CTR_CLASS_MEMO_MISS);
 static RECOUNT_CACHE_HIT: Counter = Counter::new(obs_phase::CTR_RECOUNT_CACHE_HIT);
 static RECOUNT_CACHE_MISS: Counter = Counter::new(obs_phase::CTR_RECOUNT_CACHE_MISS);
+static NUMERATOR_MEMO_HIT: Counter = Counter::new(obs_phase::CTR_NUMERATOR_MEMO_HIT);
+static NUMERATOR_MEMO_MISS: Counter = Counter::new(obs_phase::CTR_NUMERATOR_MEMO_MISS);
 
 /// One in-place database change, as seen by a compiled engine.
 ///
@@ -231,31 +236,130 @@ struct CompiledEngine<D: EvalDomain> {
 /// A `(db, query)` pair compiled for batched all-facts Shapley
 /// computation: the domain-generic engine instantiated at the exact
 /// counting domain, plus the Shapley-specific machinery (the
-/// `k!·(m−1−k)!` weight correlations, the factorial table, and the
-/// reduction/recount memos). Shared immutably across report worker
-/// threads; does not borrow the database — query-time methods take
-/// `&Database`, and [`CompiledCount::update`] maintains the caches
-/// across in-place database updates.
+/// `k!·(m−1−k)!` weight numerators, the weight classes, the factorial
+/// table, and the recount/numerator/reduction memos). Shared immutably
+/// across report worker threads; does not borrow the database —
+/// query-time methods take `&Database`, and [`CompiledCount::update`]
+/// maintains the caches across in-place database updates.
+///
+/// A fact's Shapley numerator over `m!` is the contraction
+/// `Σ_t (d ⊛ E)[t]·w[t]` of its masked difference vector
+/// `d = N⁺ − N` (group-local for a grouped fact) with its environment
+/// `E` — `genv ⊛ env` of the fact's root group, or `env` for a ground
+/// component — and the weights `w[k] = k!(m−1−k)!`. It runs on demand
+/// in the report, once per distinct `(component, weight class, d)`: a
+/// weight class is the root groups of a component with equal `unsat`,
+/// which share `genv` and therefore `E`.
 pub struct CompiledCount {
     eng: CompiledEngine<CountingDomain>,
     table: FactorialTable,
-    /// Per-component `W[j] = Σ_t w[j+t] · env[t]` with
-    /// `w[k] = k!(m−1−k)!`.
-    comp_weights: Vec<Vec<BigUint>>,
-    /// Per-component, per-group `W2[j] = Σ_t W_comp[j+t] · genv[t]`.
-    /// Contracting the group's masked difference vector with `W2`
-    /// yields the Shapley numerator directly. Ground components hold an
-    /// empty inner vector.
-    group_weights: Vec<Vec<Vec<BigUint>>>,
+    /// The Shapley weight numerators `w[k] = k!(m−1−k)!`, `k < m`.
+    weights: ShapleyWeights,
+    /// Per component: its weight classes and their environments.
+    classes: Vec<WeightClasses>,
     /// Numerator → reduced value memo: facts of isomorphic root groups
     /// share their Shapley numerator, so the factorial-denominator
     /// reduction runs once per *distinct* numerator per (db, m) state.
-    /// Cleared on every refresh (the denominator `m!` moves with `m`).
-    reduce_cache: Mutex<HashMap<BigInt, BigRational>>,
+    reduced: OnceMemo<BigInt, BigRational>,
     /// `(group canonical form, masked fact's role)` → the two masked
     /// count vectors of the reduction: the per-fact recount runs once
     /// per isomorphism class and role instead of once per fact.
-    pair_cache: PairCache,
+    pairs: OnceMemo<PairKey, (Vec<BigUint>, Vec<BigUint>)>,
+    /// `(component, weight class, d)` → the Shapley numerator.
+    numerators: OnceMemo<(usize, usize, Vec<BigInt>), BigInt>,
+}
+
+/// The weight classes of one component: root groups with equal
+/// `unsat` have equal leave-one-out environments, so they share one
+/// contraction environment `E = genv ⊛ env`. Ground components have a
+/// single class whose environment is `env` itself.
+struct WeightClasses {
+    /// The class of each root group (empty for a ground component).
+    class_of: Vec<usize>,
+    /// A representative root group per class.
+    reps: Vec<usize>,
+    /// Per class: `E`, built on first use by a report.
+    envs: Vec<OnceLock<Vec<BigUint>>>,
+}
+
+impl WeightClasses {
+    fn new(comp: &Component<Vec<BigUint>>) -> Self {
+        let mut class_of = Vec::new();
+        let mut reps = Vec::new();
+        if let CompKind::Rooted { groups, .. } = &comp.kind {
+            let mut seen: HashMap<&[BigUint], usize> = HashMap::new();
+            for (g, group) in groups.iter().enumerate() {
+                let next = reps.len();
+                let c = *seen.entry(group.unsat.as_slice()).or_insert(next);
+                if c == next {
+                    reps.push(g);
+                }
+                class_of.push(c);
+            }
+        }
+        let envs = reps.iter().map(|_| OnceLock::new()).collect();
+        WeightClasses {
+            class_of,
+            reps,
+            envs,
+        }
+    }
+}
+
+/// A memo computing each key's value at most once. The map lock only
+/// hands out the key's slot; the value is computed under the slot's own
+/// lock, so concurrent callers of one key wait for the first one
+/// instead of computing it again. A failed computation leaves the slot
+/// empty for the next caller.
+struct OnceMemo<K, V> {
+    slots: Mutex<HashMap<K, Arc<Mutex<Option<V>>>>>,
+}
+
+impl<K: Hash + Eq, V: Clone> OnceMemo<K, V> {
+    fn new() -> Self {
+        OnceMemo {
+            slots: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// The value of `key` and whether it was already present, running
+    /// `compute` when it was not.
+    fn get_or_try_insert_with<E>(
+        &self,
+        key: K,
+        compute: impl FnOnce() -> Result<V, E>,
+    ) -> Result<(V, bool), E> {
+        let slot = Arc::clone(
+            self.slots
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .entry(key)
+                .or_default(),
+        );
+        let mut value = slot.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(v) = value.as_ref() {
+            return Ok((v.clone(), true));
+        }
+        let v = compute()?;
+        *value = Some(v.clone());
+        Ok((v, false))
+    }
+
+    /// [`OnceMemo::get_or_try_insert_with`] for a computation that
+    /// cannot fail.
+    fn get_or_insert_with(&self, key: K, compute: impl FnOnce() -> V) -> (V, bool) {
+        match self.get_or_try_insert_with(key, || Ok::<V, Infallible>(compute())) {
+            Ok(found) => found,
+            Err(never) => match never {},
+        }
+    }
+
+    fn clear(&mut self) {
+        self.slots
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
+    }
 }
 
 /// Lifted inference for a tuple-independent probabilistic database,
@@ -273,7 +377,6 @@ pub struct CompiledProbability {
 /// Cache key: a group's canonical form plus the masked fact's role
 /// (atom index, position within that atom's scope).
 type PairKey = (Arc<Vec<u32>>, usize, usize);
-type PairCache = Mutex<HashMap<PairKey, (Vec<BigUint>, Vec<BigUint>)>>;
 
 /// The canonical form of `(atoms, scopes)`: atom patterns and scope
 /// tuples with all constants renamed by first occurrence and each
@@ -470,7 +573,10 @@ impl<D: EvalDomain> CompiledEngine<D> {
             let unsat_refs: Vec<&D::Value> = groups.iter().map(|g| &g.unsat).collect();
             let unsat_all = dom.product(&unsat_refs, threads);
             let comp_unsat = dom.combine(&unsat_all, &dom.free(junk_endo));
-            let sat = dom.complement(&comp_unsat, endo);
+            let sat = {
+                let _span = Span::enter(obs_phase::COMPLEMENT);
+                dom.complement(&comp_unsat, endo)
+            };
             components.push(Component {
                 atoms: sub_atoms,
                 rels: sub_rels,
@@ -498,6 +604,7 @@ impl<D: EvalDomain> CompiledEngine<D> {
                 junk_endo, groups, ..
             } = &mut comp.kind
             {
+                let _span = Span::enter(obs_phase::LEAVE_ONE_OUT);
                 let unsat_refs: Vec<&D::Value> = groups.iter().map(|g| &g.unsat).collect();
                 // Isomorphic groups (equal `unsat`) may share one
                 // `Arc`'d environment straight out of the subsystem, so
@@ -562,6 +669,7 @@ impl<D: EvalDomain> CompiledEngine<D> {
         // Component-level leave-one-out environments. Components are
         // bounded by the query's atom count, so this stage is cheap
         // next to the group-level work.
+        let _span = Span::enter(obs_phase::LEAVE_ONE_OUT);
         let envs = self
             .dom
             .leave_one_out(&sats, &self.dom.free(self.free_endo), self.threads);
@@ -582,7 +690,6 @@ impl<D: EvalDomain> CompiledEngine<D> {
     /// Anything the evaluation recursion raises while re-evaluating the
     /// touched root group.
     fn update(&mut self, db: &Database, change: EngineUpdate) -> Result<bool, CoreError> {
-        let _span = Span::enter(obs_phase::UPDATE);
         if resolution_fingerprint(db, &self.query) != self.fingerprint {
             return Ok(false);
         }
@@ -686,7 +793,10 @@ impl<D: EvalDomain> CompiledEngine<D> {
             )
         };
         comp.endo = new_endo;
-        comp.sat = self.dom.complement(&comp_unsat, new_endo);
+        comp.sat = {
+            let _span = Span::enter(obs_phase::COMPLEMENT);
+            self.dom.complement(&comp_unsat, new_endo)
+        };
         Ok(true)
     }
 
@@ -752,7 +862,10 @@ impl<D: EvalDomain> CompiledEngine<D> {
             )
         };
         comp.endo = new_endo;
-        comp.sat = self.dom.complement(&comp_unsat, new_endo);
+        comp.sat = {
+            let _span = Span::enter(obs_phase::COMPLEMENT);
+            self.dom.complement(&comp_unsat, new_endo)
+        };
         true
     }
 
@@ -1052,6 +1165,12 @@ impl<D: EvalDomain> CompiledEngine<D> {
             atoms,
             scopes,
         )?;
+        // A budget tripped by another report lane mid-recursion leaves
+        // placeholder values behind; they must not reach a caller (or a
+        // memo) as an answer.
+        if let Some(token) = self.dom.cancel_token() {
+            budget::check(token, obs_phase::RECOUNT)?;
+        }
         Ok((sat_minus, sat_plus))
     }
 
@@ -1078,9 +1197,8 @@ impl CompiledCount {
     }
 
     /// [`CompiledCount::compile`] with an explicit worker cap for the
-    /// parallel product trees and weight correlations (`0` = all
-    /// available cores). The cap sticks to the engine: maintenance and
-    /// recount paths reuse it.
+    /// parallel product trees (`0` = all available cores). The cap
+    /// sticks to the engine: maintenance and recount paths reuse it.
     ///
     /// # Errors
     /// As [`CompiledCount::compile`].
@@ -1115,86 +1233,41 @@ impl CompiledCount {
         dom: CountingDomain,
     ) -> Result<Self, CoreError> {
         let eng = CompiledEngine::compile(db, q, threads, dom)?;
-        let table = FactorialTable::new(eng.m);
         let mut compiled = CompiledCount {
+            table: FactorialTable::new(eng.m),
             eng,
-            table,
-            comp_weights: Vec::new(),
-            group_weights: Vec::new(),
-            reduce_cache: Mutex::new(HashMap::new()),
-            pair_cache: Mutex::new(HashMap::new()),
+            weights: ShapleyWeights::default(),
+            classes: Vec::new(),
+            reduced: OnceMemo::new(),
+            pairs: OnceMemo::new(),
+            numerators: OnceMemo::new(),
         };
         compiled.refresh_weights();
         Ok(compiled)
     }
 
-    /// Recomputes the weight correlations against `w[k] = k!·(m−1−k)!`
-    /// from the engine's refreshed environments. Shared by
-    /// [`CompiledCount::compile`] and [`CompiledCount::update`]; the
-    /// expensive part (the per-group correlations) fans out across
-    /// threads.
+    /// Brings the Shapley-specific state in line with the engine after
+    /// a compile or an update: the factorial table and the weight
+    /// numerators follow `m` (rebuilt only when it moved), the weight
+    /// classes follow the groups' `unsat` values, and every memo is
+    /// emptied. No contraction runs here — reports contract on demand.
     fn refresh_weights(&mut self) {
-        self.reduce_cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clear();
-        self.pair_cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clear();
+        let _span = Span::enter(obs_phase::WEIGHTS);
+        self.reduced.clear();
+        self.pairs.clear();
+        self.numerators.clear();
+        let m = self.eng.m;
+        if self.table.max_n() != m {
+            self.table = FactorialTable::new(m);
+        }
         if !self.eng.satisfiable {
-            self.comp_weights.clear();
-            self.group_weights.clear();
+            self.classes.clear();
             return;
         }
-        let m = self.eng.m;
-        let threads = self.eng.threads;
-
-        // The Shapley weight numerators w[k] = k!·(m−1−k)!.
-        let w: Vec<BigUint> = (0..m)
-            .map(|k| self.table.shapley_weight_numerator(m, k))
-            .collect();
-
-        let comps = &self.eng.components;
-        self.comp_weights = par_map_with(threads, comps.len(), |i| {
-            correlate(&w, &comps[i].env, comps[i].endo)
-        });
-        let comp_weights = &self.comp_weights;
-        self.group_weights = comps
-            .iter()
-            .enumerate()
-            .map(|(ci, comp)| match &comp.kind {
-                CompKind::Ground => Vec::new(),
-                CompKind::Rooted { groups, .. } => {
-                    // Groups with equal `unsat` polynomials are
-                    // isomorphic: their leave-one-out environments
-                    // (products over the *other* groups) and weight
-                    // correlations coincide, so one representative
-                    // correlation serves the whole class. Uniform
-                    // workloads (many structurally identical groups)
-                    // collapse to a handful of correlations.
-                    let n = groups.len();
-                    let mut class_of = vec![0usize; n];
-                    let mut reps: Vec<usize> = Vec::new();
-                    {
-                        let mut seen: HashMap<&[BigUint], usize> = HashMap::new();
-                        for (g, group) in groups.iter().enumerate() {
-                            let next = reps.len();
-                            let c = *seen.entry(group.unsat.as_slice()).or_insert(next);
-                            if c == next {
-                                reps.push(g);
-                            }
-                            class_of[g] = c;
-                        }
-                    }
-                    let rep_weights = par_map_with(threads, reps.len(), |r| {
-                        let g = &groups[reps[r]];
-                        correlate(&comp_weights[ci], &g.genv, g.endo)
-                    });
-                    (0..n).map(|g| rep_weights[class_of[g]].clone()).collect()
-                }
-            })
-            .collect();
+        if self.weights.len() != m {
+            self.weights = ShapleyWeights::new(&self.table, m);
+        }
+        self.classes = self.eng.components.iter().map(WeightClasses::new).collect();
     }
 
     /// Patches the compiled caches after one in-place database update
@@ -1209,11 +1282,9 @@ impl CompiledCount {
     /// Anything the counting recursion raises while re-counting the
     /// touched root group.
     pub fn update(&mut self, db: &Database, change: EngineUpdate) -> Result<bool, CoreError> {
+        let _span = Span::enter(obs_phase::UPDATE);
         if !self.eng.update(db, change)? {
             return Ok(false);
-        }
-        if self.table.max_n() != self.eng.m {
-            self.table = FactorialTable::new(self.eng.m);
         }
         self.refresh_weights();
         Ok(true)
@@ -1275,52 +1346,98 @@ impl CompiledCount {
         if self.is_structurally_null(f) {
             return Ok(BigInt::zero());
         }
-        let (weight, (sat_minus, sat_plus)) =
+        let (comp, class, (sat_minus, sat_plus)) =
             // cqshap-lint: allow(no-panic) -- the structurally-null check above guarantees f is in the loc map
             match *self.eng.locs.get(&f).expect("checked non-null") {
                 Loc::Ground { comp } => {
                     let c = &self.eng.components[comp];
-                    (
-                        &self.comp_weights[comp],
-                        self.eng.masked_sat_pair(db, &c.atoms, &c.scopes, f)?,
-                    )
+                    (comp, 0, self.eng.masked_sat_pair(db, &c.atoms, &c.scopes, f)?)
                 }
                 Loc::Grouped { comp, group } => (
-                    &self.group_weights[comp][group],
+                    comp,
+                    self.classes[comp].class_of[group],
                     self.cached_group_pair(db, comp, group, f)?,
                 ),
                 // cqshap-lint: allow(no-panic) -- junk facts are structurally null and were returned above
                 Loc::Junk { .. } => unreachable!("junk is structurally null"),
             };
         debug_assert_eq!(sat_minus.len(), sat_plus.len());
-        debug_assert_eq!(weight.len(), sat_plus.len());
-        let mut num = BigInt::zero();
-        for ((p, mi), wj) in sat_plus.iter().zip(&sat_minus).zip(weight) {
-            let d = BigInt::signed_diff(p, mi);
-            if !d.is_zero() {
-                num += &(d * BigInt::from_biguint(wj.clone()));
-            }
+        let d: Vec<BigInt> = sat_plus
+            .iter()
+            .zip(&sat_minus)
+            .map(|(p, mi)| BigInt::signed_diff(p, mi))
+            .collect();
+        if d.iter().all(BigInt::is_zero) {
+            return Ok(BigInt::zero());
+        }
+        let env = self.class_env(comp, class);
+        let (num, hit) = self
+            .numerators
+            .get_or_insert_with((comp, class, d.clone()), || self.contract(&d, env));
+        if hit {
+            NUMERATOR_MEMO_HIT.incr();
+        } else {
+            NUMERATOR_MEMO_MISS.incr();
         }
         Ok(num)
+    }
+
+    /// The contraction environment `E` of weight class `class` of
+    /// component `comp`: `env` for a ground component, `genv` when the
+    /// component's own environment is the unit, and `genv ⊛ env`
+    /// (built by the first report that needs it) otherwise.
+    fn class_env(&self, comp: usize, class: usize) -> &[BigUint] {
+        let c = &self.eng.components[comp];
+        let CompKind::Rooted { groups, .. } = &c.kind else {
+            return &c.env;
+        };
+        let layout = &self.classes[comp];
+        let genv: &Vec<BigUint> = &groups[layout.reps[class]].genv;
+        if c.env.len() == 1 && c.env[0].is_one() {
+            return genv;
+        }
+        layout.envs[class].get_or_init(|| {
+            let _span = Span::enter(obs_phase::CONTRACT);
+            self.eng.dom.combine(genv, &c.env)
+        })
+    }
+
+    /// `Σ_t (d ⊛ env)[t] · w[t]`: the difference vector lifted to
+    /// full-query coalition sizes and weighted. `d` is short and mostly
+    /// zero, so the lift skips its zero entries; the signed lift is kept
+    /// as two unsigned halves.
+    fn contract(&self, d: &[BigInt], env: &[BigUint]) -> BigInt {
+        let _span = Span::enter(obs_phase::CONTRACT);
+        let len = d.len() + env.len() - 1;
+        debug_assert_eq!(len, self.weights.len());
+        let mut plus = vec![BigUint::zero(); len];
+        let mut minus = vec![BigUint::zero(); len];
+        for (j, dj) in d.iter().enumerate() {
+            if dj.is_zero() {
+                continue;
+            }
+            let lifted = if dj.is_negative() {
+                &mut minus
+            } else {
+                &mut plus
+            };
+            for (e, out) in env.iter().zip(&mut lifted[j..]) {
+                if !e.is_zero() {
+                    *out += &(dj.magnitude() * e);
+                }
+            }
+        }
+        self.weights.contract(&plus, &minus)
     }
 
     /// `num / m!` in lowest terms, memoized per distinct numerator
     /// (facts of isomorphic root groups share theirs).
     pub fn normalize_numerator(&self, num: BigInt) -> BigRational {
-        if let Some(v) = self
-            .reduce_cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&num)
-        {
-            return v.clone();
-        }
-        let reduced = self.table.reduce_over_factorial(num.clone(), self.eng.m);
-        self.reduce_cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(num, reduced.clone());
-        reduced
+        self.reduced
+            .get_or_insert_with(num.clone(), || {
+                self.table.reduce_over_factorial(num, self.eng.m)
+            })
+            .0
     }
 
     /// The `(N_k, N⁺_k)` count vectors of the reduction for `f` — the
@@ -1340,7 +1457,8 @@ impl CompiledCount {
 
     /// [`CompiledEngine::masked_sat_pair`] for a grouped fact, memoized
     /// by `(group isomorphism class, role of f)`: uniform workloads
-    /// recount one representative per class instead of every fact. The
+    /// recount one representative per class instead of every fact, and
+    /// concurrent report lanes asking for one key recount it once. The
     /// memo is sound because counting values are canon-determined —
     /// probability evaluation must not (and does not) use it.
     fn cached_group_pair(
@@ -1363,28 +1481,14 @@ impl CompiledCount {
             // cqshap-lint: allow(no-panic) -- a grouped fact appears in its own component scope by construction
             .expect("grouped fact sits in one scope");
         let key = (g.canon.clone(), role.0, role.1);
-        // Block-scoped lookup: the guard is a temporary dropped at the
-        // end of the block, so the miss path below runs lock-free.
-        let cached = {
-            self.pair_cache
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .get(&key)
-                .cloned()
-        };
-        if let Some(pair) = cached {
-            RECOUNT_CACHE_HIT.incr();
-            return Ok(pair);
-        }
-        RECOUNT_CACHE_MISS.incr();
-        let pair = {
+        let (pair, hit) = self.pairs.get_or_try_insert_with(key, || {
+            RECOUNT_CACHE_MISS.incr();
             let _span = Span::enter(obs_phase::RECOUNT);
-            self.eng.masked_sat_pair(db, &g.atoms, &g.scopes, f)?
-        };
-        self.pair_cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(key, pair.clone());
+            self.eng.masked_sat_pair(db, &g.atoms, &g.scopes, f)
+        })?;
+        if hit {
+            RECOUNT_CACHE_HIT.incr();
+        }
         Ok(pair)
     }
 }
@@ -1502,25 +1606,9 @@ impl CompiledProbability {
     /// Anything the evaluation recursion raises while re-evaluating the
     /// touched root group.
     pub fn update(&mut self, db: &Database, change: EngineUpdate) -> Result<bool, CoreError> {
+        let _span = Span::enter(obs_phase::UPDATE);
         self.eng.update(db, change)
     }
-}
-
-/// The weight correlation `out[j] = Σ_t weights[j+t] · env[t]` for
-/// `j = 0..out_len`. Contracting a difference vector against `out` is
-/// the same as convolving it with `env` first and weighting afterwards.
-fn correlate(weights: &[BigUint], env: &[BigUint], out_len: usize) -> Vec<BigUint> {
-    (0..out_len)
-        .map(|j| {
-            let mut acc = BigUint::zero();
-            for (t, e) in env.iter().enumerate() {
-                if !e.is_zero() {
-                    acc += &(&weights[j + t] * e);
-                }
-            }
-            acc
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -1674,6 +1762,38 @@ mod tests {
         let g1 = db.find_fact("Reg", &["Caroline", "DB"]).unwrap();
         assert_ne!(compiled.bucket_of(f1), compiled.bucket_of(g1));
         assert!(compiled.bucket_of(g1) < compiled.buckets());
+    }
+
+    #[test]
+    fn weight_classes_share_contractions() {
+        // Students 0..6 have i % 3 + 1 courses each: three root-group
+        // shapes, so three weight classes of two groups each.
+        let mut db = Database::new();
+        for s in 0..6 {
+            let name = format!("s{s}");
+            db.add_exo("Stud", &[&name]).unwrap();
+            db.add_endo("TA", &[&name]).unwrap();
+            for c in 0..=s % 3 {
+                db.add_endo("Reg", &[&name, &format!("c{c}")]).unwrap();
+            }
+        }
+        let q1 = parse_cq("q1() :- Stud(x), !TA(x), Reg(x, y)").unwrap();
+        agrees_with_per_fact(&db, &q1);
+        let compiled = CompiledCount::compile(&db, &q1).unwrap();
+        assert_eq!(compiled.classes[0].reps.len(), 3);
+        for &f in db.endo_facts() {
+            compiled.value(&db, f).unwrap();
+        }
+        // One contraction per class and distinct difference vector (a
+        // TA fact's and a Reg fact's), not one per fact.
+        let contracted = compiled
+            .numerators
+            .slots
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len();
+        assert!(contracted <= 6, "{contracted} contractions");
+        assert!(contracted < db.endo_count());
     }
 
     #[test]

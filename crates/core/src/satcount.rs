@@ -30,7 +30,7 @@
 // cqshap-lint: allow-file(no-panic-index) -- world enumeration indexes count arrays sized bits+1 up front
 
 use cqshap_db::{ConstId, Database, FactId, FactMask, World};
-use cqshap_numeric::{binomial, BigUint};
+use cqshap_numeric::BigUint;
 use cqshap_query::{has_self_join, is_hierarchical, ConjunctiveQuery, Term};
 
 use crate::anyquery::AnyQuery;
@@ -342,17 +342,26 @@ pub(crate) fn scope_endo_count(view: MaskedDb<'_>, scopes: &[Vec<FactId>]) -> us
 }
 
 /// `[C(n,k) - v[k]]_k` — flipping between satisfying and unsatisfying
-/// counts over `n` endogenous facts.
+/// counts over `n` endogenous facts. The Pascal row is stepped along
+/// with `k` (`C(n, k+1) = C(n, k)·(n−k)/(k+1)`, word-size operations)
+/// instead of recomputing each binomial from scratch.
 pub(crate) fn complement_counts(v: &[BigUint], n: usize) -> Vec<BigUint> {
     debug_assert_eq!(v.len(), n + 1);
-    (0..=n)
-        .map(|k| {
-            binomial(n, k)
-                .checked_sub(&v[k])
+    let mut row = BigUint::one();
+    let mut out = Vec::with_capacity(n + 1);
+    for (k, vk) in v.iter().enumerate() {
+        out.push(
+            row.checked_sub(vk)
                 // cqshap-lint: allow(no-panic) -- the running count is bounded by C(n, k) by construction
-                .expect("count bounded by C(n, k)")
-        })
-        .collect()
+                .expect("count bounded by C(n, k)"),
+        );
+        if k < n {
+            row.mul_u64_assign((n - k) as u64);
+            let rem = row.div_rem_u64_assign((k + 1) as u64);
+            debug_assert_eq!(rem, 0, "Pascal row entries divide exactly");
+        }
+    }
+    out
 }
 
 /// Root values with *full positive support*: the candidates of case 3.
@@ -622,6 +631,7 @@ impl SatCountOracle for BruteForceCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cqshap_numeric::binomial;
     use cqshap_query::parse_cq;
 
     fn counts_match(db: &Database, q: &ConjunctiveQuery) {
@@ -848,6 +858,20 @@ mod tests {
         assert_eq!(ok[0], BigUint::zero());
         for (k, c) in ok.iter().enumerate().skip(1) {
             assert_eq!(*c, binomial(5, k));
+        }
+    }
+
+    #[test]
+    fn running_pascal_row_matches_binomial() {
+        for n in 0..=80usize {
+            let zeros = vec![BigUint::zero(); n + 1];
+            let row = complement_counts(&zeros, n);
+            for (k, c) in row.iter().enumerate() {
+                assert_eq!(*c, binomial(n, k), "C({n}, {k})");
+            }
+            // Subtracting the row itself leaves nothing.
+            let full: Vec<BigUint> = (0..=n).map(|k| binomial(n, k)).collect();
+            assert!(complement_counts(&full, n).iter().all(BigUint::is_zero));
         }
     }
 }

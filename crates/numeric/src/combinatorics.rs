@@ -144,6 +144,103 @@ fn strip_prime(v: &mut BigUint, p: u64, max: usize) -> usize {
     count
 }
 
+/// Coalition sizes per block of [`ShapleyWeights`]: the word-sized
+/// cofactors then hold at most `WEIGHT_BLOCK − 1` factors `≤ m`.
+const WEIGHT_BLOCK: usize = 32;
+
+/// All Shapley weight numerators `w[k] = k!·(m-1-k)!`, `k < m`, of an
+/// `m`-player game, in blocked form `w[k] = block[k / B] · step[k]`
+/// with `B = 32`: one big factor `a!·(m-1-z)!` per block of sizes
+/// `a..=z`, times a short cofactor. The cofactors follow the ratio
+/// `w[k+1] = w[k]·(k+1)/(m-1-k)` inside a block, so building them
+/// takes word-size multiplications and exact word-size divisions only.
+///
+/// [`ShapleyWeights::contract`] weights a whole count vector with one
+/// short product per size and one big product per block, instead of a
+/// big-by-big product per size.
+#[derive(Debug, Clone, Default)]
+pub struct ShapleyWeights {
+    blocks: Vec<BigUint>,
+    steps: Vec<BigUint>,
+}
+
+impl ShapleyWeights {
+    /// The weights of an `m`-player game (none for `m = 0`).
+    ///
+    /// # Panics
+    /// Panics if `m - 1` exceeds the table size.
+    pub fn new(table: &FactorialTable, m: usize) -> Self {
+        let Some(last) = m.checked_sub(1) else {
+            return ShapleyWeights::default();
+        };
+        let mut blocks = Vec::with_capacity(m.div_ceil(WEIGHT_BLOCK));
+        let mut steps = Vec::with_capacity(m);
+        for a in (0..m).step_by(WEIGHT_BLOCK) {
+            let z = (a + WEIGHT_BLOCK).min(m) - 1;
+            blocks.push(table.factorial(a) * table.factorial(last - z));
+            // w[a] = a!·(m-1-z)! · (m-z)·…·(m-1-a).
+            let mut step = BigUint::one();
+            for i in last - z + 1..=last - a {
+                step.mul_u64_assign(i as u64);
+            }
+            steps.push(step.clone());
+            for k in a..z {
+                step.mul_u64_assign((k + 1) as u64);
+                let rem = step.div_rem_u64_assign((last - k) as u64);
+                debug_assert_eq!(rem, 0, "k!(m-1-k)! ratios divide exactly");
+                steps.push(step.clone());
+            }
+        }
+        ShapleyWeights { blocks, steps }
+    }
+
+    /// The number of players `m` (one weight per coalition size `< m`).
+    pub fn len(&self) -> usize {
+        self.steps.len()
+    }
+
+    /// Is this the empty game?
+    pub fn is_empty(&self) -> bool {
+        self.steps.is_empty()
+    }
+
+    /// `Σ_k (plus[k] − minus[k])·w[k]` — a signed count vector, given
+    /// as two unsigned halves of length `m`, weighted by the numerators.
+    pub fn contract(&self, plus: &[BigUint], minus: &[BigUint]) -> BigInt {
+        debug_assert_eq!(plus.len(), self.len());
+        debug_assert_eq!(minus.len(), self.len());
+        let mut pos = BigUint::zero();
+        let mut neg = BigUint::zero();
+        let chunks = plus
+            .chunks(WEIGHT_BLOCK)
+            .zip(minus.chunks(WEIGHT_BLOCK))
+            .zip(self.steps.chunks(WEIGHT_BLOCK));
+        for (((p, n), steps), block) in chunks.zip(&self.blocks) {
+            let mut block_pos = BigUint::zero();
+            let mut block_neg = BigUint::zero();
+            for ((p, n), step) in p.iter().zip(n).zip(steps) {
+                let diff = BigInt::signed_diff(p, n);
+                if diff.is_zero() {
+                    continue;
+                }
+                let term = diff.magnitude() * step;
+                if diff.is_negative() {
+                    block_neg += &term;
+                } else {
+                    block_pos += &term;
+                }
+            }
+            if !block_pos.is_zero() {
+                pos += &(&block_pos * block);
+            }
+            if !block_neg.is_zero() {
+                neg += &(&block_neg * block);
+            }
+        }
+        BigInt::signed_diff(&pos, &neg)
+    }
+}
+
 /// A cache of `0! ..= n!` plus derived Shapley permutation weights.
 #[derive(Debug, Clone)]
 pub struct FactorialTable {
@@ -340,6 +437,56 @@ mod tests {
             for k in 0..=n {
                 assert_eq!(t.binomial(n, k), binomial(n, k));
             }
+        }
+    }
+
+    #[test]
+    fn ratio_weights_match_factorial_products() {
+        let t = FactorialTable::new(130);
+        for m in (0..=64usize).chain([95, 96, 97, 130]) {
+            let w = ShapleyWeights::new(&t, m);
+            assert_eq!(w.len(), m, "m={m}");
+            let zeros = vec![BigUint::zero(); m];
+            for k in 0..m {
+                // Contracting the unit vector e_k reads off w[k].
+                let mut unit = zeros.clone();
+                unit[k] = BigUint::one();
+                let want = factorial(k) * factorial(m - 1 - k);
+                assert_eq!(
+                    w.contract(&unit, &zeros),
+                    BigInt::from_biguint(want),
+                    "m={m}, k={k}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_contraction_matches_the_plain_dot_product() {
+        let t = FactorialTable::new(100);
+        for m in [0usize, 1, 2, 31, 32, 33, 64, 100] {
+            let w = ShapleyWeights::new(&t, m);
+            // Coefficients of mixed sign and size, with zero runs.
+            let plus: Vec<BigUint> = (0..m)
+                .map(|k| match k % 5 {
+                    0 => BigUint::zero(),
+                    1 => factorial(k % 23),
+                    _ => BigUint::from_u64((k * k) as u64),
+                })
+                .collect();
+            let minus: Vec<BigUint> = (0..m)
+                .map(|k| match k % 3 {
+                    0 => BigUint::from_u64(k as u64 + 7),
+                    _ => BigUint::zero(),
+                })
+                .collect();
+            let mut want = BigInt::zero();
+            for k in 0..m {
+                let weight = factorial(k) * factorial(m - 1 - k);
+                want += &(BigInt::signed_diff(&plus[k], &minus[k]) * BigInt::from_biguint(weight));
+            }
+            assert_eq!(w.contract(&plus, &minus), want, "m={m}");
+            assert_eq!(w.contract(&minus, &plus), -want, "m={m} negated");
         }
     }
 

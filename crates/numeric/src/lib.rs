@@ -11,7 +11,8 @@
 //! * [`BigUint`] — arbitrary-precision unsigned integers,
 //! * [`BigInt`] — signed integers,
 //! * [`BigRational`] — normalized rationals,
-//! * [`FactorialTable`] and [`binomial`] — exact combinatorics,
+//! * [`FactorialTable`], [`ShapleyWeights`] and [`binomial`] — exact
+//!   combinatorics,
 //! * [`poly`] — fast polynomial arithmetic over `BigUint` coefficient
 //!   vectors: shape-dispatched multiplication (schoolbook below
 //!   [`poly::KARATSUBA_MIN`] = 24 coefficients, then a work model
@@ -44,7 +45,7 @@ pub mod rational;
 pub use bigint::{BigInt, Sign};
 pub use biguint::BigUint;
 pub use cancel::{Budget, CancelToken, Stopwatch};
-pub use combinatorics::{binomial, factorial, BinomialCache, FactorialTable};
+pub use combinatorics::{binomial, factorial, BinomialCache, FactorialTable, ShapleyWeights};
 pub use error::NumericError;
 pub use linalg::RationalMatrix;
 pub use poly::Poly;

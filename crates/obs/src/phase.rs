@@ -30,6 +30,18 @@ pub const COMPILE: &str = "compile";
 pub const UPDATE: &str = "update";
 /// Compiled-engine masked recount pass (per root group).
 pub const RECOUNT: &str = "recount";
+/// Compiled-engine component complement `C(endo, k) − unsat_k` (compile
+/// and update).
+pub const COMPLEMENT: &str = "compile.complement";
+/// Compiled-engine leave-one-out environments of root groups and
+/// components (compile and update).
+pub const LEAVE_ONE_OUT: &str = "compile.leave-one-out";
+/// Shapley weight numerators `k!·(m−1−k)!` and weight-class layout of a
+/// counting engine (compile and update).
+pub const WEIGHTS: &str = "compile.weights";
+/// Report-time contraction of a fact's difference vector against its
+/// weight class's environment and the weight numerators.
+pub const CONTRACT: &str = "report.contract";
 /// Union (UCQ) compile: per-term engines plus inclusion–exclusion setup.
 pub const UNION_COMPILE: &str = "union-compile";
 /// Union (UCQ) per-term recount enumeration.
@@ -77,6 +89,12 @@ pub const CTR_CLASS_MEMO_MISS: &str = "compiled.class-memo.miss";
 pub const CTR_RECOUNT_CACHE_HIT: &str = "compiled.recount-cache.hit";
 /// Masked-recount cache misses (root groups recounted).
 pub const CTR_RECOUNT_CACHE_MISS: &str = "compiled.recount-cache.miss";
+
+/// Shapley-numerator memo hits (a `(weight class, difference)` pair
+/// already contracted).
+pub const CTR_NUMERATOR_MEMO_HIT: &str = "compiled.numerator-memo.hit";
+/// Shapley-numerator memo misses (contractions run).
+pub const CTR_NUMERATOR_MEMO_MISS: &str = "compiled.numerator-memo.miss";
 
 /// Aggregate candidate groups discovered during prepare.
 pub const CTR_AGG_CANDIDATES: &str = "aggregate.candidates";
