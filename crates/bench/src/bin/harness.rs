@@ -877,10 +877,9 @@ fn bench_probdb(quick: bool, out_path: &str) {
 /// * `karatsuba_descent` / `ntt_descent` — the same descent with the
 ///   forced backend (balanced subproduct trees), isolating what a
 ///   convolution backend alone buys on the old algorithm;
-/// * `subsystem` — the shipped `poly::leave_one_out_products_shared`
-///   (the form the compiled engines consume): one backend-dispatched
-///   total-product tree plus one exact division per distinct factor,
-///   duplicates `Arc`-shared.
+/// * `subsystem` — the shipped `poly::leave_one_out_products`: one
+///   backend-dispatched total-product tree plus one exact division per
+///   distinct factor.
 ///
 /// The scaling rows run the shipped subsystem under explicit thread
 /// caps (on a single-core host those rows are expectedly flat — the
@@ -970,9 +969,7 @@ fn bench_poly(quick: bool, out_path: &str) {
     fn subsystem_ms(polys: &[Vec<BigUint>], threads: usize) -> f64 {
         let refs: Vec<&[BigUint]> = polys.iter().map(|p| p.as_slice()).collect();
         time_ms(|| {
-            // The shared form is what the compiled engines consume:
-            // equal factors hold one environment allocation.
-            let envs = poly::leave_one_out_products_shared(&refs, &[BigUint::one()], threads);
+            let envs = poly::leave_one_out_products(&refs, &[BigUint::one()], threads);
             assert_eq!(envs.len(), refs.len());
         })
     }

@@ -14,11 +14,11 @@
 //!    scopes, split into connected components, and group each
 //!    component's facts by their root value (the structure of Lemma
 //!    3.2's recursion, materialized).
-//! 2. **Cache** — every component's satisfying-count polynomial and
-//!    every root group's unsatisfying-count polynomial, plus
-//!    *leave-one-out environments* (prefix/suffix convolutions of all
-//!    the other groups' polynomials, combined divide-and-conquer), and
-//!    the Shapley weight numerators `w[k] = k!·(m−1−k)!`.
+//! 2. **Cache** — every component's satisfying-count polynomial, every
+//!    root group's unsatisfying-count polynomial, and per rooted
+//!    component *one* product of its groups' factors; plus the Shapley
+//!    weight numerators `w[k] = k!·(m−1−k)!`. A group's leave-one-out
+//!    environment is derived from the component product on demand.
 //! 3. **Recount** — for fact `f`, recompute only `f`'s root group under
 //!    the two [`FactMask`] views (`f` removed, `f` exogenized; no
 //!    database clones). The short difference vector `d` of the two
@@ -39,22 +39,26 @@
 //! takes `&Database`, and [`CompiledCount::update`] *patches* the
 //! compiled state after an in-place database update
 //! ([`Database::retract_fact`] / [`Database::set_fact_provenance`] /
-//! an insertion) instead of recompiling. The key observation is that a
-//! root group's cached leave-one-out environment
-//! `genv_g = binom(junk) ⊛ ⊛_{h≠g} unsat_h` is a *product of the other
-//! groups' polynomials*: a single-group change is a factor swap, served
-//! by one exact polynomial division and one short convolution per
-//! environment — `O(|group| · m)` small-coefficient work — rather than
-//! re-running the divide-and-conquer product tree (the
-//! large-coefficient stage that dominates compilation; compile runs it
-//! through [`cqshap_numeric::poly`]'s scoped-thread trees with
-//! size-dispatched Karatsuba/NTT convolution, and the junk binomial
-//! factors are `O(n)` Pascal shifts).
+//! an insertion) instead of recompiling. Each rooted component keeps
+//! `unsat_all`, the product of its groups' *nonzero* `unsat` factors,
+//! a count `zeros` of the always-satisfied groups (identically zero
+//! `unsat`), and `outer = unsat_all ⊛ free(junk)`. A root group's
+//! leave-one-out environment
+//! `genv_g = free(junk) ⊛ ⊛_{h≠g} unsat_h` is then `outer / unsat_g`
+//! when `zeros = 0`, `outer` itself for the one always-satisfied group
+//! when `zeros = 1`, and zero otherwise. A single-group change is a
+//! factor swap on `unsat_all` alone — one exact division by the old
+//! factor (or `zeros −= 1`) and one combination with the new one (or
+//! `zeros += 1`) — and a junk shift just rebuilds `outer`. No update
+//! touches the other groups: their environments are derived lazily by
+//! the next report (one division per weight class) or conditional
+//! read (one per group), so an update costs what it touches.
 //! Only the touched group's counting recursion is re-run; the report
-//! memos are then cleared and, when `m` moved, the weight numerators
-//! rebuilt (word-size ratio steps). Structural
-//! drift — a root group appearing or dying, a query atom resolving
-//! differently — makes `update` report that a full recompile is needed.
+//! memos that depend on `m` or on the environments are then cleared
+//! and, when `m` moved, the weight numerators rebuilt (word-size ratio
+//! steps). Structural drift — a root group appearing or dying, a query
+//! atom resolving differently — makes `update` report that a full
+//! recompile is needed.
 //!
 //! The resulting values are *bit-identical* to the per-fact oracle: the
 //! weighted sums are accumulated as exact integers over the common
@@ -145,11 +149,12 @@ struct RootGroup<V> {
     /// unmodified db (counting: `[C(endo,j) − sat_j]`; probability:
     /// `1 − P_c`).
     unsat: V,
-    /// The leave-one-out environment `free(junk) ⊛ ⊛_{h≠g} unsat_h` —
-    /// cached so updates can maintain it by factor swaps. Isomorphic
-    /// groups (equal `unsat`) may share one allocation, so a swap
-    /// patches each *distinct* environment once.
-    genv: Arc<V>,
+    /// The leave-one-out environment `free(junk) ⊛ ⊛_{h≠g} unsat_h`,
+    /// derived on first use from the component's product
+    /// ([`CompiledEngine::group_env`]) and emptied whenever that product
+    /// changes. `None` records a failed division (never for exact
+    /// factors).
+    env: OnceLock<Option<V>>,
     /// Canonical form of the group's atoms and scope facts (constants
     /// renamed by first occurrence, endogeneity flags included): groups
     /// with equal forms are isomorphic, so their counting recounts
@@ -166,8 +171,18 @@ enum CompKind<V> {
     /// with full positive support.
     Rooted {
         junk_endo: usize,
-        /// `⊛_g unsat_g` — shared by all junk-fact value queries.
+        /// `⊛` of the groups' *nonzero* `unsat` factors. An update
+        /// swaps one factor: exact division by the old one, combination
+        /// with the new one.
         unsat_all: V,
+        /// How many groups have an identically zero `unsat` (always
+        /// satisfied). Zero factors are counted, not multiplied in, so
+        /// they never need dividing back out.
+        zeros: usize,
+        /// `unsat_all ⊛ free(junk_endo)`: the component's unsatisfying
+        /// value when `zeros = 0`, and the numerator every group
+        /// environment is divided out of.
+        outer: V,
         groups: Vec<RootGroup<V>>,
     },
 }
@@ -190,6 +205,36 @@ struct Component<V> {
     /// component.
     env: V,
     kind: CompKind<V>,
+}
+
+impl<V> Component<V> {
+    /// Rebuilds what a rooted component derives from its factor product
+    /// and junk count — `outer`, the endogenous count, the satisfying
+    /// value — and empties the groups' environment slots. Compile and
+    /// every update of the component end here.
+    fn refresh_rooted<D: EvalDomain<Value = V>>(&mut self, dom: &D) {
+        let CompKind::Rooted {
+            junk_endo,
+            unsat_all,
+            zeros,
+            outer,
+            groups,
+        } = &mut self.kind
+        else {
+            return;
+        };
+        *outer = dom.combine(unsat_all, &dom.free(*junk_endo));
+        self.endo = groups.iter().map(|g| g.endo).sum::<usize>() + *junk_endo;
+        for g in groups.iter_mut() {
+            g.env.take();
+        }
+        let _span = Span::enter(obs_phase::COMPLEMENT);
+        self.sat = if *zeros == 0 {
+            dom.complement(outer, self.endo)
+        } else {
+            dom.complement(&dom.zero(self.endo), self.endo)
+        };
+    }
 }
 
 /// Where an updated fact landed during [`CompiledEngine::update`].
@@ -249,7 +294,9 @@ struct CompiledEngine<D: EvalDomain> {
 /// component — and the weights `w[k] = k!(m−1−k)!`. It runs on demand
 /// in the report, once per distinct `(component, weight class, d)`: a
 /// weight class is the root groups of a component with equal `unsat`,
-/// which share `genv` and therefore `E`.
+/// which share `genv` and therefore `E`. `genv` itself is not stored:
+/// the report derives it per class from the component's maintained
+/// factor product, so an update never touches the untouched groups.
 pub struct CompiledCount {
     eng: CompiledEngine<CountingDomain>,
     table: FactorialTable,
@@ -263,7 +310,14 @@ pub struct CompiledCount {
     reduced: OnceMemo<BigInt, BigRational>,
     /// `(group canonical form, masked fact's role)` → the two masked
     /// count vectors of the reduction: the per-fact recount runs once
-    /// per isomorphism class and role instead of once per fact.
+    /// per isomorphism class and role instead of once per fact. The
+    /// entries are *not* cleared by updates. The canonical form records
+    /// the group's atoms and every scope fact with its endogeneity, so
+    /// it fixes the group-local counting recursion up to renaming; the
+    /// role fixes the masked fact. The two count vectors are group-local
+    /// — they depend on neither the sibling groups nor `m` — so a key
+    /// keeps its value across updates, and only a touched group (whose
+    /// canonical form is recomputed) can miss again.
     pairs: OnceMemo<PairKey, (Vec<BigUint>, Vec<BigUint>)>,
     /// `(component, weight class, d)` → the Shapley numerator.
     numerators: OnceMemo<(usize, usize, Vec<BigInt>), BigInt>,
@@ -271,15 +325,17 @@ pub struct CompiledCount {
 
 /// The weight classes of one component: root groups with equal
 /// `unsat` have equal leave-one-out environments, so they share one
-/// contraction environment `E = genv ⊛ env`. Ground components have a
-/// single class whose environment is `env` itself.
+/// contraction environment `E = genv ⊛ env`, derived once per class
+/// and rebuilt with the layout after every update. Ground components
+/// have a single class whose environment is `env` itself.
 struct WeightClasses {
     /// The class of each root group (empty for a ground component).
     class_of: Vec<usize>,
     /// A representative root group per class.
     reps: Vec<usize>,
-    /// Per class: `E`, built on first use by a report.
-    envs: Vec<OnceLock<Vec<BigUint>>>,
+    /// Per class: `E`, built on first use by a report (`None` records
+    /// a failed division).
+    envs: Vec<OnceLock<Option<Vec<BigUint>>>>,
 }
 
 impl WeightClasses {
@@ -416,6 +472,15 @@ fn canonical_form(db: &Database, atoms: &[PAtom], scopes: &[Vec<FactId>]) -> Vec
         }
     }
     out
+}
+
+/// The error of a group environment that could not be derived: the
+/// component product no longer divides exactly (an engine bug, not an
+/// input error).
+fn env_unavailable() -> CoreError {
+    CoreError::Unsupported(
+        "a root group's environment does not divide its component product".into(),
+    )
 }
 
 /// Which atoms of `q` resolve against `db` (relation known, every
@@ -560,7 +625,7 @@ impl<D: EvalDomain> CompiledEngine<D> {
                     atoms: g_atoms,
                     scopes: g_scopes,
                     unsat,
-                    genv: Arc::new(dom.one()),
+                    env: OnceLock::new(),
                     canon,
                 });
             }
@@ -570,52 +635,34 @@ impl<D: EvalDomain> CompiledEngine<D> {
                     locs.entry(f).or_insert(Loc::Junk { comp: ci });
                 }
             }
-            let unsat_refs: Vec<&D::Value> = groups.iter().map(|g| &g.unsat).collect();
-            let unsat_all = dom.product(&unsat_refs, threads);
-            let comp_unsat = dom.combine(&unsat_all, &dom.free(junk_endo));
-            let sat = {
-                let _span = Span::enter(obs_phase::COMPLEMENT);
-                dom.complement(&comp_unsat, endo)
-            };
-            components.push(Component {
+            let factors: Vec<&D::Value> = groups
+                .iter()
+                .map(|g| &g.unsat)
+                .filter(|u| !dom.is_zero(u))
+                .collect();
+            let zeros = groups.len() - factors.len();
+            let unsat_all = dom.product(&factors, threads);
+            let mut comp = Component {
                 atoms: sub_atoms,
                 rels: sub_rels,
                 scopes: sub_scopes,
                 root: Some(root),
                 endo,
-                sat,
+                sat: dom.one(),
                 env: dom.one(),
                 kind: CompKind::Rooted {
                     junk_endo,
                     unsat_all,
+                    zeros,
+                    outer: dom.one(),
                     groups,
                 },
-            });
+            };
+            comp.refresh_rooted(&dom);
+            components.push(comp);
         }
 
         let free_endo = m - components.iter().map(|c| c.endo).sum::<usize>();
-
-        // Group-level leave-one-out environments, computed once by the
-        // work-stealing divide-and-conquer product tree and *cached*
-        // (updates maintain them by factor swaps instead of re-running
-        // the tree).
-        for comp in &mut components {
-            if let CompKind::Rooted {
-                junk_endo, groups, ..
-            } = &mut comp.kind
-            {
-                let _span = Span::enter(obs_phase::LEAVE_ONE_OUT);
-                let unsat_refs: Vec<&D::Value> = groups.iter().map(|g| &g.unsat).collect();
-                // Isomorphic groups (equal `unsat`) may share one
-                // `Arc`'d environment straight out of the subsystem, so
-                // update-time factor swaps patch each distinct value
-                // once.
-                let genv = dom.leave_one_out_shared(&unsat_refs, &dom.free(*junk_endo), threads);
-                for (group, env) in groups.iter_mut().zip(genv) {
-                    group.genv = env;
-                }
-            }
-        }
 
         // Bucket layout: 0 = all zero-valued facts (free + junk), then
         // one bucket per ground component, then one per root group.
@@ -667,8 +714,7 @@ impl<D: EvalDomain> CompiledEngine<D> {
             .combine(&self.all_sat, &self.dom.free(self.free_endo));
 
         // Component-level leave-one-out environments. Components are
-        // bounded by the query's atom count, so this stage is cheap
-        // next to the group-level work.
+        // bounded by the query's atom count, so this stage is cheap.
         let _span = Span::enter(obs_phase::LEAVE_ONE_OUT);
         let envs = self
             .dom
@@ -681,10 +727,9 @@ impl<D: EvalDomain> CompiledEngine<D> {
     /// Patches the compiled caches after one in-place database update
     /// (the database must already be mutated). Returns `Ok(false)` when
     /// the change shifts the compiled *structure* — an atom resolving
-    /// differently, a root group appearing or dying, a degenerate
-    /// always-satisfied group — in which case the caller must compile
-    /// afresh; results after a successful update are bit-identical to
-    /// that fresh compile.
+    /// differently, a root group appearing or dying — in which case the
+    /// caller must compile afresh; results after a successful update are
+    /// bit-identical to that fresh compile.
     ///
     /// # Errors
     /// Anything the evaluation recursion raises while re-evaluating the
@@ -737,66 +782,43 @@ impl<D: EvalDomain> CompiledEngine<D> {
     }
 
     /// Re-runs the evaluation recursion for one root group and swaps
-    /// the updated `unsat` factor into every cached environment of the
-    /// component. Returns `false` when the swap is impossible (the old
-    /// factor was identically zero: an always-satisfied group zeroed
-    /// every environment, so nothing can be recovered incrementally).
+    /// its updated `unsat` factor into the component's product: a zero
+    /// factor is only counted, a nonzero one is divided out or
+    /// multiplied in. Returns `false` when the division fails (never
+    /// for exact factors), so the caller recompiles.
     fn recount_group(&mut self, db: &Database, ci: usize, gi: usize) -> Result<bool, CoreError> {
         let _span = Span::enter(obs_phase::RECOUNT);
         let view = MaskedDb::new(db, FactMask::None);
         let dom = &self.dom;
         let comp = &mut self.components[ci];
-        let (new_endo, comp_unsat) = {
-            let CompKind::Rooted {
-                junk_endo,
-                unsat_all,
-                groups,
-            } = &mut comp.kind
-            else {
-                // cqshap-lint: allow(no-panic) -- structural invariant: recount_group only targets components rooted at compile time
-                unreachable!("recount_group targets rooted components");
-            };
-            let g = &mut groups[gi];
-            g.endo = scope_endo_count(view, &g.scopes);
-            g.canon = Arc::new(canonical_form(db, &g.atoms, &g.scopes));
-            let sat_c = eval_rec(dom, view, &g.atoms, &g.scopes)?;
-            let unsat_new = dom.complement(&sat_c, g.endo);
-            let unsat_old = std::mem::replace(&mut g.unsat, unsat_new.clone());
-            if dom.is_zero(&unsat_old) {
-                return Ok(false);
-            }
+        let CompKind::Rooted {
+            unsat_all,
+            zeros,
+            groups,
+            ..
+        } = &mut comp.kind
+        else {
+            return Ok(false);
+        };
+        let g = &mut groups[gi];
+        g.endo = scope_endo_count(view, &g.scopes);
+        g.canon = Arc::new(canonical_form(db, &g.atoms, &g.scopes));
+        let sat_c = eval_rec(dom, view, &g.atoms, &g.scopes)?;
+        let unsat_old = std::mem::replace(&mut g.unsat, dom.complement(&sat_c, g.endo));
+        if dom.is_zero(&unsat_old) {
+            *zeros -= 1;
+        } else {
             let Some(quotient) = dom.try_divide(unsat_all, &unsat_old) else {
                 return Ok(false);
             };
-            *unsat_all = dom.combine(&quotient, &unsat_new);
-            // Swap the updated factor into every *distinct* environment
-            // (shared Arcs make the per-group pass a pointer lookup).
-            let mut patched: HashMap<*const D::Value, Arc<D::Value>> = HashMap::new();
-            for (hi, h) in groups.iter_mut().enumerate() {
-                if hi == gi {
-                    continue;
-                }
-                if let Some(done) = patched.get(&Arc::as_ptr(&h.genv)) {
-                    h.genv = done.clone();
-                    continue;
-                }
-                let Some(quotient) = dom.try_divide(&h.genv, &unsat_old) else {
-                    return Ok(false);
-                };
-                let swapped = Arc::new(dom.combine(&quotient, &unsat_new));
-                patched.insert(Arc::as_ptr(&h.genv), swapped.clone());
-                h.genv = swapped;
-            }
-            (
-                groups.iter().map(|g| g.endo).sum::<usize>() + *junk_endo,
-                dom.combine(unsat_all, &dom.free(*junk_endo)),
-            )
-        };
-        comp.endo = new_endo;
-        comp.sat = {
-            let _span = Span::enter(obs_phase::COMPLEMENT);
-            self.dom.complement(&comp_unsat, new_endo)
-        };
+            *unsat_all = quotient;
+        }
+        if dom.is_zero(&g.unsat) {
+            *zeros += 1;
+        } else {
+            *unsat_all = dom.combine(unsat_all, &g.unsat);
+        }
+        comp.refresh_rooted(dom);
         Ok(true)
     }
 
@@ -809,64 +831,18 @@ impl<D: EvalDomain> CompiledEngine<D> {
         Ok(())
     }
 
-    /// Shifts a component's junk factor by ±1 endogenous fact:
-    /// `free(j+1) = free(j) ⊛ free(1)`, so every group environment
-    /// gains or sheds one `free(1)` factor —
-    /// [`EvalDomain::push_free`] / [`EvalDomain::pop_free`] (`O(n)`
-    /// Pascal shifts for counting, no-ops for probabilities) instead of
-    /// generic combination/division.
-    fn shift_junk(&mut self, ci: usize, grow: bool) -> bool {
-        let dom = &self.dom;
+    /// Shifts a component's junk count by ±1 endogenous fact; the
+    /// component's `outer` product is rebuilt around it.
+    fn shift_junk(&mut self, ci: usize, grow: bool) {
         let comp = &mut self.components[ci];
-        let (new_endo, comp_unsat) = {
-            let CompKind::Rooted {
-                junk_endo,
-                unsat_all,
-                groups,
-            } = &mut comp.kind
-            else {
-                // cqshap-lint: allow(no-panic) -- structural invariant: junk groups exist only inside rooted components
-                unreachable!("junk lives in rooted components");
-            };
-            let mut patched: HashMap<*const D::Value, Arc<D::Value>> = HashMap::new();
+        if let CompKind::Rooted { junk_endo, .. } = &mut comp.kind {
             if grow {
                 *junk_endo += 1;
-                for g in groups.iter_mut() {
-                    if let Some(done) = patched.get(&Arc::as_ptr(&g.genv)) {
-                        g.genv = done.clone();
-                        continue;
-                    }
-                    let grown = Arc::new(dom.push_free(&g.genv));
-                    patched.insert(Arc::as_ptr(&g.genv), grown.clone());
-                    g.genv = grown;
-                }
             } else {
                 *junk_endo -= 1;
-                for g in groups.iter_mut() {
-                    if let Some(done) = patched.get(&Arc::as_ptr(&g.genv)) {
-                        g.genv = done.clone();
-                        continue;
-                    }
-                    let Some(quotient) = dom.pop_free(&g.genv) else {
-                        return false;
-                    };
-                    let shrunk = Arc::new(quotient);
-                    patched.insert(Arc::as_ptr(&g.genv), shrunk.clone());
-                    g.genv = shrunk;
-                }
             }
-            let grouped: usize = groups.iter().map(|g| g.endo).sum();
-            (
-                grouped + *junk_endo,
-                dom.combine(unsat_all, &dom.free(*junk_endo)),
-            )
-        };
-        comp.endo = new_endo;
-        comp.sat = {
-            let _span = Span::enter(obs_phase::COMPLEMENT);
-            self.dom.complement(&comp_unsat, new_endo)
-        };
-        true
+        }
+        comp.refresh_rooted(&self.dom);
     }
 
     /// Where `f` sits inside component `ci`: in the root group for its
@@ -948,10 +924,9 @@ impl<D: EvalDomain> CompiledEngine<D> {
                 self.components[ci].scopes[ai].push(f);
                 if endo {
                     self.locs.insert(f, Loc::Junk { comp: ci });
-                    Ok(self.shift_junk(ci, true))
-                } else {
-                    Ok(true)
+                    self.shift_junk(ci, true);
                 }
+                Ok(true)
             }
         }
     }
@@ -986,10 +961,9 @@ impl<D: EvalDomain> CompiledEngine<D> {
             }
             None => {
                 if was_endo {
-                    Ok(self.shift_junk(ci, false))
-                } else {
-                    Ok(true)
+                    self.shift_junk(ci, false);
                 }
+                Ok(true)
             }
         }
     }
@@ -1029,7 +1003,8 @@ impl<D: EvalDomain> CompiledEngine<D> {
                 } else {
                     self.locs.remove(&f);
                 }
-                Ok(self.shift_junk(ci, endo_now))
+                self.shift_junk(ci, endo_now);
+                Ok(true)
             }
         }
     }
@@ -1082,13 +1057,18 @@ impl<D: EvalDomain> CompiledEngine<D> {
                 let CompKind::Rooted {
                     junk_endo,
                     unsat_all,
+                    zeros,
                     ..
                 } = &c.kind
                 else {
                     // cqshap-lint: allow(no-panic) -- structural invariant: junk locs always point at rooted components
                     unreachable!("junk loc points at a rooted component");
                 };
-                let comp_unsat = self.dom.combine(unsat_all, &self.dom.free(junk_endo - 1));
+                let comp_unsat = if *zeros == 0 {
+                    self.dom.combine(unsat_all, &self.dom.free(junk_endo - 1))
+                } else {
+                    self.dom.zero(c.endo - 1)
+                };
                 let comp_sat = self.dom.complement(&comp_unsat, c.endo - 1);
                 let v = self.dom.combine(&c.env, &comp_sat);
                 Ok((v.clone(), v))
@@ -1110,7 +1090,7 @@ impl<D: EvalDomain> CompiledEngine<D> {
                     let g = &groups[group];
                     self.masked_sat_pair(db, &g.atoms, &g.scopes, f)?
                 };
-                Ok(self.lift_group_pair(comp, group, (sat_minus, sat_plus)))
+                self.lift_group_pair(comp, group, (sat_minus, sat_plus))
             }
         }
     }
@@ -1122,20 +1102,50 @@ impl<D: EvalDomain> CompiledEngine<D> {
         ci: usize,
         gi: usize,
         pair: (D::Value, D::Value),
-    ) -> (D::Value, D::Value) {
+    ) -> Result<(D::Value, D::Value), CoreError> {
         let c = &self.components[ci];
         let CompKind::Rooted { groups, .. } = &c.kind else {
-            // cqshap-lint: allow(no-panic) -- structural invariant: lift_group_pair targets grouped, hence rooted, components
-            unreachable!("lift_group_pair targets rooted components");
+            return Err(env_unavailable());
         };
         let g = &groups[gi];
+        let genv = g
+            .env
+            .get_or_init(|| self.group_env(ci, gi))
+            .as_ref()
+            .ok_or_else(env_unavailable)?;
         let lift = |sat: &D::Value| {
             let unsat = self.dom.complement(sat, g.endo - 1);
-            let comp_unsat = self.dom.combine(&g.genv, &unsat);
+            let comp_unsat = self.dom.combine(genv, &unsat);
             let comp_sat = self.dom.complement(&comp_unsat, c.endo - 1);
             self.dom.combine(&c.env, &comp_sat)
         };
-        (lift(&pair.0), lift(&pair.1))
+        Ok((lift(&pair.0), lift(&pair.1)))
+    }
+
+    /// Root group `gi`'s leave-one-out environment
+    /// `free(junk) ⊛ ⊛_{h≠g} unsat_h`, derived from component `ci`'s
+    /// maintained product: `outer / unsat_g` when no group is always
+    /// satisfied, `outer` itself for the one always-satisfied group, and
+    /// zero otherwise. `None` iff the exact division fails, which a
+    /// consistent product never does.
+    fn group_env(&self, ci: usize, gi: usize) -> Option<D::Value> {
+        let _span = Span::enter(obs_phase::CLASS_ENV);
+        let c = &self.components[ci];
+        let CompKind::Rooted {
+            zeros,
+            outer,
+            groups,
+            ..
+        } = &c.kind
+        else {
+            return None;
+        };
+        let g = groups.get(gi)?;
+        match (*zeros, self.dom.is_zero(&g.unsat)) {
+            (0, _) => self.dom.try_divide(outer, &g.unsat),
+            (1, true) => Some(outer.clone()),
+            _ => Some(self.dom.zero(c.endo - g.endo)),
+        }
     }
 
     /// Runs the group/component recursion under the two per-fact masks:
@@ -1249,12 +1259,13 @@ impl CompiledCount {
     /// Brings the Shapley-specific state in line with the engine after
     /// a compile or an update: the factorial table and the weight
     /// numerators follow `m` (rebuilt only when it moved), the weight
-    /// classes follow the groups' `unsat` values, and every memo is
-    /// emptied. No contraction runs here — reports contract on demand.
+    /// classes follow the groups' `unsat` values, and the memos that
+    /// depend on `m` or on the environments are emptied. The recount
+    /// memo survives: see [`CompiledCount::pairs`]. No contraction runs
+    /// here — reports contract on demand.
     fn refresh_weights(&mut self) {
         let _span = Span::enter(obs_phase::WEIGHTS);
         self.reduced.clear();
-        self.pairs.clear();
         self.numerators.clear();
         let m = self.eng.m;
         if self.table.max_n() != m {
@@ -1273,10 +1284,9 @@ impl CompiledCount {
     /// Patches the compiled caches after one in-place database update
     /// (the database must already be mutated). Returns `Ok(false)` when
     /// the change shifts the compiled *structure* — an atom resolving
-    /// differently, a root group appearing or dying, a degenerate
-    /// always-satisfied group — in which case the caller must
-    /// [`CompiledCount::compile`] afresh; results after a successful
-    /// update are bit-identical to that fresh compile.
+    /// differently, a root group appearing or dying — in which case the
+    /// caller must [`CompiledCount::compile`] afresh; results after a
+    /// successful update are bit-identical to that fresh compile.
     ///
     /// # Errors
     /// Anything the counting recursion raises while re-counting the
@@ -1370,7 +1380,7 @@ impl CompiledCount {
         if d.iter().all(BigInt::is_zero) {
             return Ok(BigInt::zero());
         }
-        let env = self.class_env(comp, class);
+        let env = self.class_env(comp, class)?;
         let (num, hit) = self
             .numerators
             .get_or_insert_with((comp, class, d.clone()), || self.contract(&d, env));
@@ -1383,23 +1393,27 @@ impl CompiledCount {
     }
 
     /// The contraction environment `E` of weight class `class` of
-    /// component `comp`: `env` for a ground component, `genv` when the
-    /// component's own environment is the unit, and `genv ⊛ env`
-    /// (built by the first report that needs it) otherwise.
-    fn class_env(&self, comp: usize, class: usize) -> &[BigUint] {
+    /// component `comp`: `env` for a ground component; otherwise the
+    /// class's group environment, derived from the component product
+    /// by the first report that needs it, times the component's own
+    /// `env` when that is not the unit.
+    fn class_env(&self, comp: usize, class: usize) -> Result<&[BigUint], CoreError> {
         let c = &self.eng.components[comp];
-        let CompKind::Rooted { groups, .. } = &c.kind else {
-            return &c.env;
-        };
-        let layout = &self.classes[comp];
-        let genv: &Vec<BigUint> = &groups[layout.reps[class]].genv;
-        if c.env.len() == 1 && c.env[0].is_one() {
-            return genv;
+        if !matches!(c.kind, CompKind::Rooted { .. }) {
+            return Ok(&c.env);
         }
-        layout.envs[class].get_or_init(|| {
-            let _span = Span::enter(obs_phase::CONTRACT);
-            self.eng.dom.combine(genv, &c.env)
-        })
+        let layout = &self.classes[comp];
+        layout.envs[class]
+            .get_or_init(|| {
+                let genv = self.eng.group_env(comp, layout.reps[class])?;
+                if c.env.len() == 1 && c.env[0].is_one() {
+                    return Some(genv);
+                }
+                let _span = Span::enter(obs_phase::CONTRACT);
+                Some(self.eng.dom.combine(&genv, &c.env))
+            })
+            .as_deref()
+            .ok_or_else(env_unavailable)
     }
 
     /// `Σ_t (d ⊛ env)[t] · w[t]`: the difference vector lifted to

@@ -36,7 +36,6 @@
 // cqshap-lint: allow-file(no-panic-index) -- evaluation tables are indexed by positions assigned at compile
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use cqshap_db::{Database, FactId, FactMask, World};
 use cqshap_numeric::{poly, BigRational, BigUint, BinomialCache, CancelToken};
@@ -65,15 +64,16 @@ use crate::satcount::{
 /// * [`complement`](EvalDomain::complement) — negation over `endo`
 ///   endogenous facts, turning unsatisfying values into satisfying
 ///   ones (counting: `C(endo,k) − v[k]`; probability: `1 − p`).
-/// * [`try_divide`](EvalDomain::try_divide) — exact division, the
-///   enabler of incremental maintenance: swapping one factor of a
-///   cached product is division by the old factor and combination with
-///   the new one. `None` signals the swap is impossible (zero factor)
-///   and the caller must rebuild.
+/// * [`try_divide`](EvalDomain::try_divide) — exact division by a
+///   nonzero value, the enabler of incremental maintenance: swapping
+///   one factor of a cached product is division by the old factor and
+///   combination with the new one, and a leave-one-out environment is
+///   the product divided by the left-out factor. Zero factors never
+///   reach it — the engines count them instead of multiplying them in.
 ///
 /// The remaining methods are performance hooks with sound defaults;
-/// [`CountingDomain`] overrides them with the parallel product-tree /
-/// Pascal-shift fast paths of the `poly` subsystem.
+/// [`CountingDomain`] overrides them with the parallel product-tree
+/// fast paths of the `poly` subsystem.
 pub trait EvalDomain: Sync {
     /// The value type: coalition-count polynomials for counting, exact
     /// probabilities for the tuple-independent domain.
@@ -105,9 +105,10 @@ pub trait EvalDomain: Sync {
     /// Ground contribution of a negative atom matched by fact `f`.
     fn absent(&self, f: FactId, endo: bool) -> Self::Value;
 
-    /// Exact division: `Some(q)` with `combine(q, den) == num`, or
-    /// `None` when `den` cannot be divided out (it is zero, or the
-    /// division is not exact).
+    /// Exact division by a nonzero `den`: `Some(q)` with
+    /// `combine(q, den) == num`, or `None` when the division is not
+    /// exact (never when `den` is a factor of `num`). Callers pass only
+    /// nonzero divisors; a zero one yields `None` rather than a panic.
     fn try_divide(&self, num: &Self::Value, den: &Self::Value) -> Option<Self::Value>;
 
     /// `⊛ factors` — the product of many values.
@@ -143,31 +144,6 @@ pub trait EvalDomain: Sync {
         (0..n)
             .map(|i| self.combine(&prefix[i], &suffix[i + 1]))
             .collect()
-    }
-
-    /// [`EvalDomain::leave_one_out`] behind shared pointers: equal
-    /// environments may share one allocation, so incremental factor
-    /// swaps can patch each *distinct* value once.
-    fn leave_one_out_shared(
-        &self,
-        factors: &[&Self::Value],
-        seed: &Self::Value,
-        threads: usize,
-    ) -> Vec<Arc<Self::Value>> {
-        self.leave_one_out(factors, seed, threads)
-            .into_iter()
-            .map(Arc::new)
-            .collect()
-    }
-
-    /// `v` with one more free endogenous fact: `combine(v, free(1))`.
-    fn push_free(&self, v: &Self::Value) -> Self::Value {
-        self.combine(v, &self.free(1))
-    }
-
-    /// Inverse of [`EvalDomain::push_free`], when it exists.
-    fn pop_free(&self, v: &Self::Value) -> Option<Self::Value> {
-        self.try_divide(v, &self.free(1))
     }
 
     /// Do isomorphic fact groups (equal canonical forms: constants
@@ -309,27 +285,6 @@ impl EvalDomain for CountingDomain {
     ) -> Vec<Vec<BigUint>> {
         let refs: Vec<&[BigUint]> = factors.iter().map(|f| f.as_slice()).collect();
         poly::leave_one_out_products(&refs, seed, threads)
-    }
-
-    fn leave_one_out_shared(
-        &self,
-        factors: &[&Vec<BigUint>],
-        seed: &Vec<BigUint>,
-        threads: usize,
-    ) -> Vec<Arc<Vec<BigUint>>> {
-        let refs: Vec<&[BigUint]> = factors.iter().map(|f| f.as_slice()).collect();
-        match &self.cancel {
-            Some(token) => poly::leave_one_out_products_shared_cancel(&refs, seed, threads, token),
-            None => poly::leave_one_out_products_shared(&refs, seed, threads),
-        }
-    }
-
-    fn push_free(&self, v: &Vec<BigUint>) -> Vec<BigUint> {
-        poly::pascal_up(v)
-    }
-
-    fn pop_free(&self, v: &Vec<BigUint>) -> Option<Vec<BigUint>> {
-        poly::pascal_down(v)
     }
 
     fn canon_determines_value(&self) -> bool {
@@ -881,18 +836,5 @@ mod tests {
         let prod = pdom.combine(&x, &y);
         assert_eq!(pdom.try_divide(&prod, &x), Some(y));
         assert!(pdom.try_divide(&prod, &BigRational::zero()).is_none());
-    }
-
-    #[test]
-    fn push_pop_free_round_trips() {
-        let cdom = CountingDomain::new();
-        let v = vec![BigUint::from_u64(3), BigUint::from_u64(5)];
-        let up = cdom.push_free(&v);
-        assert_eq!(up, cdom.combine(&v, &cdom.free(1)));
-        assert_eq!(cdom.pop_free(&up), Some(v));
-        let pdom = ProbabilityDomain::new(FactProbabilities::uniform(rat(1, 2)));
-        let p = rat(2, 3);
-        assert_eq!(pdom.push_free(&p), p);
-        assert_eq!(pdom.pop_free(&p), Some(p.clone()));
     }
 }

@@ -372,6 +372,50 @@ impl BigUint {
         }
     }
 
+    /// `self += a · m` in place, without allocating the product: once
+    /// `self` spills into limbs, repeated calls grow one limb vector.
+    /// Crate-internal: the word-size kernel of polynomial division
+    /// accumulates its convolution sums with it.
+    pub(crate) fn add_mul_u64_assign(&mut self, a: &BigUint, m: u64) {
+        if let (Repr::Small(acc), Repr::Small(av)) = (&mut self.repr, &a.repr) {
+            if let Some(sum) = av.checked_mul(m as u128).and_then(|p| p.checked_add(*acc)) {
+                *acc = sum;
+                return;
+            }
+        }
+        if m == 0 || a.is_zero() {
+            return;
+        }
+        let mut limbs = match std::mem::replace(&mut self.repr, Repr::Small(0)) {
+            Repr::Small(v) => vec![v as u64, (v >> 64) as u64],
+            Repr::Large(l) => l,
+        };
+        a.with_limbs(|al| {
+            if limbs.len() <= al.len() {
+                limbs.resize(al.len() + 1, 0);
+            }
+            let mut carry = 0u128;
+            for (slot, &x) in limbs.iter_mut().zip(al) {
+                // ≤ (2^64−1) + (2^64−1)² + (2^64−1) = 2^128 − 1: no overflow.
+                let cur = *slot as u128 + x as u128 * m as u128 + carry;
+                *slot = cur as u64;
+                carry = cur >> 64;
+            }
+            for slot in limbs.iter_mut().skip(al.len()) {
+                if carry == 0 {
+                    break;
+                }
+                let cur = *slot as u128 + carry;
+                *slot = cur as u64;
+                carry = cur >> 64;
+            }
+            if carry != 0 {
+                limbs.push(carry as u64);
+            }
+        });
+        *self = from_limb_vec(limbs);
+    }
+
     /// `self * m` for a `u64` multiplier.
     pub fn mul_u64(&self, m: u64) -> BigUint {
         let mut out = self.clone();

@@ -215,9 +215,21 @@ fn estimate(a: &[BigUint], b: &[BigUint]) -> Backend {
 
 /// Exact polynomial division `num / den` over nonnegative integer
 /// coefficient vectors (coefficient index = degree). Returns `None`
-/// when `den` is zero or does not divide `num` exactly — engine callers
-/// treat that as "fall back to a full recompile".
+/// when `den` is zero or does not divide `num` exactly.
+///
+/// Divisors whose coefficients all fit in a `u64` (every count
+/// polynomial of a group with at most 66 endogenous facts) take a
+/// word-size kernel: the convolution sums accumulate `q[i]·d[k−i]` in
+/// place, and the solved coefficient is divided by `d[0]` in place
+/// (not at all when `d[0] = 1`). Both kernels return the same result,
+/// `None` included.
 pub fn exact_div(num: &[BigUint], den: &[BigUint]) -> Option<Vec<BigUint>> {
+    divide(num, den, true)
+}
+
+/// [`exact_div`] with the word-size kernel admitted (`word_size`) or
+/// not — the generic kernel is the fallback and the tests' oracle.
+fn divide(num: &[BigUint], den: &[BigUint], word_size: bool) -> Option<Vec<BigUint>> {
     let s = den.iter().position(|c| !c.is_zero())?;
     if num.iter().all(|c| c.is_zero()) {
         // 0 / den — only well-defined with the right length.
@@ -231,12 +243,22 @@ pub fn exact_div(num: &[BigUint], den: &[BigUint]) -> Option<Vec<BigUint>> {
     }
     let shifted = &num[s..];
     let d = &den[s..];
-    let d0 = &d[0];
     let q_len = num.len() - den.len() + 1;
+    if word_size {
+        if let Some(words) = d.iter().map(BigUint::to_u64).collect::<Option<Vec<u64>>>() {
+            return divide_by_words(shifted, &words, q_len);
+        }
+    }
+    divide_generic(shifted, d, q_len)
+}
+
+/// The division kernel for a divisor with `d[0] ≠ 0`: for each `k`,
+/// `num[k]` must equal `Σ_i q[i]·d[k−i]`; for `k < q_len` the `i = k`
+/// term carries the unknown `q[k]`, solved against `d[0]`.
+fn divide_generic(num: &[BigUint], d: &[BigUint], q_len: usize) -> Option<Vec<BigUint>> {
+    let d0 = &d[0];
     let mut q = vec![BigUint::zero(); q_len];
-    for k in 0..shifted.len() {
-        // shifted[k] must equal Σ_i q[i] · d[k−i]; for k < q_len the
-        // i = k term carries the unknown q[k], solved against d[0].
+    for k in 0..num.len() {
         let mut acc = BigUint::zero();
         let lo = (k + 1).saturating_sub(d.len());
         for i in lo..k.min(q_len) {
@@ -245,13 +267,39 @@ pub fn exact_div(num: &[BigUint], den: &[BigUint]) -> Option<Vec<BigUint>> {
             }
         }
         if k < q_len {
-            let rem = shifted[k].checked_sub(&acc)?;
+            let rem = num[k].checked_sub(&acc)?;
             let (quot, r) = rem.div_rem(d0);
             if !r.is_zero() {
                 return None;
             }
             q[k] = quot;
-        } else if shifted[k] != acc {
+        } else if num[k] != acc {
+            return None;
+        }
+    }
+    Some(q)
+}
+
+/// [`divide_generic`] for a divisor of `u64` words: no product is
+/// allocated, and `d[0] = 1` skips the division.
+fn divide_by_words(num: &[BigUint], d: &[u64], q_len: usize) -> Option<Vec<BigUint>> {
+    let &d0 = d.first()?;
+    let mut q: Vec<BigUint> = Vec::with_capacity(q_len);
+    for (k, nk) in num.iter().enumerate() {
+        // Σ_{i<k} q[i]·d[k−i] over the terms both vectors reach: `q`
+        // holds q[0..min(k, q_len)], so d[0] never enters.
+        let lo = (k + 1).saturating_sub(d.len());
+        let mut acc = BigUint::zero();
+        for (qi, &di) in q.iter().skip(lo).zip(d.iter().take(k - lo + 1).rev()) {
+            acc.add_mul_u64_assign(qi, di);
+        }
+        if k < q_len {
+            let mut rem = nk.checked_sub(&acc)?;
+            if d0 != 1 && rem.div_rem_u64_assign(d0) != 0 {
+                return None;
+            }
+            q.push(rem);
+        } else if *nk != acc {
             return None;
         }
     }
@@ -348,44 +396,7 @@ pub fn leave_one_out_products_with(
     threads: usize,
     backend: Backend,
 ) -> Vec<Vec<BigUint>> {
-    leave_one_out_impl(polys, seed, resolve_threads(threads), backend, None)
-        .into_iter()
-        .map(|env| match std::sync::Arc::try_unwrap(env) {
-            Ok(v) => v,
-            Err(shared) => shared.as_ref().clone(),
-        })
-        .collect()
-}
-
-/// [`leave_one_out_products`] with duplicate environments *shared*:
-/// equal input polynomials yield the same `Arc` (their environments
-/// coincide), so uniform workloads hold one allocation per distinct
-/// factor instead of `n` copies — what the compiled engines cache.
-pub fn leave_one_out_products_shared(
-    polys: &[&[BigUint]],
-    seed: &[BigUint],
-    threads: usize,
-) -> Vec<std::sync::Arc<Vec<BigUint>>> {
-    leave_one_out_impl(polys, seed, resolve_threads(threads), Backend::Auto, None)
-}
-
-/// [`leave_one_out_products_shared`] with a cooperative [`CancelToken`]
-/// checked through the product tree and the per-factor divisions. Same
-/// contract as [`product_tree_cancel`]: check the token before using
-/// the result.
-pub fn leave_one_out_products_shared_cancel(
-    polys: &[&[BigUint]],
-    seed: &[BigUint],
-    threads: usize,
-    cancel: &CancelToken,
-) -> Vec<std::sync::Arc<Vec<BigUint>>> {
-    leave_one_out_impl(
-        polys,
-        seed,
-        resolve_threads(threads),
-        Backend::Auto,
-        Some(cancel),
-    )
+    leave_one_out_impl(polys, seed, resolve_threads(threads), backend)
 }
 
 /// An owned polynomial over [`BigUint`] coefficients (index = degree),
@@ -1014,17 +1025,14 @@ fn leave_one_out_impl(
     seed: &[BigUint],
     threads: usize,
     backend: Backend,
-    cancel: Option<&CancelToken>,
-) -> Vec<std::sync::Arc<Vec<BigUint>>> {
-    use std::sync::Arc;
+) -> Vec<Vec<BigUint>> {
     match polys {
         [] => return Vec::new(),
-        [_] => return vec![Arc::new(seed.to_vec())],
+        [_] => return vec![seed.to_vec()],
         _ => {}
     }
     // A zero factor cannot be divided back out of the (zero) total:
-    // the descent handles it, and it never arises from the engines
-    // (all-zero unsatisfying counts are guarded upstream).
+    // the descent handles it.
     let divisible = polys
         .iter()
         .all(|p| !p.is_empty() && p.iter().any(|c| !c.is_zero()));
@@ -1044,26 +1052,16 @@ fn leave_one_out_impl(
                 class_of[i] = c;
             }
         }
-        let total = tree_product(polys, threads, backend, cancel);
+        let total = tree_product(polys, threads, backend, None);
         let full = mul_with(seed, &total, backend);
-        if cancel.is_some_and(|c| c.charge(1)) {
-            // Don't run the per-factor divisions against a placeholder
-            // product; hand back right-shaped placeholder environments.
-            let env = Arc::new(seed.to_vec());
-            return vec![env; polys.len()];
-        }
         let rep_envs = par_map_chunks(threads, reps.len(), |r| exact_div(&full, polys[reps[r]]));
         if let Some(envs) = rep_envs.into_iter().collect::<Option<Vec<Vec<BigUint>>>>() {
-            let rep_envs: Vec<Arc<Vec<BigUint>>> = envs.into_iter().map(Arc::new).collect();
-            return class_of.into_iter().map(|c| rep_envs[c].clone()).collect();
+            return class_of.into_iter().map(|c| envs[c].clone()).collect();
         }
         // Unreachable for exact inputs, but the descent is always
         // correct — prefer a slow answer to a panic.
     }
-    fill_leave_one_out(polys, seed.to_vec(), threads, backend, cancel)
-        .into_iter()
-        .map(Arc::new)
-        .collect()
+    fill_leave_one_out(polys, seed.to_vec(), threads, backend)
 }
 
 /// Maps `f` over `0..n` across up to `threads` scoped worker threads,
@@ -1102,24 +1100,18 @@ fn fill_leave_one_out(
     acc: Vec<BigUint>,
     threads: usize,
     backend: Backend,
-    cancel: Option<&CancelToken>,
 ) -> Vec<Vec<BigUint>> {
     match polys {
         [] => Vec::new(),
         [_] => vec![acc],
         _ => {
-            if let Some(c) = cancel {
-                if c.charge(1) {
-                    return vec![acc; polys.len()];
-                }
-            }
             let (left, right) = polys.split_at(polys.len() / 2);
             let size = work_size(polys);
             let (left_product, right_product) = join_halves(
                 threads,
                 size,
-                || tree_product(left, threads - threads / 2, backend, cancel),
-                || tree_product(right, threads / 2, backend, cancel),
+                || tree_product(left, threads - threads / 2, backend, None),
+                || tree_product(right, threads / 2, backend, None),
             );
             let (mut lo, ro) = join_halves(
                 threads,
@@ -1127,19 +1119,17 @@ fn fill_leave_one_out(
                 || {
                     fill_leave_one_out(
                         left,
-                        mul_impl(&acc, &right_product, backend, cancel),
+                        mul_with(&acc, &right_product, backend),
                         threads - threads / 2,
                         backend,
-                        cancel,
                     )
                 },
                 || {
                     fill_leave_one_out(
                         right,
-                        mul_impl(&acc, &left_product, backend, cancel),
+                        mul_with(&acc, &left_product, backend),
                         threads / 2,
                         backend,
-                        cancel,
                     )
                 },
             );
@@ -1356,19 +1346,23 @@ mod tests {
     }
 
     #[test]
-    fn leave_one_out_shares_equal_factors_and_survives_zeros() {
-        // Equal factors: one Arc per distinct polynomial.
+    fn leave_one_out_handles_equal_factors_and_zeros() {
+        // Equal factors: one division per distinct polynomial, the
+        // same environment for each copy.
         let p = v(&[1, 2, 1]);
         let q = v(&[1, 3]);
         let polys = [p.clone(), q.clone(), p.clone()];
         let refs: Vec<&[BigUint]> = polys.iter().map(|x| x.as_slice()).collect();
-        let shared = leave_one_out_products_shared(&refs, &v(&[1, 1]), 1);
-        assert!(std::sync::Arc::ptr_eq(&shared[0], &shared[2]));
-        assert!(!std::sync::Arc::ptr_eq(&shared[0], &shared[1]));
-        let plain = leave_one_out_products(&refs, &v(&[1, 1]), 1);
-        for (a, b) in shared.iter().zip(&plain) {
-            assert_eq!(a.as_ref(), b);
-        }
+        let envs = leave_one_out_products(&refs, &v(&[1, 1]), 1);
+        assert_eq!(envs[0], envs[2]);
+        assert_eq!(
+            envs[0],
+            mul_schoolbook(&v(&[1, 1]), &mul_schoolbook(&q, &p))
+        );
+        assert_eq!(
+            envs[1],
+            mul_schoolbook(&v(&[1, 1]), &mul_schoolbook(&p, &p))
+        );
         // A zero factor forces the descent fallback; results (values
         // and lengths) must match the naive reference exactly.
         let zero = vec![BigUint::zero(); 3];
@@ -1401,8 +1395,6 @@ mod tests {
         tripped.cancel();
         let _ = product_tree_cancel(&refs, 1, &tripped);
         assert!(tripped.should_stop(), "the flag stays sticky");
-        let envs = leave_one_out_products_shared_cancel(&refs, &v(&[1]), 1, &tripped);
-        assert_eq!(envs.len(), refs.len(), "placeholders keep the shape");
     }
 
     #[test]
@@ -1416,5 +1408,55 @@ mod tests {
         assert!(!Poly::one().is_empty());
         let coeffs: Vec<BigUint> = q.clone().into();
         assert_eq!(Poly::from(coeffs), q);
+    }
+
+    /// A divisor coefficient for the word-size kernel: zero, one, a
+    /// small count, or a full 64-bit word.
+    fn arb_word() -> impl proptest::prelude::Strategy<Value = BigUint> {
+        use proptest::prelude::*;
+        (0u64..4, any::<u64>()).prop_map(|(kind, x)| {
+            BigUint::from_u64(match kind {
+                0 => 0,
+                1 => 1,
+                2 => x % 7,
+                _ => x,
+            })
+        })
+    }
+
+    /// A quotient coefficient from zero to ~2^228 (inline and limb
+    /// representations both appear).
+    fn arb_big() -> impl proptest::prelude::Strategy<Value = BigUint> {
+        use proptest::prelude::*;
+        (any::<u64>(), any::<u64>(), 0usize..=100).prop_map(|(lo, hi, shift)| {
+            BigUint::from_u128(lo as u128 | (hi as u128) << 64) << shift
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The word-size kernel returns exactly what the generic kernel
+        /// returns — the quotient of a divisible input, `None` for a
+        /// perturbed one — across zero, unit, and full-word divisor
+        /// coefficients (leading and trailing zeros included).
+        #[test]
+        fn word_size_division_matches_the_generic_kernel(
+            q in proptest::prelude::prop::collection::vec(arb_big(), 1..=12),
+            d in proptest::prelude::prop::collection::vec(arb_word(), 1..=6),
+            at in 0usize..32,
+            delta in 0u64..3,
+        ) {
+            let num = mul_schoolbook(&q, &d);
+            let mut bent = num.clone();
+            let len = bent.len();
+            bent[at % len] += &BigUint::from_u64(delta);
+            for n in [&num, &bent] {
+                proptest::prop_assert_eq!(divide(n, &d, true), divide(n, &d, false), "{:?} / {:?}", n, d);
+            }
+            if d.iter().any(|c| !c.is_zero()) {
+                proptest::prop_assert_eq!(divide(&num, &d, true), Some(q.clone()), "{:?} / {:?}", num, d);
+            }
+        }
     }
 }

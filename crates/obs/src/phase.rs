@@ -33,8 +33,8 @@ pub const RECOUNT: &str = "recount";
 /// Compiled-engine component complement `C(endo, k) − unsat_k` (compile
 /// and update).
 pub const COMPLEMENT: &str = "compile.complement";
-/// Compiled-engine leave-one-out environments of root groups and
-/// components (compile and update).
+/// Compiled-engine leave-one-out environments of the components
+/// (compile and update).
 pub const LEAVE_ONE_OUT: &str = "compile.leave-one-out";
 /// Shapley weight numerators `k!·(m−1−k)!` and weight-class layout of a
 /// counting engine (compile and update).
@@ -42,6 +42,10 @@ pub const WEIGHTS: &str = "compile.weights";
 /// Report-time contraction of a fact's difference vector against its
 /// weight class's environment and the weight numerators.
 pub const CONTRACT: &str = "report.contract";
+/// Report-time derivation of a root group's leave-one-out environment
+/// from its component's maintained factor product (one exact division
+/// per weight class, or per group for conditional reads).
+pub const CLASS_ENV: &str = "report.class-env";
 /// Union (UCQ) compile: per-term engines plus inclusion–exclusion setup.
 pub const UNION_COMPILE: &str = "union-compile";
 /// Union (UCQ) per-term recount enumeration.
