@@ -142,7 +142,7 @@ pub fn candidate_answers(db: &Database, q: &ConjunctiveQuery) -> Vec<Vec<ConstId
     let mut set: BTreeSet<Vec<ConstId>> = BTreeSet::new();
     for_each_positive_homomorphism(db, FactScope::All, &compiled, &mut |m| {
         if let Some(tuple) = compiled
-            .head
+            .head()
             .iter()
             .map(|&v| m.assignment[v as usize])
             .collect::<Option<Vec<_>>>()

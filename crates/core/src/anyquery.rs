@@ -1,7 +1,10 @@
 //! A uniform handle over CQ¬s and UCQ¬s.
 
+use std::collections::BTreeMap;
+
 use cqshap_db::{Database, World};
 use cqshap_engine::{satisfies_compiled, CompiledQuery, CompiledUnion};
+use cqshap_query::analysis::{polarity_map, polarity_map_union, Polarity};
 use cqshap_query::{ConjunctiveQuery, UnionQuery};
 
 /// Either a single CQ¬ or a union — everything the sampling, brute-force
@@ -28,6 +31,15 @@ impl<'a> AnyQuery<'a> {
         match self {
             AnyQuery::Cq(q) => q.name(),
             AnyQuery::Union(u) => u.name(),
+        }
+    }
+
+    /// How each relation occurs across the query's atoms (all disjuncts,
+    /// for a union). Relations the query never mentions are absent.
+    pub fn polarities(&self) -> BTreeMap<String, Polarity> {
+        match self {
+            AnyQuery::Cq(q) => polarity_map(q),
+            AnyQuery::Union(u) => polarity_map_union(u),
         }
     }
 

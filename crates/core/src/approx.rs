@@ -26,17 +26,32 @@
 //! valid, just wider) intervals instead of an error; and the
 //! [`AnytimeState`] is resumable — a second call tightens the same
 //! estimates rather than starting over.
+//!
+//! ## Cost of a draw
+//!
+//! Each worker reuses one [`World`], cleared and refilled by endogenous
+//! position, and evaluates the query through its compiled hash-indexed
+//! join. A draw needs `q` on the coalition and on the coalition plus
+//! `f`, but monotonicity often settles the second answer: when `f`'s
+//! relation occurs only positively, `f` cannot falsify `q`, so a
+//! satisfied coalition has marginal 0; when it occurs only negatively,
+//! `f` cannot satisfy `q`, so an unsatisfied coalition has marginal 0.
+//! A fact whose relation the query never mentions needs no evaluation
+//! at all. The random stream is consumed before any evaluation, so the
+//! skips change no draw. The `approx.evals` and `approx.evals.skipped`
+//! counters, recorded once per call, add up to two per draw.
 // cqshap-lint: allow-file(no-panic-index) -- samplers index permutation and tally arrays sized to m in the same scope
 
 use std::time::Duration;
 
 use cqshap_db::{Database, FactId, World};
 use cqshap_obs::{phase as obs_phase, Histogram, Span};
+use cqshap_query::analysis::Polarity;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use crate::anyquery::AnyQuery;
+use crate::anyquery::{AnyQuery, CompiledAnyQuery};
 use crate::budget::CancelToken;
 use crate::error::CoreError;
 
@@ -152,6 +167,10 @@ pub fn shapley_sampled(
         })?;
     let m = db.endo_count();
     let compiled = q.compile(db);
+    let polarity = q
+        .polarities()
+        .get(db.schema().name(db.fact(f).rel))
+        .copied();
     // Fan out through the sanctioned `parallel` module so the
     // `ShapleyOptions::threads` cap applies; the `try` variant keeps a
     // worker panic on this side of the scope as a typed error.
@@ -165,33 +184,21 @@ pub fn shapley_sampled(
         let thread_seed = seed.wrapping_add(0x9E3779B97F4A7C15u64.wrapping_mul(t as u64 + 1));
         let mut rng = StdRng::seed_from_u64(thread_seed);
         let mut order: Vec<usize> = (0..m).collect();
-        let mut sum = 0i64;
+        let mut marginals = Marginals::new(db, &compiled);
         let (mut pos, mut neg) = (0u64, 0u64);
         for _ in 0..n {
             order.shuffle(&mut rng);
-            let mut world = World::empty(db);
-            for &p in &order {
-                if p == target {
-                    break;
-                }
-                world.insert(db, db.endo_facts()[p]);
+            marginals.world.clear();
+            for &p in order.iter().take_while(|&&p| p != target) {
+                marginals.world.insert_pos(p);
             }
-            let before = compiled.satisfied(db, &world);
-            world.insert(db, f);
-            let after = compiled.satisfied(db, &world);
-            match (before, after) {
-                (false, true) => {
-                    sum += 1;
-                    pos += 1;
-                }
-                (true, false) => {
-                    sum -= 1;
-                    neg += 1;
-                }
+            match marginals.marginal(target, polarity) {
+                1 => pos += 1,
+                -1 => neg += 1,
                 _ => {}
             }
         }
-        (sum, pos, neg)
+        (pos, neg, marginals.evals, marginals.skipped)
     })
     .map_err(|payload| {
         CoreError::Unsupported(format!(
@@ -199,12 +206,16 @@ pub fn shapley_sampled(
             panic_text(payload.as_ref())
         ))
     })?;
-    let (mut sum, mut positive_flips, mut negative_flips) = (0i64, 0u64, 0u64);
-    for (s, p, n) in tallies {
-        sum += s;
+    let (mut positive_flips, mut negative_flips) = (0u64, 0u64);
+    let (mut evals, mut skipped) = (0u64, 0u64);
+    for (p, n, e, s) in tallies {
         positive_flips += p;
         negative_flips += n;
+        evals += e;
+        skipped += s;
     }
+    record_evals(evals, skipped);
+    let sum = positive_flips as i64 - negative_flips as i64;
     Ok(ApproxShapley {
         estimate: if samples == 0 {
             0.0
@@ -459,20 +470,87 @@ fn fact_interval(
     (estimate, z * variance.sqrt(), samples)
 }
 
+/// Marginal contributions over one reused coalition world, counting
+/// the query evaluations run and skipped.
+struct Marginals<'a> {
+    db: &'a Database,
+    compiled: &'a CompiledAnyQuery,
+    /// The coalition of the current draw.
+    world: World,
+    evals: u64,
+    skipped: u64,
+}
+
+impl<'a> Marginals<'a> {
+    fn new(db: &'a Database, compiled: &'a CompiledAnyQuery) -> Self {
+        Marginals {
+            db,
+            compiled,
+            world: World::empty(db),
+            evals: 0,
+            skipped: 0,
+        }
+    }
+
+    /// The marginal contribution of the fact at endogenous position
+    /// `target` on top of the coalition in `self.world`, which it then
+    /// joins (unless the answer is settled without it). `polarity` is
+    /// how the fact's relation occurs in the query, `None` if nowhere;
+    /// see the [module docs](self) for the evaluations it saves.
+    fn marginal(&mut self, target: usize, polarity: Option<Polarity>) -> i64 {
+        let Some(polarity) = polarity else {
+            self.skipped += 2;
+            return 0;
+        };
+        let before = self.satisfied();
+        let settled = match polarity {
+            Polarity::Positive => before,
+            Polarity::Negative => !before,
+            Polarity::Mixed => false,
+        };
+        if settled {
+            self.skipped += 1;
+            return 0;
+        }
+        self.world.insert_pos(target);
+        self.satisfied() as i64 - before as i64
+    }
+
+    fn satisfied(&mut self) -> bool {
+        self.evals += 1;
+        self.compiled.satisfied(self.db, &self.world)
+    }
+}
+
+/// Forwards a call's evaluation tallies to the recorder, if any.
+fn record_evals(evals: u64, skipped: u64) {
+    cqshap_obs::counter(obs_phase::CTR_APPROX_EVALS, evals);
+    cqshap_obs::counter(obs_phase::CTR_APPROX_EVALS_SKIPPED, skipped);
+}
+
+/// The polarity of each endogenous fact's relation in `q` (`None` when
+/// `q` never mentions it), by endogenous position.
+fn fact_polarities(db: &Database, q: AnyQuery<'_>) -> Vec<Option<Polarity>> {
+    let map = q.polarities();
+    db.endo_facts()
+        .iter()
+        .map(|&f| map.get(db.schema().name(db.fact(f).rel)).copied())
+        .collect()
+}
+
 /// One draw in `stratum` for the fact at endogenous index `target`:
 /// sample a coalition size `k` uniformly from the stratum's range, a
 /// uniform `k`-subset of the other facts by partial Fisher–Yates, and
-/// return the marginal contribution of `f` on top of it.
+/// return the marginal contribution of the target on top of it.
 fn draw_marginal(
-    db: &Database,
-    compiled: &crate::anyquery::CompiledAnyQuery,
+    marginals: &mut Marginals<'_>,
     target: usize,
-    f: FactId,
+    polarity: Option<Polarity>,
     stratum: (usize, usize),
     rng: &mut StdRng,
     scratch: &mut Vec<usize>,
 ) -> i64 {
-    let m = db.endo_count();
+    let m = marginals.db.endo_count();
     let k = if stratum.1 - stratum.0 == 1 {
         stratum.0
     } else {
@@ -480,16 +558,13 @@ fn draw_marginal(
     };
     scratch.clear();
     scratch.extend((0..m).filter(|&p| p != target));
-    let mut world = World::empty(db);
+    marginals.world.clear();
     for i in 0..k {
         let j = rng.gen_range(i..scratch.len());
         scratch.swap(i, j);
-        world.insert(db, db.endo_facts()[scratch[i]]);
+        marginals.world.insert_pos(scratch[i]);
     }
-    let before = compiled.satisfied(db, &world);
-    world.insert(db, f);
-    let after = compiled.satisfied(db, &world);
-    after as i64 - before as i64
+    marginals.marginal(target, polarity)
 }
 
 // Sampler-exit distributions: how the draws spread over the strata and
@@ -537,6 +612,8 @@ pub fn shapley_anytime(
     // cqshap-lint: allow(no-panic) -- the slot was filled with Some immediately above
     let state = state_slot.as_mut().expect("installed above");
     let compiled = q.compile(db);
+    let polarities = fact_polarities(db, q);
+    let mut marginals = Marginals::new(db, &compiled);
     let strata = state.strata.clone();
     let mut scratch: Vec<usize> = Vec::with_capacity(m);
     let mut spent = 0u64;
@@ -552,7 +629,7 @@ pub fn shapley_anytime(
     // still spreads draws across facts).
     let bootstrap_span = Span::enter(obs_phase::ANYTIME_BOOTSTRAP);
     'bootstrap: for round in 0..2u64 {
-        for target in 0..m {
+        for (target, &polarity) in polarities.iter().enumerate() {
             if state.stats[target].iter().all(|s| s.n > round) {
                 continue;
             }
@@ -560,14 +637,19 @@ pub fn shapley_anytime(
                 deadline_hit = true;
                 break 'bootstrap;
             }
-            let f = state.facts[target];
             for (si, &stratum) in strata.iter().enumerate() {
                 let cell = &mut state.stats[target][si];
                 if cell.n > round {
                     continue;
                 }
-                let x =
-                    draw_marginal(db, &compiled, target, f, stratum, &mut rng, &mut scratch) as f64;
+                let x = draw_marginal(
+                    &mut marginals,
+                    target,
+                    polarity,
+                    stratum,
+                    &mut rng,
+                    &mut scratch,
+                ) as f64;
                 cell.n += 1;
                 cell.sum += x;
                 cell.sumsq += x * x;
@@ -583,10 +665,15 @@ pub fn shapley_anytime(
     // time, spending each batch on the stratum contributing the most
     // variance (weighted Neyman-style allocation, greedily).
     let refine_span = Span::enter(obs_phase::ANYTIME_REFINE);
+    // Each fact's current half-width; a batch changes only its own fact's.
+    let mut half_widths: Vec<f64> = state
+        .stats
+        .iter()
+        .map(|stats| fact_interval(stats, &strata, m, z).1)
+        .collect();
     while !deadline_hit {
         let mut widest: Option<(usize, f64)> = None;
-        for target in 0..m {
-            let (_, hw, _) = fact_interval(&state.stats[target], &strata, m, z);
+        for (target, &hw) in half_widths.iter().enumerate() {
             if hw > params.epsilon && widest.is_none_or(|(_, w)| hw > w) {
                 widest = Some((target, hw));
             }
@@ -613,10 +700,15 @@ pub fn shapley_anytime(
                     }
                 },
             );
-        let f = state.facts[target];
         for _ in 0..params.batch.max(1) {
-            let x =
-                draw_marginal(db, &compiled, target, f, strata[si], &mut rng, &mut scratch) as f64;
+            let x = draw_marginal(
+                &mut marginals,
+                target,
+                polarities[target],
+                strata[si],
+                &mut rng,
+                &mut scratch,
+            ) as f64;
             let cell = &mut state.stats[target][si];
             cell.n += 1;
             cell.sum += x;
@@ -624,9 +716,11 @@ pub fn shapley_anytime(
             spent += 1;
             state.draws += 1;
         }
+        half_widths[target] = fact_interval(&state.stats[target], &strata, m, z).1;
     }
 
     drop(refine_span);
+    record_evals(marginals.evals, marginals.skipped);
 
     // Sampler-exit observability: cumulative draws per stratum and the
     // final interval widths, recorded once per call.
@@ -837,6 +931,83 @@ mod tests {
             );
             assert!(b.half_width <= a.half_width + 1e-12);
         }
+    }
+
+    /// Every marginal the polarity skip reports, over every coalition
+    /// of every fact, equals the difference of two full evaluations;
+    /// evaluations run plus skipped always come to two per draw.
+    fn check_marginals(db: &Database, q: AnyQuery<'_>) -> (u64, u64) {
+        let compiled = q.compile(db);
+        let polarities = fact_polarities(db, q);
+        let mut marginals = Marginals::new(db, &compiled);
+        let m = db.endo_count();
+        let mut draws = 0;
+        for (target, &polarity) in polarities.iter().enumerate() {
+            for mask in 0u64..1 << m {
+                if mask & (1 << target) != 0 {
+                    continue;
+                }
+                let mut world = World::empty(db);
+                marginals.world.clear();
+                for p in (0..m).filter(|p| mask & (1 << p) != 0) {
+                    world.insert_pos(p);
+                    marginals.world.insert_pos(p);
+                }
+                let before = compiled.satisfied(db, &world);
+                world.insert_pos(target);
+                let after = compiled.satisfied(db, &world);
+                assert_eq!(
+                    marginals.marginal(target, polarity),
+                    after as i64 - before as i64,
+                    "{} on coalition {mask:#b}",
+                    db.render_fact(db.endo_facts()[target])
+                );
+                draws += 1;
+            }
+        }
+        assert_eq!(marginals.evals + marginals.skipped, 2 * draws);
+        (marginals.evals, marginals.skipped)
+    }
+
+    #[test]
+    fn polarity_skip_settles_one_sided_relations() {
+        let db = Database::parse(
+            "endo R(a)\nendo R(b)\nendo S(a, c)\nendo S(b, d)\n\
+             endo T(c)\nendo T(d)\nendo U(a)\n",
+        )
+        .unwrap();
+        let q = parse_cq("q() :- R(x), S(x, y), !T(y)").unwrap();
+        let (evals, skipped) = check_marginals(&db, AnyQuery::Cq(&q));
+        assert!(evals > 0 && skipped > 0);
+        // U occurs nowhere in q: its marginal is 0 without evaluating.
+        let u = db.find_fact("U", &["a"]).unwrap();
+        let polarities = fact_polarities(&db, AnyQuery::Cq(&q));
+        assert_eq!(polarities[db.endo_index(u).unwrap()], None);
+        let r = shapley_sampled(&db, AnyQuery::Cq(&q), u, 200, 3, 1).unwrap();
+        assert_eq!(
+            (r.estimate, r.positive_flips, r.negative_flips),
+            (0.0, 0, 0)
+        );
+    }
+
+    #[test]
+    fn polarity_skip_evaluates_both_sides_of_mixed_relations() {
+        // Example 5.3: R occurs positively and negatively in one CQ.
+        let db = Database::parse("endo R(1, 2)\nendo R(2, 1)\nendo R(3, 3)\n").unwrap();
+        let q = parse_cq("q() :- R(x, y), !R(y, x)").unwrap();
+        assert_eq!(check_marginals(&db, AnyQuery::Cq(&q)).1, 0);
+        // A union with R positive in one disjunct, negative in the other.
+        let db = Database::parse("endo R(a)\nendo R(b)\nendo S(a)\nendo T(b)\n").unwrap();
+        let u = cqshap_query::parse_ucq("q() :- R(x), S(x); q() :- T(x), !R(x)").unwrap();
+        let polarities = fact_polarities(&db, AnyQuery::Union(&u));
+        assert_eq!(polarities[0], Some(Polarity::Mixed));
+        let (evals, skipped) = check_marginals(&db, AnyQuery::Union(&u));
+        // Only the one-sided S and T facts are ever settled early.
+        assert!(evals > 0 && skipped > 0);
+        let compiled = AnyQuery::Union(&u).compile(&db);
+        let mut mixed = Marginals::new(&db, &compiled);
+        mixed.marginal(0, polarities[0]);
+        assert_eq!((mixed.evals, mixed.skipped), (2, 0));
     }
 
     #[test]

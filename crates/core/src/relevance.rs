@@ -17,8 +17,8 @@
 use std::collections::BTreeSet;
 
 use cqshap_db::{Database, FactId, World};
-use cqshap_engine::{for_each_positive_homomorphism, CompiledQuery, CompiledTerm, FactScope};
-use cqshap_query::analysis::{polarity_map, polarity_map_union, Polarity};
+use cqshap_engine::{for_each_positive_homomorphism, CompiledQuery, FactScope};
+use cqshap_query::analysis::Polarity;
 use cqshap_query::ConjunctiveQuery;
 
 use crate::anyquery::AnyQuery;
@@ -27,12 +27,8 @@ use crate::error::CoreError;
 /// `Neg_q(Dn)`: the endogenous facts whose relation occurs negatively in
 /// the (polarity-consistent) query.
 fn negq_endo_facts(db: &Database, q: AnyQuery<'_>) -> Vec<FactId> {
-    let map = match q {
-        AnyQuery::Cq(cq) => polarity_map(cq),
-        AnyQuery::Union(u) => polarity_map_union(u),
-    };
     let mut out = Vec::new();
-    for (rel_name, pol) in map {
+    for (rel_name, pol) in q.polarities() {
         if pol != Polarity::Negative {
             continue;
         }
@@ -82,36 +78,11 @@ fn negative_hits(
     assignment: &[Option<cqshap_db::ConstId>],
 ) -> Option<BTreeSet<FactId>> {
     let mut n = BTreeSet::new();
-    for atom in &compiled.negatives {
-        let Some(rel) = atom.rel else { continue };
-        let mut vals = Vec::with_capacity(atom.terms.len());
-        let mut exists = true;
-        for t in &atom.terms {
-            match t {
-                CompiledTerm::Const(c) => vals.push(*c),
-                CompiledTerm::UnknownConst => {
-                    exists = false;
-                    break;
-                }
-                // cqshap-lint: allow(no-panic-index) -- assignment is sized to the query's variable count and v is a compiled variable id
-                CompiledTerm::Var(v) => match assignment[*v as usize] {
-                    Some(c) => vals.push(c),
-                    None => {
-                        exists = false;
-                        break;
-                    }
-                },
-            }
-        }
-        if !exists {
-            continue;
-        }
-        if let Some(fid) = db.lookup(rel, &cqshap_db::Tuple::from(vals)) {
-            if db.fact(fid).provenance.is_endogenous() {
-                n.insert(fid);
-            } else {
-                return None;
-            }
+    for fid in compiled.negative_facts(assignment) {
+        if db.fact(fid).provenance.is_endogenous() {
+            n.insert(fid);
+        } else {
+            return None;
         }
     }
     Some(n)

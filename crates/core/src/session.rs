@@ -77,8 +77,7 @@ use crate::shapley::{
     assemble_report, assemble_report_with_total, efficiency_target, engine_report_values,
     engine_values, per_fact_values, resolve_strategy, resolve_union_route,
     shapley_by_permutations_cancel, shapley_via_counts, union_brute_value, union_brute_values,
-    union_efficiency_target, zero_report, ResolvedStrategy, ShapleyOptions, ShapleyReport,
-    UnionRoute,
+    zero_report, ResolvedStrategy, ShapleyOptions, ShapleyReport, UnionRoute,
 };
 use crate::wsms::{wsms_report, WsmsReport, WsmsWeight};
 
@@ -781,10 +780,10 @@ impl ShapleySession {
         let facts: Vec<FactId> = self.db.endo_facts().to_vec();
         let expected = match (&self.spec, &self.state) {
             (QuerySpec::Cq(_), EngineState::CqRewritten { db, engine }) => {
-                efficiency_target(db, engine.query())
+                efficiency_target(db, AnyQuery::Cq(engine.query()))
             }
-            (QuerySpec::Cq(q), _) => efficiency_target(&self.db, q),
-            (QuerySpec::Union(u), _) => union_efficiency_target(&self.db, u),
+            (QuerySpec::Cq(q), _) => efficiency_target(&self.db, AnyQuery::Cq(q)),
+            (QuerySpec::Union(u), _) => efficiency_target(&self.db, AnyQuery::Union(u)),
             (QuerySpec::Aggregate { query, agg }, _) => {
                 aggregate_efficiency_target(&self.db, query, agg)?
             }

@@ -407,7 +407,11 @@ pub fn shapley_report_union_per_fact(
             .collect::<Result<Vec<_>, _>>()?
         }
     };
-    Ok(assemble_report(db, values, union_efficiency_target(db, u)))
+    Ok(assemble_report(
+        db,
+        values,
+        efficiency_target(db, AnyQuery::Union(u)),
+    ))
 }
 
 /// The signed, rewritten terms evaluated per fact with from-scratch
@@ -602,15 +606,6 @@ pub(crate) fn exoshap_union_terms(
         out.push((negative, outcome));
     }
     Ok(out)
-}
-
-/// `U(D) − U(Dx)` — what a union report's value total must equal by the
-/// efficiency axiom.
-pub(crate) fn union_efficiency_target(db: &Database, u: &UnionQuery) -> BigRational {
-    let compiled = AnyQuery::Union(u).compile(db);
-    let full = compiled.satisfied(db, &World::full(db)) as i64;
-    let empty = compiled.satisfied(db, &World::empty(db)) as i64;
-    BigRational::from(full - empty)
 }
 
 /// The concrete algorithm a [`Strategy`] resolved to for one input —
@@ -817,9 +812,10 @@ pub(crate) fn zero_report(db: &Database) -> ShapleyReport {
 }
 
 /// `q(D) − q(Dx)` — what the value total must equal by efficiency.
-pub(crate) fn efficiency_target(db: &Database, q: &ConjunctiveQuery) -> BigRational {
-    let full = cqshap_engine::satisfies(db, &World::full(db), q) as i64;
-    let empty = cqshap_engine::satisfies(db, &World::empty(db), q) as i64;
+pub(crate) fn efficiency_target(db: &Database, q: AnyQuery<'_>) -> BigRational {
+    let compiled = q.compile(db);
+    let full = compiled.satisfied(db, &World::full(db)) as i64;
+    let empty = compiled.satisfied(db, &World::empty(db)) as i64;
     BigRational::from(full - empty)
 }
 
@@ -1032,7 +1028,7 @@ pub fn shapley_report_per_fact(
     Ok(assemble_report(
         db,
         values,
-        efficiency_target(eff_db, eff_q),
+        efficiency_target(eff_db, AnyQuery::Cq(eff_q)),
     ))
 }
 

@@ -16,15 +16,25 @@ pub struct Database {
     schema: Schema,
     interner: Interner,
     facts: Vec<Fact>,
-    by_relation: Vec<Vec<FactId>>,
-    tuple_index: HashMap<(RelId, Tuple), FactId>,
+    by_relation: Vec<RelationFacts>,
     endo: Vec<FactId>,
-    endo_pos: HashMap<FactId, usize>,
+    /// Position within `endo` of each fact, indexed by [`FactId`];
+    /// `None` for exogenous and retracted facts.
+    endo_pos: Vec<Option<u32>>,
     exo_relations: HashSet<RelId>,
     /// Tombstones of retracted facts (indexed by [`FactId`]). Retraction
     /// keeps ids stable so compiled structures built before an update
     /// can be maintained incrementally instead of rebuilt.
     retracted: Vec<bool>,
+}
+
+/// The live facts of one relation.
+#[derive(Debug, Clone, Default)]
+struct RelationFacts {
+    /// Fact ids in insertion order.
+    ids: Vec<FactId>,
+    /// Tuple → fact id.
+    index: HashMap<Tuple, FactId>,
 }
 
 impl Database {
@@ -41,7 +51,7 @@ impl Database {
     pub fn add_relation(&mut self, name: &str, arity: usize) -> Result<RelId, DbError> {
         let id = self.schema.add_relation(name, arity)?;
         if id.index() >= self.by_relation.len() {
-            self.by_relation.push(Vec::new());
+            self.by_relation.push(RelationFacts::default());
         }
         Ok(id)
     }
@@ -52,6 +62,7 @@ impl Database {
     /// [`DbError::ExogenousViolation`] if it already has endogenous facts.
     pub fn declare_exogenous_relation(&mut self, rel: RelId) -> Result<(), DbError> {
         let has_endo = self.by_relation[rel.index()]
+            .ids
             .iter()
             .any(|&f| self.facts[f.index()].provenance.is_endogenous());
         if has_endo {
@@ -124,18 +135,19 @@ impl Database {
                 relation: def.name.clone(),
             });
         }
-        if self.tuple_index.contains_key(&(rel, tuple.clone())) {
+        let relation = &mut self.by_relation[rel.index()];
+        if relation.index.contains_key(&tuple) {
             return Err(DbError::DuplicateFact {
                 fact: self.render(rel, &tuple),
             });
         }
         // cqshap-lint: allow(no-panic) -- documented capacity limit: the fact id space is u32
         let id = FactId(u32::try_from(self.facts.len()).expect("too many facts"));
-        self.tuple_index.insert((rel, tuple.clone()), id);
-        self.by_relation[rel.index()].push(id);
+        relation.index.insert(tuple.clone(), id);
+        relation.ids.push(id);
+        self.endo_pos.push(None);
         if provenance.is_endogenous() {
-            self.endo_pos.insert(id, self.endo.len());
-            self.endo.push(id);
+            self.push_endo(id);
         }
         self.facts.push(Fact {
             rel,
@@ -167,8 +179,9 @@ impl Database {
             return Err(DbError::UnknownFact { id: f.0 });
         }
         let fact = &self.facts[f.index()];
-        self.tuple_index.remove(&(fact.rel, fact.tuple.clone()));
-        self.by_relation[fact.rel.index()].retain(|&id| id != f);
+        let relation = &mut self.by_relation[fact.rel.index()];
+        relation.index.remove(&fact.tuple);
+        relation.ids.retain(|&id| id != f);
         if fact.provenance.is_endogenous() {
             self.remove_endo(f);
         }
@@ -208,8 +221,7 @@ impl Database {
         }
         self.facts[f.index()].provenance = provenance;
         if provenance.is_endogenous() {
-            self.endo_pos.insert(f, self.endo.len());
-            self.endo.push(f);
+            self.push_endo(f);
         } else {
             self.remove_endo(f);
         }
@@ -221,20 +233,26 @@ impl Database {
         self.retracted.get(f.index()).copied().unwrap_or(false)
     }
 
+    /// Appends `f` to the endogenous list.
+    fn push_endo(&mut self, f: FactId) {
+        if let Some(slot) = self.endo_pos.get_mut(f.index()) {
+            // Positions fit in u32: they are bounded by the fact id space.
+            *slot = Some(self.endo.len() as u32);
+            self.endo.push(f);
+        }
+    }
+
     /// Removes `f` from the endogenous list, shifting later positions.
     fn remove_endo(&mut self, f: FactId) {
-        let pos = self
-            .endo_pos
-            .remove(&f)
-            // cqshap-lint: allow(no-panic) -- endo_pos tracks every endogenous fact from insertion
-            .expect("endogenous fact has a position");
+        let Some(pos) = self.endo_pos.get_mut(f.index()).and_then(Option::take) else {
+            return;
+        };
+        let pos = pos as usize;
         self.endo.remove(pos);
         for later in &self.endo[pos..] {
-            *self
-                .endo_pos
-                .get_mut(later)
-                // cqshap-lint: allow(no-panic) -- endo_pos tracks every endogenous fact from insertion
-                .expect("endogenous fact has a position") -= 1;
+            if let Some(Some(p)) = self.endo_pos.get_mut(later.index()) {
+                *p -= 1;
+            }
         }
     }
 
@@ -312,17 +330,21 @@ impl Database {
 
     /// The position of `id` within [`Database::endo_facts`], if endogenous.
     pub fn endo_index(&self, id: FactId) -> Option<usize> {
-        self.endo_pos.get(&id).copied()
+        self.endo_pos
+            .get(id.index())
+            .copied()
+            .flatten()
+            .map(|p| p as usize)
     }
 
     /// Fact ids of `rel`, in insertion order.
     pub fn relation_facts(&self, rel: RelId) -> &[FactId] {
-        &self.by_relation[rel.index()]
+        &self.by_relation[rel.index()].ids
     }
 
     /// Looks up a fact by relation and tuple.
     pub fn lookup(&self, rel: RelId, tuple: &Tuple) -> Option<FactId> {
-        self.tuple_index.get(&(rel, tuple.clone())).copied()
+        self.by_relation.get(rel.index())?.index.get(tuple).copied()
     }
 
     /// Looks up a fact by relation name and constant names.
@@ -402,7 +424,7 @@ impl Database {
         let mut out = Database {
             schema: self.schema.clone(),
             interner: self.interner.clone(),
-            by_relation: vec![Vec::new(); self.by_relation.len()],
+            by_relation: vec![RelationFacts::default(); self.by_relation.len()],
             // `exo_relations` is rebuilt below: flipping a fact to
             // exogenous never invalidates a declaration.
             exo_relations: self.exo_relations.clone(),

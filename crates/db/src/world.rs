@@ -52,6 +52,22 @@ impl World {
         self.bits.insert(pos)
     }
 
+    /// Inserts the endogenous fact at position `pos` of
+    /// [`Database::endo_facts`]; returns whether it was new. The
+    /// allocation-free counterpart of [`World::insert`] for callers that
+    /// already work in positions (samplers, enumerators).
+    ///
+    /// # Panics
+    /// Panics if `pos` is not below the world's universe, `|Dn|`.
+    pub fn insert_pos(&mut self, pos: usize) -> bool {
+        self.bits.insert(pos)
+    }
+
+    /// Empties the world, keeping its universe (`E = ∅`).
+    pub fn clear(&mut self) {
+        self.bits.clear();
+    }
+
     /// Removes an endogenous fact; returns whether it was present.
     ///
     /// # Panics
@@ -135,6 +151,18 @@ mod tests {
         assert_eq!(members, vec![ra]);
         assert!(w.remove(&d, ra));
         assert!(w.is_empty());
+    }
+
+    #[test]
+    fn insert_by_position_and_clear() {
+        let d = db();
+        let rb = d.find_fact("R", &["b"]).unwrap();
+        let mut w = World::empty(&d);
+        assert!(w.insert_pos(d.endo_index(rb).unwrap()));
+        assert!(!w.insert_pos(d.endo_index(rb).unwrap()));
+        assert_eq!(w, World::from_fact_ids(&d, &[rb]));
+        w.clear();
+        assert_eq!(w, World::empty(&d));
     }
 
     #[test]

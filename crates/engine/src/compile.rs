@@ -1,16 +1,23 @@
 //! Compiling queries against a database.
 //!
 //! Compilation resolves relation names to [`RelId`]s and constant names to
-//! [`ConstId`]s once, and fixes a greedy join order for the positive
-//! atoms, so that evaluating the same query over thousands of worlds
-//! (brute force, sampling) does no repeated string work.
+//! [`ConstId`]s once, fixes a greedy join order for the positive atoms,
+//! and builds a hash index per atom (see the [crate docs](crate)), so that
+//! evaluating the same query over thousands of worlds (brute force,
+//! sampling) does no repeated string work and no relation scans.
+//!
+//! The indexes are a snapshot: a [`CompiledQuery`] is valid only for the
+//! database state it was compiled against. Compile again after inserting,
+//! retracting or re-labelling a fact.
 
-use cqshap_db::{ConstId, Database, RelId};
+use cqshap_db::{ConstId, Database, FactId, RelId};
 use cqshap_query::{Atom, ConjunctiveQuery, Term, UnionQuery, Var};
+
+use crate::index::{NegativeIndex, PositiveIndex};
 
 /// A term resolved against a database interner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CompiledTerm {
+pub(crate) enum CompiledTerm {
     /// A query variable (dense index).
     Var(u32),
     /// A constant known to the database.
@@ -22,17 +29,17 @@ pub enum CompiledTerm {
 
 /// An atom resolved against a database.
 #[derive(Debug, Clone)]
-pub struct CompiledAtom {
+pub(crate) struct CompiledAtom {
     /// Position of the atom within the source query's atom list.
-    pub source_index: usize,
+    pub(crate) source_index: usize,
     /// The resolved relation; `None` when the database has no relation of
     /// this name (a positive atom is then unsatisfiable, a negative atom
     /// vacuously true).
-    pub rel: Option<RelId>,
+    pub(crate) rel: Option<RelId>,
     /// Resolved terms.
-    pub terms: Vec<CompiledTerm>,
+    pub(crate) terms: Vec<CompiledTerm>,
     /// Negated?
-    pub negated: bool,
+    pub(crate) negated: bool,
 }
 
 impl CompiledAtom {
@@ -56,7 +63,7 @@ impl CompiledAtom {
     }
 
     /// Variables of this atom (deduplicated, ascending).
-    pub fn variables(&self) -> Vec<u32> {
+    pub(crate) fn variables(&self) -> Vec<u32> {
         let mut out: Vec<u32> = self
             .terms
             .iter()
@@ -71,17 +78,28 @@ impl CompiledAtom {
     }
 }
 
-/// A query compiled against one database.
+/// A query compiled against one database: its atoms resolved, its
+/// positive atoms in join order, and one index per atom.
+///
+/// Valid only for the database state it was compiled against (see the
+/// [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct CompiledQuery {
-    /// Positive atoms in evaluation (join) order.
-    pub positives: Vec<CompiledAtom>,
-    /// Negative atoms (checked once all their variables are bound).
-    pub negatives: Vec<CompiledAtom>,
+    /// Source positions of the positive atoms, in join order.
+    join_order: Vec<usize>,
     /// Number of query variables.
-    pub var_count: usize,
+    pub(crate) var_count: usize,
     /// Head variables (dense indices).
-    pub head: Vec<u32>,
+    head: Vec<u32>,
+    /// The join index of each positive atom, in join order.
+    pub(crate) joins: Vec<PositiveIndex>,
+    /// The lookup index of each negative atom, in source order.
+    pub(crate) checks: Vec<NegativeIndex>,
+    /// The longest probe key of any index.
+    pub(crate) key_len: usize,
+    /// `(fact_count, endo_count)` of the database compiled against: a
+    /// cheap guard against evaluating over a database that changed since.
+    pub(crate) shape: (usize, usize),
 }
 
 impl CompiledQuery {
@@ -98,12 +116,60 @@ impl CompiledQuery {
             }
         }
         order_positives(db, &mut positives);
+        let var_count = q.var_count();
+        let mut bound = vec![false; var_count];
+        let joins: Vec<PositiveIndex> = positives
+            .iter()
+            .map(|atom| PositiveIndex::build(db, atom, &mut bound))
+            .collect();
+        // Negative atoms are checked once all their variables are bound.
+        let checks: Vec<NegativeIndex> = negatives
+            .iter()
+            .map(|atom| NegativeIndex::build(db, atom))
+            .collect();
+        let key_len = joins
+            .iter()
+            .map(PositiveIndex::key_len)
+            .chain(checks.iter().map(NegativeIndex::key_len))
+            .max()
+            .unwrap_or(0);
         CompiledQuery {
-            positives,
-            negatives,
-            var_count: q.var_count(),
+            join_order: positives.iter().map(|a| a.source_index).collect(),
+            var_count,
             head: q.head().iter().map(|v| v.0).collect(),
+            joins,
+            checks,
+            key_len,
+            shape: (db.fact_count(), db.endo_count()),
         }
+    }
+
+    /// Head variables (dense indices), in head order.
+    pub fn head(&self) -> &[u32] {
+        &self.head
+    }
+
+    /// The join order: source-query positions of the positive atoms, in
+    /// the order [`for_each_positive_homomorphism`] matches them (and
+    /// reports their facts in [`PositiveMatch::matched_facts`]).
+    ///
+    /// [`for_each_positive_homomorphism`]: crate::for_each_positive_homomorphism
+    /// [`PositiveMatch::matched_facts`]: crate::PositiveMatch::matched_facts
+    pub fn join_order(&self) -> &[usize] {
+        &self.join_order
+    }
+
+    /// The facts of `D` the negative atoms ground to under `assignment`,
+    /// in atom order. An atom that grounds to no fact, leaves a variable
+    /// unbound, or names an unknown relation or constant contributes
+    /// nothing.
+    pub fn negative_facts(&self, assignment: &[Option<ConstId>]) -> Vec<FactId> {
+        let mut probe = vec![ConstId(0); self.key_len];
+        self.checks
+            .iter()
+            .filter_map(|check| check.ground(assignment, &mut probe))
+            .map(|row| row.fact)
+            .collect()
     }
 }
 
@@ -177,11 +243,10 @@ mod tests {
         db.add_endo("T", &["b"]).unwrap();
         let q = parse_cq("q() :- R(x), S(x, y), !T(y)").unwrap();
         let c = CompiledQuery::compile(&db, &q);
-        assert_eq!(c.positives.len(), 2);
-        assert_eq!(c.negatives.len(), 1);
+        // R(x) binds fewer variables than S(x, y), so it goes first.
+        assert_eq!(c.join_order(), &[0, 1]);
+        assert_eq!(c.checks.len(), 1);
         assert_eq!(c.var_count, 2);
-        // All relations resolve.
-        assert!(c.positives.iter().all(|a| a.rel.is_some()));
     }
 
     #[test]
@@ -190,11 +255,11 @@ mod tests {
         db.add_endo("R", &["a"]).unwrap();
         let q = parse_cq("q() :- R(x), !Missing(x), R('zzz')").unwrap();
         let c = CompiledQuery::compile(&db, &q);
-        assert!(c.negatives[0].rel.is_none());
-        let has_unknown_const = c
-            .positives
-            .iter()
-            .any(|a| a.terms.contains(&CompiledTerm::UnknownConst));
-        assert!(has_unknown_const);
+        // The ground atom binds nothing, so it is matched first.
+        assert_eq!(c.join_order(), &[2, 0]);
+        let a = db.interner().get("a");
+        assert_eq!(c.negative_facts(&[a]), Vec::new());
+        let full = cqshap_db::World::full(&db);
+        assert!(!crate::satisfies_compiled(&db, &full, &c));
     }
 }

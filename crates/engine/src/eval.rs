@@ -1,11 +1,38 @@
 //! Satisfaction and homomorphism enumeration.
+//!
+//! There is one join: a depth-first walk of the positive atoms in join
+//! order. Each atom probes its index (see the [crate docs](crate)) with
+//! the values its key columns are bound to, and binds its remaining
+//! variables from every visible row. Rows keep
+//! [`Database::relation_facts`] order within a key, so homomorphisms
+//! are enumerated in the order a scan of each relation would find them.
+//! Negative atoms are then checked by one lookup of their ground tuple,
+//! written into a reused probe buffer.
+//!
+//! Enumeration allocates nothing for queries with up to 16 variables,
+//! positive atoms and key columns.
 
 use std::collections::BTreeSet;
 
-use cqshap_db::{ConstId, Database, FactId, Tuple, World};
+use cqshap_db::{ConstId, Database, FactId, World};
 use cqshap_query::{ConjunctiveQuery, UnionQuery};
 
-use crate::compile::{CompiledAtom, CompiledQuery, CompiledTerm, CompiledUnion};
+use crate::compile::{CompiledQuery, CompiledUnion};
+
+/// Scratch buffers up to this length live on the stack.
+const INLINE_SCRATCH: usize = 16;
+
+/// Runs `f` on a buffer of `len` copies of `fill`, on the stack when it
+/// is at most [`INLINE_SCRATCH`] long.
+#[inline]
+fn with_scratch<T: Copy, R>(len: usize, fill: T, f: impl FnOnce(&mut [T]) -> R) -> R {
+    if len <= INLINE_SCRATCH {
+        let mut buf = [fill; INLINE_SCRATCH];
+        f(&mut buf[..len])
+    } else {
+        f(&mut vec![fill; len])
+    }
+}
 
 /// Which facts are visible to matching.
 #[derive(Debug, Clone, Copy)]
@@ -16,19 +43,6 @@ pub enum FactScope<'a> {
     /// Every fact of `D`, endogenous or not — the scope the relevance
     /// algorithms (Algorithms 2/3) enumerate homomorphisms over.
     All,
-}
-
-impl FactScope<'_> {
-    #[inline]
-    fn visible(&self, db: &Database, id: FactId) -> bool {
-        match self {
-            FactScope::All => true,
-            FactScope::World(w) => {
-                let f = db.fact(id);
-                !f.provenance.is_endogenous() || w.contains(db, id)
-            }
-        }
-    }
 }
 
 /// One homomorphism of the positive part of a query.
@@ -46,132 +60,100 @@ pub struct PositiveMatch<'a> {
 /// `false` to abort. Returns `true` when enumeration ran to completion.
 ///
 /// Negative atoms are *not* checked here — callers (satisfaction, the
-/// relevance algorithms) apply their own policy to them.
+/// relevance algorithms) apply their own policy to them. `q` must have
+/// been compiled against `db` in its current state.
 pub fn for_each_positive_homomorphism(
     db: &Database,
     scope: FactScope<'_>,
     q: &CompiledQuery,
     visitor: &mut impl FnMut(PositiveMatch<'_>) -> bool,
 ) -> bool {
-    let mut assignment: Vec<Option<ConstId>> = vec![None; q.var_count];
-    let mut matched: Vec<FactId> = Vec::with_capacity(q.positives.len());
-    recurse(
-        db,
-        scope,
-        &q.positives,
-        0,
-        &mut assignment,
-        &mut matched,
-        visitor,
-    )
+    debug_assert_eq!(
+        q.shape,
+        (db.fact_count(), db.endo_count()),
+        "query compiled against a different database state"
+    );
+    with_scratch(q.var_count, None, |assignment| {
+        with_scratch(q.joins.len(), FactId(0), |matched| {
+            with_scratch(q.key_len, ConstId(0), |probe| {
+                let mut frame = Frame {
+                    assignment,
+                    matched,
+                    probe,
+                };
+                join(q, scope, 0, &mut frame, visitor)
+            })
+        })
+    })
 }
 
-fn recurse(
-    db: &Database,
+/// The mutable state of one enumeration.
+struct Frame<'a> {
+    assignment: &'a mut [Option<ConstId>],
+    matched: &'a mut [FactId],
+    probe: &'a mut [ConstId],
+}
+
+/// Matches the positive atoms from `depth` on. A variable first bound
+/// at a deeper level keeps its stale value after backtracking; it is
+/// rebound before any visitor can see it again.
+fn join(
+    q: &CompiledQuery,
     scope: FactScope<'_>,
-    positives: &[CompiledAtom],
-    idx: usize,
-    assignment: &mut Vec<Option<ConstId>>,
-    matched: &mut Vec<FactId>,
+    depth: usize,
+    frame: &mut Frame<'_>,
     visitor: &mut impl FnMut(PositiveMatch<'_>) -> bool,
 ) -> bool {
-    if idx == positives.len() {
+    let Some(index) = q.joins.get(depth) else {
         return visitor(PositiveMatch {
-            assignment,
-            matched_facts: matched,
+            assignment: frame.assignment,
+            matched_facts: frame.matched,
         });
-    }
-    let atom = &positives[idx];
-    let Some(rel) = atom.rel else {
-        // Relation absent from the database: this positive atom can never
-        // match, so the whole query has no homomorphisms.
-        return true;
     };
-    'facts: for &fid in db.relation_facts(rel) {
-        if !scope.visible(db, fid) {
+    for i in index.lookup(frame.assignment, frame.probe) {
+        let row = index.row(i);
+        if !row.visible(scope) {
             continue;
         }
-        let tuple = &db.fact(fid).tuple;
-        let mut trail: Vec<u32> = Vec::new();
-        for (t, &val) in atom.terms.iter().zip(tuple.values()) {
-            let ok = match t {
-                CompiledTerm::Const(c) => *c == val,
-                CompiledTerm::UnknownConst => false,
-                CompiledTerm::Var(v) => match assignment[*v as usize] {
-                    Some(bound) => bound == val,
-                    None => {
-                        assignment[*v as usize] = Some(val);
-                        trail.push(*v);
-                        true
-                    }
-                },
-            };
-            if !ok {
-                for v in trail {
-                    assignment[v as usize] = None;
-                }
-                continue 'facts;
-            }
-        }
-        matched.push(fid);
-        let keep_going = recurse(db, scope, positives, idx + 1, assignment, matched, visitor);
-        matched.pop();
-        for v in trail {
-            assignment[v as usize] = None;
-        }
-        if !keep_going {
+        index.bind(i, frame.assignment);
+        frame.matched[depth] = row.fact;
+        if !join(q, scope, depth + 1, frame, visitor) {
             return false;
         }
     }
     true
 }
 
-/// Grounds a (negative) atom under an assignment. Returns `None` when the
-/// atom mentions a constant unknown to the database or an unbound
-/// variable — in both cases the corresponding fact cannot exist.
-fn ground_atom(atom: &CompiledAtom, assignment: &[Option<ConstId>]) -> Option<Tuple> {
-    let mut vals = Vec::with_capacity(atom.terms.len());
-    for t in &atom.terms {
-        match t {
-            CompiledTerm::Const(c) => vals.push(*c),
-            CompiledTerm::UnknownConst => return None,
-            CompiledTerm::Var(v) => vals.push(assignment[*v as usize]?),
-        }
-    }
-    Some(Tuple::from(vals))
-}
-
 /// Does any negative atom of `q` fire (i.e. its ground fact is visible)
 /// under the given assignment and scope?
 fn negatives_violated(
-    db: &Database,
     scope: FactScope<'_>,
     q: &CompiledQuery,
     assignment: &[Option<ConstId>],
+    probe: &mut [ConstId],
 ) -> bool {
-    q.negatives.iter().any(|atom| {
-        let Some(rel) = atom.rel else { return false };
-        let Some(tuple) = ground_atom(atom, assignment) else {
-            return false;
-        };
-        db.lookup(rel, &tuple)
-            .is_some_and(|fid| scope.visible(db, fid))
+    q.checks.iter().any(|check| {
+        check
+            .ground(assignment, probe)
+            .is_some_and(|row| row.visible(scope))
     })
 }
 
 /// Does `Dx ∪ E ⊨ q` hold, for a query compiled against `db`?
 pub fn satisfies_compiled(db: &Database, world: &World, q: &CompiledQuery) -> bool {
     let scope = FactScope::World(world);
-    let mut sat = false;
-    for_each_positive_homomorphism(db, scope, q, &mut |m| {
-        if negatives_violated(db, scope, q, m.assignment) {
-            true // keep searching
-        } else {
-            sat = true;
-            false // abort: satisfied
-        }
-    });
-    sat
+    with_scratch(q.key_len, ConstId(0), |probe| {
+        let mut sat = false;
+        for_each_positive_homomorphism(db, scope, q, &mut |m| {
+            if negatives_violated(scope, q, m.assignment, probe) {
+                true // keep searching
+            } else {
+                sat = true;
+                false // abort: satisfied
+            }
+        });
+        sat
+    })
 }
 
 /// Does `Dx ∪ E ⊨ q` hold? Compiles on the fly; prefer
@@ -197,10 +179,11 @@ pub fn answers(db: &Database, world: &World, q: &ConjunctiveQuery) -> BTreeSet<V
     let c = CompiledQuery::compile(db, q);
     let scope = FactScope::World(world);
     let mut out = BTreeSet::new();
+    let mut probe = vec![ConstId(0); c.key_len];
     for_each_positive_homomorphism(db, scope, &c, &mut |m| {
-        if !negatives_violated(db, scope, &c, m.assignment) {
+        if !negatives_violated(scope, &c, m.assignment, &mut probe) {
             let tuple: Option<Vec<ConstId>> =
-                c.head.iter().map(|&v| m.assignment[v as usize]).collect();
+                c.head().iter().map(|&v| m.assignment[v as usize]).collect();
             if let Some(t) = tuple {
                 out.insert(t);
             }

@@ -100,6 +100,15 @@ pub const CTR_NUMERATOR_MEMO_HIT: &str = "compiled.numerator-memo.hit";
 /// Shapley-numerator memo misses (contractions run).
 pub const CTR_NUMERATOR_MEMO_MISS: &str = "compiled.numerator-memo.miss";
 
+/// Query evaluations the permutation samplers ran (two per draw, less
+/// the skipped ones).
+pub const CTR_APPROX_EVALS: &str = "approx.evals";
+/// Query evaluations the permutation samplers skipped because the drawn
+/// fact's relation occurs with one polarity and the coalition's own
+/// answer already fixes the marginal at 0 (both evaluations of a fact
+/// whose relation the query never mentions).
+pub const CTR_APPROX_EVALS_SKIPPED: &str = "approx.evals.skipped";
+
 /// Aggregate candidate groups discovered during prepare.
 pub const CTR_AGG_CANDIDATES: &str = "aggregate.candidates";
 /// Aggregate candidate groups pruned as irrelevant.

@@ -129,3 +129,33 @@ fn aggregate_stats_view_matches_trace_counters() {
         "trace counter and ReportStats view disagree on pruned"
     );
 }
+
+/// The sampler's evaluation counters are exact: every draw needs the
+/// query on the coalition with and without the drawn fact, and each of
+/// those two evaluations is either run or skipped (this is the only
+/// test in the binary driving the samplers).
+#[test]
+fn sampler_evaluation_counters_add_up_to_two_per_draw() {
+    let t = trace();
+    let db = Database::parse(
+        "endo R(a)\nendo R(b)\nendo S(a, c)\nendo S(b, c)\nendo S(b, d)\n\
+         endo T(c)\nendo T(d)\nendo U(a)\n",
+    )
+    .expect("valid db");
+    let q = parse_cq("q() :- R(x), S(x, y), !T(y)").expect("valid query");
+    let params = AnytimeParams {
+        epsilon: 0.2,
+        ..AnytimeParams::default()
+    };
+    let report =
+        shapley_anytime(&db, AnyQuery::Cq(&q), &params, None, &mut None).expect("valid params");
+    let t_fact = db.find_fact("T", &["c"]).expect("exists");
+    let sampled = shapley_sampled(&db, AnyQuery::Cq(&q), t_fact, 500, 1, 2).expect("endogenous");
+    let draws = report.spent_samples + sampled.samples;
+    let evals = t.counter_value(obs::phase::CTR_APPROX_EVALS);
+    let skipped = t.counter_value(obs::phase::CTR_APPROX_EVALS_SKIPPED);
+    assert_eq!(evals + skipped, 2 * draws);
+    // R and S occur only positively, T only negatively, U not at all:
+    // every relation here lets some evaluations be skipped.
+    assert!(evals > 0 && skipped > 0, "{evals} run, {skipped} skipped");
+}
