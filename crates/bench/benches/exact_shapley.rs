@@ -50,7 +50,7 @@ fn bench_brute_force_wall(c: &mut Criterion) {
         let f = db.endo_facts()[0];
         group.bench_with_input(BenchmarkId::new("endo", db.endo_count()), &db, |b, db| {
             b.iter(|| {
-                shapley_via_counts(db, AnyQuery::Cq(&q1), f, &BruteForceCounter::new()).unwrap()
+                shapley_via_counts(db, AnyQuery::Cq(&q1), f, &BruteForceCounter::default()).unwrap()
             })
         });
     }

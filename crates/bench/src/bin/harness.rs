@@ -757,7 +757,8 @@ fn bench_probdb(quick: bool, out_path: &str) {
     {
         let db = figure_1_database();
         let probs = probs_for(&db);
-        let engine = CompiledProbability::compile(&db, &q1, probs.clone()).expect("hierarchical");
+        let engine =
+            CompiledProbability::compile(&db, &q1, probs.clone(), 0, None).expect("hierarchical");
         let oracle = oracle_probability(&db, &probs, &q1).expect("hierarchical");
         assert_eq!(engine.probability(), &oracle, "unified vs seed oracle");
         let enumerated = probability_by_enumeration(&db, AnyQuery::Cq(&q1), &probs, None, 20)
@@ -780,8 +781,8 @@ fn bench_probdb(quick: bool, out_path: &str) {
         // environments. The incremental-maintenance contract is checked
         // with one provenance flip and its inverse before timing.
         {
-            let mut engine =
-                CompiledProbability::compile(&db, &q1, probs.clone()).expect("hierarchical");
+            let mut engine = CompiledProbability::compile(&db, &q1, probs.clone(), 0, None)
+                .expect("hierarchical");
             let mut mdb = db.clone();
             let f = db.endo_facts()[0];
             for p in [Provenance::Exogenous, Provenance::Endogenous] {
@@ -800,7 +801,8 @@ fn bench_probdb(quick: bool, out_path: &str) {
         let mut total = BigRational::zero();
         let mut marginals: Vec<BigRational> = Vec::with_capacity(m);
         let t0 = Instant::now();
-        let engine = CompiledProbability::compile(&db, &q1, probs.clone()).expect("hierarchical");
+        let engine =
+            CompiledProbability::compile(&db, &q1, probs.clone(), 0, None).expect("hierarchical");
         let compile_ms = t0.elapsed().as_secs_f64() * 1e3;
         let t1 = Instant::now();
         total += engine.probability();
@@ -969,7 +971,8 @@ fn bench_poly(quick: bool, out_path: &str) {
     fn subsystem_ms(polys: &[Vec<BigUint>], threads: usize) -> f64 {
         let refs: Vec<&[BigUint]> = polys.iter().map(|p| p.as_slice()).collect();
         time_ms(|| {
-            let envs = poly::leave_one_out_products(&refs, &[BigUint::one()], threads);
+            let envs = poly::leave_one_out_products(&refs, &[BigUint::one()], threads, None)
+                .expect("no token, no cancellation");
             assert_eq!(envs.len(), refs.len());
         })
     }
@@ -995,8 +998,8 @@ fn bench_poly(quick: bool, out_path: &str) {
         }
         for threads in [1usize, 4] {
             assert_eq!(
-                poly::leave_one_out_products(&refs, &[BigUint::one()], threads),
-                want,
+                poly::leave_one_out_products(&refs, &[BigUint::one()], threads, None).as_ref(),
+                Ok(&want),
                 "subsystem with {threads} threads"
             );
         }
@@ -1350,7 +1353,7 @@ fn e3() {
         let brute = if db.endo_count() <= 22 {
             let f = db.endo_facts()[0];
             let t1 = Instant::now();
-            let v = shapley_via_counts(&db, AnyQuery::Cq(&q1), f, &BruteForceCounter::new())
+            let v = shapley_via_counts(&db, AnyQuery::Cq(&q1), f, &BruteForceCounter::default())
                 .expect("small enough");
             assert_eq!(v, report.entries[0].value);
             ms(t1.elapsed())
@@ -1438,7 +1441,7 @@ fn e5() {
                 &inst.db,
                 AnyQuery::Cq(&q),
                 inst.f0,
-                &BruteForceCounter::new(),
+                &BruteForceCounter::default(),
             )
             .expect("small");
             assert_eq!(v.abs(), inst.expected_abs);
@@ -1685,7 +1688,7 @@ fn e10() {
 }
 
 fn e11() {
-    let oracle = BruteForceCounter::new();
+    let oracle = BruteForceCounter::default();
     let mut base = Database::new();
     base.add_relation("S", 2).expect("fresh");
     base.add_endo("R", &["a0"]).expect("fresh");
@@ -1842,7 +1845,7 @@ fn e14() {
     let mut t = Table::new(&["fact", "pos. relevant", "neg. relevant", "Shapley"]);
     for &f in db.endo_facts() {
         let (pos, neg) = brute_force_relevance(&db, AnyQuery::Cq(&q), f, 24).expect("small");
-        let v = shapley_by_permutations(&db, AnyQuery::Cq(&q), f, 9).expect("small");
+        let v = shapley_by_permutations(&db, AnyQuery::Cq(&q), f, 9, None).expect("small");
         t.row(&[
             db.render_fact(f),
             pos.to_string(),

@@ -49,8 +49,8 @@ use crate::error::CoreError;
 use crate::exoshap;
 use crate::satcount::{BruteForceCounter, HierarchicalCounter};
 use crate::shapley::{
-    engine_values, resolve_strategy, shapley_by_permutations_cancel, shapley_via_counts,
-    ReportStats, ResolvedStrategy, ShapleyOptions, ShapleyReport,
+    engine_values, resolve_strategy, shapley_by_permutations, shapley_via_counts, ReportStats,
+    ResolvedStrategy, ShapleyOptions, ShapleyReport,
 };
 
 /// The supported aggregate functions.
@@ -411,15 +411,11 @@ pub(crate) fn candidate_value(
             )
         }
         ResolvedStrategy::BruteForce => {
-            let counter = BruteForceCounter::with_limit(options.brute_force_limit)
-                .with_threads(options.threads);
-            let counter = match cancel {
-                Some(token) => counter.with_cancel(token.clone()),
-                None => counter,
-            };
+            let counter =
+                BruteForceCounter::new(options.brute_force_limit, options.threads, cancel);
             shapley_via_counts(db, AnyQuery::Cq(query), f, &counter)
         }
-        ResolvedStrategy::Permutations => shapley_by_permutations_cancel(
+        ResolvedStrategy::Permutations => shapley_by_permutations(
             db,
             AnyQuery::Cq(query),
             f,
@@ -501,11 +497,8 @@ impl AggregateEngines {
         cancel: Option<&CancelToken>,
     ) -> Result<Self, CoreError> {
         let _span = Span::enter(obs_phase::AGGREGATE_PREPARE);
-        let compile = |target: &Database, query: &ConjunctiveQuery| match cancel {
-            Some(token) => {
-                CompiledCount::compile_with_cancel(target, query, options.threads, token.clone())
-            }
-            None => CompiledCount::compile_with_threads(target, query, options.threads),
+        let compile = |target: &Database, query: &ConjunctiveQuery| {
+            CompiledCount::compile(target, query, options.threads, cancel)
         };
         let plan = AggregatePlan::prepare(db, q, agg, options)?;
         let stats = plan.stats();

@@ -798,7 +798,7 @@ mod tests {
         .unwrap();
         let q = parse_cq("q() :- Stud(x), !TA(x), Reg(x, y)").unwrap();
         for &f in db.endo_facts() {
-            let exact = crate::shapley::shapley_by_permutations(&db, AnyQuery::Cq(&q), f, 9)
+            let exact = crate::shapley::shapley_by_permutations(&db, AnyQuery::Cq(&q), f, 9, None)
                 .unwrap()
                 .to_f64();
             let approx = shapley_sampled(&db, AnyQuery::Cq(&q), f, 20_000, 42, 0).unwrap();
@@ -876,7 +876,7 @@ mod tests {
         assert!(!report.deadline_hit);
         for entry in &report.entries {
             let exact =
-                crate::shapley::shapley_by_permutations(&db, AnyQuery::Cq(&q), entry.fact, 9)
+                crate::shapley::shapley_by_permutations(&db, AnyQuery::Cq(&q), entry.fact, 9, None)
                     .unwrap()
                     .to_f64();
             assert!(entry.converged);

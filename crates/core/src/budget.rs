@@ -8,10 +8,15 @@
 //!
 //! Every long-running loop in the crate calls the crate-private
 //! `check` (or the batched-progress variant `check_partial`) at
-//! group/convolution granularity. The cancelled kernels may have produced placeholder
-//! values (see `cqshap_numeric::poly`'s `*_cancel` functions) — the
-//! sticky flag guarantees a checkpoint *after* any placeholder
-//! production fails before the placeholder can escape an engine.
+//! group/convolution granularity. The polynomial kernels poll the same
+//! token and return `NumericError::Cancelled` when it trips; `tripped`
+//! turns that into the same error a checkpoint raises, so a cancelled
+//! kernel never yields a value.
+//!
+//! Only an entry point arms a token from the options' budget — a
+//! [`crate::ShapleySession`] method (by re-arming the session's token)
+//! or a free top-level function — and everything below it receives that
+//! one token, so a budget bounds the whole call.
 //!
 //! Phase labels are the `&'static str` keys of [`cqshap_obs::phase`],
 //! so a `DeadlineExceeded { phase }` error and the observability spans
@@ -19,6 +24,7 @@
 //! `deadline.trip` event to the installed recorder.
 
 pub use cqshap_numeric::cancel::{Budget, CancelToken, Stopwatch};
+use cqshap_numeric::NumericError;
 
 use crate::error::CoreError;
 
@@ -38,15 +44,39 @@ pub(crate) fn check_partial(
     partial: Option<usize>,
 ) -> Result<(), CoreError> {
     if token.should_stop() {
-        cqshap_obs::event(cqshap_obs::phase::EV_DEADLINE_TRIP, phase);
-        return Err(CoreError::DeadlineExceeded {
-            phase: phase.to_string(),
-            elapsed: token.elapsed(),
-            partial: partial.map(|completed| crate::error::PartialProgress {
-                completed,
-                answers: Vec::new(),
-            }),
-        });
+        return Err(deadline(token, phase, partial));
     }
     Ok(())
+}
+
+/// The error of a kernel that reported `err` while polling `token` in
+/// `phase`: [`CoreError::DeadlineExceeded`] for a cancellation (with the
+/// same trace event as [`check`]), [`CoreError::Unsupported`] for any
+/// other refusal.
+pub(crate) fn tripped(
+    err: NumericError,
+    token: Option<&CancelToken>,
+    phase: &'static str,
+) -> CoreError {
+    match (err, token) {
+        (NumericError::Cancelled, Some(token)) => deadline(token, phase, None),
+        (other, _) => CoreError::Unsupported(other.to_string()),
+    }
+}
+
+/// Emits the `deadline.trip` event for `phase` and builds its error.
+pub(crate) fn deadline(
+    token: &CancelToken,
+    phase: &'static str,
+    partial: Option<usize>,
+) -> CoreError {
+    cqshap_obs::event(cqshap_obs::phase::EV_DEADLINE_TRIP, phase);
+    CoreError::DeadlineExceeded {
+        phase: phase.to_string(),
+        elapsed: token.elapsed(),
+        partial: partial.map(|completed| crate::error::PartialProgress {
+            completed,
+            answers: Vec::new(),
+        }),
+    }
 }

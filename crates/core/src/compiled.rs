@@ -77,7 +77,7 @@ use cqshap_numeric::{BigInt, BigRational, BigUint, FactorialTable, ShapleyWeight
 use cqshap_obs::{phase as obs_phase, Counter, Span};
 use cqshap_query::{ConjunctiveQuery, Term};
 
-use crate::budget::{self, CancelToken};
+use crate::budget::CancelToken;
 use crate::domain::{eval_rec, CountingDomain, EvalDomain, FactProbabilities, ProbabilityDomain};
 use crate::error::CoreError;
 use crate::satcount::{
@@ -641,7 +641,7 @@ impl<D: EvalDomain> CompiledEngine<D> {
                 .filter(|u| !dom.is_zero(u))
                 .collect();
             let zeros = groups.len() - factors.len();
-            let unsat_all = dom.product(&factors, threads);
+            let unsat_all = dom.product(&factors, threads, obs_phase::COMPILE)?;
             let mut comp = Component {
                 atoms: sub_atoms,
                 rels: sub_rels,
@@ -675,7 +675,8 @@ impl<D: EvalDomain> CompiledEngine<D> {
             }
         }
 
-        // Placeholders; `refresh_envs` computes the real values.
+        // Unit values until `refresh_envs` computes the real ones (an
+        // error there drops the engine).
         let total = dom.one();
         let all_sat = dom.one();
         let mut engine = CompiledEngine {
@@ -693,22 +694,17 @@ impl<D: EvalDomain> CompiledEngine<D> {
             buckets: next,
             threads,
         };
-        engine.refresh_envs();
-        // The cancelled polynomial kernels return placeholders and trip
-        // the sticky flag; this checkpoint keeps them from escaping.
-        if let Some(token) = engine.dom.cancel_token() {
-            budget::check(token, cqshap_obs::phase::COMPILE)?;
-        }
+        engine.refresh_envs(obs_phase::COMPILE)?;
         Ok(engine)
     }
 
     /// Recomputes everything downstream of the per-group values: the
     /// component/total values and the cross-component leave-one-out
     /// environments. Shared by [`CompiledEngine::compile`] and
-    /// [`CompiledEngine::update`].
-    fn refresh_envs(&mut self) {
+    /// [`CompiledEngine::update`], which name themselves as `phase`.
+    fn refresh_envs(&mut self, phase: &'static str) -> Result<(), CoreError> {
         let sats: Vec<&D::Value> = self.components.iter().map(|c| &c.sat).collect();
-        self.all_sat = self.dom.product(&sats, self.threads);
+        self.all_sat = self.dom.product(&sats, self.threads, phase)?;
         self.total = self
             .dom
             .combine(&self.all_sat, &self.dom.free(self.free_endo));
@@ -716,12 +712,13 @@ impl<D: EvalDomain> CompiledEngine<D> {
         // Component-level leave-one-out environments. Components are
         // bounded by the query's atom count, so this stage is cheap.
         let _span = Span::enter(obs_phase::LEAVE_ONE_OUT);
-        let envs = self
-            .dom
-            .leave_one_out(&sats, &self.dom.free(self.free_endo), self.threads);
+        let envs =
+            self.dom
+                .leave_one_out(&sats, &self.dom.free(self.free_endo), self.threads, phase)?;
         for (comp, env) in self.components.iter_mut().zip(envs) {
             comp.env = env;
         }
+        Ok(())
     }
 
     /// Patches the compiled caches after one in-place database update
@@ -760,10 +757,7 @@ impl<D: EvalDomain> CompiledEngine<D> {
         }
         self.m = db.endo_count();
         self.free_endo = self.m - self.components.iter().map(|c| c.endo).sum::<usize>();
-        self.refresh_envs();
-        if let Some(token) = self.dom.cancel_token() {
-            budget::check(token, cqshap_obs::phase::UPDATE)?;
-        }
+        self.refresh_envs(obs_phase::UPDATE)?;
         Ok(true)
     }
 
@@ -1175,12 +1169,6 @@ impl<D: EvalDomain> CompiledEngine<D> {
             atoms,
             scopes,
         )?;
-        // A budget tripped by another report lane mid-recursion leaves
-        // placeholder values behind; they must not reach a caller (or a
-        // memo) as an answer.
-        if let Some(token) = self.dom.cancel_token() {
-            budget::check(token, obs_phase::RECOUNT)?;
-        }
         Ok((sat_minus, sat_plus))
     }
 
@@ -1195,53 +1183,24 @@ impl<D: EvalDomain> CompiledEngine<D> {
 }
 
 impl CompiledCount {
-    /// Compiles `q` against `db` with the default thread budget (all
-    /// available cores).
+    /// Compiles `q` against `db` with a worker cap for the parallel
+    /// product trees (`0` = all available cores), polling `cancel` (if
+    /// any) from the counting recursion and the polynomial kernels. The
+    /// cap and the token stick to the engine: maintenance and recount
+    /// paths reuse them.
     ///
     /// # Errors
     /// The same structural errors as
     /// [`crate::satcount::count_sat_hierarchical`]:
-    /// [`CoreError::NotSelfJoinFree`] / [`CoreError::NotHierarchical`].
-    pub fn compile(db: &Database, q: &ConjunctiveQuery) -> Result<Self, CoreError> {
-        Self::compile_with_threads(db, q, 0)
-    }
-
-    /// [`CompiledCount::compile`] with an explicit worker cap for the
-    /// parallel product trees (`0` = all available cores). The cap
-    /// sticks to the engine: maintenance and recount paths reuse it.
-    ///
-    /// # Errors
-    /// As [`CompiledCount::compile`].
-    pub fn compile_with_threads(
+    /// [`CoreError::NotSelfJoinFree`] / [`CoreError::NotHierarchical`];
+    /// [`CoreError::DeadlineExceeded`] when `cancel` trips.
+    pub fn compile(
         db: &Database,
         q: &ConjunctiveQuery,
         threads: usize,
+        cancel: Option<&CancelToken>,
     ) -> Result<Self, CoreError> {
-        Self::compile_with_domain(db, q, threads, CountingDomain::new())
-    }
-
-    /// [`CompiledCount::compile_with_threads`] polling `cancel` from
-    /// the counting recursion and the polynomial kernels: a tripped
-    /// budget aborts the compile with [`CoreError::DeadlineExceeded`].
-    ///
-    /// # Errors
-    /// As [`CompiledCount::compile`], plus
-    /// [`CoreError::DeadlineExceeded`].
-    pub fn compile_with_cancel(
-        db: &Database,
-        q: &ConjunctiveQuery,
-        threads: usize,
-        cancel: CancelToken,
-    ) -> Result<Self, CoreError> {
-        Self::compile_with_domain(db, q, threads, CountingDomain::with_cancel(cancel))
-    }
-
-    fn compile_with_domain(
-        db: &Database,
-        q: &ConjunctiveQuery,
-        threads: usize,
-        dom: CountingDomain,
-    ) -> Result<Self, CoreError> {
+        let dom = CountingDomain::new(cancel.cloned());
         let eng = CompiledEngine::compile(db, q, threads, dom)?;
         let mut compiled = CompiledCount {
             table: FactorialTable::new(eng.m),
@@ -1508,54 +1467,22 @@ impl CompiledCount {
 }
 
 impl CompiledProbability {
-    /// Compiles `q` against `db` for lifted inference at `probs`, with
-    /// the default thread budget.
+    /// Compiles `q` against `db` for lifted inference at `probs`, with a
+    /// worker cap (`0` = all available cores) and `cancel` (if any)
+    /// polled from the lifted-inference recursion.
     ///
     /// # Errors
-    /// The same structural errors as [`CompiledCount::compile`].
+    /// The same errors as [`CompiledCount::compile`].
     pub fn compile(
         db: &Database,
         q: &ConjunctiveQuery,
         probs: FactProbabilities,
-    ) -> Result<Self, CoreError> {
-        Self::compile_with_threads(db, q, probs, 0)
-    }
-
-    /// [`CompiledProbability::compile`] with an explicit worker cap.
-    ///
-    /// # Errors
-    /// As [`CompiledProbability::compile`].
-    pub fn compile_with_threads(
-        db: &Database,
-        q: &ConjunctiveQuery,
-        probs: FactProbabilities,
         threads: usize,
+        cancel: Option<&CancelToken>,
     ) -> Result<Self, CoreError> {
+        let dom = ProbabilityDomain::new(probs, cancel.cloned());
         Ok(CompiledProbability {
-            eng: CompiledEngine::compile(db, q, threads, ProbabilityDomain::new(probs))?,
-        })
-    }
-
-    /// [`CompiledProbability::compile_with_threads`] polling `cancel`
-    /// from the lifted-inference recursion.
-    ///
-    /// # Errors
-    /// As [`CompiledProbability::compile`], plus
-    /// [`CoreError::DeadlineExceeded`].
-    pub fn compile_with_cancel(
-        db: &Database,
-        q: &ConjunctiveQuery,
-        probs: FactProbabilities,
-        threads: usize,
-        cancel: CancelToken,
-    ) -> Result<Self, CoreError> {
-        Ok(CompiledProbability {
-            eng: CompiledEngine::compile(
-                db,
-                q,
-                threads,
-                ProbabilityDomain::with_cancel(probs, cancel),
-            )?,
+            eng: CompiledEngine::compile(db, q, threads, dom)?,
         })
     }
 
@@ -1650,7 +1577,7 @@ mod tests {
     /// Batched values and count pairs must be bit-identical to the
     /// per-fact oracle on the materialized modified databases.
     fn agrees_with_per_fact(db: &Database, q: &ConjunctiveQuery) {
-        let compiled = CompiledCount::compile(db, q).unwrap();
+        let compiled = CompiledCount::compile(db, q, 0, None).unwrap();
         assert_eq!(
             compiled.total_counts(),
             &count_sat_hierarchical(db, q).unwrap()[..],
@@ -1682,9 +1609,9 @@ mod tests {
         change: EngineUpdate,
     ) {
         if !compiled.update(db, change).unwrap() {
-            *compiled = CompiledCount::compile(db, q).unwrap();
+            *compiled = CompiledCount::compile(db, q, 0, None).unwrap();
         }
-        let fresh = CompiledCount::compile(db, q).unwrap();
+        let fresh = CompiledCount::compile(db, q, 0, None).unwrap();
         assert_eq!(
             compiled.total_counts(),
             fresh.total_counts(),
@@ -1704,7 +1631,7 @@ mod tests {
     fn example_2_3_batched() {
         let db = university();
         let q1 = parse_cq("q1() :- Stud(x), !TA(x), Reg(x, y)").unwrap();
-        let compiled = CompiledCount::compile(&db, &q1).unwrap();
+        let compiled = CompiledCount::compile(&db, &q1, 0, None).unwrap();
         let expect = [
             ("TA", vec!["Adam"], "-3/28"),
             ("TA", vec!["Ben"], "-2/35"),
@@ -1748,7 +1675,7 @@ mod tests {
         // TA(David) never joins a Reg fact: junk (no positive support
         // for root value David in Reg) — exactly zero, no recount.
         let q1 = parse_cq("q1() :- Stud(x), !TA(x), Reg(x, y)").unwrap();
-        let compiled = CompiledCount::compile(&db, &q1).unwrap();
+        let compiled = CompiledCount::compile(&db, &q1, 0, None).unwrap();
         let david = db.find_fact("TA", &["David"]).unwrap();
         assert!(compiled.is_structurally_null(david));
         assert_eq!(compiled.bucket_of(david), 0);
@@ -1756,7 +1683,7 @@ mod tests {
         assert!(!compiled.is_structurally_null(adam));
         // Facts outside every scope are free.
         let q_ta = parse_cq("q() :- TA(x)").unwrap();
-        let c2 = CompiledCount::compile(&db, &q_ta).unwrap();
+        let c2 = CompiledCount::compile(&db, &q_ta, 0, None).unwrap();
         let reg = db.find_fact("Reg", &["Adam", "OS"]).unwrap();
         assert!(c2.is_structurally_null(reg));
         assert_eq!(c2.value(&db, reg).unwrap(), BigRational::zero());
@@ -1766,7 +1693,7 @@ mod tests {
     fn buckets_partition_by_group() {
         let db = university();
         let q1 = parse_cq("q1() :- Stud(x), !TA(x), Reg(x, y)").unwrap();
-        let compiled = CompiledCount::compile(&db, &q1).unwrap();
+        let compiled = CompiledCount::compile(&db, &q1, 0, None).unwrap();
         // Same student → same root group → same bucket.
         let f1 = db.find_fact("Reg", &["Adam", "OS"]).unwrap();
         let f2 = db.find_fact("Reg", &["Adam", "AI"]).unwrap();
@@ -1793,7 +1720,7 @@ mod tests {
         }
         let q1 = parse_cq("q1() :- Stud(x), !TA(x), Reg(x, y)").unwrap();
         agrees_with_per_fact(&db, &q1);
-        let compiled = CompiledCount::compile(&db, &q1).unwrap();
+        let compiled = CompiledCount::compile(&db, &q1, 0, None).unwrap();
         assert_eq!(compiled.classes[0].reps.len(), 3);
         for &f in db.endo_facts() {
             compiled.value(&db, f).unwrap();
@@ -1814,7 +1741,7 @@ mod tests {
     fn non_endogenous_fact_rejected() {
         let db = university();
         let q1 = parse_cq("q1() :- Stud(x), !TA(x), Reg(x, y)").unwrap();
-        let compiled = CompiledCount::compile(&db, &q1).unwrap();
+        let compiled = CompiledCount::compile(&db, &q1, 0, None).unwrap();
         let stud = db.find_fact("Stud", &["Adam"]).unwrap();
         assert!(matches!(
             compiled.value(&db, stud),
@@ -1827,7 +1754,7 @@ mod tests {
         let db = university();
         let q = parse_cq("q() :- Stud(x), Reg(x, y), Course(y, z)").unwrap();
         assert!(matches!(
-            CompiledCount::compile(&db, &q),
+            CompiledCount::compile(&db, &q, 0, None),
             Err(CoreError::NotHierarchical { .. })
         ));
     }
@@ -1850,9 +1777,9 @@ mod tests {
         // bit-identical across caps.
         let db = university();
         let q1 = parse_cq("q1() :- Stud(x), !TA(x), Reg(x, y)").unwrap();
-        let reference = CompiledCount::compile(&db, &q1).unwrap();
+        let reference = CompiledCount::compile(&db, &q1, 0, None).unwrap();
         for threads in [1usize, 2, 4] {
-            let capped = CompiledCount::compile_with_threads(&db, &q1, threads).unwrap();
+            let capped = CompiledCount::compile(&db, &q1, threads, None).unwrap();
             assert_eq!(capped.total_counts(), reference.total_counts());
             for &f in db.endo_facts() {
                 assert_eq!(
@@ -1869,7 +1796,7 @@ mod tests {
     fn incremental_updates_match_fresh_compiles() {
         let mut db = university();
         let q1 = parse_cq("q1() :- Stud(x), !TA(x), Reg(x, y)").unwrap();
-        let mut compiled = CompiledCount::compile(&db, &q1).unwrap();
+        let mut compiled = CompiledCount::compile(&db, &q1, 0, None).unwrap();
 
         // Insert into an existing root group.
         let f = db.add_endo("Reg", &["Adam", "DB"]).unwrap();
@@ -1909,7 +1836,7 @@ mod tests {
     fn structural_updates_request_recompile() {
         let mut db = university();
         let q1 = parse_cq("q1() :- Stud(x), !TA(x), Reg(x, y)").unwrap();
-        let mut compiled = CompiledCount::compile(&db, &q1).unwrap();
+        let mut compiled = CompiledCount::compile(&db, &q1, 0, None).unwrap();
         // A new student with both Stud and Reg support forms a brand-new
         // root group → incremental maintenance must decline.
         db.add_exo("Stud", &["Eve"]).unwrap();
@@ -1919,7 +1846,7 @@ mod tests {
             .unwrap());
         let f = db.add_endo("Reg", &["Eve", "OS"]).unwrap();
         assert!(!compiled.update(&db, EngineUpdate::Inserted(f)).unwrap());
-        compiled = CompiledCount::compile(&db, &q1).unwrap();
+        compiled = CompiledCount::compile(&db, &q1, 0, None).unwrap();
         // Retracting the only Reg fact of a group kills the group.
         let ben_os = db.find_fact("Reg", &["Ben", "OS"]).unwrap();
         db.retract_fact(ben_os).unwrap();
@@ -1930,7 +1857,7 @@ mod tests {
         // resolution (the fingerprint catches it).
         let mut db2 = Database::parse("endo R(a)\n").unwrap();
         let q2 = parse_cq("q() :- R(x), !Ghost(x)").unwrap();
-        let mut c2 = CompiledCount::compile(&db2, &q2).unwrap();
+        let mut c2 = CompiledCount::compile(&db2, &q2, 0, None).unwrap();
         let g = db2.add_exo("Ghost", &["a"]).unwrap();
         assert!(!c2.update(&db2, EngineUpdate::Inserted(g)).unwrap());
     }
@@ -1939,10 +1866,10 @@ mod tests {
     fn unsatisfiable_engine_tracks_m_across_updates() {
         let mut db = Database::parse("endo R(a)\n").unwrap();
         let q = parse_cq("q() :- Ghost(x), R(y)").unwrap();
-        let mut compiled = CompiledCount::compile(&db, &q).unwrap();
+        let mut compiled = CompiledCount::compile(&db, &q, 0, None).unwrap();
         let f = db.add_endo("R", &["b"]).unwrap();
         assert!(compiled.update(&db, EngineUpdate::Inserted(f)).unwrap());
-        let fresh = CompiledCount::compile(&db, &q).unwrap();
+        let fresh = CompiledCount::compile(&db, &q, 0, None).unwrap();
         assert_eq!(compiled.total_counts(), fresh.total_counts());
         assert_eq!(
             compiled.value(&db, f).unwrap(),
@@ -1995,7 +1922,7 @@ mod tests {
             "q() :- !Ghost('x'), TA('Adam')",
         ] {
             let q = parse_cq(text).unwrap();
-            let engine = CompiledProbability::compile(&db, &q, probs.clone()).unwrap();
+            let engine = CompiledProbability::compile(&db, &q, probs.clone(), 0, None).unwrap();
             let brute =
                 crate::domain::probability_by_enumeration(&db, AnyQuery::Cq(&q), &probs, None, 26)
                     .unwrap();
@@ -2045,9 +1972,9 @@ mod tests {
     ) {
         let probs = engine.probabilities().clone();
         if !engine.update(db, change).unwrap() {
-            *engine = CompiledProbability::compile(db, q, probs.clone()).unwrap();
+            *engine = CompiledProbability::compile(db, q, probs.clone(), 0, None).unwrap();
         }
-        let fresh = CompiledProbability::compile(db, q, probs).unwrap();
+        let fresh = CompiledProbability::compile(db, q, probs, 0, None).unwrap();
         assert_eq!(
             engine.probability(),
             fresh.probability(),
@@ -2067,7 +1994,8 @@ mod tests {
     fn probability_updates_match_fresh_compiles() {
         let mut db = university();
         let q1 = parse_cq("q1() :- Stud(x), !TA(x), Reg(x, y)").unwrap();
-        let mut engine = CompiledProbability::compile(&db, &q1, cycled_probs(&db)).unwrap();
+        let mut engine =
+            CompiledProbability::compile(&db, &q1, cycled_probs(&db), 0, None).unwrap();
 
         // Insert into an existing root group (evaluates at the default
         // probability until the caller rebuilds with an override).
@@ -2115,7 +2043,7 @@ mod tests {
         ] {
             let q = parse_cq(text).unwrap();
             let mut db = university();
-            let mut compiled = CompiledCount::compile(&db, &q).unwrap();
+            let mut compiled = CompiledCount::compile(&db, &q, 0, None).unwrap();
             let adam_os = db.find_fact("Reg", &["Adam", "OS"]).unwrap();
             db.set_fact_provenance(adam_os, Provenance::Exogenous)
                 .unwrap();

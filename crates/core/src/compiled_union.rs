@@ -180,52 +180,22 @@ impl CompiledUnionCount {
     }
 
     /// Compiles `u` against `db`: one [`CompiledCount`] per satisfiable
-    /// non-empty subset conjunction.
+    /// non-empty subset conjunction, each with worker cap `threads` for
+    /// its parallel product trees (`0` = all available cores). `cancel`
+    /// (if any) is polled between and inside the per-class subset
+    /// compiles; the cap and the token stick across maintenance.
     ///
     /// # Errors
     /// [`CoreError::IntractableIntersection`] when some conjunction
     /// leaves the compiled fragment (the message names the intersection),
-    /// plus anything [`CompiledCount::compile`] raises.
-    pub fn compile(db: &Database, u: &UnionQuery) -> Result<Self, CoreError> {
-        Self::compile_with_threads(db, u, 0)
-    }
-
-    /// [`CompiledUnionCount::compile`] with an explicit worker cap for
-    /// each subset engine's parallel product trees (`0` = all available
-    /// cores); the cap sticks across maintenance.
-    ///
-    /// # Errors
-    /// As [`CompiledUnionCount::compile`].
-    pub fn compile_with_threads(
-        db: &Database,
-        u: &UnionQuery,
-        threads: usize,
-    ) -> Result<Self, CoreError> {
-        Self::compile_impl(db, u, threads, None)
-    }
-
-    /// [`CompiledUnionCount::compile_with_threads`] polling `cancel`
-    /// between (and inside) the per-class subset compiles: a tripped
-    /// budget aborts with [`CoreError::DeadlineExceeded`] whose
+    /// plus anything [`CompiledCount::compile`] raises;
+    /// [`CoreError::DeadlineExceeded`] when `cancel` trips, whose
     /// `partial` reports how many subset engines had compiled.
-    ///
-    /// # Errors
-    /// As [`CompiledUnionCount::compile`], plus
-    /// [`CoreError::DeadlineExceeded`].
-    pub fn compile_with_cancel(
+    pub fn compile(
         db: &Database,
         u: &UnionQuery,
         threads: usize,
-        cancel: CancelToken,
-    ) -> Result<Self, CoreError> {
-        Self::compile_impl(db, u, threads, Some(cancel))
-    }
-
-    fn compile_impl(
-        db: &Database,
-        u: &UnionQuery,
-        threads: usize,
-        cancel: Option<CancelToken>,
+        cancel: Option<&CancelToken>,
     ) -> Result<Self, CoreError> {
         let _span = cqshap_obs::Span::enter(cqshap_obs::phase::UNION_COMPILE);
         // Bucket the subset conjunctions by canonical form first: one
@@ -252,17 +222,10 @@ impl CompiledUnionCount {
             if coeff == 0 {
                 continue;
             }
-            let engine = match &cancel {
-                Some(token) => {
-                    budget::check_partial(
-                        token,
-                        cqshap_obs::phase::UNION_COMPILE,
-                        Some(terms.len()),
-                    )?;
-                    CompiledCount::compile_with_cancel(db, &q, threads, token.clone())?
-                }
-                None => CompiledCount::compile_with_threads(db, &q, threads)?,
-            };
+            if let Some(token) = cancel {
+                budget::check_partial(token, cqshap_obs::phase::UNION_COMPILE, Some(terms.len()))?;
+            }
+            let engine = CompiledCount::compile(db, &q, threads, cancel)?;
             terms.push(SignedTerm { coeff, engine });
         }
         Ok(CompiledUnionCount {
@@ -407,8 +370,8 @@ mod tests {
     /// Batched union values must be bit-identical to brute force on
     /// the union itself.
     fn agrees_with_brute_force(db: &Database, u: &UnionQuery) {
-        let compiled = CompiledUnionCount::compile(db, u).unwrap();
-        let brute = BruteForceCounter::new();
+        let compiled = CompiledUnionCount::compile(db, u, 0, None).unwrap();
+        let brute = BruteForceCounter::default();
         for &f in db.endo_facts() {
             let want = shapley_via_counts(db, AnyQuery::Union(u), f, &brute).unwrap();
             let got = compiled.value(db, f).unwrap();
@@ -446,14 +409,14 @@ mod tests {
             CompiledUnionCount::subset_conjunctions(&u).unwrap().len(),
             3
         );
-        let compiled = CompiledUnionCount::compile(&db, &u).unwrap();
+        let compiled = CompiledUnionCount::compile(&db, &u, 0, None).unwrap();
         assert_eq!(compiled.term_count(), 1);
         agrees_with_brute_force(&db, &u);
         // Structurally repeated disjuncts (same shape up to renaming)
         // collapse wholesale: {1}, {2} and {1,2}·(−1)... the pairwise
         // conjunction R(x) ∧ R(x') would self-join, so use ground atoms.
         let v = parse_ucq("q1() :- R('a'), !T('c'); q2() :- R('a'), !T('c')").unwrap();
-        let compiled = CompiledUnionCount::compile(&db, &v).unwrap();
+        let compiled = CompiledUnionCount::compile(&db, &v, 0, None).unwrap();
         // All three subsets conjoin to R('a') ∧ ¬T('c'); net 1 − ... =
         // +1 +1 −1 = 1 → a single engine with coefficient one.
         assert_eq!(compiled.term_count(), 1);
@@ -464,8 +427,8 @@ mod tests {
     fn single_disjunct_union_matches_cq_engine() {
         let db = db_two_sides();
         let u = parse_ucq("q1() :- Stud(x), !TA(x), Reg(x, y)").unwrap();
-        let compiled = CompiledUnionCount::compile(&db, &u).unwrap();
-        let cq_engine = CompiledCount::compile(&db, &u.disjuncts()[0]).unwrap();
+        let compiled = CompiledUnionCount::compile(&db, &u, 0, None).unwrap();
+        let cq_engine = CompiledCount::compile(&db, &u.disjuncts()[0], 0, None).unwrap();
         for &f in db.endo_facts() {
             assert_eq!(
                 compiled.value(&db, f).unwrap(),
@@ -478,7 +441,7 @@ mod tests {
     fn intersection_self_join_is_named() {
         let db = Database::parse("endo R(a)\nendo S(b)\n").unwrap();
         let u = parse_ucq("qa() :- R(x); qb() :- R(y), S(z)").unwrap();
-        let Err(err) = CompiledUnionCount::compile(&db, &u).map(|_| ()) else {
+        let Err(err) = CompiledUnionCount::compile(&db, &u, 0, None).map(|_| ()) else {
             panic!("intersection with a self-join must be rejected");
         };
         match err {
@@ -502,7 +465,7 @@ mod tests {
         let m = db.endo_count();
         let mut signed = vec![BigInt::zero(); m + 1];
         for (negative, _, q) in CompiledUnionCount::subset_conjunctions(&u).unwrap() {
-            let engine = CompiledCount::compile(&db, &q).unwrap();
+            let engine = CompiledCount::compile(&db, &q, 0, None).unwrap();
             for (k, c) in engine.total_counts().iter().enumerate() {
                 let c = BigInt::from_biguint(c.clone());
                 if negative {
@@ -512,7 +475,7 @@ mod tests {
                 }
             }
         }
-        let brute = BruteForceCounter::new()
+        let brute = BruteForceCounter::default()
             .counts_masked(&db, AnyQuery::Union(&u), FactMask::None)
             .unwrap();
         for (k, want) in brute.iter().enumerate() {
@@ -527,7 +490,7 @@ mod tests {
     #[test]
     fn buckets_cover_all_facts() {
         let db = db_two_sides();
-        let compiled = CompiledUnionCount::compile(&db, &union_two_sides()).unwrap();
+        let compiled = CompiledUnionCount::compile(&db, &union_two_sides(), 0, None).unwrap();
         assert!(compiled.term_count() >= 2);
         for &f in db.endo_facts() {
             assert!(compiled.bucket_of(&db, f) < compiled.buckets(&db));
@@ -545,7 +508,7 @@ mod tests {
     #[test]
     fn non_endogenous_fact_rejected() {
         let db = db_two_sides();
-        let compiled = CompiledUnionCount::compile(&db, &union_two_sides()).unwrap();
+        let compiled = CompiledUnionCount::compile(&db, &union_two_sides(), 0, None).unwrap();
         let stud = db.find_fact("Stud", &["a"]).unwrap();
         assert!(matches!(
             compiled.value(&db, stud),

@@ -41,6 +41,7 @@ use cqshap_db::{Database, FactId, FactMask, World};
 use cqshap_numeric::{poly, BigRational, BigUint, BinomialCache, CancelToken};
 
 use crate::anyquery::AnyQuery;
+use crate::budget;
 use crate::error::CoreError;
 use crate::satcount::{
     complement_counts, connected_components, find_root_var, resolve_query, root_candidates,
@@ -72,8 +73,11 @@ use crate::satcount::{
 ///   reach it — the engines count them instead of multiplying them in.
 ///
 /// The remaining methods are performance hooks with sound defaults;
-/// [`CountingDomain`] overrides them with the parallel product-tree
-/// fast paths of the `poly` subsystem.
+/// [`CountingDomain`] overrides the products with the parallel,
+/// cancellable product trees of the `poly` subsystem. A product whose
+/// kernel finds the domain's token tripped returns
+/// [`CoreError::DeadlineExceeded`] for the caller's `phase` instead of a
+/// value, so every `Ok` value is exact.
 pub trait EvalDomain: Sync {
     /// The value type: coalition-count polynomials for counting, exact
     /// probabilities for the tuple-independent domain.
@@ -96,6 +100,8 @@ pub trait EvalDomain: Sync {
     fn free(&self, n: usize) -> Self::Value;
 
     /// Negation over `endo` endogenous facts: the value of "not `v`".
+    /// `v` is always an exact value — a cancelled kernel returns an
+    /// error, never a value — so counting never underflows here.
     fn complement(&self, v: &Self::Value, endo: usize) -> Self::Value;
 
     /// Ground contribution of a positive atom matched by fact `f`
@@ -111,25 +117,38 @@ pub trait EvalDomain: Sync {
     /// nonzero divisors; a zero one yields `None` rather than a panic.
     fn try_divide(&self, num: &Self::Value, den: &Self::Value) -> Option<Self::Value>;
 
-    /// `⊛ factors` — the product of many values.
-    fn product(&self, factors: &[&Self::Value], threads: usize) -> Self::Value {
-        let _ = threads;
+    /// `⊛ factors` — the product of many values, for pipeline `phase`
+    /// (an obs phase key naming the deadline if the product is cut).
+    ///
+    /// # Errors
+    /// [`CoreError::DeadlineExceeded`] when the domain's token trips.
+    fn product(
+        &self,
+        factors: &[&Self::Value],
+        threads: usize,
+        phase: &'static str,
+    ) -> Result<Self::Value, CoreError> {
+        let _ = (threads, phase);
         let mut acc = self.one();
         for f in factors {
             acc = self.combine(&acc, f);
         }
-        acc
+        Ok(acc)
     }
 
     /// For each `i`: `seed ⊛ ⊛_{j≠i} factors[j]` — the leave-one-out
-    /// environments used by the per-fact recount paths.
+    /// environments of a product's factors, for pipeline `phase`.
+    ///
+    /// # Errors
+    /// [`CoreError::DeadlineExceeded`] when the domain's token trips.
     fn leave_one_out(
         &self,
         factors: &[&Self::Value],
         seed: &Self::Value,
         threads: usize,
-    ) -> Vec<Self::Value> {
-        let _ = threads;
+        phase: &'static str,
+    ) -> Result<Vec<Self::Value>, CoreError> {
+        let _ = (threads, phase);
         let n = factors.len();
         let mut prefix = Vec::with_capacity(n + 1);
         prefix.push(seed.clone());
@@ -141,9 +160,9 @@ pub trait EvalDomain: Sync {
         for i in (0..n).rev() {
             suffix[i] = self.combine(&suffix[i + 1], factors[i]);
         }
-        (0..n)
+        Ok((0..n)
             .map(|i| self.combine(&prefix[i], &suffix[i + 1]))
-            .collect()
+            .collect())
     }
 
     /// Do isomorphic fact groups (equal canonical forms: constants
@@ -157,9 +176,9 @@ pub trait EvalDomain: Sync {
     }
 
     /// The cooperative cancellation token the domain's evaluation
-    /// polls, if the engine armed one (see [`crate::Budget`]). The
-    /// recursion and the engines checkpoint through it; the provided
-    /// domains also hand it to the polynomial kernels.
+    /// polls, if the engine was given one (see [`crate::Budget`]). The
+    /// recursion checkpoints through it; [`CountingDomain`] also hands
+    /// it to the polynomial kernels.
     fn cancel_token(&self) -> Option<&CancelToken> {
         None
     }
@@ -170,14 +189,7 @@ pub trait EvalDomain: Sync {
     /// identically. A no-op for budget-free domains.
     fn checkpoint(&self, phase: &'static str) -> Result<(), CoreError> {
         match self.cancel_token() {
-            Some(token) if token.charge(1) => {
-                cqshap_obs::event(cqshap_obs::phase::EV_DEADLINE_TRIP, phase);
-                Err(CoreError::DeadlineExceeded {
-                    phase: phase.to_string(),
-                    elapsed: token.elapsed(),
-                    partial: None,
-                })
-            }
+            Some(token) if token.charge(1) => Err(budget::deadline(token, phase, None)),
             _ => Ok(()),
         }
     }
@@ -198,17 +210,12 @@ pub struct CountingDomain {
 }
 
 impl CountingDomain {
-    /// A counting domain with an empty binomial cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A counting domain polling `cancel` from the recursion and the
-    /// polynomial kernels.
-    pub fn with_cancel(cancel: CancelToken) -> Self {
+    /// A counting domain with an empty binomial cache, polling `cancel`
+    /// (if any) from the recursion and the polynomial kernels.
+    pub fn new(cancel: Option<CancelToken>) -> Self {
         CountingDomain {
             binoms: BinomialCache::default(),
-            cancel: Some(cancel),
+            cancel,
         }
     }
 }
@@ -237,13 +244,6 @@ impl EvalDomain for CountingDomain {
     }
 
     fn complement(&self, v: &Vec<BigUint>, endo: usize) -> Vec<BigUint> {
-        // A cancelled polynomial kernel hands back placeholder counts
-        // that may exceed C(n, k); `complement_counts` would underflow
-        // on them. The flag is sticky and the engine checkpoints before
-        // returning, so a shaped placeholder is all that is needed here.
-        if self.cancel.as_ref().is_some_and(|t| t.should_stop()) {
-            return vec![BigUint::zero(); endo + 1];
-        }
         complement_counts(v, endo)
     }
 
@@ -269,12 +269,15 @@ impl EvalDomain for CountingDomain {
         poly::exact_div(num, den)
     }
 
-    fn product(&self, factors: &[&Vec<BigUint>], threads: usize) -> Vec<BigUint> {
+    fn product(
+        &self,
+        factors: &[&Vec<BigUint>],
+        threads: usize,
+        phase: &'static str,
+    ) -> Result<Vec<BigUint>, CoreError> {
         let refs: Vec<&[BigUint]> = factors.iter().map(|f| f.as_slice()).collect();
-        match &self.cancel {
-            Some(token) => poly::product_tree_cancel(&refs, threads, token),
-            None => poly::product_tree(&refs, threads),
-        }
+        let cancel = self.cancel.as_ref();
+        poly::product_tree(&refs, threads, cancel).map_err(|e| budget::tripped(e, cancel, phase))
     }
 
     fn leave_one_out(
@@ -282,9 +285,12 @@ impl EvalDomain for CountingDomain {
         factors: &[&Vec<BigUint>],
         seed: &Vec<BigUint>,
         threads: usize,
-    ) -> Vec<Vec<BigUint>> {
+        phase: &'static str,
+    ) -> Result<Vec<Vec<BigUint>>, CoreError> {
         let refs: Vec<&[BigUint]> = factors.iter().map(|f| f.as_slice()).collect();
-        poly::leave_one_out_products(&refs, seed, threads)
+        let cancel = self.cancel.as_ref();
+        poly::leave_one_out_products(&refs, seed, threads, cancel)
+            .map_err(|e| budget::tripped(e, cancel, phase))
     }
 
     fn canon_determines_value(&self) -> bool {
@@ -367,7 +373,7 @@ impl FactProbabilities {
     }
 }
 
-///// The tuple-independent probability domain: values are exact
+/// The tuple-independent probability domain: values are exact
 /// [`BigRational`] probabilities `Pr[q]`, evaluated at the per-fact
 /// probabilities it owns. Evaluating the counting engine's compiled
 /// structure in this domain *is* lifted inference — same recursion,
@@ -387,21 +393,10 @@ impl PartialEq for ProbabilityDomain {
 }
 
 impl ProbabilityDomain {
-    /// A domain evaluating at `probs`.
-    pub fn new(probs: FactProbabilities) -> Self {
-        ProbabilityDomain {
-            probs,
-            cancel: None,
-        }
-    }
-
-    /// A domain evaluating at `probs` that polls `cancel` from the
-    /// recursion.
-    pub fn with_cancel(probs: FactProbabilities, cancel: CancelToken) -> Self {
-        ProbabilityDomain {
-            probs,
-            cancel: Some(cancel),
-        }
+    /// A domain evaluating at `probs`, polling `cancel` (if any) from
+    /// the recursion.
+    pub fn new(probs: FactProbabilities, cancel: Option<CancelToken>) -> Self {
+        ProbabilityDomain { probs, cancel }
     }
 
     /// The per-fact probabilities.
@@ -593,7 +588,7 @@ pub(crate) fn eval_query_masked<D: EvalDomain>(
 /// fallback for queries outside the compiled fragment.
 ///
 /// # Errors
-///// [`CoreError::TooManyEndogenousFacts`] beyond `limit` world bits.
+/// [`CoreError::TooManyEndogenousFacts`] beyond `limit` world bits.
 pub fn probability_by_enumeration(
     db: &Database,
     q: AnyQuery<'_>,
@@ -606,8 +601,10 @@ pub fn probability_by_enumeration(
 
 /// [`probability_by_enumeration`] polling a [`CancelToken`] every few
 /// thousand worlds; a tripped budget returns
-/// [`CoreError::DeadlineExceeded`] with phase `probability`.
-pub fn probability_by_enumeration_cancel(
+/// [`CoreError::DeadlineExceeded`] with phase `probability`. Crate
+/// private: the public function keeps its token-free signature for
+/// external callers, and sessions pass their own token here.
+pub(crate) fn probability_by_enumeration_cancel(
     db: &Database,
     q: AnyQuery<'_>,
     probs: &FactProbabilities,
@@ -727,7 +724,7 @@ mod tests {
     #[test]
     fn counting_instance_matches_hardwired_counter() {
         let db = university();
-        let dom = CountingDomain::new();
+        let dom = CountingDomain::new(None);
         for text in [
             "q() :- Stud(x), !TA(x), Reg(x, y)",
             "q() :- Reg(x, y)",
@@ -747,7 +744,7 @@ mod tests {
     fn probability_instance_matches_enumeration() {
         let db = university();
         let probs = cycled_probs(&db);
-        let dom = ProbabilityDomain::new(probs.clone());
+        let dom = ProbabilityDomain::new(probs.clone(), None);
         for text in [
             "q() :- Stud(x), !TA(x), Reg(x, y)",
             "q() :- Reg(x, y)",
@@ -770,7 +767,7 @@ mod tests {
     fn masked_probabilities_are_conditionals() {
         let db = university();
         let probs = cycled_probs(&db);
-        let dom = ProbabilityDomain::new(probs.clone());
+        let dom = ProbabilityDomain::new(probs.clone(), None);
         let q = parse_cq("q() :- Stud(x), !TA(x), Reg(x, y)").unwrap();
         for &f in db.endo_facts() {
             let plus = eval_query_masked(&dom, &db, &q, FactMask::Exogenous(f)).unwrap();
@@ -789,7 +786,7 @@ mod tests {
     #[test]
     fn tautology_and_unsatisfiable_probabilities() {
         let db = university();
-        let dom = ProbabilityDomain::new(FactProbabilities::uniform(rat(1, 3)));
+        let dom = ProbabilityDomain::new(FactProbabilities::uniform(rat(1, 3)), None);
         let taut = parse_cq("q() :- !Ghost('x')").unwrap();
         assert_eq!(
             eval_query_masked(&dom, &db, &taut, FactMask::None).unwrap(),
@@ -824,13 +821,13 @@ mod tests {
 
     #[test]
     fn domain_division_supports_factor_swaps() {
-        let cdom = CountingDomain::new();
+        let cdom = CountingDomain::new(None);
         let a = vec![BigUint::one(), BigUint::from_u64(2)];
         let b = vec![BigUint::one(), BigUint::one(), BigUint::zero()];
         let prod = cdom.combine(&a, &b);
         assert_eq!(cdom.try_divide(&prod, &a), Some(b.clone()));
         assert!(cdom.try_divide(&prod, &cdom.zero(1)).is_none());
-        let pdom = ProbabilityDomain::new(FactProbabilities::uniform(rat(1, 2)));
+        let pdom = ProbabilityDomain::new(FactProbabilities::uniform(rat(1, 2)), None);
         let x = rat(3, 7);
         let y = rat(2, 5);
         let prod = pdom.combine(&x, &y);

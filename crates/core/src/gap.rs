@@ -364,7 +364,7 @@ mod tests {
                 &inst.db,
                 AnyQuery::Cq(&q),
                 inst.f0,
-                &BruteForceCounter::new(),
+                &BruteForceCounter::default(),
             )
             .unwrap();
             assert_eq!(v.abs(), inst.expected_abs, "n={n}");
@@ -378,7 +378,7 @@ mod tests {
         for n in 1..=2usize {
             let inst = build_gap_family(&q, n).unwrap();
             assert_eq!(inst.db.endo_count(), 2 * n + 1);
-            let v = shapley_by_permutations(&inst.db, AnyQuery::Cq(&q), inst.f0, 9).unwrap();
+            let v = shapley_by_permutations(&inst.db, AnyQuery::Cq(&q), inst.f0, 9, None).unwrap();
             assert_eq!(v.abs(), inst.expected_abs, "n={n}");
             assert!(!v.is_zero());
         }
@@ -393,7 +393,7 @@ mod tests {
         ] {
             let q = parse_cq(text).unwrap();
             let inst = build_gap_family(&q, 1).unwrap();
-            let v = shapley_by_permutations(&inst.db, AnyQuery::Cq(&q), inst.f0, 9).unwrap();
+            let v = shapley_by_permutations(&inst.db, AnyQuery::Cq(&q), inst.f0, 9, None).unwrap();
             assert_eq!(v.abs(), inst.expected_abs, "{text}");
             assert!(!v.is_zero(), "{text}");
         }

@@ -62,8 +62,7 @@ pub use budget::{Budget, CancelToken};
 pub use compiled::{CompiledCount, CompiledProbability, EngineUpdate};
 pub use compiled_union::CompiledUnionCount;
 pub use domain::{
-    probability_by_enumeration, probability_by_enumeration_cancel, CountingDomain, EvalDomain,
-    FactProbabilities, ProbabilityDomain,
+    probability_by_enumeration, CountingDomain, EvalDomain, FactProbabilities, ProbabilityDomain,
 };
 pub use error::{CoreError, PartialProgress};
 pub use exoshap::{rewrite, RewriteOutcome};

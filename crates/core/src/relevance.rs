@@ -349,7 +349,7 @@ mod tests {
         let f = db.find_fact("R", &["1", "2"]).unwrap();
         let (pos, neg) = brute_force_relevance(&db, AnyQuery::Cq(&q), f, 24).unwrap();
         assert!(pos && neg);
-        let v = crate::shapley::shapley_by_permutations(&db, AnyQuery::Cq(&q), f, 9).unwrap();
+        let v = crate::shapley::shapley_by_permutations(&db, AnyQuery::Cq(&q), f, 9, None).unwrap();
         assert!(v.is_zero());
         // The polynomial algorithms refuse (R is not polarity consistent).
         assert!(is_relevant(&db, AnyQuery::Cq(&q), f).is_err());

@@ -330,7 +330,7 @@ pub fn count_sat_hierarchical_masked(
     q: &ConjunctiveQuery,
     mask: FactMask,
 ) -> Result<Vec<BigUint>, CoreError> {
-    crate::domain::eval_query_masked(&crate::domain::CountingDomain::new(), db, q, mask)
+    crate::domain::eval_query_masked(&crate::domain::CountingDomain::new(None), db, q, mask)
 }
 
 pub(crate) fn scope_endo_count(view: MaskedDb<'_>, scopes: &[Vec<FactId>]) -> usize {
@@ -484,36 +484,19 @@ impl BruteForceCounter {
     /// Default cap on `|Dn|` (2^26 worlds ≈ seconds of work).
     pub const DEFAULT_LIMIT: usize = 26;
 
-    /// A counter with the default limit.
-    pub fn new() -> Self {
-        Self::with_limit(Self::DEFAULT_LIMIT)
-    }
-
-    /// A counter accepting up to `limit` world bits.
-    pub fn with_limit(limit: usize) -> Self {
+    /// A counter accepting up to `limit` world bits, fanning the
+    /// enumeration out across up to `threads` workers (`0` = all cores,
+    /// capped at 16 — the [`crate::ShapleyOptions::threads`]
+    /// convention). `cancel` (if any) is polled every `4096` worlds, and
+    /// a tripped budget aborts with [`CoreError::DeadlineExceeded`]
+    /// (phase `brute-force`). [`BruteForceCounter::default`] is
+    /// `new(DEFAULT_LIMIT, 0, None)`.
+    pub fn new(limit: usize, threads: usize, cancel: Option<&CancelToken>) -> Self {
         BruteForceCounter {
             limit,
-            cancel: None,
-            threads: 0,
+            cancel: cancel.cloned(),
+            threads,
         }
-    }
-
-    /// Caps the enumeration fan-out (`0` = all cores, capped at 16) —
-    /// the same convention as [`crate::ShapleyOptions::threads`], which
-    /// the brute-force oracle path plumbs through here.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Attaches a cooperative cancellation token: enumeration polls it
-    /// every `4096` worlds and a tripped budget aborts with
-    /// [`CoreError::DeadlineExceeded`] (phase `brute-force`).
-    #[must_use]
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = Some(cancel);
-        self
     }
 
     /// The configured `|Dn|` cap.
@@ -588,7 +571,7 @@ impl BruteForceCounter {
 
 impl Default for BruteForceCounter {
     fn default() -> Self {
-        Self::new()
+        Self::new(Self::DEFAULT_LIMIT, 0, None)
     }
 }
 
@@ -636,7 +619,7 @@ mod tests {
 
     fn counts_match(db: &Database, q: &ConjunctiveQuery) {
         let fast = count_sat_hierarchical(db, q).unwrap();
-        let slow = BruteForceCounter::new()
+        let slow = BruteForceCounter::default()
             .counts(db, AnyQuery::Cq(q))
             .unwrap();
         assert_eq!(fast, slow, "query {q} on\n{db}");
@@ -646,7 +629,7 @@ mod tests {
     /// modified database, for both oracles and both masks.
     fn masked_counts_match(db: &Database, q: &ConjunctiveQuery) {
         let hier = HierarchicalCounter;
-        let brute = BruteForceCounter::new();
+        let brute = BruteForceCounter::default();
         for &f in db.endo_facts() {
             let (minus, _) = db.without_fact(f).unwrap();
             let (plus, _) = db.with_fact_exogenous(f).unwrap();
@@ -709,7 +692,8 @@ mod tests {
         let db = university();
         let q = parse_cq("q() :- Stud(x), !TA(x), Reg(x, y)").unwrap();
         let stud = db.find_fact("Stud", &["Adam"]).unwrap();
-        let oracles: [&dyn SatCountOracle; 2] = [&HierarchicalCounter, &BruteForceCounter::new()];
+        let oracles: [&dyn SatCountOracle; 2] =
+            [&HierarchicalCounter, &BruteForceCounter::default()];
         for oracle in oracles {
             let (minus, _) = db.without_fact(stud).unwrap();
             let want_removed = oracle.counts(&minus, AnyQuery::Cq(&q)).unwrap();
@@ -731,7 +715,8 @@ mod tests {
         let db = university();
         let q = parse_cq("q() :- Stud(x), !TA(x), Reg(x, y)").unwrap();
         let bogus = cqshap_db::FactId(u32::MAX);
-        let oracles: [&dyn SatCountOracle; 2] = [&HierarchicalCounter, &BruteForceCounter::new()];
+        let oracles: [&dyn SatCountOracle; 2] =
+            [&HierarchicalCounter, &BruteForceCounter::default()];
         for oracle in oracles {
             for mask in [FactMask::Removed(bogus), FactMask::Exogenous(bogus)] {
                 assert!(matches!(
@@ -841,7 +826,7 @@ mod tests {
             db.add_endo("R", &[&format!("c{i}")]).unwrap();
         }
         let q = parse_cq("q() :- R(x)").unwrap();
-        let small = BruteForceCounter::with_limit(4);
+        let small = BruteForceCounter::new(4, 0, None);
         assert!(matches!(
             small.counts(&db, AnyQuery::Cq(&q)),
             Err(CoreError::TooManyEndogenousFacts { count: 5, limit: 4 })
@@ -852,7 +837,7 @@ mod tests {
             .counts_masked(&db, AnyQuery::Cq(&q), FactMask::Removed(f))
             .is_ok());
         // counts for q() :- R(x): all nonempty subsets satisfy.
-        let ok = BruteForceCounter::new()
+        let ok = BruteForceCounter::default()
             .counts(&db, AnyQuery::Cq(&q))
             .unwrap();
         assert_eq!(ok[0], BigUint::zero());

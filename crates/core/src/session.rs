@@ -72,12 +72,10 @@ use crate::compiled_union::CompiledUnionCount;
 use crate::domain::{probability_by_enumeration_cancel, FactProbabilities};
 use crate::error::CoreError;
 use crate::exoshap;
-use crate::satcount::BruteForceCounter;
 use crate::shapley::{
     assemble_report, assemble_report_with_total, efficiency_target, engine_report_values,
-    engine_values, per_fact_values, resolve_strategy, resolve_union_route,
-    shapley_by_permutations_cancel, shapley_via_counts, union_brute_value, union_brute_values,
-    zero_report, ResolvedStrategy, ShapleyOptions, ShapleyReport, UnionRoute,
+    engine_values, per_fact_values, resolve_strategy, resolve_union_route, shapley_by_permutations,
+    union_brute_values, zero_report, ResolvedStrategy, ShapleyOptions, ShapleyReport, UnionRoute,
 };
 use crate::wsms::{wsms_report, WsmsReport, WsmsWeight};
 
@@ -294,9 +292,8 @@ fn build_state(
     ),
     CoreError,
 > {
-    let compile_count = |db: &Database, q: &ConjunctiveQuery| match cancel {
-        Some(token) => CompiledCount::compile_with_cancel(db, q, options.threads, token.clone()),
-        None => CompiledCount::compile_with_threads(db, q, options.threads),
+    let compile_count = |db: &Database, q: &ConjunctiveQuery| {
+        CompiledCount::compile(db, q, options.threads, cancel)
     };
     match spec {
         QuerySpec::Cq(q) => {
@@ -338,15 +335,12 @@ fn build_state(
             let (resolved, state) = match route {
                 UnionRoute::Compiled => (
                     ResolvedStrategy::Hierarchical,
-                    EngineState::UnionCompiled(match cancel {
-                        Some(token) => CompiledUnionCount::compile_with_cancel(
-                            db,
-                            u,
-                            options.threads,
-                            token.clone(),
-                        )?,
-                        None => CompiledUnionCount::compile_with_threads(db, u, options.threads)?,
-                    }),
+                    EngineState::UnionCompiled(CompiledUnionCount::compile(
+                        db,
+                        u,
+                        options.threads,
+                        cancel,
+                    )?),
                 ),
                 UnionRoute::ExoShap(terms) => {
                     let compiled = terms
@@ -503,16 +497,6 @@ impl ShapleySession {
         }
     }
 
-    /// The brute-force oracle wired to the session's token (the free
-    /// functions arm a fresh per-call token instead).
-    fn brute_oracle(&self) -> BruteForceCounter {
-        let counter = BruteForceCounter::with_limit(self.options.brute_force_limit);
-        match &self.cancel {
-            Some(token) => counter.with_cancel(token.clone()),
-            None => counter,
-        }
-    }
-
     /// The session's database (the prepared copy, including any updates
     /// applied through the session).
     pub fn database(&self) -> &Database {
@@ -645,16 +629,6 @@ impl ShapleySession {
                 self.check_endogenous(f)?;
                 Ok(BigRational::zero())
             }
-            (QuerySpec::Cq(q), EngineState::CqPerFact) => match self.resolved {
-                Some(ResolvedStrategy::Permutations) => shapley_by_permutations_cancel(
-                    &self.db,
-                    AnyQuery::Cq(q),
-                    f,
-                    self.options.permutation_limit,
-                    self.cancel.as_ref(),
-                ),
-                _ => shapley_via_counts(&self.db, AnyQuery::Cq(q), f, &self.brute_oracle()),
-            },
             (_, EngineState::UnionCompiled(engine)) => engine.value(&self.db, f),
             (_, EngineState::UnionExoShap(terms)) => {
                 self.check_endogenous(f)?;
@@ -663,28 +637,13 @@ impl ShapleySession {
                     exo_union_numerator(terms, f, self.cancel.as_ref())?,
                 ))
             }
-            (QuerySpec::Union(u), EngineState::UnionBrute) => {
-                union_brute_value(&self.db, u, f, &self.options)
-            }
-            (QuerySpec::Union(u), EngineState::UnionPermutations) => {
-                shapley_by_permutations_cancel(
-                    &self.db,
-                    AnyQuery::Union(u),
-                    f,
-                    self.options.permutation_limit,
-                    self.cancel.as_ref(),
-                )
-            }
-            (_, EngineState::Aggregate(engines)) => {
-                self.check_endogenous(f)?;
-                Ok(engines
-                    .values(&self.db, &[f], &self.options, self.cancel.as_ref())?
-                    .pop()
-                    // cqshap-lint: allow(no-panic) -- the spec requested exactly one fact, so exactly one row exists
-                    .expect("one fact requested"))
-            }
-            // cqshap-lint: allow(no-panic) -- spec and state are built together; mismatched variants cannot arise
-            _ => unreachable!("spec and state are built together"),
+            // The per-fact routes (brute force, permutations, aggregate
+            // candidates) serve one fact as a batch of one.
+            _ => Ok(self
+                .values_armed(&[f])?
+                .pop()
+                // cqshap-lint: allow(no-panic) -- the batch requested exactly one fact, so exactly one value exists
+                .expect("one fact requested")),
         }
     }
 
@@ -723,7 +682,15 @@ impl ShapleySession {
             (QuerySpec::Cq(q), EngineState::CqPerFact) => {
                 // cqshap-lint: allow(no-panic) -- per-fact state records its resolution when built
                 let resolved = self.resolved.expect("per-fact state has a resolution");
-                per_fact_values(&self.db, q, facts, resolved, &self.options, false)
+                per_fact_values(
+                    &self.db,
+                    q,
+                    facts,
+                    resolved,
+                    &self.options,
+                    self.cancel.as_ref(),
+                    false,
+                )
             }
             (_, EngineState::UnionCompiled(engine)) => {
                 engine_values(&self.db, engine, facts, self.options.threads)
@@ -735,18 +702,18 @@ impl ShapleySession {
                 Ok(exo_union_values(terms, facts, self.cancel.as_ref())?.0)
             }
             (QuerySpec::Union(u), EngineState::UnionBrute) => {
-                union_brute_values(&self.db, u, facts, &self.options)
+                union_brute_values(&self.db, u, facts, &self.options, self.cancel.as_ref())
             }
             (QuerySpec::Union(u), EngineState::UnionPermutations) => {
-                let cancel = &self.cancel;
+                let cancel = self.cancel.as_ref();
                 crate::parallel::par_map_with(self.options.threads, facts.len(), |i| {
-                    shapley_by_permutations_cancel(
+                    shapley_by_permutations(
                         &self.db,
                         AnyQuery::Union(u),
                         // cqshap-lint: allow(no-panic-index) -- i ranges over facts.len() in the enclosing loop
                         facts[i],
                         self.options.permutation_limit,
-                        cancel.as_ref(),
+                        cancel,
                     )
                 })
                 .into_iter()
@@ -1137,16 +1104,14 @@ impl ShapleySession {
     /// enumeration. Structural ineligibility falls through; genuine
     /// evaluation errors propagate.
     fn build_prob_state(&self) -> Result<ProbState, CoreError> {
-        let threads = self.options.threads;
-        let compile_prob = |db: &Database, q: &ConjunctiveQuery| match &self.cancel {
-            Some(token) => CompiledProbability::compile_with_cancel(
+        let compile_prob = |db: &Database, q: &ConjunctiveQuery| {
+            CompiledProbability::compile(
                 db,
                 q,
                 self.probs.clone(),
-                threads,
-                token.clone(),
-            ),
-            None => CompiledProbability::compile_with_threads(db, q, self.probs.clone(), threads),
+                self.options.threads,
+                self.cancel.as_ref(),
+            )
         };
         match &self.spec {
             QuerySpec::Cq(q) => {
@@ -1519,8 +1484,11 @@ mod tests {
         for cap in 1..10_000u64 {
             let capped = ShapleyOptions::with_strategy(Strategy::ExoShap)
                 .budget(crate::Budget::work_units(cap));
-            let Ok(session) = ShapleySession::prepare(&db, AnyQuery::Union(&u), &capped) else {
-                continue; // the cap tripped during compilation
+            let session = match ShapleySession::prepare(&db, AnyQuery::Union(&u), &capped) {
+                Ok(session) => session,
+                // The cap tripped during compilation.
+                Err(CoreError::DeadlineExceeded { .. }) => continue,
+                Err(other) => panic!("unexpected prepare error under cap {cap}: {other:?}"),
             };
             match session.values(&facts) {
                 Ok(values) => {
@@ -1563,8 +1531,10 @@ mod tests {
         for cap in 1..10_000u64 {
             let capped = ShapleyOptions::with_strategy(Strategy::Hierarchical)
                 .budget(crate::Budget::work_units(cap));
-            let Ok(session) = ShapleySession::prepare(&db, AnyQuery::Cq(&q), &capped) else {
-                continue;
+            let session = match ShapleySession::prepare(&db, AnyQuery::Cq(&q), &capped) {
+                Ok(session) => session,
+                Err(CoreError::DeadlineExceeded { .. }) => continue,
+                Err(other) => panic!("unexpected prepare error under cap {cap}: {other:?}"),
             };
             match session.values(&facts) {
                 Ok(_) => break,

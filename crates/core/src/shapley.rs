@@ -147,20 +147,12 @@ impl ShapleyOptions {
         self
     }
 
-    /// A fresh armed token for this call when the budget is limited.
+    /// A fresh armed token when the budget is limited. Only entry
+    /// points call this — a session constructor or a free top-level
+    /// function — and hand the one token to everything below them, so
+    /// the budget bounds the whole call.
     pub(crate) fn cancel_token(&self) -> Option<CancelToken> {
         (!self.budget.is_unlimited()).then(|| self.budget.token())
-    }
-
-    /// The brute-force oracle honoring `brute_force_limit` and, when the
-    /// budget is limited, polling a fresh token armed for this call.
-    pub(crate) fn brute_oracle(&self) -> BruteForceCounter {
-        let counter =
-            BruteForceCounter::with_limit(self.brute_force_limit).with_threads(self.threads);
-        match self.cancel_token() {
-            Some(token) => counter.with_cancel(token),
-            None => counter,
-        }
     }
 }
 
@@ -216,26 +208,13 @@ pub fn shapley_via_counts(
 
 /// Computes `Shapley(D, q, f)` by enumerating all `|Dn|!` permutations —
 /// the textbook definition, used as an independent cross-check.
+/// `cancel` (if any) is polled every `1024` permutations.
 ///
 /// # Errors
-/// [`CoreError::TooManyEndogenousFacts`] beyond `limit`.
+/// [`CoreError::TooManyEndogenousFacts`] beyond `limit`;
+/// [`CoreError::DeadlineExceeded`] (phase `permutations`) when `cancel`
+/// trips.
 pub fn shapley_by_permutations(
-    db: &Database,
-    q: AnyQuery<'_>,
-    f: FactId,
-    limit: usize,
-) -> Result<BigRational, CoreError> {
-    shapley_by_permutations_cancel(db, q, f, limit, None)
-}
-
-/// [`shapley_by_permutations`] polling a [`CancelToken`] every `1024`
-/// permutations; a tripped budget returns
-/// [`CoreError::DeadlineExceeded`] with phase `permutations`.
-///
-/// # Errors
-/// As [`shapley_by_permutations`], plus
-/// [`CoreError::DeadlineExceeded`].
-pub fn shapley_by_permutations_cancel(
     db: &Database,
     q: AnyQuery<'_>,
     f: FactId,
@@ -391,16 +370,16 @@ pub fn shapley_report_union_per_fact(
                 .collect();
             exoshap_union_per_fact_values(&outcomes, facts, options.threads)?
         }
-        UnionRoute::BruteForce => union_brute_values(db, u, facts, options)?,
+        UnionRoute::BruteForce => union_brute_values(db, u, facts, options, cancel.as_ref())?,
         UnionRoute::Permutations => {
-            let cancel = &cancel;
+            let cancel = cancel.as_ref();
             crate::parallel::par_map_with(options.threads, facts.len(), |i| {
-                shapley_by_permutations_cancel(
+                shapley_by_permutations(
                     db,
                     AnyQuery::Union(u),
                     facts[i],
                     options.permutation_limit,
-                    cancel.as_ref(),
+                    cancel,
                 )
             })
             .into_iter()
@@ -466,15 +445,7 @@ fn compile_exoshap_terms(
     terms
         .into_iter()
         .map(|(negative, outcome)| {
-            let engine = match cancel {
-                Some(token) => CompiledCount::compile_with_cancel(
-                    &outcome.db,
-                    &outcome.query,
-                    threads,
-                    token.clone(),
-                )?,
-                None => CompiledCount::compile_with_threads(&outcome.db, &outcome.query, threads)?,
-            };
+            let engine = CompiledCount::compile(&outcome.db, &outcome.query, threads, cancel)?;
             Ok((negative, outcome, engine))
         })
         .collect()
@@ -558,23 +529,18 @@ pub(crate) fn compiled_union_inapplicable(e: &CoreError) -> bool {
     )
 }
 
-pub(crate) fn union_brute_value(
-    db: &Database,
-    u: &UnionQuery,
-    f: FactId,
-    options: &ShapleyOptions,
-) -> Result<BigRational, CoreError> {
-    shapley_via_counts(db, AnyQuery::Union(u), f, &options.brute_oracle())
-}
-
+/// Brute-force subset enumeration per fact for a UCQ¬, under the
+/// caller's token: the budget bounds the whole batch, not each fact.
 pub(crate) fn union_brute_values(
     db: &Database,
     u: &UnionQuery,
     facts: &[FactId],
     options: &ShapleyOptions,
+    cancel: Option<&CancelToken>,
 ) -> Result<Vec<BigRational>, CoreError> {
+    let oracle = BruteForceCounter::new(options.brute_force_limit, options.threads, cancel);
     crate::parallel::par_map_with(options.threads, facts.len(), |i| {
-        union_brute_value(db, u, facts[i], options)
+        shapley_via_counts(db, AnyQuery::Union(u), facts[i], &oracle)
     })
     .into_iter()
     .collect()
@@ -1024,7 +990,16 @@ pub fn shapley_report_per_fact(
         None => (db, q),
     };
     let facts = db.endo_facts();
-    let values = per_fact_values(eff_db, eff_q, facts, resolved, options, true)?;
+    let cancel = options.cancel_token();
+    let values = per_fact_values(
+        eff_db,
+        eff_q,
+        facts,
+        resolved,
+        options,
+        cancel.as_ref(),
+        true,
+    )?;
     Ok(assemble_report(
         db,
         values,
@@ -1033,42 +1008,35 @@ pub fn shapley_report_per_fact(
 }
 
 /// Fans independent per-fact computations out across threads, chunked
-/// by raw fact index. With `materialize` set, each fact's modified
-/// databases are rebuilt as real copies (the seed behavior); otherwise
-/// the oracle sees [`FactMask`] views.
+/// by raw fact index, every worker lane polling the caller's token: the
+/// deadline bounds the whole batch, not each fact. With `materialize`
+/// set, each fact's modified databases are rebuilt as real copies (the
+/// seed behavior); otherwise the oracle sees [`FactMask`] views.
 pub(crate) fn per_fact_values(
     eff_db: &Database,
     eff_q: &ConjunctiveQuery,
     facts: &[FactId],
     resolved: ResolvedStrategy,
     options: &ShapleyOptions,
+    cancel: Option<&CancelToken>,
     materialize: bool,
 ) -> Result<Vec<BigRational>, CoreError> {
-    // One armed token shared by every worker lane: the deadline bounds
-    // the whole report, not each fact.
-    let cancel = options.cancel_token();
     let oracle: Box<dyn SatCountOracle> = match resolved {
         ResolvedStrategy::Hierarchical | ResolvedStrategy::ExoShap => Box::new(HierarchicalCounter),
-        ResolvedStrategy::BruteForce | ResolvedStrategy::Permutations => {
-            let counter = BruteForceCounter::with_limit(options.brute_force_limit)
-                .with_threads(options.threads);
-            Box::new(match &cancel {
-                Some(token) => counter.with_cancel(token.clone()),
-                None => counter,
-            })
-        }
+        ResolvedStrategy::BruteForce | ResolvedStrategy::Permutations => Box::new(
+            BruteForceCounter::new(options.brute_force_limit, options.threads, cancel),
+        ),
     };
     let oracle_ref: &dyn SatCountOracle = oracle.as_ref();
-    let cancel_ref = cancel.as_ref();
     crate::parallel::par_map_with(options.threads, facts.len(), |i| {
         let f = facts[i];
         match resolved {
-            ResolvedStrategy::Permutations => shapley_by_permutations_cancel(
+            ResolvedStrategy::Permutations => shapley_by_permutations(
                 eff_db,
                 AnyQuery::Cq(eff_q),
                 f,
                 options.permutation_limit,
-                cancel_ref,
+                cancel,
             ),
             _ if materialize => shapley_via_materialized_counts(eff_db, eff_q, f, oracle_ref),
             _ => shapley_via_counts(eff_db, AnyQuery::Cq(eff_q), f, oracle_ref),
@@ -1175,9 +1143,9 @@ mod tests {
         let q = parse_cq("q() :- Stud(x), !TA(x), Reg(x, y)").unwrap();
         for &f in db.endo_facts() {
             let h = shapley_via_counts(&db, AnyQuery::Cq(&q), f, &HierarchicalCounter).unwrap();
-            let b =
-                shapley_via_counts(&db, AnyQuery::Cq(&q), f, &BruteForceCounter::new()).unwrap();
-            let p = shapley_by_permutations(&db, AnyQuery::Cq(&q), f, 9).unwrap();
+            let b = shapley_via_counts(&db, AnyQuery::Cq(&q), f, &BruteForceCounter::default())
+                .unwrap();
+            let p = shapley_by_permutations(&db, AnyQuery::Cq(&q), f, 9, None).unwrap();
             assert_eq!(h, b, "{}", db.render_fact(f));
             assert_eq!(h, p, "{}", db.render_fact(f));
         }
@@ -1206,7 +1174,7 @@ mod tests {
         // Self-join → Auto uses brute force.
         let v = shapley_value(&db, &q, f, &ShapleyOptions::default()).unwrap();
         assert_eq!(v, rat(1, 30));
-        let p = shapley_by_permutations(&db, AnyQuery::Cq(&q), f, 9).unwrap();
+        let p = shapley_by_permutations(&db, AnyQuery::Cq(&q), f, 9, None).unwrap();
         assert_eq!(p, rat(1, 30));
     }
 
@@ -1224,7 +1192,7 @@ mod tests {
         // limit → brute force matches permutations.
         let q2 = parse_cq("q2() :- Stud(x), !TA(x), Reg(x, y), !Course(y, 'CS')").unwrap();
         let v = shapley_value(&db, &q2, f, &ShapleyOptions::default()).unwrap();
-        let p = shapley_by_permutations(&db, AnyQuery::Cq(&q2), f, 9).unwrap();
+        let p = shapley_by_permutations(&db, AnyQuery::Cq(&q2), f, 9, None).unwrap();
         assert_eq!(v, p);
     }
 
@@ -1278,7 +1246,7 @@ mod tests {
         let v = shapley_value_union(&db, &u, f, &ShapleyOptions::default()).unwrap();
         // Symmetric players of a 2-player OR game: each gets 1/2.
         assert_eq!(v, rat(1, 2));
-        let p = shapley_by_permutations(&db, AnyQuery::Union(&u), f, 9).unwrap();
+        let p = shapley_by_permutations(&db, AnyQuery::Union(&u), f, 9, None).unwrap();
         assert_eq!(p, rat(1, 2));
         // The explicit brute strategy agrees.
         let brute = ShapleyOptions {
@@ -1330,7 +1298,7 @@ mod tests {
             other => panic!("expected IntractableIntersection, got {other:?}"),
         }
         let auto = shapley_value_union(&db, &bad, f, &ShapleyOptions::default()).unwrap();
-        let p = shapley_by_permutations(&db, AnyQuery::Union(&bad), f, 9).unwrap();
+        let p = shapley_by_permutations(&db, AnyQuery::Union(&bad), f, 9, None).unwrap();
         assert_eq!(auto, p);
     }
 
@@ -1437,7 +1405,7 @@ mod tests {
                 "{}",
                 db.render_fact(f)
             );
-            let p = shapley_by_permutations(&db, AnyQuery::Union(&u), f, 9).unwrap();
+            let p = shapley_by_permutations(&db, AnyQuery::Union(&u), f, 9, None).unwrap();
             assert_eq!(b, &p, "{}", db.render_fact(f));
         }
     }

@@ -402,7 +402,7 @@ mod tests {
         let q = cqshap_query::parse_cq(q_text).unwrap();
         let emb = embed_triplet(&q, base).unwrap();
         assert_eq!(emb.db.endo_count(), base.endo_count(), "{q_text}");
-        let oracle = BruteForceCounter::new();
+        let oracle = BruteForceCounter::default();
         for (&bf, &ef) in &emb.fact_map {
             let base_v = shapley_via_counts(base, AnyQuery::Cq(&emb.base), bf, &oracle).unwrap();
             let emb_v = shapley_via_counts(&emb.db, AnyQuery::Cq(&q), ef, &oracle).unwrap();
@@ -477,7 +477,7 @@ mod tests {
         let exo: HashSet<String> = ["S", "P"].iter().map(|s| s.to_string()).collect();
         let base = base_instance(2, 1, 0b11, 0);
         let emb = embed_path(&q, &exo, &base, 1_000_000).unwrap();
-        let oracle = BruteForceCounter::new();
+        let oracle = BruteForceCounter::default();
         for (&bf, &ef) in &emb.fact_map {
             let base_v = shapley_via_counts(&base, AnyQuery::Cq(&emb.base), bf, &oracle).unwrap();
             let emb_v = shapley_via_counts(&emb.db, AnyQuery::Cq(&q), ef, &oracle).unwrap();
@@ -499,7 +499,7 @@ mod tests {
         let exo: HashSet<String> = ["B", "C"].iter().map(|s| s.to_string()).collect();
         let base = base_instance(2, 2, 0b0110, 0b10);
         let emb = embed_path(&q, &exo, &base, 1_000_000).unwrap();
-        let oracle = BruteForceCounter::new();
+        let oracle = BruteForceCounter::default();
         for (&bf, &ef) in &emb.fact_map {
             let base_v = shapley_via_counts(&base, AnyQuery::Cq(&emb.base), bf, &oracle).unwrap();
             let emb_v = shapley_via_counts(&emb.db, AnyQuery::Cq(&q), ef, &oracle).unwrap();

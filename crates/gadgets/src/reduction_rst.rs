@@ -73,7 +73,7 @@ pub type ShapleyOracle<'a> = dyn Fn(&Database, FactId) -> Result<BigRational, Co
 /// unless the hierarchy collapses).
 pub fn brute_force_oracle(db: &Database, f: FactId) -> Result<BigRational, CoreError> {
     let q = qrsnt_query();
-    shapley_via_counts(db, AnyQuery::Cq(&q), f, &BruteForceCounter::new())
+    shapley_via_counts(db, AnyQuery::Cq(&q), f, &BruteForceCounter::default())
 }
 
 /// Recovers `|IS(g)|` from `N + 2` Shapley values, following Lemma B.3

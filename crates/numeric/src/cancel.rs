@@ -9,10 +9,10 @@
 //! optional work-unit cap ([`Budget`]); once any of them trips, every
 //! holder of a clone observes cancellation at its next checkpoint.
 //!
-//! Cancellation is *cooperative*: cancelled kernels stop doing work and
-//! return placeholder values of the right shape, and the owning engine
-//! checks the token before trusting any result, converting a tripped
-//! token into its own error type (the core crate's
+//! Cancellation is *cooperative*: a kernel that finds the token tripped
+//! stops doing work and returns [`crate::NumericError::Cancelled`] — it
+//! never hands back a partial or placeholder value. The owning engine
+//! converts that error into its own type (the core crate's
 //! `CoreError::DeadlineExceeded`). Tokens are cheap to clone (one `Arc`)
 //! and sound to share across scoped worker threads.
 

@@ -2,9 +2,11 @@
 //!
 //! The crate's arithmetic is total almost everywhere; the exceptions
 //! live in the NTT backend, whose transform length and prime supply are
-//! bounded. The fallible entry points ([`crate::poly::try_mul_with`])
-//! surface those bounds as values instead of panics, and the infallible
-//! ones fall back to Karatsuba, which has no such limits.
+//! bounded, and in the cancellable product trees. The fallible entry
+//! points ([`crate::poly::try_mul_with`]) surface the NTT bounds as
+//! values instead of panics, and the infallible ones fall back to
+//! Karatsuba, which has no such limits. A tree handed a tripped
+//! [`crate::CancelToken`] returns [`NumericError::Cancelled`].
 
 use std::fmt;
 
@@ -27,6 +29,9 @@ pub enum NumericError {
         /// How many the pool could supply.
         available: usize,
     },
+    /// The caller's [`crate::CancelToken`] tripped before the kernel
+    /// finished; no partial result is returned.
+    Cancelled,
 }
 
 impl fmt::Display for NumericError {
@@ -43,6 +48,7 @@ impl fmt::Display for NumericError {
                 f,
                 "NTT prime pool exhausted: {requested} primes requested, {available} available"
             ),
+            NumericError::Cancelled => write!(f, "cancelled by the caller's token"),
         }
     }
 }

@@ -48,5 +48,4 @@ pub use cancel::{Budget, CancelToken, Stopwatch};
 pub use combinatorics::{binomial, factorial, BinomialCache, FactorialTable, ShapleyWeights};
 pub use error::NumericError;
 pub use linalg::RationalMatrix;
-pub use poly::Poly;
 pub use rational::BigRational;

@@ -21,9 +21,8 @@
 //!   by the Pascal factor `[1, 1]` (binomial shifts of junk facts).
 //! * [`product_tree`] / [`leave_one_out_products`] — divide-and-conquer
 //!   trees over many factors, fanning the independent subtree products
-//!   out across scoped threads.
-//! * [`Poly`] — a thin owned wrapper when a value type is more
-//!   convenient than slices.
+//!   out across scoped threads. Both poll an optional [`CancelToken`]
+//!   and return [`NumericError::Cancelled`] once it trips.
 //!
 //! ## Backend dispatch
 //!
@@ -109,7 +108,9 @@ pub fn mul(a: &[BigUint], b: &[BigUint]) -> Vec<BigUint> {
 /// product is computed by Karatsuba instead — bit-identical, just
 /// slower. Use [`try_mul_with`] to observe the refusal as an error.
 pub fn mul_with(a: &[BigUint], b: &[BigUint], backend: Backend) -> Vec<BigUint> {
-    mul_impl(a, b, backend, None)
+    // Without a token nothing cancels, so the `Err` arm never runs; it
+    // recomputes by Karatsuba rather than panic.
+    mul_impl(a, b, backend, None).unwrap_or_else(|_| mul_karatsuba(a, b))
 }
 
 /// [`mul_with`] without the silent fallback: an explicit
@@ -138,18 +139,17 @@ pub fn try_mul_with(
 }
 
 /// [`mul_with`] with an optional cooperative [`CancelToken`]: a tripped
-/// token makes the NTT backend skip its remaining prime passes and
-/// return a placeholder of the conventional length. Callers must check
-/// the token before trusting the result — the flag is sticky, so one
-/// check after the whole computation suffices.
+/// token makes the NTT backend abandon its remaining prime passes and
+/// return [`NumericError::Cancelled`]. No other error comes back — an
+/// input the NTT refuses is multiplied by Karatsuba instead.
 fn mul_impl(
     a: &[BigUint],
     b: &[BigUint],
     backend: Backend,
     cancel: Option<&CancelToken>,
-) -> Vec<BigUint> {
+) -> Result<Vec<BigUint>, NumericError> {
     if a.is_empty() || b.is_empty() {
-        return vec![BigUint::zero(); (a.len() + b.len()).saturating_sub(1)];
+        return Ok(vec![BigUint::zero(); (a.len() + b.len()).saturating_sub(1)]);
     }
     let resolved = match backend {
         Backend::Auto => estimate(a, b),
@@ -157,9 +157,13 @@ fn mul_impl(
     };
     record_dispatch(resolved, a, b);
     match resolved {
-        Backend::Karatsuba => mul_karatsuba(a, b),
-        Backend::Ntt => mul_ntt(a, b, cancel),
-        _ => mul_schoolbook(a, b),
+        Backend::Karatsuba => Ok(mul_karatsuba(a, b)),
+        Backend::Ntt => match try_mul_ntt(a, b, cancel) {
+            Err(NumericError::Cancelled) => Err(NumericError::Cancelled),
+            Ok(out) => Ok(out),
+            Err(_) => Ok(mul_karatsuba(a, b)),
+        },
+        _ => Ok(mul_schoolbook(a, b)),
     }
 }
 
@@ -344,27 +348,28 @@ pub fn pascal_down(a: &[BigUint]) -> Option<Vec<BigUint>> {
 /// `⊛` over all polynomials (the empty product is `[1]`), computed as a
 /// balanced divide-and-conquer tree with the independent subtrees
 /// fanned out across up to `threads` scoped threads (`0` = all
-/// available cores).
-pub fn product_tree(polys: &[&[BigUint]], threads: usize) -> Vec<BigUint> {
-    product_tree_with(polys, threads, Backend::Auto)
-}
-
-/// [`product_tree`] through an explicit [`Backend`].
-pub fn product_tree_with(polys: &[&[BigUint]], threads: usize, backend: Backend) -> Vec<BigUint> {
-    tree_product(polys, resolve_threads(threads), backend, None)
-}
-
-/// [`product_tree`] with a cooperative [`CancelToken`] checked at every
-/// tree node (and inside the NTT backend's prime passes). A tripped
-/// token short-circuits the remaining combines and returns a
-/// placeholder; the caller must check the token before using the
-/// result (the flag is sticky).
-pub fn product_tree_cancel(
+/// available cores). `cancel`, when given, is charged one unit per
+/// tree node and per NTT prime pass.
+///
+/// # Errors
+/// [`NumericError::Cancelled`] once `cancel` trips.
+pub fn product_tree(
     polys: &[&[BigUint]],
     threads: usize,
-    cancel: &CancelToken,
-) -> Vec<BigUint> {
-    tree_product(polys, resolve_threads(threads), Backend::Auto, Some(cancel))
+    cancel: Option<&CancelToken>,
+) -> Result<Vec<BigUint>, NumericError> {
+    tree_product(polys, resolve_threads(threads), Backend::Auto, cancel)
+}
+
+/// [`product_tree`] through an explicit [`Backend`], without a token.
+pub fn product_tree_with(polys: &[&[BigUint]], threads: usize, backend: Backend) -> Vec<BigUint> {
+    // Without a token nothing cancels, so the `Err` arm never runs; it
+    // recomputes by a sequential fold rather than panic.
+    tree_product(polys, resolve_threads(threads), backend, None).unwrap_or_else(|_| {
+        polys
+            .iter()
+            .fold(vec![BigUint::one()], |acc, p| mul_with(&acc, p, backend))
+    })
 }
 
 /// For each `i`, `seed ⊛ ⊛_{j≠i} polys[j]` — the engines'
@@ -380,98 +385,18 @@ pub fn product_tree_cancel(
 /// all-zero or empty polynomial fall back to the descent (a zero
 /// factor cannot be divided out); either path returns bit-identical
 /// vectors. Distinct divisions and tree subproducts fan out across up
-/// to `threads` scoped threads (`0` = all available cores).
+/// to `threads` scoped threads (`0` = all available cores); `cancel` is
+/// polled as in [`product_tree`].
+///
+/// # Errors
+/// [`NumericError::Cancelled`] once `cancel` trips.
 pub fn leave_one_out_products(
     polys: &[&[BigUint]],
     seed: &[BigUint],
     threads: usize,
-) -> Vec<Vec<BigUint>> {
-    leave_one_out_products_with(polys, seed, threads, Backend::Auto)
-}
-
-/// [`leave_one_out_products`] through an explicit [`Backend`].
-pub fn leave_one_out_products_with(
-    polys: &[&[BigUint]],
-    seed: &[BigUint],
-    threads: usize,
-    backend: Backend,
-) -> Vec<Vec<BigUint>> {
-    leave_one_out_impl(polys, seed, resolve_threads(threads), backend)
-}
-
-/// An owned polynomial over [`BigUint`] coefficients (index = degree),
-/// wrapping the slice-level functions of this module for callers that
-/// prefer a value type.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Poly {
-    coeffs: Vec<BigUint>,
-}
-
-impl Poly {
-    /// The constant polynomial `1` — the multiplicative identity.
-    pub fn one() -> Self {
-        Poly {
-            coeffs: vec![BigUint::one()],
-        }
-    }
-
-    /// Wraps a coefficient vector (index = degree; kept verbatim,
-    /// including trailing zeros — count vectors carry their length).
-    pub fn from_coeffs(coeffs: Vec<BigUint>) -> Self {
-        Poly { coeffs }
-    }
-
-    /// The coefficients, index = degree.
-    pub fn coeffs(&self) -> &[BigUint] {
-        &self.coeffs
-    }
-
-    /// Unwraps into the coefficient vector.
-    pub fn into_coeffs(self) -> Vec<BigUint> {
-        self.coeffs
-    }
-
-    /// Number of stored coefficients (degree bound + 1).
-    pub fn len(&self) -> usize {
-        self.coeffs.len()
-    }
-
-    /// Is the coefficient vector empty?
-    pub fn is_empty(&self) -> bool {
-        self.coeffs.is_empty()
-    }
-
-    /// `self · other`, backend-dispatched (see [`mul`]).
-    pub fn mul(&self, other: &Poly) -> Poly {
-        Poly::from_coeffs(mul(&self.coeffs, &other.coeffs))
-    }
-
-    /// Exact division (see [`exact_div`]).
-    pub fn exact_div(&self, den: &Poly) -> Option<Poly> {
-        exact_div(&self.coeffs, &den.coeffs).map(Poly::from_coeffs)
-    }
-
-    /// `self ⊛ [1, 1]` (see [`pascal_up`]).
-    pub fn pascal_up(&self) -> Poly {
-        Poly::from_coeffs(pascal_up(&self.coeffs))
-    }
-
-    /// `self / [1, 1]` (see [`pascal_down`]).
-    pub fn pascal_down(&self) -> Option<Poly> {
-        pascal_down(&self.coeffs).map(Poly::from_coeffs)
-    }
-}
-
-impl From<Vec<BigUint>> for Poly {
-    fn from(coeffs: Vec<BigUint>) -> Self {
-        Poly::from_coeffs(coeffs)
-    }
-}
-
-impl From<Poly> for Vec<BigUint> {
-    fn from(p: Poly) -> Self {
-        p.into_coeffs()
-    }
+    cancel: Option<&CancelToken>,
+) -> Result<Vec<Vec<BigUint>>, NumericError> {
+    leave_one_out_impl(polys, seed, resolve_threads(threads), cancel)
 }
 
 // ---------------------------------------------------------------------
@@ -870,16 +795,6 @@ fn max_bits(poly: &[BigUint]) -> usize {
     poly.iter().map(BigUint::bit_len).max().unwrap_or(0)
 }
 
-/// [`try_mul_ntt`] with the refusals absorbed: an input the NTT cannot
-/// handle is rerouted through Karatsuba, keeping the [`Backend::Ntt`]
-/// dispatch arm total.
-fn mul_ntt(a: &[BigUint], b: &[BigUint], cancel: Option<&CancelToken>) -> Vec<BigUint> {
-    match try_mul_ntt(a, b, cancel) {
-        Ok(out) => out,
-        Err(_) => mul_karatsuba(a, b),
-    }
-}
-
 fn try_mul_ntt(
     a: &[BigUint],
     b: &[BigUint],
@@ -901,10 +816,9 @@ fn try_mul_ntt(
     let mut residues: Vec<Vec<u64>> = Vec::with_capacity(t);
     for pr in &primes {
         // One checkpoint per prime pass: a tripped token abandons the
-        // remaining transforms and returns an all-zero placeholder of
-        // the conventional length (callers re-check the sticky flag).
+        // remaining transforms.
         if cancel.is_some_and(|c| c.charge(1)) {
-            return Ok(vec![BigUint::zero(); out_len]);
+            return Err(NumericError::Cancelled);
         }
         residues.push(convolve_mod(a, b, out_len, pr));
     }
@@ -993,20 +907,16 @@ fn tree_product(
     threads: usize,
     backend: Backend,
     cancel: Option<&CancelToken>,
-) -> Vec<BigUint> {
+) -> Result<Vec<BigUint>, NumericError> {
     match polys {
-        [] => vec![BigUint::one()],
-        [p] => p.to_vec(),
+        [] => Ok(vec![BigUint::one()]),
+        [p] => Ok(p.to_vec()),
         _ => {
             // One charge per internal node: the tree has O(n) nodes, so
             // the checkpoint overhead stays far below the convolution
-            // work it bounds. A tripped token collapses the remaining
-            // subtrees to `[1]` placeholders (the caller re-checks the
-            // sticky flag before using the product).
-            if let Some(c) = cancel {
-                if c.charge(1) {
-                    return vec![BigUint::one()];
-                }
+            // work it bounds.
+            if cancel.is_some_and(|c| c.charge(1)) {
+                return Err(NumericError::Cancelled);
             }
             let (left, right) = polys.split_at(polys.len() / 2);
             let (lp, rp) = join_halves(
@@ -1015,7 +925,7 @@ fn tree_product(
                 || tree_product(left, threads - threads / 2, backend, cancel),
                 || tree_product(right, threads / 2, backend, cancel),
             );
-            mul_impl(&lp, &rp, backend, cancel)
+            mul_impl(&lp?, &rp?, backend, cancel)
         }
     }
 }
@@ -1024,11 +934,11 @@ fn leave_one_out_impl(
     polys: &[&[BigUint]],
     seed: &[BigUint],
     threads: usize,
-    backend: Backend,
-) -> Vec<Vec<BigUint>> {
+    cancel: Option<&CancelToken>,
+) -> Result<Vec<Vec<BigUint>>, NumericError> {
     match polys {
-        [] => return Vec::new(),
-        [_] => return vec![seed.to_vec()],
+        [] => return Ok(Vec::new()),
+        [_] => return Ok(vec![seed.to_vec()]),
         _ => {}
     }
     // A zero factor cannot be divided back out of the (zero) total:
@@ -1052,16 +962,16 @@ fn leave_one_out_impl(
                 class_of[i] = c;
             }
         }
-        let total = tree_product(polys, threads, backend, None);
-        let full = mul_with(seed, &total, backend);
+        let total = tree_product(polys, threads, Backend::Auto, cancel)?;
+        let full = mul_impl(seed, &total, Backend::Auto, cancel)?;
         let rep_envs = par_map_chunks(threads, reps.len(), |r| exact_div(&full, polys[reps[r]]));
         if let Some(envs) = rep_envs.into_iter().collect::<Option<Vec<Vec<BigUint>>>>() {
-            return class_of.into_iter().map(|c| envs[c].clone()).collect();
+            return Ok(class_of.into_iter().map(|c| envs[c].clone()).collect());
         }
         // Unreachable for exact inputs, but the descent is always
         // correct — prefer a slow answer to a panic.
     }
-    fill_leave_one_out(polys, seed.to_vec(), threads, backend)
+    fill_leave_one_out(polys, seed.to_vec(), threads, cancel)
 }
 
 /// Maps `f` over `0..n` across up to `threads` scoped worker threads,
@@ -1099,42 +1009,36 @@ fn fill_leave_one_out(
     polys: &[&[BigUint]],
     acc: Vec<BigUint>,
     threads: usize,
-    backend: Backend,
-) -> Vec<Vec<BigUint>> {
+    cancel: Option<&CancelToken>,
+) -> Result<Vec<Vec<BigUint>>, NumericError> {
     match polys {
-        [] => Vec::new(),
-        [_] => vec![acc],
+        [] => Ok(Vec::new()),
+        [_] => Ok(vec![acc]),
         _ => {
             let (left, right) = polys.split_at(polys.len() / 2);
             let size = work_size(polys);
             let (left_product, right_product) = join_halves(
                 threads,
                 size,
-                || tree_product(left, threads - threads / 2, backend, None),
-                || tree_product(right, threads / 2, backend, None),
+                || tree_product(left, threads - threads / 2, Backend::Auto, cancel),
+                || tree_product(right, threads / 2, Backend::Auto, cancel),
             );
-            let (mut lo, ro) = join_halves(
+            let (left_product, right_product) = (left_product?, right_product?);
+            let (lo, ro) = join_halves(
                 threads,
                 size,
                 || {
-                    fill_leave_one_out(
-                        left,
-                        mul_with(&acc, &right_product, backend),
-                        threads - threads / 2,
-                        backend,
-                    )
+                    let acc = mul_impl(&acc, &right_product, Backend::Auto, cancel)?;
+                    fill_leave_one_out(left, acc, threads - threads / 2, cancel)
                 },
                 || {
-                    fill_leave_one_out(
-                        right,
-                        mul_with(&acc, &left_product, backend),
-                        threads / 2,
-                        backend,
-                    )
+                    let acc = mul_impl(&acc, &left_product, Backend::Auto, cancel)?;
+                    fill_leave_one_out(right, acc, threads / 2, cancel)
                 },
             );
-            lo.extend(ro);
-            lo
+            let mut lo = lo?;
+            lo.extend(ro?);
+            Ok(lo)
         }
     }
 }
@@ -1328,11 +1232,11 @@ mod tests {
             .iter()
             .fold(vec![BigUint::one()], |acc, p| mul_schoolbook(&acc, p));
         for threads in [1, 2, 4] {
-            assert_eq!(product_tree(&refs, threads), naive);
+            assert_eq!(product_tree(&refs, threads, None), Ok(naive.clone()));
         }
-        assert_eq!(product_tree(&[], 1), vec![BigUint::one()]);
+        assert_eq!(product_tree(&[], 1, None), Ok(vec![BigUint::one()]));
         let seed = v(&[1, 2, 1]);
-        let envs = leave_one_out_products(&refs, &seed, 2);
+        let envs = leave_one_out_products(&refs, &seed, 2, None).unwrap();
         assert_eq!(envs.len(), refs.len());
         for (i, env) in envs.iter().enumerate() {
             let mut want = seed.clone();
@@ -1353,7 +1257,7 @@ mod tests {
         let q = v(&[1, 3]);
         let polys = [p.clone(), q.clone(), p.clone()];
         let refs: Vec<&[BigUint]> = polys.iter().map(|x| x.as_slice()).collect();
-        let envs = leave_one_out_products(&refs, &v(&[1, 1]), 1);
+        let envs = leave_one_out_products(&refs, &v(&[1, 1]), 1, None).unwrap();
         assert_eq!(envs[0], envs[2]);
         assert_eq!(
             envs[0],
@@ -1368,7 +1272,7 @@ mod tests {
         let zero = vec![BigUint::zero(); 3];
         let with_zero = [p.clone(), zero.clone(), q.clone()];
         let refs: Vec<&[BigUint]> = with_zero.iter().map(|x| x.as_slice()).collect();
-        let envs = leave_one_out_products(&refs, &v(&[1]), 2);
+        let envs = leave_one_out_products(&refs, &v(&[1]), 2, None).unwrap();
         for (i, env) in envs.iter().enumerate() {
             let mut want = v(&[1]);
             for (j, r) in refs.iter().enumerate() {
@@ -1381,33 +1285,47 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_trees_return_placeholders_and_trip_the_token() {
-        use crate::cancel::CancelToken;
+    fn cancelled_trees_return_errors() {
         let polys: Vec<Vec<BigUint>> = (0..16).map(|i| v(&[1, i + 1])).collect();
         let refs: Vec<&[BigUint]> = polys.iter().map(|p| p.as_slice()).collect();
+        let seed = v(&[1, 1]);
 
         let live = CancelToken::unlimited();
-        let want = product_tree(&refs, 1);
-        assert_eq!(product_tree_cancel(&refs, 1, &live), want);
+        assert_eq!(
+            product_tree(&refs, 1, Some(&live)),
+            product_tree(&refs, 1, None)
+        );
+        assert_eq!(
+            leave_one_out_products(&refs, &seed, 1, Some(&live)),
+            leave_one_out_products(&refs, &seed, 1, None)
+        );
         assert!(!live.should_stop());
 
         let tripped = CancelToken::unlimited();
         tripped.cancel();
-        let _ = product_tree_cancel(&refs, 1, &tripped);
-        assert!(tripped.should_stop(), "the flag stays sticky");
-    }
-
-    #[test]
-    fn poly_wrapper_round_trips() {
-        let p = Poly::from_coeffs(v(&[1, 2]));
-        let q = p.mul(&p);
-        assert_eq!(q.coeffs(), &v(&[1, 4, 4])[..]);
-        assert_eq!(q.exact_div(&p).unwrap(), p);
-        assert_eq!(p.pascal_up().pascal_down().unwrap(), p);
-        assert_eq!(Poly::one().len(), 1);
-        assert!(!Poly::one().is_empty());
-        let coeffs: Vec<BigUint> = q.clone().into();
-        assert_eq!(Poly::from(coeffs), q);
+        assert_eq!(
+            product_tree(&refs, 1, Some(&tripped)),
+            Err(NumericError::Cancelled)
+        );
+        assert_eq!(
+            leave_one_out_products(&refs, &seed, 2, Some(&tripped)),
+            Err(NumericError::Cancelled)
+        );
+        // Trees too small to reach a checkpoint stay total.
+        assert_eq!(
+            product_tree(&refs[..1], 1, Some(&tripped)),
+            Ok(polys[0].clone())
+        );
+        // A work cap that trips mid-tree also ends in the error, never
+        // in a partial product.
+        for cap in 0..15 {
+            let capped = CancelToken::new(None, Some(cap));
+            assert_eq!(
+                product_tree(&refs, 2, Some(&capped)),
+                Err(NumericError::Cancelled),
+                "cap {cap}"
+            );
+        }
     }
 
     /// A divisor coefficient for the word-size kernel: zero, one, a

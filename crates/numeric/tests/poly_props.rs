@@ -79,8 +79,8 @@ proptest! {
         let naive = refs.iter().fold(vec![BigUint::one()], |acc, p| {
             poly::mul_with(&acc, p, Backend::Schoolbook)
         });
-        prop_assert_eq!(&poly::product_tree(&refs, threads), &naive);
-        let envs = poly::leave_one_out_products(&refs, &seed, threads);
+        prop_assert_eq!(&poly::product_tree(&refs, threads, None).unwrap(), &naive);
+        let envs = poly::leave_one_out_products(&refs, &seed, threads, None).unwrap();
         prop_assert_eq!(envs.len(), refs.len());
         for (i, env) in envs.iter().enumerate() {
             let mut want = seed.clone();

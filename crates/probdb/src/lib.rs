@@ -150,7 +150,7 @@ impl ProbDatabase {
     /// # Errors
     /// As [`ProbDatabase::query_probability`].
     pub fn query_probability_exact(&self, q: &ConjunctiveQuery) -> Result<BigRational, CoreError> {
-        let engine = CompiledProbability::compile(&self.db, q, self.probs.clone())?;
+        let engine = CompiledProbability::compile(&self.db, q, self.probs.clone(), 0, None)?;
         Ok(engine.probability().clone())
     }
 
@@ -186,7 +186,8 @@ impl ProbDatabase {
         // Fact ids are preserved by the rewriting, and every fresh fact
         // is exogenous (deterministic), so the probability assignment
         // carries over unchanged: the endogenous set is the same.
-        let engine = CompiledProbability::compile(&outcome.db, &outcome.query, self.probs.clone())?;
+        let engine =
+            CompiledProbability::compile(&outcome.db, &outcome.query, self.probs.clone(), 0, None)?;
         Ok(engine.probability().clone())
     }
 

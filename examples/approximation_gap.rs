@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Verify the closed form against the real computation for small n.
     let (q, inst) = section_5_1_example(2);
-    let exact = shapley_by_permutations(&inst.db, AnyQuery::Cq(&q), inst.f0, 9)?;
+    let exact = shapley_by_permutations(&inst.db, AnyQuery::Cq(&q), inst.f0, 9, None)?;
     assert_eq!(exact.abs(), inst.expected_abs);
     println!(
         "\nexact value for n = 2 matches the closed form {} ✓",
@@ -80,7 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The generic construction also works for other queries.
     let other = parse_cq("q() :- A(x), S(x, y), !B(y)")?;
     let inst = build_gap_family(&other, 2)?;
-    let v = shapley_by_permutations(&inst.db, AnyQuery::Cq(&other), inst.f0, 9)?;
+    let v = shapley_by_permutations(&inst.db, AnyQuery::Cq(&other), inst.f0, 9, None)?;
     assert_eq!(v.abs(), inst.expected_abs);
     println!("generic Theorem 5.1 construction validated for {other} ✓");
     Ok(())

@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let q53 = parse_cq("q() :- R(x, y), !R(y, x)")?;
     let f = db2.find_fact("R", &["1", "2"]).expect("fact exists");
     let (pos, neg) = brute_force_relevance(&db2, AnyQuery::Cq(&q53), f, 24)?;
-    let v = shapley_by_permutations(&db2, AnyQuery::Cq(&q53), f, 9)?;
+    let v = shapley_by_permutations(&db2, AnyQuery::Cq(&q53), f, 9, None)?;
     println!("\n== Example 5.3: {q53} ==");
     println!("  R(1,2): positively relevant: {pos}, negatively relevant: {neg}, Shapley = {v}");
     assert!(pos && neg && v.is_zero());

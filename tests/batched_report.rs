@@ -89,7 +89,7 @@ proptest! {
     ) {
         let (q, db) = build(qi, 0, seed, 3, 4);
         prop_assume!(db.endo_count() >= 1 && db.endo_count() <= 12);
-        let compiled = CompiledCount::compile(&db, &q).unwrap();
+        let compiled = CompiledCount::compile(&db, &q, 0, None).unwrap();
         for &f in db.endo_facts() {
             let (n_minus, n_plus) = compiled.counts_pair(&db, f).unwrap();
             let (db_minus, _) = db.without_fact(f).unwrap();
@@ -114,7 +114,7 @@ proptest! {
         let report = shapley_report(&db, &q, &ShapleyOptions::default()).unwrap();
         prop_assert!(report.efficiency_holds());
         for &f in db.endo_facts() {
-            let p = shapley_by_permutations(&db, AnyQuery::Cq(&q), f, 9).unwrap();
+            let p = shapley_by_permutations(&db, AnyQuery::Cq(&q), f, 9, None).unwrap();
             prop_assert_eq!(
                 &report.entry(f).unwrap().value, &p,
                 "{} on\n{}", db.render_fact(f), db

@@ -35,7 +35,7 @@ proptest! {
         let db = cfg.generate(&q);
         prop_assume!(db.endo_count() <= 14);
         let fast = cqshap::core::count_sat_hierarchical(&db, &q).unwrap();
-        let slow = BruteForceCounter::new()
+        let slow = BruteForceCounter::default()
             .counts(&db, AnyQuery::Cq(&q))
             .unwrap();
         prop_assert_eq!(fast, slow, "query {} on\n{}", q, db);
@@ -51,7 +51,7 @@ proptest! {
         prop_assume!(db.endo_count() >= 1 && db.endo_count() <= 7);
         for &f in db.endo_facts() {
             let a = shapley_via_counts(&db, AnyQuery::Cq(&q), f, &HierarchicalCounter).unwrap();
-            let b = shapley_by_permutations(&db, AnyQuery::Cq(&q), f, 9).unwrap();
+            let b = shapley_by_permutations(&db, AnyQuery::Cq(&q), f, 9, None).unwrap();
             prop_assert_eq!(a, b, "{} on\n{}", db.render_fact(f), db);
         }
     }
@@ -93,7 +93,7 @@ proptest! {
         prop_assume!(db.endo_count() <= 12);
         for &f in db.endo_facts() {
             let zero = shapley_is_zero(&db, AnyQuery::Cq(&q), f).unwrap();
-            let v = shapley_via_counts(&db, AnyQuery::Cq(&q), f, &BruteForceCounter::new()).unwrap();
+            let v = shapley_via_counts(&db, AnyQuery::Cq(&q), f, &BruteForceCounter::default()).unwrap();
             prop_assert_eq!(zero, v.is_zero(), "{} on\n{}", db.render_fact(f), db);
         }
     }

@@ -156,15 +156,15 @@ proptest! {
     fn maintained_engine_matches_fresh_compiles(seed in 0u64..10_000, extra in 0usize..5) {
         let mut db = skewed_db(seed, extra);
         let q = parse_cq(CQ).unwrap();
-        let mut engine = CompiledCount::compile_with_threads(&db, &q, 2).unwrap();
+        let mut engine = CompiledCount::compile(&db, &q, 2, None).unwrap();
         for step in 0..8 {
             let Some(change) = apply_update(&mut db, seed, step) else {
                 continue;
             };
             if !engine.update(&db, change).unwrap() {
-                engine = CompiledCount::compile_with_threads(&db, &q, 2).unwrap();
+                engine = CompiledCount::compile(&db, &q, 2, None).unwrap();
             }
-            let fresh = CompiledCount::compile(&db, &q).unwrap();
+            let fresh = CompiledCount::compile(&db, &q, 0, None).unwrap();
             prop_assert_eq!(engine.total_counts(), fresh.total_counts(), "after {:?}", change);
             for &f in db.endo_facts() {
                 prop_assert_eq!(

@@ -143,7 +143,7 @@ fn theorem_5_1_gap() {
             &inst.db,
             AnyQuery::Cq(&q),
             inst.f0,
-            &BruteForceCounter::new(),
+            &BruteForceCounter::default(),
         )
         .unwrap();
         assert_eq!(v.abs(), inst.expected_abs);

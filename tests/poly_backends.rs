@@ -23,7 +23,7 @@ const M: usize = 192;
 fn large_compile_matches_per_fact_counting() {
     let db = workloads::report_benchmark_db(M);
     let q1 = queries::q1();
-    let compiled = CompiledCount::compile(&db, &q1).unwrap();
+    let compiled = CompiledCount::compile(&db, &q1, 0, None).unwrap();
     // The total counts recompose through a different convolution order
     // (sequential recursion vs leave-one-out division), so agreement
     // cross-validates the subsystem on real count polynomials.

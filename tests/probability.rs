@@ -165,7 +165,7 @@ proptest! {
         prop_assume!(db.endo_count() <= 12);
         let probs = assign_probs(&db, seed);
 
-        let unified = CompiledProbability::compile(&db, &q, probs.clone())
+        let unified = CompiledProbability::compile(&db, &q, probs.clone(), 0, None)
             .unwrap()
             .probability()
             .clone();
@@ -176,7 +176,7 @@ proptest! {
         prop_assert_eq!(&unified, &enumerated, "compiled vs enumeration over\n{}", db);
 
         // Conditioned marginals against forced enumeration too.
-        let engine = CompiledProbability::compile(&db, &q, probs.clone()).unwrap();
+        let engine = CompiledProbability::compile(&db, &q, probs.clone(), 0, None).unwrap();
         for f in db.fact_ids().filter(|&f| db.endo_index(f).is_some()).take(3) {
             let expected = engine.expected_marginal(&db, f).unwrap();
             let present =

@@ -34,7 +34,8 @@ fn prop_5_5_relevance_and_zeroness() {
         );
         // Corollary 5.6: Shapley zeroness coincides (T is polarity
         // consistent even though the query is not).
-        let v = shapley_via_counts(&db, AnyQuery::Cq(&q), f, &BruteForceCounter::new()).unwrap();
+        let v =
+            shapley_via_counts(&db, AnyQuery::Cq(&q), f, &BruteForceCounter::default()).unwrap();
         assert_eq!(v.is_zero(), !pos, "seed {seed}");
         if pos {
             assert!(v.is_positive(), "positive relevance only");
@@ -113,7 +114,7 @@ fn lemma_b4_embedding_preserves_shapley() {
         base.add_exo("S", &[a, b]).unwrap();
     }
     let emb = embed::embed_triplet(&q, &base).unwrap();
-    let oracle = BruteForceCounter::new();
+    let oracle = BruteForceCounter::default();
     assert_eq!(emb.fact_map.len(), base.endo_count());
     for (&bf, &ef) in &emb.fact_map {
         let base_v = shapley_via_counts(&base, AnyQuery::Cq(&emb.base), bf, &oracle).unwrap();
@@ -136,7 +137,7 @@ fn appendix_c_path_embedding() {
         base.add_exo("S", &[a, b]).unwrap();
     }
     let emb = embed::embed_path(&q, &exo, &base, 1_000_000).unwrap();
-    let oracle = BruteForceCounter::new();
+    let oracle = BruteForceCounter::default();
     for (&bf, &ef) in &emb.fact_map {
         let base_v = shapley_via_counts(&base, AnyQuery::Cq(&emb.base), bf, &oracle).unwrap();
         let emb_v = shapley_via_counts(&emb.db, AnyQuery::Cq(&q), ef, &oracle).unwrap();
@@ -161,7 +162,7 @@ fn theorem_5_1_generic_families() {
                 &inst.db,
                 AnyQuery::Cq(&q),
                 inst.f0,
-                &BruteForceCounter::new(),
+                &BruteForceCounter::default(),
             )
             .unwrap();
             assert_eq!(v.abs(), inst.expected_abs, "{text}, n={n}");

@@ -72,7 +72,7 @@ proptest! {
         let opts = ShapleyOptions::default();
         let report = shapley_report_union(&db, &u, &opts).unwrap();
         prop_assert!(report.efficiency_holds(), "efficiency on {} over\n{}", u, db);
-        let brute = BruteForceCounter::new();
+        let brute = BruteForceCounter::default();
         for &f in db.endo_facts() {
             let want = shapley_via_counts(&db, AnyQuery::Union(&u), f, &brute).unwrap();
             let entry = report.entry(f).unwrap();
@@ -102,7 +102,7 @@ proptest! {
         let report = shapley_report_union(&db, &u, &ShapleyOptions::default()).unwrap();
         prop_assert!(report.efficiency_holds());
         for &f in db.endo_facts() {
-            let p = shapley_by_permutations(&db, AnyQuery::Union(&u), f, 9).unwrap();
+            let p = shapley_by_permutations(&db, AnyQuery::Union(&u), f, 9, None).unwrap();
             prop_assert_eq!(
                 &report.entry(f).unwrap().value, &p,
                 "{} on\n{}", db.render_fact(f), db

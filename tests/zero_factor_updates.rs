@@ -173,7 +173,7 @@ impl Instance {
 /// Maintained counting engine ≡ fresh compile, bit for bit, and its
 /// masked counts ≡ the per-fact counting oracle.
 fn assert_count_matches_fresh(db: &Database, q: &ConjunctiveQuery, engine: &CompiledCount) {
-    let fresh = CompiledCount::compile(db, q).unwrap();
+    let fresh = CompiledCount::compile(db, q, 0, None).unwrap();
     assert_eq!(
         engine.total_counts(),
         fresh.total_counts(),
@@ -206,7 +206,8 @@ fn assert_probability_matches_fresh(
     q: &ConjunctiveQuery,
     engine: &CompiledProbability,
 ) {
-    let fresh = CompiledProbability::compile(db, q, engine.probabilities().clone()).unwrap();
+    let fresh =
+        CompiledProbability::compile(db, q, engine.probabilities().clone(), 0, None).unwrap();
     assert_eq!(
         engine.probability(),
         fresh.probability(),
@@ -215,7 +216,7 @@ fn assert_probability_matches_fresh(
     let pinned = |f: FactId, p: BigRational| {
         let mut probs = engine.probabilities().clone();
         probs.set(f, p);
-        let pinned = CompiledProbability::compile(db, q, probs).unwrap();
+        let pinned = CompiledProbability::compile(db, q, probs, 0, None).unwrap();
         pinned.probability().clone()
     };
     for &f in db.endo_facts() {
@@ -267,9 +268,9 @@ proptest! {
     ) {
         let q = parse_cq(Q).unwrap();
         let mut inst = instance(seed, students);
-        let mut count = CompiledCount::compile(&inst.db, &q).unwrap();
+        let mut count = CompiledCount::compile(&inst.db, &q, 0, None).unwrap();
         let mut prob =
-            CompiledProbability::compile(&inst.db, &q, probabilities(&inst)).unwrap();
+            CompiledProbability::compile(&inst.db, &q, probabilities(&inst), 0, None).unwrap();
         prop_assert!(always_satisfied(&count), "student 0 starts always satisfied");
         let mut cleared = false;
         for step in 0..steps as u64 {
