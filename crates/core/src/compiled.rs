@@ -641,7 +641,10 @@ impl<D: EvalDomain> CompiledEngine<D> {
                 .filter(|u| !dom.is_zero(u))
                 .collect();
             let zeros = groups.len() - factors.len();
-            let unsat_all = dom.product(&factors, threads, obs_phase::COMPILE)?;
+            let unsat_all = {
+                let _span = Span::enter(obs_phase::COMPILE_PRODUCT);
+                dom.product(&factors, threads, obs_phase::COMPILE)?
+            };
             let mut comp = Component {
                 atoms: sub_atoms,
                 rels: sub_rels,
@@ -1408,6 +1411,7 @@ impl CompiledCount {
     pub fn normalize_numerator(&self, num: BigInt) -> BigRational {
         self.reduced
             .get_or_insert_with(num.clone(), || {
+                let _span = Span::enter(obs_phase::NORMALIZE);
                 self.table.reduce_over_factorial(num, self.eng.m)
             })
             .0

@@ -19,10 +19,12 @@
 //!   primitive of incremental engine maintenance).
 //! * [`pascal_up`] / [`pascal_down`] — `O(n)` multiplication/division
 //!   by the Pascal factor `[1, 1]` (binomial shifts of junk facts).
-//! * [`product_tree`] / [`leave_one_out_products`] — divide-and-conquer
-//!   trees over many factors, fanning the independent subtree products
-//!   out across scoped threads. Both poll an optional [`CancelToken`]
-//!   and return [`NumericError::Cancelled`] once it trips.
+//! * [`product_tree`] / [`leave_one_out_products`] — products over many
+//!   factors: repeated factors raised as powers, the rest multiplied
+//!   by divide-and-conquer trees that fan the independent subtree
+//!   products out across scoped threads. Both poll an optional
+//!   [`CancelToken`] and return [`NumericError::Cancelled`] once it
+//!   trips.
 //!
 //! ## Backend dispatch
 //!
@@ -58,9 +60,30 @@
 //! product tree's leaves stay cheap. Products whose result exceeds
 //! `2^22` coefficients never dispatch to the NTT (no such polynomial
 //! arises below `m ≈ 4` million).
+//!
+//! ## Repeated factors
+//!
+//! Isomorphic root groups contribute equal factors — a uniform
+//! workload multiplies hundreds of copies of one short polynomial.
+//! [`product_tree`] groups equal factors by content and raises each
+//! repeated one to its multiplicity `n` with J.C.P. Miller's
+//! recurrence: for `u = xˢ·v` with `v₀ ≠ 0` and `d = deg v`,
+//! `P₀ = v₀ⁿ` and `k·v₀·P_k = Σ_{i=1..min(d,k)} ((n+1)·i − k)·v_i·P_{k−i}`.
+//! Each coefficient costs `min(d, k)` word-by-bignum multiply-adds and
+//! one exact word division — `O(n·d²)` word-by-bignum steps for the
+//! whole power, against the `n − 1` bignum-polynomial products of a
+//! tree over the copies. A factor whose coefficients, multipliers
+//! `|(n+1)·i − k|·v_i` or divisors `k·v₀` leave the `u64` range takes
+//! the tree over its copies instead. The powers (and the tree product
+//! of the factors that occur once) are multiplied two shortest at a
+//! time, Huffman's order: on a skewed mix of powers this beats a
+//! shortest-first fold into one accumulator, which pays a long
+//! accumulator product per part. The `poly.power.recurrence` counter
+//! records each factor raised by the recurrence.
 // cqshap-lint: allow-file(no-panic-index) -- convolution kernels index by loop bounds derived from operand lengths
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::{Mutex, OnceLock};
 
 use cqshap_obs::{phase, Counter, Histogram};
@@ -345,11 +368,21 @@ pub fn pascal_down(a: &[BigUint]) -> Option<Vec<BigUint>> {
     Some(q)
 }
 
-/// `⊛` over all polynomials (the empty product is `[1]`), computed as a
-/// balanced divide-and-conquer tree with the independent subtrees
-/// fanned out across up to `threads` scoped threads (`0` = all
-/// available cores). `cancel`, when given, is charged one unit per
-/// tree node and per NTT prime pass.
+/// `⊛` over all polynomials (the empty product is `[1]`).
+///
+/// Equal factors are grouped by content, and each distinct factor that
+/// repeats is raised to its multiplicity in one pass (see *Repeated
+/// factors* in the module docs). The factors that occur once are
+/// multiplied by a balanced divide-and-conquer tree whose independent
+/// subtrees fan out across up to `threads` scoped threads (`0` = all
+/// available cores); the powers and that tree's product are then
+/// multiplied two shortest at a time. Inputs without a repeat take the
+/// tree alone.
+///
+/// `cancel`, when given, is charged one unit per multiplication of two
+/// parts (tree nodes included), per NTT prime pass, and per copy a
+/// power absorbs — so a long power polls the token after every `d`
+/// coefficients (`d` = the factor's degree), never after unbounded work.
 ///
 /// # Errors
 /// [`NumericError::Cancelled`] once `cancel` trips.
@@ -358,10 +391,13 @@ pub fn product_tree(
     threads: usize,
     cancel: Option<&CancelToken>,
 ) -> Result<Vec<BigUint>, NumericError> {
-    tree_product(polys, resolve_threads(threads), Backend::Auto, cancel)
+    let (_, classes) = equal_classes(polys);
+    grouped_product(polys, &classes, resolve_threads(threads), cancel)
 }
 
-/// [`product_tree`] through an explicit [`Backend`], without a token.
+/// The balanced tree of [`product_tree`] over every factor (equal
+/// factors are not grouped) through an explicit [`Backend`], without a
+/// token.
 pub fn product_tree_with(polys: &[&[BigUint]], threads: usize, backend: Backend) -> Vec<BigUint> {
     // Without a token nothing cancels, so the `Err` arm never runs; it
     // recomputes by a sequential fold rather than panic.
@@ -930,6 +966,168 @@ fn tree_product(
     }
 }
 
+/// Groups equal polynomials by content: each input's class index, and
+/// per class (in first-seen order) its content and multiplicity.
+fn equal_classes<'a>(polys: &[&'a [BigUint]]) -> (Vec<usize>, Vec<(&'a [BigUint], usize)>) {
+    let mut class_of = Vec::with_capacity(polys.len());
+    let mut classes: Vec<(&[BigUint], usize)> = Vec::new();
+    let mut seen: HashMap<&[BigUint], usize> = HashMap::new();
+    for &p in polys {
+        let c = *seen.entry(p).or_insert_with(|| {
+            classes.push((p, 0));
+            classes.len() - 1
+        });
+        if let Some((_, n)) = classes.get_mut(c) {
+            *n += 1;
+        }
+        class_of.push(c);
+    }
+    (class_of, classes)
+}
+
+/// The product of `polys`, given their [`equal_classes`]: the tree
+/// alone when nothing repeats; otherwise one [`power`] per repeated
+/// class and one tree over the classes that occur once, multiplied two
+/// shortest at a time.
+fn grouped_product(
+    polys: &[&[BigUint]],
+    classes: &[(&[BigUint], usize)],
+    threads: usize,
+    cancel: Option<&CancelToken>,
+) -> Result<Vec<BigUint>, NumericError> {
+    if classes.len() == polys.len() {
+        return tree_product(polys, threads, Backend::Auto, cancel);
+    }
+    let singles: Vec<&[BigUint]> = classes
+        .iter()
+        .filter(|&&(_, n)| n == 1)
+        .map(|&(u, _)| u)
+        .collect();
+    let mut parts = Vec::with_capacity(classes.len() - singles.len() + 1);
+    for &(u, n) in classes.iter().filter(|&&(_, n)| n > 1) {
+        parts.push(power(u, n, threads, cancel)?);
+    }
+    if !singles.is_empty() {
+        parts.push(tree_product(&singles, threads, Backend::Auto, cancel)?);
+    }
+    // Always multiply the two shortest parts (Huffman's order): parts
+    // of equal length pair up as in a balanced tree, and a long part
+    // waits until the short ones have grown to match it instead of
+    // meeting each of them in turn. The unique sequence number breaks
+    // length ties, so the vectors themselves are never compared.
+    let mut next = parts.len();
+    let mut queue: BinaryHeap<Reverse<(usize, usize, Vec<BigUint>)>> = parts
+        .into_iter()
+        .enumerate()
+        .map(|(i, p)| Reverse((p.len(), i, p)))
+        .collect();
+    while let Some(Reverse((_, _, a))) = queue.pop() {
+        let Some(Reverse((_, _, b))) = queue.pop() else {
+            return Ok(a);
+        };
+        if cancel.is_some_and(|c| c.charge(1)) {
+            return Err(NumericError::Cancelled);
+        }
+        let product = mul_impl(&a, &b, Backend::Auto, cancel)?;
+        queue.push(Reverse((product.len(), next, product)));
+        next += 1;
+    }
+    Ok(vec![BigUint::one()])
+}
+
+/// `u^n` for `n ≥ 2`: by [`power_by_recurrence`] when its words fit,
+/// else by the tree over `n` copies.
+fn power(
+    u: &[BigUint],
+    n: usize,
+    threads: usize,
+    cancel: Option<&CancelToken>,
+) -> Result<Vec<BigUint>, NumericError> {
+    static RECURRENCE: Counter = Counter::new(phase::CTR_POLY_POWER_RECURRENCE);
+    if let Some(p) = power_by_recurrence(u, n, cancel)? {
+        RECURRENCE.incr();
+        return Ok(p);
+    }
+    tree_product(&vec![u; n], threads, Backend::Auto, cancel)
+}
+
+/// `u^n` by J.C.P. Miller's recurrence, or `None` when it does not
+/// apply in words: `u` is zero or empty, a nonzero coefficient of `u`,
+/// a multiplier `|(n+1)·i − k|·v_i` or a divisor `k·v₀` exceeds a
+/// `u64`, or (never, for exact inputs) a division leaves a remainder.
+///
+/// With `u = xˢ·v`, `v₀ ≠ 0` and `d = deg v`, the coefficients of
+/// `P = vⁿ` follow from `v·P' = n·v'·P`: `P₀ = v₀ⁿ` and
+/// `k·v₀·P_k = Σ_{i=1..min(d,k)} ((n+1)·i − k)·v_i·P_{k−i}`. Each `P_k`
+/// costs `min(d, k)` word-by-bignum multiply-adds into two unsigned
+/// accumulators (the terms' signs split them) and one exact word
+/// division. `cancel` is charged once per `d` coefficients — once per
+/// copy of `v` absorbed.
+fn power_by_recurrence(
+    u: &[BigUint],
+    n: usize,
+    cancel: Option<&CancelToken>,
+) -> Result<Option<Vec<BigUint>>, NumericError> {
+    let (Some(s), Some(e)) = (
+        u.iter().position(|c| !c.is_zero()),
+        u.iter().rposition(|c| !c.is_zero()),
+    ) else {
+        return Ok(None);
+    };
+    let words: Option<Vec<u64>> = u
+        .iter()
+        .skip(s)
+        .take(e + 1 - s)
+        .map(BigUint::to_u64)
+        .collect();
+    let (Some(v), Ok(exp)) = (words, u32::try_from(n)) else {
+        return Ok(None);
+    };
+    let Some((&v0, tail)) = v.split_first() else {
+        return Ok(None);
+    };
+    let d = tail.len();
+    let mut p = Vec::with_capacity(n * d + 1);
+    p.push(BigUint::from_u64(v0).pow(exp));
+    let n1 = n as u64 + 1;
+    for copy in 0..n {
+        if cancel.is_some_and(|c| c.charge(1)) {
+            return Err(NumericError::Cancelled);
+        }
+        for k in copy * d + 1..=(copy + 1) * d {
+            let k = k as u64;
+            let (mut pos, mut neg) = (BigUint::zero(), BigUint::zero());
+            // Terms i = 1..=min(d, k): v_i against P_{k−i}, the
+            // computed coefficients read backwards.
+            for (i, (&vi, prev)) in (1u64..).zip(tail.iter().zip(p.iter().rev())) {
+                let (acc, c) = if n1 * i >= k {
+                    (&mut pos, n1 * i - k)
+                } else {
+                    (&mut neg, k - n1 * i)
+                };
+                let Some(m) = c.checked_mul(vi) else {
+                    return Ok(None);
+                };
+                if m != 0 {
+                    acc.add_mul_u64_assign(prev, m);
+                }
+            }
+            let (Some(mut pk), Some(div)) = (pos.checked_sub(&neg), k.checked_mul(v0)) else {
+                return Ok(None);
+            };
+            if pk.div_rem_u64_assign(div) != 0 {
+                return Ok(None);
+            }
+            p.push(pk);
+        }
+    }
+    // uⁿ = x^{n·s}·vⁿ, padded to the conventional n·(len − 1) + 1.
+    let mut out = vec![BigUint::zero(); n * s];
+    out.append(&mut p);
+    out.resize(n * (u.len() - 1) + 1, BigUint::zero());
+    Ok(Some(out))
+}
+
 fn leave_one_out_impl(
     polys: &[&[BigUint]],
     seed: &[BigUint],
@@ -949,22 +1147,12 @@ fn leave_one_out_impl(
     if divisible {
         // One representative per distinct polynomial: equal factors
         // have equal environments.
-        let mut class_of = vec![0usize; polys.len()];
-        let mut reps: Vec<usize> = Vec::new();
-        {
-            let mut seen: HashMap<&[BigUint], usize> = HashMap::new();
-            for (i, p) in polys.iter().enumerate() {
-                let next = reps.len();
-                let c = *seen.entry(p).or_insert(next);
-                if c == next {
-                    reps.push(i);
-                }
-                class_of[i] = c;
-            }
-        }
-        let total = tree_product(polys, threads, Backend::Auto, cancel)?;
+        let (class_of, classes) = equal_classes(polys);
+        let total = grouped_product(polys, &classes, threads, cancel)?;
         let full = mul_impl(seed, &total, Backend::Auto, cancel)?;
-        let rep_envs = par_map_chunks(threads, reps.len(), |r| exact_div(&full, polys[reps[r]]));
+        let rep_envs = par_map_chunks(threads, classes.len(), |r| {
+            classes.get(r).and_then(|&(u, _)| exact_div(&full, u))
+        });
         if let Some(envs) = rep_envs.into_iter().collect::<Option<Vec<Vec<BigUint>>>>() {
             return Ok(class_of.into_iter().map(|c| envs[c].clone()).collect());
         }
@@ -1285,6 +1473,24 @@ mod tests {
     }
 
     #[test]
+    fn miller_recurrence_matches_the_schoolbook_fold() {
+        // The uniform report's root-group factor, 512 copies.
+        let u = v(&[1, 1, 3, 3, 1]);
+        let fold = (0..512).fold(vec![BigUint::one()], |acc, _| mul_schoolbook(&acc, &u));
+        assert_eq!(power_by_recurrence(&u, 512, None), Ok(Some(fold.clone())));
+        let copies = vec![u.as_slice(); 512];
+        assert_eq!(product_tree(&copies, 2, None), Ok(fold));
+        // Leading and trailing zeros: u = x²·(2 + 5x) padded to length 6.
+        let u = v(&[0, 0, 2, 5, 0, 0]);
+        let fold = (0..7).fold(vec![BigUint::one()], |acc, _| mul_schoolbook(&acc, &u));
+        assert_eq!(power_by_recurrence(&u, 7, None), Ok(Some(fold)));
+        // Words that do not fit: the recurrence declines.
+        let wide = vec![BigUint::one(), BigUint::one() << 64];
+        assert_eq!(power_by_recurrence(&wide, 3, None), Ok(None));
+        assert_eq!(power_by_recurrence(&v(&[0, 0]), 3, None), Ok(None));
+    }
+
+    #[test]
     fn cancelled_trees_return_errors() {
         let polys: Vec<Vec<BigUint>> = (0..16).map(|i| v(&[1, i + 1])).collect();
         let refs: Vec<&[BigUint]> = polys.iter().map(|p| p.as_slice()).collect();
@@ -1315,6 +1521,17 @@ mod tests {
         assert_eq!(
             product_tree(&refs[..1], 1, Some(&tripped)),
             Ok(polys[0].clone())
+        );
+        // A long power polls the token too.
+        let copies = vec![refs[1]; 64];
+        assert_eq!(
+            product_tree(&copies, 1, Some(&tripped)),
+            Err(NumericError::Cancelled)
+        );
+        let capped = CancelToken::new(None, Some(10));
+        assert_eq!(
+            product_tree(&copies, 1, Some(&capped)),
+            Err(NumericError::Cancelled)
         );
         // A work cap that trips mid-tree also ends in the error, never
         // in a partial product.

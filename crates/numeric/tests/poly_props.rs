@@ -10,6 +10,8 @@
 //! must stitch several 62-bit primes back into inline *and* heap
 //! `BigUint`s.
 
+use std::collections::HashMap;
+
 use cqshap_numeric::poly::{self, Backend};
 use cqshap_numeric::BigUint;
 use proptest::prelude::*;
@@ -32,6 +34,25 @@ fn arb_poly(max_len: usize) -> impl Strategy<Value = Vec<BigUint>> {
 /// unsatisfying-count vectors.
 fn arb_count_poly() -> impl Strategy<Value = Vec<BigUint>> {
     prop::collection::vec((0u64..=6).prop_map(BigUint::from_u64), 1..=5)
+}
+
+/// A factor for the repeated-factor pool: a count polynomial, one
+/// shifted by `x` (`u₀ = 0`), an all-zero one, a constant, or one with
+/// a coefficient past `2^64` (outside the power recurrence's words).
+fn arb_pool_factor() -> impl Strategy<Value = Vec<BigUint>> {
+    (0u8..5, arb_count_poly(), 1u64..=6).prop_map(|(kind, mut p, c)| {
+        match kind {
+            1 => p.insert(0, BigUint::zero()),
+            2 => p.iter_mut().for_each(|x| *x = BigUint::zero()),
+            3 => p = vec![BigUint::from_u64(c)],
+            4 => {
+                let at = c as usize % p.len();
+                p[at] = (BigUint::one() << 64) + BigUint::from_u64(c);
+            }
+            _ => {}
+        }
+        p
+    })
 }
 
 proptest! {
@@ -68,28 +89,38 @@ proptest! {
 
     /// The parallel product tree and the leave-one-out environments
     /// (division-based, with the descent fallback) match the naive
-    /// fold for every thread cap.
+    /// fold for every thread cap — also when up to 3 pool factors
+    /// repeat up to 40 times each, which raises them as powers.
     #[test]
     fn trees_match_naive_folds(
         polys in prop::collection::vec(arb_count_poly(), 0..=10),
+        repeated in prop::collection::vec((arb_pool_factor(), 1usize..=40), 0..=3),
         seed in arb_count_poly(),
         threads in 1usize..=4,
     ) {
-        let refs: Vec<&[BigUint]> = polys.iter().map(|p| p.as_slice()).collect();
+        let mut refs: Vec<&[BigUint]> = polys.iter().map(|p| p.as_slice()).collect();
+        for (p, n) in &repeated {
+            refs.extend(std::iter::repeat_n(p.as_slice(), *n));
+        }
         let naive = refs.iter().fold(vec![BigUint::one()], |acc, p| {
             poly::mul_with(&acc, p, Backend::Schoolbook)
         });
         prop_assert_eq!(&poly::product_tree(&refs, threads, None).unwrap(), &naive);
         let envs = poly::leave_one_out_products(&refs, &seed, threads, None).unwrap();
         prop_assert_eq!(envs.len(), refs.len());
+        // Copies of one factor have one environment: fold it once.
+        let mut folded: HashMap<&[BigUint], Vec<BigUint>> = HashMap::new();
         for (i, env) in envs.iter().enumerate() {
-            let mut want = seed.clone();
-            for (j, p) in refs.iter().enumerate() {
-                if j != i {
-                    want = poly::mul_with(&want, p, Backend::Schoolbook);
+            let want = folded.entry(refs[i]).or_insert_with(|| {
+                let mut want = seed.clone();
+                for (j, p) in refs.iter().enumerate() {
+                    if j != i {
+                        want = poly::mul_with(&want, p, Backend::Schoolbook);
+                    }
                 }
-            }
-            prop_assert_eq!(env, &want, "environment {}", i);
+                want
+            });
+            prop_assert_eq!(env, &*want, "environment {}", i);
         }
     }
 }

@@ -33,6 +33,9 @@ pub const RECOUNT: &str = "recount";
 /// Compiled-engine component complement `C(endo, k) − unsat_k` (compile
 /// and update).
 pub const COMPLEMENT: &str = "compile.complement";
+/// Compiled-engine product of a component's root-group factors
+/// (compile).
+pub const COMPILE_PRODUCT: &str = "compile.product";
 /// Compiled-engine leave-one-out environments of the components
 /// (compile and update).
 pub const LEAVE_ONE_OUT: &str = "compile.leave-one-out";
@@ -46,6 +49,9 @@ pub const CONTRACT: &str = "report.contract";
 /// from its component's maintained factor product (one exact division
 /// per weight class, or per group for conditional reads).
 pub const CLASS_ENV: &str = "report.class-env";
+/// Report-time reduction of a distinct Shapley numerator over `m!` to
+/// lowest terms (memo misses only: once per distinct numerator).
+pub const NORMALIZE: &str = "report.normalize";
 /// Union (UCQ) compile: per-term engines plus inclusion–exclusion setup.
 pub const UNION_COMPILE: &str = "union-compile";
 /// Union (UCQ) per-term recount enumeration.
@@ -84,6 +90,9 @@ pub const CTR_POLY_KARATSUBA: &str = "poly.mul.karatsuba";
 pub const CTR_POLY_NTT: &str = "poly.mul.ntt";
 /// Primes drawn from the shared NTT prime pool.
 pub const CTR_NTT_PRIME_DRAWS: &str = "poly.ntt.prime-pool.draws";
+/// Repeated factors of a `poly::product_tree` raised to their
+/// multiplicity by Miller's recurrence (one per distinct factor).
+pub const CTR_POLY_POWER_RECURRENCE: &str = "poly.power.recurrence";
 
 /// Iso-class memo hits during compiled recounts.
 pub const CTR_CLASS_MEMO_HIT: &str = "compiled.class-memo.hit";

@@ -17,21 +17,62 @@
 // `no-wall-clock` discipline (see clippy.toml).
 #![allow(clippy::disallowed_methods)]
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::io::{self, BufWriter, Write};
 use std::process::ExitCode;
 
 use cqshap::prelude::*;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    let stdout = io::stdout();
+    let mut out = BufWriter::new(stdout.lock());
+    let result = run(&args, &mut out);
+    // Flush after a failed command too: what it printed precedes the
+    // error.
+    let flushed = out.flush().map_err(CliError::Write);
+    match result.and(flushed) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        // The reader went away (`cqshap report … | head`): nobody is
+        // left to tell.
+        Err(CliError::Write(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(CliError::Write(e)) => {
+            eprintln!("error: writing output: {e}");
+            ExitCode::FAILURE
+        }
+        Err(CliError::Message(msg)) => {
             eprintln!("error: {msg}");
             eprintln!();
             eprintln!("{USAGE}");
             ExitCode::FAILURE
         }
+    }
+}
+
+/// Why a command failed: bad input or a failed computation (reported
+/// with the usage text), or a failed write to stdout. A bare
+/// `io::Error` converts to `Write`, so other I/O (reading the db,
+/// writing the trace) must map its error to a message first.
+enum CliError {
+    Message(String),
+    Write(io::Error),
+}
+
+impl From<String> for CliError {
+    fn from(msg: String) -> Self {
+        CliError::Message(msg)
+    }
+}
+
+impl From<&str> for CliError {
+    fn from(msg: &str) -> Self {
+        CliError::Message(msg.to_string())
+    }
+}
+
+impl From<io::Error> for CliError {
+    fn from(e: io::Error) -> Self {
+        CliError::Write(e)
     }
 }
 
@@ -201,7 +242,7 @@ fn load_db(path: &str) -> Result<Database, String> {
     Database::parse(&text).map_err(|e| format!("parsing {path}: {e}"))
 }
 
-fn run(args: &[String]) -> Result<(), String> {
+fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let Some((command, rest)) = args.split_first() else {
         return Err("missing command".into());
     };
@@ -214,19 +255,19 @@ fn run(args: &[String]) -> Result<(), String> {
         None
     };
     let result = match command.as_str() {
-        "classify" => cmd_classify(&opts),
-        "shapley" => cmd_shapley(&opts),
-        "report" => cmd_report(&opts),
-        "relevance" => cmd_relevance(&opts),
-        "prob" => cmd_prob(&opts),
-        "probability" => cmd_probability(&opts),
-        "satcount" => cmd_satcount(&opts),
-        other => Err(format!("unknown command {other:?}")),
+        "classify" => cmd_classify(&opts, out),
+        "shapley" => cmd_shapley(&opts, out),
+        "report" => cmd_report(&opts, out),
+        "relevance" => cmd_relevance(&opts, out),
+        "prob" => cmd_prob(&opts, out),
+        "probability" => cmd_probability(&opts, out),
+        "satcount" => cmd_satcount(&opts, out),
+        other => Err(format!("unknown command {other:?}").into()),
     };
     match trace {
         Some(recorder) => {
             result?;
-            write_trace(recorder, &opts)
+            write_trace(recorder, &opts, out)
         }
         None => result,
     }
@@ -235,7 +276,11 @@ fn run(args: &[String]) -> Result<(), String> {
 /// Serializes the collected trace window to `--trace-out` (default
 /// `TRACE_report.json`), stamped with the host-core and thread-cap
 /// metadata the run actually used.
-fn write_trace(trace: &cqshap::obs::TraceRecorder, opts: &Options) -> Result<(), String> {
+fn write_trace(
+    trace: &cqshap::obs::TraceRecorder,
+    opts: &Options,
+    out: &mut dyn Write,
+) -> Result<(), CliError> {
     let host_cores = cqshap::numeric::poly::resolve_threads(0);
     let thread_cap =
         cqshap::numeric::poly::resolve_threads(parse_threads(opts.threads.as_deref())?);
@@ -245,11 +290,11 @@ fn write_trace(trace: &cqshap::obs::TraceRecorder, opts: &Options) -> Result<(),
     };
     let path = opts.trace_out.as_deref().unwrap_or("TRACE_report.json");
     std::fs::write(path, trace.to_json(&meta)).map_err(|e| format!("writing {path}: {e}"))?;
-    println!("trace written to {path}");
+    writeln!(out, "trace written to {path}")?;
     Ok(())
 }
 
-fn cmd_classify(opts: &Options) -> Result<(), String> {
+fn cmd_classify(opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     let [query] = opts.positional.as_slice() else {
         return Err("classify needs exactly one query".into());
     };
@@ -262,21 +307,21 @@ fn cmd_classify(opts: &Options) -> Result<(), String> {
         .filter(|s| !s.is_empty())
         .map(str::to_string)
         .collect();
-    println!("query:        {q}");
-    println!("hierarchical: {}", is_hierarchical(&q));
-    println!("polarity-consistent: {}", is_polarity_consistent(&q));
+    writeln!(out, "query:        {q}")?;
+    writeln!(out, "hierarchical: {}", is_hierarchical(&q))?;
+    writeln!(out, "polarity-consistent: {}", is_polarity_consistent(&q))?;
     if exo.is_empty() {
-        println!("verdict (Thm 3.1): {}", classify(&q));
+        writeln!(out, "verdict (Thm 3.1): {}", classify(&q))?;
     } else {
         let mut names: Vec<&str> = exo.iter().map(|s| s.as_str()).collect();
         names.sort();
-        println!("X = {{{}}}", names.join(", "));
-        println!("verdict (Thm 4.3): {}", classify_with_exo(&q, &exo));
+        writeln!(out, "X = {{{}}}", names.join(", "))?;
+        writeln!(out, "verdict (Thm 4.3): {}", classify_with_exo(&q, &exo))?;
     }
     Ok(())
 }
 
-fn cmd_shapley(opts: &Options) -> Result<(), String> {
+fn cmd_shapley(opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     let [db_path, query] = opts.positional.as_slice() else {
         return Err("shapley needs a database file and a query".into());
     };
@@ -294,33 +339,36 @@ fn cmd_shapley(opts: &Options) -> Result<(), String> {
         Some(spec) => {
             let f = find_fact(&db, spec)?;
             let v = session.value(f).map_err(|e| e.to_string())?;
-            println!(
+            writeln!(
+                out,
                 "Shapley(D, {}, {}) = {} ≈ {:.6}",
                 q.name(),
                 db.render_fact(f),
                 v,
                 v.to_f64()
-            );
+            )?;
         }
         None => {
             let report = session.report().map_err(|e| e.to_string())?;
-            print_report(&report);
+            print_report(out, &report)?;
         }
     }
     Ok(())
 }
 
-/// Prints a report's entries plus the efficiency line.
-fn print_report(report: &ShapleyReport) {
+/// Prints a report's entries plus the efficiency line. Facts of
+/// isomorphic root groups share their value, so each distinct value is
+/// formatted once.
+fn print_report(out: &mut dyn Write, report: &ShapleyReport) -> io::Result<()> {
+    let mut formatted: HashMap<&BigRational, (String, f64)> = HashMap::new();
     for entry in &report.entries {
-        println!(
-            "{:<32} {:>16} ≈ {:+.6}",
-            entry.rendered,
-            entry.value.to_string(),
-            entry.value.to_f64()
-        );
+        let (exact, approx) = formatted
+            .entry(&entry.value)
+            .or_insert_with(|| (entry.value.to_string(), entry.value.to_f64()));
+        writeln!(out, "{:<32} {exact:>16} ≈ {approx:+.6}", entry.rendered)?;
     }
-    println!(
+    writeln!(
+        out,
         "Σ = {} ({}: q(D) − q(Dx) = {})",
         report.total,
         if report.efficiency_holds() {
@@ -329,7 +377,7 @@ fn print_report(report: &ShapleyReport) {
             "EFFICIENCY VIOLATED"
         },
         report.expected_total,
-    );
+    )
 }
 
 /// The batched all-facts report: compile the query (CQ¬, UCQ¬, or
@@ -339,7 +387,7 @@ fn print_report(report: &ShapleyReport) {
 /// Multi-rule queries (`;`- or newline-separated) route through the
 /// inclusion–exclusion union engine; `--agg count|sum:VAR` routes a
 /// head-projecting query through the aggregate decomposition.
-fn cmd_report(opts: &Options) -> Result<(), String> {
+fn cmd_report(opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     let [db_path, query] = opts.positional.as_slice() else {
         return Err("report needs a database file and a query".into());
     };
@@ -386,60 +434,66 @@ fn cmd_report(opts: &Options) -> Result<(), String> {
         let elapsed = t0.elapsed();
         match &answer {
             TieredAnswer::Exact(report) => {
-                print_report(report);
-                println!("tier: exact");
+                print_report(out, report)?;
+                writeln!(out, "tier: exact")?;
             }
             TieredAnswer::Sampled(report) => {
-                print_anytime(report);
-                println!(
+                print_anytime(out, report)?;
+                writeln!(
+                    out,
                     "tier: sampled (target ±{}, δ = {})",
                     policy.epsilon, policy.delta
-                );
+                )?;
             }
             TieredAnswer::Wsms(report) => {
-                print_wsms(report);
-                println!("tier: minimal supports (not a Shapley estimate)");
+                print_wsms(out, report)?;
+                writeln!(out, "tier: minimal supports (not a Shapley estimate)")?;
             }
         }
-        println!(
+        writeln!(
+            out,
             "answered in {:.3} ms (prepare {prepared_ms:.3} ms)",
             elapsed.as_secs_f64() * 1e3
-        );
+        )?;
         return Ok(());
     }
     let report = session.report().map_err(|e| e.to_string())?;
     let elapsed = t0.elapsed();
-    print_report(&report);
+    print_report(out, &report)?;
     if report.stats.aggregate_candidates > 0 {
-        println!(
+        writeln!(
+            out,
             "candidates: {} ({} pruned as provably zero)",
             report.stats.aggregate_candidates, report.stats.pruned_candidates
-        );
+        )?;
     }
     if let Some(resolved) = session.strategy() {
-        println!("strategy: {resolved:?}");
+        writeln!(out, "strategy: {resolved:?}")?;
     }
-    println!(
+    writeln!(
+        out,
         "{} facts in {:.3} ms (prepare {prepared_ms:.3} ms)",
         report.entries.len(),
         elapsed.as_secs_f64() * 1e3
-    );
+    )?;
     Ok(())
 }
 
 /// Prints an anytime sampling report: estimates with their confidence
 /// intervals, plus convergence and budget diagnostics.
-fn print_anytime(report: &AnytimeReport) {
+fn print_anytime(out: &mut dyn Write, report: &AnytimeReport) -> io::Result<()> {
     for entry in &report.entries {
-        println!(
+        writeln!(
+            out,
             "{:<32} {:+.6} ± {:.6}{}",
             entry.rendered,
             entry.estimate,
             entry.half_width,
             if entry.converged { "" } else { "  (wide)" }
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "{} draws this call; {}{}",
         report.spent_samples,
         if report.converged {
@@ -452,24 +506,25 @@ fn print_anytime(report: &AnytimeReport) {
         } else {
             ""
         },
-    );
+    )
 }
 
 /// Prints a WSMS report: per-fact minimal-support scores.
-fn print_wsms(report: &WsmsReport) {
+fn print_wsms(out: &mut dyn Write, report: &WsmsReport) -> io::Result<()> {
     for entry in &report.entries {
-        println!(
+        writeln!(
+            out,
             "{:<32} {:>12} ≈ {:+.6}  ({} minimal supports)",
             entry.rendered,
             entry.score.to_string(),
             entry.score.to_f64(),
             entry.supports
-        );
+        )?;
     }
-    println!("{} minimal supports in total", report.minimal_supports);
+    writeln!(out, "{} minimal supports in total", report.minimal_supports)
 }
 
-fn cmd_relevance(opts: &Options) -> Result<(), String> {
+fn cmd_relevance(opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     let [db_path, query] = opts.positional.as_slice() else {
         return Err("relevance needs a database file and a query".into());
     };
@@ -479,17 +534,17 @@ fn cmd_relevance(opts: &Options) -> Result<(), String> {
     let f = find_fact(&db, spec)?;
     let pos = is_positively_relevant(&db, AnyQuery::Cq(&q), f).map_err(|e| e.to_string())?;
     let neg = is_negatively_relevant(&db, AnyQuery::Cq(&q), f).map_err(|e| e.to_string())?;
-    println!("fact:                {}", db.render_fact(f));
-    println!("positively relevant: {pos}");
-    println!("negatively relevant: {neg}");
-    println!("Shapley value zero:  {}", !(pos || neg));
+    writeln!(out, "fact:                {}", db.render_fact(f))?;
+    writeln!(out, "positively relevant: {pos}")?;
+    writeln!(out, "negatively relevant: {neg}")?;
+    writeln!(out, "Shapley value zero:  {}", !(pos || neg))?;
     Ok(())
 }
 
 /// Exact tuple-independent probability (and expected Shapley marginals)
 /// served from a prepared session's compiled engine — the same compile
 /// that answers Shapley values and satisfaction counts.
-fn cmd_prob(opts: &Options) -> Result<(), String> {
+fn cmd_prob(opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     let [db_path, query] = opts.positional.as_slice() else {
         return Err("prob needs a database file and a query".into());
     };
@@ -526,27 +581,29 @@ fn cmd_prob(opts: &Options) -> Result<(), String> {
         Some(spec) => {
             let f = find_fact(&db, spec)?;
             let v = session.expected_shapley(f).map_err(|e| e.to_string())?;
-            println!(
+            writeln!(
+                out,
                 "E[marginal of {}] = {} ≈ {:+.9}",
                 db.render_fact(f),
                 v,
                 v.to_f64()
-            );
+            )?;
         }
         None => {
             let pr = session.probability().map_err(|e| e.to_string())?;
-            println!(
+            writeln!(
+                out,
                 "Pr[D ⊨ q] = {} ≈ {:.9}  (endogenous facts present with p = {} by default)",
                 pr,
                 pr.to_f64(),
                 p
-            );
+            )?;
         }
     }
     Ok(())
 }
 
-fn cmd_probability(opts: &Options) -> Result<(), String> {
+fn cmd_probability(opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     let [db_path, query] = opts.positional.as_slice() else {
         return Err("probability needs a database file and a query".into());
     };
@@ -566,27 +623,29 @@ fn cmd_probability(opts: &Options) -> Result<(), String> {
         .query_probability(&q)
         .or_else(|_| pdb.query_probability_with_rewriting(&q, 10_000_000))
         .map_err(|e| e.to_string())?;
-    println!(
+    writeln!(
+        out,
         "Pr[D ⊨ {}] = {pr:.9}  (endogenous facts present with p = {p})",
         q.name()
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_satcount(opts: &Options) -> Result<(), String> {
+fn cmd_satcount(opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     let [db_path, query] = opts.positional.as_slice() else {
         return Err("satcount needs a database file and a query".into());
     };
     let db = load_db(db_path)?;
     let q = parse_cq(query).map_err(|e| e.to_string())?;
     let counts = cqshap::core::count_sat_hierarchical(&db, &q).map_err(|e| e.to_string())?;
-    println!(
+    writeln!(
+        out,
         "|Sat(D, {}, k)| for k = 0..={}:",
         q.name(),
         counts.len() - 1
-    );
+    )?;
     for (k, c) in counts.iter().enumerate() {
-        println!("  k = {k:<4} {c}");
+        writeln!(out, "  k = {k:<4} {c}")?;
     }
     Ok(())
 }
@@ -697,9 +756,11 @@ mod tests {
     #[test]
     fn classify_command_runs() {
         let opts = parse_options(&strs(&["q() :- R(x), S(x, y), !T(y)", "--exo", "S"])).unwrap();
-        assert!(cmd_classify(&opts).is_ok());
-        assert!(run(&strs(&["classify", "q() :- R(x)"])).is_ok());
-        assert!(run(&strs(&["frobnicate"])).is_err());
-        assert!(run(&[]).is_err());
+        let mut out = Vec::new();
+        assert!(cmd_classify(&opts, &mut out).is_ok());
+        assert!(String::from_utf8_lossy(&out).contains("verdict (Thm 4.3)"));
+        assert!(run(&strs(&["classify", "q() :- R(x)"]), &mut io::sink()).is_ok());
+        assert!(run(&strs(&["frobnicate"]), &mut io::sink()).is_err());
+        assert!(run(&[], &mut io::sink()).is_err());
     }
 }

@@ -5,6 +5,9 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+use cqshap::prelude::*;
+use cqshap::workloads::report_benchmark_db;
+
 /// The database of Figure 1 in the on-disk line format of `cqshap-db`.
 const FIGURE_1: &str = "\
 # Figure 1 of the paper.
@@ -51,13 +54,18 @@ impl Drop for TempDb {
     }
 }
 
-/// Writes the Figure-1 database to a fresh temp file and returns its path.
-fn figure_1_file(tag: &str) -> TempDb {
+/// Writes `text` to a fresh temp database file and returns its path.
+fn temp_db_file(tag: &str, text: &str) -> TempDb {
     let dir = std::env::temp_dir().join(format!("cqshap-cli-smoke-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
-    let path = dir.join("figure1.db");
-    std::fs::write(&path, FIGURE_1).expect("write database file");
+    let path = dir.join("input.db");
+    std::fs::write(&path, text).expect("write database file");
     TempDb { dir, path }
+}
+
+/// Writes the Figure-1 database to a fresh temp file and returns its path.
+fn figure_1_file(tag: &str) -> TempDb {
+    temp_db_file(tag, FIGURE_1)
 }
 
 fn cqshap(args: &[&str]) -> Output {
@@ -124,6 +132,51 @@ fn report_command_prints_values_and_timing() {
     }
     assert!(out.contains("efficiency holds"), "stdout: {out}");
     assert!(out.contains("8 facts in"), "stdout: {out}");
+
+    // A db whose 16 root groups are isomorphic, so values repeat: every
+    // printed entry line equals the in-process report's entry.
+    let uniform = report_benchmark_db(64);
+    let file = temp_db_file("batched-report-uniform", &uniform.to_string());
+    let out = stdout_of(&cqshap(&["report", file.path(), Q1]));
+    let q = parse_cq(Q1).unwrap();
+    let session = ShapleySession::prepare(&uniform, AnyQuery::Cq(&q), &ShapleyOptions::auto())
+        .expect("q1 is hierarchical");
+    let report = session.report().expect("exact report");
+    let want: Vec<String> = report
+        .entries
+        .iter()
+        .map(|e| {
+            format!(
+                "{:<32} {:>16} ≈ {:+.6}",
+                e.rendered,
+                e.value.to_string(),
+                e.value.to_f64()
+            )
+        })
+        .collect();
+    let printed: Vec<&str> = out.lines().take(want.len()).collect();
+    assert_eq!(printed, want, "stdout: {out}");
+    assert!(out.contains("64 facts in"), "stdout: {out}");
+}
+
+/// A full stdout is an error the CLI reports, not a panic.
+#[cfg(target_os = "linux")]
+#[test]
+fn full_stdout_is_an_error_not_a_panic() {
+    let db = figure_1_file("dev-full");
+    let full = std::fs::OpenOptions::new()
+        .write(true)
+        .open("/dev/full")
+        .expect("open /dev/full");
+    let out = Command::new(env!("CARGO_BIN_EXE_cqshap"))
+        .args(["report", db.path(), Q1])
+        .stdout(full)
+        .output()
+        .expect("spawn cqshap");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {err}");
+    assert!(err.contains("error: writing output:"), "stderr: {err}");
+    assert!(!err.contains("panicked"), "stderr: {err}");
 }
 
 #[test]
