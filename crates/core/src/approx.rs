@@ -15,31 +15,39 @@
 //!
 //! ## The anytime estimator
 //!
-//! [`shapley_anytime`] is the budget-aware upgrade: instead of a fixed
-//! Hoeffding sample count per fact, it stratifies the permutation
-//! measure by the target fact's position (the coalition size `k` is
-//! uniform on `0..m`, and conditioned on `k` the preceding coalition is
-//! a uniform `k`-subset), maintains running means and variances per
-//! stratum, and reports a CLT confidence interval per fact. Refinement
-//! is widest-interval-first, so a shared budget concentrates where the
-//! uncertainty is; a tripped [`CancelToken`] returns the partial (still
-//! valid, just wider) intervals instead of an error; and the
-//! [`AnytimeState`] is resumable — a second call tightens the same
-//! estimates rather than starting over.
+//! [`shapley_anytime`] is the budget-aware upgrade. It walks whole
+//! permutations: each walk shuffles the endogenous facts once and
+//! inserts them in that order, and the fact at position `k` contributes
+//! its marginal on top of the `k` facts before it. One walk therefore
+//! yields a marginal for *every* fact. Each marginal is post-stratified
+//! by its position: a fact's position is uniform on `0..m`, and given
+//! the position the preceding coalition is a uniform subset of that
+//! size, so the mean of each (fact, position-stratum) cell is unbiased
+//! for that stratum. Running means and variances per cell give a CLT
+//! confidence interval per fact. Sampling stops after the first walk
+//! that leaves every interval within `±ε`; a tripped [`CancelToken`]
+//! returns the partial (still valid, just wider) intervals instead of
+//! an error; and the [`AnytimeState`] is resumable — a second call
+//! tightens the same estimates rather than starting over.
 //!
-//! ## Cost of a draw
+//! ## Cost of a walk
 //!
-//! Each worker reuses one [`World`], cleared and refilled by endogenous
+//! A walk reuses one [`World`], cleared and then filled position by
 //! position, and evaluates the query through its compiled hash-indexed
-//! join. A draw needs `q` on the coalition and on the coalition plus
-//! `f`, but monotonicity often settles the second answer: when `f`'s
-//! relation occurs only positively, `f` cannot falsify `q`, so a
-//! satisfied coalition has marginal 0; when it occurs only negatively,
-//! `f` cannot satisfy `q`, so an unsatisfied coalition has marginal 0.
-//! A fact whose relation the query never mentions needs no evaluation
-//! at all. The random stream is consumed before any evaluation, so the
-//! skips change no draw. The `approx.evals` and `approx.evals.skipped`
-//! counters, recorded once per call, add up to two per draw.
+//! join. The walk carries the query's answer from step to step, so the
+//! answer before a fact joins is never re-evaluated; the answer after
+//! it joins often needs no evaluation either. When the fact's relation
+//! occurs only positively, the fact cannot falsify `q`, so a satisfied
+//! coalition stays satisfied; when it occurs only negatively, the fact
+//! cannot satisfy `q`, so an unsatisfied coalition stays unsatisfied. A
+//! fact whose relation the query never mentions needs no evaluation at
+//! all. Mixed-polarity relations (Example 5.3) and unions that use a
+//! relation with both signs evaluate every step. The `approx.evals` and
+//! `approx.evals.skipped` counters, recorded once per call, add up to
+//! one per walk step (`m` per walk), and `approx.walks` counts the
+//! walks. [`shapley_sampled`] draws one coalition per sample for a
+//! single fact instead, and needs the answer on both sides of it: its
+//! counters add up to two per draw.
 // cqshap-lint: allow-file(no-panic-index) -- samplers index permutation and tally arrays sized to m in the same scope
 
 use std::time::Duration;
@@ -49,7 +57,7 @@ use cqshap_obs::{phase as obs_phase, Histogram, Span};
 use cqshap_query::analysis::Polarity;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::anyquery::{AnyQuery, CompiledAnyQuery};
 use crate::budget::CancelToken;
@@ -243,9 +251,12 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> &str {
 // ---------------------------------------------------------------------
 
 /// How many position strata the anytime sampler keeps per fact: the
-/// coalition-size range `0..m` is partitioned into at most this many
-/// contiguous buckets (full per-`k` stratification costs `Θ(m)` strata
-/// — quadratic total samples — for no variance benefit at bench sizes).
+/// walk positions `0..m` are partitioned into at most this many
+/// contiguous buckets, and each marginal lands in the bucket of its
+/// position. One stratum per position would leave each cell about
+/// `walks/m` marginals, and a cell below two marginals counts with the
+/// worst-case variance, so every interval would stay wide for `Θ(m)`
+/// walks for no variance benefit at bench sizes.
 const MAX_STRATA: usize = 16;
 
 /// Parameters of [`shapley_anytime`].
@@ -258,8 +269,6 @@ pub struct AnytimeParams {
     /// RNG seed (deterministic runs, and the stream a resumed state
     /// continues).
     pub seed: u64,
-    /// Samples added per refinement step of the widest interval.
-    pub batch: u64,
 }
 
 impl Default for AnytimeParams {
@@ -268,7 +277,6 @@ impl Default for AnytimeParams {
             epsilon: 0.05,
             delta: 0.05,
             seed: 0xC0FFEE,
-            batch: 64,
         }
     }
 }
@@ -276,7 +284,7 @@ impl Default for AnytimeParams {
 /// Running moments of one (fact, position-stratum) cell.
 #[derive(Debug, Clone, Copy, Default)]
 struct StratumStats {
-    /// Draws taken in this stratum.
+    /// Marginals recorded in this stratum.
     n: u64,
     /// Sum of the sampled marginal contributions.
     sum: f64,
@@ -294,12 +302,12 @@ impl StratumStats {
     }
 
     /// Sample variance, conservatively `1` (the bound for values in
-    /// `[-1, 1]` centred anywhere) below two draws, and floored at
+    /// `[-1, 1]` centred anywhere) below two marginals, and floored at
     /// `1/n` afterwards: marginals take values in `{-1, 0, 1}`, so a
-    /// cell whose `n` draws all agreed may still hide a flip of
+    /// cell whose `n` marginals all agreed may still hide a flip of
     /// probability `~1/n` (rule-of-three), worth about that much
-    /// variance. Without the floor, two agreeing bootstrap draws
-    /// collapse the interval to `±0` around a biased estimate.
+    /// variance. Without the floor, two agreeing marginals collapse the
+    /// interval to `±0` around a biased estimate.
     fn variance(&self) -> f64 {
         if self.n < 2 {
             return 1.0;
@@ -312,10 +320,17 @@ impl StratumStats {
     fn variance_term(&self, weight: f64) -> f64 {
         weight * weight * self.variance() / self.n.max(1) as f64
     }
+
+    fn record(&mut self, x: i64) {
+        let x = x as f64;
+        self.n += 1;
+        self.sum += x;
+        self.sumsq += x * x;
+    }
 }
 
 /// Resumable state of the anytime sampler: per-fact, per-stratum
-/// running moments plus the position of the deterministic draw stream.
+/// running moments plus the position of the deterministic walk stream.
 /// Opaque — obtained empty via [`Default`] and threaded back into
 /// [`shapley_anytime`]; invalidated (reset) automatically when the
 /// database's endogenous facts changed since it was filled.
@@ -327,7 +342,8 @@ pub struct AnytimeState {
     stats: Vec<Vec<StratumStats>>,
     /// Half-open coalition-size ranges of the strata.
     strata: Vec<(usize, usize)>,
-    /// Total draws taken, advancing the seed stream across resumes.
+    /// Total marginals recorded (walks × m), advancing the seed stream
+    /// across resumes.
     draws: u64,
 }
 
@@ -366,7 +382,7 @@ pub struct FactEstimate {
     /// CLT half-width: the true value lies in
     /// `estimate ± half_width` with confidence `1 − δ`.
     pub half_width: f64,
-    /// Draws spent on this fact so far.
+    /// Marginals recorded for this fact so far: one per walk.
     pub samples: u64,
     /// Did the interval reach the requested ±ε?
     pub converged: bool,
@@ -382,8 +398,8 @@ pub struct AnytimeReport {
     pub epsilon: f64,
     /// The δ the intervals are computed at.
     pub delta: f64,
-    /// Draws taken across all facts *in this call* (resumed state's
-    /// earlier draws not included).
+    /// Marginals recorded across all facts *in this call*: walks × m
+    /// (a resumed state's earlier walks not included).
     pub spent_samples: u64,
     /// Did every fact converge to ±ε?
     pub converged: bool,
@@ -475,10 +491,22 @@ fn fact_interval(
 struct Marginals<'a> {
     db: &'a Database,
     compiled: &'a CompiledAnyQuery,
-    /// The coalition of the current draw.
+    /// The coalition of the current draw or walk.
     world: World,
     evals: u64,
     skipped: u64,
+}
+
+/// Does the polarity rule settle the answer with a fact of this
+/// polarity on top of a coalition whose answer is `answer`? A fact that
+/// occurs only positively cannot falsify a satisfied query, and one
+/// that occurs only negatively cannot satisfy an unsatisfied one.
+fn settles(polarity: Polarity, answer: bool) -> bool {
+    match polarity {
+        Polarity::Positive => answer,
+        Polarity::Negative => !answer,
+        Polarity::Mixed => false,
+    }
 }
 
 impl<'a> Marginals<'a> {
@@ -503,17 +531,47 @@ impl<'a> Marginals<'a> {
             return 0;
         };
         let before = self.satisfied();
-        let settled = match polarity {
-            Polarity::Positive => before,
-            Polarity::Negative => !before,
-            Polarity::Mixed => false,
-        };
-        if settled {
+        if settles(polarity, before) {
             self.skipped += 1;
             return 0;
         }
         self.world.insert_pos(target);
         self.satisfied() as i64 - before as i64
+    }
+
+    /// One walk step: the fact at endogenous position `p` joins the
+    /// coalition in `self.world`, whose answer is `before`; returns the
+    /// answer after, evaluated only when the polarity rule cannot
+    /// settle it.
+    fn insert(&mut self, p: usize, polarity: Option<Polarity>, before: bool) -> bool {
+        self.world.insert_pos(p);
+        if polarity.is_none_or(|polarity| settles(polarity, before)) {
+            self.skipped += 1;
+            before
+        } else {
+            self.satisfied()
+        }
+    }
+
+    /// One permutation walk: clears the world, then inserts the
+    /// endogenous positions of `order` one by one, carrying the answer
+    /// from step to step (`empty` is the answer on the exogenous facts
+    /// alone). `visit(k, p, x)` receives each step's position `k`, the
+    /// fact's endogenous position `p` and its marginal contribution `x`.
+    fn walk(
+        &mut self,
+        order: &[usize],
+        polarities: &[Option<Polarity>],
+        empty: bool,
+        mut visit: impl FnMut(usize, usize, i64),
+    ) {
+        self.world.clear();
+        let mut answer = empty;
+        for (k, &p) in order.iter().enumerate() {
+            let after = self.insert(p, polarities[p], answer);
+            visit(k, p, after as i64 - answer as i64);
+            answer = after;
+        }
     }
 
     fn satisfied(&mut self) -> bool {
@@ -538,48 +596,19 @@ fn fact_polarities(db: &Database, q: AnyQuery<'_>) -> Vec<Option<Polarity>> {
         .collect()
 }
 
-/// One draw in `stratum` for the fact at endogenous index `target`:
-/// sample a coalition size `k` uniformly from the stratum's range, a
-/// uniform `k`-subset of the other facts by partial Fisher–Yates, and
-/// return the marginal contribution of the target on top of it.
-fn draw_marginal(
-    marginals: &mut Marginals<'_>,
-    target: usize,
-    polarity: Option<Polarity>,
-    stratum: (usize, usize),
-    rng: &mut StdRng,
-    scratch: &mut Vec<usize>,
-) -> i64 {
-    let m = marginals.db.endo_count();
-    let k = if stratum.1 - stratum.0 == 1 {
-        stratum.0
-    } else {
-        rng.gen_range(stratum.0..stratum.1)
-    };
-    scratch.clear();
-    scratch.extend((0..m).filter(|&p| p != target));
-    marginals.world.clear();
-    for i in 0..k {
-        let j = rng.gen_range(i..scratch.len());
-        scratch.swap(i, j);
-        marginals.world.insert_pos(scratch[i]);
-    }
-    marginals.marginal(target, polarity)
-}
-
-// Sampler-exit distributions: how the draws spread over the strata and
-// how tight the per-fact intervals ended up (ppm of the unit range).
+// Sampler-exit distributions: how the marginals spread over the strata
+// and how tight the per-fact intervals ended up (ppm of the unit range).
 static STRATUM_DRAWS: Histogram = Histogram::new(obs_phase::HIST_ANYTIME_STRATUM_DRAWS);
 static HALF_WIDTH_PPM: Histogram = Histogram::new(obs_phase::HIST_ANYTIME_HALF_WIDTH_PPM);
 
 /// Anytime interval estimation of every endogenous fact's Shapley
-/// value (see the [module docs](self)). `state` is resumed when it
-/// matches the database's current endogenous facts and reset
-/// otherwise; pass `&mut None` for one-shot use.
+/// value by permutation walks (see the [module docs](self)). `state` is
+/// resumed when it matches the database's current endogenous facts and
+/// reset otherwise; pass `&mut None` for one-shot use.
 ///
 /// A tripped `cancel` token is *not* an error here: the report returns
 /// with [`AnytimeReport::deadline_hit`] set and whatever interval
-/// widths the spent budget bought.
+/// widths the spent budget bought. Each walk charges `m` work units.
 ///
 /// # Errors
 /// [`CoreError::Unsupported`] for out-of-range ε / δ.
@@ -614,116 +643,52 @@ pub fn shapley_anytime(
     let compiled = q.compile(db);
     let polarities = fact_polarities(db, q);
     let mut marginals = Marginals::new(db, &compiled);
+    let empty = compiled.satisfied(db, &marginals.world);
     let strata = state.strata.clone();
-    let mut scratch: Vec<usize> = Vec::with_capacity(m);
-    let mut spent = 0u64;
-    let mut deadline_hit = false;
-    // A fresh deterministic stream per draw position: resuming replays
-    // nothing and repeats nothing.
-    let mut rng = StdRng::seed_from_u64(params.seed.wrapping_add(state.draws));
-
-    let tripped = |spent: u64| cancel.is_some_and(|token| token.charge(spent.max(1)));
-
-    // Phase 1: bootstrap every stratum to two draws, so every variance
-    // is a sample variance (interleaved fact-major so an early trip
-    // still spreads draws across facts).
-    let bootstrap_span = Span::enter(obs_phase::ANYTIME_BOOTSTRAP);
-    'bootstrap: for round in 0..2u64 {
-        for (target, &polarity) in polarities.iter().enumerate() {
-            if state.stats[target].iter().all(|s| s.n > round) {
-                continue;
-            }
-            if tripped(strata.len() as u64) {
-                deadline_hit = true;
-                break 'bootstrap;
-            }
-            for (si, &stratum) in strata.iter().enumerate() {
-                let cell = &mut state.stats[target][si];
-                if cell.n > round {
-                    continue;
-                }
-                let x = draw_marginal(
-                    &mut marginals,
-                    target,
-                    polarity,
-                    stratum,
-                    &mut rng,
-                    &mut scratch,
-                ) as f64;
-                cell.n += 1;
-                cell.sum += x;
-                cell.sumsq += x * x;
-                spent += 1;
-                state.draws += 1;
-            }
-        }
-    }
-
-    drop(bootstrap_span);
-
-    // Phase 2: refine the widest unconverged interval, one batch at a
-    // time, spending each batch on the stratum contributing the most
-    // variance (weighted Neyman-style allocation, greedily).
-    let refine_span = Span::enter(obs_phase::ANYTIME_REFINE);
-    // Each fact's current half-width; a batch changes only its own fact's.
-    let mut half_widths: Vec<f64> = state
-        .stats
+    // The stratum of each walk position.
+    let stratum_of: Vec<usize> = strata
         .iter()
-        .map(|stats| fact_interval(stats, &strata, m, z).1)
+        .enumerate()
+        .flat_map(|(si, &(lo, hi))| std::iter::repeat_n(si, hi - lo))
         .collect();
-    while !deadline_hit {
-        let mut widest: Option<(usize, f64)> = None;
-        for (target, &hw) in half_widths.iter().enumerate() {
-            if hw > params.epsilon && widest.is_none_or(|(_, w)| hw > w) {
-                widest = Some((target, hw));
-            }
-        }
-        let Some((target, _)) = widest else {
+    let mut order: Vec<usize> = (0..m).collect();
+    let mut walks = 0u64;
+    let mut deadline_hit = false;
+    // The stream is seeded by how many marginals the state already
+    // holds: resuming replays nothing and repeats nothing.
+    let mut rng = StdRng::seed_from_u64(params.seed.wrapping_add(state.draws));
+    // Where the last convergence check found a wide interval: it is
+    // the likeliest to still be wide, so the next check starts there.
+    let mut wide = 0;
+
+    let refine_span = Span::enter(obs_phase::ANYTIME_REFINE);
+    loop {
+        let still_wide = (0..m)
+            .map(|i| (wide + i) % m)
+            .find(|&target| fact_interval(&state.stats[target], &strata, m, z).1 > params.epsilon);
+        let Some(target) = still_wide else {
             break; // every fact is within ±ε
         };
-        if tripped(params.batch.max(1)) {
+        wide = target;
+        if cancel.is_some_and(|token| token.charge(m as u64)) {
             deadline_hit = true;
             break;
         }
-        let (si, _) = state.stats[target]
-            .iter()
-            .zip(&strata)
-            .map(|(cell, &(lo, hi))| cell.variance_term((hi - lo) as f64 / m as f64))
-            .enumerate()
-            .fold(
-                (0, f64::MIN),
-                |best, (i, term)| {
-                    if term > best.1 {
-                        (i, term)
-                    } else {
-                        best
-                    }
-                },
-            );
-        for _ in 0..params.batch.max(1) {
-            let x = draw_marginal(
-                &mut marginals,
-                target,
-                polarities[target],
-                strata[si],
-                &mut rng,
-                &mut scratch,
-            ) as f64;
-            let cell = &mut state.stats[target][si];
-            cell.n += 1;
-            cell.sum += x;
-            cell.sumsq += x * x;
-            spent += 1;
-            state.draws += 1;
-        }
-        half_widths[target] = fact_interval(&state.stats[target], &strata, m, z).1;
+        order.shuffle(&mut rng);
+        let stats = &mut state.stats;
+        marginals.walk(&order, &polarities, empty, |k, p, x| {
+            stats[p][stratum_of[k]].record(x);
+        });
+        walks += 1;
     }
-
     drop(refine_span);
+    let spent = walks * m as u64;
+    state.draws += spent;
     record_evals(marginals.evals, marginals.skipped);
+    cqshap_obs::counter(obs_phase::CTR_APPROX_WALKS, walks);
 
-    // Sampler-exit observability: cumulative draws per stratum and the
-    // final interval widths, recorded once per call.
+    // Sampler-exit observability: cumulative marginals per stratum and
+    // the final interval widths, recorded once per call.
     if cqshap_obs::enabled() {
         (0..strata.len()).for_each(|si| {
             let draws: u64 = state
@@ -868,7 +833,6 @@ mod tests {
             epsilon: 0.04,
             delta: 0.002,
             seed: 11,
-            batch: 64,
         };
         let mut state = None;
         let report = shapley_anytime(&db, AnyQuery::Cq(&q), &params, None, &mut state).unwrap();
@@ -905,7 +869,6 @@ mod tests {
             epsilon: 0.02,
             delta: 0.05,
             seed: 5,
-            batch: 32,
         };
         let mut state = None;
         let first = shapley_anytime(
@@ -969,6 +932,41 @@ mod tests {
         (marginals.evals, marginals.skipped)
     }
 
+    /// Every marginal of `walks` seeded permutation walks equals the
+    /// difference of two full evaluations of the coalitions before and
+    /// after the step; evaluations run plus skipped come to one per
+    /// step, `walks × m` in all.
+    fn check_walks(db: &Database, q: AnyQuery<'_>, walks: u64) -> (u64, u64) {
+        let compiled = q.compile(db);
+        let polarities = fact_polarities(db, q);
+        let mut marginals = Marginals::new(db, &compiled);
+        let empty = compiled.satisfied(db, &World::empty(db));
+        let m = db.endo_count();
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut order: Vec<usize> = (0..m).collect();
+        for _ in 0..walks {
+            order.shuffle(&mut rng);
+            let mut world = World::empty(db);
+            let mut steps = 0;
+            marginals.walk(&order, &polarities, empty, |k, p, x| {
+                assert_eq!(order[k], p);
+                let before = compiled.satisfied(db, &world);
+                world.insert_pos(p);
+                let after = compiled.satisfied(db, &world);
+                assert_eq!(
+                    x,
+                    after as i64 - before as i64,
+                    "{} at position {k} of {order:?}",
+                    db.render_fact(db.endo_facts()[p])
+                );
+                steps += 1;
+            });
+            assert_eq!(steps, m);
+        }
+        assert_eq!(marginals.evals + marginals.skipped, walks * m as u64);
+        (marginals.evals, marginals.skipped)
+    }
+
     #[test]
     fn polarity_skip_settles_one_sided_relations() {
         let db = Database::parse(
@@ -978,6 +976,8 @@ mod tests {
         .unwrap();
         let q = parse_cq("q() :- R(x), S(x, y), !T(y)").unwrap();
         let (evals, skipped) = check_marginals(&db, AnyQuery::Cq(&q));
+        assert!(evals > 0 && skipped > 0);
+        let (evals, skipped) = check_walks(&db, AnyQuery::Cq(&q), 200);
         assert!(evals > 0 && skipped > 0);
         // U occurs nowhere in q: its marginal is 0 without evaluating.
         let u = db.find_fact("U", &["a"]).unwrap();
@@ -996,6 +996,7 @@ mod tests {
         let db = Database::parse("endo R(1, 2)\nendo R(2, 1)\nendo R(3, 3)\n").unwrap();
         let q = parse_cq("q() :- R(x, y), !R(y, x)").unwrap();
         assert_eq!(check_marginals(&db, AnyQuery::Cq(&q)).1, 0);
+        assert_eq!(check_walks(&db, AnyQuery::Cq(&q), 50).1, 0);
         // A union with R positive in one disjunct, negative in the other.
         let db = Database::parse("endo R(a)\nendo R(b)\nendo S(a)\nendo T(b)\n").unwrap();
         let u = cqshap_query::parse_ucq("q() :- R(x), S(x); q() :- T(x), !R(x)").unwrap();
@@ -1003,6 +1004,8 @@ mod tests {
         assert_eq!(polarities[0], Some(Polarity::Mixed));
         let (evals, skipped) = check_marginals(&db, AnyQuery::Union(&u));
         // Only the one-sided S and T facts are ever settled early.
+        assert!(evals > 0 && skipped > 0);
+        let (evals, skipped) = check_walks(&db, AnyQuery::Union(&u), 100);
         assert!(evals > 0 && skipped > 0);
         let compiled = AnyQuery::Union(&u).compile(&db);
         let mut mixed = Marginals::new(&db, &compiled);

@@ -109,8 +109,9 @@ enum EngineState {
     },
     /// The rewriting proved the query always false: every value is 0.
     CqAlwaysFalse,
-    /// Brute-force strategies: per-fact evaluation, no compiled state.
-    CqPerFact,
+    /// Brute-force strategies (the resolution it records): per-fact
+    /// evaluation, no compiled state.
+    CqPerFact(ResolvedStrategy),
     /// UCQ¬ through the inclusion–exclusion engine.
     UnionCompiled(CompiledUnionCount),
     /// UCQ¬ through per-conjunction `ExoShap` terms.
@@ -124,11 +125,13 @@ enum EngineState {
     /// A failed post-update rebuild left no usable engine; reads
     /// surface the stored reason until a successful update re-prepares.
     Poisoned(String),
-    /// No exact engine was ever prepared — the query is out of the
-    /// exact tiers' reach (see
-    /// [`ShapleySession::prepare_with_fallback`]); only the degraded
-    /// tiers serve. Stores the prepare-time reason.
-    ExactUnavailable(String),
+    /// No exact engine is prepared (see
+    /// [`ShapleySession::prepare_with_fallback`]); the degraded tiers
+    /// serve. Stores the degradable error that stopped the prepare: a
+    /// tripped budget, which the next exact read retries under its own
+    /// re-armed budget, or an intractability rejection, which no retry
+    /// can change.
+    ExactUnavailable(CoreError),
 }
 
 /// The lazily built probabilistic state behind a session — the same
@@ -321,7 +324,7 @@ fn build_state(
                     }
                 }
                 ResolvedStrategy::BruteForce | ResolvedStrategy::Permutations => {
-                    EngineState::CqPerFact
+                    EngineState::CqPerFact(resolved)
                 }
             };
             Ok((Some(resolved), Some(complexity), state))
@@ -398,14 +401,18 @@ impl ShapleySession {
 
     /// [`ShapleySession::prepare`], except a *degradable* failure — a
     /// tripped budget, an intractability rejection — yields a session
-    /// without an exact engine instead of an error. Exact reads
-    /// ([`value`](Self::value), [`report`](Self::report)) then fail
-    /// fast with the stored reason, while
+    /// without an exact engine instead of an error.
     /// [`report_tiered`](Self::report_tiered),
-    /// [`anytime`](Self::anytime) and [`wsms`](Self::wsms) still serve;
-    /// updates keep applying (each retries a full prepare, upgrading
-    /// the session to exact the moment one succeeds). Genuine input
-    /// errors propagate exactly as in [`prepare`](Self::prepare).
+    /// [`anytime`](Self::anytime) and [`wsms`](Self::wsms) serve such a
+    /// session. Exact reads ([`value`](Self::value),
+    /// [`report`](Self::report)) depend on the cause: after an
+    /// intractability rejection they fail fast with the stored reason;
+    /// after a tripped budget they re-prepare under their own re-armed
+    /// budget, and raise [`CoreError::DeadlineExceeded`] if it trips
+    /// again. Updates keep applying (each retries a full prepare,
+    /// upgrading the session to exact the moment one succeeds), and so
+    /// does `report_tiered` after a tripped budget. Genuine input errors
+    /// propagate exactly as in [`prepare`](Self::prepare).
     ///
     /// # Errors
     /// Non-degradable prepare failures (arity clashes, malformed
@@ -432,7 +439,7 @@ impl ShapleySession {
                     spec,
                     resolved: None,
                     complexity,
-                    state: EngineState::ExactUnavailable(e.to_string()),
+                    state: EngineState::ExactUnavailable(e),
                     probs: FactProbabilities::uniform(BigRational::from_i64_ratio(1, 2)),
                     prob: ProbState::NotBuilt,
                     stats: SessionStats::default(),
@@ -549,14 +556,37 @@ impl ShapleySession {
         Ok(())
     }
 
-    fn check_exact_available(&self) -> Result<(), CoreError> {
-        if let EngineState::ExactUnavailable(reason) = &self.state {
-            return Err(CoreError::Unsupported(format!(
-                "no exact engine was prepared ({reason}); serve this session through \
+    /// The engine state an exact read serves from, when it is not the
+    /// session's own: a session whose prepare tripped the budget
+    /// re-prepares under the budget the read re-armed (a `&self` read
+    /// cannot keep the result); one rejected as intractable fails fast
+    /// with the stored reason.
+    fn unprepared_state(&self) -> Result<Option<EngineState>, CoreError> {
+        match &self.state {
+            EngineState::ExactUnavailable(CoreError::DeadlineExceeded { .. }) => {
+                build_state(&self.db, &self.spec, &self.options, self.cancel.as_ref())
+                    .map(|(_, _, state)| Some(state))
+            }
+            EngineState::ExactUnavailable(cause) => Err(CoreError::Unsupported(format!(
+                "no exact engine was prepared ({cause}); serve this session through \
                  report_tiered(), anytime(), or wsms()"
-            )));
+            ))),
+            _ => Ok(None),
         }
-        Ok(())
+    }
+
+    /// Installs a freshly built engine state.
+    fn install(
+        &mut self,
+        (resolved, complexity, state): (
+            Option<ResolvedStrategy>,
+            Option<ExactComplexity>,
+            EngineState,
+        ),
+    ) {
+        self.resolved = resolved;
+        self.complexity = complexity;
+        self.state = state;
     }
 
     /// Is the session poisoned (no usable engine after a failed
@@ -567,7 +597,8 @@ impl ShapleySession {
 
     /// Does the session lack an exact engine (prepared via
     /// [`ShapleySession::prepare_with_fallback`] on an intractable or
-    /// over-budget query)? Degraded tiers still serve.
+    /// over-budget query)? Degraded tiers still serve, and an
+    /// over-budget session retries its prepare on every exact read.
     pub fn is_exact_unavailable(&self) -> bool {
         matches!(self.state, EngineState::ExactUnavailable(_))
     }
@@ -587,10 +618,8 @@ impl ShapleySession {
         }
         self.rearm();
         match build_state(&self.db, &self.spec, &self.options, self.cancel.as_ref()) {
-            Ok((resolved, complexity, state)) => {
-                self.resolved = resolved;
-                self.complexity = complexity;
-                self.state = state;
+            Ok(built) => {
+                self.install(built);
                 self.prob = ProbState::NotBuilt;
                 Ok(())
             }
@@ -617,9 +646,10 @@ impl ShapleySession {
     /// per-fact fallback strategies raise.
     pub fn value(&self, f: FactId) -> Result<BigRational, CoreError> {
         self.check_not_poisoned()?;
-        self.check_exact_available()?;
         self.rearm();
-        match (&self.spec, &self.state) {
+        let unprepared = self.unprepared_state()?;
+        let state = unprepared.as_ref().unwrap_or(&self.state);
+        match (&self.spec, state) {
             (_, EngineState::CqCompiled(engine)) => engine.value(&self.db, f),
             (_, EngineState::CqRewritten { db, engine }) => {
                 self.check_endogenous(f)?;
@@ -640,7 +670,7 @@ impl ShapleySession {
             // The per-fact routes (brute force, permutations, aggregate
             // candidates) serve one fact as a batch of one.
             _ => Ok(self
-                .values_armed(&[f])?
+                .values_armed(state, &[f])?
                 .pop()
                 // cqshap-lint: allow(no-panic) -- the batch requested exactly one fact, so exactly one value exists
                 .expect("one fact requested")),
@@ -655,15 +685,20 @@ impl ShapleySession {
     /// As [`ShapleySession::value`], for any fact of the slice.
     pub fn values(&self, facts: &[FactId]) -> Result<Vec<BigRational>, CoreError> {
         self.check_not_poisoned()?;
-        self.check_exact_available()?;
         self.rearm();
-        self.values_armed(facts)
+        let unprepared = self.unprepared_state()?;
+        self.values_armed(unprepared.as_ref().unwrap_or(&self.state), facts)
     }
 
-    /// [`ShapleySession::values`] without re-arming the budget, for
-    /// internal callers that already armed it for a larger phase.
-    fn values_armed(&self, facts: &[FactId]) -> Result<Vec<BigRational>, CoreError> {
-        match (&self.spec, &self.state) {
+    /// [`ShapleySession::values`] from `state` without re-arming the
+    /// budget, for internal callers that already armed it for a larger
+    /// phase.
+    fn values_armed(
+        &self,
+        state: &EngineState,
+        facts: &[FactId],
+    ) -> Result<Vec<BigRational>, CoreError> {
+        match (&self.spec, state) {
             (_, EngineState::CqCompiled(engine)) => {
                 engine_values(&self.db, engine, facts, self.options.threads)
             }
@@ -679,19 +714,15 @@ impl ShapleySession {
                 }
                 Ok(vec![BigRational::zero(); facts.len()])
             }
-            (QuerySpec::Cq(q), EngineState::CqPerFact) => {
-                // cqshap-lint: allow(no-panic) -- per-fact state records its resolution when built
-                let resolved = self.resolved.expect("per-fact state has a resolution");
-                per_fact_values(
-                    &self.db,
-                    q,
-                    facts,
-                    resolved,
-                    &self.options,
-                    self.cancel.as_ref(),
-                    false,
-                )
-            }
+            (QuerySpec::Cq(q), &EngineState::CqPerFact(resolved)) => per_fact_values(
+                &self.db,
+                q,
+                facts,
+                resolved,
+                &self.options,
+                self.cancel.as_ref(),
+                false,
+            ),
             (_, EngineState::UnionCompiled(engine)) => {
                 engine_values(&self.db, engine, facts, self.options.threads)
             }
@@ -739,13 +770,14 @@ impl ShapleySession {
     pub fn report(&self) -> Result<ShapleyReport, CoreError> {
         let _span = cqshap_obs::Span::enter(cqshap_obs::phase::REPORT);
         self.check_not_poisoned()?;
-        self.check_exact_available()?;
         self.rearm();
-        if matches!(self.state, EngineState::CqAlwaysFalse) {
+        let unprepared = self.unprepared_state()?;
+        let state = unprepared.as_ref().unwrap_or(&self.state);
+        if matches!(state, EngineState::CqAlwaysFalse) {
             return Ok(zero_report(&self.db));
         }
         let facts: Vec<FactId> = self.db.endo_facts().to_vec();
-        let expected = match (&self.spec, &self.state) {
+        let expected = match (&self.spec, state) {
             (QuerySpec::Cq(_), EngineState::CqRewritten { db, engine }) => {
                 efficiency_target(db, AnyQuery::Cq(engine.query()))
             }
@@ -758,7 +790,7 @@ impl ShapleySession {
         // Engine paths accumulate the value total over the common
         // denominator `m!` (one normalization) — summing the reduced
         // per-fact rationals instead costs a gcd per entry.
-        let report = match &self.state {
+        let report = match state {
             EngineState::CqCompiled(engine) => {
                 let (values, total) =
                     engine_report_values(&self.db, engine, &facts, self.options.threads)?;
@@ -778,9 +810,9 @@ impl ShapleySession {
                 let (values, total) = exo_union_values(terms, &facts, self.cancel.as_ref())?;
                 assemble_report_with_total(&self.db, values, total, expected)
             }
-            _ => assemble_report(&self.db, self.values_armed(&facts)?, expected),
+            _ => assemble_report(&self.db, self.values_armed(state, &facts)?, expected),
         };
-        Ok(match &self.state {
+        Ok(match state {
             EngineState::Aggregate(engines) => report.with_stats(engines.stats),
             _ => report,
         })
@@ -818,11 +850,13 @@ impl ShapleySession {
         }
     }
 
-    /// The anytime estimator: stratified permutation sampling with CLT
-    /// confidence intervals for *every* endogenous fact, refined
-    /// widest-interval-first until each reaches `±ε` at confidence
-    /// `1 − δ` — or until the session budget trips, in which case the
-    /// partial (still valid, just wider) intervals are returned with
+    /// The anytime estimator: permutation walks with CLT confidence
+    /// intervals for *every* endogenous fact. Each walk yields one
+    /// marginal per fact, post-stratified by its position; walks
+    /// continue until every interval is within `±ε` at confidence
+    /// `1 − δ` — or until the session budget trips (each walk charges
+    /// `m` work units), in which case the partial (still valid, just
+    /// wider) intervals are returned with
     /// [`AnytimeReport::deadline_hit`] set rather than an error.
     ///
     /// The sampler state is retained: a second call resumes the same
@@ -895,17 +929,30 @@ impl ShapleySession {
     /// plus anything the allowed tiers raise themselves.
     pub fn report_tiered(&mut self, policy: &TierPolicy) -> Result<TieredAnswer, CoreError> {
         let _span = cqshap_obs::Span::enter(cqshap_obs::phase::REPORT_TIERED);
-        let exact_unavailable = matches!(self.state, EngineState::ExactUnavailable(_));
-        let exact_err = match self.report() {
-            Ok(report) => {
-                cqshap_obs::event(cqshap_obs::phase::EV_TIER_ANSWER, "exact");
-                return Ok(TieredAnswer::Exact(report));
+        // A prepare that tripped the budget is retried, and its engine
+        // kept once it fits.
+        if matches!(
+            self.state,
+            EngineState::ExactUnavailable(CoreError::DeadlineExceeded { .. })
+        ) {
+            self.rearm();
+            match build_state(&self.db, &self.spec, &self.options, self.cancel.as_ref()) {
+                Ok(built) => self.install(built),
+                Err(e) if tier_degradable(&e) => self.state = EngineState::ExactUnavailable(e),
+                Err(e) => return Err(e),
             }
-            Err(e) => e,
+        }
+        let exact_err = match &self.state {
+            EngineState::ExactUnavailable(cause) => cause.clone(),
+            _ => match self.report() {
+                Ok(report) => {
+                    cqshap_obs::event(cqshap_obs::phase::EV_TIER_ANSWER, "exact");
+                    return Ok(TieredAnswer::Exact(report));
+                }
+                Err(e) => e,
+            },
         };
-        if (!exact_unavailable && !tier_degradable(&exact_err))
-            || !(policy.allow_sampled || policy.allow_wsms)
-        {
+        if !tier_degradable(&exact_err) || !(policy.allow_sampled || policy.allow_wsms) {
             return Err(exact_err);
         }
         tier_demote_event("exact", &exact_err);
@@ -914,7 +961,6 @@ impl ShapleySession {
                 epsilon: policy.epsilon,
                 delta: policy.delta,
                 seed: policy.seed,
-                ..AnytimeParams::default()
             };
             match self.anytime(&params) {
                 // A converged report answers the request; a partial one
@@ -1283,10 +1329,8 @@ impl ShapleySession {
             return Ok(());
         }
         match build_state(&self.db, &self.spec, &self.options, self.cancel.as_ref()) {
-            Ok((resolved, complexity, state)) => {
-                self.resolved = resolved;
-                self.complexity = complexity;
-                self.state = state;
+            Ok(built) => {
+                self.install(built);
                 self.stats.updates += 1;
                 self.stats.full_recompiles += 1;
                 self.anytime = None;
@@ -1300,7 +1344,7 @@ impl ShapleySession {
                 if tier_degradable(&e)
                     && matches!(self.state, EngineState::ExactUnavailable(_)) =>
             {
-                self.state = EngineState::ExactUnavailable(e.to_string());
+                self.state = EngineState::ExactUnavailable(e);
                 self.stats.updates += 1;
                 self.anytime = None;
                 Ok(())
@@ -1326,11 +1370,7 @@ impl ShapleySession {
         // restoration rebuild deserves a fresh budget of its own.
         self.rearm();
         match build_state(&self.db, &self.spec, &self.options, self.cancel.as_ref()) {
-            Ok((resolved, complexity, state)) => {
-                self.resolved = resolved;
-                self.complexity = complexity;
-                self.state = state;
-            }
+            Ok(built) => self.install(built),
             // A fallback session never had an exact engine to lose: a
             // degradable rebuild failure leaves it serving its degraded
             // tiers from the restored database.
@@ -1339,7 +1379,7 @@ impl ShapleySession {
                     && matches!(self.state, EngineState::ExactUnavailable(_)) =>
             {
                 self.resolved = None;
-                self.state = EngineState::ExactUnavailable(e.to_string());
+                self.state = EngineState::ExactUnavailable(e);
             }
             Err(e) => {
                 self.resolved = None;

@@ -73,9 +73,12 @@ pub const WSMS: &str = "wsms";
 
 /// Anytime sampler: whole `shapley_anytime` call.
 pub const ANYTIME: &str = "anytime";
-/// Anytime sampler: the fixed bootstrap rounds.
+/// Anytime sampler: the fixed bootstrap rounds of the per-fact draw
+/// loop the permutation walks replaced. No span records it any more;
+/// the key stays so readers of older traces and the benchmark's fixed
+/// metric set keep resolving it.
 pub const ANYTIME_BOOTSTRAP: &str = "anytime.bootstrap";
-/// Anytime sampler: the deadline-bounded refinement loop.
+/// Anytime sampler: the deadline-bounded permutation walks.
 pub const ANYTIME_REFINE: &str = "anytime.refine";
 
 // ---------------------------------------------------------------------
@@ -109,14 +112,17 @@ pub const CTR_NUMERATOR_MEMO_HIT: &str = "compiled.numerator-memo.hit";
 /// Shapley-numerator memo misses (contractions run).
 pub const CTR_NUMERATOR_MEMO_MISS: &str = "compiled.numerator-memo.miss";
 
-/// Query evaluations the permutation samplers ran (two per draw, less
-/// the skipped ones).
+/// Query evaluations the permutation samplers ran: two per
+/// single-fact draw and one per walk step, less the skipped ones.
 pub const CTR_APPROX_EVALS: &str = "approx.evals";
-/// Query evaluations the permutation samplers skipped because the drawn
+/// Query evaluations the permutation samplers skipped because the
 /// fact's relation occurs with one polarity and the coalition's own
-/// answer already fixes the marginal at 0 (both evaluations of a fact
+/// answer already fixes the marginal at 0 (every evaluation of a fact
 /// whose relation the query never mentions).
 pub const CTR_APPROX_EVALS_SKIPPED: &str = "approx.evals.skipped";
+/// Permutation walks of the anytime sampler (each yields one marginal
+/// per endogenous fact).
+pub const CTR_APPROX_WALKS: &str = "approx.walks";
 
 /// Aggregate candidate groups discovered during prepare.
 pub const CTR_AGG_CANDIDATES: &str = "aggregate.candidates";

@@ -172,3 +172,107 @@ fn sampled_estimates_propagate_errors_instead_of_panicking() {
     assert!(required_samples(-0.2, 0.5).is_err());
     assert!(required_samples(0.05, 0.01).is_ok());
 }
+
+#[test]
+fn a_deadline_during_prepare_is_retried_not_reported_as_intractable() {
+    // q1 is hierarchical: the work cap trips while compiling it, and
+    // nothing about the query is out of reach. Every exact read
+    // re-prepares under its own re-armed budget and trips again.
+    let db = cqshap::workloads::report_benchmark_db(1024);
+    let q1 = cqshap::workloads::queries::q1();
+    let options = ShapleyOptions::auto().budget(Budget::work_units(1));
+    let session = ShapleySession::prepare_with_fallback(&db, AnyQuery::Cq(&q1), &options).unwrap();
+    assert!(session.is_exact_unavailable());
+    let f = db.endo_facts()[0];
+    for err in [
+        session.report().unwrap_err(),
+        session.value(f).unwrap_err(),
+        session.values(&[f]).unwrap_err(),
+    ] {
+        assert!(
+            matches!(err, CoreError::DeadlineExceeded { .. }),
+            "expected DeadlineExceeded, got: {err}"
+        );
+    }
+
+    // q_RS¬T is non-hierarchical, and past the brute-force limit no
+    // exact strategy takes it: the stored rejection answers every
+    // exact read as is, without a fresh prepare.
+    let db = rst_instance(3, 2);
+    let q = parse_cq(Q_RST).unwrap();
+    let options = ShapleyOptions::auto()
+        .brute_force_limit(8)
+        .budget(Budget::work_units(1));
+    let session = ShapleySession::prepare_with_fallback(&db, AnyQuery::Cq(&q), &options).unwrap();
+    assert!(session.is_exact_unavailable());
+    let err = session.report().unwrap_err();
+    assert!(
+        matches!(&err, CoreError::Unsupported(reason) if reason.contains("no exact engine")),
+        "expected the stored intractability reason, got: {err}"
+    );
+}
+
+/// `q_RS¬T` over `n` constants per side: `R(xi)`, `T(yi)` and `d ≤ n`
+/// edges `S(xi, y((i + j) mod n))` per `xi`, all endogenous.
+fn rst_instance(n: usize, d: usize) -> Database {
+    let mut db = Database::new();
+    for i in 0..n {
+        db.add_endo("R", &[&format!("x{i}")]).unwrap();
+    }
+    for i in 0..n {
+        for j in 0..d {
+            let y = (i + j) % n;
+            db.add_endo("S", &[&format!("x{i}"), &format!("y{y}")])
+                .unwrap();
+        }
+    }
+    for i in 0..n {
+        db.add_endo("T", &[&format!("y{i}")]).unwrap();
+    }
+    db
+}
+
+const Q_RST: &str = "q() :- R(x), S(x, y), !T(y)";
+
+/// A union in which `R` and `T` each occur with both polarities.
+const U_MIXED: &str = "q() :- R(x), S(x, y), !T(y); q() :- T(y), S(x, y), !R(x)";
+
+/// The pooled rate at which the sampler's intervals miss the exact
+/// value, over every fact of `runs` seeded runs.
+fn miss_rate(db: &Database, q: AnyQuery<'_>, exact: &ShapleyReport, runs: u64) -> f64 {
+    let params = AnytimeParams {
+        epsilon: 0.1,
+        delta: 0.05,
+        ..AnytimeParams::default()
+    };
+    let mut misses = 0;
+    let mut intervals = 0;
+    for seed in 0..runs {
+        let params = AnytimeParams { seed, ..params };
+        let report = shapley_anytime(db, q, &params, None, &mut None).unwrap();
+        assert!(report.converged);
+        for e in &report.entries {
+            let truth = exact.entry(e.fact).unwrap().value.to_f64();
+            misses += usize::from((e.estimate - truth).abs() > e.half_width);
+            intervals += 1;
+        }
+    }
+    misses as f64 / intervals as f64
+}
+
+#[test]
+fn anytime_intervals_miss_at_most_delta_of_the_time() {
+    // 3 R, 3 T and 2 S edges per x: m = 12, small enough for the exact
+    // values by subset enumeration.
+    let db = rst_instance(3, 2);
+    assert_eq!(db.endo_count(), 12);
+    let subsets = ShapleyOptions::default().strategy(Strategy::BruteForceSubsets);
+    let q = parse_cq(Q_RST).unwrap();
+    let exact = shapley_report(&db, &q, &subsets).unwrap();
+    let rate = miss_rate(&db, AnyQuery::Cq(&q), &exact, 200);
+    assert!(rate <= 0.05, "q_RS¬T: pooled miss rate {rate}");
+    let u = parse_ucq(U_MIXED).unwrap();
+    let exact = shapley_report_union(&db, &u, &subsets).unwrap();
+    let rate = miss_rate(&db, AnyQuery::Union(&u), &exact, 200);
+    assert!(rate <= 0.05, "U_MIXED: pooled miss rate {rate}");
+}

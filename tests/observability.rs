@@ -130,12 +130,13 @@ fn aggregate_stats_view_matches_trace_counters() {
     );
 }
 
-/// The sampler's evaluation counters are exact: every draw needs the
-/// query on the coalition with and without the drawn fact, and each of
-/// those two evaluations is either run or skipped (this is the only
-/// test in the binary driving the samplers).
+/// The sampler's evaluation counters are exact: a single-fact draw
+/// needs the query on the coalition with and without the drawn fact,
+/// a walk step only with it (the walk carries the answer without it),
+/// and each of those evaluations is either run or skipped (this is the
+/// only test in the binary driving the samplers).
 #[test]
-fn sampler_evaluation_counters_add_up_to_two_per_draw() {
+fn sampler_evaluation_counters_account_for_every_marginal() {
     let t = trace();
     let db = Database::parse(
         "endo R(a)\nendo R(b)\nendo S(a, c)\nendo S(b, c)\nendo S(b, d)\n\
@@ -151,10 +152,11 @@ fn sampler_evaluation_counters_add_up_to_two_per_draw() {
         shapley_anytime(&db, AnyQuery::Cq(&q), &params, None, &mut None).expect("valid params");
     let t_fact = db.find_fact("T", &["c"]).expect("exists");
     let sampled = shapley_sampled(&db, AnyQuery::Cq(&q), t_fact, 500, 1, 2).expect("endogenous");
-    let draws = report.spent_samples + sampled.samples;
+    let walks = t.counter_value(obs::phase::CTR_APPROX_WALKS);
+    assert_eq!(report.spent_samples, walks * db.endo_count() as u64);
     let evals = t.counter_value(obs::phase::CTR_APPROX_EVALS);
     let skipped = t.counter_value(obs::phase::CTR_APPROX_EVALS_SKIPPED);
-    assert_eq!(evals + skipped, 2 * draws);
+    assert_eq!(evals + skipped, report.spent_samples + 2 * sampled.samples);
     // R and S occur only positively, T only negatively, U not at all:
     // every relation here lets some evaluations be skipped.
     assert!(evals > 0 && skipped > 0, "{evals} run, {skipped} skipped");

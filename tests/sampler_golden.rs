@@ -3,10 +3,10 @@
 //! the Section 5.1 estimator is the only answer).
 //!
 //! The samplers are deterministic given a seed, so every estimate,
-//! half-width, per-fact draw count and flip tally below is pinned bit
-//! for bit. A change to the evaluation engine or to the draw loop that
-//! alters any of them changes what a draw means, not just how fast it
-//! runs.
+//! half-width, per-fact marginal count and flip tally below is pinned
+//! bit for bit. A change to the evaluation engine, the draw loop or the
+//! walk loop that alters any of them changes what a sample means, not
+//! just how fast it runs.
 
 use cqshap::prelude::*;
 
@@ -58,33 +58,34 @@ fn report_digest(report: &AnytimeReport) -> u64 {
     }))
 }
 
-/// `(fact, estimate bits, half-width bits, draws)` of
-/// `shapley_anytime` at ε = 0.1, seed 11, on `rst_instance(6, 2)`.
+/// `(fact, estimate bits, half-width bits, marginals)` of
+/// `shapley_anytime` at ε = 0.1, seed 11, on `rst_instance(6, 2)`:
+/// 158 permutation walks, one marginal per fact each.
 const ANYTIME_GOLDEN: &[(&str, u64, u64, u64)] = &[
-    ("R(x0)", 0x3fb79890cede6244, 0x3fb7d6297c48a870, 736),
-    ("R(x1)", 0x3fbc1f07c1f07c1f, 0x3fb7da7235332f6b, 736),
-    ("R(x2)", 0x3fb79890cede6242, 0x3fb7da170538e24c, 736),
-    ("R(x3)", 0x3fb64d9364d9364f, 0x3fb7d54cc672f18b, 736),
-    ("R(x4)", 0x3fbbcc48676f3121, 0x3fb7d51bf5c5d50e, 736),
-    ("R(x5)", 0x3fb83e0f83e0f83d, 0x3fb7ddddc2a78a42, 736),
-    ("S(x0, y0)", 0x3fa6f31219dbcc48, 0x3fb7a3c31a48d1c8, 736),
-    ("S(x0, y1)", 0x3fa3b79890cede62, 0x3fb79a8f99daccfb, 736),
-    ("S(x1, y5)", 0x3fa7eb50295fad41, 0x3fb7a7b2976268e2, 736),
-    ("S(x1, y0)", 0x3fa5fad40a57eb51, 0x3fb79f56c4916cea, 736),
-    ("S(x2, y4)", 0x3f9b26c9b26c9b28, 0x3fb7893bab3f5bbc, 736),
-    ("S(x2, y5)", 0x3fb14afd6a052bf5, 0x3fb7a49f7add53b9, 736),
-    ("S(x3, y3)", 0x3fa5fad40a57eb51, 0x3fb7a2193c862a87, 736),
-    ("S(x3, y4)", 0x3fb1219dbcc48676, 0x3fb7a544352015cb, 736),
-    ("S(x4, y2)", 0x3fae0f83e0f83e0f, 0x3fb798e0cc852d09, 736),
-    ("S(x4, y3)", 0x3fa64d9364d9364e, 0x3fb7a3ede5968943, 736),
-    ("S(x5, y1)", 0x3fa1219dbcc48677, 0x3fb794bb5b39bfae, 736),
-    ("S(x5, y2)", 0x3fa64d9364d9364d, 0x3fb7a342b68ed157, 736),
-    ("T(y0)", 0xbfc8e38e38e38e38, 0x3fb7e3f916813a3b, 736),
-    ("T(y1)", 0xbfc94afd6a052bf5, 0x3fb7d72a3bf34201, 736),
-    ("T(y2)", 0xbfd03e0f83e0f83e, 0x3fb7d9e200841dd6, 736),
-    ("T(y3)", 0xbfc638e38e38e38e, 0x3fb7dac7074e3da3, 736),
-    ("T(y4)", 0xbfc3e0f83e0f83e0, 0x3fb7e92e66de3d0d, 736),
-    ("T(y5)", 0xbfcafd6a052bf5a7, 0x3fb7e3b5556f0893, 736),
+    ("R(x0)", 0x3fb8a8e7a5c02d78, 0x3fb23a787bb2683d, 158),
+    ("R(x1)", 0x3fb7e33fea11cb8e, 0x3fb3206d7b29d633, 158),
+    ("R(x2)", 0x3fb450efb9a6450e, 0x3fad42e93f27f8fe, 158),
+    ("R(x3)", 0x3fb5fdcd09fdcd0a, 0x3faff0fd6aaa02fb, 158),
+    ("R(x4)", 0x3fc19ee767b9d9ef, 0x3fb429930b49bc5f, 158),
+    ("R(x5)", 0x3fc3988a04bf53b7, 0x3fb0fabb1dc5c724, 158),
+    ("S(x0, y0)", 0x3f9a8641fdb97531, 0x3faf17add1d610ba, 158),
+    ("S(x0, y1)", 0x3fa8395df0395df0, 0x3fb1e48ce2ebe587, 158),
+    ("S(x1, y5)", 0x3fac444444444444, 0x3faf638dba1c50d6, 158),
+    ("S(x1, y0)", 0x3fa44b298bcf0a83, 0x3fad8d07bc12a3fe, 158),
+    ("S(x2, y4)", 0x3fb2a0c723b80cf5, 0x3faef12d31edc534, 158),
+    ("S(x2, y5)", 0x3fac231786cdc230, 0x3fb31f33c731be54, 158),
+    ("S(x3, y3)", 0x3fad426335426336, 0x3fb064ce6c4a1f90, 158),
+    ("S(x3, y4)", 0x3fa6839aa6458b22, 0x3fb1f4fbd907f4ac, 158),
+    ("S(x4, y2)", 0x3fa2969dc6f3b50d, 0x3fac0186c7cedfd3, 158),
+    ("S(x4, y3)", 0x3fa986edc431986e, 0x3fb1bc53e239133e, 158),
+    ("S(x5, y1)", 0x3f92cc0f6dbe962a, 0x3fb03406732c36db, 158),
+    ("S(x5, y2)", 0x3fa3c796d3c796d3, 0x3fb2b69433197dba, 158),
+    ("T(y0)", 0xbfc87b87b87b87b8, 0x3fb0ca7713448b22, 158),
+    ("T(y1)", 0xbfc3027027027026, 0x3fb203869d6b3a05, 158),
+    ("T(y2)", 0xbfce1a0e3c0a8a5b, 0x3faf9ae6e410f59f, 158),
+    ("T(y3)", 0xbfca7ff5cd2aa078, 0x3fb0c0d8bb4b5b1e, 158),
+    ("T(y4)", 0xbfcb010565abb010, 0x3fb0b1f4691438bd, 158),
+    ("T(y5)", 0xbfcc4e30ad25c4e3, 0x3fb0dd60e73ec881, 158),
 ];
 
 /// `(fact, estimate bits, positive flips, negative flips)` of
@@ -121,7 +122,7 @@ fn anytime_report_matches_golden_values() {
     let report =
         shapley_anytime(&db, AnyQuery::Cq(&q), &anytime_params(), None, &mut None).unwrap();
     assert!(report.converged);
-    assert_eq!(report.spent_samples, 17664);
+    assert_eq!(report.spent_samples, 158 * 24);
     assert_eq!(report.entries.len(), ANYTIME_GOLDEN.len());
     for (e, &(fact, estimate, half_width, samples)) in report.entries.iter().zip(ANYTIME_GOLDEN) {
         assert_eq!(e.rendered, fact);
@@ -134,7 +135,7 @@ fn anytime_report_matches_golden_values() {
             e.samples
         );
     }
-    assert_eq!(report_digest(&report), 0x67db_d1c1_d0dd_9c78);
+    assert_eq!(report_digest(&report), 0xcfa9_adc3_5e4b_652e);
 }
 
 #[test]
@@ -146,12 +147,12 @@ fn resumed_anytime_report_matches_golden_values() {
     let budget = Budget::work_units(3000).token();
     let first = shapley_anytime(&db, AnyQuery::Cq(&q), &params, Some(&budget), &mut state).unwrap();
     assert!(first.deadline_hit);
-    assert_eq!(first.spent_samples, 2944);
-    assert_eq!(report_digest(&first), 0x7cfc_b5bd_99fb_32ab);
+    assert_eq!(first.spent_samples, 125 * 24);
+    assert_eq!(report_digest(&first), 0x1a57_052c_866b_42ed);
     let second = shapley_anytime(&db, AnyQuery::Cq(&q), &params, None, &mut state).unwrap();
     assert!(second.converged);
-    assert_eq!(second.spent_samples, 14720);
-    assert_eq!(report_digest(&second), 0x2bec_4268_a39d_89cf);
+    assert_eq!(second.spent_samples, 32 * 24);
+    assert_eq!(report_digest(&second), 0xf11c_ddfc_9a39_6810);
 }
 
 fn check_sampled(any: AnyQuery<'_>, golden: &[(&str, u64, u64, u64)]) {
