@@ -4,9 +4,9 @@
 
 use std::time::Duration;
 
+use cqshap_core::reference::shapley_report_per_fact;
 use cqshap_core::{
-    shapley_report, shapley_report_per_fact, shapley_via_counts, AnyQuery, BruteForceCounter,
-    ShapleyOptions,
+    shapley_report, shapley_via_counts, AnyQuery, BruteForceCounter, ShapleyOptions,
 };
 use cqshap_workloads::queries;
 use cqshap_workloads::university::UniversityConfig;

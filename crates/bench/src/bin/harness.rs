@@ -63,14 +63,14 @@ use cqshap_core::aggregates::{
 use cqshap_core::approx::{required_samples, shapley_sampled, AnytimeParams};
 use cqshap_core::budget::Budget;
 use cqshap_core::gap::section_5_1_example;
+use cqshap_core::reference::{shapley_report_per_fact, shapley_report_union_per_fact};
 use cqshap_core::relevance::{
     brute_force_relevance, is_negatively_relevant, is_positively_relevant,
 };
 use cqshap_core::{
-    rewrite, shapley_by_permutations, shapley_report, shapley_report_per_fact,
-    shapley_report_union, shapley_report_union_per_fact, shapley_value, shapley_via_counts,
-    AnyQuery, BruteForceCounter, CoreError, ShapleyOptions, ShapleySession, Strategy, TierPolicy,
-    TieredAnswer,
+    rewrite, shapley_by_permutations, shapley_report, shapley_report_union, shapley_value,
+    shapley_via_counts, AnyQuery, BruteForceCounter, CoreError, ShapleyOptions, ShapleySession,
+    Strategy, TierPolicy, TieredAnswer,
 };
 use cqshap_db::{Database, World};
 use cqshap_gadgets::coloring::{coloring_to_3p2n, to_224};

@@ -47,6 +47,7 @@ use crate::budget::{self, CancelToken};
 use crate::compiled::CompiledCount;
 use crate::error::CoreError;
 use crate::exoshap;
+use crate::plan::{cq_plan, Plan, TermList};
 use crate::satcount::{BruteForceCounter, HierarchicalCounter};
 use crate::shapley::{
     engine_values, resolve_strategy, shapley_by_permutations, shapley_via_counts, ReportStats,
@@ -456,35 +457,21 @@ pub fn aggregate_shapley(
     Ok(acc)
 }
 
-/// How one prepared candidate is served: a compiled engine (possibly
-/// against its own rewritten database), a constant zero, or per-fact
-/// enumeration.
-pub(crate) enum CandidateEngine {
-    /// Hierarchical residual: the engine runs against the session's db.
-    Direct(CompiledCount),
-    /// `ExoShap` residual: the engine runs against the rewritten db.
-    Rewritten {
-        db: Box<Database>,
-        engine: CompiledCount,
-    },
-    /// The rewriting proved the residual always false.
-    AlwaysFalse,
-    /// Brute-force strategies: evaluated per fact, no compiled state.
-    PerFact,
-}
-
-/// A candidate with its prepared engine.
-pub(crate) struct PreparedCandidate {
-    pub(crate) weight: BigRational,
-    pub(crate) query: ConjunctiveQuery,
-    pub(crate) engine: CandidateEngine,
+/// One shape group of candidates, prepared.
+enum PreparedGroup {
+    /// A tractable shape: each candidate's weight with its plan's terms
+    /// compiled once (candidates the rewriting proved always false are
+    /// dropped).
+    Compiled(Vec<(BigRational, TermList<CompiledCount>)>),
+    /// An enumerated shape: evaluated per fact, no compiled state.
+    Enumerated(ResolvedStrategy, Vec<Candidate>),
 }
 
 /// An [`AggregatePlan`] with every tractable candidate's batched
 /// engine compiled once — the aggregate state behind
 /// [`crate::session::ShapleySession::prepare_aggregate`].
 pub(crate) struct AggregateEngines {
-    pub(crate) groups: Vec<(ResolvedStrategy, Vec<PreparedCandidate>)>,
+    groups: Vec<PreparedGroup>,
     pub(crate) stats: ReportStats,
 }
 
@@ -497,49 +484,34 @@ impl AggregateEngines {
         cancel: Option<&CancelToken>,
     ) -> Result<Self, CoreError> {
         let _span = Span::enter(obs_phase::AGGREGATE_PREPARE);
-        let compile = |target: &Database, query: &ConjunctiveQuery| {
-            CompiledCount::compile(target, query, options.threads, cancel)
-        };
         let plan = AggregatePlan::prepare(db, q, agg, options)?;
         let stats = plan.stats();
         let mut groups = Vec::with_capacity(plan.groups.len());
         for group in plan.groups {
-            let mut prepared = Vec::with_capacity(group.candidates.len());
-            for c in group.candidates {
-                if let Some(token) = cancel {
-                    budget::check_partial(
-                        token,
-                        cqshap_obs::phase::AGGREGATE_PREPARE,
-                        Some(prepared.len()),
-                    )?;
-                }
-                let engine = match group.resolved {
-                    ResolvedStrategy::Hierarchical => {
-                        CandidateEngine::Direct(compile(db, &c.query)?)
-                    }
-                    ResolvedStrategy::ExoShap => {
-                        let outcome = exoshap::rewrite(db, &c.query, options.tuple_budget)?;
-                        if outcome.always_false {
-                            CandidateEngine::AlwaysFalse
-                        } else {
-                            let engine = compile(&outcome.db, &outcome.query)?;
-                            CandidateEngine::Rewritten {
-                                db: Box::new(outcome.db),
-                                engine,
-                            }
-                        }
-                    }
-                    ResolvedStrategy::BruteForce | ResolvedStrategy::Permutations => {
-                        CandidateEngine::PerFact
-                    }
-                };
-                prepared.push(PreparedCandidate {
-                    weight: c.weight,
-                    query: c.query,
-                    engine,
-                });
+            if matches!(
+                group.resolved,
+                ResolvedStrategy::BruteForce | ResolvedStrategy::Permutations
+            ) {
+                groups.push(PreparedGroup::Enumerated(group.resolved, group.candidates));
+                continue;
             }
-            groups.push((group.resolved, prepared));
+            let mut prepared = Vec::with_capacity(group.candidates.len());
+            for (i, c) in group.candidates.into_iter().enumerate() {
+                if let Some(token) = cancel {
+                    budget::check_partial(token, cqshap_obs::phase::AGGREGATE_PREPARE, Some(i))?;
+                }
+                if let Plan::Terms { terms, rewritten } =
+                    cq_plan(db, &c.query, group.resolved, options.tuple_budget)?
+                {
+                    if !terms.is_empty() {
+                        let terms = TermList::compile(db, terms, rewritten, |_, db, q| {
+                            CompiledCount::compile(db, q, options.threads, cancel)
+                        })?;
+                        prepared.push((c.weight, terms));
+                    }
+                }
+            }
+            groups.push(PreparedGroup::Compiled(prepared));
         }
         Ok(AggregateEngines { groups, stats })
     }
@@ -554,31 +526,21 @@ impl AggregateEngines {
         cancel: Option<&CancelToken>,
     ) -> Result<Vec<BigRational>, CoreError> {
         let mut acc = vec![BigRational::zero(); facts.len()];
-        for (resolved, candidates) in &self.groups {
-            match resolved {
-                ResolvedStrategy::Hierarchical | ResolvedStrategy::ExoShap => {
-                    for c in candidates {
+        for group in &self.groups {
+            match group {
+                PreparedGroup::Compiled(candidates) => {
+                    for (weight, terms) in candidates {
                         if let Some(token) = cancel {
                             budget::check(token, cqshap_obs::phase::AGGREGATE)?;
                         }
-                        match &c.engine {
-                            CandidateEngine::Direct(engine) => weighted_add(
-                                &mut acc,
-                                &c.weight,
-                                engine_values(db, engine, facts, options.threads)?,
-                            ),
-                            CandidateEngine::Rewritten { db: rw_db, engine } => weighted_add(
-                                &mut acc,
-                                &c.weight,
-                                engine_values(rw_db, engine, facts, options.threads)?,
-                            ),
-                            CandidateEngine::AlwaysFalse => {}
-                            // cqshap-lint: allow(no-panic) -- per-fact candidates were routed away by the dispatch above
-                            CandidateEngine::PerFact => unreachable!("tractable group"),
-                        }
+                        weighted_add(
+                            &mut acc,
+                            weight,
+                            engine_values(db, terms, facts, options.threads)?,
+                        );
                     }
                 }
-                ResolvedStrategy::BruteForce | ResolvedStrategy::Permutations => {
+                PreparedGroup::Enumerated(resolved, candidates) => {
                     let values = crate::parallel::par_map_with(options.threads, facts.len(), |i| {
                         let mut v = BigRational::zero();
                         for c in candidates {

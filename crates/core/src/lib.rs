@@ -44,12 +44,13 @@ pub mod anyquery;
 pub mod approx;
 pub mod budget;
 pub mod compiled;
-pub mod compiled_union;
 pub mod domain;
 pub mod error;
 pub mod exoshap;
 pub mod gap;
 pub(crate) mod parallel;
+pub(crate) mod plan;
+pub mod reference;
 pub mod relevance;
 pub mod satcount;
 pub mod session;
@@ -60,7 +61,6 @@ pub use anyquery::AnyQuery;
 pub use approx::{AnytimeParams, AnytimeReport, FactEstimate};
 pub use budget::{Budget, CancelToken};
 pub use compiled::{CompiledCount, CompiledProbability, EngineUpdate};
-pub use compiled_union::CompiledUnionCount;
 pub use domain::{
     probability_by_enumeration, CountingDomain, EvalDomain, FactProbabilities, ProbabilityDomain,
 };
@@ -72,8 +72,8 @@ pub use satcount::{
 };
 pub use session::{SessionStats, ShapleySession, TierPolicy, TieredAnswer};
 pub use shapley::{
-    shapley_by_permutations, shapley_report, shapley_report_per_fact, shapley_report_union,
-    shapley_report_union_per_fact, shapley_value, shapley_value_union, shapley_via_counts,
-    ReportStats, ResolvedStrategy, ShapleyEntry, ShapleyOptions, ShapleyReport, Strategy,
+    shapley_by_permutations, shapley_report, shapley_report_union, shapley_value,
+    shapley_value_union, shapley_via_counts, ReportStats, ResolvedStrategy, ShapleyEntry,
+    ShapleyOptions, ShapleyReport, Strategy,
 };
 pub use wsms::{WsmsEntry, WsmsReport, WsmsWeight};

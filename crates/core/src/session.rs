@@ -2,16 +2,24 @@
 //!
 //! The free functions of [`crate::shapley`] and [`crate::aggregates`]
 //! re-resolve atoms and recompile the counting structures on every
-//! call, even though [`CompiledCount`] / [`CompiledUnionCount`] are
-//! compile-once by design. A session is the prepared-statement view of
-//! the same machinery: [`ShapleySession::prepare`] classifies the
-//! query, resolves the strategy *once*, and builds the compiled engine
-//! (the hierarchical engine for CQ¬s, the inclusion–exclusion engine
-//! for UCQ¬s, the shared per-candidate engines for aggregates) exactly
-//! once; [`ShapleySession::value`], [`ShapleySession::values`],
-//! [`ShapleySession::report`], and [`ShapleySession::sampled`] then
-//! serve from the cached state, and [`ShapleySession::strategy`] /
-//! [`ShapleySession::complexity`] expose the routing decision.
+//! call, even though [`CompiledCount`] is compile-once by design. A
+//! session is the prepared-statement view of the same machinery:
+//! [`ShapleySession::prepare`] classifies the query, resolves the
+//! strategy *once* into a routing plan, and compiles the plan's
+//! signed terms (one for a CQ¬, the inclusion–exclusion expansion for a
+//! UCQ¬, each possibly `ExoShap`-rewritten) or the shared per-candidate
+//! engines of an aggregate exactly once; [`ShapleySession::value`],
+//! [`ShapleySession::values`], [`ShapleySession::report`], and
+//! [`ShapleySession::sampled`] then serve from the cached state, and
+//! [`ShapleySession::strategy`] / [`ShapleySession::complexity`] expose
+//! the routing decision.
+//!
+//! Probabilistic reads ([`ShapleySession::probability`],
+//! [`ShapleySession::expected_shapley`]) resolve through the same plan
+//! under `Auto` and compile its terms at the probability domain, so a
+//! query the Shapley paths answer by rewriting — a UCQ¬ included — is
+//! answered the same way; world enumeration serves what no term list
+//! covers.
 //!
 //! ## Incremental maintenance
 //!
@@ -19,14 +27,15 @@
 //! [`ShapleySession::insert_fact`], [`ShapleySession::retract_fact`],
 //! and [`ShapleySession::set_exogenous`] can mutate it in place (fact
 //! ids stay stable — see [`Database::retract_fact`]) and *maintain* the
-//! compiled engine across the update: only the touched root group's
-//! counting recursion re-runs, the cached leave-one-out environments
-//! are patched by exact factor swaps, and the weight correlations are
-//! refreshed in parallel (see [`CompiledCount::update`]). Structural
-//! drift — a root group appearing or dying, a query atom resolving
-//! differently, any non-hierarchical engine state — falls back to a
-//! full recompile. Either way the session's answers are bit-identical
-//! to a freshly prepared session on the same database
+//! compiled terms across the update in both domains: only the touched
+//! root group's counting recursion re-runs, the cached leave-one-out
+//! environments are patched by exact factor swaps, and the weight
+//! correlations are refreshed in parallel (see
+//! [`CompiledCount::update`]). Structural drift — a root group
+//! appearing or dying, a query atom resolving differently, terms
+//! rewritten from the database, enumeration or aggregate state — falls
+//! back to a full recompile. Either way the session's answers are
+//! bit-identical to a freshly prepared session on the same database
 //! (proptest-pinned in `tests/session_updates.rs`).
 //!
 //! ```
@@ -55,9 +64,10 @@
 //! ```
 
 use std::collections::HashSet;
+use std::ops::Deref;
 
 use cqshap_db::{Database, DbError, FactId, Provenance};
-use cqshap_numeric::{BigInt, BigRational};
+use cqshap_numeric::BigRational;
 use cqshap_query::{classify_with_exo, ConjunctiveQuery, ExactComplexity, UnionQuery};
 
 use crate::aggregates::{aggregate_efficiency_target, AggregateEngines, AggregateFunction};
@@ -68,14 +78,13 @@ use crate::approx::{
 };
 use crate::budget::CancelToken;
 use crate::compiled::{CompiledCount, CompiledProbability, EngineUpdate};
-use crate::compiled_union::CompiledUnionCount;
 use crate::domain::{probability_by_enumeration_cancel, FactProbabilities};
 use crate::error::CoreError;
-use crate::exoshap;
+use crate::plan::{resolve, Enumeration, Plan, TermList};
 use crate::shapley::{
     assemble_report, assemble_report_with_total, efficiency_target, engine_report_values,
-    engine_values, per_fact_values, resolve_strategy, resolve_union_route, shapley_by_permutations,
-    union_brute_values, zero_report, ResolvedStrategy, ShapleyOptions, ShapleyReport, UnionRoute,
+    engine_values, enumerated_values, zero_report, ResolvedStrategy, ShapleyOptions, ShapleyReport,
+    Strategy,
 };
 use crate::wsms::{wsms_report, WsmsReport, WsmsWeight};
 
@@ -90,38 +99,31 @@ enum QuerySpec {
     },
 }
 
-/// One signed, rewritten inclusion–exclusion term with its compiled
-/// engine (the `ExoShap` union path).
-struct ExoTerm {
-    negative: bool,
-    db: Database,
-    engine: CompiledCount,
+impl QuerySpec {
+    /// The query a world is evaluated against; an aggregate's is its
+    /// head-projecting CQ¬.
+    fn query(&self) -> AnyQuery<'_> {
+        match self {
+            QuerySpec::Cq(q) | QuerySpec::Aggregate { query: q, .. } => AnyQuery::Cq(q),
+            QuerySpec::Union(u) => AnyQuery::Union(u),
+        }
+    }
 }
 
-/// The compiled state behind a session.
-enum EngineState {
-    /// Hierarchical CQ¬: the batched engine against the session db.
-    CqCompiled(CompiledCount),
-    /// `ExoShap` CQ¬: the engine against the rewritten database.
-    CqRewritten {
-        db: Box<Database>,
-        engine: CompiledCount,
-    },
-    /// The rewriting proved the query always false: every value is 0.
-    CqAlwaysFalse,
-    /// Brute-force strategies (the resolution it records): per-fact
-    /// evaluation, no compiled state.
-    CqPerFact(ResolvedStrategy),
-    /// UCQ¬ through the inclusion–exclusion engine.
-    UnionCompiled(CompiledUnionCount),
-    /// UCQ¬ through per-conjunction `ExoShap` terms.
-    UnionExoShap(Vec<ExoTerm>),
-    /// UCQ¬ brute-force subset enumeration.
-    UnionBrute,
-    /// UCQ¬ permutation enumeration.
-    UnionPermutations,
+/// The exact engine of a session, compiled in the counting domain.
+enum Engine {
+    /// The plan's signed terms.
+    Terms(TermList<CompiledCount>),
+    /// Per-fact enumeration, no compiled state.
+    Enumerate(Enumeration),
     /// Aggregate: the shared per-candidate engines.
     Aggregate(AggregateEngines),
+}
+
+/// The exact-engine state behind a session.
+enum EngineState {
+    /// The exact engine is prepared.
+    Ready(Engine),
     /// A failed post-update rebuild left no usable engine; reads
     /// surface the stored reason until a successful update re-prepares.
     Poisoned(String),
@@ -134,34 +136,35 @@ enum EngineState {
     ExactUnavailable(CoreError),
 }
 
-/// The lazily built probabilistic state behind a session — the same
-/// compiled structures as [`EngineState`], instantiated at the
-/// probability domain (see [`ShapleySession::probability`]).
-enum ProbState {
-    /// Nothing built yet, or invalidated by an update the engine could
-    /// not absorb / a probability change: the next probabilistic read
-    /// rebuilds through the routing ladder.
-    NotBuilt,
-    /// Hierarchical CQ¬: the compiled probability engine on the session
-    /// database, incrementally maintained across updates.
-    Cq(CompiledProbability),
-    /// `ExoShap` CQ¬: the engine against the rewritten database (the
-    /// rewriting preserves `q(Dx ∪ E)` for every `E ⊆ Dn`, hence the
-    /// whole distribution over worlds).
-    Rewritten {
-        db: Box<Database>,
-        engine: CompiledProbability,
-    },
-    /// The rewriting proved the query always false: `Pr[q] = 0`.
-    AlwaysFalse,
-    /// UCQ¬ through signed inclusion–exclusion probability engines, one
-    /// per satisfiable subset conjunction.
-    Union(Vec<(bool, CompiledProbability)>),
-    /// World enumeration within [`ShapleyOptions::brute_force_limit`].
-    Brute,
-    /// No probabilistic route for this session (e.g. aggregates).
-    Unsupported(String),
+/// The engine an exact read serves from: the session's own, or one
+/// rebuilt for this read alone (a `&self` read cannot keep it).
+enum Serving<'a> {
+    Session(&'a Engine),
+    Rebuilt(Engine),
 }
+
+impl Deref for Serving<'_> {
+    type Target = Engine;
+    fn deref(&self) -> &Engine {
+        match self {
+            Serving::Session(engine) => engine,
+            Serving::Rebuilt(engine) => engine,
+        }
+    }
+}
+
+/// The lazily built state of the probabilistic reads: the same plan,
+/// compiled at the probability domain.
+enum ProbState {
+    /// The plan's signed terms.
+    Terms(TermList<CompiledProbability>),
+    /// World enumeration within [`ShapleyOptions::brute_force_limit`].
+    Enumerate,
+}
+
+/// What one prepare produces: the resolved strategy, the dichotomy
+/// classification, and the engine.
+type Built = (Option<ResolvedStrategy>, Option<ExactComplexity>, Engine);
 
 /// Update counters of a session.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -261,7 +264,9 @@ pub struct ShapleySession {
     complexity: Option<ExactComplexity>,
     state: EngineState,
     probs: FactProbabilities,
-    prob: ProbState,
+    /// The probability state, built on the first probabilistic read and
+    /// dropped by a probability change or an update it cannot absorb.
+    prob: Option<ProbState>,
     stats: SessionStats,
     /// The session's one cancellation token (`Some` iff the options
     /// carry a limited budget), re-armed at every public entry point so
@@ -278,105 +283,50 @@ fn exo_relation_names(db: &Database) -> HashSet<String> {
     db.exogenous_relation_names().into_iter().collect()
 }
 
-/// Resolves the strategy and builds the compiled state for one spec.
-/// When `cancel` is present, every compiled engine is armed with a
-/// clone of the token (so its recounts poll the session budget) and the
-/// compile phases themselves are deadline-bounded.
-fn build_state(
+/// Resolves the strategy and compiles the engine for one spec. When
+/// `cancel` is present, every compiled engine is armed with a clone of
+/// the token (so its recounts poll the session budget) and the compile
+/// phases themselves are deadline-bounded.
+fn build(
     db: &Database,
     spec: &QuerySpec,
     options: &ShapleyOptions,
     cancel: Option<&CancelToken>,
-) -> Result<
-    (
-        Option<ResolvedStrategy>,
-        Option<ExactComplexity>,
-        EngineState,
-    ),
-    CoreError,
-> {
-    let compile_count = |db: &Database, q: &ConjunctiveQuery| {
-        CompiledCount::compile(db, q, options.threads, cancel)
+) -> Result<Built, CoreError> {
+    let complexity = match spec {
+        QuerySpec::Cq(q) | QuerySpec::Aggregate { query: q, .. } => {
+            let _span = cqshap_obs::Span::enter(cqshap_obs::phase::PREPARE_CLASSIFY);
+            Some(classify_with_exo(q, &exo_relation_names(db)))
+        }
+        QuerySpec::Union(_) => None,
     };
-    match spec {
-        QuerySpec::Cq(q) => {
-            let complexity = {
-                let _span = cqshap_obs::Span::enter(cqshap_obs::phase::PREPARE_CLASSIFY);
-                classify_with_exo(q, &exo_relation_names(db))
-            };
-            let resolved = {
-                let _span = cqshap_obs::Span::enter(cqshap_obs::phase::PREPARE_RESOLVE_STRATEGY);
-                resolve_strategy(db, q, options)?
-            };
-            let _span = cqshap_obs::Span::enter(cqshap_obs::phase::PREPARE_COMPILE);
-            let state = match resolved {
-                ResolvedStrategy::Hierarchical => EngineState::CqCompiled(compile_count(db, q)?),
-                ResolvedStrategy::ExoShap => {
-                    let outcome = exoshap::rewrite(db, q, options.tuple_budget)?;
-                    if outcome.always_false {
-                        EngineState::CqAlwaysFalse
-                    } else {
-                        let engine = compile_count(&outcome.db, &outcome.query)?;
-                        EngineState::CqRewritten {
-                            db: Box::new(outcome.db),
-                            engine,
-                        }
-                    }
-                }
-                ResolvedStrategy::BruteForce | ResolvedStrategy::Permutations => {
-                    EngineState::CqPerFact(resolved)
-                }
-            };
-            Ok((Some(resolved), Some(complexity), state))
-        }
-        QuerySpec::Union(u) => {
-            let route = {
-                let _span = cqshap_obs::Span::enter(cqshap_obs::phase::PREPARE_RESOLVE_STRATEGY);
-                resolve_union_route(db, u, options, cancel)?
-            };
-            let _span = cqshap_obs::Span::enter(cqshap_obs::phase::PREPARE_COMPILE);
-            let (resolved, state) = match route {
-                UnionRoute::Compiled => (
-                    ResolvedStrategy::Hierarchical,
-                    EngineState::UnionCompiled(CompiledUnionCount::compile(
-                        db,
-                        u,
-                        options.threads,
-                        cancel,
-                    )?),
-                ),
-                UnionRoute::ExoShap(terms) => {
-                    let compiled = terms
-                        .into_iter()
-                        .map(|(negative, outcome, engine)| ExoTerm {
-                            negative,
-                            db: outcome.db,
-                            engine,
-                        })
-                        .collect();
-                    (
-                        ResolvedStrategy::ExoShap,
-                        EngineState::UnionExoShap(compiled),
-                    )
-                }
-                UnionRoute::BruteForce => (ResolvedStrategy::BruteForce, EngineState::UnionBrute),
-                UnionRoute::Permutations => (
-                    ResolvedStrategy::Permutations,
-                    EngineState::UnionPermutations,
-                ),
-            };
-            Ok((Some(resolved), None, state))
-        }
-        QuerySpec::Aggregate { query, agg } => {
-            let complexity = {
-                let _span = cqshap_obs::Span::enter(cqshap_obs::phase::PREPARE_CLASSIFY);
-                classify_with_exo(query, &exo_relation_names(db))
-            };
-            let _span = cqshap_obs::Span::enter(cqshap_obs::phase::PREPARE_COMPILE);
-            let engines = AggregateEngines::prepare(db, query, agg, options, cancel)?;
-            Ok((None, Some(complexity), EngineState::Aggregate(engines)))
-        }
+    if let QuerySpec::Aggregate { query, agg } = spec {
+        let _span = cqshap_obs::Span::enter(cqshap_obs::phase::PREPARE_COMPILE);
+        let engines = AggregateEngines::prepare(db, query, agg, options, cancel)?;
+        return Ok((None, complexity, Engine::Aggregate(engines)));
     }
+    let plan = {
+        let _span = cqshap_obs::Span::enter(cqshap_obs::phase::PREPARE_RESOLVE_STRATEGY);
+        resolve(db, spec.query(), options.strategy, options)?
+    };
+    let _span = cqshap_obs::Span::enter(cqshap_obs::phase::PREPARE_COMPILE);
+    let resolved = plan.strategy();
+    let engine = match plan {
+        Plan::Terms { terms, rewritten } => {
+            // A union's terms compile under their own phase, polled
+            // between terms; a tripped budget reports how many compiled.
+            let union = matches!(spec, QuerySpec::Union(_));
+            let _span = union.then(|| cqshap_obs::Span::enter(cqshap_obs::phase::UNION_COMPILE));
+            Engine::Terms(TermList::compile(db, terms, rewritten, |i, db, q| {
+                if let (true, Some(token)) = (union, cancel) {
+                    crate::budget::check_partial(token, cqshap_obs::phase::UNION_COMPILE, Some(i))?;
+                }
+                CompiledCount::compile(db, q, options.threads, cancel)
+            })?)
+        }
+        Plan::Enumerate(enumeration) => Engine::Enumerate(enumeration),
+    };
+    Ok((Some(resolved), complexity, engine))
 }
 
 impl ShapleySession {
@@ -392,11 +342,7 @@ impl ShapleySession {
         query: AnyQuery<'_>,
         options: &ShapleyOptions,
     ) -> Result<Self, CoreError> {
-        let spec = match query {
-            AnyQuery::Cq(q) => QuerySpec::Cq(q.clone()),
-            AnyQuery::Union(u) => QuerySpec::Union(u.clone()),
-        };
-        Self::from_spec(db.clone(), spec, *options)
+        Self::from_spec(db.clone(), boolean_spec(query), *options)
     }
 
     /// [`ShapleySession::prepare`], except a *degradable* failure — a
@@ -422,10 +368,7 @@ impl ShapleySession {
         query: AnyQuery<'_>,
         options: &ShapleyOptions,
     ) -> Result<Self, CoreError> {
-        let spec = match query {
-            AnyQuery::Cq(q) => QuerySpec::Cq(q.clone()),
-            AnyQuery::Union(u) => QuerySpec::Union(u.clone()),
-        };
+        let spec = boolean_spec(query);
         match Self::from_spec(db.clone(), spec.clone(), *options) {
             Ok(session) => Ok(session),
             Err(e) if tier_degradable(&e) => {
@@ -441,7 +384,7 @@ impl ShapleySession {
                     complexity,
                     state: EngineState::ExactUnavailable(e),
                     probs: FactProbabilities::uniform(BigRational::from_i64_ratio(1, 2)),
-                    prob: ProbState::NotBuilt,
+                    prob: None,
                     stats: SessionStats::default(),
                     cancel: options.cancel_token(),
                     anytime: None,
@@ -480,16 +423,16 @@ impl ShapleySession {
     ) -> Result<Self, CoreError> {
         let _span = cqshap_obs::Span::enter(cqshap_obs::phase::PREPARE);
         let cancel = options.cancel_token();
-        let (resolved, complexity, state) = build_state(&db, &spec, &options, cancel.as_ref())?;
+        let (resolved, complexity, engine) = build(&db, &spec, &options, cancel.as_ref())?;
         Ok(ShapleySession {
             db,
             options,
             spec,
             resolved,
             complexity,
-            state,
+            state: EngineState::Ready(engine),
             probs: FactProbabilities::uniform(BigRational::from_i64_ratio(1, 2)),
-            prob: ProbState::NotBuilt,
+            prob: None,
             stats: SessionStats::default(),
             cancel,
             anytime: None,
@@ -502,6 +445,11 @@ impl ShapleySession {
         if let Some(token) = &self.cancel {
             token.rearm(self.options.budget.wall, self.options.budget.work);
         }
+    }
+
+    /// Rebuilds the engine from the session's database and options.
+    fn build(&self) -> Result<Built, CoreError> {
+        build(&self.db, &self.spec, &self.options, self.cancel.as_ref())
     }
 
     /// The session's database (the prepared copy, including any updates
@@ -545,48 +493,33 @@ impl ShapleySession {
         Ok(())
     }
 
-    fn check_not_poisoned(&self) -> Result<(), CoreError> {
-        if let EngineState::Poisoned(reason) = &self.state {
-            return Err(CoreError::Unsupported(format!(
+    /// The engine an exact read serves from. A poisoned session fails
+    /// with its stored reason. A session whose prepare tripped the
+    /// budget re-prepares under the budget the read re-armed; one
+    /// rejected as intractable fails fast with the stored reason.
+    fn serving(&self) -> Result<Serving<'_>, CoreError> {
+        match &self.state {
+            EngineState::Ready(engine) => Ok(Serving::Session(engine)),
+            EngineState::Poisoned(reason) => Err(CoreError::Unsupported(format!(
                 "the session engine could not be rebuilt after an update ({reason}); call \
                  recover() to rebuild from the retained database, or apply a further update that \
                  restores a preparable state"
-            )));
-        }
-        Ok(())
-    }
-
-    /// The engine state an exact read serves from, when it is not the
-    /// session's own: a session whose prepare tripped the budget
-    /// re-prepares under the budget the read re-armed (a `&self` read
-    /// cannot keep the result); one rejected as intractable fails fast
-    /// with the stored reason.
-    fn unprepared_state(&self) -> Result<Option<EngineState>, CoreError> {
-        match &self.state {
+            ))),
             EngineState::ExactUnavailable(CoreError::DeadlineExceeded { .. }) => {
-                build_state(&self.db, &self.spec, &self.options, self.cancel.as_ref())
-                    .map(|(_, _, state)| Some(state))
+                Ok(Serving::Rebuilt(self.build()?.2))
             }
             EngineState::ExactUnavailable(cause) => Err(CoreError::Unsupported(format!(
                 "no exact engine was prepared ({cause}); serve this session through \
                  report_tiered(), anytime(), or wsms()"
             ))),
-            _ => Ok(None),
         }
     }
 
-    /// Installs a freshly built engine state.
-    fn install(
-        &mut self,
-        (resolved, complexity, state): (
-            Option<ResolvedStrategy>,
-            Option<ExactComplexity>,
-            EngineState,
-        ),
-    ) {
+    /// Installs a freshly built engine.
+    fn install(&mut self, (resolved, complexity, engine): Built) {
         self.resolved = resolved;
         self.complexity = complexity;
-        self.state = state;
+        self.state = EngineState::Ready(engine);
     }
 
     /// Is the session poisoned (no usable engine after a failed
@@ -617,10 +550,10 @@ impl ShapleySession {
             return Ok(());
         }
         self.rearm();
-        match build_state(&self.db, &self.spec, &self.options, self.cancel.as_ref()) {
+        match self.build() {
             Ok(built) => {
                 self.install(built);
-                self.prob = ProbState::NotBuilt;
+                self.prob = None;
                 Ok(())
             }
             Err(e) => {
@@ -645,32 +578,14 @@ impl ShapleySession {
     /// [`CoreError::FactNotEndogenous`] if `f ∉ Dn`, plus anything the
     /// per-fact fallback strategies raise.
     pub fn value(&self, f: FactId) -> Result<BigRational, CoreError> {
-        self.check_not_poisoned()?;
         self.rearm();
-        let unprepared = self.unprepared_state()?;
-        let state = unprepared.as_ref().unwrap_or(&self.state);
-        match (&self.spec, state) {
-            (_, EngineState::CqCompiled(engine)) => engine.value(&self.db, f),
-            (_, EngineState::CqRewritten { db, engine }) => {
-                self.check_endogenous(f)?;
-                engine.value(db, f)
-            }
-            (_, EngineState::CqAlwaysFalse) => {
-                self.check_endogenous(f)?;
-                Ok(BigRational::zero())
-            }
-            (_, EngineState::UnionCompiled(engine)) => engine.value(&self.db, f),
-            (_, EngineState::UnionExoShap(terms)) => {
-                self.check_endogenous(f)?;
-                Ok(exo_union_normalize(
-                    terms,
-                    exo_union_numerator(terms, f, self.cancel.as_ref())?,
-                ))
-            }
-            // The per-fact routes (brute force, permutations, aggregate
-            // candidates) serve one fact as a batch of one.
-            _ => Ok(self
-                .values_armed(state, &[f])?
+        let engine = self.serving()?;
+        match &*engine {
+            Engine::Terms(terms) => terms.value(&self.db, f),
+            // The per-fact routes (enumeration, aggregate candidates)
+            // serve one fact as a batch of one.
+            other => Ok(self
+                .values_from(other, &[f])?
                 .pop()
                 // cqshap-lint: allow(no-panic) -- the batch requested exactly one fact, so exactly one value exists
                 .expect("one fact requested")),
@@ -684,80 +599,39 @@ impl ShapleySession {
     /// # Errors
     /// As [`ShapleySession::value`], for any fact of the slice.
     pub fn values(&self, facts: &[FactId]) -> Result<Vec<BigRational>, CoreError> {
-        self.check_not_poisoned()?;
         self.rearm();
-        let unprepared = self.unprepared_state()?;
-        self.values_armed(unprepared.as_ref().unwrap_or(&self.state), facts)
+        self.values_from(&*self.serving()?, facts)
     }
 
-    /// [`ShapleySession::values`] from `state` without re-arming the
+    /// [`ShapleySession::values`] from `engine` without re-arming the
     /// budget, for internal callers that already armed it for a larger
     /// phase.
-    fn values_armed(
+    fn values_from(
         &self,
-        state: &EngineState,
+        engine: &Engine,
         facts: &[FactId],
     ) -> Result<Vec<BigRational>, CoreError> {
-        match (&self.spec, state) {
-            (_, EngineState::CqCompiled(engine)) => {
-                engine_values(&self.db, engine, facts, self.options.threads)
-            }
-            (_, EngineState::CqRewritten { db, engine }) => {
+        match engine {
+            Engine::Terms(terms) => {
                 for &f in facts {
                     self.check_endogenous(f)?;
                 }
-                engine_values(db, engine, facts, self.options.threads)
+                engine_values(&self.db, terms, facts, self.options.threads)
             }
-            (_, EngineState::CqAlwaysFalse) => {
-                for &f in facts {
-                    self.check_endogenous(f)?;
-                }
-                Ok(vec![BigRational::zero(); facts.len()])
-            }
-            (QuerySpec::Cq(q), &EngineState::CqPerFact(resolved)) => per_fact_values(
+            &Engine::Enumerate(enumeration) => enumerated_values(
                 &self.db,
-                q,
+                self.spec.query(),
                 facts,
-                resolved,
+                enumeration,
                 &self.options,
                 self.cancel.as_ref(),
-                false,
             ),
-            (_, EngineState::UnionCompiled(engine)) => {
-                engine_values(&self.db, engine, facts, self.options.threads)
-            }
-            (_, EngineState::UnionExoShap(terms)) => {
-                for &f in facts {
-                    self.check_endogenous(f)?;
-                }
-                Ok(exo_union_values(terms, facts, self.cancel.as_ref())?.0)
-            }
-            (QuerySpec::Union(u), EngineState::UnionBrute) => {
-                union_brute_values(&self.db, u, facts, &self.options, self.cancel.as_ref())
-            }
-            (QuerySpec::Union(u), EngineState::UnionPermutations) => {
-                let cancel = self.cancel.as_ref();
-                crate::parallel::par_map_with(self.options.threads, facts.len(), |i| {
-                    shapley_by_permutations(
-                        &self.db,
-                        AnyQuery::Union(u),
-                        // cqshap-lint: allow(no-panic-index) -- i ranges over facts.len() in the enclosing loop
-                        facts[i],
-                        self.options.permutation_limit,
-                        cancel,
-                    )
-                })
-                .into_iter()
-                .collect()
-            }
-            (_, EngineState::Aggregate(engines)) => {
+            Engine::Aggregate(engines) => {
                 for &f in facts {
                     self.check_endogenous(f)?;
                 }
                 engines.values(&self.db, facts, &self.options, self.cancel.as_ref())
             }
-            // cqshap-lint: allow(no-panic) -- spec and state are built together; mismatched variants cannot arise
-            _ => unreachable!("spec and state are built together"),
         }
     }
 
@@ -769,55 +643,36 @@ impl ShapleySession {
     /// As [`ShapleySession::values`].
     pub fn report(&self) -> Result<ShapleyReport, CoreError> {
         let _span = cqshap_obs::Span::enter(cqshap_obs::phase::REPORT);
-        self.check_not_poisoned()?;
         self.rearm();
-        let unprepared = self.unprepared_state()?;
-        let state = unprepared.as_ref().unwrap_or(&self.state);
-        if matches!(state, EngineState::CqAlwaysFalse) {
-            return Ok(zero_report(&self.db));
+        let engine = self.serving()?;
+        if let Engine::Terms(terms) = &*engine {
+            if terms.is_empty() {
+                return Ok(zero_report(&self.db));
+            }
         }
         let facts: Vec<FactId> = self.db.endo_facts().to_vec();
-        let expected = match (&self.spec, state) {
-            (QuerySpec::Cq(_), EngineState::CqRewritten { db, engine }) => {
-                efficiency_target(db, AnyQuery::Cq(engine.query()))
-            }
-            (QuerySpec::Cq(q), _) => efficiency_target(&self.db, AnyQuery::Cq(q)),
-            (QuerySpec::Union(u), _) => efficiency_target(&self.db, AnyQuery::Union(u)),
-            (QuerySpec::Aggregate { query, agg }, _) => {
+        let expected = match &self.spec {
+            QuerySpec::Aggregate { query, agg } => {
                 aggregate_efficiency_target(&self.db, query, agg)?
             }
+            spec => efficiency_target(&self.db, spec.query()),
         };
-        // Engine paths accumulate the value total over the common
-        // denominator `m!` (one normalization) — summing the reduced
-        // per-fact rationals instead costs a gcd per entry.
-        let report = match state {
-            EngineState::CqCompiled(engine) => {
+        Ok(match &*engine {
+            // Term lists accumulate the value total over the common
+            // denominator `m!` (one normalization) — summing the reduced
+            // per-fact rationals instead costs a gcd per entry.
+            Engine::Terms(terms) => {
                 let (values, total) =
-                    engine_report_values(&self.db, engine, &facts, self.options.threads)?;
+                    engine_report_values(&self.db, terms, &facts, self.options.threads)?;
                 assemble_report_with_total(&self.db, values, total, expected)
             }
-            EngineState::CqRewritten { db, engine } => {
-                let (values, total) =
-                    engine_report_values(db, engine, &facts, self.options.threads)?;
-                assemble_report_with_total(&self.db, values, total, expected)
+            Engine::Aggregate(engines) => {
+                assemble_report(&self.db, self.values_from(&engine, &facts)?, expected)
+                    .with_stats(engines.stats)
             }
-            EngineState::UnionCompiled(engine) => {
-                let (values, total) =
-                    engine_report_values(&self.db, engine, &facts, self.options.threads)?;
-                assemble_report_with_total(&self.db, values, total, expected)
-            }
-            EngineState::UnionExoShap(terms) => {
-                let (values, total) = exo_union_values(terms, &facts, self.cancel.as_ref())?;
-                assemble_report_with_total(&self.db, values, total, expected)
-            }
-            _ => assemble_report(&self.db, self.values_armed(state, &facts)?, expected),
-        };
-        Ok(match state {
-            EngineState::Aggregate(engines) => report.with_stats(engines.stats),
-            _ => report,
+            other => assemble_report(&self.db, self.values_from(other, &facts)?, expected),
         })
     }
-
     /// The aggregate report — [`ShapleySession::report`] restricted to
     /// aggregate sessions.
     ///
@@ -876,15 +731,9 @@ impl ShapleySession {
             ));
         }
         self.rearm();
-        let query = match &self.spec {
-            QuerySpec::Cq(q) => AnyQuery::Cq(q),
-            QuerySpec::Union(u) => AnyQuery::Union(u),
-            // cqshap-lint: allow(no-panic) -- aggregate specs were rejected by the guard above
-            QuerySpec::Aggregate { .. } => unreachable!("rejected above"),
-        };
         shapley_anytime(
             &self.db,
-            query,
+            self.spec.query(),
             params,
             self.cancel.as_ref(),
             &mut self.anytime,
@@ -936,7 +785,7 @@ impl ShapleySession {
             EngineState::ExactUnavailable(CoreError::DeadlineExceeded { .. })
         ) {
             self.rearm();
-            match build_state(&self.db, &self.spec, &self.options, self.cancel.as_ref()) {
+            match self.build() {
                 Ok(built) => self.install(built),
                 Err(e) if tier_degradable(&e) => self.state = EngineState::ExactUnavailable(e),
                 Err(e) => return Err(e),
@@ -1005,7 +854,7 @@ impl ShapleySession {
         self.check_endogenous(f)?;
         check_probability(&p)?;
         self.probs.set(f, p);
-        self.prob = ProbState::NotBuilt;
+        self.prob = None;
         Ok(())
     }
 
@@ -1017,7 +866,7 @@ impl ShapleySession {
     pub fn set_default_probability(&mut self, p: BigRational) -> Result<(), CoreError> {
         check_probability(&p)?;
         self.probs.set_default(p);
-        self.prob = ProbState::NotBuilt;
+        self.prob = None;
         Ok(())
     }
 
@@ -1025,13 +874,15 @@ impl ShapleySession {
     /// the session's probabilities (a tuple-independent probabilistic
     /// database over `Dn`, with `Dx` certain).
     ///
-    /// Served from the same compiled resolution/scope/component
-    /// structures as the Shapley paths, instantiated at the probability
-    /// domain and cached across calls; updates applied through the
-    /// session maintain the cache incrementally where the engine
-    /// supports it. Queries outside the compiled fragment route through
-    /// the `ExoShap` rewriting and, failing that, exact world
-    /// enumeration within [`ShapleyOptions::brute_force_limit`].
+    /// Resolved through the same plan as the Shapley reads, under `Auto`
+    /// whatever the session's strategy: the plan's signed terms are
+    /// compiled at the probability domain and cached across calls, and
+    /// updates applied through the session maintain them incrementally
+    /// where the engines support it. A CQ¬ outside the compiled
+    /// fragment routes through the `ExoShap` rewriting, and so does each
+    /// subset term of a UCQ¬ whose intersections leave it; failing that,
+    /// exact world enumeration within
+    /// [`ShapleyOptions::brute_force_limit`] answers.
     ///
     /// # Errors
     /// [`CoreError::Unsupported`] for aggregate sessions;
@@ -1039,34 +890,10 @@ impl ShapleySession {
     /// applies and `|Dn|` exceeds the limit.
     pub fn probability(&mut self) -> Result<BigRational, CoreError> {
         self.rearm();
-        self.ensure_prob_state()?;
-        match &self.prob {
-            ProbState::Cq(engine) => Ok(engine.probability().clone()),
-            ProbState::Rewritten { engine, .. } => Ok(engine.probability().clone()),
-            ProbState::AlwaysFalse => Ok(BigRational::zero()),
-            ProbState::Union(terms) => {
-                let mut acc = BigRational::zero();
-                for (negative, engine) in terms {
-                    if *negative {
-                        acc -= engine.probability();
-                    } else {
-                        acc += engine.probability();
-                    }
-                }
-                Ok(acc)
-            }
-            ProbState::Brute => probability_by_enumeration_cancel(
-                &self.db,
-                self.spec_query(),
-                &self.probs,
-                None,
-                self.options.brute_force_limit,
-                self.cancel.as_ref(),
-            ),
-            ProbState::Unsupported(reason) => Err(CoreError::Unsupported(reason.clone())),
-            // cqshap-lint: allow(no-panic) -- the ensure call above installed the built state
-            ProbState::NotBuilt => unreachable!("ensured above"),
-        }
+        self.with_prob_state(|session, state| match state {
+            ProbState::Terms(terms) => Ok(terms.probability()),
+            ProbState::Enumerate => session.enumerate_probability(None),
+        })
     }
 
     /// The expected marginal contribution of `f` under the session's
@@ -1081,128 +908,70 @@ impl ShapleySession {
     pub fn expected_shapley(&mut self, f: FactId) -> Result<BigRational, CoreError> {
         self.check_endogenous(f)?;
         self.rearm();
-        self.ensure_prob_state()?;
-        match &self.prob {
-            ProbState::Cq(engine) => engine.expected_marginal(&self.db, f),
-            ProbState::Rewritten { db, engine } => engine.expected_marginal(db, f),
-            ProbState::AlwaysFalse => Ok(BigRational::zero()),
-            ProbState::Union(terms) => {
-                // Conditionals obey the same inclusion–exclusion as the
-                // totals, and the difference is linear in them.
-                let mut acc = BigRational::zero();
-                for (negative, engine) in terms {
-                    let marginal = engine.expected_marginal(&self.db, f)?;
-                    if *negative {
-                        acc -= &marginal;
-                    } else {
-                        acc += &marginal;
-                    }
-                }
-                Ok(acc)
-            }
-            ProbState::Brute => {
-                let present = probability_by_enumeration_cancel(
-                    &self.db,
-                    self.spec_query(),
-                    &self.probs,
-                    Some((f, true)),
-                    self.options.brute_force_limit,
-                    self.cancel.as_ref(),
-                )?;
-                let absent = probability_by_enumeration_cancel(
-                    &self.db,
-                    self.spec_query(),
-                    &self.probs,
-                    Some((f, false)),
-                    self.options.brute_force_limit,
-                    self.cancel.as_ref(),
-                )?;
-                Ok(present - absent)
-            }
-            ProbState::Unsupported(reason) => Err(CoreError::Unsupported(reason.clone())),
-            // cqshap-lint: allow(no-panic) -- the ensure call above installed the built state
-            ProbState::NotBuilt => unreachable!("ensured above"),
-        }
+        self.with_prob_state(|session, state| match state {
+            ProbState::Terms(terms) => terms.expected_marginal(&session.db, f),
+            ProbState::Enumerate => Ok(session.enumerate_probability(Some((f, true)))?
+                - session.enumerate_probability(Some((f, false)))?),
+        })
     }
 
-    /// The session's query as an [`AnyQuery`] (Boolean specs only).
-    fn spec_query(&self) -> AnyQuery<'_> {
-        match &self.spec {
-            QuerySpec::Cq(q) => AnyQuery::Cq(q),
-            QuerySpec::Union(u) => AnyQuery::Union(u),
-            QuerySpec::Aggregate { .. } => {
-                // cqshap-lint: allow(no-panic) -- aggregate specs route to ProbState::Unsupported at build time
-                unreachable!("aggregate specs route to ProbState::Unsupported")
-            }
-        }
-    }
-
-    /// Builds the probability state if no usable one is cached.
-    fn ensure_prob_state(&mut self) -> Result<(), CoreError> {
-        if matches!(self.prob, ProbState::NotBuilt) {
-            self.prob = self.build_prob_state()?;
-        }
-        Ok(())
-    }
-
-    /// The probabilistic routing ladder: the compiled engine on the
-    /// session database, the `ExoShap` rewriting, then exact world
-    /// enumeration. Structural ineligibility falls through; genuine
-    /// evaluation errors propagate.
-    fn build_prob_state(&self) -> Result<ProbState, CoreError> {
-        let compile_prob = |db: &Database, q: &ConjunctiveQuery| {
-            CompiledProbability::compile(
-                db,
-                q,
-                self.probs.clone(),
-                self.options.threads,
-                self.cancel.as_ref(),
-            )
+    /// Runs `read` against the probability state, building it first if
+    /// no usable one is cached; a failed build caches nothing.
+    fn with_prob_state<T>(
+        &mut self,
+        read: impl FnOnce(&Self, &ProbState) -> Result<T, CoreError>,
+    ) -> Result<T, CoreError> {
+        let state = match self.prob.take() {
+            Some(state) => state,
+            None => self.build_prob_state()?,
         };
-        match &self.spec {
-            QuerySpec::Cq(q) => {
-                match compile_prob(&self.db, q) {
-                    Ok(engine) => return Ok(ProbState::Cq(engine)),
-                    Err(CoreError::NotHierarchical { .. })
-                    | Err(CoreError::NotSelfJoinFree { .. }) => {}
-                    Err(e) => return Err(e),
-                }
-                if let Ok(outcome) = exoshap::rewrite(&self.db, q, self.options.tuple_budget) {
-                    if outcome.always_false {
-                        return Ok(ProbState::AlwaysFalse);
-                    }
-                    if let Ok(engine) = compile_prob(&outcome.db, &outcome.query) {
-                        return Ok(ProbState::Rewritten {
-                            db: Box::new(outcome.db),
-                            engine,
-                        });
-                    }
-                }
-                Ok(ProbState::Brute)
-            }
-            QuerySpec::Union(u) => {
-                let Ok(conjunctions) = CompiledUnionCount::subset_conjunctions(u) else {
-                    return Ok(ProbState::Brute);
-                };
-                let mut terms = Vec::with_capacity(conjunctions.len());
-                for (negative, label, q) in conjunctions {
-                    if CompiledUnionCount::check_tractable(&label, &q).is_err() {
-                        return Ok(ProbState::Brute);
-                    }
-                    match compile_prob(&self.db, &q) {
-                        Ok(engine) => terms.push((negative, engine)),
-                        Err(CoreError::NotHierarchical { .. })
-                        | Err(CoreError::NotSelfJoinFree { .. }) => return Ok(ProbState::Brute),
-                        Err(e) => return Err(e),
-                    }
-                }
-                Ok(ProbState::Union(terms))
-            }
-            QuerySpec::Aggregate { .. } => Ok(ProbState::Unsupported(
-                "probabilistic evaluation covers Boolean queries; aggregate sessions serve \
-                 exact Shapley values only"
+        let out = read(self, &state);
+        self.prob = Some(state);
+        out
+    }
+
+    /// `Pr[q]` by world enumeration, with `forced` pinning one fact.
+    fn enumerate_probability(
+        &self,
+        forced: Option<(FactId, bool)>,
+    ) -> Result<BigRational, CoreError> {
+        probability_by_enumeration_cancel(
+            &self.db,
+            self.spec.query(),
+            &self.probs,
+            forced,
+            self.options.brute_force_limit,
+            self.cancel.as_ref(),
+        )
+    }
+
+    /// The plan instantiated at the probability domain. World
+    /// enumeration answers any Boolean query and reports its own limit,
+    /// so every route the resolver refuses lands there.
+    fn build_prob_state(&self) -> Result<ProbState, CoreError> {
+        if matches!(self.spec, QuerySpec::Aggregate { .. }) {
+            return Err(CoreError::Unsupported(
+                "probabilistic evaluation covers Boolean queries; aggregate sessions serve exact \
+                 Shapley values only"
                     .into(),
-            )),
+            ));
+        }
+        match resolve(&self.db, self.spec.query(), Strategy::Auto, &self.options) {
+            Ok(Plan::Terms { terms, rewritten }) => Ok(ProbState::Terms(TermList::compile(
+                &self.db,
+                terms,
+                rewritten,
+                |_, db, q| {
+                    CompiledProbability::compile(
+                        db,
+                        q,
+                        self.probs.clone(),
+                        self.options.threads,
+                        self.cancel.as_ref(),
+                    )
+                },
+            )?)),
+            Ok(Plan::Enumerate(_)) | Err(_) => Ok(ProbState::Enumerate),
         }
     }
 
@@ -1276,41 +1045,20 @@ impl ShapleySession {
     /// failure restores it and rebuilds, so the session's database and
     /// engine never diverge.
     fn after_update(&mut self, change: EngineUpdate, snapshot: Database) -> Result<(), CoreError> {
-        // Maintain the cached probability engine first; states it cannot
-        // absorb degrade to lazily rebuilt (never to stale answers).
-        self.prob = match std::mem::replace(&mut self.prob, ProbState::NotBuilt) {
-            ProbState::Cq(mut engine) => match engine.update(&self.db, change) {
-                Ok(true) => ProbState::Cq(engine),
-                _ => ProbState::NotBuilt,
+        // Maintain the cached probability terms first; what they cannot
+        // absorb is rebuilt on demand (never served stale).
+        self.prob = match self.prob.take() {
+            Some(ProbState::Terms(mut terms)) => match terms.update(&self.db, change) {
+                Ok(true) => Some(ProbState::Terms(terms)),
+                _ => None,
             },
-            ProbState::Union(terms) => {
-                let mut kept = Vec::with_capacity(terms.len());
-                let mut all_maintained = true;
-                for (negative, mut engine) in terms {
-                    match engine.update(&self.db, change) {
-                        Ok(true) => kept.push((negative, engine)),
-                        _ => {
-                            all_maintained = false;
-                            break;
-                        }
-                    }
-                }
-                if all_maintained {
-                    ProbState::Union(kept)
-                } else {
-                    ProbState::NotBuilt
-                }
-            }
-            // Rewritten, always-false, and brute states depend on the
-            // database globally: rebuild on demand.
-            _ => ProbState::NotBuilt,
+            _ => None,
         };
         let maintained = match &mut self.state {
-            EngineState::CqCompiled(engine) => engine.update(&self.db, change),
-            EngineState::UnionCompiled(engine) => engine.update(&self.db, change),
-            // Rewritten, brute-force, and aggregate states depend on the
-            // database globally (complement materialization, candidate
-            // enumeration, strategy limits): re-prepare.
+            EngineState::Ready(Engine::Terms(terms)) => terms.update(&self.db, change),
+            // Enumeration and aggregate states depend on the database
+            // globally (strategy limits, candidate enumeration):
+            // re-prepare.
             _ => Ok(false),
         };
         let maintained = match maintained {
@@ -1328,7 +1076,7 @@ impl ShapleySession {
             self.anytime = None;
             return Ok(());
         }
-        match build_state(&self.db, &self.spec, &self.options, self.cancel.as_ref()) {
+        match self.build() {
             Ok(built) => {
                 self.install(built);
                 self.stats.updates += 1;
@@ -1364,12 +1112,12 @@ impl ShapleySession {
     /// Returns the error to surface for the rejected update.
     fn roll_back(&mut self, snapshot: Database, cause: CoreError) -> CoreError {
         self.db = snapshot;
-        self.prob = ProbState::NotBuilt;
+        self.prob = None;
         self.stats.rolled_back += 1;
         // The failure may have tripped the (sticky) session token; the
         // restoration rebuild deserves a fresh budget of its own.
         self.rearm();
-        match build_state(&self.db, &self.spec, &self.options, self.cancel.as_ref()) {
+        match self.build() {
             Ok(built) => self.install(built),
             // A fallback session never had an exact engine to lose: a
             // degradable rebuild failure leaves it serving its degraded
@@ -1390,6 +1138,14 @@ impl ShapleySession {
     }
 }
 
+/// The spec of a Boolean query.
+fn boolean_spec(query: AnyQuery<'_>) -> QuerySpec {
+    match query {
+        AnyQuery::Cq(q) => QuerySpec::Cq(q.clone()),
+        AnyQuery::Union(u) => QuerySpec::Union(u.clone()),
+    }
+}
+
 /// Probabilities live in `[0, 1]`; sessions reject instead of panicking
 /// like [`FactProbabilities::set`] does.
 fn check_probability(p: &BigRational) -> Result<(), CoreError> {
@@ -1399,63 +1155,6 @@ fn check_probability(p: &BigRational) -> Result<(), CoreError> {
         )));
     }
     Ok(())
-}
-
-/// The signed numerator sum of the `ExoShap` union terms for one fact
-/// (every rewritten database keeps the original `Dn`, so all terms
-/// share the denominator `m!`).
-fn exo_union_numerator(
-    terms: &[ExoTerm],
-    f: FactId,
-    cancel: Option<&CancelToken>,
-) -> Result<BigInt, CoreError> {
-    let mut acc = BigInt::zero();
-    for t in terms {
-        if let Some(token) = cancel {
-            crate::budget::check(token, cqshap_obs::phase::UNION_TERMS)?;
-        }
-        let n = t.engine.shapley_numerator(&t.db, f)?;
-        if t.negative {
-            acc -= &n;
-        } else {
-            acc += &n;
-        }
-    }
-    Ok(acc)
-}
-
-fn exo_union_normalize(terms: &[ExoTerm], num: BigInt) -> BigRational {
-    match terms.first() {
-        Some(t) => t.engine.normalize_numerator(num),
-        None => BigRational::zero(),
-    }
-}
-
-/// Per-fact values and the exact total for the `ExoShap` union state,
-/// all accumulated in the shared numerator domain. A tripped budget
-/// reports how many facts completed.
-fn exo_union_values(
-    terms: &[ExoTerm],
-    facts: &[FactId],
-    cancel: Option<&CancelToken>,
-) -> Result<(Vec<BigRational>, BigRational), CoreError> {
-    let mut total = BigInt::zero();
-    let mut values = Vec::with_capacity(facts.len());
-    for &f in facts {
-        if let Some(token) = cancel {
-            crate::budget::check_partial(token, cqshap_obs::phase::UNION_TERMS, Some(values.len()))
-                .map_err(|e| {
-                    e.with_partial_answers(values.iter().cloned().enumerate().collect())
-                })?;
-        }
-        // The kernels inside the numerator poll the same token — a trip
-        // mid-fact must also carry the facts already finished.
-        let num = exo_union_numerator(terms, f, cancel)
-            .map_err(|e| e.with_partial_answers(values.iter().cloned().enumerate().collect()))?;
-        total += &num;
-        values.push(exo_union_normalize(terms, num));
-    }
-    Ok((values, exo_union_normalize(terms, total)))
 }
 
 #[cfg(test)]

@@ -29,10 +29,9 @@ use cqshap_query::{
 use crate::anyquery::AnyQuery;
 use crate::budget::{Budget, CancelToken};
 use crate::compiled::CompiledCount;
-use crate::compiled_union::CompiledUnionCount;
 use crate::error::CoreError;
-use crate::exoshap;
-use crate::satcount::{BruteForceCounter, HierarchicalCounter, SatCountOracle};
+use crate::plan::Enumeration;
+use crate::satcount::{BruteForceCounter, SatCountOracle};
 
 /// How to compute an exact Shapley value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -293,8 +292,8 @@ pub fn shapley_value(
 
 /// Computes `Shapley(D, U, f)` for a UCQ¬.
 ///
-/// `Auto` and `Hierarchical` route through the inclusion–exclusion
-/// engine [`CompiledUnionCount`] whenever every non-empty intersection
+/// `Auto` and `Hierarchical` route through the compiled
+/// inclusion–exclusion terms whenever every non-empty intersection
 /// of disjuncts conjoins into the compiled fragment (Section 5.2's
 /// extension of the tractability frontier to UCQ¬s); `Auto` then tries
 /// the per-conjunction `ExoShap` rewriting (the union analogue of the
@@ -320,258 +319,15 @@ pub fn shapley_value_union(
 
 /// Computes the Shapley value of *every* endogenous fact of `db` for a
 /// UCQ¬, strategy-routed like [`shapley_value_union`] but with the
-/// compiled paths batched: the inclusion–exclusion engine is compiled
+/// compiled paths batched: the inclusion–exclusion terms are compiled
 /// once and the per-fact recounts fan out across threads chunked by the
-/// engine's combined root-group buckets.
+/// terms' combined root-group buckets.
 pub fn shapley_report_union(
     db: &Database,
     u: &UnionQuery,
     options: &ShapleyOptions,
 ) -> Result<ShapleyReport, CoreError> {
     crate::session::ShapleySession::prepare(db, AnyQuery::Union(u), options)?.report()
-}
-
-/// The per-fact reference path of [`shapley_report_union`]: every fact
-/// pays the full inclusion–exclusion sum with from-scratch hierarchical
-/// DP runs (or brute-force enumeration) — no compiled sharing. Kept as
-/// the cross-check and benchmark baseline; `cqshap-bench`'s
-/// `bench-report --ucq` measures the speedup of [`shapley_report_union`]
-/// over this.
-pub fn shapley_report_union_per_fact(
-    db: &Database,
-    u: &UnionQuery,
-    options: &ShapleyOptions,
-) -> Result<ShapleyReport, CoreError> {
-    let facts = db.endo_facts();
-    let cancel = options.cancel_token();
-    let values = match resolve_union_route(db, u, options, cancel.as_ref())? {
-        UnionRoute::Compiled => {
-            let subsets: Vec<(bool, ConjunctiveQuery)> =
-                CompiledUnionCount::subset_conjunctions(u)?
-                    .into_iter()
-                    .map(|(negative, _, q)| (negative, q))
-                    .collect();
-            crate::parallel::par_map_with(options.threads, facts.len(), |i| {
-                let mut acc = BigRational::zero();
-                for (negative, q) in &subsets {
-                    let v =
-                        shapley_via_counts(db, AnyQuery::Cq(q), facts[i], &HierarchicalCounter)?;
-                    signed_add(&mut acc, &v, *negative);
-                }
-                Ok::<BigRational, CoreError>(acc)
-            })
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()?
-        }
-        UnionRoute::ExoShap(terms) => {
-            let outcomes: Vec<(bool, exoshap::RewriteOutcome)> = terms
-                .into_iter()
-                .map(|(negative, outcome, _)| (negative, outcome))
-                .collect();
-            exoshap_union_per_fact_values(&outcomes, facts, options.threads)?
-        }
-        UnionRoute::BruteForce => union_brute_values(db, u, facts, options, cancel.as_ref())?,
-        UnionRoute::Permutations => {
-            let cancel = cancel.as_ref();
-            crate::parallel::par_map_with(options.threads, facts.len(), |i| {
-                shapley_by_permutations(
-                    db,
-                    AnyQuery::Union(u),
-                    facts[i],
-                    options.permutation_limit,
-                    cancel,
-                )
-            })
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()?
-        }
-    };
-    Ok(assemble_report(
-        db,
-        values,
-        efficiency_target(db, AnyQuery::Union(u)),
-    ))
-}
-
-/// The signed, rewritten terms evaluated per fact with from-scratch
-/// hierarchical DP runs (the `ExoShap` reference path, and the terminal
-/// step of [`shapley_value_union`]'s single-fact evaluation).
-pub(crate) fn exoshap_union_per_fact_values(
-    terms: &[(bool, exoshap::RewriteOutcome)],
-    facts: &[FactId],
-    threads: usize,
-) -> Result<Vec<BigRational>, CoreError> {
-    crate::parallel::par_map_with(threads, facts.len(), |i| {
-        let mut acc = BigRational::zero();
-        for (negative, outcome) in terms {
-            let v = shapley_via_counts(
-                &outcome.db,
-                AnyQuery::Cq(&outcome.query),
-                facts[i],
-                &HierarchicalCounter,
-            )?;
-            signed_add(&mut acc, &v, *negative);
-        }
-        Ok::<BigRational, CoreError>(acc)
-    })
-    .into_iter()
-    .collect()
-}
-
-/// The algorithm a UCQ¬ strategy resolved to — shared by
-/// [`shapley_value_union`], [`shapley_report_union`] (both through the
-/// session), and [`shapley_report_union_per_fact`], so one input can
-/// never route differently between the single-value and report paths.
-pub(crate) enum UnionRoute {
-    /// The compiled inclusion–exclusion engine.
-    Compiled,
-    /// The per-conjunction `ExoShap` rewriting: the signed rewritten
-    /// terms with their engines already compiled (compiled once here,
-    /// whether for `Auto` validation or an explicit strategy, and
-    /// carried to the caller instead of being rebuilt).
-    ExoShap(Vec<(bool, exoshap::RewriteOutcome, CompiledCount)>),
-    /// Explicit subset enumeration.
-    BruteForce,
-    /// Explicit permutation enumeration.
-    Permutations,
-}
-
-/// Compiles the batched engine of every `ExoShap` union term.
-fn compile_exoshap_terms(
-    terms: Vec<(bool, exoshap::RewriteOutcome)>,
-    threads: usize,
-    cancel: Option<&CancelToken>,
-) -> Result<Vec<(bool, exoshap::RewriteOutcome, CompiledCount)>, CoreError> {
-    terms
-        .into_iter()
-        .map(|(negative, outcome)| {
-            let engine = CompiledCount::compile(&outcome.db, &outcome.query, threads, cancel)?;
-            Ok((negative, outcome, engine))
-        })
-        .collect()
-}
-
-/// Checks every subset conjunction of `u` against the compiled
-/// fragment.
-fn check_union_tractable(u: &UnionQuery) -> Result<(), CoreError> {
-    for (_, label, q) in CompiledUnionCount::subset_conjunctions(u)? {
-        CompiledUnionCount::check_tractable(&label, &q)?;
-    }
-    Ok(())
-}
-
-/// Resolves a union strategy once. `Auto` descends the ladder: the
-/// compiled inclusion–exclusion engine whenever every intersection lies
-/// in the compiled fragment, then the per-conjunction `ExoShap`
-/// rewriting (validated end-to-end, including the rewritten engines),
-/// then brute force within the limit, and only then surfaces the
-/// original intersection error.
-pub(crate) fn resolve_union_route(
-    db: &Database,
-    u: &UnionQuery,
-    options: &ShapleyOptions,
-    cancel: Option<&CancelToken>,
-) -> Result<UnionRoute, CoreError> {
-    match options.strategy {
-        Strategy::BruteForcePermutations => Ok(UnionRoute::Permutations),
-        Strategy::BruteForceSubsets => Ok(UnionRoute::BruteForce),
-        Strategy::Hierarchical => {
-            check_union_tractable(u)?;
-            Ok(UnionRoute::Compiled)
-        }
-        Strategy::ExoShap => Ok(UnionRoute::ExoShap(compile_exoshap_terms(
-            exoshap_union_terms(db, u, options.tuple_budget)?,
-            options.threads,
-            cancel,
-        )?)),
-        Strategy::Auto => match check_union_tractable(u) {
-            Ok(()) => Ok(UnionRoute::Compiled),
-            Err(e) if compiled_union_inapplicable(&e) => {
-                if let Ok(terms) = exoshap_union_terms(db, u, options.tuple_budget) {
-                    match compile_exoshap_terms(terms, options.threads, cancel) {
-                        Ok(compiled) => return Ok(UnionRoute::ExoShap(compiled)),
-                        // A tripped deadline must surface, not silently
-                        // downgrade the route to brute force.
-                        Err(d @ CoreError::DeadlineExceeded { .. }) => return Err(d),
-                        Err(_) => {}
-                    }
-                }
-                if db.endo_count() <= options.brute_force_limit {
-                    Ok(UnionRoute::BruteForce)
-                } else {
-                    Err(e)
-                }
-            }
-            Err(e) => Err(e),
-        },
-    }
-}
-
-/// `acc ± v` by the inclusion–exclusion sign.
-pub(crate) fn signed_add(acc: &mut BigRational, v: &BigRational, negative: bool) {
-    if negative {
-        *acc -= v;
-    } else {
-        *acc += v;
-    }
-}
-
-/// Should `Auto` absorb this compile failure by falling back to brute
-/// force (the union is outside the compiled fragment), rather than
-/// propagate it (a genuine input error)?
-pub(crate) fn compiled_union_inapplicable(e: &CoreError) -> bool {
-    matches!(
-        e,
-        CoreError::IntractableIntersection { .. }
-            | CoreError::NotHierarchical { .. }
-            | CoreError::NotSelfJoinFree { .. }
-            | CoreError::Unsupported(_)
-    )
-}
-
-/// Brute-force subset enumeration per fact for a UCQ¬, under the
-/// caller's token: the budget bounds the whole batch, not each fact.
-pub(crate) fn union_brute_values(
-    db: &Database,
-    u: &UnionQuery,
-    facts: &[FactId],
-    options: &ShapleyOptions,
-    cancel: Option<&CancelToken>,
-) -> Result<Vec<BigRational>, CoreError> {
-    let oracle = BruteForceCounter::new(options.brute_force_limit, options.threads, cancel);
-    crate::parallel::par_map_with(options.threads, facts.len(), |i| {
-        shapley_via_counts(db, AnyQuery::Union(u), facts[i], &oracle)
-    })
-    .into_iter()
-    .collect()
-}
-
-/// The `ExoShap` rewriting applied per subset conjunction: the signed,
-/// rewritten inclusion–exclusion terms (unsatisfiable conjunctions and
-/// always-false rewriting outcomes contribute zero and are skipped).
-///
-/// # Errors
-/// [`CoreError::IntractableIntersection`] naming the intersection whose
-/// conjunction the rewriting rejects.
-pub(crate) fn exoshap_union_terms(
-    db: &Database,
-    u: &UnionQuery,
-    tuple_budget: usize,
-) -> Result<Vec<(bool, exoshap::RewriteOutcome)>, CoreError> {
-    let mut out = Vec::new();
-    for (negative, label, q) in CompiledUnionCount::subset_conjunctions(u)? {
-        let outcome = exoshap::rewrite(db, &q, tuple_budget).map_err(|e| {
-            CoreError::IntractableIntersection {
-                intersection: label.clone(),
-                reason: e.to_string(),
-            }
-        })?;
-        if outcome.always_false {
-            continue;
-        }
-        out.push((negative, outcome));
-    }
-    Ok(out)
 }
 
 /// The concrete algorithm a [`Strategy`] resolved to for one input —
@@ -749,20 +505,6 @@ impl ShapleyReport {
     }
 }
 
-/// Resolves the strategy and performs the (shared) `ExoShap` rewriting.
-fn prepare_report(
-    db: &Database,
-    q: &ConjunctiveQuery,
-    options: &ShapleyOptions,
-) -> Result<(ResolvedStrategy, Option<exoshap::RewriteOutcome>), CoreError> {
-    let resolved = resolve_strategy(db, q, options)?;
-    let rewritten = match resolved {
-        ResolvedStrategy::ExoShap => Some(exoshap::rewrite(db, q, options.tuple_budget)?),
-        _ => None,
-    };
-    Ok((resolved, rewritten))
-}
-
 /// All-zero report (the `always_false` rewriting outcome).
 pub(crate) fn zero_report(db: &Database) -> ShapleyReport {
     let entries = db
@@ -816,9 +558,9 @@ fn report_entries(db: &Database, values: Vec<BigRational>) -> Vec<ShapleyEntry> 
 }
 
 /// What the chunked report fan-out needs from a compiled engine —
-/// implemented by the single-CQ¬ [`CompiledCount`] and the
-/// inclusion–exclusion [`CompiledUnionCount`]. Engines do not borrow
-/// the database, so each call re-supplies it.
+/// implemented by [`CompiledCount`] and by a session's signed term
+/// list. Engines do not borrow the database, so each call re-supplies
+/// it.
 pub(crate) trait BatchedEngine: Sync {
     /// Total number of bucket ids.
     fn buckets(&self, db: &Database) -> usize;
@@ -842,21 +584,6 @@ impl BatchedEngine for CompiledCount {
     }
     fn normalize(&self, num: BigInt) -> BigRational {
         CompiledCount::normalize_numerator(self, num)
-    }
-}
-
-impl BatchedEngine for CompiledUnionCount {
-    fn buckets(&self, db: &Database) -> usize {
-        CompiledUnionCount::buckets(self, db)
-    }
-    fn bucket_of(&self, db: &Database, f: FactId) -> usize {
-        CompiledUnionCount::bucket_of(self, db, f)
-    }
-    fn numerator(&self, db: &Database, f: FactId) -> Result<BigInt, CoreError> {
-        CompiledUnionCount::shapley_numerator(self, db, f)
-    }
-    fn normalize(&self, num: BigInt) -> BigRational {
-        CompiledUnionCount::normalize_numerator(self, num)
     }
 }
 
@@ -959,6 +686,38 @@ fn engine_numerator_values(
     ))
 }
 
+/// Per-fact values by enumeration, fanned out across threads by raw
+/// fact index, every worker lane polling the caller's token: the
+/// deadline bounds the whole batch, not each fact.
+pub(crate) fn enumerated_values(
+    db: &Database,
+    q: AnyQuery<'_>,
+    facts: &[FactId],
+    enumeration: Enumeration,
+    options: &ShapleyOptions,
+    cancel: Option<&CancelToken>,
+) -> Result<Vec<BigRational>, CoreError> {
+    let oracle = BruteForceCounter::new(options.brute_force_limit, options.threads, cancel);
+    par_values(options.threads, facts, |f| match enumeration {
+        Enumeration::Subsets => shapley_via_counts(db, q, f, &oracle),
+        Enumeration::Permutations => {
+            shapley_by_permutations(db, q, f, options.permutation_limit, cancel)
+        }
+    })
+}
+
+/// Maps `value` over `facts` across at most `threads` workers,
+/// preserving order; the first error wins.
+pub(crate) fn par_values(
+    threads: usize,
+    facts: &[FactId],
+    value: impl Fn(FactId) -> Result<BigRational, CoreError> + Sync,
+) -> Result<Vec<BigRational>, CoreError> {
+    crate::parallel::par_map_with(threads, facts.len(), |i| value(facts[i]))
+        .into_iter()
+        .collect()
+}
+
 /// Computes the Shapley value of *every* endogenous fact of `db`.
 ///
 /// The hierarchical strategies (including the shared-once `ExoShap`
@@ -973,114 +732,10 @@ pub fn shapley_report(
     crate::session::ShapleySession::prepare(db, AnyQuery::Cq(q), options)?.report()
 }
 
-/// The seed per-fact reference path of [`shapley_report`]: every fact
-/// pays two materialized database copies and two from-scratch oracle
-/// runs. Kept as the cross-check and benchmark baseline for the
-/// batched engine — `cqshap-bench`'s `bench-report` measures the
-/// speedup of [`shapley_report`] over this.
-pub fn shapley_report_per_fact(
-    db: &Database,
-    q: &ConjunctiveQuery,
-    options: &ShapleyOptions,
-) -> Result<ShapleyReport, CoreError> {
-    let (resolved, rewritten) = prepare_report(db, q, options)?;
-    let (eff_db, eff_q): (&Database, &ConjunctiveQuery) = match &rewritten {
-        Some(rw) if rw.always_false => return Ok(zero_report(db)),
-        Some(rw) => (&rw.db, &rw.query),
-        None => (db, q),
-    };
-    let facts = db.endo_facts();
-    let cancel = options.cancel_token();
-    let values = per_fact_values(
-        eff_db,
-        eff_q,
-        facts,
-        resolved,
-        options,
-        cancel.as_ref(),
-        true,
-    )?;
-    Ok(assemble_report(
-        db,
-        values,
-        efficiency_target(eff_db, AnyQuery::Cq(eff_q)),
-    ))
-}
-
-/// Fans independent per-fact computations out across threads, chunked
-/// by raw fact index, every worker lane polling the caller's token: the
-/// deadline bounds the whole batch, not each fact. With `materialize`
-/// set, each fact's modified databases are rebuilt as real copies (the
-/// seed behavior); otherwise the oracle sees [`FactMask`] views.
-pub(crate) fn per_fact_values(
-    eff_db: &Database,
-    eff_q: &ConjunctiveQuery,
-    facts: &[FactId],
-    resolved: ResolvedStrategy,
-    options: &ShapleyOptions,
-    cancel: Option<&CancelToken>,
-    materialize: bool,
-) -> Result<Vec<BigRational>, CoreError> {
-    let oracle: Box<dyn SatCountOracle> = match resolved {
-        ResolvedStrategy::Hierarchical | ResolvedStrategy::ExoShap => Box::new(HierarchicalCounter),
-        ResolvedStrategy::BruteForce | ResolvedStrategy::Permutations => Box::new(
-            BruteForceCounter::new(options.brute_force_limit, options.threads, cancel),
-        ),
-    };
-    let oracle_ref: &dyn SatCountOracle = oracle.as_ref();
-    crate::parallel::par_map_with(options.threads, facts.len(), |i| {
-        let f = facts[i];
-        match resolved {
-            ResolvedStrategy::Permutations => shapley_by_permutations(
-                eff_db,
-                AnyQuery::Cq(eff_q),
-                f,
-                options.permutation_limit,
-                cancel,
-            ),
-            _ if materialize => shapley_via_materialized_counts(eff_db, eff_q, f, oracle_ref),
-            _ => shapley_via_counts(eff_db, AnyQuery::Cq(eff_q), f, oracle_ref),
-        }
-    })
-    .into_iter()
-    .collect()
-}
-
-/// The seed single-fact computation: materialized modified databases
-/// plus a term-by-term rational accumulation. Only
-/// [`shapley_report_per_fact`] uses this; it exists to keep the
-/// benchmark baseline honest.
-fn shapley_via_materialized_counts(
-    db: &Database,
-    q: &ConjunctiveQuery,
-    f: FactId,
-    oracle: &dyn SatCountOracle,
-) -> Result<BigRational, CoreError> {
-    if db.endo_index(f).is_none() {
-        return Err(CoreError::FactNotEndogenous {
-            fact: db.render_fact(f),
-        });
-    }
-    let m = db.endo_count();
-    let (db_minus, _) = db.without_fact(f)?;
-    let (db_plus, _) = db.with_fact_exogenous(f)?;
-    let n_minus = oracle.counts(&db_minus, AnyQuery::Cq(q))?;
-    let n_plus = oracle.counts(&db_plus, AnyQuery::Cq(q))?;
-    let table = FactorialTable::new(m);
-    let mut acc = BigRational::zero();
-    for k in 0..m {
-        let diff =
-            BigInt::from_biguint(n_plus[k].clone()) - BigInt::from_biguint(n_minus[k].clone());
-        if !diff.is_zero() {
-            acc += &(table.shapley_weight(m, k) * BigRational::from_int(diff));
-        }
-    }
-    Ok(acc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::satcount::HierarchicalCounter;
     use cqshap_query::parse_cq;
 
     fn university() -> Database {
@@ -1346,7 +1001,9 @@ mod tests {
         let report = shapley_report_union(&db, &u, &ShapleyOptions::default()).unwrap();
         assert!(report.efficiency_holds());
         assert_eq!(report.entry(f).unwrap().value, auto);
-        let per_fact = shapley_report_union_per_fact(&db, &u, &ShapleyOptions::default()).unwrap();
+        let per_fact =
+            crate::reference::shapley_report_union_per_fact(&db, &u, &ShapleyOptions::default())
+                .unwrap();
         assert_eq!(per_fact.entry(f).unwrap().value, auto);
     }
 
@@ -1396,7 +1053,7 @@ mod tests {
         let opts = ShapleyOptions::default();
         let batched = shapley_report_union(&db, &u, &opts).unwrap();
         assert!(batched.efficiency_holds());
-        let per_fact = shapley_report_union_per_fact(&db, &u, &opts).unwrap();
+        let per_fact = crate::reference::shapley_report_union_per_fact(&db, &u, &opts).unwrap();
         for &f in db.endo_facts() {
             let b = &batched.entry(f).unwrap().value;
             assert_eq!(

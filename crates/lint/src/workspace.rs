@@ -28,7 +28,7 @@ const NO_PANIC_CRATES: &[&str] = &["core", "db", "numeric", "probdb"];
 /// Files whose loops must poll cancellation (`cancellation-poll`).
 const CANCEL_FILES: &[&str] = &[
     "crates/core/src/compiled.rs",
-    "crates/core/src/compiled_union.rs",
+    "crates/core/src/plan.rs",
     "crates/core/src/domain.rs",
     "crates/core/src/aggregates.rs",
     "crates/numeric/src/poly.rs",

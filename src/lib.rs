@@ -87,14 +87,13 @@ pub mod prelude {
             brute_force_relevance, is_negatively_relevant, is_positively_relevant, is_relevant,
             shapley_is_zero,
         },
-        rewrite, shapley_by_permutations, shapley_report, shapley_report_per_fact,
-        shapley_report_union, shapley_report_union_per_fact, shapley_value, shapley_value_union,
-        shapley_via_counts,
+        rewrite, shapley_by_permutations, shapley_report, shapley_report_union, shapley_value,
+        shapley_value_union, shapley_via_counts,
         wsms::{wsms_report, WsmsEntry, WsmsReport, WsmsWeight},
-        AnyQuery, BruteForceCounter, CompiledCount, CompiledProbability, CompiledUnionCount,
-        CoreError, EngineUpdate, FactProbabilities, HierarchicalCounter, ReportStats,
-        ResolvedStrategy, SatCountOracle, SessionStats, ShapleyEntry, ShapleyOptions,
-        ShapleyReport, ShapleySession, Strategy, TierPolicy, TieredAnswer,
+        AnyQuery, BruteForceCounter, CompiledCount, CompiledProbability, CoreError, EngineUpdate,
+        FactProbabilities, HierarchicalCounter, ReportStats, ResolvedStrategy, SatCountOracle,
+        SessionStats, ShapleyEntry, ShapleyOptions, ShapleyReport, ShapleySession, Strategy,
+        TierPolicy, TieredAnswer,
     };
     pub use cqshap_db::{Database, FactId, FactMask, Provenance, World};
     pub use cqshap_numeric::{BigInt, BigRational, BigUint};

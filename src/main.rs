@@ -5,7 +5,6 @@
 //! cqshap shapley   <db-file> "<query>" [--fact "Reg(Adam, OS)"] [--strategy auto|hierarchical|exoshap|brute|permutations]
 //! cqshap relevance <db-file> "<query>" --fact "TA(Adam)"
 //! cqshap prob      <db-file> "<query>" [--default-p 0.5] [--fact "R(a, b)"] [--threads N]
-//! cqshap probability <db-file> "<query>" [--default-p 0.5]
 //! cqshap satcount  <db-file> "<query>"
 //! ```
 //!
@@ -95,13 +94,12 @@ const USAGE: &str = "usage:
                    (exact tuple-independent probability from the session's
                     compiled engine; --fact prints the expected marginal;
                     the query may be a UCQ)
+  cqshap satcount  <db-file> \"<query>\"
 
   --trace collects per-phase spans, counters, and histograms during the
   command (report, shapley, and prob) and writes a cqshap-trace/v1 JSON
   document afterwards; --trace-out picks the path (default
-  TRACE_report.json) and implies --trace.
-  cqshap probability <db-file> \"<query>\" [--default-p 0.5]
-  cqshap satcount  <db-file> \"<query>\"";
+  TRACE_report.json) and implies --trace.";
 
 /// Parsed `--flag value` options after the positional arguments.
 struct Options {
@@ -260,7 +258,6 @@ fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         "report" => cmd_report(&opts, out),
         "relevance" => cmd_relevance(&opts, out),
         "prob" => cmd_prob(&opts, out),
-        "probability" => cmd_probability(&opts, out),
         "satcount" => cmd_satcount(&opts, out),
         other => Err(format!("unknown command {other:?}").into()),
     };
@@ -600,34 +597,6 @@ fn cmd_prob(opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
             )?;
         }
     }
-    Ok(())
-}
-
-fn cmd_probability(opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
-    let [db_path, query] = opts.positional.as_slice() else {
-        return Err("probability needs a database file and a query".into());
-    };
-    let p: f64 = opts
-        .default_p
-        .as_deref()
-        .unwrap_or("0.5")
-        .parse()
-        .map_err(|_| "--default-p must be a number".to_string())?;
-    if !(0.0..=1.0).contains(&p) {
-        return Err("--default-p must lie in [0, 1]".into());
-    }
-    let db = load_db(db_path)?;
-    let q = parse_cq(query).map_err(|e| e.to_string())?;
-    let pdb = ProbDatabase::new(db, p);
-    let pr = pdb
-        .query_probability(&q)
-        .or_else(|_| pdb.query_probability_with_rewriting(&q, 10_000_000))
-        .map_err(|e| e.to_string())?;
-    writeln!(
-        out,
-        "Pr[D ⊨ {}] = {pr:.9}  (endogenous facts present with p = {p})",
-        q.name()
-    )?;
     Ok(())
 }
 

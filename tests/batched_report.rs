@@ -7,6 +7,7 @@
 //! instance. `shapley_by_permutations` ties both back to the textbook
 //! definition of the Shapley value on the small instances.
 
+use cqshap::core::reference::shapley_report_per_fact;
 use cqshap::prelude::*;
 use cqshap::workloads::random_db::RandomDbConfig;
 use proptest::prelude::*;

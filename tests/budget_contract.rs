@@ -3,6 +3,7 @@
 //! `DeadlineExceeded` — never a different error, never a value that
 //! differs from the unbudgeted answer.
 
+use cqshap::core::reference::shapley_report_union_per_fact;
 use cqshap::obs;
 use cqshap::prelude::*;
 

@@ -238,3 +238,107 @@ fn bad_inputs_fail_with_nonzero_exit() {
     let out = cqshap(&["shapley", "/nonexistent/file.db", Q1]);
     assert!(!out.status.success());
 }
+
+/// The exact rational `cqshap prob` printed after `label = `.
+fn printed_value(out: &str, label: &str) -> BigRational {
+    let rest = out
+        .split_once(&format!("{label} = "))
+        .unwrap_or_else(|| panic!("no `{label} = ` in stdout: {out}"))
+        .1;
+    let (value, _) = rest
+        .split_once(" ≈")
+        .unwrap_or_else(|| panic!("no approximation after the value in stdout: {out}"));
+    value.parse().expect("an exact rational")
+}
+
+/// `Pr[q]` by world enumeration at a uniform probability `p`.
+fn enumerated(
+    db: &Database,
+    q: AnyQuery<'_>,
+    p: BigRational,
+    forced: Option<(FactId, bool)>,
+) -> BigRational {
+    probability_by_enumeration(db, q, &FactProbabilities::uniform(p), forced, 16).unwrap()
+}
+
+#[test]
+fn prob_prints_the_exact_probability_of_a_cq() {
+    let file = figure_1_file("prob-cq");
+    let db = Database::parse(FIGURE_1).unwrap();
+    let q1 = parse_cq(Q1).unwrap();
+    for (arg, p) in [("0.5", (1, 2)), ("0.25", (1, 4))] {
+        let out = stdout_of(&cqshap(&["prob", file.path(), Q1, "--default-p", arg]));
+        let p = BigRational::from_i64_ratio(p.0, p.1);
+        assert_eq!(
+            printed_value(&out, "Pr[D ⊨ q]"),
+            enumerated(&db, AnyQuery::Cq(&q1), p, None),
+            "p = {arg}: {out}"
+        );
+    }
+}
+
+#[test]
+fn prob_answers_an_exoshap_cq() {
+    // Not hierarchical, but R is exogenous: the session rewrites.
+    let text = "exorel R\nexo R(a)\nexo R(b)\n\
+                endo S(a, c)\nendo S(b, c)\nendo S(b, d)\nendo T(c)\nendo T(d)\n";
+    let file = temp_db_file("prob-exoshap", text);
+    let db = Database::parse(text).unwrap();
+    let query = "q() :- R(x), S(x, y), T(y)";
+    let q = parse_cq(query).unwrap();
+    let session = ShapleySession::prepare(&db, AnyQuery::Cq(&q), &ShapleyOptions::auto()).unwrap();
+    assert_eq!(session.strategy(), Some(ResolvedStrategy::ExoShap));
+    let out = stdout_of(&cqshap(&["prob", file.path(), query]));
+    assert_eq!(
+        printed_value(&out, "Pr[D ⊨ q]"),
+        enumerated(
+            &db,
+            AnyQuery::Cq(&q),
+            BigRational::from_i64_ratio(1, 2),
+            None
+        ),
+        "{out}"
+    );
+}
+
+#[test]
+fn prob_answers_a_ucq() {
+    let file = figure_1_file("prob-ucq");
+    let db = Database::parse(FIGURE_1).unwrap();
+    let query = "q1() :- Stud(x), !TA(x), Reg(x, y); q2() :- Adv(p, s), TA(s)";
+    let u = parse_ucq(query).unwrap();
+    let out = stdout_of(&cqshap(&[
+        "prob",
+        file.path(),
+        query,
+        "--default-p",
+        "0.25",
+    ]));
+    assert_eq!(
+        printed_value(&out, "Pr[D ⊨ q]"),
+        enumerated(
+            &db,
+            AnyQuery::Union(&u),
+            BigRational::from_i64_ratio(1, 4),
+            None
+        ),
+        "{out}"
+    );
+}
+
+#[test]
+fn prob_fact_prints_the_expected_marginal() {
+    let file = figure_1_file("prob-fact");
+    let db = Database::parse(FIGURE_1).unwrap();
+    let q1 = parse_cq(Q1).unwrap();
+    let out = stdout_of(&cqshap(&["prob", file.path(), Q1, "--fact", "TA(Adam)"]));
+    let f = db.find_fact("TA", &["Adam"]).unwrap();
+    let half = || BigRational::from_i64_ratio(1, 2);
+    let want = enumerated(&db, AnyQuery::Cq(&q1), half(), Some((f, true)))
+        - enumerated(&db, AnyQuery::Cq(&q1), half(), Some((f, false)));
+    assert_eq!(
+        printed_value(&out, "E[marginal of TA(Adam)]"),
+        want,
+        "{out}"
+    );
+}

@@ -21,6 +21,7 @@
 //! engine maintained across random flip / insert / retract sequences
 //! must equal a fresh compile after every step.
 
+use cqshap::core::reference::{shapley_report_per_fact, shapley_report_union_per_fact};
 use cqshap::prelude::*;
 use proptest::prelude::*;
 

@@ -253,3 +253,165 @@ proptest! {
         }
     }
 }
+
+/// CQ¬s outside the hierarchical fragment that `ExoShap` rewrites once
+/// `A` is exogenous (no non-hierarchical path joins two endogenous
+/// atoms).
+const EXOSHAP_CQS: &[&str] = &["q() :- A(x), C(x, y), F(y)", "q() :- A(x), C(x, y), !F(y)"];
+
+/// `Σ_k counts[k] · p^k · (1 − p)^(m − k)` for `counts` of length
+/// `m + 1`: the probability of the query when every endogenous fact is
+/// present independently with probability `p`.
+fn weighted_counts(counts: &[BigUint], p: &BigRational) -> BigRational {
+    let m = counts.len() - 1;
+    let q = BigRational::one() - p.clone();
+    let power = |x: &BigRational, e: usize| {
+        let mut acc = BigRational::one();
+        for _ in 0..e {
+            acc = &acc * x;
+        }
+        acc
+    };
+    let mut total = BigRational::zero();
+    for (k, c) in counts.iter().enumerate() {
+        total += &(BigRational::from(c.clone()) * power(p, k) * power(&q, m - k));
+    }
+    total
+}
+
+/// The session's `Pr[q]` at a uniform default probability `p`.
+fn session_probability(db: &Database, query: AnyQuery<'_>, p: &BigRational) -> BigRational {
+    let mut session = ShapleySession::prepare(db, query, &ShapleyOptions::auto()).unwrap();
+    session.set_default_probability(p.clone()).unwrap();
+    session.probability().unwrap()
+}
+
+/// The two uniform probabilities the cross-domain identity is checked
+/// at: one dyadic, one not.
+fn uniform_p(pi: usize) -> BigRational {
+    [
+        BigRational::from_i64_ratio(1, 2),
+        BigRational::from_i64_ratio(3, 10),
+    ][pi]
+        .clone()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Counting and probability agree: with every endogenous fact at
+    /// the same `p`, the session's `Pr[q]` equals the satisfying-set
+    /// counts weighted by `p^k (1 − p)^(m − k)` — counts from the
+    /// compiled counting engine for hierarchical CQ¬s, from it on the
+    /// rewritten database for `ExoShap` CQ¬s.
+    #[test]
+    fn cq_probability_matches_weighted_counts(
+        qi in 0..CQS.len() + EXOSHAP_CQS.len(),
+        pi in 0usize..2,
+        seed in 0u64..4000,
+    ) {
+        let exoshap = qi >= CQS.len();
+        let text = if exoshap { EXOSHAP_CQS[qi - CQS.len()] } else { CQS[qi] };
+        let q = parse_cq(text).unwrap();
+        let cfg = RandomDbConfig {
+            domain: 3,
+            facts_per_relation: 3,
+            seed,
+            exogenous_relations: if exoshap { vec!["A".to_string()] } else { Vec::new() },
+            ..Default::default()
+        };
+        let db = cfg.generate(&q);
+        prop_assume!(db.endo_count() <= 10);
+        let counts = if exoshap {
+            let outcome = rewrite(&db, &q, 1 << 16).unwrap();
+            if outcome.always_false {
+                vec![BigUint::zero(); db.endo_count() + 1]
+            } else {
+                CompiledCount::compile(&outcome.db, &outcome.query, 0, None)
+                    .unwrap()
+                    .total_counts()
+                    .to_vec()
+            }
+        } else {
+            CompiledCount::compile(&db, &q, 0, None).unwrap().total_counts().to_vec()
+        };
+        let p = uniform_p(pi);
+        prop_assert_eq!(
+            session_probability(&db, AnyQuery::Cq(&q), &p),
+            weighted_counts(&counts, &p),
+            "{} over\n{}", text, db
+        );
+    }
+
+    /// The same identity for UCQ¬s, with brute-force counts.
+    #[test]
+    fn union_probability_matches_weighted_counts(
+        ui in 0..UNIONS.len(),
+        mix in 0usize..3,
+        pi in 0usize..2,
+        seed in 0u64..4000,
+    ) {
+        let u = parse_ucq(UNIONS[ui]).unwrap();
+        let exo: Vec<String> = EXO_MIXES[mix].iter().map(|s| s.to_string()).collect();
+        let cfg = RandomDbConfig {
+            domain: 3,
+            facts_per_relation: 2,
+            seed,
+            exogenous_relations: exo,
+            ..Default::default()
+        };
+        let db = cfg.generate_union(&u);
+        prop_assume!(db.endo_count() <= 10);
+        let counts = BruteForceCounter::default().counts(&db, AnyQuery::Union(&u)).unwrap();
+        let p = uniform_p(pi);
+        prop_assert_eq!(
+            session_probability(&db, AnyQuery::Union(&u), &p),
+            weighted_counts(&counts, &p),
+            "over\n{}", db
+        );
+    }
+}
+
+/// A UCQ¬ whose first disjunct is not hierarchical but has no
+/// non-hierarchical path once `R` is exogenous: the Shapley reads
+/// rewrite every inclusion–exclusion term by `ExoShap`, and so must
+/// `probability()` and `expected_shapley()` — past the brute-force
+/// limit, where world enumeration refuses.
+#[test]
+fn exoshap_union_probability_answers_past_the_brute_force_limit() {
+    let mut text = String::from("exorel R\n");
+    for i in 0..3 {
+        text += &format!("exo R(a{i})\nendo S(a{i}, b0)\nendo S(a{i}, b1)\n");
+    }
+    text += "endo T(b0)\nendo T(b1)\n";
+    for k in 0..2 {
+        text += &format!("endo U(c{k})\nendo V(c{k})\n");
+    }
+    let db = Database::parse(&text).unwrap();
+    let m = db.endo_count();
+    assert_eq!(m, 12);
+    let u = parse_ucq("qa() :- R(x), S(x, y), T(y); qb() :- U(z), !V(z)").unwrap();
+    let opts = ShapleyOptions::auto().brute_force_limit(4);
+    let mut session = ShapleySession::prepare(&db, AnyQuery::Union(&u), &opts).unwrap();
+    assert_eq!(session.strategy(), Some(ResolvedStrategy::ExoShap));
+    assert!(session.report().unwrap().efficiency_holds());
+    let p = BigRational::from_i64_ratio(3, 10);
+    session.set_default_probability(p.clone()).unwrap();
+    let probs = FactProbabilities::uniform(p);
+    let want = probability_by_enumeration(&db, AnyQuery::Union(&u), &probs, None, m).unwrap();
+    assert_eq!(session.probability().unwrap(), want);
+    for &f in db.endo_facts() {
+        let present =
+            probability_by_enumeration(&db, AnyQuery::Union(&u), &probs, Some((f, true)), m)
+                .unwrap();
+        let absent =
+            probability_by_enumeration(&db, AnyQuery::Union(&u), &probs, Some((f, false)), m)
+                .unwrap();
+        assert_eq!(
+            session.expected_shapley(f).unwrap(),
+            present - absent,
+            "{}",
+            db.render_fact(f)
+        );
+    }
+}

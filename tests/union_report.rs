@@ -10,6 +10,7 @@
 //! satisfy the efficiency axiom `Σ_f Shapley_agg(f) = agg(D) − agg(Dx)`
 //! on random Count and Sum instances, agreeing with each other.
 
+use cqshap::core::reference::shapley_report_union_per_fact;
 use cqshap::prelude::*;
 use cqshap::workloads::random_db::RandomDbConfig;
 use proptest::prelude::*;
