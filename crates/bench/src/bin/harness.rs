@@ -36,8 +36,10 @@
 //! `bench-report --anytime` measures the anytime tier and the
 //! degradation ladder: time-to-±ε of the stratified sampler at
 //! `m ∈ {256, 1024}`, the deadline-hit rate of the exact report under
-//! tight wall-clock budgets, and the tier `report_tiered` settles on
-//! per query class, written to `BENCH_anytime.json`.
+//! wall-clock budgets of ¼× and 4× its unbudgeted median (exiting
+//! nonzero when the ¼× budget never trips), and the tier
+//! `report_tiered` settles on per query class, written to
+//! `BENCH_anytime.json`.
 //!
 //! `bench-report --trace` installs the `cqshap-obs` trace recorder and
 //! runs an instrumented pass per `m ∈ {64, 256, 1024}` — the batched
@@ -49,12 +51,13 @@
 //! host exposes) and `thread_cap` (the effective cap this run used), so
 //! perf artifacts from different machines stay comparable.
 
-// Experiment harness binary: its whole job is timing, so the
-// `no-wall-clock` discipline does not apply (see clippy.toml).
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "experiment harness binary: its whole job is timing"
+)]
 
 use std::collections::HashSet;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use cqshap_bench::Table;
 use cqshap_core::aggregates::{
@@ -426,8 +429,9 @@ fn bench_trace(out_path: &str) {
 ///    hierarchical and a non-hierarchical workload, with draw counts,
 ///    convergence, and the widest interval actually achieved;
 /// 2. deadline-hit rate of the *exact* report under wall-clock budgets
-///    of 5 ms and 50 ms (how often `DeadlineExceeded` surfaces instead
-///    of a hang; any other error fails the run);
+///    of ¼× and 4× the same m's unbudgeted report median (how often
+///    `DeadlineExceeded` surfaces instead of a hang; any other error
+///    fails the run, and so does a ¼× row that never hits);
 /// 3. the tier `report_tiered` settles on per query class — exact for
 ///    the hierarchical query, sampled for the intractable one, WSMS
 ///    when the budget is too tight for sampling to converge.
@@ -485,33 +489,51 @@ fn bench_anytime(quick: bool, out_path: &str) {
         }
     }
 
-    // 2. Deadline-hit rate of the exact report under tight budgets.
+    // 2. Deadline-hit rate of the exact report under budgets scaled
+    //    from the same m's unbudgeted report median: ¼× must trip the
+    //    deadline, 4× should not.
     let mut deadline_rows: Vec<String> = Vec::new();
+    let mut quarter_never_hit: Vec<usize> = Vec::new();
     let trials = if quick { 3 } else { 5 };
     for &m in &[256usize, 1024] {
         let db = cqshap_workloads::report_benchmark_db(m);
-        for &deadline in &[5u64, 50] {
-            let options = opts().budget(Budget::wall_ms(deadline));
+        let report_ms = |options: &ShapleyOptions, hits: &mut usize| {
+            let session = ShapleySession::prepare_with_fallback(&db, AnyQuery::Cq(&q1), options)
+                .expect("fallback prepare always yields a session here");
+            time_ms(|| match session.report() {
+                Ok(_) => {}
+                Err(CoreError::DeadlineExceeded { .. }) => *hits += 1,
+                Err(e) => panic!("unexpected exact-report error: {e}"),
+            })
+        };
+        let mut no_hits = 0usize;
+        let unbudgeted = median(
+            (0..trials)
+                .map(|_| report_ms(&opts(), &mut no_hits))
+                .collect(),
+        );
+        for (label, factor) in [("1/4", 0.25), ("4", 4.0)] {
+            let deadline_ms = unbudgeted * factor;
+            let options = opts().budget(Budget {
+                wall: Some(Duration::from_secs_f64(deadline_ms / 1e3)),
+                ..Budget::UNLIMITED
+            });
             let mut hits = 0usize;
-            let mut elapsed = Vec::new();
-            for _ in 0..trials {
-                let session =
-                    ShapleySession::prepare_with_fallback(&db, AnyQuery::Cq(&q1), &options)
-                        .expect("fallback prepare always yields a session here");
-                elapsed.push(time_ms(|| match session.report() {
-                    Ok(_) => {}
-                    Err(CoreError::DeadlineExceeded { .. }) => hits += 1,
-                    Err(e) => panic!("unexpected exact-report error: {e}"),
-                }));
-            }
+            let elapsed: Vec<f64> = (0..trials)
+                .map(|_| report_ms(&options, &mut hits))
+                .collect();
             let rate = hits as f64 / trials as f64;
+            if factor < 1.0 && hits == 0 {
+                quarter_never_hit.push(m);
+            }
             eprintln!(
-                "deadline m = {m:>5}, {deadline:>3} ms: hit rate {rate:.2} \
-                 (median return {:.3} ms)",
+                "deadline m = {m:>5}, {label:>3}× of {unbudgeted:.3} ms = {deadline_ms:.3} ms: \
+                 hit rate {rate:.2} (median return {:.3} ms)",
                 median(elapsed.clone()),
             );
             deadline_rows.push(format!(
-                "    {{\"m\": {m}, \"deadline_ms\": {deadline}, \"trials\": {trials}, \
+                "    {{\"m\": {m}, \"factor\": \"{label}\", \"unbudgeted_median_ms\": {unbudgeted:.3}, \
+                 \"deadline_ms\": {deadline_ms:.3}, \"trials\": {trials}, \
                  \"hit_rate\": {rate:.2}, \"median_return_ms\": {:.3}}}",
                 median(elapsed),
             ));
@@ -592,6 +614,13 @@ fn bench_anytime(quick: bool, out_path: &str) {
     );
     std::fs::write(out_path, &json).expect("write anytime bench");
     println!("wrote {out_path}");
+    if !quarter_never_hit.is_empty() {
+        eprintln!(
+            "error: a budget of 1/4 the unbudgeted report median never tripped the deadline \
+             (m = {quarter_never_hit:?}): the deadline rows exercise no deadline"
+        );
+        std::process::exit(1);
+    }
 }
 
 /// The `--session` mode of `bench-report`: amortized per-update cost
@@ -735,7 +764,7 @@ fn bench_probdb(quick: bool, out_path: &str) {
         probability_by_enumeration, CompiledProbability, EngineUpdate, FactProbabilities,
     };
     use cqshap_db::Provenance;
-    use cqshap_probdb::lifted::oracle_probability;
+    use cqshap_probdb::reference::oracle_probability;
 
     const DYADIC: &[(i64, i64)] = &[(1, 2), (1, 4), (3, 4), (1, 8), (5, 8), (7, 8)];
     fn probs_for(db: &Database) -> FactProbabilities {
@@ -852,7 +881,7 @@ fn bench_probdb(quick: bool, out_path: &str) {
          \"workload\": \"report_benchmark_db\",\n  \
          \"probabilities\": \"dyadic cycle {:?} over Dn\",\n  \
          \"report\": \"Pr[D \\u22a8 q] plus expected marginal of every endogenous fact\",\n  \
-         \"seed_path\": \"cqshap_probdb::lifted::oracle_probability, 2m + 1 traversals\",\n  \
+         \"seed_path\": \"cqshap_probdb::reference::oracle_probability, 2m + 1 traversals\",\n  \
          \"mode\": \"{}\",\n  {},\n  \"results\": [\n{}\n  ]\n}}\n",
         q1,
         DYADIC,

@@ -32,7 +32,10 @@
 //!   [`CompiledCount`] engine per candidate (shared by every fact's
 //!   recount) and accumulating the weighted values fact-wise — the
 //!   aggregate analogue of [`crate::shapley::shapley_report`].
-// cqshap-lint: allow-file(no-panic-index) -- group tables are indexed by ids assigned during prepare
+#![expect(
+    clippy::indexing_slicing,
+    reason = "group tables are indexed by ids assigned during prepare"
+)]
 
 use std::collections::{BTreeSet, HashMap};
 

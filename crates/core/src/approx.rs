@@ -48,7 +48,10 @@
 //! walks. [`shapley_sampled`] draws one coalition per sample for a
 //! single fact instead, and needs the answer on both sides of it: its
 //! counters add up to two per draw.
-// cqshap-lint: allow-file(no-panic-index) -- samplers index permutation and tally arrays sized to m in the same scope
+#![expect(
+    clippy::indexing_slicing,
+    reason = "samplers index permutation and tally arrays sized to m in the same scope"
+)]
 
 use std::time::Duration;
 
@@ -420,7 +423,10 @@ impl AnytimeReport {
 /// Acklam's rational approximation of the standard normal quantile
 /// function (inverse CDF), accurate to ~1.15e-9 over (0, 1) — more than
 /// enough for confidence-interval z-scores.
-#[allow(clippy::excessive_precision)] // Acklam's coefficients, verbatim
+#[expect(
+    clippy::excessive_precision,
+    reason = "Acklam's coefficients, verbatim"
+)]
 fn inverse_normal_cdf(p: f64) -> f64 {
     debug_assert!(p > 0.0 && p < 1.0);
     const A: [f64; 6] = [
@@ -638,7 +644,10 @@ pub fn shapley_anytime(
     if !state_slot.as_ref().is_some_and(|s| s.matches(db)) {
         *state_slot = Some(AnytimeState::fresh(db));
     }
-    // cqshap-lint: allow(no-panic) -- the slot was filled with Some immediately above
+    #[expect(
+        clippy::expect_used,
+        reason = "the slot was filled with Some immediately above"
+    )]
     let state = state_slot.as_mut().expect("installed above");
     let compiled = q.compile(db);
     let polarities = fact_polarities(db, q);

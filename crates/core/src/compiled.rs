@@ -65,7 +65,10 @@
 //! denominator `m!` and normalized once, and every maintained
 //! polynomial is recomputed exactly (division of exact factors), so a
 //! maintained engine agrees bit-for-bit with a freshly compiled one.
-// cqshap-lint: allow-file(no-panic-index) -- counting kernels index component scopes and weight tables sized in the same function
+#![expect(
+    clippy::indexing_slicing,
+    reason = "counting kernels index component scopes and weight tables sized in the same function"
+)]
 
 use std::collections::HashMap;
 use std::convert::Infallible;
@@ -852,11 +855,18 @@ impl<D: EvalDomain> CompiledEngine<D> {
         f: FactId,
     ) -> (ConstId, Option<usize>) {
         let comp = &self.components[ci];
-        // cqshap-lint: allow(no-panic) -- structural invariant: grouped components have their root assigned at compile time
+        #[expect(
+            clippy::expect_used,
+            reason = "structural invariant: grouped components have their root assigned at compile time"
+        )]
         let root = comp.root.expect("rooted component");
         let value = comp.atoms[ai].value_of(root, db.fact(f).tuple.values());
-        let CompKind::Rooted { groups, .. } = &comp.kind else {
-            // cqshap-lint: allow(no-panic) -- structural invariant: grouped components have their root assigned at compile time
+        #[expect(
+            clippy::unreachable,
+            reason = "structural invariant: grouped components have their root assigned at compile time"
+        )]
+        let CompKind::Rooted { groups, .. } = &comp.kind
+        else {
             unreachable!("rooted component");
         };
         (value, groups.iter().position(|g| g.value == value))
@@ -880,8 +890,12 @@ impl<D: EvalDomain> CompiledEngine<D> {
             Some(gi) => {
                 let comp = &mut self.components[ci];
                 comp.scopes[ai].push(f);
-                let CompKind::Rooted { groups, .. } = &mut comp.kind else {
-                    // cqshap-lint: allow(no-panic) -- structural invariant: grouped components have their root assigned at compile time
+                #[expect(
+                    clippy::unreachable,
+                    reason = "structural invariant: grouped components have their root assigned at compile time"
+                )]
+                let CompKind::Rooted { groups, .. } = &mut comp.kind
+                else {
                     unreachable!("rooted component");
                 };
                 groups[gi].scopes[ai].push(f);
@@ -901,7 +915,10 @@ impl<D: EvalDomain> CompiledEngine<D> {
                 // other positive atom already has a fact with this root
                 // value, a brand-new root group forms — recompile.
                 let comp = &self.components[ci];
-                // cqshap-lint: allow(no-panic) -- structural invariant: grouped components have their root assigned at compile time
+                #[expect(
+                    clippy::expect_used,
+                    reason = "structural invariant: grouped components have their root assigned at compile time"
+                )]
                 let root = comp.root.expect("rooted component");
                 let supported =
                     comp.atoms
@@ -943,8 +960,12 @@ impl<D: EvalDomain> CompiledEngine<D> {
         match slot {
             Some(gi) => {
                 let dies = {
-                    let CompKind::Rooted { groups, .. } = &mut self.components[ci].kind else {
-                        // cqshap-lint: allow(no-panic) -- structural invariant: grouped components have their root assigned at compile time
+                    #[expect(
+                        clippy::unreachable,
+                        reason = "structural invariant: grouped components have their root assigned at compile time"
+                    )]
+                    let CompKind::Rooted { groups, .. } = &mut self.components[ci].kind
+                    else {
                         unreachable!("rooted component");
                     };
                     let g = &mut groups[gi];
@@ -1051,6 +1072,10 @@ impl<D: EvalDomain> CompiledEngine<D> {
             }
             Some(&Loc::Junk { comp }) => {
                 let c = &self.components[comp];
+                #[expect(
+                    clippy::unreachable,
+                    reason = "structural invariant: junk locs always point at rooted components"
+                )]
                 let CompKind::Rooted {
                     junk_endo,
                     unsat_all,
@@ -1058,7 +1083,6 @@ impl<D: EvalDomain> CompiledEngine<D> {
                     ..
                 } = &c.kind
                 else {
-                    // cqshap-lint: allow(no-panic) -- structural invariant: junk locs always point at rooted components
                     unreachable!("junk loc points at a rooted component");
                 };
                 let comp_unsat = if *zeros == 0 {
@@ -1080,8 +1104,12 @@ impl<D: EvalDomain> CompiledEngine<D> {
             }
             Some(&Loc::Grouped { comp, group }) => {
                 let (sat_minus, sat_plus) = {
-                    let CompKind::Rooted { groups, .. } = &self.components[comp].kind else {
-                        // cqshap-lint: allow(no-panic) -- structural invariant: grouped locs always point at rooted components
+                    #[expect(
+                        clippy::unreachable,
+                        reason = "structural invariant: grouped locs always point at rooted components"
+                    )]
+                    let CompKind::Rooted { groups, .. } = &self.components[comp].kind
+                    else {
                         unreachable!("grouped loc points at a rooted component");
                     };
                     let g = &groups[group];
@@ -1318,19 +1346,29 @@ impl CompiledCount {
         if self.is_structurally_null(f) {
             return Ok(BigInt::zero());
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "the structurally-null check above guarantees f is in the loc map"
+        )]
         let (comp, class, (sat_minus, sat_plus)) =
-            // cqshap-lint: allow(no-panic) -- the structurally-null check above guarantees f is in the loc map
             match *self.eng.locs.get(&f).expect("checked non-null") {
                 Loc::Ground { comp } => {
                     let c = &self.eng.components[comp];
-                    (comp, 0, self.eng.masked_sat_pair(db, &c.atoms, &c.scopes, f)?)
+                    (
+                        comp,
+                        0,
+                        self.eng.masked_sat_pair(db, &c.atoms, &c.scopes, f)?,
+                    )
                 }
                 Loc::Grouped { comp, group } => (
                     comp,
                     self.classes[comp].class_of[group],
                     self.cached_group_pair(db, comp, group, f)?,
                 ),
-                // cqshap-lint: allow(no-panic) -- junk facts are structurally null and were returned above
+                #[expect(
+                    clippy::unreachable,
+                    reason = "junk facts are structurally null and were returned above"
+                )]
                 Loc::Junk { .. } => unreachable!("junk is structurally null"),
             };
         debug_assert_eq!(sat_minus.len(), sat_plus.len());
@@ -1445,17 +1483,24 @@ impl CompiledCount {
         gi: usize,
         f: FactId,
     ) -> Result<(Vec<BigUint>, Vec<BigUint>), CoreError> {
-        let CompKind::Rooted { groups, .. } = &self.eng.components[ci].kind else {
-            // cqshap-lint: allow(no-panic) -- structural invariant: grouped locs always point at rooted components
+        #[expect(
+            clippy::unreachable,
+            reason = "structural invariant: grouped locs always point at rooted components"
+        )]
+        let CompKind::Rooted { groups, .. } = &self.eng.components[ci].kind
+        else {
             unreachable!("grouped loc points at a rooted component");
         };
         let g = &groups[gi];
+        #[expect(
+            clippy::expect_used,
+            reason = "a grouped fact appears in its own component scope by construction"
+        )]
         let role = g
             .scopes
             .iter()
             .enumerate()
             .find_map(|(ai, scope)| scope.iter().position(|&x| x == f).map(|pos| (ai, pos)))
-            // cqshap-lint: allow(no-panic) -- a grouped fact appears in its own component scope by construction
             .expect("grouped fact sits in one scope");
         let key = (g.canon.clone(), role.0, role.1);
         let (pair, hit) = self.pairs.get_or_try_insert_with(key, || {

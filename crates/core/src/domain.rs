@@ -33,7 +33,10 @@
 //! behind [`crate::satcount::count_sat_hierarchical`] and the compiled
 //! engines; the hard-wired `BigUint` paths of earlier revisions are
 //! gone.
-// cqshap-lint: allow-file(no-panic-index) -- evaluation tables are indexed by positions assigned at compile
+#![expect(
+    clippy::indexing_slicing,
+    reason = "evaluation tables are indexed by positions assigned at compile"
+)]
 
 use std::collections::HashMap;
 
@@ -569,9 +572,12 @@ pub(crate) fn eval_query_masked<D: EvalDomain>(
         }
     }
     let scoped_endo = scope_endo_count(view, &scopes);
+    #[expect(
+        clippy::expect_used,
+        reason = "sjf scopes are disjoint sets of endogenous facts, so their count is at most m"
+    )]
     let free_endo = m
         .checked_sub(scoped_endo)
-        // cqshap-lint: allow(no-panic) -- sjf scopes partition the endogenous facts, so the insert cannot collide
         .expect("scoped endogenous facts are disjoint across sjf atoms");
     let core = eval_rec(dom, view, &atoms, &scopes)?;
     Ok(dom.combine(&core, &dom.free(free_endo)))

@@ -22,7 +22,10 @@
 //! The output database only ever *adds* relations, so fact ids are
 //! preserved — the Shapley value of every endogenous fact is unchanged,
 //! and `cqshap-probdb` reuses the same rewriting for Theorem 4.10.
-// cqshap-lint: allow-file(no-panic-index) -- rewrite tables are indexed by positions computed from the same atom
+#![expect(
+    clippy::indexing_slicing,
+    reason = "rewrite tables are indexed by positions computed from the same atom"
+)]
 
 use std::collections::{BTreeSet, HashSet};
 
@@ -97,7 +100,10 @@ pub fn rewrite(
     for atom in q.atoms() {
         for t in &atom.terms {
             if let Term::Const(c) = t {
-                // cqshap-lint: allow(no-panic) -- the constant was interned earlier in this rewrite pass
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the constant was interned earlier in this rewrite pass"
+                )]
                 let id = work.interner().get(c).expect("interned above");
                 if !domain.contains(&id) {
                     domain.push(id);
@@ -118,7 +124,10 @@ pub fn rewrite(
         if !atom.negated || !exo_names.contains(&atom.relation) {
             continue;
         }
-        // cqshap-lint: allow(no-panic) -- the relation was registered earlier in this rewrite pass
+        #[expect(
+            clippy::expect_used,
+            reason = "the relation was registered earlier in this rewrite pass"
+        )]
         let rel = work.schema().id(&atom.relation).expect("registered above");
         let comp = complement_tuples(&work, rel, &domain, tuple_budget)?;
         let comp_name = work.schema().fresh_name(&format!("Not{}", atom.relation));
@@ -248,15 +257,21 @@ pub fn rewrite(
             })?;
         let target: Vec<Var> = distinct_vars(beta);
         // Project the atom's relation onto `keep`.
-        // cqshap-lint: allow(no-panic) -- the rewrite that emitted this atom registered its relation
+        #[expect(
+            clippy::expect_used,
+            reason = "the rewrite that emitted this atom registered its relation"
+        )]
         let rel = work.schema().id(&atom.relation).expect("exists");
+        #[expect(
+            clippy::expect_used,
+            reason = "kept variables are drawn from this atom's own variable set"
+        )]
         let keep_positions: Vec<usize> = keep
             .iter()
             .map(|v| {
                 atom.terms
                     .iter()
                     .position(|t| *t == Term::Var(*v))
-                    // cqshap-lint: allow(no-panic) -- kept variables are drawn from this atom's own variable set
                     .expect("kept variable occurs in atom")
             })
             .collect();
@@ -299,7 +314,10 @@ pub fn rewrite(
                     .map(|v| match keep.iter().position(|k| k == v) {
                         Some(i) => p[i],
                         None => {
-                            // cqshap-lint: allow(no-panic) -- v was selected from extra by the enclosing loop
+                            #[expect(
+                                clippy::expect_used,
+                                reason = "v was selected from extra by the enclosing loop"
+                            )]
                             let e = extra.iter().position(|x| x == v).expect("var is extra");
                             domain[combo[e]]
                         }
@@ -429,7 +447,7 @@ fn exogenous_variables(
 
 /// Connected components of the exogenous atom graph over the current
 /// atom list: exogenous atoms joined by shared *exogenous* variables.
-#[allow(clippy::needless_range_loop)] // union-find over index pairs
+#[expect(clippy::needless_range_loop, reason = "union-find over index pairs")]
 fn atom_components(
     q: &ConjunctiveQuery,
     atoms: &[Atom],

@@ -19,7 +19,13 @@
 //! (searching for minimal models over variable-identification quotients)
 //! and provides the Section 5.1 example `q() :- R(x), S(x,y), ¬R(y)`
 //! directly.
-// cqshap-lint: allow-file(no-panic, no-panic-index) -- Theorem 5.1 gadget builder: it owns the database it populates, names are fresh by construction, and the static query literal parses
+#![expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::unwrap_used,
+    reason = "Theorem 5.1 gadget builder: it owns the database it populates, names are fresh by construction, and the static query literal parses"
+)]
 
 use cqshap_db::{Database, FactId, Provenance, Tuple, World};
 use cqshap_engine::satisfies;

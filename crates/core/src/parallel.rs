@@ -1,10 +1,11 @@
 //! The one scoped-thread fan-out used by the report paths, the
 //! compile-stage weight correlations, and (via
 //! [`crate::satcount::BruteForceCounter`] / `approx`) every other
-//! worker pool in the crate. The `thread-discipline` lint rule pins
+//! worker pool in the crate. `clippy.toml`'s `disallowed-methods` pins
 //! this file and `poly.rs` as the only places allowed to touch
-//! `std::thread` directly, so [`crate::ShapleyOptions::threads`] is
-//! guaranteed to cap every fan-out.
+//! `std::thread` directly (each use carries an `#[expect]`), so
+//! [`crate::ShapleyOptions::threads`] is guaranteed to cap every
+//! fan-out.
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -33,8 +34,10 @@ pub(crate) fn par_map_with<T: Send>(
 /// payload is returned as `Err` instead of crossing the thread scope,
 /// so callers with a no-panic contract (the sampling paths) can report
 /// it as a typed error.
-// The one sanctioned `thread::scope` in the crate (see clippy.toml).
-#[allow(clippy::disallowed_methods)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one sanctioned `thread::scope` in the crate"
+)]
 pub(crate) fn try_par_map_with<T: Send>(
     threads: usize,
     n: usize,

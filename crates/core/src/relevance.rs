@@ -239,7 +239,10 @@ pub fn brute_force_relevance(
         let mut world = World::empty(db);
         for (bit, &p) in others.iter().enumerate() {
             if mask & (1 << bit) != 0 {
-                // cqshap-lint: allow(no-panic-index) -- p enumerates positions of the endo-fact list itself
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "p enumerates positions of the endo-fact list itself"
+                )]
                 world.insert(db, db.endo_facts()[p]);
             }
         }

@@ -27,7 +27,10 @@
 //! [`BruteForceCounter`] enumerates all `2^|Dn|` worlds and serves as the
 //! oracle for the provably `FP^{#P}`-hard queries (at small scale) and as
 //! the ground truth in tests.
-// cqshap-lint: allow-file(no-panic-index) -- world enumeration indexes count arrays sized bits+1 up front
+#![expect(
+    clippy::indexing_slicing,
+    reason = "world enumeration indexes count arrays sized bits+1 up front"
+)]
 
 use cqshap_db::{ConstId, Database, FactId, FactMask, World};
 use cqshap_numeric::BigUint;
@@ -133,13 +136,16 @@ impl PAtom {
 
     /// The value a matching fact assigns to variable `v` (which must
     /// occur in this atom).
+    #[expect(
+        clippy::unreachable,
+        reason = "callers scan variables collected from this atom's own terms"
+    )]
     pub(crate) fn value_of(&self, v: u32, values: &[ConstId]) -> ConstId {
         for (t, &val) in self.terms.iter().zip(values) {
             if *t == PTerm::Var(v) {
                 return val;
             }
         }
-        // cqshap-lint: allow(no-panic) -- callers scan variables collected from this atom's own terms
         unreachable!("variable {v} does not occur in atom");
     }
 
@@ -251,7 +257,10 @@ pub(crate) fn resolve_query(
             }
             return Ok(ResolvedQuery::Unsatisfiable);
         }
-        // cqshap-lint: allow(no-panic) -- the guard above returns early unless a relation matched
+        #[expect(
+            clippy::expect_used,
+            reason = "the guard above returns early unless a relation matched"
+        )]
         let rel = rel.expect("checked above");
         if db.schema().arity(rel) != terms.len() {
             return Err(CoreError::Unsupported(format!(
@@ -350,11 +359,11 @@ pub(crate) fn complement_counts(v: &[BigUint], n: usize) -> Vec<BigUint> {
     let mut row = BigUint::one();
     let mut out = Vec::with_capacity(n + 1);
     for (k, vk) in v.iter().enumerate() {
-        out.push(
-            row.checked_sub(vk)
-                // cqshap-lint: allow(no-panic) -- the running count is bounded by C(n, k) by construction
-                .expect("count bounded by C(n, k)"),
-        );
+        #[expect(
+            clippy::expect_used,
+            reason = "the running count is bounded by C(n, k) by construction"
+        )]
+        out.push(row.checked_sub(vk).expect("count bounded by C(n, k)"));
         if k < n {
             row.mul_u64_assign((n - k) as u64);
             let rem = row.div_rem_u64_assign((k + 1) as u64);

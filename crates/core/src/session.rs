@@ -584,10 +584,13 @@ impl ShapleySession {
             Engine::Terms(terms) => terms.value(&self.db, f),
             // The per-fact routes (enumeration, aggregate candidates)
             // serve one fact as a batch of one.
+            #[expect(
+                clippy::expect_used,
+                reason = "the batch requested exactly one fact, so exactly one value exists"
+            )]
             other => Ok(self
                 .values_from(other, &[f])?
                 .pop()
-                // cqshap-lint: allow(no-panic) -- the batch requested exactly one fact, so exactly one value exists
                 .expect("one fact requested")),
         }
     }

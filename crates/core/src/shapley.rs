@@ -16,7 +16,6 @@
 //!
 //! The reduction is due to Livshits et al.; the paper observes it makes
 //! no monotonicity assumption, which is exactly what negation needs.
-// cqshap-lint: allow-file(no-panic-index) -- lane and bucket tables are sized before they are indexed
 
 use std::collections::HashMap;
 
@@ -178,6 +177,10 @@ impl Default for ShapleyOptions {
 /// # Errors
 /// [`CoreError::FactNotEndogenous`] if `f ∉ Dn`, plus anything the
 /// oracle raises.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "both count vectors hold one entry per coalition size k < m"
+)]
 pub fn shapley_via_counts(
     db: &Database,
     q: AnyQuery<'_>,
@@ -213,6 +216,10 @@ pub fn shapley_via_counts(
 /// [`CoreError::TooManyEndogenousFacts`] beyond `limit`;
 /// [`CoreError::DeadlineExceeded`] (phase `permutations`) when `cancel`
 /// trips.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "a permutation holds positions of the endogenous-fact list itself"
+)]
 pub fn shapley_by_permutations(
     db: &Database,
     q: AnyQuery<'_>,
@@ -381,8 +388,11 @@ pub(crate) fn resolve_strategy(
                             return Err(CoreError::HasNonHierarchicalPath { witness });
                         }
                     }
+                    #[expect(
+                        clippy::unreachable,
+                        reason = "self-join queries took the branch above"
+                    )]
                     ExactComplexity::SelfJoinHard { .. } | ExactComplexity::OpenSelfJoins => {
-                        // cqshap-lint: allow(no-panic) -- self-join queries took the branch above
                         unreachable!("self-join handled above")
                     }
                 }
@@ -497,6 +507,10 @@ impl ShapleyReport {
     /// caller reordered the public `entries` vector (the index cannot
     /// observe that), the lookup verifies the hit and falls back to a
     /// scan rather than return the wrong fact's entry.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the guard checked the position with `get`"
+    )]
     pub fn entry(&self, f: FactId) -> Option<&ShapleyEntry> {
         match self.index.get(&f) {
             Some(&i) if self.entries.get(i).is_some_and(|e| e.fact == f) => Some(&self.entries[i]),
@@ -614,6 +628,10 @@ pub(crate) fn engine_report_values(
     Ok((values, compiled.normalize(total)))
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "bucket, lane and value tables are sized before they are indexed"
+)]
 fn engine_numerator_values(
     db: &Database,
     compiled: &dyn BatchedEngine,
@@ -631,7 +649,11 @@ fn engine_numerator_values(
     let mut assignments: Vec<Vec<usize>> = vec![Vec::new(); lanes];
     let mut loads = vec![0usize; lanes];
     for bucket in buckets {
-        // cqshap-lint: allow(no-panic) -- lanes >= 1, so the minimum over 0..lanes exists
+        #[expect(
+            clippy::expect_used,
+            clippy::indexing_slicing,
+            reason = "lanes >= 1, so the minimum over 0..lanes exists"
+        )]
         let t = (0..lanes).min_by_key(|&t| loads[t]).expect("lanes >= 1");
         loads[t] += bucket.len();
         assignments[t].extend(bucket);
@@ -676,14 +698,15 @@ fn engine_numerator_values(
         debug_assert_eq!(answers.len(), completed);
         return Err(e.with_partial_answers(answers));
     }
-    Ok((
-        values
-            .into_iter()
-            // cqshap-lint: allow(no-panic) -- the bucket partition assigns every fact exactly once
-            .map(|v| v.expect("every fact assigned to exactly one bucket"))
-            .collect(),
-        total,
-    ))
+    #[expect(
+        clippy::expect_used,
+        reason = "the bucket partition assigns every fact exactly once"
+    )]
+    let values = values
+        .into_iter()
+        .map(|v| v.expect("every fact assigned to exactly one bucket"))
+        .collect();
+    Ok((values, total))
 }
 
 /// Per-fact values by enumeration, fanned out across threads by raw
@@ -708,6 +731,10 @@ pub(crate) fn enumerated_values(
 
 /// Maps `value` over `facts` across at most `threads` workers,
 /// preserving order; the first error wins.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the fan-out maps exactly the positions 0..facts.len()"
+)]
 pub(crate) fn par_values(
     threads: usize,
     facts: &[FactId],

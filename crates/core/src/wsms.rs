@@ -37,7 +37,10 @@
 //! skips the hierarchy and self-join-freeness preconditions of the exact
 //! engines: WSMS is the tier that must work on precisely the queries
 //! they refuse.
-// cqshap-lint: allow-file(no-panic-index) -- support enumeration indexes within masks sized by the query
+#![expect(
+    clippy::indexing_slicing,
+    reason = "support enumeration indexes within masks sized by the query"
+)]
 
 use std::collections::BTreeSet;
 
@@ -133,9 +136,12 @@ pub fn wsms_report(
             WsmsWeight::SizeInverse => BigRational::from_i64_ratio(1, s.len() as i64),
         };
         for &f in s {
+            #[expect(
+                clippy::expect_used,
+                reason = "supports are built from endogenous facts only"
+            )]
             let i = db
                 .endo_index(f)
-                // cqshap-lint: allow(no-panic) -- supports are built from endogenous facts only
                 .expect("supports consist of endogenous facts");
             scores[i] += &w;
             counts[i] += 1;
@@ -202,7 +208,10 @@ fn resolve_disjunct(
             }
             return Ok(None);
         }
-        // cqshap-lint: allow(no-panic) -- the guard above returns early unless a relation matched
+        #[expect(
+            clippy::expect_used,
+            reason = "the guard above returns early unless a relation matched"
+        )]
         let rel = rel.expect("checked above");
         if db.schema().arity(rel) != terms.len() {
             return Err(CoreError::Unsupported(format!(
@@ -266,7 +275,10 @@ fn collect_supports(
 
 /// Backtracking join over the positive atoms; at each leaf, the negated
 /// atoms decide whether the valuation's support is admitted.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the backtracking state is passed flat, one argument per join table"
+)]
 fn descend(
     db: &Database,
     positives: &[(PAtom, Vec<FactId>)],

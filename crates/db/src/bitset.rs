@@ -3,7 +3,10 @@
 //! Used to represent subsets `E ⊆ Dn` of the endogenous facts (indexed by
 //! their position in [`Database::endo_facts`](crate::Database::endo_facts))
 //! during brute-force enumeration and Monte-Carlo sampling.
-// cqshap-lint: allow-file(no-panic-index) -- word indexes derive from bit/64, bounded by the allocation
+#![expect(
+    clippy::indexing_slicing,
+    reason = "word indexes derive from bit/64, bounded by the allocation"
+)]
 
 /// A fixed-size bitset over `0..len`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]

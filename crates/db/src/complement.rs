@@ -6,7 +6,10 @@
 //! Appendix C embedding. A complement of an arity-`a` relation over a
 //! domain of `d` constants has `d^a − |R|` tuples, so materialization is
 //! guarded by an explicit tuple budget.
-// cqshap-lint: allow-file(no-panic-index) -- complement enumeration indexes within the universe fixed at construction
+#![expect(
+    clippy::indexing_slicing,
+    reason = "complement enumeration indexes within the universe fixed at construction"
+)]
 
 use crate::database::Database;
 use crate::error::DbError;

@@ -1,5 +1,8 @@
 //! The database: facts with an endogenous/exogenous partition.
-// cqshap-lint: allow-file(no-panic-index) -- fact and relation tables are indexed by ids this database issued
+#![expect(
+    clippy::indexing_slicing,
+    reason = "fact and relation tables are indexed by ids this database issued"
+)]
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -141,7 +144,10 @@ impl Database {
                 fact: self.render(rel, &tuple),
             });
         }
-        // cqshap-lint: allow(no-panic) -- documented capacity limit: the fact id space is u32
+        #[expect(
+            clippy::expect_used,
+            reason = "documented capacity limit: the fact id space is u32"
+        )]
         let id = FactId(u32::try_from(self.facts.len()).expect("too many facts"));
         relation.index.insert(tuple.clone(), id);
         relation.ids.push(id);
@@ -289,8 +295,11 @@ impl Database {
     /// in range, so this is the right entry point for internal callers.
     /// Code handling ids from user input should prefer
     /// [`Database::try_fact`].
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented panic: a dangling id here is a caller bug; user-input paths go through try_fact"
+    )]
     pub fn fact(&self, id: FactId) -> &Fact {
-        // cqshap-lint: allow(no-panic-index) -- documented panic: a dangling id here is a caller bug; user-input paths go through try_fact
         &self.facts[id.index()]
     }
 

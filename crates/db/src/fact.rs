@@ -32,6 +32,10 @@ impl From<Vec<ConstId>> for Tuple {
 
 impl std::ops::Index<usize> for Tuple {
     type Output = ConstId;
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the Index contract: an out-of-range position panics, as slice indexing does"
+    )]
     fn index(&self, i: usize) -> &ConstId {
         &self.0[i]
     }

@@ -38,7 +38,10 @@ impl Interner {
         if let Some(&id) = self.by_name.get(name) {
             return id;
         }
-        // cqshap-lint: allow(no-panic) -- documented capacity limit: the constant id space is u32
+        #[expect(
+            clippy::expect_used,
+            reason = "documented capacity limit: the constant id space is u32"
+        )]
         let id = ConstId(u32::try_from(self.names.len()).expect("too many constants"));
         self.names.push(name.to_string());
         self.by_name.insert(name.to_string(), id);
@@ -54,8 +57,11 @@ impl Interner {
     ///
     /// # Panics
     /// Panics if `id` was not produced by this interner.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented panic: resolve requires an id issued by this interner"
+    )]
     pub fn resolve(&self, id: ConstId) -> &str {
-        // cqshap-lint: allow(no-panic-index) -- documented panic: resolve requires an id issued by this interner
         &self.names[id.index()]
     }
 

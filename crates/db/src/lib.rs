@@ -24,6 +24,23 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+// Panic-freedom: library code returns typed errors instead of panicking.
+// Clippy enforces it; each sound exception carries
+// `#[expect(clippy::…, reason = "…")]`. Test code is exempt. cqshap-lint's
+// `panic-lint-set` rule fails the build gate if a lint leaves this list.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::string_slice
+    )
+)]
 
 pub mod bitset;
 pub mod complement;

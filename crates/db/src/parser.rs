@@ -92,12 +92,18 @@ fn parse_fact(s: &str, line: usize) -> Result<(String, Vec<String>), DbError> {
     if !s.ends_with(')') {
         return Err(err(format!("missing `)` in {s:?}")));
     }
-    // cqshap-lint: allow(no-panic-index) -- open was located in s by find, so the slice boundary is valid
+    #[expect(
+        clippy::string_slice,
+        reason = "open was located in s by find, so the slice boundary is valid"
+    )]
     let rel = s[..open].trim();
     if !is_token(rel) {
         return Err(err(format!("bad relation name {rel:?}")));
     }
-    // cqshap-lint: allow(no-panic-index) -- the missing-parenthesis guard above ensures the closing byte exists
+    #[expect(
+        clippy::string_slice,
+        reason = "the missing-parenthesis guard above ensures the closing byte exists"
+    )]
     let inner = &s[open + 1..s.len() - 1];
     let mut args = Vec::new();
     if !inner.trim().is_empty() {

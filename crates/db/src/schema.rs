@@ -46,7 +46,10 @@ impl Schema {
     /// [`DbError::ArityMismatch`] when `name` exists with another arity.
     pub fn add_relation(&mut self, name: &str, arity: usize) -> Result<RelId, DbError> {
         if let Some(&id) = self.by_name.get(name) {
-            // cqshap-lint: allow(no-panic-index) -- by_name stores only ids issued by this schema
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "by_name stores only ids issued by this schema"
+            )]
             let existing = &self.relations[id.index()];
             if existing.arity != arity {
                 return Err(DbError::ArityMismatch {
@@ -57,7 +60,10 @@ impl Schema {
             }
             return Ok(id);
         }
-        // cqshap-lint: allow(no-panic) -- documented capacity limit: the relation id space is u32
+        #[expect(
+            clippy::expect_used,
+            reason = "documented capacity limit: the relation id space is u32"
+        )]
         let id = RelId(u32::try_from(self.relations.len()).expect("too many relations"));
         self.relations.push(RelationDef {
             name: name.to_string(),
@@ -76,8 +82,11 @@ impl Schema {
     ///
     /// # Panics
     /// Panics if `rel` does not belong to this schema.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented panic: def requires an id issued by this schema"
+    )]
     pub fn def(&self, rel: RelId) -> &RelationDef {
-        // cqshap-lint: allow(no-panic-index) -- documented panic: def requires an id issued by this schema
         &self.relations[rel.index()]
     }
 

@@ -47,7 +47,10 @@ impl World {
     /// # Panics
     /// Panics if `id` is not endogenous in `db`.
     pub fn insert(&mut self, db: &Database, id: FactId) -> bool {
-        // cqshap-lint: allow(no-panic) -- documented precondition: World members are endogenous facts
+        #[expect(
+            clippy::expect_used,
+            reason = "documented precondition: World members are endogenous facts"
+        )]
         let pos = db.endo_index(id).expect("fact is not endogenous");
         self.bits.insert(pos)
     }
@@ -73,7 +76,10 @@ impl World {
     /// # Panics
     /// Panics if `id` is not endogenous in `db`.
     pub fn remove(&mut self, db: &Database, id: FactId) -> bool {
-        // cqshap-lint: allow(no-panic) -- documented precondition: World members are endogenous facts
+        #[expect(
+            clippy::expect_used,
+            reason = "documented precondition: World members are endogenous facts"
+        )]
         let pos = db.endo_index(id).expect("fact is not endogenous");
         self.bits.remove(pos)
     }
@@ -100,8 +106,11 @@ impl World {
     }
 
     /// Iterates the member fact ids in endogenous order.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "bit positions come from the world's own bitset, sized by endo_count"
+    )]
     pub fn iter_facts<'a>(&'a self, db: &'a Database) -> impl Iterator<Item = FactId> + 'a {
-        // cqshap-lint: allow(no-panic-index) -- bit positions come from the world's own bitset, sized by endo_count
         self.bits.iter().map(move |pos| db.endo_facts()[pos])
     }
 

@@ -100,7 +100,10 @@ fn insert_dedup(
 
 /// Maps an atom's terms under `x → a, y → b, path vars → pair, others
 /// → ⊙`; `pair` is `None` outside the path construction.
-#[allow(clippy::too_many_arguments)] // a grounding context, passed flat on purpose
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a grounding context, passed flat on purpose"
+)]
 fn image_tuple(
     db: &mut Database,
     atom: &Atom,

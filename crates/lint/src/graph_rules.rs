@@ -5,9 +5,9 @@
 //! besides its findings, the set of *proven sites*: locations the graph
 //! shows cannot violate the contract (unreachable from any relevant
 //! entry point, or covered by a transitive callee). The
-//! [workspace](crate::workspace) pipeline demotes raw lexical findings
-//! at proven sites and converts pragmas that only guarded proven sites
-//! into `unused-suppression` findings — the fourth rule,
+//! [workspace](crate::workspace) pipeline demotes panic sites that are
+//! proven and converts pragmas that only guarded proven sites into
+//! `unused-suppression` findings — the fourth rule,
 //! `suppression-debt`, which turns the hand-written pragma count into
 //! a ratcheted-down number instead of an append-only ledger.
 //!
@@ -19,16 +19,13 @@ use std::collections::BTreeMap;
 
 use crate::graph::{EdgeKind, Graph};
 use crate::report::{
-    json_str, Explanation, Finding, RULE_CANCELLATION_REACHABILITY, RULE_LOCK_ORDER, RULE_NO_PANIC,
-    RULE_NO_PANIC_INDEX,
+    json_str, Explanation, Finding, RULE_CANCELLATION_REACHABILITY, RULE_LOCK_ORDER,
 };
 
-/// A site the graph proves safe: raw findings here are demoted and
+/// A site the graph proves safe: panic sites here are demoted and
 /// pragmas that only guard it are redundant debt.
 #[derive(Debug, Clone)]
 pub struct ProvenSite {
-    /// The rule names this proof discharges.
-    pub rules: Vec<&'static str>,
     /// The site's file.
     pub file: String,
     /// The site's line.
@@ -52,14 +49,14 @@ pub struct GraphRuleOutcome {
 
 /// `transitive-no-panic`: a public engine API is panic-free iff every
 /// fn reachable from it is. Roots are the non-test public fns and
-/// trait-impl methods of the `no_panic_crates`; raw `no-panic` /
-/// `no-panic-index` findings in fns unreachable from every root are
-/// proven safe (the code cannot run under any public entry point), and
-/// reachable sites get an explanation path. The per-root certificate
-/// table lands in `GRAPH_report.json`.
+/// trait-impl methods of the `no_panic_crates`; panic `sites` (from
+/// [`crate::rules::panic_sites`]) in fns unreachable from every root
+/// are proven safe (the code cannot run under any public entry point),
+/// and reachable sites get an explanation path. The per-root
+/// certificate table lands in `GRAPH_report.json`.
 pub fn transitive_no_panic(
     graph: &Graph,
-    raw: &[Finding],
+    sites: &[Finding],
     no_panic_crates: &[&str],
 ) -> GraphRuleOutcome {
     let mut out = GraphRuleOutcome::default();
@@ -77,12 +74,9 @@ pub fn transitive_no_panic(
         .collect();
     let parents = graph.reach(&roots);
 
-    // Which fns contain a raw panic site that stays live?
+    // Which fns contain a panic site that stays live?
     let mut has_site = vec![false; graph.fns.len()];
-    for f in raw {
-        if f.rule != RULE_NO_PANIC && f.rule != RULE_NO_PANIC_INDEX {
-            continue;
-        }
+    for f in sites {
         let enclosing = graph.enclosing_fns(&f.file, f.line);
         let Some(&inner) = enclosing.first() else {
             continue; // module-scope site: never demoted
@@ -92,7 +86,6 @@ pub fn transitive_no_panic(
         let root_eligible = gf.item.is_pub || gf.item.impl_trait.is_some();
         if !reachable && !root_eligible && !gf.item.is_test {
             out.proven.push(ProvenSite {
-                rules: vec![RULE_NO_PANIC, RULE_NO_PANIC_INDEX],
                 file: f.file.clone(),
                 line: f.line,
                 why: format!(
@@ -152,14 +145,13 @@ pub fn transitive_no_panic(
 
 /// `cancellation-reachability`: every loop in a fn transitively
 /// reachable from a `Budget`/`CancelToken`-accepting entry point must
-/// poll — lexically, or by (transitively) calling a fn that does. This
-/// replaces the old per-file `cancellation-poll` scope list: coverage
-/// is computed, not asserted. Fns whose loops are covered, or that no
-/// entry point reaches, become proven sites; the rest are findings with
-/// the entry-point path. Findings and proofs anchor at the *fn* line
-/// (one per fn, loops listed in the message) — the same line the
-/// lexical `cancellation-poll` rule used, so existing pragmas above the
-/// `fn` keep suppressing and redundant ones are detected as debt.
+/// poll — lexically, or by (transitively) calling a fn that does.
+/// Coverage is computed, not asserted by a file list. Fns whose loops
+/// are covered, or that no entry point reaches, become proven sites;
+/// the rest are findings with the entry-point path. Findings and proofs
+/// anchor at the *fn* line (one per fn, loops listed in the message),
+/// so a pragma above the `fn` suppresses and a redundant one is
+/// detected as debt.
 pub fn cancellation_reachability(graph: &Graph) -> GraphRuleOutcome {
     let mut out = GraphRuleOutcome::default();
     let roots: Vec<usize> = graph
@@ -218,7 +210,6 @@ pub fn cancellation_reachability(graph: &Graph) -> GraphRuleOutcome {
                 format!("`{}` transitively calls a polling fn", f.qualname)
             };
             out.proven.push(ProvenSite {
-                rules: vec![RULE_CANCELLATION_REACHABILITY, "cancellation-poll"],
                 file: f.file.clone(),
                 line: f.item.line,
                 why,
@@ -478,6 +469,7 @@ mod tests {
     use crate::graph::GraphInput;
     use crate::lexer::lex;
     use crate::parser::parse;
+    use crate::report::RULE_TRANSITIVE_NO_PANIC;
     use crate::scanner::FileMap;
 
     fn build(files: &[(&str, &str, &str)]) -> Graph {
@@ -502,21 +494,21 @@ mod tests {
         let src =
             "pub fn api() { used(); }\nfn used() { x.unwrap(); }\nfn dead() { y.unwrap(); }\n";
         let g = build(&[("crates/core/src/x.rs", "core", src)]);
-        let raw = vec![
+        let sites = vec![
             Finding {
-                rule: RULE_NO_PANIC.into(),
+                rule: RULE_TRANSITIVE_NO_PANIC.into(),
                 file: "crates/core/src/x.rs".into(),
                 line: 2,
                 message: "unwrap".into(),
             },
             Finding {
-                rule: RULE_NO_PANIC.into(),
+                rule: RULE_TRANSITIVE_NO_PANIC.into(),
                 file: "crates/core/src/x.rs".into(),
                 line: 3,
                 message: "unwrap".into(),
             },
         ];
-        let out = transitive_no_panic(&g, &raw, &["core"]);
+        let out = transitive_no_panic(&g, &sites, &["core"]);
         assert_eq!(out.proven.len(), 1, "{:?}", out.proven);
         assert_eq!(out.proven[0].line, 3);
         assert!(out.proven[0].why.contains("dead"));

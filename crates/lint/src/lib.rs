@@ -1,25 +1,24 @@
 //! `cqshap-lint` — the workspace invariant checker.
 //!
-//! The engine carries three cross-cutting contracts that ordinary
-//! compilation cannot enforce: the anytime tier's promise that every
-//! long-running exact path polls its `Budget`/`CancelToken`, the
-//! session's promise that failures surface as typed errors instead of
-//! panics mid-patch, and the thread-cap discipline that routes every
-//! fan-out through `parallel::par_map_with`. This crate checks those
-//! contracts mechanically, in three passes: a small total Rust
-//! [lexer] plus item/block [scanner] feed the per-file lexical
-//! [rules]; an item [parser] extracts every fn with its calls, loops,
-//! and lock acquisitions; and the workspace call [graph] built from
-//! those items runs the interprocedural [graph_rules], with reasoned
-//! suppression pragmas ([pragma]) and scope policy ([workspace]) on
-//! top.
+//! The engine carries cross-cutting contracts that ordinary compilation
+//! cannot enforce: the anytime tier's promise that every long-running
+//! exact path polls its `Budget`/`CancelToken`, the session's promise
+//! that failures surface as typed errors instead of panics mid-patch,
+//! and a lock discipline that cannot deadlock a fan-out. Clippy checks
+//! every rule that one file shows (see the README's "Static analysis"):
+//! the panic lint set each panic-free crate denies, and `clippy.toml`'s
+//! `disallowed-methods` for threads and clocks. This crate checks what
+//! needs the whole workspace: a small total Rust [lexer] plus item/block
+//! [scanner] feed the per-file [rules]; an item [parser] extracts every
+//! fn with its calls, loops, and lock acquisitions; and the workspace
+//! call [graph] built from those items runs the interprocedural
+//! [graph_rules], with reasoned suppression pragmas ([pragma]) and scope
+//! policy ([workspace]) on top.
 //!
 //! | rule | layer | contract |
 //! |------|-------|----------|
-//! | `no-panic` | lexical | engine-crate library code never panics |
-//! | `thread-discipline` | lexical | threads only via the sanctioned fan-outs |
-//! | `no-wall-clock` | lexical | clock reads only in the deadline modules |
 //! | `error-hygiene` | lexical | typed errors, no `Box<dyn Error>` / `Err(format!…)` |
+//! | `panic-lint-set` | lexical | every crate in [`NO_PANIC_CRATES`] denies clippy's panic lint set in its `lib.rs` and exempts none of it crate-wide |
 //! | `transitive-no-panic` | graph | public APIs are panic-free iff everything they reach is; dead panic sites are demoted |
 //! | `cancellation-reachability` | graph | every loop reachable from a `Budget`/`CancelToken` entry polls, directly or via a callee |
 //! | `lock-order` | graph | lock acquisitions admit a global order: no cycles, no lock held across a thread fan-out |
@@ -48,7 +47,7 @@ pub mod workspace;
 
 pub use report::{Demoted, Explanation, Finding, Report, Suppressed, SuppressionDebt};
 pub use workspace::{
-    lint_files, lint_source, lint_workspace, lint_workspace_timed, FileSpec, WorkspaceOutcome,
+    lint_files, lint_workspace, lint_workspace_timed, FileSpec, WorkspaceOutcome, NO_PANIC_CRATES,
 };
 
 use std::fmt;

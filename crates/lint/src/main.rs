@@ -10,8 +10,7 @@
 //! ```
 //!
 //! The binary owns every clock read (per-rule timings) and filesystem
-//! write — the library stays pure so it can obey its own
-//! `no-wall-clock` rule.
+//! write — the library stays pure and never reads the clock.
 
 #![forbid(unsafe_code)]
 
@@ -61,10 +60,10 @@ fn run() -> Result<ExitCode, LintError> {
                      USAGE: cqshap-lint [--root DIR] [--json PATH] [--graph-json PATH]\n\
                      \x20                 [--dot PATH] [--baseline PATH] [--quiet]\n\
                      \x20                 [--rule NAME --explain]\n\n\
-                     Lexical rules (per file): no-panic, no-panic-index, thread-discipline,\n\
-                     no-wall-clock, error-hygiene.\n\
+                     Lexical rules (per file): error-hygiene, panic-lint-set.\n\
                      Graph rules (workspace call graph): transitive-no-panic,\n\
-                     cancellation-reachability, lock-order, suppression-debt.\n\n\
+                     cancellation-reachability, lock-order, suppression-debt.\n\
+                     Clippy enforces the per-file panic, thread and clock rules.\n\n\
                      Writes LINT_report.json (--json), GRAPH_report.json (--graph-json),\n\
                      and GRAPH.dot (--dot). The suppression count must not exceed the\n\
                      committed baseline (crates/lint/suppression-baseline.txt, --baseline).\n\
@@ -81,9 +80,10 @@ fn run() -> Result<ExitCode, LintError> {
         }
     }
 
-    // Binaries are outside the deadline contract; the linter's own
-    // per-rule timings are exactly the sanctioned human-facing case.
-    #[allow(clippy::disallowed_methods)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "binaries are outside the deadline contract; per-rule timings are printed for humans"
+    )]
     let t0 = Instant::now();
     let mut clock = move || t0.elapsed().as_micros() as u64;
     let mut outcome = lint_workspace_timed(&root, &mut clock)?;

@@ -1,8 +1,8 @@
 //! Item-level parsing on top of the total [lexer](crate::lexer).
 //!
 //! The interprocedural rules need more structure than the
-//! [scanner](crate::scanner)'s flat fn extents: *which module and impl
-//! block* each fn lives in (for call resolution), *what each fn body
+//! [scanner](crate::scanner)'s test regions: *which fns exist, in which
+//! module and impl block* (for call resolution), *what each fn body
 //! calls* (for the workspace call graph), and *what each body acquires*
 //! (for the lock-order analysis). This module recovers exactly that —
 //! fn items with their module/impl context, call expressions, bare
@@ -176,8 +176,7 @@ pub struct ParsedFile {
 }
 
 /// Identifier evidence that a body participates in cooperative
-/// cancellation (same vocabulary as the lexical `cancellation-poll`
-/// rule: polls, charges, or threads a token/budget through).
+/// cancellation: it polls, charges, or threads a token/budget through.
 pub fn is_poll_evidence(word: &str) -> bool {
     word == "check"
         || word == "check_partial"
@@ -191,22 +190,10 @@ pub fn is_poll_evidence(word: &str) -> bool {
 /// Parses one file. `map` must be the [`FileMap`] built from the same
 /// `src` (the parser reuses its tokens and test ranges).
 pub fn parse(src: &str, map: &FileMap) -> ParsedFile {
-    let sig: Vec<usize> = map
-        .tokens
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| {
-            !matches!(
-                t.kind,
-                TokenKind::Whitespace | TokenKind::LineComment | TokenKind::BlockComment
-            )
-        })
-        .map(|(i, _)| i)
-        .collect();
     Parser {
         src,
         tokens: &map.tokens,
-        sig: &sig,
+        sig: &map.sig,
         map,
     }
     .run()
@@ -316,8 +303,8 @@ impl<'s> Parser<'s> {
                 {
                     match self.parse_fn(k, &stack) {
                         Some((item, _body_open)) => {
-                            // Keep walking token by token: the scanner
-                            // scans every `fn` position independently,
+                            // Keep walking token by token: every `fn`
+                            // position is considered independently,
                             // so on malformed input further items can
                             // start inside this one's signature, and
                             // nested fns inside the body are found by
@@ -953,6 +940,16 @@ mod tests {
         assert_eq!(fmt.impl_trait.as_deref(), Some("Display"));
         assert!(p.fns[4].impl_type.is_none());
         assert!(p.fns[4].is_pub);
+    }
+
+    #[test]
+    fn fns_are_found_with_bodies() {
+        let src = "impl X { fn a(&self) -> u8 { 1 } }\ntrait T { fn decl(&self); }\nfn top<F: Fn() -> [u8; 2]>(f: F) { loop {} }";
+        let p = parse_source(src);
+        let names: Vec<&str> = p.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["a", "top"]);
+        let top = &p.fns[1];
+        assert!(src[top.body_start..top.body_end].contains("loop"));
     }
 
     #[test]

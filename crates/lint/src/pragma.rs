@@ -5,13 +5,15 @@
 //! ```text
 //! // cqshap-lint: allow(rule-name) -- why this site is sound
 //! // cqshap-lint: allow(rule-a, rule-b) -- one reason for both
-//! // cqshap-lint: allow-file(rule-name) -- why the whole file is exempt
 //! ```
 //!
-//! A site pragma suppresses matching findings on its own line (trailing
-//! comment) or on the line directly below (pragma on its own line). An
-//! `allow-file` pragma suppresses the rule everywhere in the file and
-//! conventionally sits at the top. The ` -- reason` part is mandatory;
+//! A pragma suppresses matching findings on its own line (trailing
+//! comment) or on the line directly below (pragma on its own line).
+//! Only the rules clippy cannot express take pragmas (see
+//! [`KNOWN_RULES`](crate::report::KNOWN_RULES)); rustc rejects
+//! `#[expect(cqshap::…)]` for an unregistered tool, so these stay
+//! comments. Everything clippy checks is silenced with
+//! `#[expect(clippy::…, reason = "…")]` instead. The ` -- reason` part is mandatory;
 //! a pragma without one, naming an unknown rule, or malformed in any
 //! way is itself a finding (`bad-pragma`), and a pragma that suppresses
 //! nothing is reported as `unused-suppression` so stale exemptions
@@ -20,22 +22,11 @@
 use crate::lexer::{Token, TokenKind};
 use crate::report::{Finding, RULE_BAD_PRAGMA};
 
-/// The reach of one pragma.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PragmaScope {
-    /// Suppresses findings on the pragma's line and the line below.
-    Site,
-    /// Suppresses the named rules for the whole file.
-    File,
-}
-
 /// One parsed suppression pragma.
 #[derive(Debug, Clone)]
 pub struct Pragma {
     /// 1-based line of the pragma comment.
     pub line: u32,
-    /// Site or whole-file reach.
-    pub scope: PragmaScope,
     /// The rule names it suppresses.
     pub rules: Vec<String>,
     /// The mandatory justification after ` -- `.
@@ -66,9 +57,8 @@ pub fn collect(
             continue;
         };
         match parse(rest.trim(), known_rules) {
-            Ok((scope, rules, reason)) => pragmas.push(Pragma {
+            Ok((rules, reason)) => pragmas.push(Pragma {
                 line: t.line,
-                scope,
                 rules,
                 reason,
                 used: false,
@@ -84,16 +74,12 @@ pub fn collect(
     (pragmas, findings)
 }
 
-/// Parses `allow(rules) -- reason` / `allow-file(rules) -- reason`.
-fn parse(rest: &str, known_rules: &[&str]) -> Result<(PragmaScope, Vec<String>, String), String> {
-    let (scope, after) = if let Some(a) = rest.strip_prefix("allow-file") {
-        (PragmaScope::File, a)
-    } else if let Some(a) = rest.strip_prefix("allow") {
-        (PragmaScope::Site, a)
-    } else {
+/// Parses `allow(rules) -- reason`.
+fn parse(rest: &str, known_rules: &[&str]) -> Result<(Vec<String>, String), String> {
+    let Some(after) = rest.strip_prefix("allow") else {
         // cqshap-lint: allow(error-hygiene) -- the formatted string IS the bad-pragma finding message, not an error channel
         return Err(format!(
-            "expected `allow(...)` or `allow-file(...)` after `{MARKER}`, got `{rest}`"
+            "expected `allow(...)` after `{MARKER}`, got `{rest}`"
         ));
     };
     let after = after.trim_start();
@@ -125,7 +111,7 @@ fn parse(rest: &str, known_rules: &[&str]) -> Result<(PragmaScope, Vec<String>, 
     if reason.is_empty() {
         return Err("empty reason in pragma — the reason is mandatory".to_string());
     }
-    Ok((scope, rules, reason.to_string()))
+    Ok((rules, reason.to_string()))
 }
 
 #[cfg(test)]
@@ -133,7 +119,7 @@ mod tests {
     use super::*;
     use crate::lexer::lex;
 
-    const KNOWN: &[&str] = &["no-panic", "thread-discipline"];
+    const KNOWN: &[&str] = &["lock-order", "error-hygiene"];
 
     fn run(src: &str) -> (Vec<Pragma>, Vec<Finding>) {
         collect(src, &lex(src), "f.rs", KNOWN)
@@ -142,26 +128,25 @@ mod tests {
     #[test]
     fn well_formed_pragmas_parse() {
         let (p, f) = run(
-            "// cqshap-lint: allow(no-panic) -- bounded by construction\n\
-             // cqshap-lint: allow-file(thread-discipline) -- the fan-out module\n\
-             // cqshap-lint: allow(no-panic, thread-discipline) -- both\n",
+            "// cqshap-lint: allow(lock-order) -- bounded by construction\n\
+             // cqshap-lint: allow(lock-order, error-hygiene) -- both\n",
         );
         assert!(f.is_empty(), "{f:?}");
-        assert_eq!(p.len(), 3);
-        assert_eq!(p[0].scope, PragmaScope::Site);
-        assert_eq!(p[1].scope, PragmaScope::File);
-        assert_eq!(p[2].rules.len(), 2);
+        assert_eq!(p.len(), 2);
+        assert_eq!(p[1].rules.len(), 2);
         assert_eq!(p[0].reason, "bounded by construction");
     }
 
     #[test]
     fn missing_reason_is_a_finding() {
         for bad in [
-            "// cqshap-lint: allow(no-panic)",
-            "// cqshap-lint: allow(no-panic) -- ",
+            "// cqshap-lint: allow(lock-order)",
+            "// cqshap-lint: allow(lock-order) -- ",
             "// cqshap-lint: allow(not-a-rule) -- reason",
-            "// cqshap-lint: allow no-panic -- reason",
-            "// cqshap-lint: disallow(no-panic) -- reason",
+            "// cqshap-lint: allow lock-order -- reason",
+            "// cqshap-lint: disallow(lock-order) -- reason",
+            "// cqshap-lint: allow-file(lock-order) -- whole-file pragmas are gone",
+            "// cqshap-lint: allow(no-panic) -- clippy owns the panic rules",
         ] {
             let (p, f) = run(bad);
             assert!(p.is_empty(), "{bad}");

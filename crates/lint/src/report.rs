@@ -2,28 +2,16 @@
 
 use std::fmt;
 
-/// Rule name: panic-free library code in the engine crates.
-pub const RULE_NO_PANIC: &str = "no-panic";
-/// Rule name: the indexing leg of the `no-panic` family (`expr[i]`
-/// panics out of bounds). A separate pragma name so index-heavy kernel
-/// files can be exempted file-wide without also silencing
-/// `unwrap`/`expect`/`panic!` findings there.
-pub const RULE_NO_PANIC_INDEX: &str = "no-panic-index";
-/// Rule name: loops in the exact-path files must poll cancellation.
-pub const RULE_CANCELLATION_POLL: &str = "cancellation-poll";
-/// Rule name: threads are spawned only by the sanctioned fan-outs.
-pub const RULE_THREAD_DISCIPLINE: &str = "thread-discipline";
-/// Rule name: wall-clock reads only inside the deadline modules.
-pub const RULE_NO_WALL_CLOCK: &str = "no-wall-clock";
 /// Rule name: typed errors only — no `Box<dyn Error>` / `Err(format!…)`.
 pub const RULE_ERROR_HYGIENE: &str = "error-hygiene";
+/// Rule name: a panic-free crate's root denies clippy's panic lint set.
+pub const RULE_PANIC_LINT_SET: &str = "panic-lint-set";
 /// Graph rule: public engine APIs are panic-free through the whole
-/// call graph (subsumes per-site `no-panic` reasoning where the graph
-/// proves a site unreachable).
+/// call graph. Its input is the lexical panic-site finder; sites no
+/// public API reaches are demoted.
 pub const RULE_TRANSITIVE_NO_PANIC: &str = "transitive-no-panic";
 /// Graph rule: every loop reachable from a `Budget`/`CancelToken`
-/// entry point polls cancellation (replaces the `cancellation-poll`
-/// file-list heuristic; the old name remains a pragma alias).
+/// entry point polls cancellation.
 pub const RULE_CANCELLATION_REACHABILITY: &str = "cancellation-reachability";
 /// Graph rule: lock acquisitions follow one global order and no lock
 /// is held across a thread fan-out.
@@ -33,33 +21,13 @@ pub const RULE_BAD_PRAGMA: &str = "bad-pragma";
 /// Meta rule: a pragma that suppressed nothing.
 pub const RULE_UNUSED_SUPPRESSION: &str = "unused-suppression";
 
-/// Every rule name the pragma parser accepts. `cancellation-poll` and
-/// `cancellation-reachability` are aliases at matching time.
+/// Every rule name the pragma parser accepts: the rules whose findings
+/// a reasoned pragma may silence.
 pub const KNOWN_RULES: &[&str] = &[
-    RULE_NO_PANIC,
-    RULE_NO_PANIC_INDEX,
-    RULE_CANCELLATION_POLL,
     RULE_CANCELLATION_REACHABILITY,
-    RULE_THREAD_DISCIPLINE,
-    RULE_NO_WALL_CLOCK,
-    RULE_ERROR_HYGIENE,
-    RULE_TRANSITIVE_NO_PANIC,
     RULE_LOCK_ORDER,
+    RULE_ERROR_HYGIENE,
 ];
-
-/// Do a finding rule and a pragma rule name match? Exact match, plus
-/// the `cancellation-poll` ↔ `cancellation-reachability` alias so PR 8
-/// pragmas keep working under the graph rule that replaced their rule.
-pub fn rules_match(finding_rule: &str, pragma_rule: &str) -> bool {
-    fn canon(r: &str) -> &str {
-        if r == RULE_CANCELLATION_POLL {
-            RULE_CANCELLATION_REACHABILITY
-        } else {
-            r
-        }
-    }
-    canon(finding_rule) == canon(pragma_rule)
-}
 
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,12 +52,13 @@ impl fmt::Display for Finding {
     }
 }
 
-/// A finding that was silenced by a pragma, kept for the report.
+/// A finding silenced by a reasoned pragma, or a reachable panic site
+/// that clippy holds to an `#[expect]`, kept for the report.
 #[derive(Debug, Clone)]
 pub struct Suppressed {
-    /// The silenced finding.
+    /// The silenced finding or the panic site.
     pub finding: Finding,
-    /// The pragma's mandatory reason.
+    /// The pragma's mandatory reason, or why the panic site is counted.
     pub reason: String,
 }
 
@@ -139,7 +108,8 @@ pub struct Report {
     pub files: Vec<String>,
     /// Unsuppressed findings — any entry here fails the run.
     pub findings: Vec<Finding>,
-    /// Findings silenced by reasoned pragmas.
+    /// Findings silenced by reasoned pragmas, plus the reachable panic
+    /// sites of the panic-free crates. The ratchet counts both.
     pub suppressed: Vec<Suppressed>,
     /// Findings the call graph demoted (proved safe).
     pub demoted: Vec<Demoted>,
@@ -278,14 +248,14 @@ mod tests {
         let mut r = Report::default();
         r.files.push("a.rs".into());
         r.findings.push(Finding {
-            rule: RULE_NO_PANIC.into(),
+            rule: RULE_LOCK_ORDER.into(),
             file: "crates/x/src/a.rs".into(),
             line: 3,
             message: "call to `panic!` with \"quotes\"".into(),
         });
         r.suppressed.push(Suppressed {
             finding: Finding {
-                rule: RULE_NO_WALL_CLOCK.into(),
+                rule: RULE_ERROR_HYGIENE.into(),
                 file: "b.rs".into(),
                 line: 9,
                 message: "m".into(),

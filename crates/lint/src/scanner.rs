@@ -1,42 +1,26 @@
 //! Item/block structure over the token stream.
 //!
-//! The rules need two structural facts the flat token stream does not
-//! give them directly: *which byte ranges are test code* (items under
-//! `#[cfg(test)]` / `#[test]`, or `mod tests`-style modules), and
-//! *where each `fn`'s signature and body live* (for the
-//! cancellation-poll rule). Both are recovered by brace matching over
-//! the significant (non-whitespace, non-comment) tokens — no parser,
-//! no AST, which keeps the scanner total on arbitrary input just like
-//! the lexer.
+//! The panic-site finder and the parser need two structural facts the
+//! flat token stream does not give them directly: *which tokens are
+//! significant* (not whitespace or comments) and *which byte ranges are
+//! test code* (items under `#[cfg(test)]` / `#[test]`, or `mod
+//! tests`-style modules). Both are recovered by brace matching over the
+//! significant tokens — no parser, no AST, which keeps the scanner total
+//! on arbitrary input just like the lexer.
 
 use crate::lexer::{Token, TokenKind};
 
-/// One function found in the file.
-#[derive(Debug, Clone)]
-pub struct FnInfo {
-    /// The function's name.
-    pub name: String,
-    /// Byte offset of the `fn` keyword.
-    pub sig_start: usize,
-    /// Byte offset of the body's opening `{`.
-    pub body_start: usize,
-    /// Byte offset one past the body's closing `}` (or end of input
-    /// when unbalanced).
-    pub body_end: usize,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
-}
-
-/// The structural map of one file: its tokens plus the recovered
-/// test regions and function extents.
+/// The structural map of one file: its tokens plus the significant
+/// token indices and the recovered test regions.
 #[derive(Debug)]
 pub struct FileMap {
     /// Every token of the file, in order.
     pub tokens: Vec<Token>,
+    /// Indices into `tokens` of the significant (non-whitespace,
+    /// non-comment) tokens.
+    pub sig: Vec<usize>,
     /// Byte ranges attributed to test-only compilation.
     pub test_ranges: Vec<(usize, usize)>,
-    /// Every `fn` with a body, in source order (nested fns included).
-    pub fns: Vec<FnInfo>,
 }
 
 impl FileMap {
@@ -54,11 +38,10 @@ impl FileMap {
             .map(|(i, _)| i)
             .collect();
         let test_ranges = find_test_ranges(src, &tokens, &sig);
-        let fns = find_fns(src, &tokens, &sig);
         FileMap {
             tokens,
+            sig,
             test_ranges,
-            fns,
         }
     }
 
@@ -200,61 +183,6 @@ fn find_test_ranges(src: &str, tokens: &[Token], sig: &[usize]) -> Vec<(usize, u
     out
 }
 
-/// Every `fn` with a body. Trait-method declarations (`fn f(…);`) have
-/// no body and are skipped; nested fns and fns inside test modules are
-/// included (callers filter by [`FileMap::in_test`]).
-fn find_fns(src: &str, tokens: &[Token], sig: &[usize]) -> Vec<FnInfo> {
-    let mut out = Vec::new();
-    for k in 0..sig.len() {
-        let t = &tokens[sig[k]];
-        if t.kind != TokenKind::Ident || text(src, t) != "fn" {
-            continue;
-        }
-        // `fn` in `fn(...)` pointer/trait types has no name ident.
-        let Some(&name_ti) = sig.get(k + 1) else {
-            continue;
-        };
-        let name_tok = &tokens[name_ti];
-        if name_tok.kind != TokenKind::Ident {
-            continue;
-        }
-        // `fn fn …` (garbage input): the second `fn` may open a real
-        // item, so do not also claim it as this one's name.
-        if text(src, name_tok) == "fn" {
-            continue;
-        }
-        let mut depth = 0i64;
-        let mut j = k + 2;
-        let mut open = None;
-        while j < sig.len() {
-            let u = &tokens[sig[j]];
-            if u.kind == TokenKind::Punct {
-                match text(src, u) {
-                    "(" | "[" => depth += 1,
-                    ")" | "]" => depth -= 1,
-                    "{" if depth == 0 => {
-                        open = Some(j);
-                        break;
-                    }
-                    ";" if depth == 0 => break,
-                    _ => {}
-                }
-            }
-            j += 1;
-        }
-        let Some(open) = open else { continue };
-        let close = match_brace(src, tokens, sig, open);
-        out.push(FnInfo {
-            name: text(src, name_tok).to_string(),
-            sig_start: t.start,
-            body_start: tokens[sig[open]].start,
-            body_end: tokens[sig[close]].end,
-            line: t.line,
-        });
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,16 +216,6 @@ mod tests {
         let src = "#[cfg(any(test, feature = \"x\"))]\nmod helpers { fn h() {} }";
         let m = map(src);
         assert!(m.in_test(src.find("h()").unwrap()));
-    }
-
-    #[test]
-    fn fns_are_found_with_bodies() {
-        let src = "impl X { fn a(&self) -> u8 { 1 } }\ntrait T { fn decl(&self); }\nfn top<F: Fn() -> [u8; 2]>(f: F) { loop {} }";
-        let m = map(src);
-        let names: Vec<&str> = m.fns.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, ["a", "top"]);
-        let top = &m.fns[1];
-        assert!(src[top.body_start..top.body_end].contains("loop"));
     }
 
     #[test]

@@ -1,57 +1,37 @@
 //! Workspace walking, rule scoping, and suppression application.
 //!
 //! This module owns the policy: which first-party files exist, which
-//! rules apply where, and how pragmas silence findings. The scope table
-//! mirrors the engine's architecture contracts — see the README's
-//! "Static analysis" section for the same table in prose.
+//! rules apply where, and how pragmas silence findings. Its one scope
+//! table, [`NO_PANIC_CRATES`], names the crates whose library code must
+//! be panic-free; clippy enforces it site by site (each crate's
+//! `lib.rs` denies the panic lint set, which `panic-lint-set` checks)
+//! and `transitive-no-panic` certifies it per public API. See the
+//! README's "Static analysis" section.
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::graph::{Graph, GraphInput};
-use crate::graph_rules::{self, ProvenSite};
-use crate::lexer::{lex, TokenKind};
+use crate::graph_rules;
+use crate::lexer::lex;
 use crate::parser;
-use crate::pragma::{self, Pragma, PragmaScope};
+use crate::pragma::{self, Pragma};
 use crate::report::{
-    rules_match, Demoted, Finding, Report, Suppressed, SuppressionDebt, KNOWN_RULES,
-    RULE_UNUSED_SUPPRESSION,
+    Demoted, Finding, Report, Suppressed, SuppressionDebt, KNOWN_RULES,
+    RULE_CANCELLATION_REACHABILITY, RULE_UNUSED_SUPPRESSION,
 };
 use crate::rules::{self, FileCtx};
 use crate::scanner::FileMap;
 use crate::LintError;
 
-/// Crates whose *library* code must be panic-free (`no-panic`).
-const NO_PANIC_CRATES: &[&str] = &["core", "db", "numeric", "probdb"];
+/// Crates whose *library* code must be panic-free. Each one's `lib.rs`
+/// denies clippy's panic lint set ([`rules::PANIC_LINTS`]).
+pub const NO_PANIC_CRATES: &[&str] = &["core", "db", "numeric", "probdb"];
 
-/// Files whose loops must poll cancellation (`cancellation-poll`).
-const CANCEL_FILES: &[&str] = &[
-    "crates/core/src/compiled.rs",
-    "crates/core/src/plan.rs",
-    "crates/core/src/domain.rs",
-    "crates/core/src/aggregates.rs",
-    "crates/numeric/src/poly.rs",
-];
-
-/// The sanctioned fan-out modules (`thread-discipline` exempt).
-const THREAD_FILES: &[&str] = &["crates/core/src/parallel.rs", "crates/numeric/src/poly.rs"];
-
-/// The deadline modules (`no-wall-clock` exempt). `obs::clock` is the
-/// observability layer's sanctioned monotonic clock — every span
-/// timestamp flows through it.
-const CLOCK_FILES: &[&str] = &[
-    "crates/numeric/src/cancel.rs",
-    "crates/core/src/budget.rs",
-    "crates/obs/src/clock.rs",
-];
-
-/// Crates whose library code may not read the wall clock elsewhere.
-/// `bench` and `workloads` are measurement/generator code and binaries
-/// print timings to humans — both are outside the deadline contract.
-const CLOCK_CRATES: &[&str] = &[
-    "core", "db", "numeric", "obs", "probdb", "query", "engine", "gadgets", "lint",
-];
+/// Why a reachable panic site is counted rather than reported: clippy
+/// has already held it to a reasoned `#[expect]`.
+const PANIC_SITE_REASON: &str = "clippy denies the panic lint set in this crate, so the site carries an `#[expect(clippy::…, reason = \"…\")]`";
 
 /// One discovered source file.
 struct SourceFile {
@@ -100,7 +80,7 @@ pub fn lint_workspace(root: &Path) -> Result<Report, LintError> {
 
 /// [`lint_workspace`] with per-rule timing and the graph artifacts.
 /// `clock` must return monotonic microseconds; the binary supplies an
-/// `Instant`-based closure (binaries are exempt from `no-wall-clock`).
+/// `Instant`-based closure (the library never reads the clock).
 pub fn lint_workspace_timed(
     root: &Path,
     clock: &mut dyn FnMut() -> u64,
@@ -144,14 +124,16 @@ pub fn lint_workspace_timed(
 
 /// The whole interprocedural pipeline over in-memory files:
 ///
-/// 1. **Lexical pass** — per file: lex, scan, parse items, run the
-///    per-file rules (everything except `cancellation-poll`, whose job
-///    the graph rule now does), collect pragmas.
+/// 1. **Lexical pass** — per file: lex, scan, parse items, find the
+///    panic sites of the panic-free crates, run `error-hygiene`, check
+///    each panic-free crate's `lib.rs` for the panic lint set, collect
+///    pragmas.
 /// 2. **Graph pass** — build the workspace call graph, run
-///    `transitive-no-panic`, `cancellation-reachability`, and
-///    `lock-order`; *demote* raw findings at graph-proven sites.
-/// 3. **Suppression pass** — match pragmas against the surviving
-///    findings (`cancellation-poll` aliases the reachability rule);
+///    `transitive-no-panic` over the panic sites,
+///    `cancellation-reachability`, and `lock-order`. Panic sites the
+///    graph proves unreachable are *demoted*; the rest are counted as
+///    suppressed, since clippy holds each to an `#[expect]`.
+/// 3. **Suppression pass** — match pragmas against the findings;
 ///    unused pragmas become `unused-suppression` findings, with a
 ///    `suppression-debt` message when the graph proof is what made
 ///    them redundant.
@@ -164,7 +146,8 @@ pub fn lint_files(files: &[FileSpec], clock: &mut dyn FnMut() -> u64) -> Workspa
         *acc.entry(key).or_insert(0) += clock().saturating_sub(start);
     };
 
-    let mut raw: Vec<Finding> = Vec::new();
+    let mut sites: Vec<Finding> = Vec::new();
+    let mut findings: Vec<Finding> = Vec::new();
     let mut meta: Vec<Finding> = Vec::new();
     let mut pragmas_by_file: BTreeMap<String, Vec<Pragma>> = BTreeMap::new();
     let mut inputs: Vec<GraphInput> = Vec::new();
@@ -176,45 +159,22 @@ pub fn lint_files(files: &[FileSpec], clock: &mut dyn FnMut() -> u64) -> Workspa
         let map = FileMap::build(&file.src, lex(&file.src));
         let parsed = parser::parse(&file.src, &map);
         timed(&mut acc, "parse", clock, t);
-        let sig: Vec<usize> = map
-            .tokens
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| {
-                !matches!(
-                    t.kind,
-                    TokenKind::Whitespace | TokenKind::LineComment | TokenKind::BlockComment
-                )
-            })
-            .map(|(i, _)| i)
-            .collect();
         let ctx = FileCtx {
             src: &file.src,
             path: &file.rel,
             map: &map,
-            sig: &sig,
         };
         if NO_PANIC_CRATES.contains(&file.krate.as_str()) && !file.is_binary {
             let t = clock();
-            raw.extend(rules::no_panic(&ctx));
-            timed(&mut acc, "no-panic", clock, t);
-        }
-        if !THREAD_FILES.contains(&file.rel.as_str()) {
-            let t = clock();
-            raw.extend(rules::thread_discipline(&ctx));
-            timed(&mut acc, "thread-discipline", clock, t);
-        }
-        if CLOCK_CRATES.contains(&file.krate.as_str())
-            && !file.is_binary
-            && !CLOCK_FILES.contains(&file.rel.as_str())
-        {
-            let t = clock();
-            raw.extend(rules::no_wall_clock(&ctx));
-            timed(&mut acc, "no-wall-clock", clock, t);
+            sites.extend(rules::panic_sites(&ctx));
+            if file.rel == format!("crates/{}/src/lib.rs", file.krate) {
+                meta.extend(rules::panic_lint_set(&ctx, &file.krate));
+            }
+            timed(&mut acc, "panic-sites", clock, t);
         }
         if !file.is_binary {
             let t = clock();
-            raw.extend(rules::error_hygiene(&ctx));
+            findings.extend(rules::error_hygiene(&ctx));
             timed(&mut acc, "error-hygiene", clock, t);
         }
         let (pragmas, bad) = pragma::collect(&file.src, &map.tokens, &file.rel, KNOWN_RULES);
@@ -233,7 +193,7 @@ pub fn lint_files(files: &[FileSpec], clock: &mut dyn FnMut() -> u64) -> Workspa
     timed(&mut acc, "graph-build", clock, t);
 
     let t = clock();
-    let tnp = graph_rules::transitive_no_panic(&graph, &raw, NO_PANIC_CRATES);
+    let tnp = graph_rules::transitive_no_panic(&graph, &sites, NO_PANIC_CRATES);
     timed(&mut acc, "transitive-no-panic", clock, t);
     let t = clock();
     let cr = graph_rules::cancellation_reachability(&graph);
@@ -243,22 +203,23 @@ pub fn lint_files(files: &[FileSpec], clock: &mut dyn FnMut() -> u64) -> Workspa
     timed(&mut acc, "lock-order", clock, t);
 
     let t = clock();
-    // Demote raw findings at graph-proven sites.
-    let proven: Vec<&ProvenSite> = tnp.proven.iter().chain(cr.proven.iter()).collect();
-    let mut findings: Vec<Finding> = Vec::new();
-    for f in raw {
-        let proof = proven.iter().find(|p| {
-            p.file == f.file && p.line == f.line && p.rules.iter().any(|r| rules_match(&f.rule, r))
-        });
-        match proof {
+    // Demote panic sites the graph proves unreachable; count the rest.
+    for site in sites {
+        match tnp
+            .proven
+            .iter()
+            .find(|p| p.file == site.file && p.line == site.line)
+        {
             Some(p) => report.demoted.push(Demoted {
-                finding: f,
+                finding: site,
                 why: p.why.clone(),
             }),
-            None => findings.push(f),
+            None => report.suppressed.push(Suppressed {
+                finding: site,
+                reason: PANIC_SITE_REASON.to_string(),
+            }),
         }
     }
-    findings.extend(tnp.findings);
     findings.extend(cr.findings);
     findings.extend(lo.findings);
     report.explanations.extend(tnp.explanations);
@@ -282,12 +243,12 @@ pub fn lint_files(files: &[FileSpec], clock: &mut dyn FnMut() -> u64) -> Workspa
             if p.used {
                 continue;
             }
-            let proof = proven.iter().find(|pr| {
+            // `cancellation-reachability` is the one pragma-taking rule
+            // whose proofs can make a pragma redundant.
+            let proof = cr.proven.iter().find(|pr| {
                 &pr.file == file
-                    && p.rules
-                        .iter()
-                        .any(|r| pr.rules.iter().any(|r2| rules_match(r, r2)))
-                    && (p.scope == PragmaScope::File || pr.line == p.line || pr.line == p.line + 1)
+                    && p.rules.iter().any(|r| r == RULE_CANCELLATION_REACHABILITY)
+                    && (pr.line == p.line || pr.line == p.line + 1)
             });
             let message = match proof {
                 Some(pr) => {
@@ -366,99 +327,12 @@ fn collect_rs(
     Ok(())
 }
 
-/// The per-file lint outcome (findings already split by suppression).
-pub struct FileOutcome {
-    /// Live findings.
-    pub findings: Vec<Finding>,
-    /// Pragma-silenced findings with their reasons.
-    pub suppressed: Vec<Suppressed>,
-}
-
-/// Lints one file's source text as if it lived at `rel` in crate
-/// `krate` (short name, `""` for the root package). This is the
-/// fixture-test entry point; [`lint_workspace`] calls it per file.
-pub fn lint_source(rel: &str, krate: &str, is_binary: bool, src: &str) -> FileOutcome {
-    let map = FileMap::build(src, lex(src));
-    let sig: Vec<usize> = map
-        .tokens
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| {
-            !matches!(
-                t.kind,
-                TokenKind::Whitespace | TokenKind::LineComment | TokenKind::BlockComment
-            )
-        })
-        .map(|(i, _)| i)
-        .collect();
-    let ctx = FileCtx {
-        src,
-        path: rel,
-        map: &map,
-        sig: &sig,
-    };
-
-    let mut raw: Vec<Finding> = Vec::new();
-    if NO_PANIC_CRATES.contains(&krate) && !is_binary {
-        raw.extend(rules::no_panic(&ctx));
-    }
-    if CANCEL_FILES.contains(&rel) {
-        raw.extend(rules::cancellation_poll(&ctx));
-    }
-    if !THREAD_FILES.contains(&rel) {
-        raw.extend(rules::thread_discipline(&ctx));
-    }
-    if CLOCK_CRATES.contains(&krate) && !is_binary && !CLOCK_FILES.contains(&rel) {
-        raw.extend(rules::no_wall_clock(&ctx));
-    }
-    if !is_binary {
-        raw.extend(rules::error_hygiene(&ctx));
-    }
-
-    let (mut pragmas, mut findings) = pragma::collect(src, &map.tokens, rel, KNOWN_RULES);
-    let mut suppressed = Vec::new();
-    for f in raw {
-        match matching_pragma(&mut pragmas, &f) {
-            Some(reason) => suppressed.push(Suppressed { finding: f, reason }),
-            None => findings.push(f),
-        }
-    }
-    for p in &pragmas {
-        if !p.used {
-            findings.push(Finding {
-                rule: RULE_UNUSED_SUPPRESSION.to_string(),
-                file: rel.to_string(),
-                line: p.line,
-                message: format!(
-                    "pragma allows `{}` but suppressed nothing — remove it",
-                    p.rules.join(", ")
-                ),
-            });
-        }
-    }
-    findings.sort_by(|a, b| (a.line, &a.rule).cmp(&(b.line, &b.rule)));
-    FileOutcome {
-        findings,
-        suppressed,
-    }
-}
-
-/// Finds a pragma covering `f`, marks it used, and returns its reason.
-/// Site pragmas (exact line or line above) win over file pragmas.
-/// Rule names match via [`rules_match`], so `cancellation-poll`
-/// pragmas cover `cancellation-reachability` findings.
+/// Finds a pragma covering `f` (same line or the line above), marks it
+/// used, and returns its reason.
 fn matching_pragma(pragmas: &mut [Pragma], f: &Finding) -> Option<String> {
-    let site = pragmas.iter_mut().find(|p| {
-        p.scope == PragmaScope::Site
-            && p.rules.iter().any(|r| rules_match(&f.rule, r))
-            && (f.line == p.line || f.line == p.line + 1)
-    });
-    let p = match site {
-        Some(p) => p,
-        None => pragmas.iter_mut().find(|p| {
-            p.scope == PragmaScope::File && p.rules.iter().any(|r| rules_match(&f.rule, r))
-        })?,
-    };
+    let p = pragmas
+        .iter_mut()
+        .find(|p| p.rules.contains(&f.rule) && (f.line == p.line || f.line == p.line + 1))?;
     p.used = true;
     Some(p.reason.clone())
 }
@@ -468,66 +342,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn site_pragma_suppresses_and_is_used() {
-        let src = "fn f() {\n    // cqshap-lint: allow(no-panic) -- invariant: map key inserted above\n    let x = m.get(k).unwrap();\n}\n";
-        let out = lint_source("crates/core/src/x.rs", "core", false, src);
-        assert!(out.findings.is_empty(), "{:?}", out.findings);
-        assert_eq!(out.suppressed.len(), 1);
-        assert!(out.suppressed[0].reason.contains("invariant"));
-    }
-
-    #[test]
-    fn trailing_pragma_suppresses_same_line() {
-        let src = "fn f() { let x = v[i]; } // cqshap-lint: allow(no-panic-index) -- i < len by loop bound\n";
-        let out = lint_source("crates/db/src/x.rs", "db", false, src);
-        assert!(out.findings.is_empty(), "{:?}", out.findings);
-        assert_eq!(out.suppressed.len(), 1);
-    }
-
-    #[test]
-    fn file_pragma_suppresses_everywhere_and_unused_is_flagged() {
-        let src = "// cqshap-lint: allow-file(no-panic-index) -- limb kernels are bounds-guarded\nfn f() { v[0]; }\nfn g() { w[1]; }\n";
-        let out = lint_source("crates/numeric/src/x.rs", "numeric", false, src);
-        assert!(out.findings.is_empty());
-        assert_eq!(out.suppressed.len(), 2);
-
-        let unused = "// cqshap-lint: allow-file(no-panic-index) -- nothing here\nfn f() {}\n";
-        let out = lint_source("crates/numeric/src/x.rs", "numeric", false, unused);
-        assert_eq!(out.findings.len(), 1);
-        assert_eq!(out.findings[0].rule, RULE_UNUSED_SUPPRESSION);
-    }
-
-    #[test]
-    fn scoping_respects_crate_and_binary() {
-        let panics = "fn f() { x.unwrap(); }";
-        // Engine crate: flagged.
-        assert_eq!(
-            lint_source("crates/core/src/x.rs", "core", false, panics)
-                .findings
-                .len(),
-            1
-        );
-        // Non-engine crate: no-panic does not apply.
-        assert!(lint_source("crates/query/src/x.rs", "query", false, panics)
-            .findings
-            .is_empty());
-        // Wall clock in a binary: exempt.
-        let clock = "fn main() { let t = std::time::Instant::now(); }";
-        assert!(lint_source("src/main.rs", "", true, clock)
-            .findings
-            .is_empty());
-        // Wall clock in engine lib code: flagged.
-        assert_eq!(
-            lint_source("crates/engine/src/x.rs", "engine", false, clock)
-                .findings
-                .len(),
-            1
-        );
-        // The deadline module itself: exempt.
-        assert!(
-            lint_source("crates/numeric/src/cancel.rs", "numeric", false, clock)
-                .findings
-                .is_empty()
-        );
+    fn trailing_pragma_suppresses_its_own_line() {
+        let spec = FileSpec {
+            rel: "crates/query/src/x.rs".to_string(),
+            krate: "query".to_string(),
+            is_binary: false,
+            src: "fn f() -> Result<(), String> { Err(format!(\"x\")) } // cqshap-lint: allow(error-hygiene) -- fixture\n".to_string(),
+        };
+        let r = lint_files(&[spec], &mut || 0).report;
+        assert!(r.findings.is_empty(), "{:?}", r.findings);
+        assert_eq!(r.suppressed.len(), 1);
     }
 }

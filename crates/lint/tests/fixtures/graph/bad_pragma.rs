@@ -1,11 +1,11 @@
 //! Fixture: malformed pragmas are findings themselves.
 //! Expected: 3 × `bad-pragma` (missing reason, unknown rule, wrong verb).
 
-// cqshap-lint: allow(no-panic)
+// cqshap-lint: allow(error-hygiene)
 fn missing_reason() {}
 
-// cqshap-lint: allow(made-up-rule) -- a reason does not rescue an unknown rule
+// cqshap-lint: allow(no-panic) -- clippy owns the panic rules, so this name is unknown
 fn unknown_rule() {}
 
-// cqshap-lint: disallow(no-panic) -- there is no disallow verb
+// cqshap-lint: disallow(lock-order) -- there is no disallow verb
 fn wrong_verb() {}

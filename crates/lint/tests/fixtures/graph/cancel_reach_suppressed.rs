@@ -2,7 +2,7 @@ pub fn entry(budget: &Budget) -> u64 {
     hot()
 }
 
-// cqshap-lint: allow(cancellation-poll) -- bounded: exactly four steps
+// cqshap-lint: allow(cancellation-reachability) -- bounded: exactly four steps
 fn hot() -> u64 {
     let mut acc = 0;
     for i in 0..4 {

@@ -2,7 +2,7 @@
 //! stale exemptions cannot accumulate.
 //! Expected: 1 × `unused-suppression`.
 
-// cqshap-lint: allow-file(no-wall-clock) -- fixture: nothing here reads the clock any more
+// cqshap-lint: allow(error-hygiene) -- fixture: nothing here builds a stringly error any more
 fn clean(x: u8) -> u8 {
     x.saturating_add(1)
 }

@@ -1,11 +1,13 @@
 //! Drives [`cqshap_lint::lint_files`] — the full interprocedural
-//! pipeline — over the graph fixture corpus: for each graph rule a
-//! positive fixture (the violation must be found, with a call-graph
-//! explanation), a suppressed fixture (a reasoned pragma silences it
+//! pipeline — over the fixture corpus: for each rule a positive fixture
+//! (the violation must be found, with a call-graph explanation for the
+//! graph rules), a suppressed fixture (a reasoned pragma silences it
 //! without `unused-suppression` residue), and a test-exempt fixture
-//! (the same constructs inside `#[cfg(test)]` are ignored). A golden
-//! test pins the `GRAPH_report.json` rendering of a small fixture
-//! workspace byte for byte.
+//! (the same constructs inside `#[cfg(test)]` are ignored). The meta
+//! rules (`bad-pragma`, `unused-suppression`) and the panic-lint-set
+//! delegation check get their own cases. A golden test pins the
+//! `GRAPH_report.json` rendering of a small fixture workspace byte for
+//! byte.
 
 use std::path::{Path, PathBuf};
 
@@ -22,7 +24,8 @@ fn fixture(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
 
-/// Runs the whole pipeline over in-memory fixture files, no timing.
+/// Runs the whole pipeline over in-memory library fixture files, no
+/// timing.
 fn run(files: &[(&str, &str, &str)]) -> WorkspaceOutcome {
     let specs: Vec<FileSpec> = files
         .iter()
@@ -36,15 +39,34 @@ fn run(files: &[(&str, &str, &str)]) -> WorkspaceOutcome {
     lint_files(&specs, &mut || 0)
 }
 
-/// One core-crate library file at a generic path (all graph rules run;
-/// `parallel.rs` is used for the fan-out fixtures so the lexical
-/// `thread-discipline` rule stays out of the way).
+/// One fixture as the core crate's binary target.
+fn run_core_binary(name: &str) -> WorkspaceOutcome {
+    let spec = FileSpec {
+        rel: "crates/core/src/main.rs".to_string(),
+        krate: "core".to_string(),
+        is_binary: true,
+        src: fixture(name),
+    };
+    lint_files(&[spec], &mut || 0)
+}
+
+/// One core-crate library file at a generic path (all rules run).
 fn run_core(name: &str) -> WorkspaceOutcome {
     run(&[("crates/core/src/fixture.rs", "core", name)])
 }
 
-fn run_parallel(name: &str) -> WorkspaceOutcome {
-    run(&[("crates/core/src/parallel.rs", "core", name)])
+/// One `workloads` library file: outside the panic-free crates, so only
+/// `error-hygiene`, the graph rules and the meta rules run.
+fn run_workloads(name: &str) -> WorkspaceOutcome {
+    run(&[("crates/workloads/src/fixture.rs", "workloads", name)])
+}
+
+fn rules_of(out: &WorkspaceOutcome) -> Vec<&str> {
+    out.report
+        .findings
+        .iter()
+        .map(|f| f.rule.as_str())
+        .collect()
 }
 
 // ---- cancellation-reachability ------------------------------------
@@ -106,7 +128,7 @@ fn cancellation_partial_progress_pattern_is_proven() {
 
 #[test]
 fn lock_cycle_is_found() {
-    let out = run_parallel("lock_order_cycle.rs");
+    let out = run_core("lock_order_cycle.rs");
     let r = &out.report;
     assert!(
         r.findings
@@ -126,7 +148,7 @@ fn lock_cycle_is_found() {
 
 #[test]
 fn lock_held_across_fanout_is_found() {
-    let out = run_parallel("lock_order_fanout_positive.rs");
+    let out = run_core("lock_order_fanout_positive.rs");
     let f = out
         .report
         .findings
@@ -140,7 +162,7 @@ fn lock_held_across_fanout_is_found() {
 
 #[test]
 fn lock_fanout_pragma_suppresses_without_residue() {
-    let out = run_parallel("lock_order_fanout_suppressed.rs");
+    let out = run_core("lock_order_fanout_suppressed.rs");
     let r = &out.report;
     assert!(r.findings.is_empty(), "{:?}", r.findings);
     assert_eq!(r.suppressed.len(), 1, "{:?}", r.suppressed);
@@ -149,19 +171,20 @@ fn lock_fanout_pragma_suppresses_without_residue() {
 
 #[test]
 fn lock_sites_in_test_code_are_exempt() {
-    let out = run_parallel("lock_order_test_exempt.rs");
+    let out = run_core("lock_order_test_exempt.rs");
     assert!(out.report.findings.is_empty(), "{:?}", out.report.findings);
 }
 
 // ---- transitive-no-panic ------------------------------------------
 
 #[test]
-fn unreachable_panic_site_is_demoted_not_reported() {
+fn unreachable_panic_site_is_demoted_not_counted() {
     let out = run_core("tnp_demoted.rs");
     let r = &out.report;
     assert!(r.findings.is_empty(), "{:?}", r.findings);
+    assert!(r.suppressed.is_empty(), "{:?}", r.suppressed);
     assert_eq!(r.demoted.len(), 1, "{:?}", r.demoted);
-    assert_eq!(r.demoted[0].finding.rule, "no-panic");
+    assert_eq!(r.demoted[0].finding.rule, "transitive-no-panic");
     assert!(r.demoted[0].why.contains("unreachable"), "{:?}", r.demoted);
     assert_eq!(r.debt.demoted, 1);
     // Every public root certifies panic-free.
@@ -175,15 +198,24 @@ fn unreachable_panic_site_is_demoted_not_reported() {
 }
 
 #[test]
-fn reachable_panic_site_stays_live_with_path() {
+fn reachable_panic_site_is_counted_with_path() {
+    // Clippy holds the site to an `#[expect]`; the lint counts it toward
+    // the ratchet and explains which public API reaches it.
     let out = run_core("tnp_reachable.rs");
     let r = &out.report;
-    assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
-    assert_eq!(r.findings[0].rule, "no-panic");
+    assert!(r.findings.is_empty(), "{:?}", r.findings);
+    assert_eq!(r.suppressed.len(), 1, "{:?}", r.suppressed);
+    assert_eq!(r.suppressed[0].finding.rule, "transitive-no-panic");
+    assert!(
+        r.suppressed[0].reason.contains("clippy"),
+        "{:?}",
+        r.suppressed
+    );
+    assert_eq!(r.debt.current, 1);
     let ex = r
         .explanations
         .iter()
-        .find(|e| e.rule == "no-panic")
+        .find(|e| e.rule == "transitive-no-panic")
         .expect("explanation");
     assert_eq!(ex.path, ["core::fixture::api", "core::fixture::risky"]);
     let (_, tnp) = out
@@ -192,6 +224,144 @@ fn reachable_panic_site_stays_live_with_path() {
         .find(|(k, _)| *k == "transitive_no_panic")
         .expect("section");
     assert!(tnp.contains("panic-free-modulo-pragmas"), "{tnp}");
+}
+
+#[test]
+fn panic_sites_are_not_counted_outside_panic_free_crates() {
+    let out = run_workloads("tnp_reachable.rs");
+    assert!(out.report.findings.is_empty(), "{:?}", out.report.findings);
+    assert!(out.report.suppressed.is_empty());
+    assert!(out.report.demoted.is_empty());
+}
+
+#[test]
+fn binaries_owe_no_panic_sites_and_no_error_hygiene() {
+    // A binary may panic and box its errors: neither its unwraps nor
+    // its stringly errors are counted, suppressed, or demoted.
+    for name in ["tnp_reachable.rs", "error_hygiene_positive.rs"] {
+        let r = run_core_binary(name).report;
+        assert!(r.findings.is_empty(), "{name}: {:?}", r.findings);
+        assert!(r.suppressed.is_empty(), "{name}: {:?}", r.suppressed);
+        assert!(r.demoted.is_empty(), "{name}: {:?}", r.demoted);
+    }
+}
+
+// ---- panic-lint-set -----------------------------------------------
+
+#[test]
+fn panic_lint_set_in_lib_rs_passes() {
+    let out = run(&[(
+        "crates/core/src/lib.rs",
+        "core",
+        "panic_lint_set_present.rs",
+    )]);
+    assert!(out.report.findings.is_empty(), "{:?}", out.report.findings);
+}
+
+#[test]
+fn a_missing_panic_lint_fails_the_run() {
+    let out = run(&[(
+        "crates/core/src/lib.rs",
+        "core",
+        "panic_lint_set_missing.rs",
+    )]);
+    assert_eq!(
+        rules_of(&out),
+        ["panic-lint-set"],
+        "{:?}",
+        out.report.findings
+    );
+    let f = &out.report.findings[0];
+    assert!(f.message.contains("clippy::indexing_slicing"), "{f:?}");
+    assert!(!f.message.contains("clippy::unwrap_used"), "{f:?}");
+    assert!(!out.report.is_clean());
+}
+
+#[test]
+fn a_crate_wide_panic_lint_exemption_fails_the_run() {
+    let out = run(&[(
+        "crates/core/src/lib.rs",
+        "core",
+        "panic_lint_set_exempted.rs",
+    )]);
+    assert_eq!(
+        rules_of(&out),
+        ["panic-lint-set"],
+        "{:?}",
+        out.report.findings
+    );
+    let f = &out.report.findings[0];
+    assert_eq!(f.line, 18, "{f:?}");
+    assert!(f.message.contains("clippy::indexing_slicing"), "{f:?}");
+}
+
+#[test]
+fn panic_lint_set_is_checked_only_at_panic_free_crate_roots() {
+    // The same root in a crate outside `NO_PANIC_CRATES`, and the same
+    // file away from `lib.rs`, owe no deny line.
+    let out = run(&[(
+        "crates/workloads/src/lib.rs",
+        "workloads",
+        "panic_lint_set_missing.rs",
+    )]);
+    assert!(out.report.findings.is_empty(), "{:?}", out.report.findings);
+    let out = run_core("panic_lint_set_missing.rs");
+    assert!(out.report.findings.is_empty(), "{:?}", out.report.findings);
+}
+
+// ---- error-hygiene ------------------------------------------------
+
+#[test]
+fn error_hygiene_positive_is_caught() {
+    let out = run_workloads("error_hygiene_positive.rs");
+    assert!(out.report.suppressed.is_empty());
+    assert_eq!(
+        rules_of(&out),
+        ["error-hygiene", "error-hygiene"],
+        "{:?}",
+        out.report.findings
+    );
+}
+
+#[test]
+fn error_hygiene_suppression_works() {
+    let out = run_workloads("error_hygiene_suppressed.rs");
+    assert!(out.report.findings.is_empty(), "{:?}", out.report.findings);
+    assert_eq!(out.report.suppressed.len(), 2);
+    assert!(out.report.suppressed.iter().all(|s| !s.reason.is_empty()));
+}
+
+#[test]
+fn error_hygiene_test_code_is_exempt() {
+    let out = run_workloads("error_hygiene_test_exempt.rs");
+    assert!(out.report.findings.is_empty(), "{:?}", out.report.findings);
+    assert!(out.report.suppressed.is_empty());
+}
+
+// ---- meta rules ---------------------------------------------------
+
+#[test]
+fn malformed_pragmas_are_findings() {
+    let out = run_workloads("bad_pragma.rs");
+    assert!(out.report.suppressed.is_empty());
+    assert_eq!(
+        rules_of(&out),
+        ["bad-pragma", "bad-pragma", "bad-pragma"],
+        "{:?}",
+        out.report.findings
+    );
+}
+
+#[test]
+fn stale_suppressions_are_findings() {
+    let out = run_workloads("unused_suppression.rs");
+    assert!(out.report.suppressed.is_empty());
+    assert_eq!(
+        rules_of(&out),
+        ["unused-suppression"],
+        "{:?}",
+        out.report.findings
+    );
 }
 
 // ---- golden graph -------------------------------------------------

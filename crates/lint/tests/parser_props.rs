@@ -1,13 +1,99 @@
-//! Property tests pinning the item parser to the lexer/scanner layer
-//! beneath it: `parse` is total on arbitrary input, finds *exactly* the
-//! fns the scanner's `FileMap` finds (same order, byte-exact spans —
-//! no item dropped, none invented), and every fact it attributes to a
+//! Property tests for the item parser: `parse` is total on arbitrary
+//! input, finds *exactly* the fns a plain brace-matching reference
+//! finds over the same significant tokens (same order, byte-exact spans
+//! — no item dropped, none invented), and every fact it attributes to a
 //! fn (calls, loops, locks) lies inside that fn's body span.
 
-use cqshap_lint::lexer::lex;
+use cqshap_lint::lexer::{lex, Token, TokenKind};
 use cqshap_lint::parser::{parse, parse_source};
 use cqshap_lint::scanner::FileMap;
 use proptest::prelude::*;
+
+/// One fn the reference finder sees: name, `fn` keyword offset, body
+/// `{` offset, one past the body's `}`, and the keyword's line.
+#[derive(Debug)]
+struct RefFn {
+    name: String,
+    sig_start: usize,
+    body_start: usize,
+    body_end: usize,
+    line: u32,
+}
+
+/// The significant index of the `}` matching the `{` at `open` (or the
+/// last index when unbalanced).
+fn match_brace(src: &str, tokens: &[Token], sig: &[usize], open: usize) -> usize {
+    let mut depth = 0usize;
+    for (k, &ti) in sig.iter().enumerate().skip(open) {
+        let t = &tokens[ti];
+        if t.kind == TokenKind::Punct {
+            match t.text(src) {
+                "{" => depth += 1,
+                "}" => {
+                    depth = depth.saturating_sub(1);
+                    if depth == 0 {
+                        return k;
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+    sig.len().saturating_sub(1)
+}
+
+/// Reference fn finder: every `fn <ident>` whose signature reaches a
+/// depth-0 `{` before a depth-0 `;`, with the body closed by brace
+/// matching. Trait-method declarations have no body and are skipped;
+/// nested fns and fns in test modules are included.
+fn reference_fns(src: &str, map: &FileMap) -> Vec<RefFn> {
+    let (tokens, sig) = (&map.tokens, &map.sig);
+    let mut out = Vec::new();
+    for k in 0..sig.len() {
+        let t = &tokens[sig[k]];
+        if t.kind != TokenKind::Ident || t.text(src) != "fn" {
+            continue;
+        }
+        // `fn` in `fn(...)` pointer/trait types has no name ident.
+        let Some(&name_ti) = sig.get(k + 1) else {
+            continue;
+        };
+        let name_tok = &tokens[name_ti];
+        // `fn fn …` (garbage input): the second `fn` may open a real
+        // item, so do not also claim it as this one's name.
+        if name_tok.kind != TokenKind::Ident || name_tok.text(src) == "fn" {
+            continue;
+        }
+        let mut depth = 0i64;
+        let mut open = None;
+        for (j, &ti) in sig.iter().enumerate().skip(k + 2) {
+            let u = &tokens[ti];
+            if u.kind != TokenKind::Punct {
+                continue;
+            }
+            match u.text(src) {
+                "(" | "[" => depth += 1,
+                ")" | "]" => depth -= 1,
+                "{" if depth == 0 => {
+                    open = Some(j);
+                    break;
+                }
+                ";" if depth == 0 => break,
+                _ => {}
+            }
+        }
+        let Some(open) = open else { continue };
+        let close = match_brace(src, tokens, sig, open);
+        out.push(RefFn {
+            name: name_tok.text(src).to_string(),
+            sig_start: t.start,
+            body_start: tokens[sig[open]].start,
+            body_end: tokens[sig[close]].end,
+            line: t.line,
+        });
+    }
+    out
+}
 
 /// Fragments bibliographically biased toward item structure: fn/impl/
 /// mod headers, bodies, braces in strings and comments, lock types,
@@ -71,24 +157,38 @@ fn arb_chars() -> impl Strategy<Value = String> {
     })
 }
 
+/// The reference finder itself on a fixed string: a method and a
+/// generic top-level fn are found with their bodies, a trait-method
+/// declaration is not.
+#[test]
+fn reference_finds_fns_with_bodies() {
+    let src = "impl X { fn a(&self) -> u8 { 1 } }\ntrait T { fn decl(&self); }\nfn top<F: Fn() -> [u8; 2]>(f: F) { loop {} }";
+    let map = FileMap::build(src, lex(src));
+    let fns = reference_fns(src, &map);
+    let names: Vec<&str> = fns.iter().map(|f| f.name.as_str()).collect();
+    assert_eq!(names, ["a", "top"]);
+    assert!(src[fns[1].body_start..fns[1].body_end].contains("loop"));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// The parser finds exactly the scanner's fns: same count, same
-    /// order, and byte-exact `sig_start`/`body_start`/`body_end` spans
-    /// with matching names and lines. Any drift here would silently
-    /// detach graph facts from the spans the lexical rules report on.
+    /// The parser finds exactly the reference finder's fns: same count,
+    /// same order, and byte-exact `sig_start`/`body_start`/`body_end`
+    /// spans with matching names and lines. A dropped fn would hide its
+    /// loops and panic sites from the graph rules.
     #[test]
     fn parser_items_pin_scanner_fns(src in arb_item_soup()) {
         let map = FileMap::build(&src, lex(&src));
         let parsed = parse(&src, &map);
+        let expected = reference_fns(&src, &map);
         prop_assert_eq!(
             parsed.fns.len(),
-            map.fns.len(),
+            expected.len(),
             "item count diverged on {:?}",
             src
         );
-        for (item, info) in parsed.fns.iter().zip(&map.fns) {
+        for (item, info) in parsed.fns.iter().zip(&expected) {
             prop_assert_eq!(&item.name, &info.name, "name diverged in {:?}", src);
             prop_assert_eq!(item.sig_start, info.sig_start, "sig_start in {:?}", src);
             prop_assert_eq!(item.body_start, info.body_start, "body_start in {:?}", src);
@@ -96,6 +196,7 @@ proptest! {
             prop_assert_eq!(item.line, info.line, "line in {:?}", src);
         }
     }
+
 
     /// Every fact a fn carries lies inside its own body span, and the
     /// body span sits inside the file: the graph never attributes a

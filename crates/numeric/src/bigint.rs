@@ -201,12 +201,18 @@ impl BigInt {
     pub fn signed_diff(a: &BigUint, b: &BigUint) -> BigInt {
         match a.cmp(b) {
             Ordering::Equal => BigInt::zero(),
+            #[expect(
+                clippy::expect_used,
+                reason = "the comparison arm proves a > b, so the subtraction cannot underflow"
+            )]
             Ordering::Greater => {
-                // cqshap-lint: allow(no-panic) -- the comparison arm proves a > b, so the subtraction cannot underflow
                 BigInt::from_sign_magnitude(Sign::Plus, a.checked_sub(b).expect("a > b"))
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "the comparison arm proves b > a, so the subtraction cannot underflow"
+            )]
             Ordering::Less => {
-                // cqshap-lint: allow(no-panic) -- the comparison arm proves b > a, so the subtraction cannot underflow
                 BigInt::from_sign_magnitude(Sign::Minus, b.checked_sub(a).expect("b > a"))
             }
         }

@@ -14,7 +14,10 @@
 //! schoolbook multiplication via `u128` partial products, shift–subtract
 //! division, Stein's binary GCD. Every constructor normalizes, so the
 //! representation is canonical and the derived `Eq`/`Hash` are sound.
-// cqshap-lint: allow-file(no-panic-index) -- limb kernels index within lengths computed in the same expression
+#![expect(
+    clippy::indexing_slicing,
+    reason = "limb kernels index within lengths computed in the same expression"
+)]
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -224,7 +227,10 @@ impl BigUint {
     pub fn bit_len(&self) -> usize {
         match &self.repr {
             Repr::Small(v) => 128 - v.leading_zeros() as usize,
-            // cqshap-lint: allow(no-panic) -- Repr::Large is nonempty by representation invariant
+            #[expect(
+                clippy::expect_used,
+                reason = "Repr::Large is nonempty by representation invariant"
+            )]
             Repr::Large(l) => l.len() * 64 - l.last().expect("nonempty").leading_zeros() as usize,
         }
     }
@@ -245,13 +251,16 @@ impl BigUint {
         match &self.repr {
             Repr::Small(0) => None,
             Repr::Small(v) => Some(v.trailing_zeros() as usize),
+            #[expect(
+                clippy::unreachable,
+                reason = "Repr::Large is nonzero by representation invariant"
+            )]
             Repr::Large(l) => {
                 for (i, &x) in l.iter().enumerate() {
                     if x != 0 {
                         return Some(i * 64 + x.trailing_zeros() as usize);
                     }
                 }
-                // cqshap-lint: allow(no-panic) -- Repr::Large is nonzero by representation invariant
                 unreachable!("Large is nonzero by invariant")
             }
         }
@@ -588,9 +597,15 @@ impl BigUint {
         }
         let mut a = self.clone();
         let mut b = other.clone();
-        // cqshap-lint: allow(no-panic) -- both operands were checked nonzero at the top of gcd
+        #[expect(
+            clippy::expect_used,
+            reason = "both operands were checked nonzero at the top of gcd"
+        )]
         let za = a.trailing_zeros().expect("nonzero");
-        // cqshap-lint: allow(no-panic) -- both operands were checked nonzero at the top of gcd
+        #[expect(
+            clippy::expect_used,
+            reason = "both operands were checked nonzero at the top of gcd"
+        )]
         let zb = b.trailing_zeros().expect("nonzero");
         let k = za.min(zb);
         a = a.shr_bits(za);
@@ -600,13 +615,18 @@ impl BigUint {
             if a > b {
                 std::mem::swap(&mut a, &mut b);
             }
-            // cqshap-lint: allow(no-panic) -- the branch above orders a <= b before subtracting
-            b = b.checked_sub(&a).expect("b >= a");
+            #[expect(
+                clippy::expect_used,
+                reason = "the branch above orders a <= b before subtracting"
+            )]
+            let diff = b.checked_sub(&a).expect("b >= a");
+            b = diff;
             if b.is_zero() {
                 return a.shl_bits(k);
             }
-            // cqshap-lint: allow(no-panic) -- b stays nonzero inside the loop
-            b = b.shr_bits(b.trailing_zeros().expect("nonzero"));
+            #[expect(clippy::expect_used, reason = "b was checked nonzero just above")]
+            let zb = b.trailing_zeros().expect("nonzero");
+            b = b.shr_bits(zb);
         }
     }
 
@@ -697,9 +717,12 @@ forward_binop!(Mul, mul, mul_ref);
 
 impl Sub<&BigUint> for &BigUint {
     type Output = BigUint;
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic: Sub mirrors std unsigned underflow; checked_sub is the fallible path"
+    )]
     fn sub(self, rhs: &BigUint) -> BigUint {
         self.checked_sub(rhs)
-            // cqshap-lint: allow(no-panic) -- documented panic: Sub mirrors std unsigned underflow; checked_sub is the fallible path
             .expect("BigUint subtraction underflow")
     }
 }
@@ -827,11 +850,13 @@ impl FromStr for BigUint {
         }
         let mut out = BigUint::zero();
         for chunk in s.as_bytes().chunks(19) {
+            #[expect(
+                clippy::expect_used,
+                reason = "the radix loop feeds only ascii digits here, and 19 decimal digits always fit in a u64"
+            )]
             let part: u64 = std::str::from_utf8(chunk)
-                // cqshap-lint: allow(no-panic) -- the radix loop feeds only ascii digits here
                 .expect("ascii digits")
                 .parse()
-                // cqshap-lint: allow(no-panic) -- 19 decimal digits always fit in a u64
                 .expect("chunk of <=19 digits fits u64");
             out.mul_u64_assign(10u64.pow(chunk.len() as u32));
             out += &BigUint::from_u64(part);

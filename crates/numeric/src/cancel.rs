@@ -22,8 +22,10 @@ use std::time::{Duration, Instant};
 
 /// Nanoseconds since the process-wide epoch (first use). Monotonic, and
 /// comfortably outlives any session: `u64` nanoseconds cover ~584 years.
-// The deadline module owns the one sanctioned wall-clock read.
-#[allow(clippy::disallowed_methods)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the deadline module owns the one sanctioned wall-clock read"
+)]
 fn now_ns() -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
@@ -31,8 +33,8 @@ fn now_ns() -> u64 {
 
 /// An elapsed-time measurement anchored to the same process-wide
 /// monotonic epoch as the deadline machinery. This is the sanctioned
-/// way for library code to measure durations — the `no-wall-clock`
-/// lint rule confines `Instant::now` to the deadline modules, so
+/// way for library code to measure durations — `clippy.toml`'s
+/// `disallowed-methods` confines `Instant::now` to the deadline modules, so
 /// callers that merely want an `elapsed` reading (the anytime sampler,
 /// progress reporting) start a `Stopwatch` instead.
 #[derive(Debug, Clone, Copy)]

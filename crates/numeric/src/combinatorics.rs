@@ -5,7 +5,10 @@
 //! binomial coefficients of free endogenous facts, so these show up in
 //! every inner loop of the exact pipeline. [`FactorialTable`] amortizes
 //! the factorials for a whole computation.
-// cqshap-lint: allow-file(no-panic-index) -- Pascal rows are grown before they are indexed
+#![expect(
+    clippy::indexing_slicing,
+    reason = "Pascal rows are grown before they are indexed"
+)]
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -254,7 +257,10 @@ impl FactorialTable {
         let mut facts = Vec::with_capacity(n + 1);
         facts.push(BigUint::one());
         for i in 1..=n as u64 {
-            // cqshap-lint: allow(no-panic) -- the table is seeded with 0! so last() is always Some
+            #[expect(
+                clippy::expect_used,
+                reason = "the table is seeded with 0! so last() is always Some"
+            )]
             let next = facts.last().expect("nonempty").mul_u64(i);
             facts.push(next);
         }

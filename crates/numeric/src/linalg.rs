@@ -6,7 +6,10 @@
 //! must be solved *exactly* — the unknowns are integers recovered from
 //! rationals — so we implement fraction-free-enough Gaussian elimination
 //! with full pivoting over [`BigRational`].
-// cqshap-lint: allow-file(no-panic-index) -- elimination indexes within the matrix dimensions it validated
+#![expect(
+    clippy::indexing_slicing,
+    reason = "elimination indexes within the matrix dimensions it validated"
+)]
 
 use crate::rational::BigRational;
 
@@ -124,7 +127,10 @@ impl RationalMatrix {
     /// pivoting (pivot = first nonzero in column, which is exact-safe).
     ///
     /// Returns [`LinalgError::Singular`] when `A` is not invertible.
-    #[allow(clippy::needless_range_loop)] // pivoting bookkeeping is index-driven
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "pivoting bookkeeping is index-driven"
+    )]
     pub fn solve(&self, b: &[BigRational]) -> Result<Vec<BigRational>, LinalgError> {
         let n = self.rows;
         if self.cols != n {

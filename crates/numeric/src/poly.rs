@@ -80,7 +80,10 @@
 //! shortest-first fold into one accumulator, which pays a long
 //! accumulator product per part. The `poly.power.recurrence` counter
 //! records each factor raised by the recurrence.
-// cqshap-lint: allow-file(no-panic-index) -- convolution kernels index by loop bounds derived from operand lengths
+#![expect(
+    clippy::indexing_slicing,
+    reason = "convolution kernels index by loop bounds derived from operand lengths"
+)]
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -537,7 +540,7 @@ fn mulmod(a: u64, b: u64, p: u64) -> u64 {
     ((a as u128 * b as u128) % p as u128) as u64
 }
 
-// cqshap-lint: allow(cancellation-poll) -- bounded: at most 64 squarings
+// cqshap-lint: allow(cancellation-reachability) -- bounded: at most 64 squarings
 fn powmod(mut base: u64, mut exp: u64, p: u64) -> u64 {
     base %= p;
     let mut acc = 1u64;
@@ -584,7 +587,7 @@ fn is_prime_u64(n: u64) -> bool {
 }
 
 impl NttPrime {
-    // cqshap-lint: allow(cancellation-poll) -- bounded: fixed iteration counts for one prime's constants
+    // cqshap-lint: allow(cancellation-reachability) -- bounded: fixed iteration counts for one prime's constants
     fn new(p: u64) -> NttPrime {
         // p^{-1} mod 2^64 by Newton iteration (p is odd).
         let mut inv = p;
@@ -685,7 +688,7 @@ impl NttPrime {
     }
 
     /// Montgomery-form power.
-    // cqshap-lint: allow(cancellation-poll) -- bounded: at most 64 squarings
+    // cqshap-lint: allow(cancellation-reachability) -- bounded: at most 64 squarings
     fn mont_pow(&self, mut base: u64, mut exp: u64) -> u64 {
         let mut acc = self.r1;
         while exp > 0 {
@@ -917,8 +920,10 @@ fn try_mul_ntt(
 /// capped at 16", anything else is taken verbatim. The single source
 /// of the policy — `cqshap-core`'s fan-outs delegate here so
 /// `--threads 0` means the same width in every stage.
-// The one sanctioned `available_parallelism` probe (see clippy.toml).
-#[allow(clippy::disallowed_methods)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one sanctioned `available_parallelism` probe"
+)]
 pub fn resolve_threads(threads: usize) -> usize {
     if threads == 0 {
         std::thread::available_parallelism()
@@ -1164,8 +1169,10 @@ fn leave_one_out_impl(
 
 /// Maps `f` over `0..n` across up to `threads` scoped worker threads,
 /// preserving order (sequential when the budget or size is trivial).
-// A sanctioned fan-out module (see clippy.toml / thread-discipline).
-#[allow(clippy::disallowed_methods)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a sanctioned fan-out: the worker count is capped by `threads`"
+)]
 fn par_map_chunks<T: Send>(threads: usize, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
     if threads <= 1 || n <= 1 {
         return (0..n).map(f).collect();
@@ -1234,8 +1241,10 @@ fn fill_leave_one_out(
 /// Runs the two closures — on this thread sequentially, or with the
 /// second forked onto a scoped thread when the budget and the workload
 /// justify it.
-// A sanctioned fan-out module (see clippy.toml / thread-discipline).
-#[allow(clippy::disallowed_methods)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a sanctioned fan-out: the fork happens only when `threads` allows it"
+)]
 fn join_halves<A: Send, B: Send>(
     threads: usize,
     size: usize,

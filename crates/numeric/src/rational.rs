@@ -385,21 +385,43 @@ impl fmt::Debug for BigRational {
     }
 }
 
+/// Reads an integer `n`, a fraction `n/d`, or a finite decimal
+/// `[±]i.f` (either side of the point may be empty, not both), all
+/// exactly: `"0.3"` is 3/10, not the double nearest to it. Exponents
+/// (`1e-3`) are rejected.
 impl FromStr for BigRational {
     type Err = ParseBigUintError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.split_once('/') {
-            None => Ok(BigRational::from_int(s.parse::<BigInt>()?)),
-            Some((n, d)) => {
-                let num: BigInt = n.parse()?;
-                let den: BigUint = d.parse()?;
-                if den.is_zero() {
-                    return Err(ParseBigUintError(s.to_string()));
-                }
-                Ok(BigRational::from_parts(num, den))
+        let invalid = || ParseBigUintError(s.to_string());
+        if let Some((n, d)) = s.split_once('/') {
+            let num: BigInt = n.parse()?;
+            let den: BigUint = d.parse()?;
+            if den.is_zero() {
+                return Err(invalid());
             }
+            return Ok(BigRational::from_parts(num, den));
         }
+        let Some((int, frac)) = s.split_once('.') else {
+            return Ok(BigRational::from_int(s.parse::<BigInt>()?));
+        };
+        let (negative, int) = match int.strip_prefix('-') {
+            Some(rest) => (true, rest),
+            None => (false, int.strip_prefix('+').unwrap_or(int)),
+        };
+        if int.is_empty() && frac.is_empty() {
+            return Err(invalid());
+        }
+        // Digits only on both sides: a sign, a second point or an
+        // exponent fails the `BigUint` parse.
+        let digits: BigUint = format!("{int}{frac}").parse().map_err(|_| invalid())?;
+        let places = u32::try_from(frac.len()).map_err(|_| invalid())?;
+        let num = BigInt::from_biguint(digits);
+        let num = if negative { -num } else { num };
+        Ok(BigRational::from_parts(
+            num,
+            BigUint::from_u64(10).pow(places),
+        ))
     }
 }
 
@@ -508,5 +530,23 @@ mod tests {
             assert_eq!(v.to_string(), s);
         }
         assert!("1/0".parse::<BigRational>().is_err());
+    }
+
+    #[test]
+    fn decimals_parse_exactly() {
+        for (text, (p, q)) in [
+            ("0.30", (3, 10)),
+            ("1.0", (1, 1)),
+            ("7/20", (7, 20)),
+            ("0.5", (1, 2)),
+            ("-2.25", (-9, 4)),
+            (".125", (1, 8)),
+            ("3.", (3, 1)),
+        ] {
+            assert_eq!(text.parse::<BigRational>(), Ok(rat(p, q)), "{text}");
+        }
+        for bad in [".", "0.3.1", "1e-3", "-.", "0.-3", "--1.0", "0.3/1", ""] {
+            assert!(bad.parse::<BigRational>().is_err(), "{bad}");
+        }
     }
 }

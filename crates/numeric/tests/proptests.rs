@@ -8,18 +8,6 @@ fn arb_biguint() -> impl Strategy<Value = BigUint> {
     prop::collection::vec(any::<u64>(), 0..5).prop_map(BigUint::from_limbs)
 }
 
-#[allow(dead_code)]
-fn arb_bigint() -> impl Strategy<Value = BigInt> {
-    (arb_biguint(), any::<bool>()).prop_map(|(m, neg)| {
-        let b = BigInt::from_biguint(m);
-        if neg {
-            -b
-        } else {
-            b
-        }
-    })
-}
-
 fn arb_rational() -> impl Strategy<Value = BigRational> {
     (any::<i64>(), 1..=u32::MAX)
         .prop_map(|(p, q)| BigRational::new(BigInt::from_i64(p), BigInt::from_u64(q as u64)))

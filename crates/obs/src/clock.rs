@@ -3,10 +3,10 @@
 //! Mirrors the epoch pattern of `cqshap-numeric::cancel`: a
 //! process-wide monotonic anchor initialized on first use, so every
 //! reading is a plain `u64` nanosecond offset that spans can subtract
-//! without touching `Instant` arithmetic. The `no-wall-clock` lint rule
-//! and `clippy.toml` both sanction exactly this module; everything else
-//! in the workspace measures through `cancel::Stopwatch` or this
-//! function.
+//! without touching `Instant` arithmetic. `clippy.toml`'s
+//! `disallowed-methods` sanctions exactly this read (an `#[expect]`
+//! below); everything else in the workspace measures through
+//! `cancel::Stopwatch` or this function.
 //!
 //! The module also counts its reads ([`reads`]), which is what lets the
 //! disabled-path test pin the contract "no recorder installed ⇒ no
@@ -23,9 +23,10 @@ static READS: AtomicU64 = AtomicU64::new(0);
 pub fn now_ns() -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     READS.fetch_add(1, Ordering::Relaxed);
-    // The one sanctioned `Instant::now` of the crate (see clippy.toml
-    // and the lint scope list).
-    #[allow(clippy::disallowed_methods)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one sanctioned `Instant::now` of the crate: every span timestamp flows through it"
+    )]
     let epoch = EPOCH.get_or_init(Instant::now);
     u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }

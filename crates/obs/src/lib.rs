@@ -28,7 +28,8 @@
 //!
 //! Wall-clock reads happen in exactly one place, [`clock::now_ns`] —
 //! the obs-side analogue of `cqshap-numeric::cancel`'s epoch — which
-//! the `no-wall-clock` lint discipline sanctions explicitly.
+//! the clock discipline (`disallowed-methods` in `clippy.toml`)
+//! sanctions explicitly.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

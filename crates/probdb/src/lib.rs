@@ -12,7 +12,7 @@
 //! instantiated at the probability domain — so probabilistic inference
 //! and Shapley counting share one compiled structure. The crate's
 //! original hand-rolled traversal survives only as the reference oracle
-//! in [`lifted`]. Arithmetic is exact rational throughout; the `f64`
+//! in [`reference`](mod@reference). Arithmetic is exact rational throughout; the `f64`
 //! methods are thin conversion shims over the exact ones.
 //!
 //! This crate provides:
@@ -29,6 +29,23 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+// Panic-freedom: library code returns typed errors instead of panicking.
+// Clippy enforces it; each sound exception carries
+// `#[expect(clippy::…, reason = "…")]`. Test code is exempt. cqshap-lint's
+// `panic-lint-set` rule fails the build gate if a lint leaves this list.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::string_slice
+    )
+)]
 
 use cqshap_core::{
     exoshap, probability_by_enumeration, AnyQuery, CompiledProbability, CoreError,
@@ -38,7 +55,7 @@ use cqshap_db::{Database, FactId};
 use cqshap_numeric::BigRational;
 use cqshap_query::ConjunctiveQuery;
 
-pub mod lifted;
+pub mod reference;
 
 /// A tuple-independent probabilistic database.
 ///
@@ -62,9 +79,12 @@ impl ProbDatabase {
     /// # Panics
     /// Panics unless `0.0 <= default_p <= 1.0`.
     pub fn new(db: Database, default_p: f64) -> Self {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic: the constructor rejects out-of-range probabilities"
+        )]
         let default = BigRational::from_f64(default_p)
             .filter(FactProbabilities::is_valid)
-            // cqshap-lint: allow(no-panic) -- documented panic: the constructor rejects out-of-range probabilities
             .expect("probability out of range");
         ProbDatabase {
             db,
@@ -273,7 +293,7 @@ mod tests {
             let slow = pdb.query_probability_enumerated_exact(&q, 20).unwrap();
             assert_eq!(fast, slow, "{text}: unified vs enumerated");
             let oracle =
-                lifted::oracle_probability(pdb.database(), pdb.probabilities(), &q).unwrap();
+                reference::oracle_probability(pdb.database(), pdb.probabilities(), &q).unwrap();
             assert_eq!(fast, oracle, "{text}: unified vs seed oracle");
         }
     }
@@ -367,7 +387,7 @@ mod tests {
             let q = cqshap_query::parse_cq(text).unwrap();
             assert_eq!(
                 pdb.query_probability_exact(&q).unwrap(),
-                lifted::oracle_probability(pdb.database(), pdb.probabilities(), &q).unwrap(),
+                reference::oracle_probability(pdb.database(), pdb.probabilities(), &q).unwrap(),
             );
         }
     }

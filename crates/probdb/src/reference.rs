@@ -11,7 +11,10 @@
 //! the proptests to pin the unified path and by the bench harness as the
 //! uncompiled baseline. Arithmetic is exact [`BigRational`], so oracle
 //! comparisons are bit-identical, not epsilon-close.
-// cqshap-lint: allow-file(no-panic-index) -- lifted inference indexes per-atom tables sized at build
+#![expect(
+    clippy::indexing_slicing,
+    reason = "lifted inference indexes per-atom tables sized at build"
+)]
 
 use cqshap_core::{CoreError, FactProbabilities};
 use cqshap_db::{ConstId, Database, FactId};
@@ -71,13 +74,16 @@ impl LiftedAtom {
         out
     }
 
+    #[expect(
+        clippy::unreachable,
+        reason = "callers scan variables collected from this atom's own terms"
+    )]
     fn value_of(&self, v: u32, values: &[ConstId]) -> ConstId {
         for (t, &val) in self.terms.iter().zip(values) {
             if *t == LiftedTerm::Var(v) {
                 return val;
             }
         }
-        // cqshap-lint: allow(no-panic) -- callers scan variables collected from this atom's own terms
         unreachable!("variable does not occur in atom");
     }
 
@@ -150,7 +156,10 @@ pub fn oracle_probability(
             negated: atom.negated,
             terms,
         };
-        // cqshap-lint: allow(no-panic) -- the guard above returns early unless a relation matched
+        #[expect(
+            clippy::expect_used,
+            reason = "the guard above returns early unless a relation matched"
+        )]
         let rel = rel.expect("checked");
         let scope: Vec<FactId> = db
             .relation_facts(rel)
@@ -223,7 +232,10 @@ fn probability(
     }
 
     // Connected with variables: decompose over the root variable.
-    // cqshap-lint: allow(no-panic) -- hierarchical connected sub-queries always expose a root variable
+    #[expect(
+        clippy::expect_used,
+        reason = "hierarchical connected sub-queries always expose a root variable"
+    )]
     let root = find_root(atoms).expect("hierarchical connected sub-query has a root variable");
     let mut candidates: Option<Vec<ConstId>> = None;
     for (atom, scope) in atoms.iter().zip(scopes) {
@@ -244,7 +256,10 @@ fn probability(
                 .collect(),
         });
     }
-    // cqshap-lint: allow(no-panic) -- a connected sub-query contains at least one positive atom
+    #[expect(
+        clippy::expect_used,
+        reason = "a connected sub-query contains at least one positive atom"
+    )]
     let candidates = candidates.expect("connected sub-query has a positive atom");
     let mut p_unsat = BigRational::one();
     for c in candidates {

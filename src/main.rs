@@ -12,9 +12,10 @@
 //! `exo S(c)`, `exorel Pub`); queries use the datalog syntax of
 //! `cqshap-query`. See `README.md`.
 
-// Binary front end: user-facing timing output is exempt from the
-// `no-wall-clock` discipline (see clippy.toml).
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "binary front end: user-facing timing output reads the wall clock"
+)]
 
 use std::collections::{HashMap, HashSet};
 use std::io::{self, BufWriter, Write};
@@ -92,7 +93,8 @@ const USAGE: &str = "usage:
   cqshap prob      <db-file> \"<query>\" [--default-p 0.5] [--fact \"R(a, b)\"] [--threads N]
                    [--trace [--trace-out FILE]]
                    (exact tuple-independent probability from the session's
-                    compiled engine; --fact prints the expected marginal;
+                    compiled engine; --default-p is a decimal or a fraction
+                    a/b, read exactly; --fact prints the expected marginal;
                     the query may be a UCQ)
   cqshap satcount  <db-file> \"<query>\"
 
@@ -545,15 +547,16 @@ fn cmd_prob(opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     let [db_path, query] = opts.positional.as_slice() else {
         return Err("prob needs a database file and a query".into());
     };
-    let p: f64 = opts
+    // Parsed exactly: `0.3` is 3/10, not the nearest double.
+    let p: BigRational = opts
         .default_p
         .as_deref()
         .unwrap_or("0.5")
         .parse()
         .map_err(|_| "--default-p must be a number".to_string())?;
-    let p = BigRational::from_f64(p)
-        .filter(FactProbabilities::is_valid)
-        .ok_or("--default-p must lie in [0, 1]")?;
+    if !FactProbabilities::is_valid(&p) {
+        return Err("--default-p must lie in [0, 1]".into());
+    }
     let db = load_db(db_path)?;
     let options = ShapleyOptions::auto()
         .threads(parse_threads(opts.threads.as_deref())?)

@@ -266,7 +266,7 @@ fn prob_prints_the_exact_probability_of_a_cq() {
     let file = figure_1_file("prob-cq");
     let db = Database::parse(FIGURE_1).unwrap();
     let q1 = parse_cq(Q1).unwrap();
-    for (arg, p) in [("0.5", (1, 2)), ("0.25", (1, 4))] {
+    for (arg, p) in [("0.5", (1, 2)), ("0.25", (1, 4)), ("0.3", (3, 10))] {
         let out = stdout_of(&cqshap(&["prob", file.path(), Q1, "--default-p", arg]));
         let p = BigRational::from_i64_ratio(p.0, p.1);
         assert_eq!(

@@ -12,7 +12,7 @@
 //! `expected_shapley()` must match a freshly prepared session exactly.
 
 use cqshap::prelude::*;
-use cqshap::probdb::lifted::oracle_probability;
+use cqshap::probdb::reference::oracle_probability;
 use cqshap::workloads::random_db::RandomDbConfig;
 use proptest::prelude::*;
 
