@@ -17,13 +17,14 @@
 //! 2. **Cache** — every component's satisfying-count polynomial, every
 //!    root group's unsatisfying-count polynomial, and per rooted
 //!    component *one* product of its groups' factors; plus the Shapley
-//!    weight numerators `w[k] = k!·(m−1−k)!`. A group's leave-one-out
+//!    weights `ω[k] = lcm(1..m)·k!·(m−1−k)!/m!`, integers over the
+//!    common denominator `lcm(1..m)`. A group's leave-one-out
 //!    environment is derived from the component product on demand.
 //! 3. **Recount** — for fact `f`, recompute only `f`'s root group under
 //!    the two [`FactMask`] views (`f` removed, `f` exogenized; no
 //!    database clones). The short difference vector `d` of the two
 //!    counts is zero for many facts; otherwise it is lifted through its
-//!    environment and weighted, `Σ_t (d ⊛ E)[t]·w[t]` (Theorem 3.1's
+//!    environment and weighted, `Σ_t (d ⊛ E)[t]·ω[t]` (Theorem 3.1's
 //!    contraction). Facts outside every scope ("free") and facts whose
 //!    root value lacks positive support ("junk") are answered as exact
 //!    zeros without any recounting.
@@ -55,14 +56,14 @@
 //! read (one per group), so an update costs what it touches.
 //! Only the touched group's counting recursion is re-run; the report
 //! memos that depend on `m` or on the environments are then cleared
-//! and, when `m` moved, the weight numerators rebuilt (word-size ratio
-//! steps). Structural drift — a root group appearing or dying, a query
-//! atom resolving differently — makes `update` report that a full
-//! recompile is needed.
+//! and, when `m` moved, the weights rebuilt (word-size ratio steps).
+//! Structural drift — a root group appearing or dying, a query atom
+//! resolving differently — makes `update` report that a full recompile
+//! is needed.
 //!
 //! The resulting values are *bit-identical* to the per-fact oracle: the
 //! weighted sums are accumulated as exact integers over the common
-//! denominator `m!` and normalized once, and every maintained
+//! denominator `lcm(1..m)` and normalized once, and every maintained
 //! polynomial is recomputed exactly (division of exact factors), so a
 //! maintained engine agrees bit-for-bit with a freshly compiled one.
 #![expect(
@@ -76,7 +77,7 @@ use std::hash::Hash;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use cqshap_db::{ConstId, Database, FactId, FactMask, RelId};
-use cqshap_numeric::{BigInt, BigRational, BigUint, FactorialTable, ShapleyWeights};
+use cqshap_numeric::{BigInt, BigRational, BigUint, ShapleyWeights};
 use cqshap_obs::{phase as obs_phase, Counter, Span};
 use cqshap_query::{ConjunctiveQuery, Term};
 
@@ -283,32 +284,32 @@ struct CompiledEngine<D: EvalDomain> {
 
 /// A `(db, query)` pair compiled for batched all-facts Shapley
 /// computation: the domain-generic engine instantiated at the exact
-/// counting domain, plus the Shapley-specific machinery (the
-/// `k!·(m−1−k)!` weight numerators, the weight classes, the factorial
-/// table, and the recount/numerator/reduction memos). Shared immutably
-/// across report worker threads; does not borrow the database —
-/// query-time methods take `&Database`, and [`CompiledCount::update`]
-/// maintains the caches across in-place database updates.
+/// counting domain, plus the Shapley-specific machinery (the weights
+/// over `lcm(1..m)`, the weight classes, and the
+/// recount/numerator/reduction memos). Shared immutably across report
+/// worker threads; does not borrow the database — query-time methods
+/// take `&Database`, and [`CompiledCount::update`] maintains the caches
+/// across in-place database updates.
 ///
-/// A fact's Shapley numerator over `m!` is the contraction
-/// `Σ_t (d ⊛ E)[t]·w[t]` of its masked difference vector
+/// A fact's Shapley numerator over `lcm(1..m)` is the contraction
+/// `Σ_t (d ⊛ E)[t]·ω[t]` of its masked difference vector
 /// `d = N⁺ − N` (group-local for a grouped fact) with its environment
 /// `E` — `genv ⊛ env` of the fact's root group, or `env` for a ground
-/// component — and the weights `w[k] = k!(m−1−k)!`. It runs on demand
-/// in the report, once per distinct `(component, weight class, d)`: a
-/// weight class is the root groups of a component with equal `unsat`,
-/// which share `genv` and therefore `E`. `genv` itself is not stored:
-/// the report derives it per class from the component's maintained
-/// factor product, so an update never touches the untouched groups.
+/// component — and the weights `ω[k] = lcm(1..m)·k!(m−1−k)!/m!`. It
+/// runs on demand in the report, once per distinct
+/// `(component, weight class, d)`: a weight class is the root groups of
+/// a component with equal `unsat`, which share `genv` and therefore
+/// `E`. `genv` itself is not stored: the report derives it per class
+/// from the component's maintained factor product, so an update never
+/// touches the untouched groups.
 pub struct CompiledCount {
     eng: CompiledEngine<CountingDomain>,
-    table: FactorialTable,
-    /// The Shapley weight numerators `w[k] = k!(m−1−k)!`, `k < m`.
+    /// The Shapley weights `ω[k] = lcm(1..m)·k!(m−1−k)!/m!`, `k < m`.
     weights: ShapleyWeights,
     /// Per component: its weight classes and their environments.
     classes: Vec<WeightClasses>,
     /// Numerator → reduced value memo: facts of isomorphic root groups
-    /// share their Shapley numerator, so the factorial-denominator
+    /// share their Shapley numerator, so the `lcm(1..m)`-denominator
     /// reduction runs once per *distinct* numerator per (db, m) state.
     reduced: OnceMemo<BigInt, BigRational>,
     /// `(group canonical form, masked fact's role)` → the two masked
@@ -1234,7 +1235,6 @@ impl CompiledCount {
         let dom = CountingDomain::new(cancel.cloned());
         let eng = CompiledEngine::compile(db, q, threads, dom)?;
         let mut compiled = CompiledCount {
-            table: FactorialTable::new(eng.m),
             eng,
             weights: ShapleyWeights::default(),
             classes: Vec::new(),
@@ -1247,10 +1247,10 @@ impl CompiledCount {
     }
 
     /// Brings the Shapley-specific state in line with the engine after
-    /// a compile or an update: the factorial table and the weight
-    /// numerators follow `m` (rebuilt only when it moved), the weight
-    /// classes follow the groups' `unsat` values, and the memos that
-    /// depend on `m` or on the environments are emptied. The recount
+    /// a compile or an update: the weights over `lcm(1..m)` follow `m`
+    /// (rebuilt only when it moved), the weight classes follow the
+    /// groups' `unsat` values, and the memos that depend on `m` or on
+    /// the environments are emptied. The recount
     /// memo survives: see [`CompiledCount::pairs`]. No contraction runs
     /// here — reports contract on demand.
     fn refresh_weights(&mut self) {
@@ -1258,15 +1258,12 @@ impl CompiledCount {
         self.reduced.clear();
         self.numerators.clear();
         let m = self.eng.m;
-        if self.table.max_n() != m {
-            self.table = FactorialTable::new(m);
+        if self.weights.len() != m {
+            self.weights = ShapleyWeights::new(m);
         }
         if !self.eng.satisfiable {
             self.classes.clear();
             return;
-        }
-        if self.weights.len() != m {
-            self.weights = ShapleyWeights::new(&self.table, m);
         }
         self.classes = self.eng.components.iter().map(WeightClasses::new).collect();
     }
@@ -1334,10 +1331,11 @@ impl CompiledCount {
         Ok(self.normalize_numerator(num))
     }
 
-    /// The Shapley numerator of `f` over the common denominator `m!`:
-    /// `value(f) = shapley_numerator(f) / m!`. Report paths accumulate
-    /// these with plain integer additions (totals, inclusion–exclusion
-    /// sums) and normalize once instead of reducing per operation.
+    /// The Shapley numerator of `f` over the common denominator
+    /// `lcm(1..m)`: `value(f) = shapley_numerator(f) / lcm(1..m)`.
+    /// Report paths accumulate these with plain integer additions
+    /// (totals, inclusion–exclusion sums) and normalize once instead of
+    /// reducing per operation.
     ///
     /// # Errors
     /// [`CoreError::FactNotEndogenous`] if `f ∉ Dn`.
@@ -1416,10 +1414,11 @@ impl CompiledCount {
             .ok_or_else(env_unavailable)
     }
 
-    /// `Σ_t (d ⊛ env)[t] · w[t]`: the difference vector lifted to
+    /// `Σ_t (d ⊛ env)[t] · ω[t]`: the difference vector lifted to
     /// full-query coalition sizes and weighted. `d` is short and mostly
-    /// zero, so the lift skips its zero entries; the signed lift is kept
-    /// as two unsigned halves.
+    /// zero, so the lift skips its zero entries; an entry that fits a
+    /// word is multiplied in place into the accumulators. The signed
+    /// lift is kept as two unsigned halves.
     fn contract(&self, d: &[BigInt], env: &[BigUint]) -> BigInt {
         let _span = Span::enter(obs_phase::CONTRACT);
         let len = d.len() + env.len() - 1;
@@ -1435,22 +1434,24 @@ impl CompiledCount {
             } else {
                 &mut plus
             };
-            for (e, out) in env.iter().zip(&mut lifted[j..]) {
-                if !e.is_zero() {
-                    *out += &(dj.magnitude() * e);
-                }
+            let outs = env.iter().zip(&mut lifted[j..]);
+            match dj.magnitude().to_u64() {
+                Some(word) => outs.for_each(|(e, out)| out.add_mul_u64_assign(e, word)),
+                None => outs
+                    .filter(|(e, _)| !e.is_zero())
+                    .for_each(|(e, out)| *out += &(dj.magnitude() * e)),
             }
         }
         self.weights.contract(&plus, &minus)
     }
 
-    /// `num / m!` in lowest terms, memoized per distinct numerator
-    /// (facts of isomorphic root groups share theirs).
+    /// `num / lcm(1..m)` in lowest terms, memoized per distinct
+    /// numerator (facts of isomorphic root groups share theirs).
     pub fn normalize_numerator(&self, num: BigInt) -> BigRational {
         self.reduced
             .get_or_insert_with(num.clone(), || {
                 let _span = Span::enter(obs_phase::NORMALIZE);
-                self.table.reduce_over_factorial(num, self.eng.m)
+                self.weights.reduce(num)
             })
             .0
     }

@@ -31,8 +31,9 @@
 //!
 //! A domain instantiates the terms as a [`TermList`] of compiled
 //! engines: [`CompiledCount`] for Shapley values (every term keeps the
-//! original `Dn`, so the numerators share the denominator `m!`), or
-//! [`CompiledProbability`] for `Pr[q]` and expected marginals.
+//! original `Dn`, so the numerators share the denominator
+//! `lcm(1..m)`), or [`CompiledProbability`] for `Pr[q]` and expected
+//! marginals.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -497,7 +498,7 @@ where
 
 impl TermList<CompiledCount> {
     /// The exact Shapley value of `f`: the signed numerator sum over the
-    /// shared `m!`, normalized once.
+    /// shared `lcm(1..m)`, normalized once.
     ///
     /// # Errors
     /// [`CoreError::FactNotEndogenous`] if `f ∉ Dn`.
@@ -506,7 +507,7 @@ impl TermList<CompiledCount> {
         Ok(self.normalize_numerator(num))
     }
 
-    /// The signed sum of the terms' Shapley numerators over `m!`.
+    /// The signed sum of the terms' Shapley numerators over `lcm(1..m)`.
     fn shapley_numerator(&self, db: &Database, f: FactId) -> Result<BigInt, CoreError> {
         if db.endo_index(f).is_none() {
             return Err(CoreError::FactNotEndogenous {
@@ -520,8 +521,8 @@ impl TermList<CompiledCount> {
         Ok(signed_sum(nums).unwrap_or_else(BigInt::zero))
     }
 
-    /// `num / m!` in lowest terms, through the first term's memoized
-    /// reduction (every term shares `m`).
+    /// `num / lcm(1..m)` in lowest terms, through the first term's
+    /// memoized reduction (every term shares `m`).
     fn normalize_numerator(&self, num: BigInt) -> BigRational {
         match self.terms.first() {
             Some(t) => t.engine.normalize_numerator(num),

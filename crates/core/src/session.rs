@@ -662,8 +662,8 @@ impl ShapleySession {
         };
         Ok(match &*engine {
             // Term lists accumulate the value total over the common
-            // denominator `m!` (one normalization) — summing the reduced
-            // per-fact rationals instead costs a gcd per entry.
+            // denominator `lcm(1..m)` (one normalization) — summing the
+            // reduced per-fact rationals instead costs a gcd per entry.
             Engine::Terms(terms) => {
                 let (values, total) =
                     engine_report_values(&self.db, terms, &facts, self.options.threads)?;

@@ -460,7 +460,8 @@ impl ShapleyReport {
 
     /// Builds a report from entries whose exact value total the caller
     /// already holds (engine paths accumulate it over the common
-    /// denominator `m!`, avoiding a rational reduction per entry).
+    /// denominator `lcm(1..m)`, avoiding a rational reduction per
+    /// entry).
     /// Debug builds verify the total against the entries.
     pub fn with_precomputed_total(
         entries: Vec<ShapleyEntry>,
@@ -580,9 +581,10 @@ pub(crate) trait BatchedEngine: Sync {
     fn buckets(&self, db: &Database) -> usize;
     /// The recount-state bucket of `f`.
     fn bucket_of(&self, db: &Database, f: FactId) -> usize;
-    /// The Shapley numerator of `f` over the common denominator `m!`.
+    /// The Shapley numerator of `f` over the common denominator
+    /// `lcm(1..m)`.
     fn numerator(&self, db: &Database, f: FactId) -> Result<BigInt, CoreError>;
-    /// `num / m!` in lowest terms (memoized by the engine).
+    /// `num / lcm(1..m)` in lowest terms (memoized by the engine).
     fn normalize(&self, num: BigInt) -> BigRational;
 }
 
@@ -615,8 +617,8 @@ pub(crate) fn engine_values(
 }
 
 /// [`engine_values`] plus the exact value total, accumulated over the
-/// engine's common denominator `m!` with plain integer additions and
-/// normalized once — summing the already-reduced rationals instead
+/// engine's common denominator `lcm(1..m)` with plain integer additions
+/// and normalized once — summing the already-reduced rationals instead
 /// costs a gcd per fact and dominates large reports.
 pub(crate) fn engine_report_values(
     db: &Database,

@@ -30,17 +30,6 @@ impl From<Vec<ConstId>> for Tuple {
     }
 }
 
-impl std::ops::Index<usize> for Tuple {
-    type Output = ConstId;
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "the Index contract: an out-of-range position panics, as slice indexing does"
-    )]
-    fn index(&self, i: usize) -> &ConstId {
-        &self.0[i]
-    }
-}
-
 /// Whether a fact is a Shapley player or part of the fixed context.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Provenance {
@@ -91,7 +80,6 @@ mod tests {
     fn tuple_basics() {
         let t = Tuple::new(&[ConstId(3), ConstId(1)]);
         assert_eq!(t.arity(), 2);
-        assert_eq!(t[0], ConstId(3));
         assert_eq!(t.values(), &[ConstId(3), ConstId(1)]);
         let t2: Tuple = vec![ConstId(3), ConstId(1)].into();
         assert_eq!(t, t2);

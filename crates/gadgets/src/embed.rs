@@ -67,12 +67,12 @@ pub fn base_instance_is_admissible(db: &Database) -> bool {
     let r_dom: Vec<_> = db
         .relation_facts(r)
         .iter()
-        .map(|&f| db.fact(f).tuple[0])
+        .map(|&f| db.fact(f).tuple.values()[0])
         .collect();
     let t_dom: Vec<_> = db
         .relation_facts(t)
         .iter()
-        .map(|&f| db.fact(f).tuple[0])
+        .map(|&f| db.fact(f).tuple.values()[0])
         .collect();
     if r_dom.iter().any(|c| t_dom.contains(c)) {
         return false;
@@ -80,8 +80,8 @@ pub fn base_instance_is_admissible(db: &Database) -> bool {
     db.relation_facts(s).iter().all(|&f| {
         let fact = db.fact(f);
         !fact.provenance.is_endogenous()
-            && r_dom.contains(&fact.tuple[0])
-            && t_dom.contains(&fact.tuple[1])
+            && r_dom.contains(&fact.tuple.values()[0])
+            && t_dom.contains(&fact.tuple.values()[1])
     })
 }
 
@@ -164,7 +164,7 @@ pub fn embed_triplet(q: &ConjunctiveQuery, base: &Database) -> Result<EmbeddedIn
         let target_rel = db.schema().id(&atom.relation).expect("registered");
         for &bf in base.relation_facts(base_rel) {
             let fact = base.fact(bf);
-            let name = base.interner().resolve(fact.tuple[0]).to_string();
+            let name = base.interner().resolve(fact.tuple.values()[0]).to_string();
             let tuple = image_tuple(&mut db, atom, vx, &name, vy, &name, &[], None);
             if let Some(new) = insert_dedup(&mut db, target_rel, tuple, fact.provenance)? {
                 if fact.provenance.is_endogenous() {
@@ -178,8 +178,8 @@ pub fn embed_triplet(q: &ConjunctiveQuery, base: &Database) -> Result<EmbeddedIn
     // positive atom.
     for &bf in base.relation_facts(s) {
         let fact = base.fact(bf);
-        let a = base.interner().resolve(fact.tuple[0]).to_string();
-        let b = base.interner().resolve(fact.tuple[1]).to_string();
+        let a = base.interner().resolve(fact.tuple.values()[0]).to_string();
+        let b = base.interner().resolve(fact.tuple.values()[1]).to_string();
         for (i, atom) in q.atoms().iter().enumerate() {
             if i == triplet.atom_x || i == triplet.atom_y {
                 continue;
@@ -262,7 +262,7 @@ pub fn embed_path(
         let target_rel = db.schema().id(&atom.relation).expect("registered");
         for &bf in base.relation_facts(base_rel) {
             let fact = base.fact(bf);
-            let name = base.interner().resolve(fact.tuple[0]).to_string();
+            let name = base.interner().resolve(fact.tuple.values()[0]).to_string();
             let tuple = image_tuple(&mut db, atom, vx, &name, vy, &name, &[], None);
             if let Some(new) = insert_dedup(&mut db, target_rel, tuple, fact.provenance)? {
                 if fact.provenance.is_endogenous() {
@@ -273,8 +273,8 @@ pub fn embed_path(
     }
     for &bf in base.relation_facts(s) {
         let fact = base.fact(bf);
-        let a = base.interner().resolve(fact.tuple[0]).to_string();
-        let b = base.interner().resolve(fact.tuple[1]).to_string();
+        let a = base.interner().resolve(fact.tuple.values()[0]).to_string();
+        let b = base.interner().resolve(fact.tuple.values()[1]).to_string();
         let pair = format!("⟨{a},{b}⟩");
         for (i, atom) in q.atoms().iter().enumerate() {
             if i == ax || i == ay {

@@ -118,6 +118,8 @@ pub fn panic_sites(ctx: &FileCtx<'_>) -> Vec<Finding> {
                 let indexable = match prev.kind {
                     TokenKind::Ident => !NON_INDEX_KEYWORDS.contains(&ctx.text(k - 1)),
                     TokenKind::Punct => matches!(ctx.text(k - 1), ")" | "]"),
+                    // A tuple field, as in `self.0[i]`.
+                    TokenKind::Number => k >= 2 && ctx.is(k - 2, TokenKind::Punct, "."),
                     _ => false,
                 };
                 // `[` must be adjacent to the indexed expression — a
@@ -302,10 +304,10 @@ mod tests {
 
     #[test]
     fn panic_sites_catch_the_constructs() {
-        let src = "fn f(v: &[u8]) -> u8 { let x = v[0]; opt.unwrap(); res.expect(\"msg\"); panic!(\"boom\"); unreachable!() }";
+        let src = "fn f(v: &[u8]) -> u8 { let x = v[0]; let y = self.0[1]; opt.unwrap(); res.expect(\"msg\"); panic!(\"boom\"); unreachable!() }";
         let found = ctx_run(src, panic_sites);
         let messages: Vec<&str> = found.iter().map(|f| f.message.as_str()).collect();
-        assert_eq!(found.len(), 5, "{messages:?}");
+        assert_eq!(found.len(), 6, "{messages:?}");
     }
 
     #[test]

@@ -227,6 +227,22 @@ fn reachable_panic_site_is_counted_with_path() {
 }
 
 #[test]
+fn tuple_field_index_is_a_panic_site() {
+    // `self.0[i]`: the token before `[` is a number literal after `.`.
+    let out = run_core("tnp_tuple_index.rs");
+    let r = &out.report;
+    assert!(r.findings.is_empty(), "{:?}", r.findings);
+    assert_eq!(r.suppressed.len(), 1, "{:?}", r.suppressed);
+    assert_eq!(r.suppressed[0].finding.rule, "transitive-no-panic");
+    assert!(
+        r.suppressed[0].finding.message.contains("index"),
+        "{:?}",
+        r.suppressed
+    );
+    assert_eq!(r.debt.current, 1);
+}
+
+#[test]
 fn panic_sites_are_not_counted_outside_panic_free_crates() {
     let out = run_workloads("tnp_reachable.rs");
     assert!(out.report.findings.is_empty(), "{:?}", out.report.findings);

@@ -383,9 +383,10 @@ impl BigUint {
 
     /// `self += a · m` in place, without allocating the product: once
     /// `self` spills into limbs, repeated calls grow one limb vector.
-    /// Crate-internal: the word-size kernel of polynomial division
-    /// accumulates its convolution sums with it.
-    pub(crate) fn add_mul_u64_assign(&mut self, a: &BigUint, m: u64) {
+    /// The word-size kernels of polynomial division, of the Shapley
+    /// weight contraction and of the compiled engine's lift accumulate
+    /// their sums with it.
+    pub fn add_mul_u64_assign(&mut self, a: &BigUint, m: u64) {
         if let (Repr::Small(acc), Repr::Small(av)) = (&mut self.repr, &a.repr) {
             if let Some(sum) = av.checked_mul(m as u128).and_then(|p| p.checked_add(*acc)) {
                 *acc = sum;

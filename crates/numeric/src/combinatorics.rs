@@ -1,14 +1,12 @@
-//! Exact factorials and binomial coefficients.
+//! Exact factorials, binomial coefficients and Shapley weights.
 //!
 //! The Shapley formula weights each coalition size `k` by
 //! `k!(m-1-k)!/m!`, and the counting algorithms of Lemma 3.2 combine
 //! binomial coefficients of free endogenous facts, so these show up in
-//! every inner loop of the exact pipeline. [`FactorialTable`] amortizes
-//! the factorials for a whole computation.
-#![expect(
-    clippy::indexing_slicing,
-    reason = "Pascal rows are grown before they are indexed"
-)]
+//! every inner loop of the exact pipeline. [`ShapleyWeights`] carries
+//! the weights over their least common denominator `lcm(1..m)`;
+//! [`FactorialTable`] amortizes the factorials of the `m!` route that
+//! the per-fact oracles keep.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -72,13 +70,14 @@ impl BinomialCache {
         rows.entry(n)
             .or_insert_with(|| {
                 let mut row = Vec::with_capacity(n + 1);
-                row.push(BigUint::one());
+                let mut entry = BigUint::one();
                 for k in 0..n {
-                    let mut next = row[k].mul_u64((n - k) as u64);
+                    let mut next = entry.mul_u64((n - k) as u64);
                     let rem = next.div_rem_u64_assign((k + 1) as u64);
                     debug_assert_eq!(rem, 0, "Pascal row entries divide exactly");
-                    row.push(next);
+                    row.push(std::mem::replace(&mut entry, next));
                 }
+                row.push(entry);
                 Arc::new(row)
             })
             .clone()
@@ -86,22 +85,16 @@ impl BinomialCache {
 }
 
 /// The primes `≤ n`, by Eratosthenes.
-// cqshap-lint: allow(cancellation-reachability) -- bounded: sieve over 2..=n, n is the small factorial argument
 fn primes_up_to(n: usize) -> Vec<u64> {
-    if n < 2 {
-        return Vec::new();
-    }
     let mut composite = vec![false; n + 1];
     let mut out = Vec::new();
     for p in 2..=n {
-        if composite[p] {
+        if composite.get(p) == Some(&true) {
             continue;
         }
         out.push(p as u64);
-        let mut q = p * p;
-        while q <= n {
-            composite[q] = true;
-            q += p;
+        for slot in composite.iter_mut().skip(p.saturating_mul(p)).step_by(p) {
+            *slot = true;
         }
     }
     out
@@ -147,54 +140,133 @@ fn strip_prime(v: &mut BigUint, p: u64, max: usize) -> usize {
     count
 }
 
-/// Coalition sizes per block of [`ShapleyWeights`]: the word-sized
-/// cofactors then hold at most `WEIGHT_BLOCK − 1` factors `≤ m`.
-const WEIGHT_BLOCK: usize = 32;
+/// `gcd(a, b)` of two words, by Euclid.
+// cqshap-lint: allow(cancellation-reachability) -- bounded: Euclid on two words takes at most 93 steps
+fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
 
-/// All Shapley weight numerators `w[k] = k!·(m-1-k)!`, `k < m`, of an
-/// `m`-player game, in blocked form `w[k] = block[k / B] · step[k]`
-/// with `B = 32`: one big factor `a!·(m-1-z)!` per block of sizes
-/// `a..=z`, times a short cofactor. The cofactors follow the ratio
-/// `w[k+1] = w[k]·(k+1)/(m-1-k)` inside a block, so building them
-/// takes word-size multiplications and exact word-size divisions only.
+/// Prime powers `p^e` of `lcm(1..m)` packed into one word modulus.
+#[derive(Debug, Clone)]
+struct PrimePowers {
+    /// The product of the group's `p^e`, below `2^64`.
+    modulus: u64,
+    /// `(p, e)` with `p^e ≤ m < p^(e+1)`.
+    primes: Vec<(u64, u32)>,
+}
+
+/// `lcm(1..m) = Π_{p ≤ m} p^⌊log_p m⌋`, its prime powers packed
+/// greedily into word moduli.
+fn lcm_prime_powers(m: usize) -> Vec<PrimePowers> {
+    let mut groups: Vec<PrimePowers> = Vec::new();
+    for p in primes_up_to(m) {
+        let (mut power, mut e) = (p, 1u32);
+        while power.checked_mul(p).is_some_and(|q| q <= m as u64) {
+            power *= p;
+            e += 1;
+        }
+        match groups.last_mut() {
+            Some(g) if g.modulus.checked_mul(power).is_some() => {
+                g.modulus *= power;
+                g.primes.push((p, e));
+            }
+            _ => groups.push(PrimePowers {
+                modulus: power,
+                primes: vec![(p, e)],
+            }),
+        }
+    }
+    groups
+}
+
+/// All Shapley weights of an `m`-player game over their common
+/// denominator `lcm(1..m)`: `ω_t = lcm(1..m)·t!(m−1−t)!/m!`, `t < m`.
+/// Each `ω_t` is an integer, because `t!(m−1−t)!/m! = 1/(m·C(m−1,t))`
+/// and `lcm_t C(m−1,t) = lcm(1..m)/m`. At `m = 1024` the weights have
+/// 1,479 bits, where the `m!` numerators `t!(m−1−t)!` have up to 8,770.
+///
+/// The weights are stored in blocked form `ω_t = block[t / B]·step[t]`
+/// with `B = ⌊64 / bitlen(m−1)⌋ + 1` sizes per block, so that every
+/// cofactor is a word. Inside the block of sizes `a..=z`, the ratio
+/// `ω_{t+1} = ω_t·(t+1)/(m−1−t)` gives `ω_t = ω_a·s_t/P` with the word
+/// products `P = Π_{a≤k<z}(m−1−k)` and
+/// `s_t = Π_{a≤k<t}(k+1) · Π_{t≤k<z}(m−1−k)` (`B − 1` factors each).
+/// With `g = gcd(ω_a, P)` and `D = P/g`, `ω_t = (ω_a/g)·s_t/D` is an
+/// integer and `ω_a/g` is coprime to `D`, so `D` divides every `s_t`:
+/// the block factor is `ω_a/g` and the steps are `s_t/D`.
 ///
 /// [`ShapleyWeights::contract`] weights a whole count vector with one
-/// short product per size and one big product per block, instead of a
-/// big-by-big product per size.
+/// word multiply-add per size and one big product per block, and
+/// [`ShapleyWeights::reduce`] puts the result over `lcm(1..m)` in lowest
+/// terms with one word remainder per packed group of prime powers.
 #[derive(Debug, Clone, Default)]
 pub struct ShapleyWeights {
+    /// `ω_a / g` per block of sizes.
     blocks: Vec<BigUint>,
-    steps: Vec<BigUint>,
+    /// `ω_t / block` per coalition size.
+    steps: Vec<u64>,
+    /// Coalition sizes per block, `B`.
+    block_len: usize,
+    /// `lcm(1..m)`'s prime powers, packed into word moduli.
+    moduli: Vec<PrimePowers>,
 }
 
 impl ShapleyWeights {
     /// The weights of an `m`-player game (none for `m = 0`).
-    ///
-    /// # Panics
-    /// Panics if `m - 1` exceeds the table size.
-    pub fn new(table: &FactorialTable, m: usize) -> Self {
+    pub fn new(m: usize) -> Self {
         let Some(last) = m.checked_sub(1) else {
             return ShapleyWeights::default();
         };
-        let mut blocks = Vec::with_capacity(m.div_ceil(WEIGHT_BLOCK));
-        let mut steps = Vec::with_capacity(m);
-        for a in (0..m).step_by(WEIGHT_BLOCK) {
-            let z = (a + WEIGHT_BLOCK).min(m) - 1;
-            blocks.push(table.factorial(a) * table.factorial(last - z));
-            // w[a] = a!·(m-1-z)! · (m-z)·…·(m-1-a).
-            let mut step = BigUint::one();
-            for i in last - z + 1..=last - a {
-                step.mul_u64_assign(i as u64);
-            }
-            steps.push(step.clone());
-            for k in a..z {
-                step.mul_u64_assign((k + 1) as u64);
-                let rem = step.div_rem_u64_assign((last - k) as u64);
-                debug_assert_eq!(rem, 0, "k!(m-1-k)! ratios divide exactly");
-                steps.push(step.clone());
-            }
+        let moduli = lcm_prime_powers(m);
+        // ω_0 = lcm(1..m)/m.
+        let mut omega = BigUint::one();
+        for g in &moduli {
+            omega.mul_u64_assign(g.modulus);
         }
-        ShapleyWeights { blocks, steps }
+        let rem = omega.div_rem_u64_assign(m as u64);
+        debug_assert_eq!(rem, 0, "m divides lcm(1..m)");
+        let factor_bits = (usize::BITS - last.leading_zeros()).max(1) as usize;
+        let block_len = 64 / factor_bits + 1;
+        let mut blocks = Vec::with_capacity(m.div_ceil(block_len));
+        let mut steps = Vec::with_capacity(m);
+        for a in (0..m).step_by(block_len) {
+            let z = (a + block_len).min(m) - 1;
+            // P = Π_{a≤k<z}(m−1−k): at most B − 1 factors ≤ m − 1.
+            let p: u64 = (a..z).map(|k| (last - k) as u64).product();
+            let g = gcd_u64(omega.rem_u64(p), p);
+            let d = p / g;
+            let mut block = std::mem::take(&mut omega);
+            let rem = block.div_rem_u64_assign(g);
+            debug_assert_eq!(rem, 0, "g divides ω_a");
+            // s_a = P, then s_{t+1} = s_t/(m−1−t)·(t+1).
+            let mut s = p;
+            let mut step = 0;
+            for t in a..=z {
+                debug_assert_eq!(s % d, 0, "D divides every cofactor of its block");
+                step = s / d;
+                steps.push(step);
+                if t < z {
+                    s = s / (last - t) as u64 * (t + 1) as u64;
+                }
+            }
+            // ω_{z+1} = ω_z·(z+1)/(m−1−z), for the next block.
+            if z < last {
+                omega = block.mul_u64(step);
+                omega.mul_u64_assign((z + 1) as u64);
+                let rem = omega.div_rem_u64_assign((last - z) as u64);
+                debug_assert_eq!(rem, 0, "ω_{{t+1}} = ω_t·(t+1)/(m−1−t) is an integer");
+            }
+            blocks.push(block);
+        }
+        ShapleyWeights {
+            blocks,
+            steps,
+            block_len,
+            moduli,
+        }
     }
 
     /// The number of players `m` (one weight per coalition size `< m`).
@@ -207,40 +279,73 @@ impl ShapleyWeights {
         self.steps.is_empty()
     }
 
-    /// `Σ_k (plus[k] − minus[k])·w[k]` — a signed count vector, given
-    /// as two unsigned halves of length `m`, weighted by the numerators.
+    /// `Σ_t (plus[t] − minus[t])·ω_t` — a signed count vector, given
+    /// as two unsigned halves of length `m`, weighted over the common
+    /// denominator `lcm(1..m)`. Each block accumulates both halves
+    /// against its word steps and multiplies their difference by the
+    /// block factor once.
     pub fn contract(&self, plus: &[BigUint], minus: &[BigUint]) -> BigInt {
         debug_assert_eq!(plus.len(), self.len());
         debug_assert_eq!(minus.len(), self.len());
         let mut pos = BigUint::zero();
         let mut neg = BigUint::zero();
+        // The empty game has no blocks (and a zero block length).
+        let b = self.block_len.max(1);
         let chunks = plus
-            .chunks(WEIGHT_BLOCK)
-            .zip(minus.chunks(WEIGHT_BLOCK))
-            .zip(self.steps.chunks(WEIGHT_BLOCK));
+            .chunks(b)
+            .zip(minus.chunks(b))
+            .zip(self.steps.chunks(b));
         for (((p, n), steps), block) in chunks.zip(&self.blocks) {
             let mut block_pos = BigUint::zero();
             let mut block_neg = BigUint::zero();
-            for ((p, n), step) in p.iter().zip(n).zip(steps) {
-                let diff = BigInt::signed_diff(p, n);
-                if diff.is_zero() {
-                    continue;
-                }
-                let term = diff.magnitude() * step;
-                if diff.is_negative() {
-                    block_neg += &term;
-                } else {
-                    block_pos += &term;
-                }
+            for ((p, n), &step) in p.iter().zip(n).zip(steps) {
+                block_pos.add_mul_u64_assign(p, step);
+                block_neg.add_mul_u64_assign(n, step);
             }
-            if !block_pos.is_zero() {
-                pos += &(&block_pos * block);
-            }
-            if !block_neg.is_zero() {
-                neg += &(&block_neg * block);
+            match block_pos.cmp(&block_neg) {
+                std::cmp::Ordering::Greater => pos += &(&(block_pos - block_neg) * block),
+                std::cmp::Ordering::Less => neg += &(&(block_neg - block_pos) * block),
+                std::cmp::Ordering::Equal => {}
             }
         }
         BigInt::signed_diff(&pos, &neg)
+    }
+
+    /// `num / lcm(1..m)` in lowest terms, without a general gcd: each
+    /// prime `p ≤ m` divides the denominator `⌊log_p m⌋` times, so one
+    /// word remainder per packed group of prime powers tells how often
+    /// each of its primes divides `num` (up to that bound), and one word
+    /// division strips them all. This is the per-value normalization of
+    /// every batched Shapley report.
+    pub fn reduce(&self, num: BigInt) -> BigRational {
+        if num.is_zero() {
+            return BigRational::zero();
+        }
+        let sign = num.sign();
+        let mut mag = num.into_magnitude();
+        let mut den = BigUint::one();
+        for group in &self.moduli {
+            // p^j | num ⟺ p^j | num mod modulus, for every j ≤ e.
+            let rem = mag.rem_u64(group.modulus);
+            let mut strip = 1u64;
+            for &(p, e) in &group.primes {
+                let mut r = rem;
+                for _ in 0..e {
+                    if !r.is_multiple_of(p) {
+                        break;
+                    }
+                    r /= p;
+                    strip *= p;
+                }
+            }
+            if strip > 1 {
+                mag.div_rem_u64_assign(strip);
+            }
+            if strip < group.modulus {
+                den.mul_u64_assign(group.modulus / strip);
+            }
+        }
+        BigRational::from_coprime_parts(BigInt::from_sign_magnitude(sign, mag), den)
     }
 }
 
@@ -274,9 +379,9 @@ impl FactorialTable {
     /// `m!`'s prime factorization is known in closed form (Legendre),
     /// so the common factor is found by stripping exactly those primes
     /// from `num` — chunked `u64` powers, a few short divisions per
-    /// prime — instead of running a big-number gcd against `m!`. This
-    /// is the per-fact normalization of every batched Shapley value, so
-    /// its cost is the report's tail at large `m`.
+    /// prime — instead of running a big-number gcd against `m!`. The
+    /// per-fact oracle normalizes through it; batched reports reduce
+    /// over `lcm(1..m)` with [`ShapleyWeights::reduce`].
     ///
     /// # Panics
     /// Panics if `m` exceeds the table size.
@@ -323,6 +428,10 @@ impl FactorialTable {
     ///
     /// # Panics
     /// Panics if `n` exceeds the table size.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented panic: n beyond the table is a caller bug"
+    )]
     pub fn factorial(&self, n: usize) -> &BigUint {
         &self.facts[n]
     }
@@ -446,32 +555,63 @@ mod tests {
         }
     }
 
+    /// `lcm(1..m)` by a gcd fold, independent of the packed prime powers.
+    fn lcm_upto(m: usize) -> BigUint {
+        (1..=m as u64).fold(BigUint::one(), |acc, i| {
+            let i = BigUint::from_u64(i);
+            let g = acc.gcd(&i);
+            (&acc * &i).div_rem(&g).0
+        })
+    }
+
     #[test]
-    fn ratio_weights_match_factorial_products() {
+    fn binomial_row_lcm_is_lcm_over_m_and_every_weight_is_an_integer() {
+        let t = FactorialTable::new(200);
+        for m in 1..200usize {
+            let lcm = lcm_upto(m);
+            let row_lcm = (0..m).fold(BigUint::one(), |acc, k| {
+                let c = binomial(m - 1, k);
+                let g = acc.gcd(&c);
+                (&acc * &c).div_rem(&g).0
+            });
+            assert_eq!(row_lcm.mul_u64(m as u64), lcm, "m={m}");
+            for k in 0..m {
+                let (_, r) = (&lcm * &t.shapley_weight_numerator(m, k)).div_rem(t.factorial(m));
+                assert!(r.is_zero(), "ω_{k} of m={m} is not an integer");
+            }
+        }
+    }
+
+    /// The sizes that stress the layout: the empty and tiny games,
+    /// block boundaries (`B = 7` at `m = 65..=128`, `B = 6` up to 256),
+    /// and `m = 127, 128, 129`, where `lcm(1..m)` gains `2^7`.
+    const SIZES: [usize; 16] = [0, 1, 2, 3, 6, 7, 8, 13, 14, 15, 64, 65, 127, 128, 129, 130];
+
+    #[test]
+    fn unit_contractions_read_off_the_lcm_weights() {
         let t = FactorialTable::new(130);
-        for m in (0..=64usize).chain([95, 96, 97, 130]) {
-            let w = ShapleyWeights::new(&t, m);
+        for m in SIZES {
+            let w = ShapleyWeights::new(m);
             assert_eq!(w.len(), m, "m={m}");
+            let lcm = lcm_upto(m);
             let zeros = vec![BigUint::zero(); m];
             for k in 0..m {
-                // Contracting the unit vector e_k reads off w[k].
+                // Contracting the unit vector e_k reads off ω_k.
                 let mut unit = zeros.clone();
                 unit[k] = BigUint::one();
-                let want = factorial(k) * factorial(m - 1 - k);
-                assert_eq!(
-                    w.contract(&unit, &zeros),
-                    BigInt::from_biguint(want),
-                    "m={m}, k={k}"
-                );
+                let (want, _) = (&lcm * &t.shapley_weight_numerator(m, k)).div_rem(t.factorial(m));
+                let got = w.contract(&unit, &zeros);
+                assert_eq!(got, BigInt::from_biguint(want), "m={m}, k={k}");
+                assert_eq!(w.reduce(got), t.shapley_weight(m, k), "m={m}, k={k}");
             }
         }
     }
 
     #[test]
-    fn blocked_contraction_matches_the_plain_dot_product() {
-        let t = FactorialTable::new(100);
-        for m in [0usize, 1, 2, 31, 32, 33, 64, 100] {
-            let w = ShapleyWeights::new(&t, m);
+    fn lcm_route_matches_the_factorial_route() {
+        let t = FactorialTable::new(130);
+        for m in SIZES {
+            let w = ShapleyWeights::new(m);
             // Coefficients of mixed sign and size, with zero runs.
             let plus: Vec<BigUint> = (0..m)
                 .map(|k| match k % 5 {
@@ -488,12 +628,30 @@ mod tests {
                 .collect();
             let mut want = BigInt::zero();
             for k in 0..m {
-                let weight = factorial(k) * factorial(m - 1 - k);
+                let weight = t.shapley_weight_numerator(m, k);
                 want += &(BigInt::signed_diff(&plus[k], &minus[k]) * BigInt::from_biguint(weight));
             }
-            assert_eq!(w.contract(&plus, &minus), want, "m={m}");
-            assert_eq!(w.contract(&minus, &plus), -want, "m={m} negated");
+            let want = t.reduce_over_factorial(want, m);
+            assert_eq!(w.reduce(w.contract(&plus, &minus)), want, "m={m}");
+            assert_eq!(w.reduce(w.contract(&minus, &plus)), -want, "m={m} negated");
         }
+    }
+
+    #[test]
+    fn reduce_strips_each_prime_at_most_its_lcm_exponent() {
+        // 2^7 | lcm(1..128); 2^8 does not.
+        let w = ShapleyWeights::new(128);
+        let over = |num: u64| w.reduce(BigInt::from_u64(num));
+        assert_eq!(over(0), BigRational::zero());
+        let lcm = BigRational::from(lcm_upto(128));
+        assert_eq!(over(1), BigRational::one() / lcm.clone());
+        assert_eq!(over(1 << 7), BigRational::from(1i64 << 7) / lcm.clone());
+        assert_eq!(over(1 << 9), BigRational::from(1i64 << 9) / lcm);
+        // The empty game's denominator is 1.
+        assert_eq!(
+            ShapleyWeights::new(0).reduce(BigInt::from_i64(-5)),
+            BigRational::from(-5i64)
+        );
     }
 
     #[test]

@@ -46,9 +46,10 @@ impl BigRational {
     }
 
     /// Builds `num / den` from parts already known to be in lowest
-    /// terms — no gcd is computed. The factorial-denominator reduction
-    /// ([`crate::FactorialTable::reduce_over_factorial`]) produces its
-    /// parts coprime by construction and skips the normalization cost.
+    /// terms — no gcd is computed. The Shapley reductions over
+    /// `lcm(1..m)` ([`crate::ShapleyWeights::reduce`]) and over `m!`
+    /// ([`crate::FactorialTable::reduce_over_factorial`]) produce their
+    /// parts coprime by construction and skip the normalization cost.
     ///
     /// # Panics
     /// Panics if `den` is zero; debug builds verify coprimality.

@@ -1,6 +1,8 @@
 //! Property-based tests for the exact arithmetic substrate.
 
-use cqshap_numeric::{binomial, BigInt, BigRational, BigUint, FactorialTable, RationalMatrix};
+use cqshap_numeric::{
+    binomial, BigInt, BigRational, BigUint, FactorialTable, RationalMatrix, ShapleyWeights,
+};
 use proptest::prelude::*;
 
 fn arb_biguint() -> impl Strategy<Value = BigUint> {
@@ -175,5 +177,61 @@ proptest! {
             let b = a.mul_vec(&x).unwrap();
             prop_assert_eq!(a.solve(&b).unwrap(), x);
         }
+    }
+}
+
+/// The `m!` route the lcm weights replace, kept as a test oracle:
+/// `Σ_t (plus[t] − minus[t])·t!(m−1−t)!` reduced over `m!`.
+fn factorial_route(
+    table: &FactorialTable,
+    m: usize,
+    plus: &[BigUint],
+    minus: &[BigUint],
+) -> BigRational {
+    let mut num = BigInt::zero();
+    for (t, (p, n)) in plus.iter().zip(minus).enumerate() {
+        let weight = BigInt::from_biguint(table.shapley_weight_numerator(m, t));
+        num += &(BigInt::signed_diff(p, n) * weight);
+    }
+    table.reduce_over_factorial(num, m)
+}
+
+/// A count vector of length `m` drawn from `seed`: zero runs, word
+/// entries and multi-limb entries of up to three limbs.
+fn counts(seed: u64, m: usize) -> Vec<BigUint> {
+    let mut state = seed;
+    let mut next = || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state
+    };
+    (0..m)
+        .map(|_| match next() % 4 {
+            0 => BigUint::zero(),
+            1 => BigUint::from_u64(next() >> (next() % 64)),
+            _ => {
+                let limbs = (next() % 3 + 1) as usize;
+                BigUint::from_limbs((0..limbs).map(|_| next()).collect())
+            }
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Contracting against the `lcm(1..m)` weights and reducing gives the
+    /// same value as the `m!` route, for signed count vectors of every
+    /// shape.
+    #[test]
+    fn lcm_route_matches_the_factorial_route(m in 1usize..=300, a in any::<u64>(), b in any::<u64>()) {
+        let (plus, minus) = (counts(a, m), counts(b, m));
+        let weights = ShapleyWeights::new(m);
+        let table = FactorialTable::new(m);
+        prop_assert_eq!(
+            weights.reduce(weights.contract(&plus, &minus)),
+            factorial_route(&table, m, &plus, &minus)
+        );
     }
 }

@@ -49,8 +49,8 @@ pub const CONTRACT: &str = "report.contract";
 /// from its component's maintained factor product (one exact division
 /// per weight class, or per group for conditional reads).
 pub const CLASS_ENV: &str = "report.class-env";
-/// Report-time reduction of a distinct Shapley numerator over `m!` to
-/// lowest terms (memo misses only: once per distinct numerator).
+/// Report-time reduction of a distinct Shapley numerator over
+/// `lcm(1..m)` to lowest terms (memo misses only: once per distinct numerator).
 pub const NORMALIZE: &str = "report.normalize";
 /// Union (UCQ) compile: per-term engines plus inclusion–exclusion setup.
 pub const UNION_COMPILE: &str = "union-compile";
