@@ -12,27 +12,30 @@
 //!
 //! 1. **Compile** — resolve the query's atoms, build per-relation
 //!    scopes, split into connected components, and group each
-//!    component's facts by their root value (the structure of Lemma
-//!    3.2's recursion, materialized).
+//!    component's facts by their root value. Below the groups, Lemma
+//!    3.2's recursion is compiled once into a tree per root group (and
+//!    per ground component; see `crate::tree`): ground folds, products
+//!    and root splits, each node holding its value.
 //! 2. **Cache** — every component's satisfying-count polynomial, every
 //!    root group's unsatisfying-count polynomial, and per rooted
 //!    component *one* product of its groups' factors; plus the Shapley
 //!    weights `ω[k] = lcm(1..m)·k!·(m−1−k)!/m!`, integers over the
 //!    common denominator `lcm(1..m)`. A group's leave-one-out
 //!    environment is derived from the component product on demand.
-//! 3. **Recount** — for fact `f`, recompute only `f`'s root group under
-//!    the two [`FactMask`] views (`f` removed, `f` exogenized; no
-//!    database clones). The short difference vector `d` of the two
-//!    counts is zero for many facts; otherwise it is lifted through its
-//!    environment and weighted, `Σ_t (d ⊛ E)[t]·ω[t]` (Theorem 3.1's
-//!    contraction). Facts outside every scope ("free") and facts whose
-//!    root value lacks positive support ("junk") are answered as exact
-//!    zeros without any recounting.
+//! 3. **Recount** — for fact `f`, walk from `f`'s leaf in its group's
+//!    tree to the tree's root under the two [`FactMask`] views (`f`
+//!    removed, `f` exogenized; no database clones): one exact division
+//!    and two short products per level, nothing mutated. The short
+//!    difference vector `d` of the two group counts is zero for many
+//!    facts; otherwise it is lifted through its environment and
+//!    weighted, `Σ_t (d ⊛ E)[t]·ω[t]` (Theorem 3.1's contraction).
+//!    Facts outside every scope ("free") and facts whose root value
+//!    lacks positive support ("junk") are answered as exact zeros
+//!    without any recounting.
 //!
 //! The per-fact cost drops from `O(m)` full-database DP work (plus two
-//! database clones) to amortized `O(|group|)` — the recount touches one
-//! root group, and the contraction runs once per distinct
-//! `(weight class, d)` pair.
+//! database clones) to one leaf-to-root path of one root group's tree,
+//! and the contraction runs once per distinct `(weight class, d)` pair.
 //!
 //! ## Incremental maintenance
 //!
@@ -54,22 +57,21 @@
 //! touches the other groups: their environments are derived lazily by
 //! the next report (one division per weight class) or conditional
 //! read (one per group), so an update costs what it touches.
-//! Only the touched group's counting recursion is re-run; the report
-//! memos that depend on `m` or on the environments are then cleared
-//! and, when `m` moved, the weights rebuilt (word-size ratio steps).
-//! Structural drift — a root group appearing or dying, a query atom
-//! resolving differently — makes `update` report that a full recompile
-//! is needed.
+//! Inside the touched group, the update walks the same leaf-to-root
+//! path of the group's tree as a recount and keeps the new values; a
+//! root value appearing or dying *below* the group adds or drops one
+//! child of that path. The report memos that depend on `m` or on the
+//! environments are then cleared and, when `m` moved, the weights
+//! rebuilt (word-size ratio steps). Structural drift at the component
+//! level — a root group appearing or dying, a query atom resolving
+//! differently — makes `update` report that a full recompile is
+//! needed.
 //!
 //! The resulting values are *bit-identical* to the per-fact oracle: the
 //! weighted sums are accumulated as exact integers over the common
 //! denominator `lcm(1..m)` and normalized once, and every maintained
 //! polynomial is recomputed exactly (division of exact factors), so a
 //! maintained engine agrees bit-for-bit with a freshly compiled one.
-#![expect(
-    clippy::indexing_slicing,
-    reason = "counting kernels index component scopes and weight tables sized in the same function"
-)]
 
 use std::collections::HashMap;
 use std::convert::Infallible;
@@ -82,12 +84,13 @@ use cqshap_obs::{phase as obs_phase, Counter, Span};
 use cqshap_query::{ConjunctiveQuery, Term};
 
 use crate::budget::CancelToken;
-use crate::domain::{eval_rec, CountingDomain, EvalDomain, FactProbabilities, ProbabilityDomain};
+use crate::domain::{CountingDomain, EvalDomain, FactProbabilities, ProbabilityDomain};
 use crate::error::CoreError;
 use crate::satcount::{
-    connected_components, find_root_var, resolve_query, root_candidates, root_group_scopes,
-    scope_endo_count, MaskedDb, PAtom, ResolvedQuery,
+    connected_components, find_root_var, resolve_query, root_candidates, scope_endo_count,
+    MaskedDb, PAtom, ResolvedQuery, RootGroups,
 };
+use crate::tree::{Change, Site, Tree};
 
 // Cache-effectiveness counters: the iso-class memo of the compile
 // recursion and the masked-recount memo of the report path. Locally
@@ -165,12 +168,16 @@ struct RootGroup<V> {
     /// coincide role-for-role and share one cache entry (probabilities
     /// do *not* — see [`EvalDomain::canon_determines_value`]).
     canon: Arc<Vec<u32>>,
+    /// The group's compiled recursion. Compile builds it unless the
+    /// class memo supplied the group's value; then the group's first
+    /// recount or update does.
+    tree: OnceLock<Tree<V>>,
 }
 
 /// The shape of one connected component.
 enum CompKind<V> {
-    /// Entirely ground: recounted wholesale (a single base-case fold).
-    Ground,
+    /// Entirely ground: a single fold of its atoms.
+    Ground { tree: Tree<V> },
     /// Connected with a root variable: one [`RootGroup`] per root value
     /// with full positive support.
     Rooted {
@@ -212,6 +219,14 @@ struct Component<V> {
 }
 
 impl<V> Component<V> {
+    /// The component's root groups (none for a ground component).
+    fn groups(&self) -> &[RootGroup<V>] {
+        match &self.kind {
+            CompKind::Rooted { groups, .. } => groups,
+            CompKind::Ground { .. } => &[],
+        }
+    }
+
     /// Rebuilds what a rooted component derives from its factor product
     /// and junk count — `outer`, the endogenous count, the satisfying
     /// value — and empties the groups' environment slots. Compile and
@@ -252,7 +267,7 @@ enum Placement {
 /// cached value generic over the [`EvalDomain`]. This is the shared
 /// kernel behind [`CompiledCount`] (exact Shapley counting) and
 /// [`CompiledProbability`] (tuple-independent lifted inference): one
-/// compile, incremental maintenance, per-fact masked re-evaluation —
+/// compile, incremental maintenance, per-fact masked tree walks —
 /// the arithmetic is the only thing that differs.
 struct CompiledEngine<D: EvalDomain> {
     dom: D,
@@ -426,7 +441,7 @@ impl<K: Hash + Eq, V: Clone> OnceMemo<K, V> {
 /// served from the *same* compiled structure as [`CompiledCount`]: the
 /// domain-generic engine instantiated at the exact-rational probability
 /// domain. `Pr[q]` is the engine's cached total; conditionals
-/// `Pr[q | f present/absent]` are per-fact masked re-evaluations; and
+/// `Pr[q | f present/absent]` are per-fact masked tree walks; and
 /// [`CompiledProbability::update`] maintains the compile across
 /// database updates exactly like the counting engine (a declined
 /// update means the caller recompiles).
@@ -487,6 +502,21 @@ fn env_unavailable() -> CoreError {
     )
 }
 
+/// The error of a fact location that no longer matches the compiled
+/// structure (an engine bug, not an input error).
+fn stale_location() -> CoreError {
+    CoreError::Unsupported("a fact's compiled location no longer matches the engine".into())
+}
+
+/// The atom of `f` within `scopes` and its position in that atom's
+/// scope: the fact's role in its root group.
+fn role_of(scopes: &[Vec<FactId>], f: FactId) -> Option<(usize, usize)> {
+    scopes
+        .iter()
+        .enumerate()
+        .find_map(|(ai, scope)| scope.iter().position(|&x| x == f).map(|pos| (ai, pos)))
+}
+
 /// Which atoms of `q` resolve against `db` (relation known, every
 /// constant interned). Updates that change this change the resolved
 /// atom list itself, which is beyond incremental maintenance.
@@ -510,9 +540,9 @@ impl<D: EvalDomain> CompiledEngine<D> {
     /// the parallel product trees (`0` = all available cores).
     ///
     /// Root groups with equal canonical forms are isomorphic; when the
-    /// domain's values are canon-determined (counting), the recursion
-    /// runs once per isomorphism class and the result is shared across
-    /// the class instead of being recomputed per group.
+    /// domain's values are canon-determined (counting), each class's
+    /// recursion tree is built once and its value shared across the
+    /// class; the other groups build their trees when first recounted.
     fn compile(
         db: &Database,
         q: &ConjunctiveQuery,
@@ -556,12 +586,16 @@ impl<D: EvalDomain> CompiledEngine<D> {
         let mut class_sat: HashMap<Vec<u32>, D::Value> = HashMap::new();
         for idxs in connected_components(&atoms) {
             let ci = components.len();
-            let sub_atoms: Vec<PAtom> = idxs.iter().map(|&i| atoms[i].clone()).collect();
-            let sub_rels: Vec<RelId> = idxs.iter().map(|&i| rels[i]).collect();
-            let sub_scopes: Vec<Vec<FactId>> = idxs.iter().map(|&i| scopes[i].clone()).collect();
+            let picked: Vec<(&PAtom, RelId, &Vec<FactId>)> = idxs
+                .iter()
+                .filter_map(|&i| Some((atoms.get(i)?, *rels.get(i)?, scopes.get(i)?)))
+                .collect();
+            let sub_atoms: Vec<PAtom> = picked.iter().map(|p| p.0.clone()).collect();
+            let sub_rels: Vec<RelId> = picked.iter().map(|p| p.1).collect();
+            let sub_scopes: Vec<Vec<FactId>> = picked.iter().map(|p| p.2.clone()).collect();
             let endo = scope_endo_count(view, &sub_scopes);
             if sub_atoms.iter().all(|a| !a.has_vars()) {
-                let sat = eval_rec(&dom, view, &sub_atoms, &sub_scopes)?;
+                let tree = Tree::build(&dom, db, &sub_atoms, &sub_scopes)?;
                 for &f in sub_scopes.iter().flatten() {
                     if view.is_endo(f) {
                         locs.insert(f, Loc::Ground { comp: ci });
@@ -573,9 +607,9 @@ impl<D: EvalDomain> CompiledEngine<D> {
                     scopes: sub_scopes,
                     root: None,
                     endo,
-                    sat,
+                    sat: tree.sat(&dom, db),
                     env: dom.one(),
-                    kind: CompKind::Ground,
+                    kind: CompKind::Ground { tree },
                 });
                 continue;
             }
@@ -586,29 +620,38 @@ impl<D: EvalDomain> CompiledEngine<D> {
                 )
             })?;
             let candidates = root_candidates(view, root, &sub_atoms, &sub_scopes)?;
+            let by_root = RootGroups::new(view, root, &sub_atoms, &sub_scopes);
             let mut groups: Vec<RootGroup<D::Value>> = Vec::new();
             let mut grouped_endo = 0usize;
             for &c in &candidates {
                 let _group_span = Span::enter(obs_phase::COMPILE);
                 let g_atoms: Vec<PAtom> = sub_atoms.iter().map(|a| a.substitute(root, c)).collect();
-                let g_scopes = root_group_scopes(view, root, c, &sub_atoms, &sub_scopes);
+                let g_scopes = by_root.group(c);
                 let g_endo = scope_endo_count(view, &g_scopes);
                 let canon = Arc::new(canonical_form(db, &g_atoms, &g_scopes));
-                let sat_c = if dom.canon_determines_value() {
-                    match class_sat.get(canon.as_ref()) {
-                        Some(v) => {
-                            CLASS_MEMO_HIT.incr();
-                            v.clone()
-                        }
-                        None => {
-                            CLASS_MEMO_MISS.incr();
-                            let v = eval_rec(&dom, view, &g_atoms, &g_scopes)?;
-                            class_sat.insert(canon.as_ref().clone(), v.clone());
-                            v
-                        }
+                let tree = OnceLock::new();
+                let memoized = if dom.canon_determines_value() {
+                    let hit = class_sat.get(canon.as_ref()).cloned();
+                    if hit.is_some() {
+                        CLASS_MEMO_HIT.incr();
+                    } else {
+                        CLASS_MEMO_MISS.incr();
                     }
+                    hit
                 } else {
-                    eval_rec(&dom, view, &g_atoms, &g_scopes)?
+                    None
+                };
+                let sat_c = match memoized {
+                    Some(v) => v,
+                    None => {
+                        let built = Tree::build(&dom, db, &g_atoms, &g_scopes)?;
+                        let v = built.sat(&dom, db);
+                        if dom.canon_determines_value() {
+                            class_sat.insert(canon.as_ref().clone(), v.clone());
+                        }
+                        tree.get_or_init(|| built);
+                        v
+                    }
                 };
                 for &f in g_scopes.iter().flatten() {
                     if view.is_endo(f) {
@@ -631,6 +674,7 @@ impl<D: EvalDomain> CompiledEngine<D> {
                     unsat,
                     env: OnceLock::new(),
                     canon,
+                    tree,
                 });
             }
             let junk_endo = endo - grouped_endo;
@@ -677,9 +721,7 @@ impl<D: EvalDomain> CompiledEngine<D> {
         let mut next = 1 + components.len();
         for comp in &components {
             group_bucket_base.push(next);
-            if let CompKind::Rooted { groups, .. } = &comp.kind {
-                next += groups.len();
-            }
+            next += comp.groups().len();
         }
 
         // Unit values until `refresh_envs` computes the real ones (an
@@ -736,8 +778,7 @@ impl<D: EvalDomain> CompiledEngine<D> {
     /// bit-identical to that fresh compile.
     ///
     /// # Errors
-    /// Anything the evaluation recursion raises while re-evaluating the
-    /// touched root group.
+    /// Anything the touched root group's tree walk (or build) raises.
     fn update(&mut self, db: &Database, change: EngineUpdate) -> Result<bool, CoreError> {
         if resolution_fingerprint(db, &self.query) != self.fingerprint {
             return Ok(false);
@@ -782,16 +823,26 @@ impl<D: EvalDomain> CompiledEngine<D> {
         Placement::Free
     }
 
-    /// Re-runs the evaluation recursion for one root group and swaps
-    /// its updated `unsat` factor into the component's product: a zero
-    /// factor is only counted, a nonzero one is divided out or
-    /// multiplied in. Returns `false` when the division fails (never
-    /// for exact factors), so the caller recompiles.
-    fn recount_group(&mut self, db: &Database, ci: usize, gi: usize) -> Result<bool, CoreError> {
+    /// Applies `change` of fact `f` (of atom `ai`) to root group `gi`'s
+    /// tree — one leaf-to-root walk, or a build when the class memo
+    /// left the group without one — and swaps the group's updated
+    /// `unsat` factor into the component's product: a zero factor is
+    /// only counted, a nonzero one is divided out or multiplied in.
+    /// Returns `false` when the division fails (never for exact
+    /// factors), so the caller recompiles.
+    fn recount_group(
+        &mut self,
+        db: &Database,
+        (ci, gi): (usize, usize),
+        (f, ai): (FactId, usize),
+        change: Change,
+    ) -> Result<bool, CoreError> {
         let _span = Span::enter(obs_phase::RECOUNT);
         let view = MaskedDb::new(db, FactMask::None);
         let dom = &self.dom;
-        let comp = &mut self.components[ci];
+        let Some(comp) = self.components.get_mut(ci) else {
+            return Ok(false);
+        };
         let CompKind::Rooted {
             unsat_all,
             zeros,
@@ -801,11 +852,30 @@ impl<D: EvalDomain> CompiledEngine<D> {
         else {
             return Ok(false);
         };
-        let g = &mut groups[gi];
+        let Some(g) = groups.get_mut(gi) else {
+            return Ok(false);
+        };
         g.endo = scope_endo_count(view, &g.scopes);
         g.canon = Arc::new(canonical_form(db, &g.atoms, &g.scopes));
-        let sat_c = eval_rec(dom, view, &g.atoms, &g.scopes)?;
-        let unsat_old = std::mem::replace(&mut g.unsat, dom.complement(&sat_c, g.endo));
+        let unsat_new = match g.tree.get_mut() {
+            Some(tree) => {
+                let site = Site {
+                    db,
+                    atoms: &g.atoms,
+                    fact: f,
+                    atom: ai,
+                };
+                tree.update(dom, site, &g.scopes, change)?;
+                dom.complement(&tree.sat(dom, db), g.endo)
+            }
+            None => {
+                let built = Tree::build(dom, db, &g.atoms, &g.scopes)?;
+                let unsat = dom.complement(&built.sat(dom, db), g.endo);
+                g.tree = OnceLock::from(built);
+                unsat
+            }
+        };
+        let unsat_old = std::mem::replace(&mut g.unsat, unsat_new);
         if dom.is_zero(&unsat_old) {
             *zeros -= 1;
         } else {
@@ -823,19 +893,38 @@ impl<D: EvalDomain> CompiledEngine<D> {
         Ok(true)
     }
 
-    /// Re-runs the base case of a ground component.
-    fn recount_ground(&mut self, db: &Database, ci: usize) -> Result<(), CoreError> {
+    /// Applies `change` of fact `f` (of atom `ai`) to the fold of ground
+    /// component `ci`.
+    fn recount_ground(
+        &mut self,
+        db: &Database,
+        ci: usize,
+        (f, ai): (FactId, usize),
+        change: Change,
+    ) -> Result<(), CoreError> {
         let view = MaskedDb::new(db, FactMask::None);
-        let comp = &mut self.components[ci];
+        let comp = self.components.get_mut(ci).ok_or_else(stale_location)?;
+        let CompKind::Ground { tree } = &mut comp.kind else {
+            return Err(stale_location());
+        };
+        let site = Site {
+            db,
+            atoms: &comp.atoms,
+            fact: f,
+            atom: ai,
+        };
+        tree.update(&self.dom, site, &comp.scopes, change)?;
         comp.endo = scope_endo_count(view, &comp.scopes);
-        comp.sat = eval_rec(&self.dom, view, &comp.atoms, &comp.scopes)?;
+        comp.sat = tree.sat(&self.dom, db);
         Ok(())
     }
 
     /// Shifts a component's junk count by ±1 endogenous fact; the
     /// component's `outer` product is rebuilt around it.
     fn shift_junk(&mut self, ci: usize, grow: bool) {
-        let comp = &mut self.components[ci];
+        let Some(comp) = self.components.get_mut(ci) else {
+            return;
+        };
         if let CompKind::Rooted { junk_endo, .. } = &mut comp.kind {
             if grow {
                 *junk_endo += 1;
@@ -846,31 +935,46 @@ impl<D: EvalDomain> CompiledEngine<D> {
         comp.refresh_rooted(&self.dom);
     }
 
-    /// Where `f` sits inside component `ci`: in the root group for its
-    /// root value, or in the junk region (no such group).
+    /// Where `f` (of atom `ai`) sits inside rooted component `ci`: its
+    /// root value, and the root group for that value (`None`: the junk
+    /// region). `None` altogether for a ground component.
     fn rooted_slot(
         &self,
         db: &Database,
         ci: usize,
         ai: usize,
         f: FactId,
-    ) -> (ConstId, Option<usize>) {
-        let comp = &self.components[ci];
-        #[expect(
-            clippy::expect_used,
-            reason = "structural invariant: grouped components have their root assigned at compile time"
-        )]
-        let root = comp.root.expect("rooted component");
-        let value = comp.atoms[ai].value_of(root, db.fact(f).tuple.values());
-        #[expect(
-            clippy::unreachable,
-            reason = "structural invariant: grouped components have their root assigned at compile time"
-        )]
-        let CompKind::Rooted { groups, .. } = &comp.kind
-        else {
-            unreachable!("rooted component");
+    ) -> Option<(ConstId, Option<usize>)> {
+        let comp = self.components.get(ci)?;
+        let root = comp.root?;
+        let value = comp
+            .atoms
+            .get(ai)?
+            .value_of(root, db.fact(f).tuple.values());
+        Some((value, comp.groups().iter().position(|g| g.value == value)))
+    }
+
+    /// The scopes of component `ci`'s atom `ai`, and those of root group
+    /// `gi` when given.
+    fn scopes_mut(
+        &mut self,
+        ci: usize,
+        gi: Option<usize>,
+        ai: usize,
+    ) -> Result<(&mut Vec<FactId>, Option<&mut Vec<FactId>>), CoreError> {
+        let comp = self.components.get_mut(ci).ok_or_else(stale_location)?;
+        let scope = comp.scopes.get_mut(ai).ok_or_else(stale_location)?;
+        let group = match (gi, &mut comp.kind) {
+            (None, _) => None,
+            (Some(gi), CompKind::Rooted { groups, .. }) => Some(
+                groups
+                    .get_mut(gi)
+                    .and_then(|g| g.scopes.get_mut(ai))
+                    .ok_or_else(stale_location)?,
+            ),
+            (Some(_), CompKind::Ground { .. }) => return Err(stale_location()),
         };
-        (value, groups.iter().position(|g| g.value == value))
+        Ok((scope, group))
     }
 
     fn apply_insert(&mut self, db: &Database, f: FactId) -> Result<bool, CoreError> {
@@ -878,28 +982,19 @@ impl<D: EvalDomain> CompiledEngine<D> {
             return Ok(true); // free fact: only m / free_endo move
         };
         let endo = db.endo_index(f).is_some();
-        if self.components[ci].root.is_none() {
-            self.components[ci].scopes[ai].push(f);
+        let Some((value, slot)) = self.rooted_slot(db, ci, ai, f) else {
+            self.scopes_mut(ci, None, ai)?.0.push(f);
             if endo {
                 self.locs.insert(f, Loc::Ground { comp: ci });
             }
-            self.recount_ground(db, ci)?;
+            self.recount_ground(db, ci, (f, ai), Change::Insert)?;
             return Ok(true);
-        }
-        let (value, slot) = self.rooted_slot(db, ci, ai, f);
+        };
         match slot {
             Some(gi) => {
-                let comp = &mut self.components[ci];
-                comp.scopes[ai].push(f);
-                #[expect(
-                    clippy::unreachable,
-                    reason = "structural invariant: grouped components have their root assigned at compile time"
-                )]
-                let CompKind::Rooted { groups, .. } = &mut comp.kind
-                else {
-                    unreachable!("rooted component");
-                };
-                groups[gi].scopes[ai].push(f);
+                let (scope, group) = self.scopes_mut(ci, Some(gi), ai)?;
+                scope.push(f);
+                group.ok_or_else(stale_location)?.push(f);
                 if endo {
                     self.locs.insert(
                         f,
@@ -909,18 +1004,14 @@ impl<D: EvalDomain> CompiledEngine<D> {
                         },
                     );
                 }
-                self.recount_group(db, ci, gi)
+                self.recount_group(db, (ci, gi), (f, ai), Change::Insert)
             }
             None => {
                 // `f` itself supports its (positive) atom; if every
                 // other positive atom already has a fact with this root
                 // value, a brand-new root group forms — recompile.
-                let comp = &self.components[ci];
-                #[expect(
-                    clippy::expect_used,
-                    reason = "structural invariant: grouped components have their root assigned at compile time"
-                )]
-                let root = comp.root.expect("rooted component");
+                let comp = self.components.get(ci).ok_or_else(stale_location)?;
+                let root = comp.root.ok_or_else(stale_location)?;
                 let supported =
                     comp.atoms
                         .iter()
@@ -933,10 +1024,10 @@ impl<D: EvalDomain> CompiledEngine<D> {
                                     atom.value_of(root, db.fact(x).tuple.values()) == value
                                 })
                         });
-                if supported && !self.components[ci].atoms[ai].negated {
+                if supported && comp.atoms.get(ai).is_some_and(|a| !a.negated) {
                     return Ok(false);
                 }
-                self.components[ci].scopes[ai].push(f);
+                self.scopes_mut(ci, None, ai)?.0.push(f);
                 if endo {
                     self.locs.insert(f, Loc::Junk { comp: ci });
                     self.shift_junk(ci, true);
@@ -951,34 +1042,28 @@ impl<D: EvalDomain> CompiledEngine<D> {
             return Ok(true); // free fact
         };
         let was_endo = self.locs.remove(&f).is_some();
-        if self.components[ci].root.is_none() {
-            self.components[ci].scopes[ai].retain(|&x| x != f);
-            self.recount_ground(db, ci)?;
+        let Some((_, slot)) = self.rooted_slot(db, ci, ai, f) else {
+            self.scopes_mut(ci, None, ai)?.0.retain(|&x| x != f);
+            self.recount_ground(db, ci, (f, ai), Change::Retract { was_endo })?;
             return Ok(true);
-        }
-        let (_, slot) = self.rooted_slot(db, ci, ai, f);
-        self.components[ci].scopes[ai].retain(|&x| x != f);
-        match slot {
-            Some(gi) => {
-                let dies = {
-                    #[expect(
-                        clippy::unreachable,
-                        reason = "structural invariant: grouped components have their root assigned at compile time"
-                    )]
-                    let CompKind::Rooted { groups, .. } = &mut self.components[ci].kind
-                    else {
-                        unreachable!("rooted component");
-                    };
-                    let g = &mut groups[gi];
-                    g.scopes[ai].retain(|&x| x != f);
-                    !g.atoms[ai].negated && g.scopes[ai].is_empty()
-                };
-                if dies {
+        };
+        let (scope, group) = self.scopes_mut(ci, slot, ai)?;
+        scope.retain(|&x| x != f);
+        match (slot, group) {
+            (Some(gi), Some(group)) => {
+                group.retain(|&x| x != f);
+                let emptied = group.is_empty();
+                let positive = self
+                    .components
+                    .get(ci)
+                    .and_then(|c| c.atoms.get(ai))
+                    .is_some_and(|a| !a.negated);
+                if positive && emptied {
                     return Ok(false); // the root group lost its support
                 }
-                self.recount_group(db, ci, gi)
+                self.recount_group(db, (ci, gi), (f, ai), Change::Retract { was_endo })
             }
-            None => {
+            _ => {
                 if was_endo {
                     self.shift_junk(ci, false);
                 }
@@ -991,16 +1076,15 @@ impl<D: EvalDomain> CompiledEngine<D> {
         let Placement::Component { comp: ci, atom: ai } = self.place(db, f) else {
             return Ok(true); // free fact
         };
-        if self.components[ci].root.is_none() {
+        let Some((_, slot)) = self.rooted_slot(db, ci, ai, f) else {
             if endo_now {
                 self.locs.insert(f, Loc::Ground { comp: ci });
             } else {
                 self.locs.remove(&f);
             }
-            self.recount_ground(db, ci)?;
+            self.recount_ground(db, ci, (f, ai), Change::Flip)?;
             return Ok(true);
-        }
-        let (_, slot) = self.rooted_slot(db, ci, ai, f);
+        };
         match slot {
             Some(gi) => {
                 if endo_now {
@@ -1014,7 +1098,7 @@ impl<D: EvalDomain> CompiledEngine<D> {
                 } else {
                     self.locs.remove(&f);
                 }
-                self.recount_group(db, ci, gi)
+                self.recount_group(db, (ci, gi), (f, ai), Change::Flip)
             }
             None => {
                 if endo_now {
@@ -1045,7 +1129,10 @@ impl<D: EvalDomain> CompiledEngine<D> {
         match self.locs.get(&f) {
             None | Some(Loc::Junk { .. }) => 0,
             Some(&Loc::Ground { comp }) => 1 + comp,
-            Some(&Loc::Grouped { comp, group }) => self.group_bucket_base[comp] + group,
+            Some(&Loc::Grouped { comp, group }) => self
+                .group_bucket_base
+                .get(comp)
+                .map_or(0, |base| base + group),
         }
     }
 
@@ -1072,11 +1159,7 @@ impl<D: EvalDomain> CompiledEngine<D> {
                 Ok((v.clone(), v))
             }
             Some(&Loc::Junk { comp }) => {
-                let c = &self.components[comp];
-                #[expect(
-                    clippy::unreachable,
-                    reason = "structural invariant: junk locs always point at rooted components"
-                )]
+                let c = self.components.get(comp).ok_or_else(stale_location)?;
                 let CompKind::Rooted {
                     junk_endo,
                     unsat_all,
@@ -1084,7 +1167,7 @@ impl<D: EvalDomain> CompiledEngine<D> {
                     ..
                 } = &c.kind
                 else {
-                    unreachable!("junk loc points at a rooted component");
+                    return Err(stale_location());
                 };
                 let comp_unsat = if *zeros == 0 {
                     self.dom.combine(unsat_all, &self.dom.free(junk_endo - 1))
@@ -1096,27 +1179,16 @@ impl<D: EvalDomain> CompiledEngine<D> {
                 Ok((v.clone(), v))
             }
             Some(&Loc::Ground { comp }) => {
-                let c = &self.components[comp];
-                let (sat_minus, sat_plus) = self.masked_sat_pair(db, &c.atoms, &c.scopes, f)?;
+                let (sat_minus, sat_plus) = self.ground_pair(db, comp, f)?;
+                let c = self.components.get(comp).ok_or_else(stale_location)?;
                 Ok((
                     self.dom.combine(&c.env, &sat_minus),
                     self.dom.combine(&c.env, &sat_plus),
                 ))
             }
             Some(&Loc::Grouped { comp, group }) => {
-                let (sat_minus, sat_plus) = {
-                    #[expect(
-                        clippy::unreachable,
-                        reason = "structural invariant: grouped locs always point at rooted components"
-                    )]
-                    let CompKind::Rooted { groups, .. } = &self.components[comp].kind
-                    else {
-                        unreachable!("grouped loc points at a rooted component");
-                    };
-                    let g = &groups[group];
-                    self.masked_sat_pair(db, &g.atoms, &g.scopes, f)?
-                };
-                self.lift_group_pair(comp, group, (sat_minus, sat_plus))
+                let pair = self.group_pair(db, comp, group, f)?;
+                self.lift_group_pair(comp, group, pair)
             }
         }
     }
@@ -1129,11 +1201,8 @@ impl<D: EvalDomain> CompiledEngine<D> {
         gi: usize,
         pair: (D::Value, D::Value),
     ) -> Result<(D::Value, D::Value), CoreError> {
-        let c = &self.components[ci];
-        let CompKind::Rooted { groups, .. } = &c.kind else {
-            return Err(env_unavailable());
-        };
-        let g = &groups[gi];
+        let c = self.components.get(ci).ok_or_else(stale_location)?;
+        let g = c.groups().get(gi).ok_or_else(stale_location)?;
         let genv = g
             .env
             .get_or_init(|| self.group_env(ci, gi))
@@ -1156,7 +1225,7 @@ impl<D: EvalDomain> CompiledEngine<D> {
     /// consistent product never does.
     fn group_env(&self, ci: usize, gi: usize) -> Option<D::Value> {
         let _span = Span::enter(obs_phase::CLASS_ENV);
-        let c = &self.components[ci];
+        let c = self.components.get(ci)?;
         let CompKind::Rooted {
             zeros,
             outer,
@@ -1174,34 +1243,59 @@ impl<D: EvalDomain> CompiledEngine<D> {
         }
     }
 
-    /// Runs the group/component recursion under the two per-fact masks:
-    /// returns `(sat with f removed, sat with f exogenized)` (for
-    /// counting, both of length `endo` — the group's endogenous count
-    /// drops by one).
-    fn masked_sat_pair(
+    /// Ground component `ci`'s satisfying values with `f` removed and
+    /// with it exogenized (for counting, both of length `endo`).
+    fn ground_pair(
         &self,
         db: &Database,
-        atoms: &[PAtom],
-        scopes: &[Vec<FactId>],
+        ci: usize,
         f: FactId,
     ) -> Result<(D::Value, D::Value), CoreError> {
-        let removed: Vec<Vec<FactId>> = scopes
-            .iter()
-            .map(|s| s.iter().copied().filter(|&x| x != f).collect())
-            .collect();
-        let sat_minus = eval_rec(
-            &self.dom,
-            MaskedDb::new(db, FactMask::Removed(f)),
-            atoms,
-            &removed,
-        )?;
-        let sat_plus = eval_rec(
-            &self.dom,
-            MaskedDb::new(db, FactMask::Exogenous(f)),
-            atoms,
-            scopes,
-        )?;
-        Ok((sat_minus, sat_plus))
+        let c = self.components.get(ci).ok_or_else(stale_location)?;
+        let CompKind::Ground { tree } = &c.kind else {
+            return Err(stale_location());
+        };
+        let (atom, _) = role_of(&c.scopes, f).ok_or_else(stale_location)?;
+        let site = Site {
+            db,
+            atoms: &c.atoms,
+            fact: f,
+            atom,
+        };
+        tree.masked_pair(&self.dom, &site)
+    }
+
+    /// Root group `gi`'s satisfying values with `f` removed and with it
+    /// exogenized (for counting, both of length `endo` — the group's
+    /// endogenous count drops by one): one walk of the group's tree,
+    /// built first if the class memo left the group without one.
+    fn group_pair(
+        &self,
+        db: &Database,
+        ci: usize,
+        gi: usize,
+        f: FactId,
+    ) -> Result<(D::Value, D::Value), CoreError> {
+        let g = self
+            .components
+            .get(ci)
+            .and_then(|c| c.groups().get(gi))
+            .ok_or_else(stale_location)?;
+        let tree = match g.tree.get() {
+            Some(tree) => tree,
+            None => {
+                let built = Tree::build(&self.dom, db, &g.atoms, &g.scopes)?;
+                g.tree.get_or_init(|| built)
+            }
+        };
+        let (atom, _) = role_of(&g.scopes, f).ok_or_else(stale_location)?;
+        let site = Site {
+            db,
+            atoms: &g.atoms,
+            fact: f,
+            atom,
+        };
+        tree.masked_pair(&self.dom, &site)
     }
 
     fn check_endogenous(&self, db: &Database, f: FactId) -> Result<(), CoreError> {
@@ -1276,8 +1370,7 @@ impl CompiledCount {
     /// successful update are bit-identical to that fresh compile.
     ///
     /// # Errors
-    /// Anything the counting recursion raises while re-counting the
-    /// touched root group.
+    /// Anything the touched root group's tree walk (or build) raises.
     pub fn update(&mut self, db: &Database, change: EngineUpdate) -> Result<bool, CoreError> {
         let _span = Span::enter(obs_phase::UPDATE);
         if !self.eng.update(db, change)? {
@@ -1344,31 +1437,20 @@ impl CompiledCount {
         if self.is_structurally_null(f) {
             return Ok(BigInt::zero());
         }
-        #[expect(
-            clippy::expect_used,
-            reason = "the structurally-null check above guarantees f is in the loc map"
-        )]
-        let (comp, class, (sat_minus, sat_plus)) =
-            match *self.eng.locs.get(&f).expect("checked non-null") {
-                Loc::Ground { comp } => {
-                    let c = &self.eng.components[comp];
-                    (
-                        comp,
-                        0,
-                        self.eng.masked_sat_pair(db, &c.atoms, &c.scopes, f)?,
-                    )
-                }
-                Loc::Grouped { comp, group } => (
-                    comp,
-                    self.classes[comp].class_of[group],
-                    self.cached_group_pair(db, comp, group, f)?,
-                ),
-                #[expect(
-                    clippy::unreachable,
-                    reason = "junk facts are structurally null and were returned above"
-                )]
-                Loc::Junk { .. } => unreachable!("junk is structurally null"),
-            };
+        let (comp, class, (sat_minus, sat_plus)) = match self.eng.locs.get(&f) {
+            Some(&Loc::Ground { comp }) => (comp, 0, self.eng.ground_pair(db, comp, f)?),
+            Some(&Loc::Grouped { comp, group }) => {
+                let class = self
+                    .classes
+                    .get(comp)
+                    .and_then(|layout| layout.class_of.get(group))
+                    .copied()
+                    .ok_or_else(stale_location)?;
+                (comp, class, self.cached_group_pair(db, comp, group, f)?)
+            }
+            // Junk and free facts are structurally null, returned above.
+            Some(Loc::Junk { .. }) | None => return Ok(BigInt::zero()),
+        };
         debug_assert_eq!(sat_minus.len(), sat_plus.len());
         let d: Vec<BigInt> = sat_plus
             .iter()
@@ -1396,15 +1478,19 @@ impl CompiledCount {
     /// by the first report that needs it, times the component's own
     /// `env` when that is not the unit.
     fn class_env(&self, comp: usize, class: usize) -> Result<&[BigUint], CoreError> {
-        let c = &self.eng.components[comp];
+        let c = self.eng.components.get(comp).ok_or_else(stale_location)?;
         if !matches!(c.kind, CompKind::Rooted { .. }) {
             return Ok(&c.env);
         }
-        let layout = &self.classes[comp];
-        layout.envs[class]
+        let layout = self.classes.get(comp).ok_or_else(stale_location)?;
+        let rep = *layout.reps.get(class).ok_or_else(stale_location)?;
+        layout
+            .envs
+            .get(class)
+            .ok_or_else(stale_location)?
             .get_or_init(|| {
-                let genv = self.eng.group_env(comp, layout.reps[class])?;
-                if c.env.len() == 1 && c.env[0].is_one() {
+                let genv = self.eng.group_env(comp, rep)?;
+                if matches!(c.env.as_slice(), [unit] if unit.is_one()) {
                     return Some(genv);
                 }
                 let _span = Span::enter(obs_phase::CONTRACT);
@@ -1434,7 +1520,7 @@ impl CompiledCount {
             } else {
                 &mut plus
             };
-            let outs = env.iter().zip(&mut lifted[j..]);
+            let outs = env.iter().zip(lifted.iter_mut().skip(j));
             match dj.magnitude().to_u64() {
                 Some(word) => outs.for_each(|(e, out)| out.add_mul_u64_assign(e, word)),
                 None => outs
@@ -1471,8 +1557,8 @@ impl CompiledCount {
         self.eng.value_pair(db, f)
     }
 
-    /// [`CompiledEngine::masked_sat_pair`] for a grouped fact, memoized
-    /// by `(group isomorphism class, role of f)`: uniform workloads
+    /// [`CompiledEngine::group_pair`] for a grouped fact, memoized by
+    /// `(group isomorphism class, role of f)`: uniform workloads
     /// recount one representative per class instead of every fact, and
     /// concurrent report lanes asking for one key recount it once. The
     /// memo is sound because counting values are canon-determined —
@@ -1484,30 +1570,18 @@ impl CompiledCount {
         gi: usize,
         f: FactId,
     ) -> Result<(Vec<BigUint>, Vec<BigUint>), CoreError> {
-        #[expect(
-            clippy::unreachable,
-            reason = "structural invariant: grouped locs always point at rooted components"
-        )]
-        let CompKind::Rooted { groups, .. } = &self.eng.components[ci].kind
-        else {
-            unreachable!("grouped loc points at a rooted component");
-        };
-        let g = &groups[gi];
-        #[expect(
-            clippy::expect_used,
-            reason = "a grouped fact appears in its own component scope by construction"
-        )]
-        let role = g
-            .scopes
-            .iter()
-            .enumerate()
-            .find_map(|(ai, scope)| scope.iter().position(|&x| x == f).map(|pos| (ai, pos)))
-            .expect("grouped fact sits in one scope");
-        let key = (g.canon.clone(), role.0, role.1);
+        let g = self
+            .eng
+            .components
+            .get(ci)
+            .and_then(|c| c.groups().get(gi))
+            .ok_or_else(stale_location)?;
+        let (atom, pos) = role_of(&g.scopes, f).ok_or_else(stale_location)?;
+        let key = (g.canon.clone(), atom, pos);
         let (pair, hit) = self.pairs.get_or_try_insert_with(key, || {
             RECOUNT_CACHE_MISS.incr();
             let _span = Span::enter(obs_phase::RECOUNT);
-            self.eng.masked_sat_pair(db, &g.atoms, &g.scopes, f)
+            self.eng.group_pair(db, ci, gi, f)
         })?;
         if hit {
             RECOUNT_CACHE_HIT.incr();
@@ -1563,7 +1637,7 @@ impl CompiledProbability {
     }
 
     /// The conditionals `(Pr[q | f absent], Pr[q | f present])`, by
-    /// masked re-evaluation of `f`'s root group only.
+    /// one masked walk of `f`'s root group's tree.
     ///
     /// # Errors
     /// [`CoreError::FactNotEndogenous`] if `f ∉ Dn`.
@@ -1594,8 +1668,7 @@ impl CompiledProbability {
     /// override.
     ///
     /// # Errors
-    /// Anything the evaluation recursion raises while re-evaluating the
-    /// touched root group.
+    /// Anything the touched root group's tree walk (or build) raises.
     pub fn update(&mut self, db: &Database, change: EngineUpdate) -> Result<bool, CoreError> {
         let _span = Span::enter(obs_phase::UPDATE);
         self.eng.update(db, change)

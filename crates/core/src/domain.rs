@@ -29,14 +29,13 @@
 //!   served by the counting engine's compile (see
 //!   [`crate::compiled::CompiledProbability`]).
 //!
-//! The generic recursion (`eval_rec`) is the single implementation
-//! behind [`crate::satcount::count_sat_hierarchical`] and the compiled
-//! engines; the hard-wired `BigUint` paths of earlier revisions are
-//! gone.
-#![expect(
-    clippy::indexing_slicing,
-    reason = "evaluation tables are indexed by positions assigned at compile"
-)]
+//! The generic recursion (`eval_rec`) evaluates a query from scratch: it
+//! is the implementation behind
+//! [`crate::satcount::count_sat_hierarchical`] and the oracle the tests
+//! hold the compiled engines to. The compiled engines evaluate the same
+//! recursion compiled once into trees (`crate::tree`), so a per-fact
+//! recount or an update walks one leaf-to-root path instead of
+//! re-running it.
 
 use std::collections::HashMap;
 
@@ -48,7 +47,7 @@ use crate::budget;
 use crate::error::CoreError;
 use crate::satcount::{
     complement_counts, connected_components, find_root_var, resolve_query, root_candidates,
-    root_group_scopes, scope_endo_count, MaskedDb, PAtom, ResolvedQuery,
+    scope_endo_count, MaskedDb, PAtom, ResolvedQuery, RootGroups,
 };
 
 /// The value algebra of the `CntSat`/lifted-inference recursion.
@@ -152,20 +151,22 @@ pub trait EvalDomain: Sync {
         phase: &'static str,
     ) -> Result<Vec<Self::Value>, CoreError> {
         let _ = (threads, phase);
-        let n = factors.len();
-        let mut prefix = Vec::with_capacity(n + 1);
-        prefix.push(seed.clone());
-        for i in 0..n {
-            let next = self.combine(&prefix[i], factors[i]);
-            prefix.push(next);
+        // prefixes[i] = seed ⊛ factors[..i]; the suffix products are
+        // folded from the right while the environments are emitted.
+        let mut prefixes = Vec::with_capacity(factors.len());
+        let mut acc = seed.clone();
+        for &factor in factors {
+            let next = self.combine(&acc, factor);
+            prefixes.push(std::mem::replace(&mut acc, next));
         }
-        let mut suffix = vec![self.one(); n + 1];
-        for i in (0..n).rev() {
-            suffix[i] = self.combine(&suffix[i + 1], factors[i]);
+        let mut suffix = self.one();
+        let mut envs = Vec::with_capacity(factors.len());
+        for (&factor, prefix) in factors.iter().zip(prefixes).rev() {
+            envs.push(self.combine(&prefix, &suffix));
+            suffix = self.combine(&suffix, factor);
         }
-        Ok((0..n)
-            .map(|i| self.combine(&prefix[i], &suffix[i + 1]))
-            .collect())
+        envs.reverse();
+        Ok(envs)
     }
 
     /// Do isomorphic fact groups (equal canonical forms: constants
@@ -506,8 +507,12 @@ pub(crate) fn eval_rec<D: EvalDomain>(
     if components.len() > 1 {
         let mut acc = dom.one();
         for comp in components {
-            let sub_atoms: Vec<PAtom> = comp.iter().map(|&i| atoms[i].clone()).collect();
-            let sub_scopes: Vec<Vec<FactId>> = comp.iter().map(|&i| scopes[i].clone()).collect();
+            let sub_atoms: Vec<PAtom> =
+                comp.iter().filter_map(|&i| atoms.get(i).cloned()).collect();
+            let sub_scopes: Vec<Vec<FactId>> = comp
+                .iter()
+                .filter_map(|&i| scopes.get(i).cloned())
+                .collect();
             let sub = eval_rec(dom, view, &sub_atoms, &sub_scopes)?;
             acc = dom.combine(&acc, &sub);
         }
@@ -522,12 +527,13 @@ pub(crate) fn eval_rec<D: EvalDomain>(
         )
     })?;
     let candidates = root_candidates(view, root, atoms, scopes)?;
+    let by_root = RootGroups::new(view, root, atoms, scopes);
 
     let mut unsat = dom.one();
     let mut grouped_endo = 0usize;
     for &c in &candidates {
         let sub_atoms: Vec<PAtom> = atoms.iter().map(|a| a.substitute(root, c)).collect();
-        let sub_scopes: Vec<Vec<FactId>> = root_group_scopes(view, root, c, atoms, scopes);
+        let sub_scopes = by_root.group(c);
         let group_endo = scope_endo_count(view, &sub_scopes);
         grouped_endo += group_endo;
         let sat_c = eval_rec(dom, view, &sub_atoms, &sub_scopes)?;

@@ -72,6 +72,7 @@ pub mod relevance;
 pub mod satcount;
 pub mod session;
 pub mod shapley;
+pub(crate) mod tree;
 pub mod wsms;
 
 pub use anyquery::AnyQuery;

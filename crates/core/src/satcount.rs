@@ -27,10 +27,6 @@
 //! [`BruteForceCounter`] enumerates all `2^|Dn|` worlds and serves as the
 //! oracle for the provably `FP^{#P}`-hard queries (at small scale) and as
 //! the ground truth in tests.
-#![expect(
-    clippy::indexing_slicing,
-    reason = "world enumeration indexes count arrays sized bits+1 up front"
-)]
 
 use cqshap_db::{ConstId, Database, FactId, FactMask, World};
 use cqshap_numeric::BigUint;
@@ -405,56 +401,87 @@ pub(crate) fn root_candidates(
         .ok_or_else(|| CoreError::Unsupported("connected sub-query with no positive atom".into()))
 }
 
-/// The per-atom scopes of the root-value-`c` group.
-pub(crate) fn root_group_scopes(
-    view: MaskedDb<'_>,
-    root: u32,
-    c: ConstId,
-    atoms: &[PAtom],
-    scopes: &[Vec<FactId>],
-) -> Vec<Vec<FactId>> {
-    atoms
-        .iter()
-        .zip(scopes)
-        .map(|(atom, scope)| {
-            scope
-                .iter()
-                .copied()
-                .filter(|&f| atom.value_of(root, view.db.fact(f).tuple.values()) == c)
-                .collect()
-        })
-        .collect()
+/// The per-atom scopes of every root value's group, partitioned by one
+/// sort of a sub-query's scope facts on their root value (each group
+/// keeps the scope order).
+pub(crate) struct RootGroups {
+    atoms: usize,
+    /// `(root value, atom, fact)`, ordered by root value.
+    facts: Vec<(ConstId, usize, FactId)>,
 }
 
-/// Connected components of atoms under the shares-a-variable relation.
-pub(crate) fn connected_components(atoms: &[PAtom]) -> Vec<Vec<usize>> {
-    let n = atoms.len();
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut Vec<usize>, a: usize) -> usize {
-        if parent[a] == a {
-            a
-        } else {
-            let r = find(parent, parent[a]);
-            parent[a] = r;
-            r
+impl RootGroups {
+    /// Partitions `scopes` by the value each fact gives `root`.
+    pub(crate) fn new(
+        view: MaskedDb<'_>,
+        root: u32,
+        atoms: &[PAtom],
+        scopes: &[Vec<FactId>],
+    ) -> Self {
+        let mut facts: Vec<(ConstId, usize, FactId)> = atoms
+            .iter()
+            .zip(scopes)
+            .enumerate()
+            .flat_map(|(i, (atom, scope))| {
+                scope.iter().map(move |&f| {
+                    let c = atom.value_of(root, view.db.fact(f).tuple.values());
+                    (c, i, f)
+                })
+            })
+            .collect();
+        // Stable: within a root value, atoms and scopes keep their order.
+        facts.sort_by_key(|&(c, _, _)| c);
+        RootGroups {
+            atoms: atoms.len(),
+            facts,
         }
     }
-    for i in 0..n {
-        for j in i + 1..n {
-            let vi = atoms[i].vars();
-            let shares = atoms[j].vars().iter().any(|v| vi.binary_search(v).is_ok());
-            if shares {
-                let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-                if ri != rj {
-                    parent[ri] = rj;
+
+    /// The per-atom scopes of the root-value-`c` group.
+    pub(crate) fn group(&self, c: ConstId) -> Vec<Vec<FactId>> {
+        let mut scopes = vec![Vec::new(); self.atoms];
+        let start = self.facts.partition_point(|&(v, _, _)| v < c);
+        let group = self
+            .facts
+            .iter()
+            .skip(start)
+            .take_while(|&&(v, _, _)| v == c);
+        for &(_, i, f) in group {
+            if let Some(scope) = scopes.get_mut(i) {
+                scope.push(f);
+            }
+        }
+        scopes
+    }
+}
+
+/// Connected components of atoms under the shares-a-variable relation,
+/// ordered by each component's union-find representative.
+pub(crate) fn connected_components(atoms: &[PAtom]) -> Vec<Vec<usize>> {
+    let vars: Vec<Vec<u32>> = atoms.iter().map(PAtom::vars).collect();
+    let mut parent: Vec<usize> = (0..atoms.len()).collect();
+    let find = |parent: &[usize], mut a: usize| {
+        while let Some(&p) = parent.get(a) {
+            if p == a {
+                break;
+            }
+            a = p;
+        }
+        a
+    };
+    for (i, vi) in vars.iter().enumerate() {
+        for (j, vj) in vars.iter().enumerate().skip(i + 1) {
+            if vj.iter().any(|v| vi.binary_search(v).is_ok()) {
+                let (ri, rj) = (find(&parent, i), find(&parent, j));
+                if let Some(p) = parent.get_mut(ri) {
+                    *p = rj;
                 }
             }
         }
     }
     let mut comps: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
-    for i in 0..n {
-        let r = find(&mut parent, i);
-        comps.entry(r).or_default().push(i);
+    for i in 0..atoms.len() {
+        comps.entry(find(&parent, i)).or_default().push(i);
     }
     comps.into_values().collect()
 }
@@ -560,7 +587,9 @@ impl BruteForceCounter {
                 }
                 world.assign_mask(expand(e));
                 if compiled.satisfied(db, &world) {
-                    counts[e.count_ones() as usize] += 1;
+                    if let Some(count) = counts.get_mut(e.count_ones() as usize) {
+                        *count += 1;
+                    }
                 }
             }
             counts
@@ -570,8 +599,8 @@ impl BruteForceCounter {
         }
         let mut out = vec![BigUint::zero(); bits + 1];
         for counts in per_thread {
-            for (k, c) in counts.into_iter().enumerate() {
-                out[k] += &BigUint::from_u64(c);
+            for (total, c) in out.iter_mut().zip(counts) {
+                *total += &BigUint::from_u64(c);
             }
         }
         Ok(out)

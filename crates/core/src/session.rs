@@ -27,8 +27,9 @@
 //! [`ShapleySession::insert_fact`], [`ShapleySession::retract_fact`],
 //! and [`ShapleySession::set_exogenous`] can mutate it in place (fact
 //! ids stay stable — see [`Database::retract_fact`]) and *maintain* the
-//! compiled terms across the update in both domains: only the touched
-//! root group's counting recursion re-runs, the cached leave-one-out
+//! compiled terms across the update in both domains: the update walks
+//! one leaf-to-root path of the touched root group's compiled
+//! recursion tree, the cached leave-one-out
 //! environments are patched by exact factor swaps, and the weight
 //! correlations are refreshed in parallel (see
 //! [`CompiledCount::update`]). Structural drift — a root group

@@ -24,11 +24,14 @@ pub const REPORT: &str = "report";
 /// `ShapleySession::report_tiered`: the graceful-degradation ladder.
 pub const REPORT_TIERED: &str = "report-tiered";
 
-/// Compiled-engine circuit build (per root group).
+/// Compiled-engine build of one root group's recursion tree (or its
+/// class-memo lookup).
 pub const COMPILE: &str = "compile";
 /// Compiled-engine incremental update after an endogenous/exogenous flip.
 pub const UPDATE: &str = "update";
-/// Compiled-engine masked recount pass (per root group).
+/// Compiled-engine masked recount: one walk from a fact's leaf to its
+/// root group's tree root (report misses of the recount memo, and
+/// updates).
 pub const RECOUNT: &str = "recount";
 /// Compiled-engine component complement `C(endo, k) − unsat_k` (compile
 /// and update).
@@ -105,6 +108,11 @@ pub const CTR_CLASS_MEMO_MISS: &str = "compiled.class-memo.miss";
 pub const CTR_RECOUNT_CACHE_HIT: &str = "compiled.recount-cache.hit";
 /// Masked-recount cache misses (root groups recounted).
 pub const CTR_RECOUNT_CACHE_MISS: &str = "compiled.recount-cache.miss";
+/// Levels of a compiled recursion tree visited by masked walks and
+/// updates (one per node on the path from a fact's leaf to its root
+/// group). Host-independent; recorded only when a recorder is
+/// installed.
+pub const CTR_PATH_STEPS: &str = "compiled.path-steps";
 
 /// Shapley-numerator memo hits (a `(weight class, difference)` pair
 /// already contracted).
