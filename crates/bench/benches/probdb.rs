@@ -1,16 +1,31 @@
 //! E12 timing: lifted probabilistic inference (Section 4.3 /
-//! Theorem 4.10).
+//! Theorem 4.10), one prepared session and probability read per
+//! iteration.
 
 use std::time::Duration;
 
-use cqshap_probdb::ProbDatabase;
+use cqshap_core::{AnyQuery, ShapleyOptions, ShapleySession};
+use cqshap_db::Database;
+use cqshap_numeric::BigRational;
+use cqshap_query::ConjunctiveQuery;
 use cqshap_workloads::academic::{citations_query, AcademicConfig};
 use cqshap_workloads::queries;
 use cqshap_workloads::university::UniversityConfig;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
+/// `Pr[D ⊨ q]` with every endogenous fact present with probability
+/// `p`: the session resolves the route (lifted inference, or the
+/// `ExoShap` rewriting first) and compiles the probability terms.
+fn probability(db: &Database, q: &ConjunctiveQuery, p: &BigRational) -> BigRational {
+    let options = ShapleyOptions::auto().tuple_budget(10_000_000);
+    let mut session = ShapleySession::prepare(db, AnyQuery::Cq(q), &options).unwrap();
+    session.set_default_probability(p.clone()).unwrap();
+    session.probability().unwrap()
+}
+
 fn bench_lifted_hierarchical(c: &mut Criterion) {
     let q1 = queries::q1();
+    let p = BigRational::from_i64_ratio(1, 2);
     let mut group = c.benchmark_group("probdb/lifted_hierarchical");
     for students in [16usize, 64, 256] {
         let db = UniversityConfig {
@@ -21,9 +36,8 @@ fn bench_lifted_hierarchical(c: &mut Criterion) {
             ..Default::default()
         }
         .generate();
-        let pdb = ProbDatabase::new(db, 0.5);
-        group.bench_with_input(BenchmarkId::from_parameter(students), &pdb, |b, pdb| {
-            b.iter(|| pdb.query_probability(&q1).unwrap())
+        group.bench_with_input(BenchmarkId::from_parameter(students), &db, |b, db| {
+            b.iter(|| probability(db, &q1, &p))
         });
     }
     group.finish();
@@ -31,6 +45,7 @@ fn bench_lifted_hierarchical(c: &mut Criterion) {
 
 fn bench_theorem_4_10(c: &mut Criterion) {
     let q = citations_query();
+    let p = BigRational::from_i64_ratio(7, 20);
     let mut group = c.benchmark_group("probdb/rewrite_then_lift");
     for authors in [8usize, 32, 64] {
         let db = AcademicConfig {
@@ -39,12 +54,8 @@ fn bench_theorem_4_10(c: &mut Criterion) {
             ..Default::default()
         }
         .generate();
-        let pdb = ProbDatabase::new(db, 0.35);
-        group.bench_with_input(BenchmarkId::from_parameter(authors), &pdb, |b, pdb| {
-            b.iter(|| {
-                pdb.query_probability_with_rewriting(&q, 10_000_000)
-                    .unwrap()
-            })
+        group.bench_with_input(BenchmarkId::from_parameter(authors), &db, |b, db| {
+            b.iter(|| probability(db, &q, &p))
         });
     }
     group.finish();

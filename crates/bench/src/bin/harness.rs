@@ -27,7 +27,7 @@
 //! vs Karatsuba vs NTT sequentially plus thread-scaling rows for the
 //! parallel tree, written to `BENCH_poly.json`.
 //!
-//! `bench-report --probdb` measures the unified probability path — the
+//! `bench-report --probdb` measures a session's probability reads — the
 //! compiled engine instantiated at the tuple-independent probability
 //! domain, maintained incrementally across updates — against the seed
 //! lifted-inference traversal re-run from scratch per answer, and
@@ -72,14 +72,13 @@ use cqshap_core::relevance::{
 };
 use cqshap_core::{
     rewrite, shapley_by_permutations, shapley_report, shapley_report_union, shapley_value,
-    shapley_via_counts, AnyQuery, BruteForceCounter, CoreError, ShapleyOptions, ShapleySession,
-    Strategy, TierPolicy, TieredAnswer,
+    shapley_via_counts, AnyQuery, BruteForceCounter, CoreError, ResolvedStrategy, ShapleyOptions,
+    ShapleySession, Strategy, TierPolicy, TieredAnswer,
 };
 use cqshap_db::{Database, World};
 use cqshap_gadgets::coloring::{coloring_to_3p2n, to_224};
 use cqshap_gadgets::{embed, prop55, prop58, reduction_rst};
 use cqshap_numeric::BigRational;
-use cqshap_probdb::ProbDatabase;
 use cqshap_query::{classify_with_exo, parse_cq};
 use cqshap_workloads::academic::AcademicConfig;
 use cqshap_workloads::exports::ExportsConfig;
@@ -740,14 +739,13 @@ fn bench_session(quick: bool, out_path: &str) {
     println!("wrote {out_path}");
 }
 
-/// The `--probdb` mode of `bench-report`: the unified probability path
+/// The `--probdb` mode of `bench-report`: a session's probability reads
 /// against the seed lifted-inference traversal, on the probabilistic
 /// analogue of the all-facts report — `Pr[D ⊨ q]` plus the expected
 /// marginal `Pr[q | f present] − Pr[q | f absent]` of every endogenous
-/// fact. The unified sample compiles one
-/// [`cqshap_core::CompiledProbability`] engine
-/// and serves all `m` marginals from its cached leave-one-out
-/// environments (compile included in the timed total); the seed sample
+/// fact. The unified sample's first read compiles the session's plan at
+/// the probability domain, and every marginal is served from its cached
+/// leave-one-out environments (compile included in the timed total); the seed sample
 /// answers the same report by re-running the `oracle_probability`
 /// traversal from scratch per conditioning — `2m + 1` full traversals,
 /// forcing a fact by pinning its probability to 1 or 0. Probabilities
@@ -760,37 +758,38 @@ fn bench_session(quick: bool, out_path: &str) {
 /// in quick mode at `m = 1024`; quick mode (CI) drops the `m = 4096`
 /// row entirely (its unified report alone costs ~40 s).
 fn bench_probdb(quick: bool, out_path: &str) {
-    use cqshap_core::{
-        probability_by_enumeration, CompiledProbability, EngineUpdate, FactProbabilities,
-    };
-    use cqshap_db::Provenance;
-    use cqshap_probdb::reference::oracle_probability;
+    use cqshap_core::probability_by_enumeration;
+    use cqshap_core::reference::oracle_probability;
 
     const DYADIC: &[(i64, i64)] = &[(1, 2), (1, 4), (3, 4), (1, 8), (5, 8), (7, 8)];
-    fn probs_for(db: &Database) -> FactProbabilities {
-        let mut probs = FactProbabilities::uniform(BigRational::from_i64_ratio(1, 2));
+    /// A session on `db` with the dyadic probabilities cycled over `Dn`.
+    fn session_for(db: &Database, q: &cqshap_query::ConjunctiveQuery) -> ShapleySession {
+        let mut session = ShapleySession::prepare(db, AnyQuery::Cq(q), &ShapleyOptions::auto())
+            .expect("hierarchical");
         for (i, &f) in db.endo_facts().iter().enumerate() {
             let (n, d) = DYADIC[i % DYADIC.len()];
-            probs.set(f, BigRational::from_i64_ratio(n, d));
+            session
+                .set_probability(f, BigRational::from_i64_ratio(n, d))
+                .expect("endogenous");
         }
-        probs
+        session
     }
 
     let q1 = queries::q1();
 
     // Correctness guard before timing anything: on the running example
-    // (small enough to enumerate worlds), the unified engine, the seed
-    // oracle, and brute-force enumeration agree bit for bit.
+    // (small enough to enumerate worlds), the session, the seed oracle,
+    // and brute-force enumeration agree bit for bit.
     {
         let db = figure_1_database();
-        let probs = probs_for(&db);
-        let engine =
-            CompiledProbability::compile(&db, &q1, probs.clone(), 0, None).expect("hierarchical");
-        let oracle = oracle_probability(&db, &probs, &q1).expect("hierarchical");
-        assert_eq!(engine.probability(), &oracle, "unified vs seed oracle");
-        let enumerated = probability_by_enumeration(&db, AnyQuery::Cq(&q1), &probs, None, 20)
+        let mut session = session_for(&db, &q1);
+        let pr = session.probability().expect("hierarchical");
+        let probs = session.probabilities();
+        let oracle = oracle_probability(&db, probs, &q1).expect("hierarchical");
+        assert_eq!(pr, oracle, "unified vs seed oracle");
+        let enumerated = probability_by_enumeration(&db, AnyQuery::Cq(&q1), probs, None, 20)
             .expect("small enough");
-        assert_eq!(engine.probability(), &enumerated, "unified vs enumeration");
+        assert_eq!(pr, enumerated, "unified vs enumeration");
     }
 
     let mut rows: Vec<String> = Vec::new();
@@ -802,39 +801,37 @@ fn bench_probdb(quick: bool, out_path: &str) {
     for &m in sizes {
         let db = cqshap_workloads::report_benchmark_db(m);
         assert_eq!(db.endo_count(), m);
-        let probs = probs_for(&db);
 
-        // Unified path: one compile, then every answer from the cached
-        // environments. The incremental-maintenance contract is checked
-        // with one provenance flip and its inverse before timing.
+        // Unified path: the first read compiles, then every answer comes
+        // from the cached environments. The incremental-maintenance
+        // contract is checked with one provenance flip and its inverse
+        // before timing.
         {
-            let mut engine = CompiledProbability::compile(&db, &q1, probs.clone(), 0, None)
-                .expect("hierarchical");
-            let mut mdb = db.clone();
+            let mut session = session_for(&db, &q1);
+            session.probability().expect("hierarchical");
             let f = db.endo_facts()[0];
-            for p in [Provenance::Exogenous, Provenance::Endogenous] {
-                mdb.set_fact_provenance(f, p).expect("live fact");
-                let maintained = engine
-                    .update(&mdb, EngineUpdate::ProvenanceFlipped(f))
-                    .expect("hierarchical");
-                assert!(maintained, "provenance flips must be maintained in place");
-            }
+            session.set_exogenous(f, true).expect("live fact");
+            session.set_exogenous(f, false).expect("live fact");
             assert_eq!(
-                engine.probability(),
-                &oracle_probability(&db, &probs, &q1).expect("hierarchical"),
-                "maintained engine vs seed oracle after flip round-trip"
+                session.stats().incremental_updates,
+                2,
+                "provenance flips must be maintained in place"
+            );
+            assert_eq!(
+                session.probability().expect("hierarchical"),
+                oracle_probability(&db, session.probabilities(), &q1).expect("hierarchical"),
+                "maintained session vs seed oracle after flip round-trip"
             );
         }
-        let mut total = BigRational::zero();
+        let mut session = session_for(&db, &q1);
+        let probs = session.probabilities().clone();
         let mut marginals: Vec<BigRational> = Vec::with_capacity(m);
         let t0 = Instant::now();
-        let engine =
-            CompiledProbability::compile(&db, &q1, probs.clone(), 0, None).expect("hierarchical");
+        let total = session.probability().expect("hierarchical");
         let compile_ms = t0.elapsed().as_secs_f64() * 1e3;
         let t1 = Instant::now();
-        total += engine.probability();
         for &f in db.endo_facts() {
-            marginals.push(engine.expected_marginal(&db, f).expect("endogenous"));
+            marginals.push(session.expected_shapley(f).expect("endogenous"));
         }
         let answers_ms = t1.elapsed().as_secs_f64() * 1e3;
         let unified = compile_ms + answers_ms;
@@ -881,7 +878,7 @@ fn bench_probdb(quick: bool, out_path: &str) {
          \"workload\": \"report_benchmark_db\",\n  \
          \"probabilities\": \"dyadic cycle {:?} over Dn\",\n  \
          \"report\": \"Pr[D \\u22a8 q] plus expected marginal of every endogenous fact\",\n  \
-         \"seed_path\": \"cqshap_probdb::reference::oracle_probability, 2m + 1 traversals\",\n  \
+         \"seed_path\": \"cqshap_core::reference::oracle_probability, 2m + 1 traversals\",\n  \
          \"mode\": \"{}\",\n  {},\n  \"results\": [\n{}\n  ]\n}}\n",
         q1,
         DYADIC,
@@ -1778,6 +1775,19 @@ fn e12() {
         "Pr (enumeration)",
         "time (lifted)",
     ]);
+    // Every endogenous fact present with probability `p`: the session
+    // routes the query through the ExoShap rewriting (Theorem 4.10).
+    let probability = |db: &Database, p: (i64, i64)| {
+        let options = ShapleyOptions::auto().tuple_budget(10_000_000);
+        let mut session =
+            ShapleySession::prepare(db, AnyQuery::Cq(&q), &options).expect("rewritable");
+        assert_eq!(session.strategy(), Some(ResolvedStrategy::ExoShap));
+        session
+            .set_default_probability(BigRational::from_i64_ratio(p.0, p.1))
+            .expect("a probability");
+        let pr = session.probability().expect("rewritable");
+        (pr, session)
+    };
     for authors in [6usize, 10, 14] {
         let adb = AcademicConfig {
             authors,
@@ -1785,18 +1795,22 @@ fn e12() {
             ..Default::default()
         }
         .generate();
-        let pdb = ProbDatabase::new(adb, 0.35);
         let t0 = Instant::now();
-        let fast = pdb
-            .query_probability_with_rewriting(&q, 10_000_000)
-            .expect("rewritable");
+        let (fast, session) = probability(&adb, (7, 20));
         let dt = t0.elapsed();
-        let slow = pdb.query_probability_enumerated(&q, 20).expect("small");
-        assert!((fast - slow).abs() < 1e-9);
+        let slow = cqshap_core::probability_by_enumeration(
+            &adb,
+            AnyQuery::Cq(&q),
+            session.probabilities(),
+            None,
+            20,
+        )
+        .expect("small");
+        assert_eq!(fast, slow);
         t.row(&[
             authors.to_string(),
-            format!("{fast:.6}"),
-            format!("{slow:.6}"),
+            format!("{:.6}", fast.to_f64()),
+            format!("{:.6}", slow.to_f64()),
             ms(dt),
         ]);
     }
@@ -1810,12 +1824,13 @@ fn e12() {
             ..Default::default()
         }
         .generate();
-        let pdb = ProbDatabase::new(adb, 0.05);
         let t0 = Instant::now();
-        let fast = pdb
-            .query_probability_with_rewriting(&q, 10_000_000)
-            .expect("rewritable");
-        t2.row(&[authors.to_string(), format!("{fast:.6}"), ms(t0.elapsed())]);
+        let (fast, _) = probability(&adb, (1, 20));
+        t2.row(&[
+            authors.to_string(),
+            format!("{:.6}", fast.to_f64()),
+            ms(t0.elapsed()),
+        ]);
     }
     println!("\nscaling beyond enumeration reach (2^|Dn| worlds):");
     print!("{t2}");

@@ -507,7 +507,7 @@ impl AggregateEngines {
                     cq_plan(db, &c.query, group.resolved, options.tuple_budget)?
                 {
                     if !terms.is_empty() {
-                        let terms = TermList::compile(db, terms, rewritten, |_, db, q| {
+                        let terms = TermList::compile(db, &terms, rewritten, |db, q| {
                             CompiledCount::compile(db, q, options.threads, cancel)
                         })?;
                         prepared.push((c.weight, terms));

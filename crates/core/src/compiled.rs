@@ -2008,7 +2008,7 @@ mod tests {
         BigRational::from_i64_ratio(p, q)
     }
 
-    /// The probability-cycle fixture mirrors `cqshap-probdb`'s tests.
+    /// A cycle of non-dyadic and dyadic probabilities over `Dn`.
     fn cycled_probs(db: &Database) -> FactProbabilities {
         let cycle = [
             rat(1, 10),

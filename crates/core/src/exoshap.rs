@@ -21,7 +21,8 @@
 //!
 //! The output database only ever *adds* relations, so fact ids are
 //! preserved — the Shapley value of every endogenous fact is unchanged,
-//! and `cqshap-probdb` reuses the same rewriting for Theorem 4.10.
+//! and the probability domain reuses the same rewriting for Theorem 4.10
+//! (see the crate-private `plan` module).
 #![expect(
     clippy::indexing_slicing,
     reason = "rewrite tables are indexed by positions computed from the same atom"
@@ -385,6 +386,7 @@ pub fn rewrite(
     })
 }
 
+// cqshap-lint: allow(cancellation-reachability) -- bounded: one pass over one query atom's terms
 fn distinct_vars(atom: &Atom) -> Vec<Var> {
     let mut out = Vec::new();
     for t in &atom.terms {

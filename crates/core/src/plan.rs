@@ -3,11 +3,11 @@
 //! The paper's dichotomies (Theorems 3.1 and 4.3) decompose a Boolean
 //! query one way: a hierarchical CQ¬ is counted directly, a CQ¬
 //! without a non-hierarchical path is first rewritten by `ExoShap`
-//! (Algorithm 1), and anything else is enumerated. The same
-//! decomposition drives lifted inference in the probability domain
-//! (Theorem 4.10). [`resolve`] makes that decision once, independently
-//! of the domain, and returns a [`Plan`]: a signed sum of conjunctive
-//! terms, or enumeration.
+//! (Algorithm 1), and anything else is enumerated. [`resolve`] makes
+//! that decision once, independently of the domain, and returns a
+//! [`Plan`]: a signed sum of conjunctive terms, or enumeration. A
+//! [`crate::session::ShapleySession`] resolves it at prepare and keeps
+//! it; each domain compiles from the kept plan on its first read.
 //!
 //! A term is `coeff · q` evaluated on the session database or on a
 //! rewritten copy of it:
@@ -33,12 +33,28 @@
 //! engines: [`CompiledCount`] for Shapley values (every term keeps the
 //! original `Dn`, so the numerators share the denominator
 //! `lcm(1..m)`), or [`CompiledProbability`] for `Pr[q]` and expected
-//! marginals.
+//! marginals. A rewritten database is shared between the two domains.
+//!
+//! ## Probabilistic databases (Section 4.3)
+//!
+//! Endogenous facts are independently present with their session
+//! probabilities, and exogenous facts (all facts of a declared
+//! exogenous relation among them) are deterministic: a tuple-independent
+//! database with deterministic relations. Fink and Olteanu showed that
+//! `Pr[q]` is in PTIME for hierarchical self-join-free CQ¬s and
+//! `FP^#P`-complete otherwise. Theorem 4.10 extends this with
+//! deterministic relations: evaluation is polynomial exactly when the
+//! query has no non-hierarchical path, through the same `ExoShap`
+//! rewriting the Shapley dichotomy uses. The rewriting preserves fact
+//! ids and adds only exogenous facts, so the probabilities carry over
+//! unchanged and the probability domain compiles the same terms. The
+//! seed lifted-inference traversal survives as the oracle
+//! [`crate::reference::oracle_probability`].
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::{Add, Mul, Neg};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use cqshap_db::{Database, FactId};
 use cqshap_numeric::{BigInt, BigRational};
@@ -61,7 +77,7 @@ const MAX_DISJUNCTS: usize = 10;
 /// when the term was rewritten, on the session database otherwise.
 pub(crate) struct PlanTerm {
     pub(crate) coeff: i64,
-    pub(crate) db: Option<Database>,
+    pub(crate) db: Option<Arc<Database>>,
     pub(crate) query: ConjunctiveQuery,
 }
 
@@ -203,7 +219,7 @@ fn compiled_union_inapplicable(e: &CoreError) -> bool {
 fn rewritten_term(coeff: i64, outcome: exoshap::RewriteOutcome) -> Option<PlanTerm> {
     (!outcome.always_false).then(|| PlanTerm {
         coeff,
-        db: Some(outcome.db),
+        db: Some(Arc::new(outcome.db)),
         query: outcome.query,
     })
 }
@@ -389,8 +405,9 @@ impl TermEngine for CompiledProbability {
 /// One compiled term.
 struct Term<E> {
     coeff: i64,
-    /// The rewritten database, when the term has its own.
-    db: Option<Database>,
+    /// The rewritten database, when the term has its own (shared with
+    /// the plan and the other domain's terms).
+    db: Option<Arc<Database>>,
     engine: E,
 }
 
@@ -408,24 +425,24 @@ pub(crate) struct TermList<E> {
 
 impl<E: TermEngine> TermList<E> {
     /// Compiles every term of a [`Plan::Terms`] with `compile`, which
-    /// receives the term's index, database and query.
+    /// receives the term's database and query. The plan is left intact,
+    /// so the other domain can compile from it too.
     ///
     /// # Errors
     /// The first error `compile` returns.
     pub(crate) fn compile(
         db: &Database,
-        terms: Vec<PlanTerm>,
+        terms: &[PlanTerm],
         rewritten: bool,
-        mut compile: impl FnMut(usize, &Database, &ConjunctiveQuery) -> Result<E, CoreError>,
+        mut compile: impl FnMut(&Database, &ConjunctiveQuery) -> Result<E, CoreError>,
     ) -> Result<Self, CoreError> {
         let terms = terms
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| {
-                let engine = compile(i, t.db.as_ref().unwrap_or(db), &t.query)?;
+            .iter()
+            .map(|t| {
+                let engine = compile(t.db.as_deref().unwrap_or(db), &t.query)?;
                 Ok(Term {
                     coeff: t.coeff,
-                    db: t.db,
+                    db: t.db.clone(),
                     engine,
                 })
             })
@@ -470,13 +487,14 @@ impl<E: TermEngine> TermList<E> {
     fn each<'a>(&'a self, db: &'a Database) -> impl Iterator<Item = (i64, &'a Database, &'a E)> {
         self.terms
             .iter()
-            .map(move |t| (t.coeff, t.db.as_ref().unwrap_or(db), &t.engine))
+            .map(move |t| (t.coeff, t.db.as_deref().unwrap_or(db), &t.engine))
     }
 }
 
 /// `Σ coeff · v` over `(coeff, v)` pairs, `None` for no pair. The sum
 /// starts from the first value, so a one-term sum comes back as it
 /// went in: no copy, and no reduction of an exact rational.
+// cqshap-lint: allow(cancellation-reachability) -- bounded: one pass over a plan's terms, at most 2^10 − 1
 pub(crate) fn signed_sum<T>(terms: impl IntoIterator<Item = (i64, T)>) -> Option<T>
 where
     T: Neg<Output = T> + Add<Output = T> + Mul<Output = T> + From<i64>,
@@ -631,7 +649,7 @@ mod tests {
         let Plan::Terms { terms, rewritten } = compiled_union_plan(u).unwrap() else {
             panic!("a compiled union plan is a term list");
         };
-        TermList::compile(db, terms, rewritten, |_, db, q| {
+        TermList::compile(db, &terms, rewritten, |db, q| {
             CompiledCount::compile(db, q, 0, None)
         })
         .unwrap()

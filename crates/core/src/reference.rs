@@ -1,11 +1,13 @@
-//! Per-fact reference paths: every fact's value computed from scratch,
-//! with no compiled state shared between facts.
+//! Reference paths: answers computed from scratch, with no compiled
+//! state shared between facts or terms.
 //!
-//! They route like the batched paths (the same routing plan), then
-//! evaluate each term per fact with the hierarchical `CntSat` oracle or
-//! by enumeration. Kept as cross-check oracles for the batched engines
-//! and as the baselines `cqshap-bench`'s `bench-report` measures them
-//! against.
+//! The per-fact Shapley paths route like the batched paths (the same
+//! routing plan), then evaluate each term per fact with the
+//! hierarchical `CntSat` oracle or by enumeration.
+//! [`oracle_probability`] is the seed lifted-inference traversal for
+//! `Pr[q]`. All are kept as cross-check oracles for the compiled
+//! engines and as the baselines `cqshap-bench`'s `bench-report`
+//! measures them against.
 
 use cqshap_db::{Database, FactId};
 use cqshap_numeric::{BigInt, BigRational, FactorialTable};
@@ -19,6 +21,10 @@ use crate::shapley::{
     assemble_report, efficiency_target, enumerated_values, par_values, shapley_via_counts,
     zero_report, ShapleyOptions, ShapleyReport,
 };
+
+mod lifted;
+
+pub use lifted::oracle_probability;
 
 /// The seed per-fact path of [`crate::shapley::shapley_report`]: every
 /// fact pays two materialized database copies and two from-scratch
@@ -72,7 +78,7 @@ fn per_fact_report(
             let values = terms
                 .iter()
                 .map(|t| {
-                    let db = t.db.as_ref().unwrap_or(db);
+                    let db = t.db.as_deref().unwrap_or(db);
                     Ok((
                         t.coeff,
                         value(db, AnyQuery::Cq(&t.query), f, &HierarchicalCounter)?,

@@ -4,22 +4,32 @@
 //! re-resolve atoms and recompile the counting structures on every
 //! call, even though [`CompiledCount`] is compile-once by design. A
 //! session is the prepared-statement view of the same machinery:
-//! [`ShapleySession::prepare`] classifies the query, resolves the
-//! strategy *once* into a routing plan, and compiles the plan's
-//! signed terms (one for a CQ¬, the inclusion–exclusion expansion for a
-//! UCQ¬, each possibly `ExoShap`-rewritten) or the shared per-candidate
-//! engines of an aggregate exactly once; [`ShapleySession::value`],
-//! [`ShapleySession::values`], [`ShapleySession::report`], and
-//! [`ShapleySession::sampled`] then serve from the cached state, and
+//! [`ShapleySession::prepare`] classifies the query and resolves the
+//! strategy *once* into a routing plan — signed conjunctive terms (one
+//! for a CQ¬, the inclusion–exclusion expansion for a UCQ¬, each
+//! possibly `ExoShap`-rewritten) or enumeration — and keeps it. Each
+//! evaluation domain compiles from that one plan the first time a call
+//! needs it, and keeps what it compiled:
+//!
+//! * the counting domain, which serves [`ShapleySession::value`],
+//!   [`ShapleySession::values`] and [`ShapleySession::report`], is
+//!   built by the first of those reads or by the first update (which
+//!   then maintains it). [`ShapleySession::prepare_with_fallback`] and
+//!   [`ShapleySession::prepare_aggregate`] build it at prepare, so they
+//!   know at once whether exact answers fit;
+//! * the probability domain, which serves
+//!   [`ShapleySession::probability`] and
+//!   [`ShapleySession::expected_shapley`], is built by the first of
+//!   those reads and rebuilt after a probability change. It compiles
+//!   the kept plan when the session resolved under `Auto`, and
+//!   otherwise one `Auto` plan of its own, so a query the Shapley paths
+//!   answer by rewriting — a UCQ¬ included — is answered the same way.
+//!   World enumeration serves what no term list covers.
+//!
+//! [`ShapleySession::sampled`], [`ShapleySession::anytime`] and
+//! [`ShapleySession::wsms`] read the database directly, and
 //! [`ShapleySession::strategy`] / [`ShapleySession::complexity`] expose
 //! the routing decision.
-//!
-//! Probabilistic reads ([`ShapleySession::probability`],
-//! [`ShapleySession::expected_shapley`]) resolve through the same plan
-//! under `Auto` and compile its terms at the probability domain, so a
-//! query the Shapley paths answer by rewriting — a UCQ¬ included — is
-//! answered the same way; world enumeration serves what no term list
-//! covers.
 //!
 //! ## Incremental maintenance
 //!
@@ -48,7 +58,8 @@
 //! let db = Database::parse("exo Stud(a)\nendo TA(a)\nendo Reg(a, c)\n").unwrap();
 //! let q = parse_cq("q() :- Stud(x), !TA(x), Reg(x, y)").unwrap();
 //!
-//! // Prepare once: strategy resolution + engine compilation.
+//! // Prepare once: classification + the routing plan. The first read
+//! // compiles the counting terms, and later reads reuse them.
 //! let mut session = ShapleySession::prepare(&db, AnyQuery::Cq(&q), &ShapleyOptions::auto()).unwrap();
 //! let ta = session.database().find_fact("TA", &["a"]).unwrap();
 //! assert_eq!(session.value(ta).unwrap().to_string(), "-1/2");
@@ -65,7 +76,7 @@
 //! ```
 
 use std::collections::HashSet;
-use std::ops::Deref;
+use std::sync::OnceLock;
 
 use cqshap_db::{Database, DbError, FactId, Provenance};
 use cqshap_numeric::BigRational;
@@ -111,61 +122,104 @@ impl QuerySpec {
     }
 }
 
-/// The exact engine of a session, compiled in the counting domain.
-enum Engine {
+/// The counting domain of a Boolean query: the kept plan, and its
+/// terms compiled on first use.
+struct Counting {
+    plan: Plan,
+    terms: OnceLock<TermList<CompiledCount>>,
+    /// Set when the budget stopped the fallback constructor's compile:
+    /// until some read or update builds the terms, the session serves
+    /// its degraded tiers.
+    tripped: bool,
+}
+
+impl Counting {
+    fn new(plan: Plan) -> Self {
+        Counting {
+            plan,
+            terms: OnceLock::new(),
+            tripped: false,
+        }
+    }
+
+    /// The engine the plan serves from, compiling its terms (under the
+    /// `prepare.compile` phase) if no earlier call has. A failed compile
+    /// keeps nothing, so the next call retries under its own budget.
+    fn engine(
+        &self,
+        db: &Database,
+        spec: &QuerySpec,
+        options: &ShapleyOptions,
+        cancel: Option<&CancelToken>,
+    ) -> Result<Engine<'_>, CoreError> {
+        let (terms, rewritten) = match &self.plan {
+            Plan::Terms { terms, rewritten } => (terms, *rewritten),
+            &Plan::Enumerate(enumeration) => return Ok(Engine::Enumerate(enumeration)),
+        };
+        if let Some(compiled) = self.terms.get() {
+            return Ok(Engine::Terms(compiled));
+        }
+        let _span = cqshap_obs::Span::enter(cqshap_obs::phase::PREPARE_COMPILE);
+        // A union's terms compile under their own phase, polled between
+        // terms.
+        let union = matches!(spec, QuerySpec::Union(_));
+        let _union = union.then(|| cqshap_obs::Span::enter(cqshap_obs::phase::UNION_COMPILE));
+        let compiled = TermList::compile(db, terms, rewritten, |db, q| {
+            if let (true, Some(token)) = (union, cancel) {
+                crate::budget::check(token, cqshap_obs::phase::UNION_COMPILE)?;
+            }
+            CompiledCount::compile(db, q, options.threads, cancel)
+        })?;
+        Ok(Engine::Terms(self.terms.get_or_init(|| compiled)))
+    }
+}
+
+/// What an exact read serves from.
+#[derive(Clone, Copy)]
+enum Engine<'a> {
     /// The plan's signed terms.
-    Terms(TermList<CompiledCount>),
+    Terms(&'a TermList<CompiledCount>),
     /// Per-fact enumeration, no compiled state.
     Enumerate(Enumeration),
     /// Aggregate: the shared per-candidate engines.
-    Aggregate(AggregateEngines),
+    Aggregate(&'a AggregateEngines),
 }
 
 /// The exact-engine state behind a session.
 enum EngineState {
-    /// The exact engine is prepared.
-    Ready(Engine),
-    /// A failed post-update rebuild left no usable engine; reads
-    /// surface the stored reason until a successful update re-prepares.
+    /// A Boolean query's kept plan and its counting domain.
+    Planned(Counting),
+    /// Aggregate: the shared per-candidate engines, compiled at prepare.
+    Aggregate(AggregateEngines),
+    /// A failed rebuild left no usable engine; reads surface the stored
+    /// reason until [`ShapleySession::recover`] or a successful update
+    /// re-prepares.
     Poisoned(String),
-    /// No exact engine is prepared (see
-    /// [`ShapleySession::prepare_with_fallback`]); the degraded tiers
-    /// serve. Stores the degradable error that stopped the prepare: a
-    /// tripped budget, which the next exact read retries under its own
-    /// re-armed budget, or an intractability rejection, which no retry
-    /// can change.
+    /// No plan was resolved (see
+    /// [`ShapleySession::prepare_with_fallback`]): stores the
+    /// intractability rejection, which no retry can change. The
+    /// degraded tiers serve.
     ExactUnavailable(CoreError),
 }
 
-/// The engine an exact read serves from: the session's own, or one
-/// rebuilt for this read alone (a `&self` read cannot keep it).
-enum Serving<'a> {
-    Session(&'a Engine),
-    Rebuilt(Engine),
+/// The probability domain: the plan it compiles from when that is not
+/// the counting plan, and the terms compiled at the session's
+/// probabilities. Both are built by the first probabilistic read.
+#[derive(Default)]
+struct Probability {
+    /// The `Auto` plan of a session whose counting plan was resolved
+    /// under a forced strategy (or not at all).
+    plan: OnceLock<Plan>,
+    terms: OnceLock<TermList<CompiledProbability>>,
 }
 
-impl Deref for Serving<'_> {
-    type Target = Engine;
-    fn deref(&self) -> &Engine {
-        match self {
-            Serving::Session(engine) => engine,
-            Serving::Rebuilt(engine) => engine,
-        }
-    }
-}
-
-/// The lazily built state of the probabilistic reads: the same plan,
-/// compiled at the probability domain.
-enum ProbState {
+/// What a probabilistic read serves from.
+enum ProbEngine<'a> {
     /// The plan's signed terms.
-    Terms(TermList<CompiledProbability>),
+    Terms(&'a TermList<CompiledProbability>),
     /// World enumeration within [`ShapleyOptions::brute_force_limit`].
     Enumerate,
 }
-
-/// What one prepare produces: the resolved strategy, the dichotomy
-/// classification, and the engine.
-type Built = (Option<ResolvedStrategy>, Option<ExactComplexity>, Engine);
 
 /// Update counters of a session.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -261,13 +315,12 @@ pub struct ShapleySession {
     db: Database,
     options: ShapleyOptions,
     spec: QuerySpec,
-    resolved: Option<ResolvedStrategy>,
     complexity: Option<ExactComplexity>,
     state: EngineState,
     probs: FactProbabilities,
-    /// The probability state, built on the first probabilistic read and
-    /// dropped by a probability change or an update it cannot absorb.
-    prob: Option<ProbState>,
+    /// The probability domain, reset by a probability change and by an
+    /// update its terms cannot absorb.
+    prob: Probability,
     stats: SessionStats,
     /// The session's one cancellation token (`Some` iff the options
     /// carry a limited budget), re-armed at every public entry point so
@@ -280,86 +333,106 @@ pub struct ShapleySession {
     anytime: Option<AnytimeState>,
 }
 
-fn exo_relation_names(db: &Database) -> HashSet<String> {
-    db.exogenous_relation_names().into_iter().collect()
+/// The dichotomy classification of a CQ¬ spec under the database's
+/// exogenous relations; `None` for unions.
+fn classify(db: &Database, spec: &QuerySpec) -> Option<ExactComplexity> {
+    match spec {
+        QuerySpec::Cq(q) | QuerySpec::Aggregate { query: q, .. } => {
+            let _span = cqshap_obs::Span::enter(cqshap_obs::phase::PREPARE_CLASSIFY);
+            let exo: HashSet<String> = db.exogenous_relation_names().into_iter().collect();
+            Some(classify_with_exo(q, &exo))
+        }
+        QuerySpec::Union(_) => None,
+    }
 }
 
-/// Resolves the strategy and compiles the engine for one spec. When
-/// `cancel` is present, every compiled engine is armed with a clone of
-/// the token (so its recounts poll the session budget) and the compile
-/// phases themselves are deadline-bounded.
+/// Resolves the plan of one spec (an aggregate compiles its candidate
+/// engines instead), compiling the counting terms at once when `eager`.
+/// When `cancel` is present, every compiled engine is armed with a
+/// clone of the token (so its recounts poll the session budget) and the
+/// compile phases themselves are deadline-bounded.
 fn build(
     db: &Database,
     spec: &QuerySpec,
     options: &ShapleyOptions,
     cancel: Option<&CancelToken>,
-) -> Result<Built, CoreError> {
-    let complexity = match spec {
-        QuerySpec::Cq(q) | QuerySpec::Aggregate { query: q, .. } => {
-            let _span = cqshap_obs::Span::enter(cqshap_obs::phase::PREPARE_CLASSIFY);
-            Some(classify_with_exo(q, &exo_relation_names(db)))
-        }
-        QuerySpec::Union(_) => None,
-    };
+    eager: bool,
+) -> Result<EngineState, CoreError> {
     if let QuerySpec::Aggregate { query, agg } = spec {
         let _span = cqshap_obs::Span::enter(cqshap_obs::phase::PREPARE_COMPILE);
         let engines = AggregateEngines::prepare(db, query, agg, options, cancel)?;
-        return Ok((None, complexity, Engine::Aggregate(engines)));
+        return Ok(EngineState::Aggregate(engines));
     }
     let plan = {
         let _span = cqshap_obs::Span::enter(cqshap_obs::phase::PREPARE_RESOLVE_STRATEGY);
         resolve(db, spec.query(), options.strategy, options)?
     };
-    let _span = cqshap_obs::Span::enter(cqshap_obs::phase::PREPARE_COMPILE);
-    let resolved = plan.strategy();
-    let engine = match plan {
-        Plan::Terms { terms, rewritten } => {
-            // A union's terms compile under their own phase, polled
-            // between terms; a tripped budget reports how many compiled.
-            let union = matches!(spec, QuerySpec::Union(_));
-            let _span = union.then(|| cqshap_obs::Span::enter(cqshap_obs::phase::UNION_COMPILE));
-            Engine::Terms(TermList::compile(db, terms, rewritten, |i, db, q| {
-                if let (true, Some(token)) = (union, cancel) {
-                    crate::budget::check_partial(token, cqshap_obs::phase::UNION_COMPILE, Some(i))?;
-                }
-                CompiledCount::compile(db, q, options.threads, cancel)
-            })?)
+    let counting = Counting::new(plan);
+    if eager {
+        counting.engine(db, spec, options, cancel)?;
+    }
+    Ok(EngineState::Planned(counting))
+}
+
+/// [`build`] for a session that may serve through its degraded tiers
+/// alone: it compiles at once, and a degradable failure yields a
+/// degraded state instead of an error.
+fn build_with_fallback(
+    db: &Database,
+    spec: &QuerySpec,
+    options: &ShapleyOptions,
+    cancel: Option<&CancelToken>,
+) -> Result<EngineState, CoreError> {
+    match build(db, spec, options, cancel, false) {
+        Ok(EngineState::Planned(mut counting)) => {
+            match counting.engine(db, spec, options, cancel).map(drop) {
+                Ok(()) => {}
+                Err(e) if tier_degradable(&e) => counting.tripped = true,
+                Err(e) => return Err(e),
+            }
+            Ok(EngineState::Planned(counting))
         }
-        Plan::Enumerate(enumeration) => Engine::Enumerate(enumeration),
-    };
-    Ok((Some(resolved), complexity, engine))
+        Ok(state) => Ok(state),
+        Err(e) if tier_degradable(&e) => Ok(EngineState::ExactUnavailable(e)),
+        Err(e) => Err(e),
+    }
 }
 
 impl ShapleySession {
     /// Prepares a session for a Boolean CQ¬ or UCQ¬: clones the
-    /// database, classifies the query, resolves the strategy once, and
-    /// compiles the engine.
+    /// database, classifies the query, and resolves the strategy once
+    /// into the routing plan the session keeps. The first exact read or
+    /// update compiles the counting terms, and the first probabilistic
+    /// read the probability terms.
     ///
     /// # Errors
-    /// Everything strategy resolution and engine compilation can raise
-    /// — the same errors the corresponding free functions raise.
+    /// Everything strategy resolution can raise — the intractability
+    /// and brute-force-limit refusals of the corresponding free
+    /// functions.
     pub fn prepare(
         db: &Database,
         query: AnyQuery<'_>,
         options: &ShapleyOptions,
     ) -> Result<Self, CoreError> {
-        Self::from_spec(db.clone(), boolean_spec(query), *options)
+        Self::from_spec(db.clone(), boolean_spec(query), *options, false)
     }
 
-    /// [`ShapleySession::prepare`], except a *degradable* failure — a
-    /// tripped budget, an intractability rejection — yields a session
-    /// without an exact engine instead of an error.
+    /// [`ShapleySession::prepare`], except the counting terms compile at
+    /// once, and a *degradable* failure — a tripped budget, an
+    /// intractability rejection — yields a session without an exact
+    /// engine instead of an error.
     /// [`report_tiered`](Self::report_tiered),
     /// [`anytime`](Self::anytime) and [`wsms`](Self::wsms) serve such a
     /// session. Exact reads ([`value`](Self::value),
     /// [`report`](Self::report)) depend on the cause: after an
     /// intractability rejection they fail fast with the stored reason;
-    /// after a tripped budget they re-prepare under their own re-armed
-    /// budget, and raise [`CoreError::DeadlineExceeded`] if it trips
-    /// again. Updates keep applying (each retries a full prepare,
-    /// upgrading the session to exact the moment one succeeds), and so
-    /// does `report_tiered` after a tripped budget. Genuine input errors
-    /// propagate exactly as in [`prepare`](Self::prepare).
+    /// after a tripped budget they retry the compile under their own
+    /// re-armed budget, keep the engine once it fits, and raise
+    /// [`CoreError::DeadlineExceeded`] if it trips again. Updates keep
+    /// applying (each retries a full prepare, upgrading the session to
+    /// exact the moment one succeeds), and so does `report_tiered` after
+    /// a tripped budget. Genuine input errors propagate exactly as in
+    /// [`prepare`](Self::prepare).
     ///
     /// # Errors
     /// Non-degradable prepare failures (arity clashes, malformed
@@ -369,34 +442,12 @@ impl ShapleySession {
         query: AnyQuery<'_>,
         options: &ShapleyOptions,
     ) -> Result<Self, CoreError> {
-        let spec = boolean_spec(query);
-        match Self::from_spec(db.clone(), spec.clone(), *options) {
-            Ok(session) => Ok(session),
-            Err(e) if tier_degradable(&e) => {
-                let complexity = match &spec {
-                    QuerySpec::Cq(q) => Some(classify_with_exo(q, &exo_relation_names(db))),
-                    _ => None,
-                };
-                Ok(ShapleySession {
-                    db: db.clone(),
-                    options: *options,
-                    spec,
-                    resolved: None,
-                    complexity,
-                    state: EngineState::ExactUnavailable(e),
-                    probs: FactProbabilities::uniform(BigRational::from_i64_ratio(1, 2)),
-                    prob: None,
-                    stats: SessionStats::default(),
-                    cancel: options.cancel_token(),
-                    anytime: None,
-                })
-            }
-            Err(e) => Err(e),
-        }
+        Self::from_spec(db.clone(), boolean_spec(query), *options, true)
     }
 
     /// Prepares a session for an aggregate query: one shared
-    /// [`CompiledCount`] engine per (non-pruned) candidate answer.
+    /// [`CompiledCount`] engine per (non-pruned) candidate answer,
+    /// compiled at once.
     ///
     /// # Errors
     /// [`CoreError::Unsupported`] for Boolean (head-less) queries, plus
@@ -407,33 +458,35 @@ impl ShapleySession {
         agg: AggregateFunction,
         options: &ShapleyOptions,
     ) -> Result<Self, CoreError> {
-        Self::from_spec(
-            db.clone(),
-            QuerySpec::Aggregate {
-                query: query.clone(),
-                agg,
-            },
-            *options,
-        )
+        let spec = QuerySpec::Aggregate {
+            query: query.clone(),
+            agg,
+        };
+        Self::from_spec(db.clone(), spec, *options, false)
     }
 
     fn from_spec(
         db: Database,
         spec: QuerySpec,
         options: ShapleyOptions,
+        fallback: bool,
     ) -> Result<Self, CoreError> {
         let _span = cqshap_obs::Span::enter(cqshap_obs::phase::PREPARE);
         let cancel = options.cancel_token();
-        let (resolved, complexity, engine) = build(&db, &spec, &options, cancel.as_ref())?;
+        let complexity = classify(&db, &spec);
+        let state = if fallback {
+            build_with_fallback(&db, &spec, &options, cancel.as_ref())?
+        } else {
+            build(&db, &spec, &options, cancel.as_ref(), false)?
+        };
         Ok(ShapleySession {
             db,
             options,
             spec,
-            resolved,
             complexity,
-            state: EngineState::Ready(engine),
+            state,
             probs: FactProbabilities::uniform(BigRational::from_i64_ratio(1, 2)),
-            prob: None,
+            prob: Probability::default(),
             stats: SessionStats::default(),
             cancel,
             anytime: None,
@@ -446,11 +499,6 @@ impl ShapleySession {
         if let Some(token) = &self.cancel {
             token.rearm(self.options.budget.wall, self.options.budget.work);
         }
-    }
-
-    /// Rebuilds the engine from the session's database and options.
-    fn build(&self) -> Result<Built, CoreError> {
-        build(&self.db, &self.spec, &self.options, self.cancel.as_ref())
     }
 
     /// The session's database (the prepared copy, including any updates
@@ -467,9 +515,13 @@ impl ShapleySession {
     /// The algorithm the strategy resolved to — shared by every value
     /// and report served from this session, so the single-value and
     /// all-facts paths can never route differently. `None` for
-    /// aggregate sessions (each candidate shape resolves on its own).
+    /// aggregate sessions (each candidate shape resolves on its own) and
+    /// for sessions without a resolved plan.
     pub fn strategy(&self) -> Option<ResolvedStrategy> {
-        self.resolved
+        match &self.state {
+            EngineState::Planned(counting) => Some(counting.plan.strategy()),
+            _ => None,
+        }
     }
 
     /// The dichotomy classification of the prepared query under the
@@ -494,21 +546,21 @@ impl ShapleySession {
         Ok(())
     }
 
-    /// The engine an exact read serves from. A poisoned session fails
-    /// with its stored reason. A session whose prepare tripped the
-    /// budget re-prepares under the budget the read re-armed; one
-    /// rejected as intractable fails fast with the stored reason.
-    fn serving(&self) -> Result<Serving<'_>, CoreError> {
+    /// The engine an exact read serves from, compiling the counting terms
+    /// under the budget the read armed if no earlier call has. A
+    /// poisoned session fails with its stored reason, and one rejected
+    /// as intractable fails fast with the stored rejection.
+    fn engine(&self) -> Result<Engine<'_>, CoreError> {
         match &self.state {
-            EngineState::Ready(engine) => Ok(Serving::Session(engine)),
+            EngineState::Planned(counting) => {
+                counting.engine(&self.db, &self.spec, &self.options, self.cancel.as_ref())
+            }
+            EngineState::Aggregate(engines) => Ok(Engine::Aggregate(engines)),
             EngineState::Poisoned(reason) => Err(CoreError::Unsupported(format!(
                 "the session engine could not be rebuilt after an update ({reason}); call \
                  recover() to rebuild from the retained database, or apply a further update that \
                  restores a preparable state"
             ))),
-            EngineState::ExactUnavailable(CoreError::DeadlineExceeded { .. }) => {
-                Ok(Serving::Rebuilt(self.build()?.2))
-            }
             EngineState::ExactUnavailable(cause) => Err(CoreError::Unsupported(format!(
                 "no exact engine was prepared ({cause}); serve this session through \
                  report_tiered(), anytime(), or wsms()"
@@ -516,11 +568,11 @@ impl ShapleySession {
         }
     }
 
-    /// Installs a freshly built engine.
-    fn install(&mut self, (resolved, complexity, engine): Built) {
-        self.resolved = resolved;
-        self.complexity = complexity;
-        self.state = EngineState::Ready(engine);
+    /// Installs a freshly built state, reclassifying the query against
+    /// the current database.
+    fn install(&mut self, state: EngineState) {
+        self.complexity = classify(&self.db, &self.spec);
+        self.state = state;
     }
 
     /// Is the session poisoned (no usable engine after a failed
@@ -532,9 +584,14 @@ impl ShapleySession {
     /// Does the session lack an exact engine (prepared via
     /// [`ShapleySession::prepare_with_fallback`] on an intractable or
     /// over-budget query)? Degraded tiers still serve, and an
-    /// over-budget session retries its prepare on every exact read.
+    /// over-budget session retries its compile on every exact read
+    /// until one fits.
     pub fn is_exact_unavailable(&self) -> bool {
-        matches!(self.state, EngineState::ExactUnavailable(_))
+        match &self.state {
+            EngineState::ExactUnavailable(_) => true,
+            EngineState::Planned(counting) => counting.tripped && counting.terms.get().is_none(),
+            _ => false,
+        }
     }
 
     /// Rebuilds the engine from the session's retained database,
@@ -551,10 +608,16 @@ impl ShapleySession {
             return Ok(());
         }
         self.rearm();
-        match self.build() {
-            Ok(built) => {
-                self.install(built);
-                self.prob = None;
+        match build(
+            &self.db,
+            &self.spec,
+            &self.options,
+            self.cancel.as_ref(),
+            true,
+        ) {
+            Ok(state) => {
+                self.install(state);
+                self.prob = Probability::default();
                 Ok(())
             }
             Err(e) => {
@@ -569,7 +632,6 @@ impl ShapleySession {
     /// mid-maintenance failure.
     #[doc(hidden)]
     pub fn poison_for_tests(&mut self, reason: &str) {
-        self.resolved = None;
         self.state = EngineState::Poisoned(reason.to_string());
     }
 
@@ -580,8 +642,7 @@ impl ShapleySession {
     /// per-fact fallback strategies raise.
     pub fn value(&self, f: FactId) -> Result<BigRational, CoreError> {
         self.rearm();
-        let engine = self.serving()?;
-        match &*engine {
+        match self.engine()? {
             Engine::Terms(terms) => terms.value(&self.db, f),
             // The per-fact routes (enumeration, aggregate candidates)
             // serve one fact as a batch of one.
@@ -604,7 +665,7 @@ impl ShapleySession {
     /// As [`ShapleySession::value`], for any fact of the slice.
     pub fn values(&self, facts: &[FactId]) -> Result<Vec<BigRational>, CoreError> {
         self.rearm();
-        self.values_from(&*self.serving()?, facts)
+        self.values_from(self.engine()?, facts)
     }
 
     /// [`ShapleySession::values`] from `engine` without re-arming the
@@ -612,7 +673,7 @@ impl ShapleySession {
     /// phase.
     fn values_from(
         &self,
-        engine: &Engine,
+        engine: Engine<'_>,
         facts: &[FactId],
     ) -> Result<Vec<BigRational>, CoreError> {
         match engine {
@@ -622,7 +683,7 @@ impl ShapleySession {
                 }
                 engine_values(&self.db, terms, facts, self.options.threads)
             }
-            &Engine::Enumerate(enumeration) => enumerated_values(
+            Engine::Enumerate(enumeration) => enumerated_values(
                 &self.db,
                 self.spec.query(),
                 facts,
@@ -648,8 +709,8 @@ impl ShapleySession {
     pub fn report(&self) -> Result<ShapleyReport, CoreError> {
         let _span = cqshap_obs::Span::enter(cqshap_obs::phase::REPORT);
         self.rearm();
-        let engine = self.serving()?;
-        if let Engine::Terms(terms) = &*engine {
+        let engine = self.engine()?;
+        if let Engine::Terms(terms) = engine {
             if terms.is_empty() {
                 return Ok(zero_report(&self.db));
             }
@@ -661,7 +722,7 @@ impl ShapleySession {
             }
             spec => efficiency_target(&self.db, spec.query()),
         };
-        Ok(match &*engine {
+        Ok(match engine {
             // Term lists accumulate the value total over the common
             // denominator `lcm(1..m)` (one normalization) — summing the
             // reduced per-fact rationals instead costs a gcd per entry.
@@ -671,10 +732,12 @@ impl ShapleySession {
                 assemble_report_with_total(&self.db, values, total, expected)
             }
             Engine::Aggregate(engines) => {
-                assemble_report(&self.db, self.values_from(&engine, &facts)?, expected)
+                assemble_report(&self.db, self.values_from(engine, &facts)?, expected)
                     .with_stats(engines.stats)
             }
-            other => assemble_report(&self.db, self.values_from(other, &facts)?, expected),
+            Engine::Enumerate(_) => {
+                assemble_report(&self.db, self.values_from(engine, &facts)?, expected)
+            }
         })
     }
     /// The aggregate report — [`ShapleySession::report`] restricted to
@@ -782,19 +845,8 @@ impl ShapleySession {
     /// plus anything the allowed tiers raise themselves.
     pub fn report_tiered(&mut self, policy: &TierPolicy) -> Result<TieredAnswer, CoreError> {
         let _span = cqshap_obs::Span::enter(cqshap_obs::phase::REPORT_TIERED);
-        // A prepare that tripped the budget is retried, and its engine
-        // kept once it fits.
-        if matches!(
-            self.state,
-            EngineState::ExactUnavailable(CoreError::DeadlineExceeded { .. })
-        ) {
-            self.rearm();
-            match self.build() {
-                Ok(built) => self.install(built),
-                Err(e) if tier_degradable(&e) => self.state = EngineState::ExactUnavailable(e),
-                Err(e) => return Err(e),
-            }
-        }
+        // A compile that tripped the budget is retried by the exact
+        // read, and its terms kept once they fit.
         let exact_err = match &self.state {
             EngineState::ExactUnavailable(cause) => cause.clone(),
             _ => match self.report() {
@@ -848,8 +900,8 @@ impl ShapleySession {
     }
 
     /// Sets `f`'s presence probability for probabilistic reads and
-    /// invalidates the cached probability engine (the Shapley state is
-    /// untouched — probabilities never affect Shapley values).
+    /// invalidates the compiled probability terms (the Shapley state and
+    /// the plans are untouched — probabilities never affect either).
     ///
     /// # Errors
     /// [`CoreError::FactNotEndogenous`] if `f ∉ Dn`;
@@ -858,25 +910,27 @@ impl ShapleySession {
         self.check_endogenous(f)?;
         check_probability(&p)?;
         self.probs.set(f, p);
-        self.prob = None;
+        self.prob.terms = OnceLock::new();
         Ok(())
     }
 
     /// Sets the probability used by endogenous facts without an
-    /// override, invalidating the cached probability engine.
+    /// override, invalidating the compiled probability terms.
     ///
     /// # Errors
     /// [`CoreError::Unsupported`] outside `[0, 1]`.
     pub fn set_default_probability(&mut self, p: BigRational) -> Result<(), CoreError> {
         check_probability(&p)?;
         self.probs.set_default(p);
-        self.prob = None;
+        self.prob.terms = OnceLock::new();
         Ok(())
     }
 
     /// `Pr[q]` when the endogenous facts are independently present with
     /// the session's probabilities (a tuple-independent probabilistic
-    /// database over `Dn`, with `Dx` certain).
+    /// database over `Dn`, with `Dx` certain). By Theorem 4.10 this is
+    /// polynomial exactly when the query has no non-hierarchical path
+    /// under the deterministic relations.
     ///
     /// Resolved through the same plan as the Shapley reads, under `Auto`
     /// whatever the session's strategy: the plan's signed terms are
@@ -893,11 +947,12 @@ impl ShapleySession {
     /// [`CoreError::TooManyEndogenousFacts`] when only enumeration
     /// applies and `|Dn|` exceeds the limit.
     pub fn probability(&mut self) -> Result<BigRational, CoreError> {
+        let _span = cqshap_obs::Span::enter(cqshap_obs::phase::PROBABILITY);
         self.rearm();
-        self.with_prob_state(|session, state| match state {
-            ProbState::Terms(terms) => Ok(terms.probability()),
-            ProbState::Enumerate => session.enumerate_probability(None),
-        })
+        match self.prob_engine()? {
+            ProbEngine::Terms(terms) => Ok(terms.probability()),
+            ProbEngine::Enumerate => self.enumerate_probability(None),
+        }
     }
 
     /// The expected marginal contribution of `f` under the session's
@@ -910,28 +965,54 @@ impl ShapleySession {
     /// [`CoreError::FactNotEndogenous`] if `f ∉ Dn`, plus everything
     /// [`ShapleySession::probability`] raises.
     pub fn expected_shapley(&mut self, f: FactId) -> Result<BigRational, CoreError> {
+        let _span = cqshap_obs::Span::enter(cqshap_obs::phase::EXPECTED);
         self.check_endogenous(f)?;
         self.rearm();
-        self.with_prob_state(|session, state| match state {
-            ProbState::Terms(terms) => terms.expected_marginal(&session.db, f),
-            ProbState::Enumerate => Ok(session.enumerate_probability(Some((f, true)))?
-                - session.enumerate_probability(Some((f, false)))?),
-        })
+        match self.prob_engine()? {
+            ProbEngine::Terms(terms) => terms.expected_marginal(&self.db, f),
+            ProbEngine::Enumerate => Ok(self.enumerate_probability(Some((f, true)))?
+                - self.enumerate_probability(Some((f, false)))?),
+        }
     }
 
-    /// Runs `read` against the probability state, building it first if
-    /// no usable one is cached; a failed build caches nothing.
-    fn with_prob_state<T>(
-        &mut self,
-        read: impl FnOnce(&Self, &ProbState) -> Result<T, CoreError>,
-    ) -> Result<T, CoreError> {
-        let state = match self.prob.take() {
-            Some(state) => state,
-            None => self.build_prob_state()?,
+    /// The probability domain's engine, compiled from its plan if no
+    /// earlier read has: the kept counting plan when the session
+    /// resolved under `Auto`, else one `Auto` plan resolved now and
+    /// kept. World enumeration answers any Boolean query and reports its
+    /// own limit, so a plan `Auto` refuses lands there. A failed compile
+    /// keeps nothing.
+    fn prob_engine(&self) -> Result<ProbEngine<'_>, CoreError> {
+        let plan =
+            match (&self.spec, &self.state) {
+                (QuerySpec::Aggregate { .. }, _) => return Err(CoreError::Unsupported(
+                    "probabilistic evaluation covers Boolean queries; aggregate sessions serve \
+                     exact Shapley values only"
+                        .into(),
+                )),
+                (_, EngineState::Planned(counting)) if self.options.strategy == Strategy::Auto => {
+                    &counting.plan
+                }
+                _ => self.prob.plan.get_or_init(|| {
+                    resolve(&self.db, self.spec.query(), Strategy::Auto, &self.options)
+                        .unwrap_or(Plan::Enumerate(Enumeration::Subsets))
+                }),
+            };
+        let Plan::Terms { terms, rewritten } = plan else {
+            return Ok(ProbEngine::Enumerate);
         };
-        let out = read(self, &state);
-        self.prob = Some(state);
-        out
+        if let Some(compiled) = self.prob.terms.get() {
+            return Ok(ProbEngine::Terms(compiled));
+        }
+        let compiled = TermList::compile(&self.db, terms, *rewritten, |db, q| {
+            CompiledProbability::compile(
+                db,
+                q,
+                self.probs.clone(),
+                self.options.threads,
+                self.cancel.as_ref(),
+            )
+        })?;
+        Ok(ProbEngine::Terms(self.prob.terms.get_or_init(|| compiled)))
     }
 
     /// `Pr[q]` by world enumeration, with `forced` pinning one fact.
@@ -947,36 +1028,6 @@ impl ShapleySession {
             self.options.brute_force_limit,
             self.cancel.as_ref(),
         )
-    }
-
-    /// The plan instantiated at the probability domain. World
-    /// enumeration answers any Boolean query and reports its own limit,
-    /// so every route the resolver refuses lands there.
-    fn build_prob_state(&self) -> Result<ProbState, CoreError> {
-        if matches!(self.spec, QuerySpec::Aggregate { .. }) {
-            return Err(CoreError::Unsupported(
-                "probabilistic evaluation covers Boolean queries; aggregate sessions serve exact \
-                 Shapley values only"
-                    .into(),
-            ));
-        }
-        match resolve(&self.db, self.spec.query(), Strategy::Auto, &self.options) {
-            Ok(Plan::Terms { terms, rewritten }) => Ok(ProbState::Terms(TermList::compile(
-                &self.db,
-                terms,
-                rewritten,
-                |_, db, q| {
-                    CompiledProbability::compile(
-                        db,
-                        q,
-                        self.probs.clone(),
-                        self.options.threads,
-                        self.cancel.as_ref(),
-                    )
-                },
-            )?)),
-            Ok(Plan::Enumerate(_)) | Err(_) => Ok(ProbState::Enumerate),
-        }
     }
 
     /// Inserts a fact into the session's database and maintains the
@@ -997,6 +1048,7 @@ impl ShapleySession {
         provenance: Provenance,
     ) -> Result<FactId, CoreError> {
         self.rearm();
+        self.before_update()?;
         let snapshot = self.db.clone();
         let f = self.db.insert(relation, constants, provenance)?;
         self.after_update(EngineUpdate::Inserted(f), snapshot)?;
@@ -1012,6 +1064,7 @@ impl ShapleySession {
     /// maintenance raises.
     pub fn retract_fact(&mut self, f: FactId) -> Result<(), CoreError> {
         self.rearm();
+        self.before_update()?;
         let snapshot = self.db.clone();
         self.db.retract_fact(f)?;
         self.after_update(EngineUpdate::Retracted(f), snapshot)
@@ -1038,28 +1091,46 @@ impl ShapleySession {
             return Ok(());
         }
         self.rearm();
+        self.before_update()?;
         let snapshot = self.db.clone();
         self.db.set_fact_provenance(f, target)?;
         self.after_update(EngineUpdate::ProvenanceFlipped(f), snapshot)
     }
 
+    /// Builds the counting terms an update maintains when no read has
+    /// built them yet, on the pre-update database, so every update
+    /// patches compiled terms. A session without exact answers rebuilds
+    /// after the update instead. A failure leaves the database untouched.
+    fn before_update(&self) -> Result<(), CoreError> {
+        match &self.state {
+            EngineState::Planned(counting) if !self.is_exact_unavailable() => counting
+                .engine(&self.db, &self.spec, &self.options, self.cancel.as_ref())
+                .map(drop),
+            _ => Ok(()),
+        }
+    }
+
     /// Routes one applied database change into the engine: incremental
     /// maintenance where the compiled state supports it, a full
     /// re-prepare otherwise. `snapshot` is the pre-update database; any
-    /// failure restores it and rebuilds, so the session's database and
-    /// engine never diverge.
+    /// failure restores it, so the session's database and engine never
+    /// diverge.
     fn after_update(&mut self, change: EngineUpdate, snapshot: Database) -> Result<(), CoreError> {
-        // Maintain the cached probability terms first; what they cannot
+        // Maintain the compiled probability terms first; what they cannot
         // absorb is rebuilt on demand (never served stale).
-        self.prob = match self.prob.take() {
-            Some(ProbState::Terms(mut terms)) => match terms.update(&self.db, change) {
-                Ok(true) => Some(ProbState::Terms(terms)),
-                _ => None,
-            },
-            _ => None,
-        };
+        let prob_maintained = self
+            .prob
+            .terms
+            .get_mut()
+            .is_some_and(|terms| matches!(terms.update(&self.db, change), Ok(true)));
+        if !prob_maintained {
+            self.prob = Probability::default();
+        }
         let maintained = match &mut self.state {
-            EngineState::Ready(Engine::Terms(terms)) => terms.update(&self.db, change),
+            EngineState::Planned(counting) => match counting.terms.get_mut() {
+                Some(terms) => terms.update(&self.db, change),
+                None => Ok(false),
+            },
             // Enumeration and aggregate states depend on the database
             // globally (strategy limits, candidate enumeration):
             // re-prepare.
@@ -1067,12 +1138,9 @@ impl ShapleySession {
         };
         let maintained = match maintained {
             Ok(m) => m,
-            Err(e) => {
-                // The engine may be half-patched (the recount errored
-                // mid-swap): roll the database back and rebuild from the
-                // restored copy instead of serving from it again.
-                return Err(self.roll_back(snapshot, e));
-            }
+            // The terms may be half-patched (the recount errored
+            // mid-swap): roll the database back and drop them.
+            Err(e) => return Err(self.roll_back(snapshot, e)),
         };
         if maintained {
             self.stats.updates += 1;
@@ -1080,24 +1148,28 @@ impl ShapleySession {
             self.anytime = None;
             return Ok(());
         }
-        match self.build() {
-            Ok(built) => {
-                self.install(built);
+        // A session already serving degraded tiers keeps the update and
+        // stays degraded when the rebuild fails for the same kind of
+        // reason — a fallback session must absorb updates to the very
+        // instances whose exact preparation fails.
+        let rebuilt = if self.is_exact_unavailable() {
+            build_with_fallback(&self.db, &self.spec, &self.options, self.cancel.as_ref())
+        } else {
+            build(
+                &self.db,
+                &self.spec,
+                &self.options,
+                self.cancel.as_ref(),
+                true,
+            )
+        };
+        match rebuilt {
+            Ok(state) => {
+                self.install(state);
                 self.stats.updates += 1;
-                self.stats.full_recompiles += 1;
-                self.anytime = None;
-                Ok(())
-            }
-            // A session already serving degraded tiers keeps the update
-            // and stays degraded when the rebuild fails for the same
-            // kind of reason — a fallback session must absorb updates to
-            // the very instances whose exact preparation fails.
-            Err(e)
-                if tier_degradable(&e)
-                    && matches!(self.state, EngineState::ExactUnavailable(_)) =>
-            {
-                self.state = EngineState::ExactUnavailable(e);
-                self.stats.updates += 1;
+                if !self.is_exact_unavailable() {
+                    self.stats.full_recompiles += 1;
+                }
                 self.anytime = None;
                 Ok(())
             }
@@ -1107,36 +1179,18 @@ impl ShapleySession {
         }
     }
 
-    /// Restores the pre-update database and rebuilds the engine from
-    /// it, so a failed update is *rejected* rather than poisoning the
-    /// session. The restored database was preparable a moment ago, so
-    /// the rebuild virtually always succeeds; if it does not (e.g. the
-    /// budget tripped again), the session is poisoned — with the
-    /// database still restored — until [`ShapleySession::recover`].
-    /// Returns the error to surface for the rejected update.
+    /// Restores the pre-update database, so a failed update is
+    /// *rejected* rather than poisoning the session: the kept plan
+    /// still describes the restored database, and compiled terms the
+    /// update may have half-patched are dropped for the next read or
+    /// update to recompile. Returns the error to surface for the
+    /// rejected update.
     fn roll_back(&mut self, snapshot: Database, cause: CoreError) -> CoreError {
         self.db = snapshot;
-        self.prob = None;
+        self.prob = Probability::default();
         self.stats.rolled_back += 1;
-        // The failure may have tripped the (sticky) session token; the
-        // restoration rebuild deserves a fresh budget of its own.
-        self.rearm();
-        match self.build() {
-            Ok(built) => self.install(built),
-            // A fallback session never had an exact engine to lose: a
-            // degradable rebuild failure leaves it serving its degraded
-            // tiers from the restored database.
-            Err(e)
-                if tier_degradable(&e)
-                    && matches!(self.state, EngineState::ExactUnavailable(_)) =>
-            {
-                self.resolved = None;
-                self.state = EngineState::ExactUnavailable(e);
-            }
-            Err(e) => {
-                self.resolved = None;
-                self.state = EngineState::Poisoned(e.to_string());
-            }
+        if let EngineState::Planned(counting) = &mut self.state {
+            counting.terms = OnceLock::new();
         }
         cause
     }

@@ -19,7 +19,6 @@ impl Graph {
     ///
     /// # Panics
     /// Panics on out-of-range endpoints or self-loops.
-    // cqshap-lint: allow(cancellation-reachability) -- bounded: one validation pass over the edge list
     pub fn new(n: usize, edges: Vec<(usize, usize)>) -> Self {
         for &(a, b) in &edges {
             assert!(a < n && b < n, "edge ({a},{b}) out of range");

@@ -190,20 +190,33 @@ impl Graph {
                     });
                 }
             }
-            for (name, line) in &f.item.refs {
-                if let Some(cands) = by_name.get(name.as_str()) {
-                    for &t in cands {
-                        edges.push(Edge {
-                            from: i,
-                            to: t,
-                            kind: EdgeKind::Ref,
+            for (path, line) in &f.item.refs {
+                // A qualified ref (`Type::f`) resolves like a call on the
+                // same path; a bare one keeps every fn of its name.
+                let targets = match path.as_slice() {
+                    [name] => by_name.get(name.as_str()).cloned().unwrap_or_default(),
+                    _ => {
+                        let site = crate::parser::CallSite {
+                            segments: path.clone(),
+                            method: false,
+                            self_receiver: false,
                             line: *line,
-                            // Refs carry no per-site offset the rules
-                            // need; reuse the line for determinism.
                             offset: 0,
-                            approx: true,
-                        });
+                        };
+                        resolve_call(&fns, &by_name, i, &site).0
                     }
+                };
+                for t in targets {
+                    edges.push(Edge {
+                        from: i,
+                        to: t,
+                        kind: EdgeKind::Ref,
+                        line: *line,
+                        // Refs carry no per-site offset the rules
+                        // need; reuse the line for determinism.
+                        offset: 0,
+                        approx: true,
+                    });
                 }
             }
         }

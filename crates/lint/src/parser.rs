@@ -154,7 +154,11 @@ pub struct FnItem {
     /// the conservative net for fns passed as values (`map(Self::f)`,
     /// closure captures of fn items). Only resolved against known fn
     /// names by the graph builder; unrelated idents are dropped there.
-    pub refs: Vec<(String, u32)>,
+    /// Each ref is its path (`["Self", "f"]` for `Self::f`) and line.
+    /// Field accesses (`x.f`), struct-literal field names (`f: …`) and
+    /// the names the fn binds itself (parameters, `let`/`for`/closure/
+    /// match-arm patterns) are never refs.
+    pub refs: Vec<(Vec<String>, u32)>,
     /// Loop keywords in the body (nested fns excluded).
     pub loops: Vec<LoopSite>,
     /// Does the body show lexical cancellation-poll evidence?
@@ -470,7 +474,7 @@ impl<'s> Parser<'s> {
             }
         }
 
-        let body = self.scan_body(open, close);
+        let body = self.scan_body(open, close, self.param_names(k + 2, open));
         Some((
             FnItem {
                 name,
@@ -530,9 +534,133 @@ impl<'s> Parser<'s> {
         false
     }
 
+    /// The parameter names of the fn whose name ends before significant
+    /// index `from` and whose body opens at `open`: the identifiers
+    /// annotated with a single `:` at the parameter list's top level
+    /// (generic parameters are skipped).
+    fn param_names(&self, from: usize, open: usize) -> Vec<String> {
+        let mut names = Vec::new();
+        let mut angle = 0i64;
+        let mut j = from;
+        // Skip `<…>` generics; a `->` inside a bound is not a closer.
+        while j < open {
+            match self.text(j) {
+                "<" if self.tok(j).kind == TokenKind::Punct => angle += 1,
+                ">" if self.tok(j).kind == TokenKind::Punct && !self.is_punct(j - 1, "-") => {
+                    angle -= 1
+                }
+                "(" if angle == 0 && self.tok(j).kind == TokenKind::Punct => break,
+                _ => {}
+            }
+            j += 1;
+        }
+        let mut depth = 0i64;
+        while j < open {
+            if self.tok(j).kind == TokenKind::Punct {
+                match self.text(j) {
+                    "(" | "[" | "<" => depth += 1,
+                    ")" | "]" => depth -= 1,
+                    ">" if !self.is_punct(j - 1, "-") => depth -= 1,
+                    _ => {}
+                }
+                if depth == 0 {
+                    break;
+                }
+            } else if depth == 1
+                && self.is_ident(j)
+                && self.is_punct(j + 1, ":")
+                && !self.is_punct(j + 2, ":")
+            {
+                names.push(self.text(j).to_string());
+            }
+            j += 1;
+        }
+        names
+    }
+
+    /// The first significant index in `[from, close)` holding one of
+    /// `stops` outside any bracket (`close` if none does): the end of a
+    /// pattern that starts at `from`.
+    fn pattern_end(&self, from: usize, close: usize, stops: &[&str]) -> usize {
+        let mut depth = 0i64;
+        for j in from..close {
+            let w = self.text(j);
+            if depth == 0 && stops.contains(&w) && !(w == "=" && self.is_punct(j + 1, "=")) {
+                return j;
+            }
+            if self.tok(j).kind == TokenKind::Punct {
+                match w {
+                    "(" | "[" | "{" => depth += 1,
+                    ")" | "]" | "}" => depth -= 1,
+                    _ => {}
+                }
+                if depth < 0 {
+                    return j;
+                }
+            }
+        }
+        close
+    }
+
+    /// The first significant index of the match-arm pattern whose `=>`
+    /// sits at `arrow`: just past the nearest `,`, `{`, `}` or `;`
+    /// outside parentheses and brackets. A struct pattern's braces end
+    /// the scan early, which only loses bindings.
+    fn arm_start(&self, arrow: usize, open: usize) -> usize {
+        let mut depth = 0i64;
+        let mut j = arrow;
+        while j > open + 1 {
+            j -= 1;
+            if self.tok(j).kind != TokenKind::Punct {
+                continue;
+            }
+            match self.text(j) {
+                ")" | "]" => depth += 1,
+                "(" | "[" => depth -= 1,
+                "," | "{" | "}" | ";" if depth <= 0 => return j + 1,
+                _ => {}
+            }
+        }
+        open + 1
+    }
+
+    /// The names a pattern in `[from, to)` binds: lowercase identifiers
+    /// that are not keywords, paths, or the names of called tuple
+    /// structs and macros.
+    fn pattern_names(&self, from: usize, to: usize) -> Vec<String> {
+        let path_at = |j: usize| self.is_punct(j, ":") && self.is_punct(j + 1, ":");
+        let names_an_item = |j: usize| {
+            ["(", "{", "!"].iter().any(|p| self.is_punct(j + 1, p))
+                || path_at(j + 1)
+                || (j >= 2 && path_at(j - 2))
+        };
+        (from..to)
+            .filter(|&j| {
+                let w = self.text(j);
+                self.is_ident(j)
+                    && w.starts_with(|c: char| c.is_ascii_lowercase() || c == '_')
+                    && !KEYWORDS.contains(&w)
+                    && !names_an_item(j)
+            })
+            .map(|j| self.text(j).to_string())
+            .collect()
+    }
+
+    /// Can the identifier at significant index `k` of a body not name a
+    /// fn used as a value? True for a field access (`x.f`, but not the
+    /// `..f` of a range), a struct-literal field name (`f: …`), and a
+    /// name bound by the fn itself (`bindings`).
+    fn never_a_ref(&self, k: usize, bindings: &[String]) -> bool {
+        let field_access =
+            k > 0 && self.is_punct(k - 1, ".") && !(k > 1 && self.is_punct(k - 2, "."));
+        let field_name = self.is_punct(k + 1, ":") && !self.is_punct(k + 2, ":");
+        field_access || field_name || bindings.iter().any(|b| b == self.text(k))
+    }
+
     /// Scans one fn body `(open, close]` for calls, refs, loops, poll
-    /// evidence, and lock sites, excluding nested fn bodies.
-    fn scan_body(&self, open: usize, close: usize) -> BodyFacts {
+    /// evidence, and lock sites, excluding nested fn bodies. `bindings`
+    /// holds the fn's parameter names; its `let` bindings join them.
+    fn scan_body(&self, open: usize, close: usize, mut bindings: Vec<String>) -> BodyFacts {
         let mut facts = BodyFacts::default();
         // Nested fn body ranges to exclude (each nested fn answers for
         // itself).
@@ -575,6 +703,33 @@ impl<'s> Parser<'s> {
             }
         }
         let in_nested = |k: usize| -> bool { nested.iter().any(|&(s, e)| k > s && k <= e) };
+
+        // Names the body binds shadow any fn of that name: `let` and
+        // `for` patterns, closure parameters, and match-arm patterns.
+        for j in open + 1..close {
+            if in_nested(j) {
+                continue;
+            }
+            let pattern = if self.is_ident_text(j, "let") {
+                Some((j + 1, self.pattern_end(j + 1, close, &["=", ";"])))
+            } else if self.is_ident_text(j, "for") {
+                Some((j + 1, self.pattern_end(j + 1, close, &["in"])))
+            } else if self.is_punct(j, "|")
+                && j > 0
+                && (matches!(self.text(j - 1), "(" | "," | "=" | "{" | ";" | ":")
+                    || self.is_ident_text(j - 1, "move")
+                    || self.is_ident_text(j - 1, "return"))
+            {
+                Some((j + 1, self.pattern_end(j + 1, close, &["|"])))
+            } else if self.is_punct(j, "=") && self.is_punct(j + 1, ">") {
+                Some((self.arm_start(j, open), j))
+            } else {
+                None
+            };
+            if let Some((from, to)) = pattern {
+                bindings.extend(self.pattern_names(from, to));
+            }
+        }
 
         // Single-assignment local aliases for lock receivers:
         // `let pool = POOL.get_or_init(…)` makes `pool` report `POOL`.
@@ -677,8 +832,8 @@ impl<'s> Parser<'s> {
                     line: t.line,
                     offset: t.start,
                 });
-            } else if !is_macro && !continues_path {
-                facts.refs.push((w.to_string(), t.line));
+            } else if !is_macro && !continues_path && !self.never_a_ref(k, &bindings) {
+                facts.refs.push((self.path_segments_ending_at(k), t.line));
             }
             k += 1;
         }
@@ -913,7 +1068,7 @@ impl<'s> Parser<'s> {
 #[derive(Debug, Default)]
 struct BodyFacts {
     calls: Vec<CallSite>,
-    refs: Vec<(String, u32)>,
+    refs: Vec<(Vec<String>, u32)>,
     loops: Vec<LoopSite>,
     polls: bool,
     locks: Vec<LockSite>,
@@ -966,7 +1121,11 @@ mod tests {
         assert!(calls.contains(&("crate::m::other".to_string(), false)));
         assert!(calls.contains(&("iter".to_string(), true)));
         assert!(calls.contains(&("inner_work".to_string(), false)));
-        let refs: Vec<&str> = f.refs.iter().map(|(n, _)| n.as_str()).collect();
+        let refs: Vec<&str> = f
+            .refs
+            .iter()
+            .filter_map(|(path, _)| path.last().map(String::as_str))
+            .collect();
         assert!(refs.contains(&"transform"), "{refs:?}");
         assert!(refs.contains(&"compute"), "{refs:?}");
         assert_eq!(f.loops.len(), 1);

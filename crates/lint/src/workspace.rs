@@ -27,7 +27,7 @@ use crate::LintError;
 
 /// Crates whose *library* code must be panic-free. Each one's `lib.rs`
 /// denies clippy's panic lint set ([`rules::PANIC_LINTS`]).
-pub const NO_PANIC_CRATES: &[&str] = &["core", "db", "numeric", "probdb"];
+pub const NO_PANIC_CRATES: &[&str] = &["core", "db", "numeric"];
 
 /// Why a reachable panic site is counted rather than reported: clippy
 /// has already held it to a reasoned `#[expect]`.

@@ -243,6 +243,40 @@ fn tuple_field_index_is_a_panic_site() {
 }
 
 #[test]
+fn fields_and_bindings_are_not_fn_references() {
+    // A panicking fn named `delta` beside a `delta` parameter, a
+    // `delta` field read, a `delta:` struct-literal field and a `let
+    // delta`: none of them reaches it, so its site stays unreachable.
+    let out = run_core("tnp_binding_not_a_ref.rs");
+    let g = &out.graph;
+    let delta = g
+        .fns
+        .iter()
+        .position(|f| f.item.name == "delta")
+        .expect("fn delta");
+    assert!(
+        g.edges.iter().all(|e| e.to != delta),
+        "{:?}",
+        g.edges
+            .iter()
+            .filter(|e| e.to == delta)
+            .map(|e| &g.fns[e.from].qualname)
+            .collect::<Vec<_>>()
+    );
+    let r = &out.report;
+    assert!(r.findings.is_empty(), "{:?}", r.findings);
+    assert!(r.suppressed.is_empty(), "{:?}", r.suppressed);
+    assert_eq!(r.demoted.len(), 1, "{:?}", r.demoted);
+    let (_, tnp) = out
+        .sections
+        .iter()
+        .find(|(k, _)| *k == "transitive_no_panic")
+        .expect("section");
+    assert!(tnp.contains("\"status\": \"panic-free\""), "{tnp}");
+    assert!(!tnp.contains("modulo-pragmas"), "{tnp}");
+}
+
+#[test]
 fn panic_sites_are_not_counted_outside_panic_free_crates() {
     let out = run_workloads("tnp_reachable.rs");
     assert!(out.report.findings.is_empty(), "{:?}", out.report.findings);

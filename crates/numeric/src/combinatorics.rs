@@ -85,6 +85,7 @@ impl BinomialCache {
 }
 
 /// The primes `≤ n`, by Eratosthenes.
+// cqshap-lint: allow(cancellation-reachability) -- bounded: a sieve up to the fact count, O(n log log n) word steps
 fn primes_up_to(n: usize) -> Vec<u64> {
     let mut composite = vec![false; n + 1];
     let mut out = Vec::new();
@@ -160,6 +161,7 @@ struct PrimePowers {
 
 /// `lcm(1..m) = Π_{p ≤ m} p^⌊log_p m⌋`, its prime powers packed
 /// greedily into word moduli.
+// cqshap-lint: allow(cancellation-reachability) -- bounded: one pass over the primes up to m, at most log_p(m) steps each
 fn lcm_prime_powers(m: usize) -> Vec<PrimePowers> {
     let mut groups: Vec<PrimePowers> = Vec::new();
     for p in primes_up_to(m) {

@@ -458,6 +458,7 @@ fn mul_schoolbook(a: &[BigUint], b: &[BigUint]) -> Vec<BigUint> {
 }
 
 /// Pointwise `acc[offset..] += add`.
+// cqshap-lint: allow(cancellation-reachability) -- bounded: one pass over a product half; Karatsuba polls between its recursive products
 fn add_at(acc: &mut [BigUint], offset: usize, add: &[BigUint]) {
     for (slot, v) in acc[offset..].iter_mut().zip(add) {
         *slot += v;
@@ -466,6 +467,7 @@ fn add_at(acc: &mut [BigUint], offset: usize, add: &[BigUint]) {
 
 /// Pointwise `acc[offset..] -= sub` (never underflows for Karatsuba's
 /// middle term: the cross products are a superset of the outer ones).
+// cqshap-lint: allow(cancellation-reachability) -- bounded: one pass over a product half; Karatsuba polls between its recursive products
 fn sub_at(acc: &mut [BigUint], offset: usize, sub: &[BigUint]) {
     for (slot, v) in acc[offset..].iter_mut().zip(sub) {
         *slot -= v;

@@ -11,18 +11,27 @@
 // Span phases (also used as deadline-check labels).
 // ---------------------------------------------------------------------
 
-/// `ShapleySession::prepare`: everything from spec to ready engines.
+/// `ShapleySession::prepare`: classification and the routing plan (and,
+/// for aggregate and fallback sessions, their engines).
 pub const PREPARE: &str = "prepare";
 /// Prepare sub-phase: query classification (hierarchy / exogenous splits).
 pub const PREPARE_CLASSIFY: &str = "prepare.classify";
 /// Prepare sub-phase: choosing the evaluation strategy for the class.
 pub const PREPARE_RESOLVE_STRATEGY: &str = "prepare.resolve-strategy";
-/// Prepare sub-phase: building the compiled engines/plans.
+/// Building the counting domain's compiled engines from the plan: under
+/// `prepare` for aggregate and fallback sessions, else under the first
+/// read or update that needs them.
 pub const PREPARE_COMPILE: &str = "prepare.compile";
 /// `ShapleySession::report` / `report_with`: one full Shapley report.
 pub const REPORT: &str = "report";
 /// `ShapleySession::report_tiered`: the graceful-degradation ladder.
 pub const REPORT_TIERED: &str = "report-tiered";
+/// `ShapleySession::probability`: one `Pr[q]` read, including the
+/// probability domain's compile on first use.
+pub const PROBABILITY: &str = "probability";
+/// `ShapleySession::expected_shapley`: one expected-marginal read,
+/// including the probability domain's compile on first use.
+pub const EXPECTED: &str = "expected";
 
 /// Compiled-engine build of one root group's recursion tree (or its
 /// class-memo lookup).

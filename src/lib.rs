@@ -12,8 +12,7 @@
 //! | [`db`] | `cqshap-db` | databases, endogenous/exogenous facts, worlds |
 //! | [`query`] | `cqshap-query` | CQ¬/UCQ¬ AST, parser, structural analysis, dichotomy classifier |
 //! | [`engine`] | `cqshap-engine` | satisfaction & homomorphism enumeration |
-//! | [`core`] | `cqshap-core` | exact Shapley values, `ExoShap`, sampling, relevance, aggregates, the gap construction |
-//! | [`probdb`] | `cqshap-probdb` | tuple-independent probabilistic databases (Thm 4.10) |
+//! | [`core`] | `cqshap-core` | exact Shapley values, `ExoShap`, probabilistic evaluation (Thm 4.10), sampling, relevance, aggregates, the gap construction |
 //! | [`gadgets`] | `cqshap-gadgets` | the paper's hardness reductions, executable |
 //! | [`workloads`] | `cqshap-workloads` | seeded synthetic scenarios |
 //! | [`numeric`] | `cqshap-numeric` | exact big-integer/rational arithmetic |
@@ -39,8 +38,10 @@
 //!
 //! For repeated queries against one database — and for incremental
 //! maintenance across updates — prepare a
-//! [`ShapleySession`](cqshap_core::session::ShapleySession) once and
-//! serve every value, report, and estimate from its cached engine:
+//! [`ShapleySession`](cqshap_core::session::ShapleySession) once. It
+//! keeps one routing plan; the Shapley reads and the probability reads
+//! (`probability`, `expected_shapley`, Theorem 4.10) each compile their
+//! domain from it on first use and serve every later read from it:
 //!
 //! ```
 //! use cqshap::prelude::*;
@@ -68,7 +69,6 @@ pub use cqshap_engine as engine;
 pub use cqshap_gadgets as gadgets;
 pub use cqshap_numeric as numeric;
 pub use cqshap_obs as obs;
-pub use cqshap_probdb as probdb;
 pub use cqshap_query as query;
 pub use cqshap_workloads as workloads;
 
@@ -97,7 +97,6 @@ pub mod prelude {
     };
     pub use cqshap_db::{Database, FactId, FactMask, Provenance, World};
     pub use cqshap_numeric::{BigInt, BigRational, BigUint};
-    pub use cqshap_probdb::ProbDatabase;
     pub use cqshap_query::{
         classify, classify_with_exo, conjoin_disjuncts, is_hierarchical, is_polarity_consistent,
         parse_cq, parse_ucq, ConjunctiveQuery, DisjunctConjunction, ExactComplexity, QueryBuilder,

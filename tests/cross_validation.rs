@@ -123,23 +123,26 @@ proptest! {
         }
     }
 
-    /// Lifted probabilistic inference equals world enumeration.
+    /// Lifted probabilistic inference equals world enumeration, bit for
+    /// bit.
     #[test]
     fn lifted_inference_matches_enumeration(qi in 0..HIERARCHICAL.len(), seed in 0u64..2000) {
         let q = parse_cq(HIERARCHICAL[qi]).unwrap();
         let cfg = RandomDbConfig { domain: 3, facts_per_relation: 4, seed, ..Default::default() };
         let db = cfg.generate(&q);
         prop_assume!(db.endo_count() <= 12);
-        let mut pdb = ProbDatabase::new(db, 0.5);
+        let mut session =
+            ShapleySession::prepare(&db, AnyQuery::Cq(&q), &ShapleyOptions::auto()).unwrap();
         // Vary probabilities deterministically from the seed.
-        let endo: Vec<FactId> = pdb.database().endo_facts().to_vec();
-        for (i, f) in endo.into_iter().enumerate() {
-            let p = [0.15, 0.4, 0.65, 0.9][((seed as usize) + i) % 4];
-            pdb.set_prob(f, p).unwrap();
+        for (i, &f) in db.endo_facts().iter().enumerate() {
+            let (n, d) = [(3, 20), (2, 5), (13, 20), (9, 10)][((seed as usize) + i) % 4];
+            session.set_probability(f, BigRational::from_i64_ratio(n, d)).unwrap();
         }
-        let fast = pdb.query_probability(&q).unwrap();
-        let slow = pdb.query_probability_enumerated(&q, 20).unwrap();
-        prop_assert!((fast - slow).abs() < 1e-9, "{} vs {} for {} on\n{}", fast, slow, q, pdb.database());
+        let fast = session.probability().unwrap();
+        let slow =
+            probability_by_enumeration(&db, AnyQuery::Cq(&q), session.probabilities(), None, 20)
+                .unwrap();
+        prop_assert_eq!(&fast, &slow, "{} on\n{}", q, db);
     }
 }
 

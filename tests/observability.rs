@@ -4,15 +4,78 @@
 //! strings.
 //!
 //! All tests share one process-wide trace window (installation is
-//! permanent), so every assertion here is monotone — "at least", "is
-//! present" — and no test clears the window.
+//! permanent), and no test clears it. Each test holds the window for
+//! its whole run, so a test may compare the window before and after
+//! its own calls; the other assertions are monotone — "at least", "is
+//! present".
+
+use std::collections::BTreeMap;
+use std::ops::Deref;
+use std::sync::{Mutex, MutexGuard};
 
 use cqshap::obs;
 use cqshap::prelude::*;
 use cqshap::workloads::{self, queries};
 
-fn trace() -> &'static obs::TraceRecorder {
-    obs::install_trace().expect("only the trace recorder is installed in this binary")
+/// The trace recorder, held by one test at a time.
+struct Traced {
+    recorder: &'static obs::TraceRecorder,
+    _held: MutexGuard<'static, ()>,
+}
+
+impl Deref for Traced {
+    type Target = obs::TraceRecorder;
+    fn deref(&self) -> &obs::TraceRecorder {
+        self.recorder
+    }
+}
+
+fn trace() -> Traced {
+    static HELD: Mutex<()> = Mutex::new(());
+    Traced {
+        _held: HELD.lock().unwrap_or_else(|poisoned| poisoned.into_inner()),
+        recorder: obs::install_trace()
+            .expect("only the trace recorder is installed in this binary"),
+    }
+}
+
+/// Closed-span counts by `(phase, parent)`, read back from the window's
+/// `cqshap-trace/v1` JSON.
+fn span_counts(t: &obs::TraceRecorder) -> BTreeMap<(String, Option<String>), u64> {
+    let meta = obs::TraceMeta {
+        host_cores: 1,
+        thread_cap: 1,
+    };
+    let field = |line: &str, key: &str| -> Option<String> {
+        let rest = line.split(&format!("\"{key}\": ")).nth(1)?;
+        let value = rest.split([',', '}']).next()?.trim();
+        Some(value.trim_matches('"').to_string())
+    };
+    t.to_json(&meta)
+        .lines()
+        .filter(|line| line.contains("\"phase\": "))
+        .filter_map(|line| {
+            let phase = field(line, "phase")?;
+            let parent = field(line, "parent").filter(|p| p != "null");
+            let count = field(line, "count")?.parse().ok()?;
+            Some(((phase, parent), count))
+        })
+        .collect()
+}
+
+/// The spans recorded between two [`span_counts`] snapshots.
+fn spans_since(
+    before: &BTreeMap<(String, Option<String>), u64>,
+    after: BTreeMap<(String, Option<String>), u64>,
+) -> BTreeMap<(String, Option<String>), u64> {
+    after
+        .into_iter()
+        .map(|(key, n)| {
+            let earlier = before.get(&key).copied().unwrap_or(0);
+            (key, n - earlier)
+        })
+        .filter(|(_, n)| *n > 0)
+        .collect()
 }
 
 /// Satellite contract: `budget::check` phase labels ARE obs phase keys,
@@ -160,4 +223,71 @@ fn sampler_evaluation_counters_account_for_every_marginal() {
     // R and S occur only positively, T only negatively, U not at all:
     // every relation here lets some evaluations be skipped.
     assert!(evals > 0 && skipped > 0, "{evals} run, {skipped} skipped");
+}
+
+/// A probability read attributes all its work: after a traced prepare,
+/// `probability()` records every compile span under a parent, and the
+/// counting domain (the only writer of `compile.weights`) is never
+/// built.
+#[test]
+fn probability_reads_have_a_root_and_skip_the_counting_domain() {
+    let t = trace();
+    let db = workloads::report_benchmark_db(64);
+    let q1 = queries::q1();
+    let before = span_counts(&t);
+    let mut session =
+        ShapleySession::prepare(&db, AnyQuery::Cq(&q1), &ShapleyOptions::auto().threads(1))
+            .expect("hierarchical");
+    session
+        .set_default_probability(BigRational::from_i64_ratio(3, 10))
+        .expect("a probability");
+    session.probability().expect("hierarchical");
+    let f = db.endo_facts()[0];
+    session.expected_shapley(f).expect("endogenous");
+    let spans = spans_since(&before, span_counts(&t));
+    let tops = [
+        obs::phase::PREPARE,
+        obs::phase::PROBABILITY,
+        obs::phase::EXPECTED,
+    ];
+    let parentless: Vec<_> = spans
+        .keys()
+        .filter(|(phase, parent)| parent.is_none() && !tops.contains(&phase.as_str()))
+        .collect();
+    assert!(parentless.is_empty(), "parentless spans {parentless:?}");
+    for phase in tops {
+        assert!(
+            spans.contains_key(&(phase.to_string(), None)),
+            "no top-level {phase:?} span in {spans:?}"
+        );
+    }
+    assert!(
+        spans.keys().any(|(phase, _)| phase == obs::phase::COMPILE),
+        "the probability domain compiled nothing: {spans:?}"
+    );
+    let weights: u64 = spans
+        .iter()
+        .filter(|((phase, _), _)| phase == obs::phase::WEIGHTS)
+        .map(|(_, n)| n)
+        .sum();
+    assert_eq!(weights, 0, "a probability read built the counting domain");
+}
+
+/// `&self` exact reads keep the counting terms they compile: value,
+/// values and report on one unbudgeted session compile exactly once.
+#[test]
+fn exact_reads_keep_the_counting_terms_they_compile() {
+    let t = trace();
+    let db = workloads::report_benchmark_db(64);
+    let q1 = queries::q1();
+    let session = ShapleySession::prepare(&db, AnyQuery::Cq(&q1), &ShapleyOptions::auto())
+        .expect("hierarchical");
+    let before = t.span_count(obs::phase::PREPARE_COMPILE);
+    let f = db.endo_facts()[0];
+    let value = session.value(f).expect("endogenous");
+    let values = session.values(db.endo_facts()).expect("endogenous");
+    let report = session.report().expect("hierarchical");
+    assert_eq!(t.span_count(obs::phase::PREPARE_COMPILE) - before, 1);
+    assert_eq!(values.first(), Some(&value));
+    assert_eq!(report.entry(f).map(|e| &e.value), Some(&value));
 }

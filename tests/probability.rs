@@ -3,7 +3,7 @@
 //! The tentpole claim of the evaluation-domain refactor is that the
 //! compiled engine instantiated at the probability domain computes the
 //! *same function* as both (a) the seed lifted-inference traversal
-//! (retained in `cqshap-probdb` as an independent oracle) and (b)
+//! (kept in `cqshap_core::reference` as an independent oracle) and (b)
 //! brute-force world enumeration. These proptests check all three on
 //! random tuple-independent CQ¬ instances with exact dyadic
 //! probabilities — equality is bit-for-bit on `BigRational`, never
@@ -11,8 +11,8 @@
 //! maintenance: after every random update, `probability()` and
 //! `expected_shapley()` must match a freshly prepared session exactly.
 
+use cqshap::core::reference::oracle_probability;
 use cqshap::prelude::*;
-use cqshap::probdb::reference::oracle_probability;
 use cqshap::workloads::random_db::RandomDbConfig;
 use proptest::prelude::*;
 
@@ -413,5 +413,113 @@ fn exoshap_union_probability_answers_past_the_brute_force_limit() {
             "{}",
             db.render_fact(f)
         );
+    }
+}
+
+/// `probability()` and every `expected_shapley()` of `session` equal
+/// world enumeration over its database and probabilities, bit for bit.
+fn assert_session_matches_enumeration(session: &mut ShapleySession, q: &ConjunctiveQuery) {
+    let db = session.database().clone();
+    let probs = session.probabilities().clone();
+    let m = db.endo_count();
+    let want = probability_by_enumeration(&db, AnyQuery::Cq(q), &probs, None, m).unwrap();
+    assert_eq!(session.probability().unwrap(), want, "{q} over\n{db}");
+    for &f in db.endo_facts() {
+        let present =
+            probability_by_enumeration(&db, AnyQuery::Cq(q), &probs, Some((f, true)), m).unwrap();
+        let absent =
+            probability_by_enumeration(&db, AnyQuery::Cq(q), &probs, Some((f, false)), m).unwrap();
+        assert_eq!(
+            session.expected_shapley(f).unwrap(),
+            present - absent,
+            "{q} at {}",
+            db.render_fact(f)
+        );
+    }
+}
+
+/// Theorem 4.10 on Example 4.1: the citations query is not
+/// hierarchical, but with `Pub` and `Citations` deterministic it has no
+/// non-hierarchical path, so the session answers through the `ExoShap`
+/// rewriting.
+#[test]
+fn theorem_4_10_example_4_1_routes_through_exoshap() {
+    let db = Database::parse(
+        "exorel Pub\nexorel Citations\n\
+         endo Author(alice, i1)\nendo Author(bob, i2)\nendo Author(carol, i1)\n\
+         exo Pub(alice, p1)\nexo Pub(alice, p2)\nexo Pub(bob, p3)\nexo Pub(carol, p4)\n\
+         exo Citations(p1, c10)\nexo Citations(p3, c5)\nexo Citations(p4, c2)\n",
+    )
+    .unwrap();
+    let q = parse_cq("q() :- Author(x, y), Pub(x, z), Citations(z, w)").unwrap();
+    assert!(!is_hierarchical(&q));
+    let mut session =
+        ShapleySession::prepare(&db, AnyQuery::Cq(&q), &ShapleyOptions::auto()).unwrap();
+    assert_eq!(session.strategy(), Some(ResolvedStrategy::ExoShap));
+    let alice = db.find_fact("Author", &["alice", "i1"]).unwrap();
+    session
+        .set_probability(alice, BigRational::from_i64_ratio(9, 10))
+        .unwrap();
+    assert_session_matches_enumeration(&mut session, &q);
+}
+
+/// Theorem 4.10 with negation: `q2` over the running example with
+/// `Stud`, `Course` and `Adv` declared deterministic.
+#[test]
+fn theorem_4_10_q2_with_deterministic_relations() {
+    let mut db = cqshap::workloads::figure_1_database();
+    for name in ["Stud", "Course", "Adv"] {
+        let rel = db.schema().id(name).unwrap();
+        db.declare_exogenous_relation(rel).unwrap();
+    }
+    let q = parse_cq("q2() :- Stud(x), !TA(x), Reg(x, y), !Course(y, 'CS')").unwrap();
+    assert!(!is_hierarchical(&q));
+    let mut session =
+        ShapleySession::prepare(&db, AnyQuery::Cq(&q), &ShapleyOptions::auto()).unwrap();
+    assert_eq!(session.strategy(), Some(ResolvedStrategy::ExoShap));
+    let cycle = [
+        (1, 10),
+        (3, 10),
+        (1, 2),
+        (7, 10),
+        (9, 10),
+        (1, 4),
+        (3, 4),
+        (3, 5),
+    ];
+    for (&f, (n, d)) in db.endo_facts().iter().zip(cycle.iter().cycle()) {
+        session
+            .set_probability(f, BigRational::from_i64_ratio(*n, *d))
+            .unwrap();
+    }
+    assert_session_matches_enumeration(&mut session, &q);
+}
+
+/// A session prepared under a forced strategy answers probabilistic
+/// reads through its own `Auto` plan: enumeration-forced and
+/// ExoShap-forced sessions agree with the `Auto` session bit for bit,
+/// across a probability change.
+#[test]
+fn forced_strategy_sessions_read_probabilities_through_auto() {
+    let db = cqshap::workloads::figure_1_database();
+    let q = parse_cq("q1() :- Stud(x), !TA(x), Reg(x, y)").unwrap();
+    let mut auto = ShapleySession::prepare(&db, AnyQuery::Cq(&q), &ShapleyOptions::auto()).unwrap();
+    for strategy in [
+        cqshap::core::Strategy::BruteForceSubsets,
+        cqshap::core::Strategy::ExoShap,
+    ] {
+        let options = ShapleyOptions::with_strategy(strategy);
+        let mut forced = ShapleySession::prepare(&db, AnyQuery::Cq(&q), &options).unwrap();
+        for p in [(1, 2), (3, 10)] {
+            let p = BigRational::from_i64_ratio(p.0, p.1);
+            auto.set_default_probability(p.clone()).unwrap();
+            forced.set_default_probability(p).unwrap();
+            assert_eq!(forced.probability().unwrap(), auto.probability().unwrap());
+            let f = db.endo_facts()[0];
+            assert_eq!(
+                forced.expected_shapley(f).unwrap(),
+                auto.expected_shapley(f).unwrap()
+            );
+        }
     }
 }
