@@ -595,6 +595,7 @@ pub fn aggregate_report(
 }
 
 /// `acc[i] += weight · values[i]`.
+// cqshap-lint: allow(cancellation-reachability) -- bounded: one pass over a candidate's value vector
 fn weighted_add(acc: &mut [BigRational], weight: &BigRational, values: Vec<BigRational>) {
     for (a, v) in acc.iter_mut().zip(values) {
         if !v.is_zero() {

@@ -474,6 +474,7 @@ fn inverse_normal_cdf(p: f64) -> f64 {
 }
 
 /// The stratified estimate and CLT half-width of one fact.
+// cqshap-lint: allow(cancellation-reachability) -- bounded: one pass over a fact's strata
 fn fact_interval(
     stats: &[StratumStats],
     strata: &[(usize, usize)],

@@ -28,7 +28,9 @@
 //!    and two short products per level, nothing mutated. The short
 //!    difference vector `d` of the two group counts is zero for many
 //!    facts; otherwise it is lifted through its environment and
-//!    weighted, `Σ_t (d ⊛ E)[t]·ω[t]` (Theorem 3.1's contraction).
+//!    weighted, `Σ_t (d ⊛ E)[t]·ω[t]` (Theorem 3.1's contraction), in
+//!    one pass over `E` that never materializes `d ⊛ E`
+//!    ([`ShapleyWeights::contract_lifted`]).
 //!    Facts outside every scope ("free") and facts whose root value
 //!    lacks positive support ("junk") are answered as exact zeros
 //!    without any recounting.
@@ -1493,7 +1495,7 @@ impl CompiledCount {
                 if matches!(c.env.as_slice(), [unit] if unit.is_one()) {
                     return Some(genv);
                 }
-                let _span = Span::enter(obs_phase::CONTRACT);
+                let _span = Span::enter(obs_phase::CLASS_ENV);
                 Some(self.eng.dom.combine(&genv, &c.env))
             })
             .as_deref()
@@ -1501,34 +1503,12 @@ impl CompiledCount {
     }
 
     /// `Σ_t (d ⊛ env)[t] · ω[t]`: the difference vector lifted to
-    /// full-query coalition sizes and weighted. `d` is short and mostly
-    /// zero, so the lift skips its zero entries; an entry that fits a
-    /// word is multiplied in place into the accumulators. The signed
-    /// lift is kept as two unsigned halves.
+    /// full-query coalition sizes and weighted, in one pass over `env`
+    /// ([`ShapleyWeights::contract_lifted`]; the lift is never
+    /// materialized).
     fn contract(&self, d: &[BigInt], env: &[BigUint]) -> BigInt {
         let _span = Span::enter(obs_phase::CONTRACT);
-        let len = d.len() + env.len() - 1;
-        debug_assert_eq!(len, self.weights.len());
-        let mut plus = vec![BigUint::zero(); len];
-        let mut minus = vec![BigUint::zero(); len];
-        for (j, dj) in d.iter().enumerate() {
-            if dj.is_zero() {
-                continue;
-            }
-            let lifted = if dj.is_negative() {
-                &mut minus
-            } else {
-                &mut plus
-            };
-            let outs = env.iter().zip(lifted.iter_mut().skip(j));
-            match dj.magnitude().to_u64() {
-                Some(word) => outs.for_each(|(e, out)| out.add_mul_u64_assign(e, word)),
-                None => outs
-                    .filter(|(e, _)| !e.is_zero())
-                    .for_each(|(e, out)| *out += &(dj.magnitude() * e)),
-            }
-        }
-        self.weights.contract(&plus, &minus)
+        self.weights.contract_lifted(d, env)
     }
 
     /// `num / lcm(1..m)` in lowest terms, memoized per distinct

@@ -38,6 +38,7 @@ pub(crate) fn par_map_with<T: Send>(
     clippy::disallowed_methods,
     reason = "the one sanctioned `thread::scope` in the crate"
 )]
+// cqshap-lint: allow(cancellation-reachability) -- bounded: spawns and joins at most `threads` workers; the mapped closures poll
 pub(crate) fn try_par_map_with<T: Send>(
     threads: usize,
     n: usize,

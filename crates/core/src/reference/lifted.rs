@@ -33,6 +33,7 @@ struct LiftedAtom {
 }
 
 impl LiftedAtom {
+    // cqshap-lint: allow(cancellation-reachability) -- bounded by the atom's arity
     fn matches(&self, values: &[ConstId]) -> bool {
         let mut bound: Vec<(u32, ConstId)> = Vec::new();
         for (t, &val) in self.terms.iter().zip(values) {

@@ -26,6 +26,7 @@ use crate::error::CoreError;
 
 /// `Neg_q(Dn)`: the endogenous facts whose relation occurs negatively in
 /// the (polarity-consistent) query.
+// cqshap-lint: allow(cancellation-reachability) -- bounded: one pass over the facts of the query's negated relations
 fn negq_endo_facts(db: &Database, q: AnyQuery<'_>) -> Vec<FactId> {
     let mut out = Vec::new();
     for (rel_name, pol) in q.polarities() {

@@ -107,6 +107,7 @@ impl PAtom {
 
     /// Does `fact_tuple` match this pattern (constants agree, positions
     /// sharing one variable agree)?
+    // cqshap-lint: allow(cancellation-reachability) -- bounded by the atom's arity
     pub(crate) fn matches(&self, values: &[ConstId]) -> bool {
         debug_assert_eq!(values.len(), self.terms.len());
         let mut bound: Vec<(u32, ConstId)> = Vec::new();
@@ -136,6 +137,7 @@ impl PAtom {
         clippy::unreachable,
         reason = "callers scan variables collected from this atom's own terms"
     )]
+    // cqshap-lint: allow(cancellation-reachability) -- bounded by the atom's arity
     pub(crate) fn value_of(&self, v: u32, values: &[ConstId]) -> ConstId {
         for (t, &val) in self.terms.iter().zip(values) {
             if *t == PTerm::Var(v) {
@@ -438,6 +440,7 @@ impl RootGroups {
     }
 
     /// The per-atom scopes of the root-value-`c` group.
+    // cqshap-lint: allow(cancellation-reachability) -- bounded: one pass over one root group's facts
     pub(crate) fn group(&self, c: ConstId) -> Vec<Vec<FactId>> {
         let mut scopes = vec![Vec::new(); self.atoms];
         let start = self.facts.partition_point(|&(v, _, _)| v < c);

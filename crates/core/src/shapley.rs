@@ -267,6 +267,7 @@ pub fn shapley_by_permutations(
 
 /// Visits every permutation in place; the visitor returns `false` to
 /// abort the enumeration (cooperative cancellation).
+// cqshap-lint: allow(cancellation-reachability) -- the visitor polls: the permutation oracle charges its token every 1024 permutations and returns false to stop
 fn permute(order: &mut Vec<usize>, k: usize, visit: &mut impl FnMut(&[usize]) -> bool) -> bool {
     if k == order.len() {
         return visit(order);

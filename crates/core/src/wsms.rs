@@ -326,6 +326,7 @@ fn descend(
 
 /// Extends `bindings` so that `atom` maps onto the tuple `values`;
 /// restores `bindings` and returns `false` when it cannot.
+// cqshap-lint: allow(cancellation-reachability) -- bounded by the atom's arity
 fn match_atom(atom: &PAtom, values: &[ConstId], bindings: &mut Vec<(u32, ConstId)>) -> bool {
     let mark = bindings.len();
     for (t, &val) in atom.terms.iter().zip(values) {
@@ -407,6 +408,7 @@ fn instantiate(atom: &PAtom, bindings: &[(u32, ConstId)]) -> PAtom {
 // ---------------------------------------------------------------------
 
 /// The subset-minimal elements of `candidates` (each sorted ascending).
+// cqshap-lint: allow(cancellation-reachability) -- bounded: quadratic in the candidate supports, which `collect_supports` enumerates under the caller's token
 fn minimal_sets(candidates: BTreeSet<Vec<FactId>>) -> Vec<Vec<FactId>> {
     let mut by_size: Vec<Vec<FactId>> = candidates.into_iter().collect();
     by_size.sort_by_key(|s| s.len());

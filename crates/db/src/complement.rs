@@ -6,10 +6,6 @@
 //! Appendix C embedding. A complement of an arity-`a` relation over a
 //! domain of `d` constants has `d^a − |R|` tuples, so materialization is
 //! guarded by an explicit tuple budget.
-#![expect(
-    clippy::indexing_slicing,
-    reason = "complement enumeration indexes within the universe fixed at construction"
-)]
 
 use crate::database::Database;
 use crate::error::DbError;
@@ -24,32 +20,34 @@ pub const DEFAULT_TUPLE_BUDGET: usize = 10_000_000;
 
 /// Enumerates all tuples over `domain^arity` in lexicographic order of
 /// domain positions, calling `f` for each.
+// cqshap-lint: allow(cancellation-reachability) -- bounded: `complement_tuples` checks domain^arity against its tuple budget before enumerating
 pub fn for_each_domain_tuple(domain: &[ConstId], arity: usize, mut f: impl FnMut(&[ConstId])) {
     if arity == 0 {
         f(&[]);
         return;
     }
-    if domain.is_empty() {
+    let Some(&first) = domain.first() else {
         return;
-    }
+    };
     let mut idx = vec![0usize; arity];
-    let mut tuple: Vec<ConstId> = idx.iter().map(|&i| domain[i]).collect();
+    let mut tuple = vec![first; arity];
     loop {
         f(&tuple);
-        // Odometer increment.
-        let mut pos = arity;
-        loop {
-            if pos == 0 {
-                return;
-            }
-            pos -= 1;
-            idx[pos] += 1;
-            if idx[pos] < domain.len() {
-                tuple[pos] = domain[idx[pos]];
+        // Odometer increment: the last position that does not wrap
+        // advances, the positions after it wrap to the first constant.
+        let mut advanced = false;
+        for (i, slot) in idx.iter_mut().zip(tuple.iter_mut()).rev() {
+            *i += 1;
+            if let Some(&c) = domain.get(*i) {
+                *slot = c;
+                advanced = true;
                 break;
             }
-            idx[pos] = 0;
-            tuple[pos] = domain[0];
+            *i = 0;
+            *slot = first;
+        }
+        if !advanced {
+            return;
         }
     }
 }

@@ -368,6 +368,7 @@ impl Database {
 
     /// All constants appearing in facts (the active domain `Dom(D)`),
     /// in first-appearance order, deduplicated.
+    // cqshap-lint: allow(cancellation-reachability) -- bounded: one pass over the facts' values
     pub fn active_domain(&self) -> Vec<ConstId> {
         let mut seen = HashSet::new();
         let mut out = Vec::new();
@@ -426,6 +427,7 @@ impl Database {
         })
     }
 
+    // cqshap-lint: allow(cancellation-reachability) -- bounded: one pass over the facts
     fn rebuild(
         &self,
         mut keep: impl FnMut(FactId, &Fact) -> Option<Provenance>,

@@ -21,6 +21,7 @@ use crate::fact::Provenance;
 
 impl Database {
     /// Parses the text format described in [the module docs](self).
+    // cqshap-lint: allow(cancellation-reachability) -- bounded: one pass over the input's lines
     pub fn parse(text: &str) -> Result<Database, DbError> {
         let mut db = Database::new();
         let mut exorel_names: Vec<(usize, String)> = Vec::new();
@@ -84,6 +85,7 @@ fn is_token(s: &str) -> bool {
 }
 
 /// Parses `Rel(arg, arg, ...)`, allowing zero arguments.
+// cqshap-lint: allow(cancellation-reachability) -- bounded: one pass over one fact line
 fn parse_fact(s: &str, line: usize) -> Result<(String, Vec<String>), DbError> {
     let err = |message: String| DbError::Parse { line, message };
     let open = s

@@ -104,6 +104,7 @@ pub struct CompiledQuery {
 
 impl CompiledQuery {
     /// Compiles `q` against `db`.
+    // cqshap-lint: allow(cancellation-reachability) -- bounded by the query: loops over its atoms, terms and variables
     pub fn compile(db: &Database, q: &ConjunctiveQuery) -> Self {
         let mut positives = Vec::new();
         let mut negatives = Vec::new();
@@ -176,6 +177,7 @@ impl CompiledQuery {
 /// Greedy join order: repeatedly pick the atom with the most
 /// already-bound variables, breaking ties toward smaller relations.
 /// Keeps evaluation from degenerating into a full cross product.
+// cqshap-lint: allow(cancellation-reachability) -- bounded by the query: loops over its atoms, terms and variables
 fn order_positives(db: &Database, positives: &mut Vec<CompiledAtom>) {
     let mut remaining: Vec<CompiledAtom> = std::mem::take(positives);
     let mut bound: Vec<bool> = Vec::new();

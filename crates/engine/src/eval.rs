@@ -97,6 +97,7 @@ struct Frame<'a> {
 /// Matches the positive atoms from `depth` on. A variable first bound
 /// at a deeper level keeps its stale value after backtracking; it is
 /// rebound before any visitor can see it again.
+// cqshap-lint: allow(cancellation-reachability) -- bounded by the positive matches: one index range per atom and level, and the visitor returns false to stop the walk
 fn join(
     q: &CompiledQuery,
     scope: FactScope<'_>,

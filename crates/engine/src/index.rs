@@ -129,6 +129,7 @@ impl PositiveIndex {
     /// Indexes `atom`'s matches in `db`. `bound[v]` says whether an
     /// earlier atom binds variable `v`; this atom's variables are marked
     /// bound on return.
+    // cqshap-lint: allow(cancellation-reachability) -- bounded: one pass over the atom's relation, then over its rows
     pub(crate) fn build(db: &Database, atom: &CompiledAtom, bound: &mut [bool]) -> Self {
         // `None` when the atom names a constant the database lacks.
         let roles: Option<Vec<ColumnRole>> = atom
@@ -239,6 +240,7 @@ impl PositiveIndex {
     /// The rows matching the current bindings, as an index range.
     /// `probe` is scratch space of at least the key's length.
     #[inline]
+    // cqshap-lint: allow(cancellation-reachability) -- bounded by the join key's length
     pub(crate) fn lookup(
         &self,
         assignment: &[Option<ConstId>],
@@ -267,6 +269,7 @@ impl PositiveIndex {
 
     /// Binds this atom's new variables to row `i`'s values.
     #[inline]
+    // cqshap-lint: allow(cancellation-reachability) -- bounded by the atom's arity
     pub(crate) fn bind(&self, i: usize, assignment: &mut [Option<ConstId>]) {
         let n = self.binds.len();
         for (&v, &c) in self.binds.iter().zip(&self.values[i * n..(i + 1) * n]) {
@@ -309,6 +312,7 @@ impl NegativeIndex {
     /// The fact this atom grounds to under `assignment`, if it exists.
     /// `probe` is scratch space of at least the atom's arity.
     #[inline]
+    // cqshap-lint: allow(cancellation-reachability) -- bounded by the atom's arity
     pub(crate) fn ground(
         &self,
         assignment: &[Option<ConstId>],

@@ -112,6 +112,47 @@ pub struct GraphInput {
     pub parsed: ParsedFile,
 }
 
+/// Which crates each crate may call into: its dependency closure, read
+/// from the manifests' path dependencies, itself included. A crate with
+/// no entry may call into every crate (in-memory fixture workspaces
+/// carry no manifests).
+#[derive(Debug, Clone, Default)]
+pub struct CrateDeps {
+    closure: BTreeMap<String, BTreeSet<String>>,
+}
+
+impl CrateDeps {
+    /// The transitive closure of `direct` (short crate name → the short
+    /// names of its first-party dependencies).
+    pub fn from_direct(direct: &BTreeMap<String, BTreeSet<String>>) -> CrateDeps {
+        let closure = direct
+            .keys()
+            .map(|krate| {
+                let mut seen = BTreeSet::from([krate.clone()]);
+                let mut stack = vec![krate.as_str()];
+                while let Some(k) = stack.pop() {
+                    for dep in direct.get(k).into_iter().flatten() {
+                        if seen.insert(dep.clone()) {
+                            stack.push(dep);
+                        }
+                    }
+                }
+                (krate.clone(), seen)
+            })
+            .collect();
+        CrateDeps { closure }
+    }
+
+    /// May code in crate `caller` call into crate `callee`?
+    pub fn allows(&self, caller: &str, callee: &str) -> bool {
+        caller == callee
+            || self
+                .closure
+                .get(caller)
+                .is_none_or(|deps| deps.contains(callee))
+    }
+}
+
 /// The workspace call graph.
 pub struct Graph {
     /// Every fn in the workspace, in file order.
@@ -137,11 +178,13 @@ pub struct Graph {
 pub type Parents = Vec<Option<Option<usize>>>;
 
 impl Graph {
-    /// Builds the graph from parsed files. Call resolution order for a
-    /// bare name: same file+module → same impl type → same crate →
-    /// whole workspace (first non-empty tier wins); qualified paths
-    /// filter by the qualifying segment (impl type, module, or crate).
-    pub fn build(inputs: Vec<GraphInput>) -> Graph {
+    /// Builds the graph from parsed files. A call or reference only
+    /// resolves to fns of crates in the caller crate's dependency
+    /// closure (`deps`). Call resolution order for a bare name: same
+    /// file+module → same impl type → same crate → whole workspace
+    /// (first non-empty tier wins); qualified paths filter by the
+    /// qualifying segment (impl type, module, or crate).
+    pub fn build(inputs: Vec<GraphInput>, deps: &CrateDeps) -> Graph {
         let mut fns = Vec::new();
         let mut rwlock_names: BTreeSet<String> = BTreeSet::new();
         let mut lock_decls = Vec::new();
@@ -178,7 +221,7 @@ impl Graph {
         let mut edges: Vec<Edge> = Vec::new();
         for (i, f) in fns.iter().enumerate() {
             for call in &f.item.calls {
-                let (targets, ambiguous) = resolve_call(&fns, &by_name, i, call);
+                let (targets, ambiguous) = resolve_call(&fns, &by_name, deps, i, call);
                 for t in targets {
                     edges.push(Edge {
                         from: i,
@@ -194,7 +237,13 @@ impl Graph {
                 // A qualified ref (`Type::f`) resolves like a call on the
                 // same path; a bare one keeps every fn of its name.
                 let targets = match path.as_slice() {
-                    [name] => by_name.get(name.as_str()).cloned().unwrap_or_default(),
+                    [name] => by_name
+                        .get(name.as_str())
+                        .into_iter()
+                        .flatten()
+                        .copied()
+                        .filter(|&t| deps.allows(&f.krate, &fns[t].krate))
+                        .collect(),
                     _ => {
                         let site = crate::parser::CallSite {
                             segments: path.clone(),
@@ -203,7 +252,7 @@ impl Graph {
                             line: *line,
                             offset: 0,
                         };
-                        resolve_call(&fns, &by_name, i, &site).0
+                        resolve_call(&fns, &by_name, deps, i, &site).0
                     }
                 };
                 for t in targets {
@@ -636,6 +685,7 @@ fn file_modules(rel: &str) -> Vec<String> {
 fn resolve_call(
     fns: &[GraphFn],
     by_name: &HashMap<&str, Vec<usize>>,
+    deps: &CrateDeps,
     caller: usize,
     call: &crate::parser::CallSite,
 ) -> (Vec<usize>, bool) {
@@ -648,11 +698,13 @@ fn resolve_call(
     };
     let cf = &fns[caller];
     // Library code cannot call `#[cfg(test)]` fns; only keep test
-    // candidates when the caller is itself test code.
+    // candidates when the caller is itself test code. No code calls
+    // into a crate outside its dependency closure.
     let cands: Vec<usize> = all
         .iter()
         .copied()
         .filter(|&t| cf.item.is_test || !fns[t].item.is_test)
+        .filter(|&t| deps.allows(&cf.krate, &fns[t].krate))
         .collect();
     // A multi-candidate resolution is a guess: each edge is possible,
     // none is certain.
@@ -786,6 +838,7 @@ mod tests {
                 .iter()
                 .map(|(rel, krate, src)| input(rel, krate, src))
                 .collect(),
+            &CrateDeps::default(),
         )
     }
 

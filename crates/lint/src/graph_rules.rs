@@ -486,6 +486,7 @@ mod tests {
                     }
                 })
                 .collect(),
+            &crate::graph::CrateDeps::default(),
         )
     }
 

@@ -45,6 +45,7 @@ pub mod rules;
 pub mod scanner;
 pub mod workspace;
 
+pub use graph::CrateDeps;
 pub use report::{Demoted, Explanation, Finding, Report, Suppressed, SuppressionDebt};
 pub use workspace::{
     lint_files, lint_workspace, lint_workspace_timed, FileSpec, WorkspaceOutcome, NO_PANIC_CRATES,

@@ -8,11 +8,11 @@
 //! and `transitive-no-panic` certifies it per public API. See the
 //! README's "Static analysis" section.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::graph::{Graph, GraphInput};
+use crate::graph::{CrateDeps, Graph, GraphInput};
 use crate::graph_rules;
 use crate::lexer::lex;
 use crate::parser;
@@ -109,6 +109,8 @@ pub fn lint_workspace_timed(
             }
         }
     }
+    let krates: BTreeSet<&str> = files.iter().map(|f| f.krate.as_str()).collect();
+    let deps = read_crate_deps(root, &krates)?;
     let mut specs = Vec::with_capacity(files.len());
     for file in files {
         let src = fs::read_to_string(&file.abs).map_err(|e| LintError::io(&file.abs, e))?;
@@ -119,7 +121,85 @@ pub fn lint_workspace_timed(
             src,
         });
     }
-    Ok(lint_files(&specs, clock))
+    Ok(lint_files(&specs, &deps, clock))
+}
+
+/// Reads each scanned crate's first-party dependencies from the
+/// manifests: the root `Cargo.toml`'s `[workspace.dependencies]` maps
+/// each package to its `crates/<dir>` path, and a crate's
+/// `[dependencies]` names the packages it uses (`name.workspace = true`
+/// or `name = { path = "…" }`). The root package's manifest is the root
+/// `Cargo.toml`; a crate without a manifest gets no entry.
+fn read_crate_deps(root: &Path, krates: &BTreeSet<&str>) -> Result<CrateDeps, LintError> {
+    let read = |path: PathBuf| fs::read_to_string(&path).map_err(|e| LintError::io(&path, e));
+    let root_manifest = read(root.join("Cargo.toml"))?;
+    let crate_of_path = |path: &str| {
+        path.trim_end_matches('/')
+            .rsplit('/')
+            .next()
+            .map(str::to_string)
+    };
+    let dir_of: BTreeMap<&str, String> = manifest_section(&root_manifest, "workspace.dependencies")
+        .filter_map(|(package, value)| {
+            let path = path_value(value)?;
+            path.starts_with("crates/")
+                .then(|| crate_of_path(path))
+                .flatten()
+                .map(|dir| (package, dir))
+        })
+        .collect();
+    let deps_of = |manifest: &str| -> BTreeSet<String> {
+        manifest_section(manifest, "dependencies")
+            .filter_map(|(package, value)| {
+                dir_of
+                    .get(package)
+                    .cloned()
+                    .or_else(|| path_value(value).and_then(crate_of_path))
+            })
+            .collect()
+    };
+    let mut direct = BTreeMap::new();
+    for &krate in krates {
+        let manifest = if krate.is_empty() {
+            root_manifest.clone()
+        } else {
+            let path = root.join("crates").join(krate).join("Cargo.toml");
+            if !path.is_file() {
+                continue;
+            }
+            read(path)?
+        };
+        direct.insert(krate.to_string(), deps_of(&manifest));
+    }
+    Ok(CrateDeps::from_direct(&direct))
+}
+
+/// The `key = value` entries of one `[section]` of a manifest, with a
+/// `.workspace` suffix stripped from the key. Enough TOML for the
+/// workspace's own manifests: one entry per line, no multi-line values.
+fn manifest_section<'a>(
+    manifest: &'a str,
+    section: &'a str,
+) -> impl Iterator<Item = (&'a str, &'a str)> + 'a {
+    let mut current = "";
+    manifest.lines().filter_map(move |line| {
+        let line = line.split('#').next().unwrap_or_default().trim();
+        if let Some(header) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
+            current = header.trim();
+            return None;
+        }
+        if current != section {
+            return None;
+        }
+        let (key, value) = line.split_once('=')?;
+        let key = key.trim();
+        Some((key.strip_suffix(".workspace").unwrap_or(key), value.trim()))
+    })
+}
+
+/// The `path = "…"` of an inline-table dependency value.
+fn path_value(value: &str) -> Option<&str> {
+    value.split_once("path")?.1.split('"').nth(1)
 }
 
 /// The whole interprocedural pipeline over in-memory files:
@@ -137,7 +217,11 @@ pub fn lint_workspace_timed(
 ///    unused pragmas become `unused-suppression` findings, with a
 ///    `suppression-debt` message when the graph proof is what made
 ///    them redundant.
-pub fn lint_files(files: &[FileSpec], clock: &mut dyn FnMut() -> u64) -> WorkspaceOutcome {
+pub fn lint_files(
+    files: &[FileSpec],
+    deps: &CrateDeps,
+    clock: &mut dyn FnMut() -> u64,
+) -> WorkspaceOutcome {
     let mut acc: BTreeMap<&'static str, u64> = BTreeMap::new();
     let timed = |acc: &mut BTreeMap<&'static str, u64>,
                  key: &'static str,
@@ -189,7 +273,7 @@ pub fn lint_files(files: &[FileSpec], clock: &mut dyn FnMut() -> u64) -> Workspa
     }
 
     let t = clock();
-    let graph = Graph::build(inputs);
+    let graph = Graph::build(inputs, deps);
     timed(&mut acc, "graph-build", clock, t);
 
     let t = clock();
@@ -342,6 +426,36 @@ mod tests {
     use super::*;
 
     #[test]
+    fn manifests_give_each_crate_its_dependency_closure() {
+        let root = "[workspace]\nmembers = [\"crates/a\"]\n\n[workspace.dependencies]\n\
+                    cqshap-a = { path = \"crates/a\" } # comment\ncqshap-b = { path = \"crates/b\" }\n\
+                    rand = { path = \"vendor/rand\" }\n\n[dependencies]\ncqshap-b.workspace = true\n";
+        let dir_of: BTreeMap<&str, &str> = manifest_section(root, "workspace.dependencies")
+            .filter_map(|(package, value)| Some((package, path_value(value)?)))
+            .collect();
+        assert_eq!(
+            dir_of,
+            BTreeMap::from([
+                ("cqshap-a", "crates/a"),
+                ("cqshap-b", "crates/b"),
+                ("rand", "vendor/rand")
+            ])
+        );
+        let deps: Vec<(&str, &str)> = manifest_section(root, "dependencies").collect();
+        assert_eq!(deps, vec![("cqshap-b", "true")]);
+        // The closure is transitive and includes the crate itself.
+        let direct = BTreeMap::from([
+            ("a".to_string(), BTreeSet::from(["b".to_string()])),
+            ("b".to_string(), BTreeSet::from(["c".to_string()])),
+        ]);
+        let closure = CrateDeps::from_direct(&direct);
+        assert!(closure.allows("a", "c") && closure.allows("a", "a"));
+        assert!(!closure.allows("b", "a"));
+        // A crate without a manifest may call any crate.
+        assert!(closure.allows("c", "a"));
+    }
+
+    #[test]
     fn trailing_pragma_suppresses_its_own_line() {
         let spec = FileSpec {
             rel: "crates/query/src/x.rs".to_string(),
@@ -349,7 +463,7 @@ mod tests {
             is_binary: false,
             src: "fn f() -> Result<(), String> { Err(format!(\"x\")) } // cqshap-lint: allow(error-hygiene) -- fixture\n".to_string(),
         };
-        let r = lint_files(&[spec], &mut || 0).report;
+        let r = lint_files(&[spec], &CrateDeps::default(), &mut || 0).report;
         assert!(r.findings.is_empty(), "{:?}", r.findings);
         assert_eq!(r.suppressed.len(), 1);
     }

@@ -11,7 +11,9 @@
 
 use std::path::{Path, PathBuf};
 
-use cqshap_lint::{lint_files, FileSpec, WorkspaceOutcome};
+use std::collections::{BTreeMap, BTreeSet};
+
+use cqshap_lint::{lint_files, CrateDeps, FileSpec, WorkspaceOutcome};
 
 fn fixture_path(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -25,8 +27,13 @@ fn fixture(name: &str) -> String {
 }
 
 /// Runs the whole pipeline over in-memory library fixture files, no
-/// timing.
+/// timing, with every crate free to call every other.
 fn run(files: &[(&str, &str, &str)]) -> WorkspaceOutcome {
+    run_with_deps(files, &CrateDeps::default())
+}
+
+/// [`run`] under a crate dependency graph.
+fn run_with_deps(files: &[(&str, &str, &str)], deps: &CrateDeps) -> WorkspaceOutcome {
     let specs: Vec<FileSpec> = files
         .iter()
         .map(|(rel, krate, name)| FileSpec {
@@ -36,7 +43,7 @@ fn run(files: &[(&str, &str, &str)]) -> WorkspaceOutcome {
             src: fixture(name),
         })
         .collect();
-    lint_files(&specs, &mut || 0)
+    lint_files(&specs, deps, &mut || 0)
 }
 
 /// One fixture as the core crate's binary target.
@@ -47,7 +54,7 @@ fn run_core_binary(name: &str) -> WorkspaceOutcome {
         is_binary: true,
         src: fixture(name),
     };
-    lint_files(&[spec], &mut || 0)
+    lint_files(&[spec], &CrateDeps::default(), &mut || 0)
 }
 
 /// One core-crate library file at a generic path (all rules run).
@@ -274,6 +281,56 @@ fn fields_and_bindings_are_not_fn_references() {
         .expect("section");
     assert!(tnp.contains("\"status\": \"panic-free\""), "{tnp}");
     assert!(!tnp.contains("modulo-pragmas"), "{tnp}");
+}
+
+#[test]
+fn method_calls_resolve_only_into_the_dependency_closure() {
+    // `core` calls `.len()` on receivers of unknown type. Its own
+    // `Budget::len` is a candidate; `bench`'s `Table::len` is not,
+    // because `core` does not depend on `bench` (the reverse holds).
+    let files = [
+        ("crates/core/src/fixture.rs", "core", "deps_caller.rs"),
+        ("crates/bench/src/fixture.rs", "bench", "deps_foreign.rs"),
+    ];
+    let direct: BTreeMap<String, BTreeSet<String>> = [
+        ("core".to_string(), BTreeSet::from(["numeric".to_string()])),
+        ("bench".to_string(), BTreeSet::from(["core".to_string()])),
+    ]
+    .into();
+    let len_callees = |out: &WorkspaceOutcome| -> BTreeSet<String> {
+        let g = &out.graph;
+        let caller = g
+            .fns
+            .iter()
+            .position(|f| f.item.name == "total_len")
+            .expect("fn total_len");
+        g.out[caller]
+            .iter()
+            .map(|&e| g.fns[g.edges[e].to].qualname.clone())
+            .collect()
+    };
+    let scoped = run_with_deps(&files, &CrateDeps::from_direct(&direct));
+    assert_eq!(
+        len_callees(&scoped),
+        BTreeSet::from(["core::fixture::Budget::len".to_string()])
+    );
+    // Without the manifests' closure the foreign method is a candidate.
+    let unscoped = run(&files);
+    assert!(
+        len_callees(&unscoped).contains("bench::fixture::Table::len"),
+        "{:?}",
+        len_callees(&unscoped)
+    );
+    // `bench` depends on `core`, so its calls still reach `core`.
+    let g = &scoped.graph;
+    let bench_caller = g
+        .fns
+        .iter()
+        .position(|f| f.item.name == "render")
+        .expect("fn render");
+    assert!(g.out[bench_caller]
+        .iter()
+        .any(|&e| g.fns[g.edges[e].to].qualname == "core::fixture::Budget::len"));
 }
 
 #[test]

@@ -14,10 +14,6 @@
 //! schoolbook multiplication via `u128` partial products, shift–subtract
 //! division, Stein's binary GCD. Every constructor normalizes, so the
 //! representation is canonical and the derived `Eq`/`Hash` are sound.
-#![expect(
-    clippy::indexing_slicing,
-    reason = "limb kernels index within lengths computed in the same expression"
-)]
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -47,17 +43,18 @@ impl Default for BigUint {
 }
 
 /// Normalizes a limb vector into the canonical representation.
+// cqshap-lint: allow(cancellation-reachability) -- bounded: pops the trailing zero limbs
 fn from_limb_vec(mut limbs: Vec<u64>) -> BigUint {
     while limbs.last() == Some(&0) {
         limbs.pop();
     }
-    match limbs.len() {
-        0 => BigUint::zero(),
-        1 => BigUint {
-            repr: Repr::Small(limbs[0] as u128),
+    match *limbs.as_slice() {
+        [] => BigUint::zero(),
+        [lo] => BigUint {
+            repr: Repr::Small(lo as u128),
         },
-        2 => BigUint {
-            repr: Repr::Small(limbs[0] as u128 | (limbs[1] as u128) << 64),
+        [lo, hi] => BigUint {
+            repr: Repr::Small(lo as u128 | (hi as u128) << 64),
         },
         _ => BigUint {
             repr: Repr::Large(limbs),
@@ -84,6 +81,7 @@ fn add_limbs(a: &[u64], b: &[u64]) -> Vec<u64> {
 }
 
 /// `a - b` over limb slices; the caller guarantees `a >= b`.
+// cqshap-lint: allow(cancellation-reachability) -- bounded: one pass over the limbs
 fn sub_limbs(a: &[u64], b: &[u64]) -> Vec<u64> {
     let mut out = Vec::with_capacity(a.len());
     let mut borrow = 0u64;
@@ -99,29 +97,89 @@ fn sub_limbs(a: &[u64], b: &[u64]) -> Vec<u64> {
 }
 
 /// Schoolbook `a * b` over limb slices.
+// cqshap-lint: allow(cancellation-reachability) -- bounded: len(a)·len(b) limb products
 fn mul_limbs(a: &[u64], b: &[u64]) -> Vec<u64> {
     let mut out = vec![0u64; a.len() + b.len()];
     for (i, &ai) in a.iter().enumerate() {
         if ai == 0 {
             continue;
         }
+        // Row `i` of the product starts at limb `i`; `b` leads the zip,
+        // so `slots` then continues at limb `i + b.len()`.
+        let mut slots = out.iter_mut().skip(i);
         let mut carry = 0u128;
-        for (j, &bj) in b.iter().enumerate() {
-            let cur = out[i + j] as u128 + ai as u128 * bj as u128 + carry;
-            out[i + j] = cur as u64;
+        for (&bj, slot) in b.iter().zip(slots.by_ref()) {
+            let cur = *slot as u128 + ai as u128 * bj as u128 + carry;
+            *slot = cur as u64;
             carry = cur >> 64;
         }
-        let mut k = i + b.len();
-        while carry != 0 {
-            let cur = out[k] as u128 + carry;
-            out[k] = cur as u64;
+        for slot in slots {
+            if carry == 0 {
+                break;
+            }
+            let cur = *slot as u128 + carry;
+            *slot = cur as u64;
             carry = cur >> 64;
-            k += 1;
         }
     }
     out
 }
 
+/// `limbs += al · m · 2^(64·offset)`, growing `limbs` as needed.
+// cqshap-lint: allow(cancellation-reachability) -- bounded: one pass over the limbs
+fn add_mul_word_at(limbs: &mut Vec<u64>, al: &[u64], m: u64, offset: usize) {
+    if limbs.len() <= al.len() + offset {
+        limbs.resize(al.len() + offset + 1, 0);
+    }
+    let mut carry = 0u128;
+    let mut rest = limbs.iter_mut().skip(offset);
+    // `al` leads the zip, so `rest` stops at the first slot past it.
+    for (&x, slot) in al.iter().zip(rest.by_ref()) {
+        // ≤ (2^64−1) + (2^64−1)² + (2^64−1) = 2^128 − 1: no overflow.
+        let cur = *slot as u128 + x as u128 * m as u128 + carry;
+        *slot = cur as u64;
+        carry = cur >> 64;
+    }
+    for slot in rest {
+        if carry == 0 {
+            break;
+        }
+        let cur = *slot as u128 + carry;
+        *slot = cur as u64;
+        carry = cur >> 64;
+    }
+    if carry != 0 {
+        limbs.push(carry as u64);
+    }
+}
+
+/// `limbs −= al · m` modulo `2^(64·len)`; `true` iff no borrow left
+/// the top limb (the difference is nonnegative). The caller guarantees
+/// `limbs.len() >= al.len()`.
+// cqshap-lint: allow(cancellation-reachability) -- bounded: one pass over the limbs
+fn sub_mul_word(limbs: &mut [u64], al: &[u64], m: u64) -> bool {
+    let mut borrow = 0u64;
+    let mut rest = limbs.iter_mut();
+    // `al` leads the zip, so `rest` stops at the first slot past it.
+    for (&x, slot) in al.iter().zip(rest.by_ref()) {
+        // ≤ (2^64−1)² + (2^64−1) < 2^128, and its high word ≤ 2^64 − 2.
+        let p = x as u128 * m as u128 + borrow as u128;
+        let (diff, under) = slot.overflowing_sub(p as u64);
+        *slot = diff;
+        borrow = ((p >> 64) as u64) + under as u64;
+    }
+    for slot in rest {
+        if borrow == 0 {
+            break;
+        }
+        let (diff, under) = slot.overflowing_sub(borrow);
+        *slot = diff;
+        borrow = under as u64;
+    }
+    borrow == 0
+}
+
+// cqshap-lint: allow(cancellation-reachability) -- bounded: one pass over the limbs
 fn cmp_limbs(a: &[u64], b: &[u64]) -> Ordering {
     match a.len().cmp(&b.len()) {
         Ordering::Equal => {
@@ -189,14 +247,9 @@ impl BigUint {
         match &self.repr {
             Repr::Small(v) => {
                 let buf = [*v as u64, (*v >> 64) as u64];
-                let len = if buf[1] != 0 {
-                    2
-                } else if buf[0] != 0 {
-                    1
-                } else {
-                    0
-                };
-                f(&buf[..len])
+                // The normalized limbs: significant words only.
+                let len = (128 - v.leading_zeros() as usize).div_ceil(64);
+                f(buf.get(..len).unwrap_or_default())
             }
             Repr::Large(l) => f(l),
         }
@@ -219,7 +272,7 @@ impl BigUint {
     pub fn is_even(&self) -> bool {
         match &self.repr {
             Repr::Small(v) => v & 1 == 0,
-            Repr::Large(l) => l[0] & 1 == 0,
+            Repr::Large(l) => l.first().is_none_or(|x| x & 1 == 0),
         }
     }
 
@@ -247,6 +300,7 @@ impl BigUint {
     }
 
     /// Number of trailing zero bits; `None` for zero.
+    // cqshap-lint: allow(cancellation-reachability) -- bounded: one pass over the limbs
     pub fn trailing_zeros(&self) -> Option<usize> {
         match &self.repr {
             Repr::Small(0) => None,
@@ -288,11 +342,12 @@ impl BigUint {
             Repr::Small(v) => *v as f64,
             Repr::Large(l) => {
                 // Take the top 128 bits and scale by the discarded limbs.
-                let n = l.len();
-                let hi = l[n - 1] as u128;
-                let mid = l[n - 2] as u128;
-                let top = (hi << 64) | mid;
-                top as f64 * 2f64.powi(64 * (n as i32 - 2))
+                let top = l
+                    .iter()
+                    .rev()
+                    .take(2)
+                    .fold(0u128, |acc, &x| acc << 64 | x as u128);
+                top as f64 * 2f64.powi(64 * (l.len() as i32 - 2))
             }
         }
     }
@@ -355,6 +410,7 @@ impl BigUint {
     }
 
     /// Multiplies by a `u64` in place.
+    // cqshap-lint: allow(cancellation-reachability) -- bounded: one pass over the limbs
     pub fn mul_u64_assign(&mut self, m: u64) {
         match &mut self.repr {
             Repr::Small(v) => match v.checked_mul(m as u128) {
@@ -383,9 +439,8 @@ impl BigUint {
 
     /// `self += a · m` in place, without allocating the product: once
     /// `self` spills into limbs, repeated calls grow one limb vector.
-    /// The word-size kernels of polynomial division, of the Shapley
-    /// weight contraction and of the compiled engine's lift accumulate
-    /// their sums with it.
+    /// The word-size kernels of polynomial division and of the Shapley
+    /// weight contraction accumulate their sums with it.
     pub fn add_mul_u64_assign(&mut self, a: &BigUint, m: u64) {
         if let (Repr::Small(acc), Repr::Small(av)) = (&mut self.repr, &a.repr) {
             if let Some(sum) = av.checked_mul(m as u128).and_then(|p| p.checked_add(*acc)) {
@@ -396,34 +451,89 @@ impl BigUint {
         if m == 0 || a.is_zero() {
             return;
         }
-        let mut limbs = match std::mem::replace(&mut self.repr, Repr::Small(0)) {
-            Repr::Small(v) => vec![v as u64, (v >> 64) as u64],
-            Repr::Large(l) => l,
-        };
+        let mut limbs = self.take_limbs();
+        a.with_limbs(|al| add_mul_word_at(&mut limbs, al, m, 0));
+        *self = from_limb_vec(limbs);
+    }
+
+    /// `self += a · m` for a two-word multiplier, in place: the
+    /// contraction kernel's coefficients are sums of word products, so
+    /// most of them fit a `u128`. A multiplier that fits a word takes
+    /// [`BigUint::add_mul_u64_assign`].
+    pub fn add_mul_u128_assign(&mut self, a: &BigUint, m: u128) {
+        let (lo, hi) = (m as u64, (m >> 64) as u64);
+        if hi == 0 {
+            self.add_mul_u64_assign(a, lo);
+            return;
+        }
+        if let (Repr::Small(acc), Repr::Small(av)) = (&mut self.repr, &a.repr) {
+            if let Some(sum) = av.checked_mul(m).and_then(|p| p.checked_add(*acc)) {
+                *acc = sum;
+                return;
+            }
+        }
+        if a.is_zero() {
+            return;
+        }
+        let mut limbs = self.take_limbs();
         a.with_limbs(|al| {
-            if limbs.len() <= al.len() {
-                limbs.resize(al.len() + 1, 0);
-            }
-            let mut carry = 0u128;
-            for (slot, &x) in limbs.iter_mut().zip(al) {
-                // ≤ (2^64−1) + (2^64−1)² + (2^64−1) = 2^128 − 1: no overflow.
-                let cur = *slot as u128 + x as u128 * m as u128 + carry;
-                *slot = cur as u64;
-                carry = cur >> 64;
-            }
-            for slot in limbs.iter_mut().skip(al.len()) {
-                if carry == 0 {
-                    break;
-                }
-                let cur = *slot as u128 + carry;
-                *slot = cur as u64;
-                carry = cur >> 64;
-            }
-            if carry != 0 {
-                limbs.push(carry as u64);
-            }
+            add_mul_word_at(&mut limbs, al, lo, 0);
+            add_mul_word_at(&mut limbs, al, hi, 1);
         });
         *self = from_limb_vec(limbs);
+    }
+
+    /// `self −= a · m` in place, without allocating the product. Returns
+    /// `false`, leaving `self` unchanged, when `a · m > self`. Exact
+    /// polynomial division subtracts each `q[i]·d[k−i]` from its
+    /// coefficient with it.
+    #[must_use]
+    pub fn sub_mul_u64_assign(&mut self, a: &BigUint, m: u64) -> bool {
+        if m == 0 || a.is_zero() {
+            return true;
+        }
+        match (&mut self.repr, &a.repr) {
+            (Repr::Small(acc), Repr::Small(av)) => {
+                match av.checked_mul(m as u128).and_then(|p| acc.checked_sub(p)) {
+                    Some(diff) => {
+                        *acc = diff;
+                        true
+                    }
+                    None => false,
+                }
+            }
+            // A nonzero `a` of more limbs than `self` exceeds it.
+            (Repr::Small(_), Repr::Large(_)) => false,
+            (Repr::Large(limbs), _) => {
+                let fits = a.with_limbs(|al| {
+                    if limbs.len() < al.len() {
+                        return false;
+                    }
+                    if sub_mul_word(limbs, al, m) {
+                        return true;
+                    }
+                    // The wrapped difference plus `a·m` is `self` plus
+                    // one carry past the top limb, which is dropped.
+                    let len = limbs.len();
+                    add_mul_word_at(limbs, al, m, 0);
+                    limbs.truncate(len);
+                    false
+                });
+                if fits && limbs.last() == Some(&0) {
+                    *self = from_limb_vec(std::mem::take(limbs));
+                }
+                fits
+            }
+        }
+    }
+
+    /// Moves the limbs out of `self` (at least two, for the inline
+    /// representation), leaving zero behind.
+    fn take_limbs(&mut self) -> Vec<u64> {
+        match std::mem::replace(&mut self.repr, Repr::Small(0)) {
+            Repr::Small(v) => vec![v as u64, (v >> 64) as u64],
+            Repr::Large(l) => l,
+        }
     }
 
     /// `self * m` for a `u64` multiplier.
@@ -439,6 +549,7 @@ impl BigUint {
     ///
     /// # Panics
     /// Panics if `d == 0`.
+    // cqshap-lint: allow(cancellation-reachability) -- bounded: one pass over the limbs
     pub fn rem_u64(&self, d: u64) -> u64 {
         assert!(d != 0, "division by zero");
         match &self.repr {
@@ -457,6 +568,7 @@ impl BigUint {
     ///
     /// # Panics
     /// Panics if `d == 0`.
+    // cqshap-lint: allow(cancellation-reachability) -- bounded: one pass over the limbs
     pub fn div_rem_u64_assign(&mut self, d: u64) -> u64 {
         assert!(d != 0, "division by zero");
         match &mut self.repr {
@@ -482,6 +594,7 @@ impl BigUint {
     }
 
     /// Shift left by `bits`.
+    // cqshap-lint: allow(cancellation-reachability) -- bounded: one pass over the limbs
     fn shl_bits(&self, bits: usize) -> BigUint {
         if self.is_zero() || bits == 0 {
             return self.clone();
@@ -511,6 +624,7 @@ impl BigUint {
     }
 
     /// Shift right by `bits`.
+    // cqshap-lint: allow(cancellation-reachability) -- bounded: one pass over the limbs
     fn shr_bits(&self, bits: usize) -> BigUint {
         if bits == 0 {
             return self.clone();
@@ -524,10 +638,8 @@ impl BigUint {
         }
         self.with_limbs(|l| {
             let (limb_shift, bit_shift) = (bits / 64, bits % 64);
-            if limb_shift >= l.len() {
-                return BigUint::zero();
-            }
-            let mut out: Vec<u64> = l[limb_shift..].to_vec();
+            // Shifting out every limb leaves zero.
+            let mut out: Vec<u64> = l.get(limb_shift..).unwrap_or_default().to_vec();
             if bit_shift != 0 {
                 let mut carry = 0u64;
                 for x in out.iter_mut().rev() {
@@ -544,6 +656,7 @@ impl BigUint {
     ///
     /// # Panics
     /// Panics if `d` is zero.
+    // cqshap-lint: allow(cancellation-reachability) -- bounded: one shift-subtract step per quotient bit
     pub fn div_rem(&self, d: &BigUint) -> (BigUint, BigUint) {
         assert!(!d.is_zero(), "division by zero");
         if self < d {
@@ -565,7 +678,9 @@ impl BigUint {
         for i in (0..=shift).rev() {
             if let Some(diff) = rem.checked_sub(&divisor) {
                 rem = diff;
-                quotient_bits[i / 64] |= 1u64 << (i % 64);
+                if let Some(word) = quotient_bits.get_mut(i / 64) {
+                    *word |= 1u64 << (i % 64);
+                }
             }
             divisor = divisor.shr_bits(1);
         }
@@ -574,6 +689,7 @@ impl BigUint {
 
     /// Greatest common divisor (binary / Stein algorithm; pure `u128`
     /// arithmetic when both values are small).
+    // cqshap-lint: allow(cancellation-reachability) -- bounded: each binary-gcd step clears at least one bit, at most bit_len(a) + bit_len(b) steps
     pub fn gcd(&self, other: &BigUint) -> BigUint {
         if self.is_zero() {
             return other.clone();
@@ -632,6 +748,7 @@ impl BigUint {
     }
 
     /// Raises to the power `exp` by square-and-multiply.
+    // cqshap-lint: allow(cancellation-reachability) -- bounded: one squaring per exponent bit
     pub fn pow(&self, mut exp: u32) -> BigUint {
         let mut base = self.clone();
         let mut acc = BigUint::one();

@@ -8,6 +8,7 @@
 //! [`FactorialTable`] amortizes the factorials of the `m!` route that
 //! the per-fact oracles keep.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -62,6 +63,7 @@ impl BinomialCache {
     }
 
     /// The row `[C(n, 0), …, C(n, n)]`, computed on first use.
+    // cqshap-lint: allow(cancellation-reachability) -- bounded: one pass building a Pascal row of n + 1 entries
     pub fn row(&self, n: usize) -> Arc<Vec<BigUint>> {
         let mut rows = self
             .rows
@@ -117,6 +119,7 @@ fn factorial_valuation(n: usize, p: u64) -> usize {
 /// were removed. Factors are stripped in the largest `p`-power chunks
 /// that fit a `u64`, so high valuations cost a handful of short
 /// divisions instead of one per factor.
+// cqshap-lint: allow(cancellation-reachability) -- bounded: at most `max` word divisions
 fn strip_prime(v: &mut BigUint, p: u64, max: usize) -> usize {
     let mut chunk = p;
     let mut chunk_exp = 1usize;
@@ -200,8 +203,10 @@ fn lcm_prime_powers(m: usize) -> Vec<PrimePowers> {
 /// integer and `ω_a/g` is coprime to `D`, so `D` divides every `s_t`:
 /// the block factor is `ω_a/g` and the steps are `s_t/D`.
 ///
-/// [`ShapleyWeights::contract`] weights a whole count vector with one
-/// word multiply-add per size and one big product per block, and
+/// [`ShapleyWeights::contract_lifted`] weights the lift `d ⊛ E` of a
+/// short difference vector through an environment in one pass over `E`,
+/// with one big product per block; [`ShapleyWeights::contract`] weights
+/// a materialized count vector with one word multiply-add per size; and
 /// [`ShapleyWeights::reduce`] puts the result over `lcm(1..m)` in lowest
 /// terms with one word remainder per packed group of prime powers.
 #[derive(Debug, Clone, Default)]
@@ -218,6 +223,7 @@ pub struct ShapleyWeights {
 
 impl ShapleyWeights {
     /// The weights of an `m`-player game (none for `m = 0`).
+    // cqshap-lint: allow(cancellation-reachability) -- bounded: one pass over the m coalition sizes, one word product per block
     pub fn new(m: usize) -> Self {
         let Some(last) = m.checked_sub(1) else {
             return ShapleyWeights::default();
@@ -285,12 +291,12 @@ impl ShapleyWeights {
     /// as two unsigned halves of length `m`, weighted over the common
     /// denominator `lcm(1..m)`. Each block accumulates both halves
     /// against its word steps and multiplies their difference by the
-    /// block factor once.
+    /// block factor once. The materialized form of
+    /// [`ShapleyWeights::contract_lifted`], kept as its oracle.
     pub fn contract(&self, plus: &[BigUint], minus: &[BigUint]) -> BigInt {
         debug_assert_eq!(plus.len(), self.len());
         debug_assert_eq!(minus.len(), self.len());
-        let mut pos = BigUint::zero();
-        let mut neg = BigUint::zero();
+        let mut total = Signed::default();
         // The empty game has no blocks (and a zero block length).
         let b = self.block_len.max(1);
         let chunks = plus
@@ -298,19 +304,71 @@ impl ShapleyWeights {
             .zip(minus.chunks(b))
             .zip(self.steps.chunks(b));
         for (((p, n), steps), block) in chunks.zip(&self.blocks) {
-            let mut block_pos = BigUint::zero();
-            let mut block_neg = BigUint::zero();
+            let mut acc = Signed::default();
             for ((p, n), &step) in p.iter().zip(n).zip(steps) {
-                block_pos.add_mul_u64_assign(p, step);
-                block_neg.add_mul_u64_assign(n, step);
+                acc.pos.add_mul_u64_assign(p, step);
+                acc.neg.add_mul_u64_assign(n, step);
             }
-            match block_pos.cmp(&block_neg) {
-                std::cmp::Ordering::Greater => pos += &(&(block_pos - block_neg) * block),
-                std::cmp::Ordering::Less => neg += &(&(block_neg - block_pos) * block),
-                std::cmp::Ordering::Equal => {}
-            }
+            total.add_scaled(acc, block);
         }
-        BigInt::signed_diff(&pos, &neg)
+        total.into_bigint()
+    }
+
+    /// `Σ_t (d ⊛ env)[t]·ω_t` over the common denominator `lcm(1..m)`,
+    /// without materializing the lift `d ⊛ env`: the Shapley numerator
+    /// of a fact whose masked difference vector is `d` and whose
+    /// environment is `env` (`len(d) + len(env) − 1 = m`).
+    ///
+    /// Swapping the sums gives `Σ_s env[s]·Σ_j d_j·ω_{s+j}`. Per block
+    /// `b` of sizes and per `s`, the coefficient
+    /// `c_{s,b} = Σ_{j : s+j ∈ b} d_j·step_{s+j}` is a short sum of word
+    /// products, accumulated in a `u128` and widened to a [`BigUint`]
+    /// when it overflows or a `d_j` is wider than a word. `env[s]·c_{s,b}`
+    /// is multiply-added into the block's positive or negative
+    /// accumulator, and each block is multiplied by its big factor once,
+    /// as in [`ShapleyWeights::contract`]. An entry `env[s]` feeds at
+    /// most `1 + ⌈(len(d) − 1)/B⌉` blocks. The multiply-adds are counted
+    /// under `compiled.contract.terms` when a recorder is installed.
+    // cqshap-lint: allow(cancellation-reachability) -- bounded: one pass over the weight blocks, each over the environment entries that reach it
+    pub fn contract_lifted(&self, d: &[BigInt], env: &[BigUint]) -> BigInt {
+        debug_assert_eq!(d.len() + env.len(), self.len() + 1);
+        let words: Option<Vec<(u64, bool)>> = d
+            .iter()
+            .map(|dj| dj.magnitude().to_u64().map(|w| (w, dj.is_negative())))
+            .collect();
+        let reach = d.len().saturating_sub(1);
+        let b = self.block_len.max(1);
+        let mut total = Signed::default();
+        let mut terms = 0u64;
+        for ((steps, block), a) in self.steps.chunks(b).zip(&self.blocks).zip((0..).step_by(b)) {
+            // The block holds sizes `a..=z`; `env[s]` reaches it iff
+            // `s ≤ z < s + len(d) + B − 1`, i.e. `a − reach ≤ s ≤ z`.
+            let z = a + steps.len() - 1;
+            let first = a.saturating_sub(reach);
+            let mut acc = Signed::default();
+            for (s, e) in env.iter().enumerate().take(z + 1).skip(first) {
+                if e.is_zero() {
+                    continue;
+                }
+                // Sizes `t = s + j` of this block that `d` reaches.
+                let lo = a.max(s);
+                let len = z.min(s + reach) + 1 - lo;
+                let pairs = steps.iter().skip(lo - a).take(len);
+                let coefficient = words
+                    .as_deref()
+                    .and_then(|w| word_coefficient(w.iter().skip(lo - s).zip(pairs.clone())))
+                    .unwrap_or_else(|| wide_coefficient(d.iter().skip(lo - s).zip(pairs)));
+                if acc.add_mul(e, coefficient) {
+                    terms += 1;
+                }
+            }
+            total.add_scaled(acc, block);
+        }
+        debug_assert!(terms <= (env.len() * (1 + reach.div_ceil(b))) as u64);
+        if cqshap_obs::enabled() {
+            cqshap_obs::counter(cqshap_obs::phase::CTR_CONTRACT_TERMS, terms);
+        }
+        total.into_bigint()
     }
 
     /// `num / lcm(1..m)` in lowest terms, without a general gcd: each
@@ -319,6 +377,7 @@ impl ShapleyWeights {
     /// each of its primes divides `num` (up to that bound), and one word
     /// division strips them all. This is the per-value normalization of
     /// every batched Shapley report.
+    // cqshap-lint: allow(cancellation-reachability) -- bounded: one pass over lcm(1..m)'s packed prime groups, at most log_p(m) steps per prime
     pub fn reduce(&self, num: BigInt) -> BigRational {
         if num.is_zero() {
             return BigRational::zero();
@@ -351,6 +410,86 @@ impl ShapleyWeights {
     }
 }
 
+/// A signed sum kept as two unsigned halves, `pos − neg`.
+#[derive(Default)]
+struct Signed {
+    pos: BigUint,
+    neg: BigUint,
+}
+
+/// One contraction coefficient `c_{s,b}`: a sign (`true` when
+/// negative) and a magnitude that fits a `u128` or was widened.
+enum Coefficient {
+    Word(bool, u128),
+    Wide(bool, BigUint),
+}
+
+impl Signed {
+    /// `self += e·c`; `false` when `c = 0` and nothing was added.
+    fn add_mul(&mut self, e: &BigUint, c: Coefficient) -> bool {
+        match c {
+            Coefficient::Word(_, 0) => return false,
+            Coefficient::Word(negative, c) => self.half(negative).add_mul_u128_assign(e, c),
+            Coefficient::Wide(_, c) if c.is_zero() => return false,
+            Coefficient::Wide(negative, c) => *self.half(negative) += &(e * &c),
+        }
+        true
+    }
+
+    fn half(&mut self, negative: bool) -> &mut BigUint {
+        if negative {
+            &mut self.neg
+        } else {
+            &mut self.pos
+        }
+    }
+
+    /// `self += (block.pos − block.neg)·factor`, one big product.
+    fn add_scaled(&mut self, block: Signed, factor: &BigUint) {
+        match block.pos.cmp(&block.neg) {
+            Ordering::Greater => self.pos += &(&(block.pos - block.neg) * factor),
+            Ordering::Less => self.neg += &(&(block.neg - block.pos) * factor),
+            Ordering::Equal => {}
+        }
+    }
+
+    fn into_bigint(self) -> BigInt {
+        BigInt::signed_diff(&self.pos, &self.neg)
+    }
+}
+
+/// `Σ d_j·step` over signed word entries, in `u128`; `None` on overflow.
+// cqshap-lint: allow(cancellation-reachability) -- bounded: at most one weight block's word products
+fn word_coefficient<'a>(
+    pairs: impl Iterator<Item = (&'a (u64, bool), &'a u64)>,
+) -> Option<Coefficient> {
+    let (mut pos, mut neg) = (0u128, 0u128);
+    for (&(dj, negative), &step) in pairs {
+        let term = dj as u128 * step as u128;
+        let half = if negative { &mut neg } else { &mut pos };
+        *half = half.checked_add(term)?;
+    }
+    Some(if pos >= neg {
+        Coefficient::Word(false, pos - neg)
+    } else {
+        Coefficient::Word(true, neg - pos)
+    })
+}
+
+/// `Σ d_j·step` with no width limit: the widened coefficient.
+// cqshap-lint: allow(cancellation-reachability) -- bounded: at most one weight block's word products
+fn wide_coefficient<'a>(pairs: impl Iterator<Item = (&'a BigInt, &'a u64)>) -> Coefficient {
+    let mut sum = Signed::default();
+    for (dj, &step) in pairs {
+        sum.half(dj.is_negative())
+            .add_mul_u64_assign(dj.magnitude(), step);
+    }
+    match sum.pos.cmp(&sum.neg) {
+        Ordering::Less => Coefficient::Wide(true, sum.neg - sum.pos),
+        _ => Coefficient::Wide(false, sum.pos - sum.neg),
+    }
+}
+
 /// A cache of `0! ..= n!` plus derived Shapley permutation weights.
 #[derive(Debug, Clone)]
 pub struct FactorialTable {
@@ -360,6 +499,7 @@ pub struct FactorialTable {
 
 impl FactorialTable {
     /// Builds the table for factorials up to `n!` inclusive.
+    // cqshap-lint: allow(cancellation-reachability) -- bounded: n word multiplications
     pub fn new(n: usize) -> Self {
         let mut facts = Vec::with_capacity(n + 1);
         facts.push(BigUint::one());
@@ -387,6 +527,7 @@ impl FactorialTable {
     ///
     /// # Panics
     /// Panics if `m` exceeds the table size.
+    // cqshap-lint: allow(cancellation-reachability) -- bounded: one pass over the primes up to m, at most log_p(m) chunks each
     pub fn reduce_over_factorial(&self, num: BigInt, m: usize) -> BigRational {
         assert!(m <= self.max_n(), "factorial {m}! beyond the table");
         if num.is_zero() {
@@ -637,6 +778,42 @@ mod tests {
             assert_eq!(w.reduce(w.contract(&plus, &minus)), want, "m={m}");
             assert_eq!(w.reduce(w.contract(&minus, &plus)), -want, "m={m} negated");
         }
+    }
+
+    #[test]
+    fn word_coefficients_refuse_to_overflow() {
+        // Full-word entries against full-word steps overflow the u128
+        // sum; the widened coefficient is exact.
+        let d = [
+            (u64::MAX, false),
+            (u64::MAX, false),
+            (u64::MAX, true),
+            (u64::MAX, false),
+        ];
+        let steps = [u64::MAX; 4];
+        assert!(word_coefficient(d.iter().zip(&steps)).is_none());
+        let wide: Vec<BigInt> = d
+            .iter()
+            .map(|&(w, negative)| {
+                let w = BigInt::from_biguint(BigUint::from_u64(w));
+                if negative {
+                    -w
+                } else {
+                    w
+                }
+            })
+            .collect();
+        let Coefficient::Wide(false, c) = wide_coefficient(wide.iter().zip(&steps)) else {
+            panic!("expected a positive widened coefficient");
+        };
+        let w = BigUint::from_u64(u64::MAX);
+        assert_eq!(c, &(&w * &w) * &BigUint::from_u64(2));
+        // A sum that fits stays a word coefficient, with its sign.
+        let fits = [(3, true), (1, false)];
+        assert!(matches!(
+            word_coefficient(fits.iter().zip(&[5, 7])),
+            Some(Coefficient::Word(true, 8))
+        ));
     }
 
     #[test]

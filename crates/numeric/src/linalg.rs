@@ -6,10 +6,6 @@
 //! must be solved *exactly* — the unknowns are integers recovered from
 //! rationals — so we implement fraction-free-enough Gaussian elimination
 //! with full pivoting over [`BigRational`].
-#![expect(
-    clippy::indexing_slicing,
-    reason = "elimination indexes within the matrix dimensions it validated"
-)]
 
 use crate::rational::BigRational;
 
@@ -99,13 +95,38 @@ impl RationalMatrix {
     }
 
     /// Element access.
+    ///
+    /// # Panics
+    /// Panics if `(r, c)` lies outside the matrix.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented panic: an element outside the matrix is a caller bug"
+    )]
     pub fn get(&self, r: usize, c: usize) -> &BigRational {
         &self.data[r * self.cols + c]
     }
 
     /// Mutable element access.
+    ///
+    /// # Panics
+    /// Panics if `(r, c)` lies outside the matrix.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented panic: an element outside the matrix is a caller bug"
+    )]
     pub fn get_mut(&mut self, r: usize, c: usize) -> &mut BigRational {
         &mut self.data[r * self.cols + c]
+    }
+
+    /// The rows, each of `cols` entries (none for an empty matrix).
+    fn row_vecs(&self) -> Vec<Vec<BigRational>> {
+        if self.cols == 0 {
+            return vec![Vec::new(); self.rows];
+        }
+        self.data
+            .chunks_exact(self.cols)
+            .map(<[_]>::to_vec)
+            .collect()
     }
 
     /// Matrix–vector product.
@@ -116,21 +137,21 @@ impl RationalMatrix {
                 got: v.len(),
             });
         }
-        Ok((0..self.rows)
-            .map(|r| {
-                (0..self.cols).fold(BigRational::zero(), |acc, c| acc + self.get(r, c) * &v[c])
+        Ok(self
+            .row_vecs()
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .zip(v)
+                    .fold(BigRational::zero(), |acc, (a, x)| acc + a * x)
             })
             .collect())
     }
 
-    /// Solves `A·x = b` exactly by Gaussian elimination with partial
+    /// Solves `A·x = b` exactly by Gauss–Jordan elimination with partial
     /// pivoting (pivot = first nonzero in column, which is exact-safe).
     ///
     /// Returns [`LinalgError::Singular`] when `A` is not invertible.
-    #[expect(
-        clippy::needless_range_loop,
-        reason = "pivoting bookkeeping is index-driven"
-    )]
     pub fn solve(&self, b: &[BigRational]) -> Result<Vec<BigRational>, LinalgError> {
         let n = self.rows;
         if self.cols != n {
@@ -145,37 +166,29 @@ impl RationalMatrix {
                 got: b.len(),
             });
         }
-        // Augmented working copy.
-        let mut a = self.clone();
-        let mut rhs = b.to_vec();
-        let mut row_of_col = vec![usize::MAX; n];
-        let mut used = vec![false; n];
-        for col in 0..n {
-            let pivot_row = (0..n).find(|&r| !used[r] && !a.get(r, col).is_zero());
-            let Some(p) = pivot_row else {
-                return Err(LinalgError::Singular);
-            };
-            used[p] = true;
-            row_of_col[col] = p;
-            let inv = a.get(p, col).reciprocal();
-            for c in col..n {
-                let v = a.get(p, c) * &inv;
-                *a.get_mut(p, c) = v;
-            }
-            rhs[p] = &rhs[p] * &inv;
-            for r in 0..n {
-                if r == p || a.get(r, col).is_zero() {
-                    continue;
-                }
-                let factor = a.get(r, col).clone();
-                for c in col..n {
-                    let v = a.get(r, c) - &factor * a.get(p, c);
-                    *a.get_mut(r, c) = v;
-                }
-                rhs[r] = &rhs[r] - &factor * &rhs[p];
-            }
+        // Augmented rows `[A | b]`.
+        let mut rows = self.row_vecs();
+        for (row, bi) in rows.iter_mut().zip(b) {
+            row.push(bi.clone());
         }
-        Ok((0..n).map(|col| rhs[row_of_col[col]].clone()).collect())
+        for col in 0..n {
+            let (_, mut pivot) = take_pivot_row(&mut rows, col).ok_or(LinalgError::Singular)?;
+            let inv = pivot
+                .get(col)
+                .map(BigRational::reciprocal)
+                .unwrap_or_default();
+            for v in pivot.iter_mut().skip(col) {
+                *v = &*v * &inv;
+            }
+            for row in &mut rows {
+                eliminate(row, &pivot, col, &BigRational::one());
+            }
+            rows.insert(col, pivot);
+        }
+        Ok(rows
+            .into_iter()
+            .map(|row| row.last().cloned().unwrap_or_default())
+            .collect())
     }
 
     /// The determinant, via triangularization.
@@ -187,36 +200,54 @@ impl RationalMatrix {
                 got: self.cols,
             });
         }
-        let mut a = self.clone();
+        let mut rows = self.row_vecs();
         let mut det = BigRational::one();
         for col in 0..n {
-            let pivot = (col..n).find(|&r| !a.get(r, col).is_zero());
-            let Some(p) = pivot else {
+            let Some((p, pivot)) = take_pivot_row(&mut rows, col) else {
                 return Ok(BigRational::zero());
             };
             if p != col {
-                for c in 0..n {
-                    let tmp = a.get(p, c).clone();
-                    *a.get_mut(p, c) = a.get(col, c).clone();
-                    *a.get_mut(col, c) = tmp;
-                }
                 det = -det;
             }
-            let pv = a.get(col, col).clone();
+            let pv = pivot.get(col).cloned().unwrap_or_default();
             det = det * &pv;
             let inv = pv.reciprocal();
-            for r in col + 1..n {
-                if a.get(r, col).is_zero() {
-                    continue;
-                }
-                let factor = a.get(r, col) * &inv;
-                for c in col..n {
-                    let v = a.get(r, c) - &factor * a.get(col, c);
-                    *a.get_mut(r, c) = v;
-                }
+            for row in rows.iter_mut().skip(col) {
+                eliminate(row, &pivot, col, &inv);
             }
+            rows.insert(col, pivot);
         }
         Ok(det)
+    }
+}
+
+/// Removes the pivot row of column `col` — the first row `p ≥ col` with
+/// a nonzero entry there — and returns `(p, row)`. Row `col` moves to
+/// `p`, so putting the pivot back at `col` is one row swap when
+/// `p ≠ col`. The rows above `col` are already reduced.
+fn take_pivot_row(
+    rows: &mut Vec<Vec<BigRational>>,
+    col: usize,
+) -> Option<(usize, Vec<BigRational>)> {
+    let p = rows
+        .iter()
+        .enumerate()
+        .skip(col)
+        .find(|(_, row)| row.get(col).is_some_and(|v| !v.is_zero()))?
+        .0;
+    rows.swap(col, p);
+    Some((p, rows.remove(col)))
+}
+
+/// `row −= (row[col]·scale)·pivot` from column `col` on: clears
+/// `row[col]` against a pivot row whose entry there is `1/scale`.
+fn eliminate(row: &mut [BigRational], pivot: &[BigRational], col: usize, scale: &BigRational) {
+    let factor = match row.get(col) {
+        Some(v) if !v.is_zero() => v * scale,
+        _ => return,
+    };
+    for (v, pv) in row.iter_mut().zip(pivot).skip(col) {
+        *v = &*v - &(&factor * pv);
     }
 }
 

@@ -80,10 +80,6 @@
 //! shortest-first fold into one accumulator, which pays a long
 //! accumulator product per part. The `poly.power.recurrence` counter
 //! records each factor raised by the recurrence.
-#![expect(
-    clippy::indexing_slicing,
-    reason = "convolution kernels index by loop bounds derived from operand lengths"
-)]
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -268,11 +264,14 @@ fn divide(num: &[BigUint], den: &[BigUint], word_size: bool) -> Option<Vec<BigUi
         }
         return None;
     }
-    if num.len() < den.len() || num[..s].iter().any(|c| !c.is_zero()) {
+    if num.len() < den.len() {
         return None;
     }
-    let shifted = &num[s..];
-    let d = &den[s..];
+    let (head, shifted) = num.split_at_checked(s)?;
+    if head.iter().any(|c| !c.is_zero()) {
+        return None;
+    }
+    let d = den.get(s..)?;
     let q_len = num.len() - den.len() + 1;
     if word_size {
         if let Some(words) = d.iter().map(BigUint::to_u64).collect::<Option<Vec<u64>>>() {
@@ -285,33 +284,39 @@ fn divide(num: &[BigUint], den: &[BigUint], word_size: bool) -> Option<Vec<BigUi
 /// The division kernel for a divisor with `d[0] ≠ 0`: for each `k`,
 /// `num[k]` must equal `Σ_i q[i]·d[k−i]`; for `k < q_len` the `i = k`
 /// term carries the unknown `q[k]`, solved against `d[0]`.
+// cqshap-lint: allow(cancellation-reachability) -- bounded: one pass over the dividend, at most len(d) terms per coefficient
 fn divide_generic(num: &[BigUint], d: &[BigUint], q_len: usize) -> Option<Vec<BigUint>> {
-    let d0 = &d[0];
-    let mut q = vec![BigUint::zero(); q_len];
-    for k in 0..num.len() {
-        let mut acc = BigUint::zero();
+    let d0 = d.first()?;
+    let mut q: Vec<BigUint> = Vec::with_capacity(q_len);
+    for (k, nk) in num.iter().enumerate() {
+        // Σ_{i<k} q[i]·d[k−i], as in `divide_by_words`.
         let lo = (k + 1).saturating_sub(d.len());
-        for i in lo..k.min(q_len) {
-            if !q[i].is_zero() && !d[k - i].is_zero() {
-                acc += &(&q[i] * &d[k - i]);
+        let mut acc = BigUint::zero();
+        for (qi, di) in q.iter().skip(lo).zip(d.iter().take(k - lo + 1).rev()) {
+            if !qi.is_zero() && !di.is_zero() {
+                acc += &(qi * di);
             }
         }
         if k < q_len {
-            let rem = num[k].checked_sub(&acc)?;
+            let rem = nk.checked_sub(&acc)?;
             let (quot, r) = rem.div_rem(d0);
             if !r.is_zero() {
                 return None;
             }
-            q[k] = quot;
-        } else if num[k] != acc {
+            q.push(quot);
+        } else if *nk != acc {
             return None;
         }
     }
     Some(q)
 }
 
-/// [`divide_generic`] for a divisor of `u64` words: no product is
-/// allocated, and `d[0] = 1` skips the division.
+/// [`divide_generic`] for a divisor of `u64` words, in place: each
+/// coefficient is cloned once and every `q[i]·d[k−i]` is subtracted
+/// from it without allocating the product; `d[0] = 1` skips the
+/// division. The terms are nonnegative, so the running difference
+/// underflows iff their sum exceeds `num[k]`.
+// cqshap-lint: allow(cancellation-reachability) -- bounded: one pass over the dividend, at most len(d) terms per coefficient
 fn divide_by_words(num: &[BigUint], d: &[u64], q_len: usize) -> Option<Vec<BigUint>> {
     let &d0 = d.first()?;
     let mut q: Vec<BigUint> = Vec::with_capacity(q_len);
@@ -319,17 +324,18 @@ fn divide_by_words(num: &[BigUint], d: &[u64], q_len: usize) -> Option<Vec<BigUi
         // Σ_{i<k} q[i]·d[k−i] over the terms both vectors reach: `q`
         // holds q[0..min(k, q_len)], so d[0] never enters.
         let lo = (k + 1).saturating_sub(d.len());
-        let mut acc = BigUint::zero();
+        let mut rem = nk.clone();
         for (qi, &di) in q.iter().skip(lo).zip(d.iter().take(k - lo + 1).rev()) {
-            acc.add_mul_u64_assign(qi, di);
+            if !rem.sub_mul_u64_assign(qi, di) {
+                return None;
+            }
         }
         if k < q_len {
-            let mut rem = nk.checked_sub(&acc)?;
             if d0 != 1 && rem.div_rem_u64_assign(d0) != 0 {
                 return None;
             }
             q.push(rem);
-        } else if *nk != acc {
+        } else if !rem.is_zero() {
             return None;
         }
     }
@@ -339,15 +345,13 @@ fn divide_by_words(num: &[BigUint], d: &[u64], q_len: usize) -> Option<Vec<BigUi
 /// `a ⊛ [1, 1]` in `O(n)` additions (Pascal's rule: growing a binomial
 /// factor by one free fact).
 pub fn pascal_up(a: &[BigUint]) -> Vec<BigUint> {
-    if a.is_empty() {
+    let (Some(first), Some(last)) = (a.first(), a.last()) else {
         return Vec::new();
-    }
+    };
     let mut out = Vec::with_capacity(a.len() + 1);
-    out.push(a[0].clone());
-    for w in a.windows(2) {
-        out.push(&w[0] + &w[1]);
-    }
-    out.push(a[a.len() - 1].clone());
+    out.push(first.clone());
+    out.extend(a.iter().zip(a.iter().skip(1)).map(|(x, y)| x + y));
+    out.push(last.clone());
     out
 }
 
@@ -442,15 +446,16 @@ pub fn leave_one_out_products(
 // Schoolbook and Karatsuba
 // ---------------------------------------------------------------------
 
+// cqshap-lint: allow(cancellation-reachability) -- bounded: len(a)·len(b) coefficient products; Karatsuba and the product tree poll between multiplications
 fn mul_schoolbook(a: &[BigUint], b: &[BigUint]) -> Vec<BigUint> {
     let mut out = vec![BigUint::zero(); a.len() + b.len() - 1];
     for (i, x) in a.iter().enumerate() {
         if x.is_zero() {
             continue;
         }
-        for (j, y) in b.iter().enumerate() {
+        for (slot, y) in out.iter_mut().skip(i).zip(b) {
             if !y.is_zero() {
-                out[i + j] += &(x * y);
+                *slot += &(x * y);
             }
         }
     }
@@ -460,7 +465,7 @@ fn mul_schoolbook(a: &[BigUint], b: &[BigUint]) -> Vec<BigUint> {
 /// Pointwise `acc[offset..] += add`.
 // cqshap-lint: allow(cancellation-reachability) -- bounded: one pass over a product half; Karatsuba polls between its recursive products
 fn add_at(acc: &mut [BigUint], offset: usize, add: &[BigUint]) {
-    for (slot, v) in acc[offset..].iter_mut().zip(add) {
+    for (slot, v) in acc.iter_mut().skip(offset).zip(add) {
         *slot += v;
     }
 }
@@ -469,7 +474,7 @@ fn add_at(acc: &mut [BigUint], offset: usize, add: &[BigUint]) {
 /// middle term: the cross products are a superset of the outer ones).
 // cqshap-lint: allow(cancellation-reachability) -- bounded: one pass over a product half; Karatsuba polls between its recursive products
 fn sub_at(acc: &mut [BigUint], offset: usize, sub: &[BigUint]) {
-    for (slot, v) in acc[offset..].iter_mut().zip(sub) {
+    for (slot, v) in acc.iter_mut().skip(offset).zip(sub) {
         *slot -= v;
     }
 }
@@ -490,15 +495,17 @@ fn mul_karatsuba(a: &[BigUint], b: &[BigUint]) -> Vec<BigUint> {
     let mut out = vec![BigUint::zero(); a.len() + b.len() - 1];
     if b.len() <= split {
         // Unbalanced: split `a` only; b sees both halves directly.
-        let lo = mul_karatsuba(&a[..split], b);
-        let hi = mul_karatsuba(&a[split..], b);
+        let (a0, a1) = a.split_at(split);
+        let lo = mul_karatsuba(a0, b);
+        let hi = mul_karatsuba(a1, b);
         add_at(&mut out, 0, &lo);
         add_at(&mut out, split, &hi);
         return out;
     }
     if a.len() <= split {
-        let lo = mul_karatsuba(a, &b[..split]);
-        let hi = mul_karatsuba(a, &b[split..]);
+        let (b0, b1) = b.split_at(split);
+        let lo = mul_karatsuba(a, b0);
+        let hi = mul_karatsuba(a, b1);
         add_at(&mut out, 0, &lo);
         add_at(&mut out, split, &hi);
         return out;
@@ -558,6 +565,7 @@ fn powmod(mut base: u64, mut exp: u64, p: u64) -> u64 {
 
 /// Deterministic Miller–Rabin for `u64` (the first twelve prime bases
 /// decide primality for every 64-bit integer).
+// cqshap-lint: allow(cancellation-reachability) -- bounded: Miller-Rabin over 12 fixed witnesses, at most 64 squarings each
 fn is_prime_u64(n: u64) -> bool {
     if n < 2 {
         return false;
@@ -671,6 +679,7 @@ impl NttPrime {
     /// (`r2` *is* the Montgomery form of `2^64`). Several times faster
     /// than a `u128` division per limb, and the limb reduction is the
     /// NTT's second-biggest cost on big-coefficient inputs.
+    // cqshap-lint: allow(cancellation-reachability) -- bounded: one pass over the coefficient's limbs
     fn reduce(&self, c: &BigUint) -> u64 {
         c.with_limbs(|limbs| {
             let mut acc = 0u64;
@@ -713,6 +722,7 @@ struct PrimePool {
     next_k: u64,
 }
 
+// cqshap-lint: allow(cancellation-reachability) -- bounded: one candidate per step until `count` primes are pooled (about one candidate in 44 near 2^63 is prime); the scan stops at 2^40 candidates
 fn ntt_primes(count: usize) -> Result<Vec<NttPrime>, NumericError> {
     static POOL: OnceLock<Mutex<PrimePool>> = OnceLock::new();
     let pool = POOL.get_or_init(|| {
@@ -740,7 +750,7 @@ fn ntt_primes(count: usize) -> Result<Vec<NttPrime>, NumericError> {
             pool.primes.push(prime);
         }
     }
-    let primes = pool.primes[..count].to_vec();
+    let primes: Vec<NttPrime> = pool.primes.iter().take(count).copied().collect();
     // Bump the draw counter after releasing the pool lock so the obs
     // sink's own lock is never acquired while this one is held.
     drop(pool);
@@ -755,6 +765,7 @@ fn ntt_primes(count: usize) -> Result<Vec<NttPrime>, NumericError> {
 
 /// In-place radix-2 NTT of `a` (Montgomery form) with `w` a
 /// Montgomery-form root of unity of order `a.len()`.
+// cqshap-lint: allow(cancellation-reachability) -- bounded: n·log(n) butterflies; `try_mul_ntt` polls once per prime pass
 fn ntt_in_place(a: &mut [u64], w: u64, pr: &NttPrime) {
     let n = a.len();
     debug_assert!(n.is_power_of_two());
@@ -791,6 +802,7 @@ fn ntt_in_place(a: &mut [u64], w: u64, pr: &NttPrime) {
 
 /// The residue vector of `poly` modulo `pr.p`, in Montgomery form,
 /// zero-padded to `n`.
+// cqshap-lint: allow(cancellation-reachability) -- bounded: one pass over the coefficients
 fn residues_mont(poly: &[BigUint], n: usize, pr: &NttPrime) -> Vec<u64> {
     let mut out = vec![0u64; n];
     for (slot, c) in out.iter_mut().zip(poly) {
@@ -803,18 +815,22 @@ fn residues_mont(poly: &[BigUint], n: usize, pr: &NttPrime) -> Vec<u64> {
 
 /// One prime's convolution: `NTT⁻¹(NTT(a) ⊙ NTT(b))`, returned as
 /// plain (non-Montgomery) residues truncated to `out_len`.
+// cqshap-lint: allow(cancellation-reachability) -- bounded: pointwise passes over one transform; `try_mul_ntt` polls once per prime pass
 fn convolve_mod(a: &[BigUint], b: &[BigUint], out_len: usize, pr: &NttPrime) -> Vec<u64> {
     let n = out_len.next_power_of_two();
     debug_assert!(n.trailing_zeros() <= MAX_TWO_ADICITY);
     let w = pr.encode(pr.two_adic_root);
     let w = pr.mont_pow(w, 1u64 << (MAX_TWO_ADICITY - n.trailing_zeros()));
     let mut fa = residues_mont(a, n, pr);
+    let mut fb = residues_mont(b, n, pr);
     if n == 1 {
         // Degenerate single-point transform: a plain product.
-        let fb = residues_mont(b, n, pr);
-        return vec![pr.decode(pr.mont_mul(fa[0], fb[0]))];
+        return fa
+            .iter()
+            .zip(&fb)
+            .map(|(&x, &y)| pr.decode(pr.mont_mul(x, y)))
+            .collect();
     }
-    let mut fb = residues_mont(b, n, pr);
     ntt_in_place(&mut fa, w, pr);
     ntt_in_place(&mut fb, w, pr);
     for (x, y) in fa.iter_mut().zip(&fb) {
@@ -871,14 +887,20 @@ fn try_mul_ntt(
     let p_mont: Vec<Vec<u64>> = primes
         .iter()
         .enumerate()
-        .map(|(i, pr)| primes[..i].iter().map(|q| pr.encode(q.p % pr.p)).collect())
+        .map(|(i, pr)| {
+            primes
+                .iter()
+                .take(i)
+                .map(|q| pr.encode(q.p % pr.p))
+                .collect()
+        })
         .collect();
     let prod_inv_mont: Vec<u64> = primes
         .iter()
         .enumerate()
         .map(|(i, pr)| {
             let mut prod = pr.r1; // Montgomery 1
-            for q in &primes[..i] {
+            for q in primes.iter().take(i) {
                 prod = pr.mont_mul(prod, pr.encode(q.p % pr.p));
             }
             // prod^{-1}·R stays in Montgomery form, so multiplying a
@@ -891,23 +913,24 @@ fn try_mul_ntt(
     Ok((0..out_len)
         .map(|c| {
             // Mixed-radix digits: digits[i] reconstructs the value mod
-            // p_i given the digits below it.
-            for i in 0..t {
-                let pr = &primes[i];
+            // p_i given the digits below it (p_mont[i] has i entries).
+            let per_prime = primes.iter().zip(&p_mont).zip(&prod_inv_mont);
+            for (i, (((pr, p_prev), &inv), res)) in per_prime.zip(&residues).enumerate() {
                 let mut acc = 0u64;
-                for j in (0..i).rev() {
-                    let d = digits[j];
+                for (&d, &pj) in digits.iter().zip(p_prev).rev() {
                     let d = if d >= pr.p { d - pr.p } else { d };
-                    acc = pr.add_mod(pr.mont_mul(acc, p_mont[i][j]), d);
+                    acc = pr.add_mod(pr.mont_mul(acc, pj), d);
                 }
-                let diff = pr.sub_mod(residues[i][c], acc);
-                digits[i] = pr.mont_mul(diff, prod_inv_mont[i]);
+                let diff = pr.sub_mod(res.get(c).copied().unwrap_or(0), acc);
+                if let Some(digit) = digits.get_mut(i) {
+                    *digit = pr.mont_mul(diff, inv);
+                }
             }
             // Horner evaluation x = v₀ + p₀(v₁ + p₁(v₂ + …)).
-            let mut x = BigUint::from_u64(digits[t - 1]);
-            for j in (0..t.saturating_sub(1)).rev() {
-                x.mul_u64_assign(primes[j].p);
-                x += &BigUint::from_u64(digits[j]);
+            let mut x = BigUint::zero();
+            for (&d, pr) in digits.iter().zip(&primes).rev() {
+                x.mul_u64_assign(pr.p);
+                x += &BigUint::from_u64(d);
             }
             x
         })
@@ -975,6 +998,7 @@ fn tree_product(
 
 /// Groups equal polynomials by content: each input's class index, and
 /// per class (in first-seen order) its content and multiplicity.
+// cqshap-lint: allow(cancellation-reachability) -- bounded: one pass over the factors
 fn equal_classes<'a>(polys: &[&'a [BigUint]]) -> (Vec<usize>, Vec<(&'a [BigUint], usize)>) {
     let mut class_of = Vec::with_capacity(polys.len());
     let mut classes: Vec<(&[BigUint], usize)> = Vec::new();
@@ -1160,8 +1184,12 @@ fn leave_one_out_impl(
         let rep_envs = par_map_chunks(threads, classes.len(), |r| {
             classes.get(r).and_then(|&(u, _)| exact_div(&full, u))
         });
-        if let Some(envs) = rep_envs.into_iter().collect::<Option<Vec<Vec<BigUint>>>>() {
-            return Ok(class_of.into_iter().map(|c| envs[c].clone()).collect());
+        let envs = rep_envs
+            .into_iter()
+            .collect::<Option<Vec<Vec<BigUint>>>>()
+            .and_then(|envs| class_of.into_iter().map(|c| envs.get(c).cloned()).collect());
+        if let Some(envs) = envs {
+            return Ok(envs);
         }
         // Unreachable for exact inputs, but the descent is always
         // correct — prefer a slow answer to a panic.
@@ -1582,10 +1610,11 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 
-        /// The word-size kernel returns exactly what the generic kernel
-        /// returns — the quotient of a divisible input, `None` for a
-        /// perturbed one — across zero, unit, and full-word divisor
-        /// coefficients (leading and trailing zeros included).
+        /// The in-place word-size kernel returns exactly what the
+        /// generic kernel returns — the quotient of a divisible input,
+        /// `None` for one perturbed up or down (an underflowing running
+        /// difference included) — across zero, unit, and full-word
+        /// divisor coefficients (leading and trailing zeros included).
         #[test]
         fn word_size_division_matches_the_generic_kernel(
             q in proptest::prelude::prop::collection::vec(arb_big(), 1..=12),
@@ -1597,7 +1626,12 @@ mod tests {
             let mut bent = num.clone();
             let len = bent.len();
             bent[at % len] += &BigUint::from_u64(delta);
-            for n in [&num, &bent] {
+            // Lowering a coefficient makes the in-place subtraction
+            // underflow (or leave a remainder) where raising it cannot.
+            let mut lowered = num.clone();
+            let slot = &mut lowered[(at / 2) % len];
+            *slot = slot.checked_sub(&BigUint::from_u64(delta)).unwrap_or_default();
+            for n in [&num, &bent, &lowered] {
                 proptest::prop_assert_eq!(divide(n, &d, true), divide(n, &d, false), "{:?} / {:?}", n, d);
             }
             if d.iter().any(|c| !c.is_zero()) {

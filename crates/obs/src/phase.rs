@@ -51,15 +51,19 @@ pub const COMPILE_PRODUCT: &str = "compile.product";
 /// Compiled-engine leave-one-out environments of the components
 /// (compile and update).
 pub const LEAVE_ONE_OUT: &str = "compile.leave-one-out";
-/// Shapley weight numerators `k!·(m−1−k)!` and weight-class layout of a
-/// counting engine (compile and update).
+/// Shapley weights `ω_k = lcm(1..m)·k!·(m−1−k)!/m!`, in word blocks, and
+/// the weight-class layout of a counting engine (compile and update).
 pub const WEIGHTS: &str = "compile.weights";
-/// Report-time contraction of a fact's difference vector against its
-/// weight class's environment and the weight numerators.
+/// Report-time contraction of a fact's difference vector `d` with its
+/// weight class's environment `E` and the Shapley weights,
+/// `Σ_t ω_t·(d ⊛ E)[t]`, in one pass over `E` (numerator-memo misses
+/// only).
 pub const CONTRACT: &str = "report.contract";
 /// Report-time derivation of a root group's leave-one-out environment
 /// from its component's maintained factor product (one exact division
-/// per weight class, or per group for conditional reads).
+/// per weight class, or per group for conditional reads), and of a
+/// weight class's environment `genv ⊛ env` when the component's own
+/// environment is not the unit.
 pub const CLASS_ENV: &str = "report.class-env";
 /// Report-time reduction of a distinct Shapley numerator over
 /// `lcm(1..m)` to lowest terms (memo misses only: once per distinct numerator).
@@ -128,6 +132,11 @@ pub const CTR_PATH_STEPS: &str = "compiled.path-steps";
 pub const CTR_NUMERATOR_MEMO_HIT: &str = "compiled.numerator-memo.hit";
 /// Shapley-numerator memo misses (contractions run).
 pub const CTR_NUMERATOR_MEMO_MISS: &str = "compiled.numerator-memo.miss";
+/// Multiply-adds of an environment entry into a weight block's
+/// accumulator, summed over the contractions run. An entry feeds at
+/// most `1 + ⌈(len(d) − 1)/B⌉` blocks of `B` coalition sizes.
+/// Host-independent; recorded only when a recorder is installed.
+pub const CTR_CONTRACT_TERMS: &str = "compiled.contract.terms";
 
 /// Query evaluations the permutation samplers ran: two per
 /// single-fact draw and one per walk step, less the skipped ones.

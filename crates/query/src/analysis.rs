@@ -29,6 +29,7 @@ pub fn has_self_join(q: &ConjunctiveQuery) -> bool {
 /// Is `q` hierarchical? For all variables `x`, `y`: `Ax ⊆ Ay`,
 /// `Ay ⊆ Ax`, or `Ax ∩ Ay = ∅` (Dalvi–Suciu; Theorem 3.1's criterion,
 /// extended verbatim to CQ¬ as in the paper).
+// cqshap-lint: allow(cancellation-reachability) -- bounded by the query: loops over its atoms, terms and variables
 pub fn is_hierarchical(q: &ConjunctiveQuery) -> bool {
     let sets: Vec<BTreeSet<usize>> = q.vars().map(|v| q.atoms_with_var(v)).collect();
     for i in 0..sets.len() {
@@ -62,6 +63,7 @@ pub struct Triplet {
 }
 
 /// All non-hierarchical triplets of `q` (empty iff `q` is hierarchical).
+// cqshap-lint: allow(cancellation-reachability) -- bounded by the query: loops over its atoms, terms and variables
 pub fn non_hierarchical_triplets(q: &ConjunctiveQuery) -> Vec<Triplet> {
     let sets: Vec<BTreeSet<usize>> = q.vars().map(|v| q.atoms_with_var(v)).collect();
     let mut out = Vec::new();
@@ -154,6 +156,7 @@ pub fn preferred_triplet(q: &ConjunctiveQuery) -> Option<(Triplet, TripletVarian
 
 /// Gaifman-graph adjacency of `q`: `adj[v]` is the set of variables
 /// co-occurring with `v` in some atom (positive or negative).
+// cqshap-lint: allow(cancellation-reachability) -- bounded by the query: loops over its atoms, terms and variables
 pub fn gaifman_adjacency(q: &ConjunctiveQuery) -> Vec<BTreeSet<Var>> {
     let mut adj = vec![BTreeSet::new(); q.var_count()];
     for atom in q.atoms() {
@@ -213,6 +216,7 @@ pub enum Polarity {
 }
 
 /// Maps each relation of `q` to its occurrence polarity.
+// cqshap-lint: allow(cancellation-reachability) -- bounded by the query: loops over its atoms, terms and variables
 pub fn polarity_map(q: &ConjunctiveQuery) -> BTreeMap<String, Polarity> {
     let mut out: BTreeMap<String, Polarity> = BTreeMap::new();
     for atom in q.atoms() {
@@ -234,6 +238,7 @@ pub fn polarity_map(q: &ConjunctiveQuery) -> BTreeMap<String, Polarity> {
 
 /// Maps each relation of a UCQ¬ to its polarity across *all* disjuncts
 /// (Section 5.2's whole-query polarity consistency).
+// cqshap-lint: allow(cancellation-reachability) -- bounded by the query: loops over its disjuncts' atoms
 pub fn polarity_map_union(u: &UnionQuery) -> BTreeMap<String, Polarity> {
     let mut out: BTreeMap<String, Polarity> = BTreeMap::new();
     for d in u.disjuncts() {
@@ -346,6 +351,7 @@ pub struct NonHierPath {
 ///
 /// With `exo = ∅` this is equivalent to non-hierarchicality (checked by
 /// property tests), so Theorem 4.3 strictly generalizes Theorem 3.1.
+// cqshap-lint: allow(cancellation-reachability) -- bounded by the query: loops over its atoms, terms and variables
 pub fn non_hierarchical_path(q: &ConjunctiveQuery, exo: &HashSet<String>) -> Option<NonHierPath> {
     let adj = gaifman_adjacency(q);
     let candidate_atoms: Vec<usize> = q
@@ -383,6 +389,7 @@ pub fn non_hierarchical_path(q: &ConjunctiveQuery, exo: &HashSet<String>) -> Opt
     None
 }
 
+// cqshap-lint: allow(cancellation-reachability) -- bounded by the query: a breadth-first search over its atoms
 fn bfs_path(
     adj: &[BTreeSet<Var>],
     from: Var,

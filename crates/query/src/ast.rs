@@ -117,6 +117,7 @@ impl ConjunctiveQuery {
         Ok(q)
     }
 
+    // cqshap-lint: allow(cancellation-reachability) -- bounded by the query: loops over its atoms, terms and variables
     fn validate(&self) -> Result<(), QueryError> {
         if self.atoms.is_empty() {
             return Err(QueryError::Malformed("query has no atoms".into()));

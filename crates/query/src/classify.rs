@@ -92,6 +92,7 @@ pub fn classify_with_exo(q: &ConjunctiveQuery, exo: &HashSet<String>) -> ExactCo
     }
 }
 
+// cqshap-lint: allow(cancellation-reachability) -- bounded by the query: loops over its atoms, terms and variables
 fn classify_self_join(q: &ConjunctiveQuery, exo: &HashSet<String>) -> ExactComplexity {
     // Theorem B.5: a polarity-consistent CQ¬ with a non-hierarchical
     // triplet (αx, αx,y, αy) whose middle relation occurs only once is

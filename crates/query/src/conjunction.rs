@@ -63,6 +63,7 @@ impl DisjunctConjunction {
 /// [`QueryError::Malformed`] when `disjuncts` is empty or a disjunct has
 /// a non-empty head (conjunction is defined for Boolean queries; unions
 /// enforce Boolean disjuncts by construction).
+// cqshap-lint: allow(cancellation-reachability) -- bounded by the query: loops over its disjuncts' atoms
 pub fn conjoin_disjuncts(
     name: &str,
     disjuncts: &[&ConjunctiveQuery],
@@ -142,6 +143,7 @@ pub fn subset_label(disjuncts: &[ConjunctiveQuery], mask: usize) -> String {
 
 /// The relation shared by two *distinct* atoms of `q`, if any — the
 /// witness that a conjunction induced a self-join.
+// cqshap-lint: allow(cancellation-reachability) -- bounded by the query: loops over its atoms, terms and variables
 pub fn self_join_witness(q: &ConjunctiveQuery) -> Option<&str> {
     let atoms = q.atoms();
     for (i, a) in atoms.iter().enumerate() {

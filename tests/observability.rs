@@ -291,3 +291,50 @@ fn exact_reads_keep_the_counting_terms_they_compile() {
     assert_eq!(values.first(), Some(&value));
     assert_eq!(report.entry(f).map(|e| &e.value), Some(&value));
 }
+
+/// `report.contract` times contractions only. On a query whose
+/// disconnected `Lab(z)` atom gives the `Stud` component a non-unit
+/// environment, each weight class's product `genv ⊛ env` is recorded
+/// under `report.class-env`, so the contraction spans equal the
+/// numerator-memo misses of a single-threaded report.
+#[test]
+fn contraction_spans_equal_numerator_memo_misses() {
+    let t = trace();
+    // The pinned students of `tests/numerator_contraction.rs`: 1–5
+    // `Reg` facts and an endogenous `TA` each, plus two labs and a flag.
+    let mut db = Database::new();
+    for s in 0..5 {
+        let name = format!("s{s}");
+        db.add_exo("Stud", &[&name]).unwrap();
+        db.add_endo("TA", &[&name]).unwrap();
+        for c in 0..=s {
+            db.add_endo("Reg", &[&name, &format!("c{}", (s + c) % 7)])
+                .unwrap();
+        }
+    }
+    for lab in ["l0", "l1"] {
+        db.add_endo("Lab", &[lab]).unwrap();
+    }
+    db.add_endo("Flag", &["on"]).unwrap();
+    let q = parse_cq("q() :- Stud(x), !TA(x), Reg(x, y), Lab(z), Flag('on')").unwrap();
+    let spans = |phase| t.span_count(phase);
+    let misses = || t.counter_value(obs::phase::CTR_NUMERATOR_MEMO_MISS);
+    let before = (
+        spans(obs::phase::CONTRACT),
+        spans(obs::phase::CLASS_ENV),
+        misses(),
+    );
+    let options = ShapleyOptions::auto().threads(1);
+    let session = ShapleySession::prepare(&db, AnyQuery::Cq(&q), &options).expect("hierarchical");
+    assert!(session.report().expect("hierarchical").efficiency_holds());
+    let contractions = spans(obs::phase::CONTRACT) - before.0;
+    let class_envs = spans(obs::phase::CLASS_ENV) - before.1;
+    let missed = misses() - before.2;
+    assert!(
+        missed >= 5,
+        "five group shapes give at least five numerators"
+    );
+    assert_eq!(contractions, missed);
+    // Each class derives `genv` and then multiplies in the non-unit env.
+    assert!(class_envs >= 2 * 5, "{class_envs} class-env spans");
+}
