@@ -1122,8 +1122,8 @@ fn bench_poly(quick: bool, out_path: &str) {
 }
 
 /// The `--ucq` / `--aggregate` modes of `bench-report`: the batched
-/// inclusion–exclusion union report and the shared-engine aggregate
-/// report, each against its per-fact seed path (every fact re-running
+/// inclusion–exclusion union report and the aggregate report over its
+/// weighted term list, each against its per-fact seed path (every fact re-running
 /// the full counting pipeline with no compiled sharing), at
 /// `m ∈ {64, 256}`. Results land in `BENCH_ucq.json`.
 ///
@@ -1198,7 +1198,7 @@ fn bench_union_aggregate(ucq: bool, aggregate: bool, quick: bool, samples: usize
     if aggregate {
         let q = queries::per_course_count();
         let agg = AggregateFunction::Count;
-        // Correctness guard: the shared-engine report must agree with
+        // Correctness guard: the compiled report must agree with
         // the per-fact aggregate decomposition.
         {
             let db = cqshap_workloads::report_benchmark_db(64);

@@ -14,47 +14,43 @@
 //! head-projections of homomorphisms of the *positive part* into all of
 //! `D` — a superset of the answers in any world.
 //!
-//! ## Shared plans instead of per-tuple dispatch
+//! ## One routing plan
 //!
-//! Head substitution only replaces variables by constants, so every
-//! candidate's residual query has the *same structure* — the same
-//! atoms, polarities, and variable co-occurrences. Strategy resolution
-//! (hierarchy, self-joins, non-hierarchical paths) depends on exactly
-//! that structure, never on the constants, so the internal
-//! `AggregatePlan` groups
-//! the candidates by residual shape and resolves the strategy **once
-//! per group** instead of re-classifying per tuple. On top of the plan:
+//! The decomposition is a weighted sum of Boolean queries, which is
+//! what a session's routing plan (the `plan` module) already is. Head
+//! substitution only replaces variables by constants, so every
+//! candidate has the same atoms, polarities and variable
+//! co-occurrences, and strategy resolution depends on nothing else: the
+//! strategy is resolved once, on any one candidate. A tractable
+//! aggregate is then one term list, the concatenation of every
+//! candidate's terms with each coefficient scaled by the candidate's
+//! weight; an enumerated one enumerates each weighted candidate.
+//! Candidates whose value vector is provably zero are pruned before
+//! planning.
 //!
-//! * [`aggregate_shapley`] answers one fact with one pair of masked
-//!   counting runs per candidate — no per-tuple re-classification, no
-//!   database clones;
-//! * [`aggregate_report`] answers *all* facts, compiling one batched
-//!   [`CompiledCount`] engine per candidate (shared by every fact's
-//!   recount) and accumulating the weighted values fact-wise — the
-//!   aggregate analogue of [`crate::shapley::shapley_report`].
-#![expect(
-    clippy::indexing_slicing,
-    reason = "group tables are indexed by ids assigned during prepare"
-)]
+//! * [`crate::session::ShapleySession::prepare_aggregate`] (and
+//!   [`aggregate_report`] over it) compiles that plan like a Boolean
+//!   one and maintains it across updates that keep the candidate list;
+//! * [`aggregate_shapley`] evaluates the same plan for one fact, term
+//!   by term, through the per-fact path of [`crate::reference`].
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use cqshap_db::{ConstId, Database, FactId, World};
 use cqshap_engine::{answers, for_each_positive_homomorphism, CompiledQuery, FactScope};
 use cqshap_numeric::{BigInt, BigRational};
-use cqshap_obs::{phase as obs_phase, Counter, Span};
+use cqshap_obs::{phase as obs_phase, Counter};
 use cqshap_query::{ConjunctiveQuery, QueryBuilder, Term, Var};
 
 use crate::anyquery::AnyQuery;
 use crate::budget::{self, CancelToken};
-use crate::compiled::CompiledCount;
 use crate::error::CoreError;
-use crate::exoshap;
-use crate::plan::{cq_plan, Plan, TermList};
-use crate::satcount::{BruteForceCounter, HierarchicalCounter};
+use crate::plan::{cq_plan, Enumeration, Plan, PlanTerm};
+use crate::reference::terms_value;
+use crate::satcount::HierarchicalCounter;
 use crate::shapley::{
-    engine_values, resolve_strategy, shapley_by_permutations, shapley_via_counts, ReportStats,
-    ResolvedStrategy, ShapleyOptions, ShapleyReport,
+    enumerated_values, resolve_strategy, shapley_via_counts, ReportStats, ResolvedStrategy,
+    ShapleyOptions, ShapleyReport,
 };
 
 /// The supported aggregate functions.
@@ -76,26 +72,39 @@ impl AggregateFunction {
         db: &Database,
         q: &ConjunctiveQuery,
         tuple: &[ConstId],
-    ) -> Result<BigRational, CoreError> {
+    ) -> Result<BigInt, CoreError> {
         match self {
-            AggregateFunction::Count => Ok(BigRational::one()),
+            AggregateFunction::Count => Ok(BigInt::one()),
             AggregateFunction::Sum { weight_var } => {
                 let var = q.var_by_name(weight_var).ok_or_else(|| {
                     CoreError::Unsupported(format!("unknown variable {weight_var}"))
                 })?;
-                let pos = q.head().iter().position(|&h| h == var).ok_or_else(|| {
+                let name = head_constant(db, q, tuple, var).ok_or_else(|| {
                     CoreError::Unsupported(format!("{weight_var} is not a head variable"))
                 })?;
-                let name = db.interner().resolve(tuple[pos]);
                 // Parse straight into the arbitrary-precision integer:
                 // weight constants are not bounded by any machine width.
-                let value: BigInt = name.parse().map_err(|_| {
+                name.parse().map_err(|_| {
                     CoreError::Unsupported(format!("weight constant {name:?} is not an integer"))
-                })?;
-                Ok(BigRational::from_int(value))
+                })
             }
         }
     }
+}
+
+/// The name of the constant `tuple` binds to the head variable `v`, if
+/// `v` is one.
+fn head_constant<'a>(
+    db: &'a Database,
+    q: &ConjunctiveQuery,
+    tuple: &[ConstId],
+    v: Var,
+) -> Option<&'a str> {
+    q.head()
+        .iter()
+        .zip(tuple)
+        .find(|(&h, _)| h == v)
+        .map(|(_, &c)| db.interner().resolve(c))
 }
 
 /// Substitutes the head variables of `q` by the constants of `tuple`,
@@ -112,19 +121,13 @@ fn substitute_head(
     tuple: &[ConstId],
 ) -> Result<ConjunctiveQuery, CoreError> {
     let mut builder = QueryBuilder::new(format!("{}_ans", q.name()));
-    let subst = |v: Var| -> Option<&str> {
-        q.head()
-            .iter()
-            .position(|&h| h == v)
-            .map(|i| db.interner().resolve(tuple[i]))
-    };
     for atom in q.atoms() {
         let terms: Vec<Term> = atom
             .terms
             .iter()
             .map(|t| match t {
                 Term::Const(c) => Term::constant(c),
-                Term::Var(v) => match subst(*v) {
+                Term::Var(v) => match head_constant(db, q, tuple, *v) {
                     Some(c) => Term::constant(c),
                     None => Term::Var(builder.var(q.var_name(*v))),
                 },
@@ -148,7 +151,7 @@ pub fn candidate_answers(db: &Database, q: &ConjunctiveQuery) -> Vec<Vec<ConstId
         if let Some(tuple) = compiled
             .head()
             .iter()
-            .map(|&v| m.assignment[v as usize])
+            .map(|&v| m.assignment.get(v as usize).copied().flatten())
             .collect::<Option<Vec<_>>>()
         {
             set.insert(tuple);
@@ -168,69 +171,23 @@ pub fn aggregate_value(
 ) -> Result<BigRational, CoreError> {
     let mut acc = BigRational::zero();
     for a in answers(db, world, q) {
-        acc += &agg.weight(db, q, &a)?;
+        acc += &BigRational::from_int(agg.weight(db, q, &a)?);
     }
     Ok(acc)
 }
 
-/// One weighted candidate of an aggregate decomposition.
+/// One weighted candidate of an aggregate decomposition:
+/// `weight · q[head ↦ tuple]`.
 pub(crate) struct Candidate {
-    pub(crate) weight: BigRational,
-    pub(crate) query: ConjunctiveQuery,
+    tuple: Vec<ConstId>,
+    weight: BigInt,
+    query: ConjunctiveQuery,
 }
 
-/// Candidates sharing one residual query shape and therefore one
-/// resolved strategy.
-pub(crate) struct ShapeGroup {
-    pub(crate) resolved: ResolvedStrategy,
-    pub(crate) candidates: Vec<Candidate>,
-}
-
-/// The shared decomposition of an aggregate query: weighted residual
-/// Boolean queries grouped by shape, each group classified once, with
-/// provably-zero candidates pruned up front.
-pub(crate) struct AggregatePlan {
-    pub(crate) groups: Vec<ShapeGroup>,
-    /// Candidates with nonzero weight before pruning — an obs counter,
-    /// so the tally is locally readable (for [`ReportStats`]) *and*
-    /// forwarded to the installed recorder under
-    /// `aggregate.candidates`.
-    pub(crate) candidates_total: Counter,
-    /// Candidates skipped because their value vector is identically
-    /// zero (no endogenous support, or every supported fact irrelevant).
-    /// Reported under `aggregate.pruned`.
-    pub(crate) candidates_pruned: Counter,
-}
-
-/// One atom of a [`ShapeKey`]: relation, polarity, and per-position
-/// variable index (`None` for constants).
-type AtomShape = (String, bool, Vec<Option<u32>>);
-
-/// The shape signature of a residual query: every structural input of
-/// strategy resolution (relations, polarities, variable positions,
-/// which positions are constants) with the constant *values* abstracted
-/// away. Candidates of one aggregate query always share it — kept as an
-/// explicit key so grouping stays correct if substitution ever becomes
-/// shape-dependent.
-type ShapeKey = Vec<AtomShape>;
-
-fn shape_key(q: &ConjunctiveQuery) -> ShapeKey {
-    q.atoms()
-        .iter()
-        .map(|a| {
-            (
-                a.relation.clone(),
-                a.negated,
-                a.terms
-                    .iter()
-                    .map(|t| match t {
-                        Term::Var(v) => Some(v.0),
-                        Term::Const(_) => None,
-                    })
-                    .collect(),
-            )
-        })
-        .collect()
+/// Do two candidate lists name the same tuples, in order? The weight
+/// and the substituted query follow from the tuple.
+pub(crate) fn same_candidates(a: &[Candidate], b: &[Candidate]) -> bool {
+    a.iter().map(|c| &c.tuple).eq(b.iter().map(|c| &c.tuple))
 }
 
 /// Cap on the endogenous scope size for the per-fact relevance
@@ -290,20 +247,20 @@ fn candidate_is_zero(db: &Database, qa: &ConjunctiveQuery) -> bool {
             }
             let values = db.fact(f).tuple.values();
             let mut bound: Vec<(u32, ConstId)> = Vec::new();
-            for (i, t) in atom.terms.iter().enumerate() {
+            for ((t, c), &value) in atom.terms.iter().zip(&consts).zip(values) {
                 match t {
                     Term::Const(_) => {
-                        if consts[i] != Some(values[i]) {
+                        if *c != Some(value) {
                             continue 'facts;
                         }
                     }
                     Term::Var(v) => match bound.iter().find(|(bv, _)| *bv == v.0) {
                         Some((_, bval)) => {
-                            if *bval != values[i] {
+                            if *bval != value {
                                 continue 'facts;
                             }
                         }
-                        None => bound.push((v.0, values[i])),
+                        None => bound.push((v.0, value)),
                     },
                 }
             }
@@ -323,115 +280,130 @@ fn candidate_is_zero(db: &Database, qa: &ConjunctiveQuery) -> bool {
         })
 }
 
-impl AggregatePlan {
-    pub(crate) fn prepare(
-        db: &Database,
-        q: &ConjunctiveQuery,
-        agg: &AggregateFunction,
-        options: &ShapleyOptions,
-    ) -> Result<AggregatePlan, CoreError> {
-        if q.head().is_empty() {
-            return Err(CoreError::Unsupported(
-                "aggregate queries need head variables; use shapley_value for Boolean queries"
-                    .into(),
-            ));
-        }
-        let mut keys: HashMap<ShapeKey, usize> = HashMap::new();
-        let mut groups: Vec<(ConjunctiveQuery, Vec<Candidate>)> = Vec::new();
-        let candidates_total = Counter::new(obs_phase::CTR_AGG_CANDIDATES);
-        let candidates_pruned = Counter::new(obs_phase::CTR_AGG_PRUNED);
-        for a in candidate_answers(db, q) {
-            let weight = agg.weight(db, q, &a)?;
-            if weight.is_zero() {
-                continue;
-            }
-            candidates_total.incr();
-            let qa = substitute_head(db, q, &a)?;
-            if candidate_is_zero(db, &qa) {
-                candidates_pruned.incr();
-                continue;
-            }
-            let next = groups.len();
-            let slot = *keys.entry(shape_key(&qa)).or_insert(next);
-            if slot == groups.len() {
-                groups.push((qa.clone(), Vec::new()));
-            }
-            groups[slot].1.push(Candidate { weight, query: qa });
-        }
-        let groups = groups
-            .into_iter()
-            .map(|(representative, candidates)| {
-                // One classification per shape: resolution inspects only
-                // the structure the key captures, so it holds for every
-                // candidate of the group.
-                let resolved = resolve_strategy(db, &representative, options)?;
-                Ok(ShapeGroup {
-                    resolved,
-                    candidates,
-                })
-            })
-            .collect::<Result<Vec<_>, CoreError>>()?;
-        Ok(AggregatePlan {
-            groups,
-            candidates_total,
-            candidates_pruned,
-        })
+/// The surviving candidates of an aggregate — nonzero weight, value
+/// vector not provably zero — with the pruning counters as report
+/// stats. The counters are obs counters, so the stats are a view over
+/// the same tallies the trace aggregates (`aggregate.candidates`,
+/// `aggregate.pruned`).
+///
+/// # Errors
+/// [`CoreError::Unsupported`] for a head-less query or a malformed
+/// weight spec.
+pub(crate) fn candidates(
+    db: &Database,
+    q: &ConjunctiveQuery,
+    agg: &AggregateFunction,
+) -> Result<(Vec<Candidate>, ReportStats), CoreError> {
+    if q.head().is_empty() {
+        return Err(CoreError::Unsupported(
+            "aggregate queries need head variables; use shapley_value for Boolean queries".into(),
+        ));
     }
-
-    /// The pruning counters as report stats — a view over the same obs
-    /// counters the trace aggregates, so there is one stats mechanism.
-    pub(crate) fn stats(&self) -> ReportStats {
-        ReportStats {
-            aggregate_candidates: self.candidates_total.get() as usize,
-            pruned_candidates: self.candidates_pruned.get() as usize,
+    let total = Counter::new(obs_phase::CTR_AGG_CANDIDATES);
+    let pruned = Counter::new(obs_phase::CTR_AGG_PRUNED);
+    let mut survivors = Vec::new();
+    for tuple in candidate_answers(db, q) {
+        let weight = agg.weight(db, q, &tuple)?;
+        if weight.is_zero() {
+            continue;
         }
+        total.incr();
+        let query = substitute_head(db, q, &tuple)?;
+        if candidate_is_zero(db, &query) {
+            pruned.incr();
+            continue;
+        }
+        survivors.push(Candidate {
+            tuple,
+            weight,
+            query,
+        });
     }
+    let stats = ReportStats {
+        aggregate_candidates: total.get() as usize,
+        pruned_candidates: pruned.get() as usize,
+    };
+    Ok((survivors, stats))
 }
 
-/// One candidate's Shapley value for one fact, under an
-/// already-resolved strategy.
-pub(crate) fn candidate_value(
+/// The routing plan of the weighted candidates, the strategy resolved
+/// once on the first of them (all share one shape): every candidate's
+/// terms with their coefficients scaled by its weight, or enumeration.
+/// No candidate is the empty term list. `cancel` is polled between
+/// candidates, whose `ExoShap` rewritings run here.
+///
+/// # Errors
+/// What strategy resolution and [`cq_plan`] raise.
+pub(crate) fn plan(
     db: &Database,
-    resolved: ResolvedStrategy,
-    query: &ConjunctiveQuery,
-    f: FactId,
+    candidates: &[Candidate],
     options: &ShapleyOptions,
     cancel: Option<&CancelToken>,
-) -> Result<BigRational, CoreError> {
-    match resolved {
-        ResolvedStrategy::Hierarchical => {
-            shapley_via_counts(db, AnyQuery::Cq(query), f, &HierarchicalCounter)
+) -> Result<Plan, CoreError> {
+    let Some(first) = candidates.first() else {
+        return Ok(Plan::Terms {
+            terms: Vec::new(),
+            rewritten: false,
+        });
+    };
+    let resolved = resolve_strategy(db, &first.query, options)?;
+    let mut terms = Vec::new();
+    for c in candidates {
+        if let Some(token) = cancel {
+            budget::check(token, obs_phase::AGGREGATE_PREPARE)?;
         }
-        ResolvedStrategy::ExoShap => {
-            let outcome = exoshap::rewrite(db, query, options.tuple_budget)?;
-            if outcome.always_false {
-                return Ok(BigRational::zero());
-            }
-            shapley_via_counts(
-                &outcome.db,
-                AnyQuery::Cq(&outcome.query),
-                f,
-                &HierarchicalCounter,
-            )
+        match cq_plan(db, &c.query, resolved, options.tuple_budget)? {
+            Plan::Terms { terms: own, .. } => terms.extend(own.into_iter().map(|t| PlanTerm {
+                coeff: &t.coeff * &c.weight,
+                ..t
+            })),
+            enumerate => return Ok(enumerate),
         }
-        ResolvedStrategy::BruteForce => {
-            let counter =
-                BruteForceCounter::new(options.brute_force_limit, options.threads, cancel);
-            shapley_via_counts(db, AnyQuery::Cq(query), f, &counter)
-        }
-        ResolvedStrategy::Permutations => shapley_by_permutations(
-            db,
-            AnyQuery::Cq(query),
-            f,
-            options.permutation_limit,
-            cancel,
-        ),
     }
+    Ok(Plan::Terms {
+        terms,
+        rewritten: resolved == ResolvedStrategy::ExoShap,
+    })
 }
 
-/// `Shapley_agg(D, q, f)` by linearity over candidate answers, through
-/// the shared `AggregatePlan` (strategy resolved once per residual
-/// shape, not once per tuple).
+/// `Σ_c weight_c · Shapley(D, q_c, f)` for every fact of `facts`, each
+/// candidate enumerated on its own; `cancel` is polled between
+/// candidates.
+///
+/// # Errors
+/// What [`enumerated_values`] raises.
+pub(crate) fn weighted_enumerated_values(
+    db: &Database,
+    candidates: &[Candidate],
+    facts: &[FactId],
+    enumeration: Enumeration,
+    options: &ShapleyOptions,
+    cancel: Option<&CancelToken>,
+) -> Result<Vec<BigRational>, CoreError> {
+    let mut acc = vec![BigRational::zero(); facts.len()];
+    for c in candidates {
+        if let Some(token) = cancel {
+            budget::check(token, obs_phase::AGGREGATE)?;
+        }
+        let weight = BigRational::from_int(c.weight.clone());
+        let values = enumerated_values(
+            db,
+            AnyQuery::Cq(&c.query),
+            facts,
+            enumeration,
+            options,
+            cancel,
+        )?;
+        for (a, v) in acc.iter_mut().zip(values) {
+            *a += &(&weight * &v);
+        }
+    }
+    Ok(acc)
+}
+
+/// `Shapley_agg(D, q, f)` by linearity over the candidate answers:
+/// the aggregate's plan evaluated for `f` alone, each term with the
+/// hierarchical `CntSat` oracle (or each candidate by enumeration).
 ///
 /// # Errors
 /// Anything the counting layer raises for a substituted Boolean query,
@@ -443,124 +415,24 @@ pub fn aggregate_shapley(
     f: FactId,
     options: &ShapleyOptions,
 ) -> Result<BigRational, CoreError> {
-    let plan = AggregatePlan::prepare(db, q, agg, options)?;
     // One armed token for the whole call: the deadline bounds the sum
     // over candidates, not each candidate.
     let cancel = options.cancel_token();
-    let mut acc = BigRational::zero();
-    for group in &plan.groups {
-        for c in &group.candidates {
-            if let Some(token) = &cancel {
-                budget::check(token, cqshap_obs::phase::AGGREGATE)?;
-            }
-            let v = candidate_value(db, group.resolved, &c.query, f, options, cancel.as_ref())?;
-            acc += &(&c.weight * &v);
-        }
-    }
-    Ok(acc)
-}
-
-/// One shape group of candidates, prepared.
-enum PreparedGroup {
-    /// A tractable shape: each candidate's weight with its plan's terms
-    /// compiled once (candidates the rewriting proved always false are
-    /// dropped).
-    Compiled(Vec<(BigRational, TermList<CompiledCount>)>),
-    /// An enumerated shape: evaluated per fact, no compiled state.
-    Enumerated(ResolvedStrategy, Vec<Candidate>),
-}
-
-/// An [`AggregatePlan`] with every tractable candidate's batched
-/// engine compiled once — the aggregate state behind
-/// [`crate::session::ShapleySession::prepare_aggregate`].
-pub(crate) struct AggregateEngines {
-    groups: Vec<PreparedGroup>,
-    pub(crate) stats: ReportStats,
-}
-
-impl AggregateEngines {
-    pub(crate) fn prepare(
-        db: &Database,
-        q: &ConjunctiveQuery,
-        agg: &AggregateFunction,
-        options: &ShapleyOptions,
-        cancel: Option<&CancelToken>,
-    ) -> Result<Self, CoreError> {
-        let _span = Span::enter(obs_phase::AGGREGATE_PREPARE);
-        let plan = AggregatePlan::prepare(db, q, agg, options)?;
-        let stats = plan.stats();
-        let mut groups = Vec::with_capacity(plan.groups.len());
-        for group in plan.groups {
-            if matches!(
-                group.resolved,
-                ResolvedStrategy::BruteForce | ResolvedStrategy::Permutations
-            ) {
-                groups.push(PreparedGroup::Enumerated(group.resolved, group.candidates));
-                continue;
-            }
-            let mut prepared = Vec::with_capacity(group.candidates.len());
-            for (i, c) in group.candidates.into_iter().enumerate() {
-                if let Some(token) = cancel {
-                    budget::check_partial(token, cqshap_obs::phase::AGGREGATE_PREPARE, Some(i))?;
-                }
-                if let Plan::Terms { terms, rewritten } =
-                    cq_plan(db, &c.query, group.resolved, options.tuple_budget)?
-                {
-                    if !terms.is_empty() {
-                        let terms = TermList::compile(db, &terms, rewritten, |db, q| {
-                            CompiledCount::compile(db, q, options.threads, cancel)
-                        })?;
-                        prepared.push((c.weight, terms));
-                    }
-                }
-            }
-            groups.push(PreparedGroup::Compiled(prepared));
-        }
-        Ok(AggregateEngines { groups, stats })
-    }
-
-    /// The weighted per-fact value vector over `facts`, engine-backed
-    /// wherever an engine was prepared.
-    pub(crate) fn values(
-        &self,
-        db: &Database,
-        facts: &[FactId],
-        options: &ShapleyOptions,
-        cancel: Option<&CancelToken>,
-    ) -> Result<Vec<BigRational>, CoreError> {
-        let mut acc = vec![BigRational::zero(); facts.len()];
-        for group in &self.groups {
-            match group {
-                PreparedGroup::Compiled(candidates) => {
-                    for (weight, terms) in candidates {
-                        if let Some(token) = cancel {
-                            budget::check(token, cqshap_obs::phase::AGGREGATE)?;
-                        }
-                        weighted_add(
-                            &mut acc,
-                            weight,
-                            engine_values(db, terms, facts, options.threads)?,
-                        );
-                    }
-                }
-                PreparedGroup::Enumerated(resolved, candidates) => {
-                    let values = crate::parallel::par_map_with(options.threads, facts.len(), |i| {
-                        let mut v = BigRational::zero();
-                        for c in candidates {
-                            let cv = candidate_value(
-                                db, *resolved, &c.query, facts[i], options, cancel,
-                            )?;
-                            v += &(&c.weight * &cv);
-                        }
-                        Ok::<BigRational, CoreError>(v)
-                    })
-                    .into_iter()
-                    .collect::<Result<Vec<_>, _>>()?;
-                    weighted_add(&mut acc, &BigRational::one(), values);
-                }
-            }
-        }
-        Ok(acc)
+    let (candidates, _) = candidates(db, q, agg)?;
+    match plan(db, &candidates, options, cancel.as_ref())? {
+        Plan::Terms { terms, .. } => terms_value(db, &terms, |db, q| {
+            shapley_via_counts(db, q, f, &HierarchicalCounter)
+        }),
+        Plan::Enumerate(enumeration) => Ok(weighted_enumerated_values(
+            db,
+            &candidates,
+            &[f],
+            enumeration,
+            options,
+            cancel.as_ref(),
+        )?
+        .pop()
+        .unwrap_or_else(BigRational::zero)),
     }
 }
 
@@ -575,12 +447,12 @@ pub(crate) fn aggregate_efficiency_target(
     Ok(full - empty)
 }
 
-/// `Shapley_agg(D, q, f)` for *every* endogenous fact at once: one
-/// batched [`CompiledCount`] engine per candidate (compiled once,
-/// shared by every fact's recount) on the tractable strategies, with
-/// the weighted values accumulated fact-wise. The report's expected
-/// total is `agg(D) − agg(Dx)`, which the value total must equal by
-/// linearity of the efficiency axiom; its
+/// `Shapley_agg(D, q, f)` for *every* endogenous fact at once, through
+/// the aggregate's compiled plan: one batched `CompiledCount` engine
+/// per candidate term, shared by every fact's recount, with the
+/// weighted numerators summed over the common denominator. The
+/// report's expected total is `agg(D) − agg(Dx)`, which the value total
+/// must equal by linearity of the efficiency axiom; its
 /// [`ShapleyReport::stats`] carry the candidate-pruning counters.
 ///
 /// A thin compatibility wrapper over
@@ -592,16 +464,6 @@ pub fn aggregate_report(
     options: &ShapleyOptions,
 ) -> Result<ShapleyReport, CoreError> {
     crate::session::ShapleySession::prepare_aggregate(db, q, agg.clone(), options)?.report()
-}
-
-/// `acc[i] += weight · values[i]`.
-// cqshap-lint: allow(cancellation-reachability) -- bounded: one pass over a candidate's value vector
-fn weighted_add(acc: &mut [BigRational], weight: &BigRational, values: Vec<BigRational>) {
-    for (a, v) in acc.iter_mut().zip(values) {
-        if !v.is_zero() {
-            *a += &(weight * &v);
-        }
-    }
 }
 
 #[cfg(test)]

@@ -7,11 +7,10 @@
 //! [`CoreError::DeadlineExceeded`] with a named pipeline phase.
 //!
 //! Every long-running loop in the crate calls the crate-private
-//! `check` (or the batched-progress variant `check_partial`) at
-//! group/convolution granularity. The polynomial kernels poll the same
-//! token and return `NumericError::Cancelled` when it trips; `tripped`
-//! turns that into the same error a checkpoint raises, so a cancelled
-//! kernel never yields a value.
+//! `check` at group/convolution granularity. The polynomial kernels
+//! poll the same token and return `NumericError::Cancelled` when it
+//! trips; `tripped` turns that into the same error a checkpoint raises,
+//! so a cancelled kernel never yields a value.
 //!
 //! Only an entry point arms a token from the options' budget — a
 //! [`crate::ShapleySession`] method (by re-arming the session's token)
@@ -29,22 +28,12 @@ use cqshap_numeric::NumericError;
 use crate::error::CoreError;
 
 /// Converts a tripped `token` into [`CoreError::DeadlineExceeded`];
-/// `Ok(())` while the budget holds.
-pub(crate) fn check(token: &CancelToken, phase: &'static str) -> Result<(), CoreError> {
-    check_partial(token, phase, None)
-}
-
-/// [`check`] for batched phases: `partial` reports how many per-item
-/// units were already completed when the budget tripped. Callers that
-/// hold the finished answers attach them afterwards with
+/// `Ok(())` while the budget holds. Batched phases that hold finished
+/// answers attach them afterwards with
 /// [`CoreError::with_partial_answers`].
-pub(crate) fn check_partial(
-    token: &CancelToken,
-    phase: &'static str,
-    partial: Option<usize>,
-) -> Result<(), CoreError> {
+pub(crate) fn check(token: &CancelToken, phase: &'static str) -> Result<(), CoreError> {
     if token.should_stop() {
-        return Err(deadline(token, phase, partial));
+        return Err(deadline(token, phase));
     }
     Ok(())
 }
@@ -59,24 +48,17 @@ pub(crate) fn tripped(
     phase: &'static str,
 ) -> CoreError {
     match (err, token) {
-        (NumericError::Cancelled, Some(token)) => deadline(token, phase, None),
+        (NumericError::Cancelled, Some(token)) => deadline(token, phase),
         (other, _) => CoreError::Unsupported(other.to_string()),
     }
 }
 
 /// Emits the `deadline.trip` event for `phase` and builds its error.
-pub(crate) fn deadline(
-    token: &CancelToken,
-    phase: &'static str,
-    partial: Option<usize>,
-) -> CoreError {
+pub(crate) fn deadline(token: &CancelToken, phase: &'static str) -> CoreError {
     cqshap_obs::event(cqshap_obs::phase::EV_DEADLINE_TRIP, phase);
     CoreError::DeadlineExceeded {
         phase: phase.to_string(),
         elapsed: token.elapsed(),
-        partial: partial.map(|completed| crate::error::PartialProgress {
-            completed,
-            answers: Vec::new(),
-        }),
+        partial: None,
     }
 }

@@ -193,7 +193,7 @@ pub trait EvalDomain: Sync {
     /// identically. A no-op for budget-free domains.
     fn checkpoint(&self, phase: &'static str) -> Result<(), CoreError> {
         match self.cancel_token() {
-            Some(token) if token.charge(1) => Err(budget::deadline(token, phase, None)),
+            Some(token) if token.charge(1) => Err(budget::deadline(token, phase)),
             _ => Ok(()),
         }
     }

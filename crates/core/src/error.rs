@@ -14,8 +14,7 @@ use cqshap_query::QueryError;
 /// retry, report the finished facts) instead of recomputing.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PartialProgress {
-    /// How many per-item units (facts, union terms, candidate engines)
-    /// completed before the trip.
+    /// How many per-item units (facts) completed before the trip.
     pub completed: usize,
     /// The completed per-fact answers themselves, as `(fact index,
     /// Shapley value)` pairs — empty for phases whose units are not

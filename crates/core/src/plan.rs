@@ -73,10 +73,12 @@ use crate::shapley::{resolve_strategy, BatchedEngine, ResolvedStrategy, ShapleyO
 /// `2^d − 1` subset conjunctions).
 const MAX_DISJUNCTS: usize = 10;
 
-/// One signed term of a [`Plan`]: `coeff · query`, evaluated on `db`
-/// when the term was rewritten, on the session database otherwise.
+/// One signed, weighted term of a [`Plan`]: `coeff · query`, evaluated
+/// on `db` when the term was rewritten, on the session database
+/// otherwise. The coefficient is an inclusion–exclusion sign, times an
+/// aggregate candidate's weight for the terms of an aggregate.
 pub(crate) struct PlanTerm {
-    pub(crate) coeff: i64,
+    pub(crate) coeff: BigInt,
     pub(crate) db: Option<Arc<Database>>,
     pub(crate) query: ConjunctiveQuery,
 }
@@ -184,14 +186,14 @@ pub(crate) fn cq_plan(
     Ok(match resolved {
         ResolvedStrategy::Hierarchical => Plan::Terms {
             terms: vec![PlanTerm {
-                coeff: 1,
+                coeff: BigInt::one(),
                 db: None,
                 query: q.clone(),
             }],
             rewritten: false,
         },
         ResolvedStrategy::ExoShap => Plan::Terms {
-            terms: rewritten_term(1, exoshap::rewrite(db, q, tuple_budget)?)
+            terms: rewritten_term(BigInt::one(), exoshap::rewrite(db, q, tuple_budget)?)
                 .into_iter()
                 .collect(),
             rewritten: true,
@@ -216,7 +218,7 @@ fn compiled_union_inapplicable(e: &CoreError) -> bool {
 
 /// The term of one rewriting outcome, or none when the rewriting proved
 /// the query always false.
-fn rewritten_term(coeff: i64, outcome: exoshap::RewriteOutcome) -> Option<PlanTerm> {
+fn rewritten_term(coeff: BigInt, outcome: exoshap::RewriteOutcome) -> Option<PlanTerm> {
     (!outcome.always_false).then(|| PlanTerm {
         coeff,
         db: Some(Arc::new(outcome.db)),
@@ -334,20 +336,20 @@ fn compiled_union_plan(u: &UnionQuery) -> Result<Plan, CoreError> {
         match classes.entry(canonical_key(&query)) {
             Entry::Occupied(e) => {
                 if let Some(t) = terms.get_mut(*e.get()) {
-                    t.coeff += sign;
+                    t.coeff += &BigInt::from_i64(sign);
                 }
             }
             Entry::Vacant(e) => {
                 e.insert(terms.len());
                 terms.push(PlanTerm {
-                    coeff: sign,
+                    coeff: BigInt::from_i64(sign),
                     db: None,
                     query,
                 });
             }
         }
     }
-    terms.retain(|t| t.coeff != 0);
+    terms.retain(|t| !t.coeff.is_zero());
     Ok(Plan::Terms {
         terms,
         rewritten: false,
@@ -374,7 +376,7 @@ fn exoshap_union_plan(
                 reason: e.to_string(),
             }
         })?;
-        terms.extend(rewritten_term(sign, outcome));
+        terms.extend(rewritten_term(BigInt::from_i64(sign), outcome));
     }
     Ok(Plan::Terms {
         terms,
@@ -404,7 +406,7 @@ impl TermEngine for CompiledProbability {
 
 /// One compiled term.
 struct Term<E> {
-    coeff: i64,
+    coeff: BigInt,
     /// The rewritten database, when the term has its own (shared with
     /// the plan and the other domain's terms).
     db: Option<Arc<Database>>,
@@ -441,7 +443,7 @@ impl<E: TermEngine> TermList<E> {
             .map(|t| {
                 let engine = compile(t.db.as_deref().unwrap_or(db), &t.query)?;
                 Ok(Term {
-                    coeff: t.coeff,
+                    coeff: t.coeff.clone(),
                     db: t.db.clone(),
                     engine,
                 })
@@ -484,27 +486,31 @@ impl<E: TermEngine> TermList<E> {
     }
 
     /// Each term with the database it evaluates on.
-    fn each<'a>(&'a self, db: &'a Database) -> impl Iterator<Item = (i64, &'a Database, &'a E)> {
+    fn each<'a>(
+        &'a self,
+        db: &'a Database,
+    ) -> impl Iterator<Item = (&'a BigInt, &'a Database, &'a E)> {
         self.terms
             .iter()
-            .map(move |t| (t.coeff, t.db.as_deref().unwrap_or(db), &t.engine))
+            .map(move |t| (&t.coeff, t.db.as_deref().unwrap_or(db), &t.engine))
     }
 }
 
 /// `Σ coeff · v` over `(coeff, v)` pairs, `None` for no pair. The sum
 /// starts from the first value, so a one-term sum comes back as it
-/// went in: no copy, and no reduction of an exact rational.
-// cqshap-lint: allow(cancellation-reachability) -- bounded: one pass over a plan's terms, at most 2^10 − 1
-pub(crate) fn signed_sum<T>(terms: impl IntoIterator<Item = (i64, T)>) -> Option<T>
+/// went in: no copy, and no reduction of an exact rational. A `±1`
+/// coefficient (every term of a Boolean query) costs no multiply.
+// cqshap-lint: allow(cancellation-reachability) -- one multiply-add per plan term, over values whose evaluation polled
+pub(crate) fn signed_sum<'a, T>(terms: impl IntoIterator<Item = (&'a BigInt, T)>) -> Option<T>
 where
-    T: Neg<Output = T> + Add<Output = T> + Mul<Output = T> + From<i64>,
+    T: Neg<Output = T> + Add<Output = T> + Mul<Output = T> + From<BigInt>,
 {
     let mut acc: Option<T> = None;
     for (coeff, v) in terms {
-        let v = match coeff {
-            1 => v,
-            -1 => -v,
-            c => v * T::from(c),
+        let v = match (coeff.magnitude().is_one(), coeff.is_negative()) {
+            (true, false) => v,
+            (true, true) => -v,
+            _ => v * T::from(coeff.clone()),
         };
         acc = Some(match acc {
             Some(sum) => sum + v,
@@ -593,7 +599,7 @@ impl TermList<CompiledProbability> {
         signed_sum(
             self.terms
                 .iter()
-                .map(|t| (t.coeff, t.engine.probability().clone())),
+                .map(|t| (&t.coeff, t.engine.probability().clone())),
         )
         .unwrap_or_else(BigRational::zero)
     }
@@ -702,7 +708,7 @@ mod tests {
         let v = parse_ucq("q1() :- R('a'), !T('c'); q2() :- R('a'), !T('c')").unwrap();
         let compiled = compiled_terms(&db, &v);
         assert_eq!(compiled.terms.len(), 1);
-        assert_eq!(compiled.terms[0].coeff, 1);
+        assert_eq!(compiled.terms[0].coeff, BigInt::one());
         agrees_with_brute_force(&db, &v);
     }
 

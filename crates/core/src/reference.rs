@@ -3,7 +3,9 @@
 //!
 //! The per-fact Shapley paths route like the batched paths (the same
 //! routing plan), then evaluate each term per fact with the
-//! hierarchical `CntSat` oracle or by enumeration.
+//! hierarchical `CntSat` oracle or by enumeration; so does
+//! [`crate::aggregates::aggregate_shapley`], through the same per-fact
+//! term evaluation.
 //! [`oracle_probability`] is the seed lifted-inference traversal for
 //! `Pr[q]`. All are kept as cross-check oracles for the compiled
 //! engines and as the baselines `cqshap-bench`'s `bench-report`
@@ -15,7 +17,7 @@ use cqshap_query::{ConjunctiveQuery, UnionQuery};
 
 use crate::anyquery::AnyQuery;
 use crate::error::CoreError;
-use crate::plan::{resolve, signed_sum, Enumeration, Plan};
+use crate::plan::{resolve, signed_sum, Enumeration, Plan, PlanTerm};
 use crate::satcount::{BruteForceCounter, HierarchicalCounter, SatCountOracle};
 use crate::shapley::{
     assemble_report, efficiency_target, enumerated_values, par_values, shapley_via_counts,
@@ -75,17 +77,7 @@ fn per_fact_report(
     let values = match resolve(db, query, options.strategy, options)? {
         Plan::Terms { terms, .. } if terms.is_empty() => return Ok(zero_report(db)),
         Plan::Terms { terms, .. } => par_values(options.threads, facts, |f| {
-            let values = terms
-                .iter()
-                .map(|t| {
-                    let db = t.db.as_deref().unwrap_or(db);
-                    Ok((
-                        t.coeff,
-                        value(db, AnyQuery::Cq(&t.query), f, &HierarchicalCounter)?,
-                    ))
-                })
-                .collect::<Result<Vec<_>, CoreError>>()?;
-            Ok(signed_sum(values).unwrap_or_else(BigRational::zero))
+            terms_value(db, &terms, |db, q| value(db, q, f, &HierarchicalCounter))
         })?,
         Plan::Enumerate(Enumeration::Subsets) => {
             let oracle =
@@ -95,6 +87,27 @@ fn per_fact_report(
         Plan::Enumerate(e) => enumerated_values(db, query, facts, e, options, cancel.as_ref())?,
     };
     Ok(assemble_report(db, values, efficiency_target(db, query)))
+}
+
+/// One fact's value under a plan's `terms`: the signed sum of `value`
+/// over each term's query on the term's database, with no state shared
+/// between terms.
+///
+/// # Errors
+/// The first error `value` returns.
+pub(crate) fn terms_value(
+    db: &Database,
+    terms: &[PlanTerm],
+    value: impl Fn(&Database, AnyQuery<'_>) -> Result<BigRational, CoreError>,
+) -> Result<BigRational, CoreError> {
+    let values = terms
+        .iter()
+        .map(|t| {
+            let db = t.db.as_deref().unwrap_or(db);
+            Ok((&t.coeff, value(db, AnyQuery::Cq(&t.query))?))
+        })
+        .collect::<Result<Vec<_>, CoreError>>()?;
+    Ok(signed_sum(values).unwrap_or_else(BigRational::zero))
 }
 
 /// The seed single-fact computation: materialized modified databases

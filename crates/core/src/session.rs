@@ -14,9 +14,9 @@
 //! * the counting domain, which serves [`ShapleySession::value`],
 //!   [`ShapleySession::values`] and [`ShapleySession::report`], is
 //!   built by the first of those reads or by the first update (which
-//!   then maintains it). [`ShapleySession::prepare_with_fallback`] and
-//!   [`ShapleySession::prepare_aggregate`] build it at prepare, so they
-//!   know at once whether exact answers fit;
+//!   then maintains it). [`ShapleySession::prepare_with_fallback`]
+//!   builds it at prepare, so it knows at once whether exact answers
+//!   fit;
 //! * the probability domain, which serves
 //!   [`ShapleySession::probability`] and
 //!   [`ShapleySession::expected_shapley`], is built by the first of
@@ -25,6 +25,12 @@
 //!   otherwise one `Auto` plan of its own, so a query the Shapley paths
 //!   answer by rewriting — a UCQ¬ included — is answered the same way.
 //!   World enumeration serves what no term list covers.
+//!
+//! An aggregate session ([`ShapleySession::prepare_aggregate`]) keeps
+//! the same kind of plan: its candidate answers `q[head ↦ a]`, pruned
+//! and resolved once, contribute their terms with coefficients scaled
+//! by the candidates' weights (see [`crate::aggregates`]), and the
+//! counting domain serves them like a union's terms.
 //!
 //! [`ShapleySession::sampled`], [`ShapleySession::anytime`] and
 //! [`ShapleySession::wsms`] read the database directly, and
@@ -42,10 +48,12 @@
 //! recursion tree, the cached leave-one-out
 //! environments are patched by exact factor swaps, and the weight
 //! correlations are refreshed in parallel (see
-//! [`CompiledCount::update`]). Structural drift — a root group
-//! appearing or dying, a query atom resolving differently, terms
-//! rewritten from the database, enumeration or aggregate state — falls
-//! back to a full recompile. Either way the session's answers are
+//! [`CompiledCount::update`]). An aggregate session first re-derives
+//! its pruned candidate list, and its terms are maintained only while
+//! that list is unchanged. Structural drift — a root group appearing or
+//! dying, a query atom resolving differently, terms rewritten from the
+//! database, enumeration, a changed candidate list — falls back to a
+//! full recompile. Either way the session's answers are
 //! bit-identical to a freshly prepared session on the same database
 //! (proptest-pinned in `tests/session_updates.rs`).
 //!
@@ -82,7 +90,7 @@ use cqshap_db::{Database, DbError, FactId, Provenance};
 use cqshap_numeric::BigRational;
 use cqshap_query::{classify_with_exo, ConjunctiveQuery, ExactComplexity, UnionQuery};
 
-use crate::aggregates::{aggregate_efficiency_target, AggregateEngines, AggregateFunction};
+use crate::aggregates::{self, aggregate_efficiency_target, AggregateFunction, Candidate};
 use crate::anyquery::AnyQuery;
 use crate::approx::{
     shapley_additive_approx, shapley_anytime, AnytimeParams, AnytimeReport, AnytimeState,
@@ -95,8 +103,8 @@ use crate::error::CoreError;
 use crate::plan::{resolve, Enumeration, Plan, TermList};
 use crate::shapley::{
     assemble_report, assemble_report_with_total, efficiency_target, engine_report_values,
-    engine_values, enumerated_values, zero_report, ResolvedStrategy, ShapleyOptions, ShapleyReport,
-    Strategy,
+    engine_values, enumerated_values, zero_report, ReportStats, ResolvedStrategy, ShapleyOptions,
+    ShapleyReport, Strategy,
 };
 use crate::wsms::{wsms_report, WsmsReport, WsmsWeight};
 
@@ -122,8 +130,8 @@ impl QuerySpec {
     }
 }
 
-/// The counting domain of a Boolean query: the kept plan, and its
-/// terms compiled on first use.
+/// The counting domain: the kept plan, and its terms compiled on first
+/// use.
 struct Counting {
     plan: Plan,
     terms: OnceLock<TermList<CompiledCount>>,
@@ -131,6 +139,11 @@ struct Counting {
     /// until some read or update builds the terms, the session serves
     /// its degraded tiers.
     tripped: bool,
+    /// An aggregate's surviving candidates, which the plan's terms (or
+    /// its enumeration) stand for; empty for a Boolean query.
+    candidates: Vec<Candidate>,
+    /// An aggregate's pruning counters; zero for a Boolean query.
+    stats: ReportStats,
 }
 
 impl Counting {
@@ -139,6 +152,8 @@ impl Counting {
             plan,
             terms: OnceLock::new(),
             tripped: false,
+            candidates: Vec::new(),
+            stats: ReportStats::default(),
         }
     }
 
@@ -154,23 +169,59 @@ impl Counting {
     ) -> Result<Engine<'_>, CoreError> {
         let (terms, rewritten) = match &self.plan {
             Plan::Terms { terms, rewritten } => (terms, *rewritten),
-            &Plan::Enumerate(enumeration) => return Ok(Engine::Enumerate(enumeration)),
+            &Plan::Enumerate(enumeration) => {
+                return Ok(Engine::Enumerate(enumeration, &self.candidates))
+            }
         };
         if let Some(compiled) = self.terms.get() {
             return Ok(Engine::Terms(compiled));
         }
         let _span = cqshap_obs::Span::enter(cqshap_obs::phase::PREPARE_COMPILE);
-        // A union's terms compile under their own phase, polled between
-        // terms.
-        let union = matches!(spec, QuerySpec::Union(_));
-        let _union = union.then(|| cqshap_obs::Span::enter(cqshap_obs::phase::UNION_COMPILE));
+        // A union's or an aggregate's terms compile under their own
+        // phase, polled between terms.
+        let phase = match spec {
+            QuerySpec::Cq(_) => None,
+            QuerySpec::Union(_) => Some(cqshap_obs::phase::UNION_COMPILE),
+            QuerySpec::Aggregate { .. } => Some(cqshap_obs::phase::AGGREGATE_PREPARE),
+        };
+        let _phase = phase.map(cqshap_obs::Span::enter);
         let compiled = TermList::compile(db, terms, rewritten, |db, q| {
-            if let (true, Some(token)) = (union, cancel) {
-                crate::budget::check(token, cqshap_obs::phase::UNION_COMPILE)?;
+            if let (Some(phase), Some(token)) = (phase, cancel) {
+                crate::budget::check(token, phase)?;
             }
             CompiledCount::compile(db, q, options.threads, cancel)
         })?;
         Ok(Engine::Terms(self.terms.get_or_init(|| compiled)))
+    }
+
+    /// Patches the compiled terms after one applied update of `db`;
+    /// `Ok(false)` asks for a rebuild. An aggregate's terms stand for
+    /// its candidate list, so they are patched only while re-deriving
+    /// that list on `db` gives the same candidates.
+    fn update(
+        &mut self,
+        db: &Database,
+        spec: &QuerySpec,
+        change: EngineUpdate,
+    ) -> Result<bool, CoreError> {
+        let Some(terms) = self.terms.get_mut() else {
+            return Ok(false);
+        };
+        let stats = match spec {
+            QuerySpec::Aggregate { query, agg } => {
+                let (candidates, stats) = aggregates::candidates(db, query, agg)?;
+                if !aggregates::same_candidates(&candidates, &self.candidates) {
+                    return Ok(false);
+                }
+                stats
+            }
+            _ => self.stats,
+        };
+        if !terms.update(db, change)? {
+            return Ok(false);
+        }
+        self.stats = stats;
+        Ok(true)
     }
 }
 
@@ -179,18 +230,15 @@ impl Counting {
 enum Engine<'a> {
     /// The plan's signed terms.
     Terms(&'a TermList<CompiledCount>),
-    /// Per-fact enumeration, no compiled state.
-    Enumerate(Enumeration),
-    /// Aggregate: the shared per-candidate engines.
-    Aggregate(&'a AggregateEngines),
+    /// Per-fact enumeration, no compiled state: of the query, or of
+    /// each of an aggregate's weighted candidates.
+    Enumerate(Enumeration, &'a [Candidate]),
 }
 
 /// The exact-engine state behind a session.
 enum EngineState {
-    /// A Boolean query's kept plan and its counting domain.
+    /// The kept plan and its counting domain.
     Planned(Counting),
-    /// Aggregate: the shared per-candidate engines, compiled at prepare.
-    Aggregate(AggregateEngines),
     /// A failed rebuild left no usable engine; reads surface the stored
     /// reason until [`ShapleySession::recover`] or a successful update
     /// re-prepares.
@@ -346,8 +394,8 @@ fn classify(db: &Database, spec: &QuerySpec) -> Option<ExactComplexity> {
     }
 }
 
-/// Resolves the plan of one spec (an aggregate compiles its candidate
-/// engines instead), compiling the counting terms at once when `eager`.
+/// Resolves the plan of one spec (an aggregate's from its pruned
+/// candidates), compiling the counting terms at once when `eager`.
 /// When `cancel` is present, every compiled engine is armed with a
 /// clone of the token (so its recounts poll the session budget) and the
 /// compile phases themselves are deadline-bounded.
@@ -358,16 +406,21 @@ fn build(
     cancel: Option<&CancelToken>,
     eager: bool,
 ) -> Result<EngineState, CoreError> {
-    if let QuerySpec::Aggregate { query, agg } = spec {
-        let _span = cqshap_obs::Span::enter(cqshap_obs::phase::PREPARE_COMPILE);
-        let engines = AggregateEngines::prepare(db, query, agg, options, cancel)?;
-        return Ok(EngineState::Aggregate(engines));
-    }
-    let plan = {
+    let counting = {
         let _span = cqshap_obs::Span::enter(cqshap_obs::phase::PREPARE_RESOLVE_STRATEGY);
-        resolve(db, spec.query(), options.strategy, options)?
+        match spec {
+            QuerySpec::Aggregate { query, agg } => {
+                let (candidates, stats) = aggregates::candidates(db, query, agg)?;
+                let plan = aggregates::plan(db, &candidates, options, cancel)?;
+                Counting {
+                    candidates,
+                    stats,
+                    ..Counting::new(plan)
+                }
+            }
+            spec => Counting::new(resolve(db, spec.query(), options.strategy, options)?),
+        }
     };
-    let counting = Counting::new(plan);
     if eager {
         counting.engine(db, spec, options, cancel)?;
     }
@@ -445,9 +498,10 @@ impl ShapleySession {
         Self::from_spec(db.clone(), boolean_spec(query), *options, true)
     }
 
-    /// Prepares a session for an aggregate query: one shared
-    /// [`CompiledCount`] engine per (non-pruned) candidate answer,
-    /// compiled at once.
+    /// Prepares a session for an aggregate query: derives and prunes the
+    /// candidate answers and resolves their one routing plan, whose
+    /// weighted terms the first exact read or update compiles (see
+    /// [`crate::aggregates`]).
     ///
     /// # Errors
     /// [`CoreError::Unsupported`] for Boolean (head-less) queries, plus
@@ -514,9 +568,10 @@ impl ShapleySession {
 
     /// The algorithm the strategy resolved to — shared by every value
     /// and report served from this session, so the single-value and
-    /// all-facts paths can never route differently. `None` for
-    /// aggregate sessions (each candidate shape resolves on its own) and
-    /// for sessions without a resolved plan.
+    /// all-facts paths can never route differently. An aggregate's
+    /// candidates share one route, resolved on any one of them (no
+    /// candidate is an empty term list, which reads as hierarchical).
+    /// `None` for sessions without a resolved plan.
     pub fn strategy(&self) -> Option<ResolvedStrategy> {
         match &self.state {
             EngineState::Planned(counting) => Some(counting.plan.strategy()),
@@ -555,7 +610,6 @@ impl ShapleySession {
             EngineState::Planned(counting) => {
                 counting.engine(&self.db, &self.spec, &self.options, self.cancel.as_ref())
             }
-            EngineState::Aggregate(engines) => Ok(Engine::Aggregate(engines)),
             EngineState::Poisoned(reason) => Err(CoreError::Unsupported(format!(
                 "the session engine could not be rebuilt after an update ({reason}); call \
                  recover() to rebuild from the retained database, or apply a further update that \
@@ -644,8 +698,7 @@ impl ShapleySession {
         self.rearm();
         match self.engine()? {
             Engine::Terms(terms) => terms.value(&self.db, f),
-            // The per-fact routes (enumeration, aggregate candidates)
-            // serve one fact as a batch of one.
+            // Enumeration serves one fact as a batch of one.
             #[expect(
                 clippy::expect_used,
                 reason = "the batch requested exactly one fact, so exactly one value exists"
@@ -683,20 +736,24 @@ impl ShapleySession {
                 }
                 engine_values(&self.db, terms, facts, self.options.threads)
             }
-            Engine::Enumerate(enumeration) => enumerated_values(
-                &self.db,
-                self.spec.query(),
-                facts,
-                enumeration,
-                &self.options,
-                self.cancel.as_ref(),
-            ),
-            Engine::Aggregate(engines) => {
-                for &f in facts {
-                    self.check_endogenous(f)?;
-                }
-                engines.values(&self.db, facts, &self.options, self.cancel.as_ref())
-            }
+            Engine::Enumerate(enumeration, candidates) => match &self.spec {
+                QuerySpec::Aggregate { .. } => aggregates::weighted_enumerated_values(
+                    &self.db,
+                    candidates,
+                    facts,
+                    enumeration,
+                    &self.options,
+                    self.cancel.as_ref(),
+                ),
+                spec => enumerated_values(
+                    &self.db,
+                    spec.query(),
+                    facts,
+                    enumeration,
+                    &self.options,
+                    self.cancel.as_ref(),
+                ),
+            },
         }
     }
 
@@ -710,9 +767,13 @@ impl ShapleySession {
         let _span = cqshap_obs::Span::enter(cqshap_obs::phase::REPORT);
         self.rearm();
         let engine = self.engine()?;
+        let stats = match &self.state {
+            EngineState::Planned(counting) => counting.stats,
+            _ => ReportStats::default(),
+        };
         if let Engine::Terms(terms) = engine {
             if terms.is_empty() {
-                return Ok(zero_report(&self.db));
+                return Ok(zero_report(&self.db).with_stats(stats));
             }
         }
         let facts: Vec<FactId> = self.db.endo_facts().to_vec();
@@ -731,14 +792,11 @@ impl ShapleySession {
                     engine_report_values(&self.db, terms, &facts, self.options.threads)?;
                 assemble_report_with_total(&self.db, values, total, expected)
             }
-            Engine::Aggregate(engines) => {
-                assemble_report(&self.db, self.values_from(engine, &facts)?, expected)
-                    .with_stats(engines.stats)
-            }
-            Engine::Enumerate(_) => {
+            Engine::Enumerate(..) => {
                 assemble_report(&self.db, self.values_from(engine, &facts)?, expected)
             }
-        })
+        }
+        .with_stats(stats))
     }
     /// The aggregate report — [`ShapleySession::report`] restricted to
     /// aggregate sessions.
@@ -1127,13 +1185,9 @@ impl ShapleySession {
             self.prob = Probability::default();
         }
         let maintained = match &mut self.state {
-            EngineState::Planned(counting) => match counting.terms.get_mut() {
-                Some(terms) => terms.update(&self.db, change),
-                None => Ok(false),
-            },
-            // Enumeration and aggregate states depend on the database
-            // globally (strategy limits, candidate enumeration):
-            // re-prepare.
+            // Enumeration depends on the database globally (strategy
+            // limits): without compiled terms, re-prepare.
+            EngineState::Planned(counting) => counting.update(&self.db, &self.spec, change),
             _ => Ok(false),
         };
         let maintained = match maintained {
@@ -1471,7 +1525,9 @@ mod tests {
             &ShapleyOptions::auto(),
         )
         .unwrap();
-        assert!(session.strategy().is_none());
+        // Every candidate shares one route: the exports candidates have
+        // a non-hierarchical path, so Auto enumerates them.
+        assert_eq!(session.strategy(), Some(ResolvedStrategy::BruteForce));
         let report = session.aggregate_report().unwrap();
         assert!(report.efficiency_holds());
         assert_eq!(report.stats.aggregate_candidates, 2);

@@ -12,15 +12,15 @@
 // ---------------------------------------------------------------------
 
 /// `ShapleySession::prepare`: classification and the routing plan (and,
-/// for aggregate and fallback sessions, their engines).
+/// for fallback sessions, their engines).
 pub const PREPARE: &str = "prepare";
 /// Prepare sub-phase: query classification (hierarchy / exogenous splits).
 pub const PREPARE_CLASSIFY: &str = "prepare.classify";
 /// Prepare sub-phase: choosing the evaluation strategy for the class.
 pub const PREPARE_RESOLVE_STRATEGY: &str = "prepare.resolve-strategy";
 /// Building the counting domain's compiled engines from the plan: under
-/// `prepare` for aggregate and fallback sessions, else under the first
-/// read or update that needs them.
+/// `prepare` for fallback sessions, else under the first read or update
+/// that needs them.
 pub const PREPARE_COMPILE: &str = "prepare.compile";
 /// `ShapleySession::report` / `report_with`: one full Shapley report.
 pub const REPORT: &str = "report";
@@ -72,9 +72,12 @@ pub const NORMALIZE: &str = "report.normalize";
 pub const UNION_COMPILE: &str = "union-compile";
 /// Union (UCQ) per-term recount enumeration.
 pub const UNION_TERMS: &str = "union-terms";
-/// Aggregate-query Shapley evaluation over the candidate groups.
+/// Aggregate-query Shapley evaluation by enumeration, polled between
+/// candidates.
 pub const AGGREGATE: &str = "aggregate";
-/// Aggregate-query preparation: candidate discovery and pruning.
+/// Aggregate-query preparation: the per-candidate plan terms (and their
+/// `ExoShap` rewritings) and their compile, polled between candidates
+/// and between terms.
 pub const AGGREGATE_PREPARE: &str = "aggregate-prepare";
 
 /// The shared evaluation recursion over an evaluation domain (the

@@ -202,6 +202,8 @@ fn report_command_accepts_aggregates() {
     let out = stdout_of(&cqshap(&["report", db.path(), q, "--agg", "count"]));
     assert!(out.contains("efficiency holds"), "stdout: {out}");
     assert!(out.contains("8 facts in"), "stdout: {out}");
+    // Every candidate `qc(c)` is hierarchical: the aggregate's one route.
+    assert!(out.contains("strategy: Hierarchical"), "stdout: {out}");
 
     let out = cqshap(&["report", db.path(), q, "--agg", "avg"]);
     assert!(!out.status.success());

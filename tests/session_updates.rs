@@ -274,3 +274,76 @@ proptest! {
         }
     }
 }
+
+/// The maintained aggregate report equals a fresh `prepare_aggregate`
+/// on the same database, bit for bit: values, totals and pruning stats.
+fn assert_aggregate_matches_fresh(
+    session: &ShapleySession,
+    q: &ConjunctiveQuery,
+    opts: &ShapleyOptions,
+) {
+    let fresh =
+        ShapleySession::prepare_aggregate(session.database(), q, AggregateFunction::Count, opts)
+            .unwrap();
+    let (a, b) = (session.report().unwrap(), fresh.report().unwrap());
+    assert!(a.efficiency_holds(), "over\n{}", session.database());
+    assert_eq!(a.total, b.total);
+    assert_eq!(a.expected_total, b.expected_total);
+    assert_eq!(a.stats, b.stats);
+    assert_eq!(a.entries.len(), b.entries.len());
+    for (x, y) in a.entries.iter().zip(&b.entries) {
+        assert_eq!(x.fact, y.fact);
+        assert_eq!(
+            x.value,
+            y.value,
+            "{} over\n{}",
+            x.rendered,
+            session.database()
+        );
+    }
+}
+
+/// Updates that keep an aggregate's candidate list patch its compiled
+/// terms in place; an insert that adds a candidate rebuilds.
+#[test]
+fn aggregate_updates_keeping_the_candidates_are_incremental() {
+    let q = parse_cq("qa(c) :- A(s, c), !B(s)").unwrap();
+    let db = Database::parse(
+        "endo A(s1, c1)\nendo A(s2, c1)\nendo A(s2, c2)\nendo A(s3, c2)\n\
+         endo B(s1)\nexo B(s3)\nendo B(s4)\n",
+    )
+    .unwrap();
+    let opts = ShapleyOptions::auto();
+    let mut session =
+        ShapleySession::prepare_aggregate(&db, &q, AggregateFunction::Count, &opts).unwrap();
+    assert_eq!(session.strategy(), Some(ResolvedStrategy::Hierarchical));
+    assert_eq!(session.report().unwrap().stats.aggregate_candidates, 2);
+    assert_aggregate_matches_fresh(&session, &q, &opts);
+
+    let b1 = session.database().find_fact("B", &["s1"]).unwrap();
+    let b4 = session.database().find_fact("B", &["s4"]).unwrap();
+    session.set_exogenous(b1, true).unwrap();
+    assert_aggregate_matches_fresh(&session, &q, &opts);
+    session.set_exogenous(b1, false).unwrap();
+    assert_aggregate_matches_fresh(&session, &q, &opts);
+    session
+        .insert_fact("B", &["s2"], Provenance::Endogenous)
+        .unwrap();
+    assert_aggregate_matches_fresh(&session, &q, &opts);
+    session.retract_fact(b4).unwrap();
+    assert_aggregate_matches_fresh(&session, &q, &opts);
+    let stats = session.stats();
+    assert_eq!(stats.updates, 4);
+    assert_eq!(stats.full_recompiles, 0, "{stats:?}");
+    assert_eq!(stats.incremental_updates, 4, "{stats:?}");
+
+    // A new country is a new candidate: the terms no longer stand for
+    // the candidate list, so the session rebuilds.
+    session
+        .insert_fact("A", &["s1", "c3"], Provenance::Endogenous)
+        .unwrap();
+    assert_eq!(session.stats().full_recompiles, 1);
+    assert_eq!(session.stats().incremental_updates, 4);
+    assert_eq!(session.report().unwrap().stats.aggregate_candidates, 3);
+    assert_aggregate_matches_fresh(&session, &q, &opts);
+}

@@ -11,6 +11,7 @@
 //! on random Count and Sum instances, agreeing with each other.
 
 use cqshap::core::reference::shapley_report_union_per_fact;
+use cqshap::core::Strategy;
 use cqshap::prelude::*;
 use cqshap::workloads::random_db::RandomDbConfig;
 use proptest::prelude::*;
@@ -239,5 +240,145 @@ fn aggregate_benchmark_workload_is_consistent() {
     for entry in report.entries.iter().take(8) {
         let v = aggregate_shapley(&db, &q, &agg, entry.fact, &opts).unwrap();
         assert_eq!(entry.value, v, "{}", entry.rendered);
+    }
+}
+
+/// The Shapley values of the numeric game `S ↦ agg(S ∪ Dx)` by
+/// enumerating all `|Dn|!` orders — an oracle that shares no code with
+/// the aggregate plan, its candidates or its counting terms.
+fn aggregate_game_shapley(
+    db: &Database,
+    q: &ConjunctiveQuery,
+    agg: &AggregateFunction,
+) -> Vec<BigRational> {
+    let facts = db.endo_facts().to_vec();
+    let m = facts.len();
+    assert!(m <= 6, "the oracle enumerates m! orders");
+    let mut totals = vec![BigRational::zero(); m];
+    let mut order: Vec<usize> = (0..m).collect();
+    let mut orders = 0i64;
+    loop {
+        let mut world = World::empty(db);
+        let mut before = aggregate_value(db, &world, q, agg).unwrap();
+        for &i in &order {
+            world.insert(db, facts[i]);
+            let after = aggregate_value(db, &world, q, agg).unwrap();
+            totals[i] += &(&after - &before);
+            before = after;
+        }
+        orders += 1;
+        if !next_permutation(&mut order) {
+            break;
+        }
+    }
+    let count = BigRational::from(orders);
+    totals.into_iter().map(|t| t / count.clone()).collect()
+}
+
+/// Advances `order` to the next lexicographic permutation; `false`
+/// after the last one.
+fn next_permutation(order: &mut [usize]) -> bool {
+    let Some(i) = (1..order.len()).rev().find(|&i| order[i - 1] < order[i]) else {
+        return false;
+    };
+    let j = (i..order.len())
+        .rev()
+        .find(|&j| order[j] > order[i - 1])
+        .unwrap();
+    order.swap(i - 1, j);
+    order[i..].reverse();
+    true
+}
+
+/// The session's aggregate report equals the permutation oracle per
+/// fact, on every route a candidate shape can take, for Count and Sum
+/// (with weights beyond 2^64), and `aggregate_shapley` agrees.
+#[test]
+fn aggregate_report_matches_the_permutation_oracle() {
+    // Hierarchical candidates, with a weight above 2^64.
+    let hierarchical = "exo Stud(a)\nexo Stud(b)\nendo TA(a)\nendo TA(b)\n\
+         endo Reg(a, 36893488147419103232)\nendo Reg(a, -3)\nendo Reg(b, -3)\n\
+         endo Reg(b, 7)\n";
+    // Non-hierarchical, but R is exogenous: no non-hierarchical path,
+    // so every candidate is rewritten by ExoShap.
+    let exoshap = "exorel R\nexo R(a)\nexo R(b)\nendo S(a, y1)\nendo S(b, y2)\n\
+         endo S(a, y2)\nendo T(y1)\nendo T(y2)\n\
+         exo W(y1, 18446744073709551621)\nexo W(y2, -7)\nexo W(y2, 3)\n";
+    // A self-join: Auto enumerates every candidate.
+    let self_join = "exo P(x0, 12345678901234567890123)\nexo P(x1, 5)\nexo P(x2, -4)\n\
+         endo Q(x0, x1)\nendo Q(x1, x0)\nendo Q(x2, x2)\nendo Q(x1, x2)\nexo Q(x2, x0)\n";
+    let sum = || AggregateFunction::Sum {
+        weight_var: "w".into(),
+    };
+    let cases = [
+        (
+            hierarchical,
+            "qc(w) :- Stud(x), !TA(x), Reg(x, w)",
+            AggregateFunction::Count,
+            Strategy::Auto,
+            ResolvedStrategy::Hierarchical,
+        ),
+        (
+            hierarchical,
+            "qs(w) :- Stud(x), !TA(x), Reg(x, w)",
+            sum(),
+            Strategy::Auto,
+            ResolvedStrategy::Hierarchical,
+        ),
+        (
+            exoshap,
+            "qc(w) :- R(x), S(x, y), T(y), W(y, w)",
+            AggregateFunction::Count,
+            Strategy::Auto,
+            ResolvedStrategy::ExoShap,
+        ),
+        (
+            exoshap,
+            "qs(w) :- R(x), S(x, y), T(y), W(y, w)",
+            sum(),
+            Strategy::Auto,
+            ResolvedStrategy::ExoShap,
+        ),
+        (
+            self_join,
+            "qc(w) :- P(x, w), Q(x, z), !Q(z, x)",
+            AggregateFunction::Count,
+            Strategy::Auto,
+            ResolvedStrategy::BruteForce,
+        ),
+        (
+            self_join,
+            "qs(w) :- P(x, w), Q(x, z), !Q(z, x)",
+            sum(),
+            Strategy::Auto,
+            ResolvedStrategy::BruteForce,
+        ),
+        (
+            self_join,
+            "qs(w) :- P(x, w), Q(x, z), !Q(z, x)",
+            sum(),
+            Strategy::BruteForcePermutations,
+            ResolvedStrategy::Permutations,
+        ),
+    ];
+    for (text, query, agg, strategy, route) in cases {
+        let db = Database::parse(text).unwrap();
+        let q = parse_cq(query).unwrap();
+        let opts = ShapleyOptions::with_strategy(strategy);
+        let session = ShapleySession::prepare_aggregate(&db, &q, agg.clone(), &opts).unwrap();
+        assert_eq!(session.strategy(), Some(route), "{query}");
+        let report = session.report().unwrap();
+        assert!(report.efficiency_holds(), "{query}");
+        let oracle = aggregate_game_shapley(&db, &q, &agg);
+        for (&f, want) in db.endo_facts().iter().zip(&oracle) {
+            let entry = report.entry(f).unwrap();
+            assert_eq!(&entry.value, want, "{query}: {}", entry.rendered);
+            let single = aggregate_shapley(&db, &q, &agg, f, &opts).unwrap();
+            assert_eq!(&single, want, "{query}: {}", entry.rendered);
+        }
+        assert!(
+            oracle.iter().any(|v| !v.is_zero()),
+            "{query}: a vacuous case"
+        );
     }
 }
