@@ -17,11 +17,16 @@
 //!    per ground component; see `crate::tree`): ground folds, products
 //!    and root splits, each node holding its value.
 //! 2. **Cache** — every component's satisfying-count polynomial, every
-//!    root group's unsatisfying-count polynomial, and per rooted
-//!    component *one* product of its groups' factors; plus the Shapley
-//!    weights `ω[k] = lcm(1..m)·k!·(m−1−k)!/m!`, integers over the
-//!    common denominator `lcm(1..m)`. A group's leave-one-out
-//!    environment is derived from the component product on demand.
+//!    root group's unsatisfying-count polynomial, per rooted component
+//!    *one* product of its groups' factors, and per component the
+//!    product of the other components' values (the prefix/suffix
+//!    descent of [`EvalDomain::leave_one_out`]); plus the Shapley
+//!    weights `ω[k] = lcm(1..m′)·k!·(m′−1−k)!/m′!`, integers over the
+//!    common denominator `lcm(1..m′)` of the `m′` non-null players. A
+//!    group's leave-one-out environment is derived from the component
+//!    product on demand, and so is the full-database value
+//!    ([`CompiledCount::total_counts`], [`CompiledProbability::probability`]),
+//!    which no report reads.
 //! 3. **Recount** — for fact `f`, walk from `f`'s leaf in its group's
 //!    tree to the tree's root under the two [`FactMask`] views (`f`
 //!    removed, `f` exogenized; no database clones): one exact division
@@ -30,10 +35,20 @@
 //!    facts; otherwise it is lifted through its environment and
 //!    weighted, `Σ_t (d ⊛ E)[t]·ω[t]` (Theorem 3.1's contraction), in
 //!    one pass over `E` that never materializes `d ⊛ E`
-//!    ([`ShapleyWeights::contract_lifted`]).
-//!    Facts outside every scope ("free") and facts whose root value
-//!    lacks positive support ("junk") are answered as exact zeros
-//!    without any recounting.
+//!    ([`ShapleyWeights::contract_lifted`]), and carried to the common
+//!    denominator `lcm(1..m)` by the integer `lcm(1..m)/lcm(1..m′)`.
+//!
+//! Facts outside every scope ("free") and facts whose root value lacks
+//! positive support ("junk") are null players: their values are exact
+//! zeros without any recounting, and, since a Shapley value does not
+//! change when a null player joins or leaves the game, they enter no
+//! cached value either. Every polynomial above runs over the non-null
+//! facts only, and the binomial row `(1+x)^k` of the `k` null players
+//! is multiplied in only where a full-database count is read
+//! ([`CompiledCount::total_counts`], [`CompiledCount::counts_pair`]).
+//! For the contraction this is the identity
+//! `Σ_t (d ⊛ (1+x)^k)[t]·t!(m−1−t)!/m! = Σ_s d[s]·s!(m′−1−s)!/m′!`
+//! with `m′ = m − k`.
 //!
 //! The per-fact cost drops from `O(m)` full-database DP work (plus two
 //! database clones) to one leaf-to-root path of one root group's tree,
@@ -47,15 +62,14 @@
 //! ([`Database::retract_fact`] / [`Database::set_fact_provenance`] /
 //! an insertion) instead of recompiling. Each rooted component keeps
 //! `unsat_all`, the product of its groups' *nonzero* `unsat` factors,
-//! a count `zeros` of the always-satisfied groups (identically zero
-//! `unsat`), and `outer = unsat_all ⊛ free(junk)`. A root group's
-//! leave-one-out environment
-//! `genv_g = free(junk) ⊛ ⊛_{h≠g} unsat_h` is then `outer / unsat_g`
-//! when `zeros = 0`, `outer` itself for the one always-satisfied group
+//! and a count `zeros` of the always-satisfied groups (identically zero
+//! `unsat`). A root group's leave-one-out environment
+//! `genv_g = ⊛_{h≠g} unsat_h` is then `unsat_all / unsat_g` when
+//! `zeros = 0`, `unsat_all` itself for the one always-satisfied group
 //! when `zeros = 1`, and zero otherwise. A single-group change is a
 //! factor swap on `unsat_all` alone — one exact division by the old
 //! factor (or `zeros −= 1`) and one combination with the new one (or
-//! `zeros += 1`) — and a junk shift just rebuilds `outer`. No update
+//! `zeros += 1`) — and a free or junk fact moves only `m`. No update
 //! touches the other groups: their environments are derived lazily by
 //! the next report (one division per weight class) or conditional
 //! read (one per group), so an update costs what it touches.
@@ -63,7 +77,7 @@
 //! path of the group's tree as a recount and keeps the new values; a
 //! root value appearing or dying *below* the group adds or drops one
 //! child of that path. The report memos that depend on `m` or on the
-//! environments are then cleared and, when `m` moved, the weights
+//! environments are then cleared and, when `m′` moved, the weights
 //! rebuilt (word-size ratio steps). Structural drift at the component
 //! level — a root group appearing or dying, a query atom resolving
 //! differently — makes `update` report that a full recompile is
@@ -81,7 +95,7 @@ use std::hash::Hash;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use cqshap_db::{ConstId, Database, FactId, FactMask, RelId};
-use cqshap_numeric::{BigInt, BigRational, BigUint, ShapleyWeights};
+use cqshap_numeric::{BigInt, BigRational, BigUint, LcmDenominator, ShapleyWeights};
 use cqshap_obs::{phase as obs_phase, Counter, Span};
 use cqshap_query::{ConjunctiveQuery, Term};
 
@@ -130,16 +144,16 @@ impl EngineUpdate {
     }
 }
 
-/// Where an endogenous fact lives in the compiled structure.
+/// Where a non-null endogenous fact lives in the compiled structure.
+/// Null players — facts outside every scope, and "junk" facts in a
+/// component's scopes whose root value lacks full positive support —
+/// have no location.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Loc {
     /// In a ground (variable-free) component.
     Ground { comp: usize },
     /// In the root group `group` of component `comp`.
     Grouped { comp: usize, group: usize },
-    /// In component `comp`'s scopes, but with a root value that lacks
-    /// full positive support: a free "junk" choice, value exactly zero.
-    Junk { comp: usize },
 }
 
 /// One root-value group of a connected component: the sub-query with
@@ -158,8 +172,9 @@ struct RootGroup<V> {
     /// unmodified db (counting: `[C(endo,j) − sat_j]`; probability:
     /// `1 − P_c`).
     unsat: V,
-    /// The leave-one-out environment `free(junk) ⊛ ⊛_{h≠g} unsat_h`,
-    /// derived on first use from the component's product
+    /// The leave-one-out environment `⊛_{h≠g} unsat_h` over the other
+    /// groups (no junk row: junk facts are null players), derived on
+    /// first use from the component's product
     /// ([`CompiledEngine::group_env`]) and emptied whenever that product
     /// changes. `None` records a failed division (never for exact
     /// factors).
@@ -183,19 +198,16 @@ enum CompKind<V> {
     /// Connected with a root variable: one [`RootGroup`] per root value
     /// with full positive support.
     Rooted {
-        junk_endo: usize,
-        /// `⊛` of the groups' *nonzero* `unsat` factors. An update
-        /// swaps one factor: exact division by the old one, combination
-        /// with the new one.
+        /// `⊛` of the groups' *nonzero* `unsat` factors: the
+        /// component's unsatisfying value when `zeros = 0`, and the
+        /// numerator every group environment is divided out of. An
+        /// update swaps one factor: exact division by the old one,
+        /// combination with the new one.
         unsat_all: V,
         /// How many groups have an identically zero `unsat` (always
         /// satisfied). Zero factors are counted, not multiplied in, so
         /// they never need dividing back out.
         zeros: usize,
-        /// `unsat_all ⊛ free(junk_endo)`: the component's unsatisfying
-        /// value when `zeros = 0`, and the numerator every group
-        /// environment is divided out of.
-        outer: V,
         groups: Vec<RootGroup<V>>,
     },
 }
@@ -210,12 +222,13 @@ struct Component<V> {
     scopes: Vec<Vec<FactId>>,
     /// The root variable (rooted components only).
     root: Option<u32>,
-    /// Endogenous facts in the component's scopes.
+    /// Non-null endogenous facts in the component's scopes: a ground
+    /// component's all, a rooted one's grouped facts (junk excluded).
     endo: usize,
-    /// Satisfying value on the unmodified database.
+    /// Satisfying value over those `endo` facts on the unmodified
+    /// database.
     sat: V,
-    /// `⊛_{j≠i} sat_j ⊛ free(free_endo)` — everything outside the
-    /// component.
+    /// `⊛_{j≠i} sat_j` — every other component, and no null player.
     env: V,
     kind: CompKind<V>,
 }
@@ -230,28 +243,25 @@ impl<V> Component<V> {
     }
 
     /// Rebuilds what a rooted component derives from its factor product
-    /// and junk count — `outer`, the endogenous count, the satisfying
-    /// value — and empties the groups' environment slots. Compile and
-    /// every update of the component end here.
+    /// — the endogenous count and the satisfying value — and empties the
+    /// groups' environment slots. Compile and every update of one of
+    /// the component's groups end here.
     fn refresh_rooted<D: EvalDomain<Value = V>>(&mut self, dom: &D) {
         let CompKind::Rooted {
-            junk_endo,
             unsat_all,
             zeros,
-            outer,
             groups,
         } = &mut self.kind
         else {
             return;
         };
-        *outer = dom.combine(unsat_all, &dom.free(*junk_endo));
-        self.endo = groups.iter().map(|g| g.endo).sum::<usize>() + *junk_endo;
+        self.endo = groups.iter().map(|g| g.endo).sum::<usize>();
         for g in groups.iter_mut() {
             g.env.take();
         }
         let _span = Span::enter(obs_phase::COMPLEMENT);
         self.sat = if *zeros == 0 {
-            dom.complement(outer, self.endo)
+            dom.complement(unsat_all, self.endo)
         } else {
             dom.complement(&dom.zero(self.endo), self.endo)
         };
@@ -281,28 +291,29 @@ struct CompiledEngine<D: EvalDomain> {
     m: usize,
     /// `false` iff some positive atom can never match: the zero value.
     satisfiable: bool,
-    /// The full-database value (counting: `[|Sat(D,q,k)|]`, length
-    /// `m+1`; probability: `Pr[q]`).
-    total: D::Value,
-    /// Endogenous facts outside every atom scope.
-    free_endo: usize,
-    /// `⊛_i sat_i` over all components (without the free factor).
-    all_sat: D::Value,
+    /// Null endogenous facts: outside every atom scope (free), or junk
+    /// in a rooted component. `m − null_endo` players are left.
+    null_endo: usize,
+    /// `⊛_i sat_i` over all components (no null player), derived on
+    /// first read and emptied by every refresh.
+    all_sat: OnceLock<D::Value>,
+    /// The full-database value `all_sat ⊛ free(null_endo)` (counting:
+    /// `[|Sat(D,q,k)|]`, length `m+1`; probability: `Pr[q]`), derived
+    /// on first read and emptied by every refresh: no report reads it.
+    total: OnceLock<D::Value>,
     components: Vec<Component<D::Value>>,
     locs: HashMap<FactId, Loc>,
     /// Per-component offset of its groups' bucket ids (see
     /// [`CompiledEngine::bucket_of`]).
     group_bucket_base: Vec<usize>,
     buckets: usize,
-    /// Worker cap for the parallel product trees (`0` = all available
-    /// cores) — plumbed from [`crate::ShapleyOptions::threads`].
-    threads: usize,
 }
 
 /// A `(db, query)` pair compiled for batched all-facts Shapley
 /// computation: the domain-generic engine instantiated at the exact
 /// counting domain, plus the Shapley-specific machinery (the weights
-/// over `lcm(1..m)`, the weight classes, and the
+/// over `lcm(1..m′)` of the `m′` non-null players, the lift to
+/// `lcm(1..m)`, the weight classes, and the
 /// recount/numerator/reduction memos). Shared immutably across report
 /// worker threads; does not borrow the database — query-time methods
 /// take `&Database`, and [`CompiledCount::update`] maintains the caches
@@ -312,7 +323,8 @@ struct CompiledEngine<D: EvalDomain> {
 /// `Σ_t (d ⊛ E)[t]·ω[t]` of its masked difference vector
 /// `d = N⁺ − N` (group-local for a grouped fact) with its environment
 /// `E` — `genv ⊛ env` of the fact's root group, or `env` for a ground
-/// component — and the weights `ω[k] = lcm(1..m)·k!(m−1−k)!/m!`. It
+/// component — and the weights `ω[k] = lcm(1..m′)·k!(m′−1−k)!/m′!`,
+/// times the integer `lcm(1..m)/lcm(1..m′)`. It
 /// runs on demand in the report, once per distinct
 /// `(component, weight class, d)`: a weight class is the root groups of
 /// a component with equal `unsat`, which share `genv` and therefore
@@ -321,8 +333,14 @@ struct CompiledEngine<D: EvalDomain> {
 /// touches the untouched groups.
 pub struct CompiledCount {
     eng: CompiledEngine<CountingDomain>,
-    /// The Shapley weights `ω[k] = lcm(1..m)·k!(m−1−k)!/m!`, `k < m`.
+    /// The Shapley weights of the non-null players,
+    /// `ω[k] = lcm(1..m′)·k!(m′−1−k)!/m′!`, `k < m′`.
     weights: ShapleyWeights,
+    /// `lcm(1..m)`, the denominator every numerator is returned over.
+    denominator: LcmDenominator,
+    /// `lcm(1..m)/lcm(1..m′)`: carries a contraction over the weights'
+    /// denominator to `denominator`.
+    lift: BigUint,
     /// Per component: its weight classes and their environments.
     classes: Vec<WeightClasses>,
     /// Numerator → reduced value memo: facts of isomorphic root groups
@@ -442,10 +460,10 @@ impl<K: Hash + Eq, V: Clone> OnceMemo<K, V> {
 /// Lifted inference for a tuple-independent probabilistic database,
 /// served from the *same* compiled structure as [`CompiledCount`]: the
 /// domain-generic engine instantiated at the exact-rational probability
-/// domain. `Pr[q]` is the engine's cached total; conditionals
-/// `Pr[q | f present/absent]` are per-fact masked tree walks; and
-/// [`CompiledProbability::update`] maintains the compile across
-/// database updates exactly like the counting engine (a declined
+/// domain. `Pr[q]` is the engine's total, derived on first read;
+/// conditionals `Pr[q | f present/absent]` are per-fact masked tree
+/// walks; and [`CompiledProbability::update`] maintains the compile
+/// across database updates exactly like the counting engine (a declined
 /// update means the caller recompiles).
 pub struct CompiledProbability {
     eng: CompiledEngine<ProbabilityDomain>,
@@ -556,22 +574,19 @@ impl<D: EvalDomain> CompiledEngine<D> {
         let view = MaskedDb::new(db, FactMask::None);
         let (atoms, rels, scopes) = match resolve_query(db, q)? {
             ResolvedQuery::Unsatisfiable => {
-                let total = dom.zero(m);
-                let all_sat = dom.one();
                 return Ok(CompiledEngine {
                     dom,
                     query: q.clone(),
                     fingerprint,
                     m,
                     satisfiable: false,
-                    total,
-                    free_endo: m,
-                    all_sat,
+                    null_endo: m,
+                    all_sat: OnceLock::new(),
+                    total: OnceLock::new(),
                     components: Vec::new(),
                     locs: HashMap::new(),
                     group_bucket_base: Vec::new(),
                     buckets: 1,
-                    threads,
                 });
             }
             ResolvedQuery::Atoms {
@@ -595,7 +610,6 @@ impl<D: EvalDomain> CompiledEngine<D> {
             let sub_atoms: Vec<PAtom> = picked.iter().map(|p| p.0.clone()).collect();
             let sub_rels: Vec<RelId> = picked.iter().map(|p| p.1).collect();
             let sub_scopes: Vec<Vec<FactId>> = picked.iter().map(|p| p.2.clone()).collect();
-            let endo = scope_endo_count(view, &sub_scopes);
             if sub_atoms.iter().all(|a| !a.has_vars()) {
                 let tree = Tree::build(&dom, db, &sub_atoms, &sub_scopes)?;
                 for &f in sub_scopes.iter().flatten() {
@@ -606,9 +620,9 @@ impl<D: EvalDomain> CompiledEngine<D> {
                 components.push(Component {
                     atoms: sub_atoms,
                     rels: sub_rels,
+                    endo: scope_endo_count(view, &sub_scopes),
                     scopes: sub_scopes,
                     root: None,
-                    endo,
                     sat: tree.sat(&dom, db),
                     env: dom.one(),
                     kind: CompKind::Ground { tree },
@@ -624,7 +638,6 @@ impl<D: EvalDomain> CompiledEngine<D> {
             let candidates = root_candidates(view, root, &sub_atoms, &sub_scopes)?;
             let by_root = RootGroups::new(view, root, &sub_atoms, &sub_scopes);
             let mut groups: Vec<RootGroup<D::Value>> = Vec::new();
-            let mut grouped_endo = 0usize;
             for &c in &candidates {
                 let _group_span = Span::enter(obs_phase::COMPILE);
                 let g_atoms: Vec<PAtom> = sub_atoms.iter().map(|a| a.substitute(root, c)).collect();
@@ -666,7 +679,6 @@ impl<D: EvalDomain> CompiledEngine<D> {
                         );
                     }
                 }
-                grouped_endo += g_endo;
                 let unsat = dom.complement(&sat_c, g_endo);
                 groups.push(RootGroup {
                     value: c,
@@ -678,12 +690,6 @@ impl<D: EvalDomain> CompiledEngine<D> {
                     canon,
                     tree,
                 });
-            }
-            let junk_endo = endo - grouped_endo;
-            for &f in sub_scopes.iter().flatten() {
-                if view.is_endo(f) {
-                    locs.entry(f).or_insert(Loc::Junk { comp: ci });
-                }
             }
             let factors: Vec<&D::Value> = groups
                 .iter()
@@ -700,14 +706,12 @@ impl<D: EvalDomain> CompiledEngine<D> {
                 rels: sub_rels,
                 scopes: sub_scopes,
                 root: Some(root),
-                endo,
+                endo: 0,
                 sat: dom.one(),
                 env: dom.one(),
                 kind: CompKind::Rooted {
-                    junk_endo,
                     unsat_all,
                     zeros,
-                    outer: dom.one(),
                     groups,
                 },
             };
@@ -715,7 +719,7 @@ impl<D: EvalDomain> CompiledEngine<D> {
             components.push(comp);
         }
 
-        let free_endo = m - components.iter().map(|c| c.endo).sum::<usize>();
+        let null_endo = m - components.iter().map(|c| c.endo).sum::<usize>();
 
         // Bucket layout: 0 = all zero-valued facts (free + junk), then
         // one bucket per ground component, then one per root group.
@@ -726,50 +730,76 @@ impl<D: EvalDomain> CompiledEngine<D> {
             next += comp.groups().len();
         }
 
-        // Unit values until `refresh_envs` computes the real ones (an
-        // error there drops the engine).
-        let total = dom.one();
-        let all_sat = dom.one();
         let mut engine = CompiledEngine {
             dom,
             query: q.clone(),
             fingerprint,
             m,
             satisfiable: true,
-            total,
-            free_endo,
-            all_sat,
+            null_endo,
+            all_sat: OnceLock::new(),
+            total: OnceLock::new(),
             components,
             locs,
             group_bucket_base,
             buckets: next,
-            threads,
         };
         engine.refresh_envs(obs_phase::COMPILE)?;
         Ok(engine)
     }
 
-    /// Recomputes everything downstream of the per-group values: the
-    /// component/total values and the cross-component leave-one-out
-    /// environments. Shared by [`CompiledEngine::compile`] and
-    /// [`CompiledEngine::update`], which name themselves as `phase`.
+    /// Recomputes what a report reads downstream of the per-component
+    /// values: each component's environment `⊛_{j≠i} sat_j`, by the
+    /// prefix/suffix descent (no product at all for one or two
+    /// components). The full-database values are only emptied, to be
+    /// derived by their first reader. Shared by
+    /// [`CompiledEngine::compile`] and [`CompiledEngine::update`], which
+    /// name themselves as `phase`.
     fn refresh_envs(&mut self, phase: &'static str) -> Result<(), CoreError> {
-        let sats: Vec<&D::Value> = self.components.iter().map(|c| &c.sat).collect();
-        self.all_sat = self.dom.product(&sats, self.threads, phase)?;
-        self.total = self
-            .dom
-            .combine(&self.all_sat, &self.dom.free(self.free_endo));
-
-        // Component-level leave-one-out environments. Components are
-        // bounded by the query's atom count, so this stage is cheap.
+        self.all_sat.take();
+        self.total.take();
         let _span = Span::enter(obs_phase::LEAVE_ONE_OUT);
-        let envs =
-            self.dom
-                .leave_one_out(&sats, &self.dom.free(self.free_endo), self.threads, phase)?;
+        let sats: Vec<&D::Value> = self.components.iter().map(|c| &c.sat).collect();
+        let envs = self.dom.leave_one_out(&sats, phase)?;
         for (comp, env) in self.components.iter_mut().zip(envs) {
             comp.env = env;
         }
         Ok(())
+    }
+
+    /// The number of non-null players, `m′ = m − null_endo`.
+    fn players(&self) -> usize {
+        self.m - self.null_endo
+    }
+
+    /// `v ⊛ free(n)`: a value over the non-null players, with `n` null
+    /// players multiplied back in.
+    fn with_nulls(&self, v: &D::Value, n: usize) -> D::Value {
+        if n == 0 {
+            v.clone()
+        } else {
+            self.dom.combine(v, &self.dom.free(n))
+        }
+    }
+
+    /// `⊛_i sat_i` over the components, derived on first read.
+    fn all_sat(&self) -> &D::Value {
+        self.all_sat.get_or_init(|| {
+            let mut sats = self.components.iter().map(|c| &c.sat);
+            let first = sats.next().cloned().unwrap_or_else(|| self.dom.one());
+            sats.fold(first, |acc, sat| self.dom.combine(&acc, sat))
+        })
+    }
+
+    /// The full-database value, derived on first read.
+    fn total(&self) -> &D::Value {
+        self.total.get_or_init(|| {
+            if self.satisfiable {
+                self.with_nulls(self.all_sat(), self.null_endo)
+            } else {
+                self.dom.zero(self.m)
+            }
+        })
     }
 
     /// Patches the compiled caches after one in-place database update
@@ -791,8 +821,8 @@ impl<D: EvalDomain> CompiledEngine<D> {
             // positive atom): only the zero-value shell tracks m.
             if self.m != db.endo_count() {
                 self.m = db.endo_count();
-                self.total = self.dom.zero(self.m);
-                self.free_endo = self.m;
+                self.null_endo = self.m;
+                self.total.take();
             }
             return Ok(true);
         }
@@ -806,7 +836,7 @@ impl<D: EvalDomain> CompiledEngine<D> {
             return Ok(false);
         }
         self.m = db.endo_count();
-        self.free_endo = self.m - self.components.iter().map(|c| c.endo).sum::<usize>();
+        self.null_endo = self.m - self.components.iter().map(|c| c.endo).sum::<usize>();
         self.refresh_envs(obs_phase::UPDATE)?;
         Ok(true)
     }
@@ -921,22 +951,6 @@ impl<D: EvalDomain> CompiledEngine<D> {
         Ok(())
     }
 
-    /// Shifts a component's junk count by ±1 endogenous fact; the
-    /// component's `outer` product is rebuilt around it.
-    fn shift_junk(&mut self, ci: usize, grow: bool) {
-        let Some(comp) = self.components.get_mut(ci) else {
-            return;
-        };
-        if let CompKind::Rooted { junk_endo, .. } = &mut comp.kind {
-            if grow {
-                *junk_endo += 1;
-            } else {
-                *junk_endo -= 1;
-            }
-        }
-        comp.refresh_rooted(&self.dom);
-    }
-
     /// Where `f` (of atom `ai`) sits inside rooted component `ci`: its
     /// root value, and the root group for that value (`None`: the junk
     /// region). `None` altogether for a ground component.
@@ -981,7 +995,7 @@ impl<D: EvalDomain> CompiledEngine<D> {
 
     fn apply_insert(&mut self, db: &Database, f: FactId) -> Result<bool, CoreError> {
         let Placement::Component { comp: ci, atom: ai } = self.place(db, f) else {
-            return Ok(true); // free fact: only m / free_endo move
+            return Ok(true); // free fact: a null player, only m moves
         };
         let endo = db.endo_index(f).is_some();
         let Some((value, slot)) = self.rooted_slot(db, ci, ai, f) else {
@@ -1029,11 +1043,8 @@ impl<D: EvalDomain> CompiledEngine<D> {
                 if supported && comp.atoms.get(ai).is_some_and(|a| !a.negated) {
                     return Ok(false);
                 }
+                // A junk fact: a null player, so only `m` moves.
                 self.scopes_mut(ci, None, ai)?.0.push(f);
-                if endo {
-                    self.locs.insert(f, Loc::Junk { comp: ci });
-                    self.shift_junk(ci, true);
-                }
                 Ok(true)
             }
         }
@@ -1065,12 +1076,8 @@ impl<D: EvalDomain> CompiledEngine<D> {
                 }
                 self.recount_group(db, (ci, gi), (f, ai), Change::Retract { was_endo })
             }
-            _ => {
-                if was_endo {
-                    self.shift_junk(ci, false);
-                }
-                Ok(true)
-            }
+            // A junk fact: a null player, so only `m` moves.
+            _ => Ok(true),
         }
     }
 
@@ -1102,22 +1109,15 @@ impl<D: EvalDomain> CompiledEngine<D> {
                 }
                 self.recount_group(db, (ci, gi), (f, ai), Change::Flip)
             }
-            None => {
-                if endo_now {
-                    self.locs.insert(f, Loc::Junk { comp: ci });
-                } else {
-                    self.locs.remove(&f);
-                }
-                self.shift_junk(ci, endo_now);
-                Ok(true)
-            }
+            // A junk fact: a null player, so only `m` moves.
+            None => Ok(true),
         }
     }
 
     /// Is `f`'s influence known to be zero without any re-evaluation?
     /// (True for facts outside every atom scope and for junk facts.)
     fn is_structurally_null(&self, f: FactId) -> bool {
-        !self.satisfiable || matches!(self.locs.get(&f), None | Some(Loc::Junk { .. }))
+        !self.satisfiable || !self.locs.contains_key(&f)
     }
 
     /// An opaque bucket id grouping facts that share recount state: all
@@ -1129,7 +1129,7 @@ impl<D: EvalDomain> CompiledEngine<D> {
             return 0;
         }
         match self.locs.get(&f) {
-            None | Some(Loc::Junk { .. }) => 0,
+            None => 0,
             Some(&Loc::Ground { comp }) => 1 + comp,
             Some(&Loc::Grouped { comp, group }) => self
                 .group_bucket_base
@@ -1153,50 +1153,34 @@ impl<D: EvalDomain> CompiledEngine<D> {
             let z = self.dom.zero(self.m - 1);
             return Ok((z.clone(), z));
         }
-        match self.locs.get(&f) {
+        let (minus, plus) = match self.locs.get(&f) {
+            // A null player: both views drop it from the null row.
             None => {
-                let v = self
-                    .dom
-                    .combine(&self.all_sat, &self.dom.free(self.free_endo - 1));
-                Ok((v.clone(), v))
-            }
-            Some(&Loc::Junk { comp }) => {
-                let c = self.components.get(comp).ok_or_else(stale_location)?;
-                let CompKind::Rooted {
-                    junk_endo,
-                    unsat_all,
-                    zeros,
-                    ..
-                } = &c.kind
-                else {
-                    return Err(stale_location());
-                };
-                let comp_unsat = if *zeros == 0 {
-                    self.dom.combine(unsat_all, &self.dom.free(junk_endo - 1))
-                } else {
-                    self.dom.zero(c.endo - 1)
-                };
-                let comp_sat = self.dom.complement(&comp_unsat, c.endo - 1);
-                let v = self.dom.combine(&c.env, &comp_sat);
-                Ok((v.clone(), v))
+                let v = self.with_nulls(self.all_sat(), self.null_endo - 1);
+                return Ok((v.clone(), v));
             }
             Some(&Loc::Ground { comp }) => {
                 let (sat_minus, sat_plus) = self.ground_pair(db, comp, f)?;
                 let c = self.components.get(comp).ok_or_else(stale_location)?;
-                Ok((
+                (
                     self.dom.combine(&c.env, &sat_minus),
                     self.dom.combine(&c.env, &sat_plus),
-                ))
+                )
             }
             Some(&Loc::Grouped { comp, group }) => {
                 let pair = self.group_pair(db, comp, group, f)?;
-                self.lift_group_pair(comp, group, pair)
+                self.lift_group_pair(comp, group, pair)?
             }
-        }
+        };
+        Ok((
+            self.with_nulls(&minus, self.null_endo),
+            self.with_nulls(&plus, self.null_endo),
+        ))
     }
 
-    /// Lifts a group-local masked pair to full-query values through the
-    /// group's environment and the component's environment.
+    /// Lifts a group-local masked pair to values over the non-null
+    /// players through the group's environment and the component's
+    /// environment.
     fn lift_group_pair(
         &self,
         ci: usize,
@@ -1219,28 +1203,27 @@ impl<D: EvalDomain> CompiledEngine<D> {
         Ok((lift(&pair.0), lift(&pair.1)))
     }
 
-    /// Root group `gi`'s leave-one-out environment
-    /// `free(junk) ⊛ ⊛_{h≠g} unsat_h`, derived from component `ci`'s
-    /// maintained product: `outer / unsat_g` when no group is always
-    /// satisfied, `outer` itself for the one always-satisfied group, and
-    /// zero otherwise. `None` iff the exact division fails, which a
+    /// Root group `gi`'s leave-one-out environment `⊛_{h≠g} unsat_h`,
+    /// derived from component `ci`'s maintained product:
+    /// `unsat_all / unsat_g` when no group is always satisfied,
+    /// `unsat_all` itself for the one always-satisfied group, and zero
+    /// otherwise. `None` iff the exact division fails, which a
     /// consistent product never does.
     fn group_env(&self, ci: usize, gi: usize) -> Option<D::Value> {
         let _span = Span::enter(obs_phase::CLASS_ENV);
         let c = self.components.get(ci)?;
         let CompKind::Rooted {
             zeros,
-            outer,
+            unsat_all,
             groups,
-            ..
         } = &c.kind
         else {
             return None;
         };
         let g = groups.get(gi)?;
         match (*zeros, self.dom.is_zero(&g.unsat)) {
-            (0, _) => self.dom.try_divide(outer, &g.unsat),
-            (1, true) => Some(outer.clone()),
+            (0, _) => self.dom.try_divide(unsat_all, &g.unsat),
+            (1, true) => Some(unsat_all.clone()),
             _ => Some(self.dom.zero(c.endo - g.endo)),
         }
     }
@@ -1314,8 +1297,8 @@ impl CompiledCount {
     /// Compiles `q` against `db` with a worker cap for the parallel
     /// product trees (`0` = all available cores), polling `cancel` (if
     /// any) from the counting recursion and the polynomial kernels. The
-    /// cap and the token stick to the engine: maintenance and recount
-    /// paths reuse them.
+    /// token sticks to the engine: maintenance and recount paths reuse
+    /// it.
     ///
     /// # Errors
     /// The same structural errors as
@@ -1333,6 +1316,8 @@ impl CompiledCount {
         let mut compiled = CompiledCount {
             eng,
             weights: ShapleyWeights::default(),
+            denominator: LcmDenominator::default(),
+            lift: BigUint::one(),
             classes: Vec::new(),
             reduced: OnceMemo::new(),
             pairs: OnceMemo::new(),
@@ -1343,19 +1328,28 @@ impl CompiledCount {
     }
 
     /// Brings the Shapley-specific state in line with the engine after
-    /// a compile or an update: the weights over `lcm(1..m)` follow `m`
-    /// (rebuilt only when it moved), the weight classes follow the
-    /// groups' `unsat` values, and the memos that depend on `m` or on
-    /// the environments are emptied. The recount
-    /// memo survives: see [`CompiledCount::pairs`]. No contraction runs
-    /// here — reports contract on demand.
+    /// a compile or an update: the weights over `lcm(1..m′)` follow the
+    /// non-null player count `m′`, the denominator `lcm(1..m)` follows
+    /// `m` (each rebuilt only when its count moved, and the lift between
+    /// them with it), the weight classes follow the groups' `unsat`
+    /// values, and the memos that depend on `m` or on the environments
+    /// are emptied. The recount memo survives: see
+    /// [`CompiledCount::pairs`]. No contraction runs here — reports
+    /// contract on demand.
     fn refresh_weights(&mut self) {
         let _span = Span::enter(obs_phase::WEIGHTS);
         self.reduced.clear();
         self.numerators.clear();
-        let m = self.eng.m;
-        if self.weights.len() != m {
-            self.weights = ShapleyWeights::new(m);
+        let (m, players) = (self.eng.m, self.eng.players());
+        let moved = self.weights.len() != players || self.denominator.players() != m;
+        if self.weights.len() != players {
+            self.weights = ShapleyWeights::new(players);
+        }
+        if self.denominator.players() != m {
+            self.denominator = LcmDenominator::new(m);
+        }
+        if moved {
+            self.lift = self.denominator.lift_from(players);
         }
         if !self.eng.satisfiable {
             self.classes.clear();
@@ -1393,9 +1387,11 @@ impl CompiledCount {
     }
 
     /// `[|Sat(D,q,k)|]_{k=0..m}` for the unmodified database — what
-    /// [`crate::satcount::count_sat_hierarchical`] computes.
+    /// [`crate::satcount::count_sat_hierarchical`] computes. Derived on
+    /// the first call after a compile or an update (the null players'
+    /// binomial row is multiplied in here, once); no report reads it.
     pub fn total_counts(&self) -> &[BigUint] {
-        &self.eng.total
+        self.eng.total()
     }
 
     /// Is `f`'s Shapley value known to be zero without any recounting?
@@ -1450,8 +1446,8 @@ impl CompiledCount {
                     .ok_or_else(stale_location)?;
                 (comp, class, self.cached_group_pair(db, comp, group, f)?)
             }
-            // Junk and free facts are structurally null, returned above.
-            Some(Loc::Junk { .. }) | None => return Ok(BigInt::zero()),
+            // Null players are structurally null, returned above.
+            None => return Ok(BigInt::zero()),
         };
         debug_assert_eq!(sat_minus.len(), sat_plus.len());
         let d: Vec<BigInt> = sat_plus
@@ -1503,12 +1499,17 @@ impl CompiledCount {
     }
 
     /// `Σ_t (d ⊛ env)[t] · ω[t]`: the difference vector lifted to
-    /// full-query coalition sizes and weighted, in one pass over `env`
-    /// ([`ShapleyWeights::contract_lifted`]; the lift is never
-    /// materialized).
+    /// coalition sizes of the non-null players and weighted, in one pass
+    /// over `env` ([`ShapleyWeights::contract_lifted`]; the lift is
+    /// never materialized), then carried from `lcm(1..m′)` to
+    /// `lcm(1..m)`.
     fn contract(&self, d: &[BigInt], env: &[BigUint]) -> BigInt {
         let _span = Span::enter(obs_phase::CONTRACT);
-        self.weights.contract_lifted(d, env)
+        let num = self.weights.contract_lifted(d, env);
+        if self.lift.is_one() {
+            return num;
+        }
+        BigInt::from_sign_magnitude(num.sign(), num.magnitude() * &self.lift)
     }
 
     /// `num / lcm(1..m)` in lowest terms, memoized per distinct
@@ -1517,7 +1518,7 @@ impl CompiledCount {
         self.reduced
             .get_or_insert_with(num.clone(), || {
                 let _span = Span::enter(obs_phase::NORMALIZE);
-                self.weights.reduce(num)
+                self.denominator.reduce(num)
             })
             .0
     }
@@ -1590,10 +1591,11 @@ impl CompiledProbability {
         })
     }
 
-    /// `Pr[q]` under the compiled per-fact probabilities — served from
-    /// the cache, no traversal.
+    /// `Pr[q]` under the compiled per-fact probabilities: the product of
+    /// the components' probabilities, derived on the first call after a
+    /// compile or an update — no traversal.
     pub fn probability(&self) -> &BigRational {
-        &self.eng.total
+        self.eng.total()
     }
 
     /// The per-fact probabilities the engine was compiled at.
@@ -1963,6 +1965,32 @@ mod tests {
         let mut c2 = CompiledCount::compile(&db2, &q2, 0, None).unwrap();
         let g = db2.add_exo("Ghost", &["a"]).unwrap();
         assert!(!c2.update(&db2, EngineUpdate::Inserted(g)).unwrap());
+    }
+
+    #[test]
+    fn a_deadline_inside_the_component_leave_one_out_names_compile() {
+        // Three components: the descent forms three products, and they
+        // are the compile's last charges, so each of the three caps just
+        // below the full compile's work trips inside the leave-one-out.
+        let db = university();
+        let q = parse_cq("q() :- TA(x), Reg(y, z), Course(w, 'CS')").unwrap();
+        let token = CancelToken::unlimited();
+        let compiled = CompiledCount::compile(&db, &q, 1, Some(&token)).unwrap();
+        assert_eq!(compiled.eng.components.len(), 3);
+        let work = token.work_done();
+        assert!(work >= 3, "{work} units");
+        for cap in work - 3..work {
+            let capped = crate::Budget::work_units(cap).token();
+            match CompiledCount::compile(&db, &q, 1, Some(&capped)) {
+                Err(CoreError::DeadlineExceeded { phase, .. }) => {
+                    assert_eq!(phase, obs_phase::COMPILE, "cap {cap}");
+                }
+                Err(other) => panic!("cap {cap}: unexpected error {other:?}"),
+                Ok(_) => panic!("cap {cap} of {work} did not trip"),
+            }
+        }
+        let enough = crate::Budget::work_units(work).token();
+        assert!(CompiledCount::compile(&db, &q, 1, Some(&enough)).is_ok());
     }
 
     #[test]

@@ -44,7 +44,7 @@ use cqshap_numeric::{poly, BigRational, BigUint, BinomialCache, CancelToken};
 
 use crate::anyquery::AnyQuery;
 use crate::budget;
-use crate::error::CoreError;
+use crate::error::{CoreError, EnumerationLimit};
 use crate::satcount::{
     complement_counts, connected_components, find_root_var, resolve_query, root_candidates,
     scope_endo_count, MaskedDb, PAtom, ResolvedQuery, RootGroups,
@@ -63,23 +63,28 @@ use crate::satcount::{
 ///   — the ground atom contributions: the value of "this fact must be
 ///   in the coalition/world" and "must not be".
 /// * [`free`](EvalDomain::free) — the value of `n` unconstrained
-///   endogenous facts (counting: `[C(n,k)]_k`; probability: `1`).
+///   endogenous facts (counting: `[C(n,k)]_k`; probability: `1`). Such
+///   facts are null players; the compiled engines leave them out of
+///   every value and multiply this row in only where a full-database
+///   value is read.
 /// * [`complement`](EvalDomain::complement) — negation over `endo`
 ///   endogenous facts, turning unsatisfying values into satisfying
 ///   ones (counting: `C(endo,k) − v[k]`; probability: `1 − p`).
 /// * [`try_divide`](EvalDomain::try_divide) — exact division by a
 ///   nonzero value, the enabler of incremental maintenance: swapping
 ///   one factor of a cached product is division by the old factor and
-///   combination with the new one, and a leave-one-out environment is
-///   the product divided by the left-out factor. Zero factors never
-///   reach it — the engines count them instead of multiplying them in.
+///   combination with the new one, and a root group's leave-one-out
+///   environment is the product divided by the left-out factor. Zero
+///   factors never reach it — the engines count them instead of
+///   multiplying them in.
 ///
-/// The remaining methods are performance hooks with sound defaults;
-/// [`CountingDomain`] overrides the products with the parallel,
-/// cancellable product trees of the `poly` subsystem. A product whose
-/// kernel finds the domain's token tripped returns
-/// [`CoreError::DeadlineExceeded`] for the caller's `phase` instead of a
-/// value, so every `Ok` value is exact.
+/// The remaining methods have sound defaults: [`CountingDomain`]
+/// overrides [`product`](EvalDomain::product) with the parallel,
+/// cancellable product trees of the `poly` subsystem, and both domains
+/// share the prefix/suffix descent of
+/// [`leave_one_out`](EvalDomain::leave_one_out). A product that finds the
+/// domain's token tripped returns [`CoreError::DeadlineExceeded`] for the
+/// caller's `phase` instead of a value, so every `Ok` value is exact.
 pub trait EvalDomain: Sync {
     /// The value type: coalition-count polynomials for counting, exact
     /// probabilities for the tuple-independent domain.
@@ -98,7 +103,9 @@ pub trait EvalDomain: Sync {
     /// Composition over disjoint endogenous fact sets.
     fn combine(&self, a: &Self::Value, b: &Self::Value) -> Self::Value;
 
-    /// The value of `n` unconstrained ("free") endogenous facts.
+    /// The value of `n` unconstrained ("free") endogenous facts: the
+    /// factor a set of null players contributes to a full-database
+    /// value.
     fn free(&self, n: usize) -> Self::Value;
 
     /// Negation over `endo` endogenous facts: the value of "not `v`".
@@ -138,32 +145,53 @@ pub trait EvalDomain: Sync {
         Ok(acc)
     }
 
-    /// For each `i`: `seed ⊛ ⊛_{j≠i} factors[j]` — the leave-one-out
-    /// environments of a product's factors, for pipeline `phase`.
+    /// For each `i`: `⊛_{j≠i} factors[j]` — the leave-one-out
+    /// environments of a product's factors, for pipeline `phase`, by the
+    /// prefix/suffix descent: the product of the factors before `i`
+    /// times the product of those after it. Only the products some
+    /// environment reads are formed — never the full product, the last
+    /// prefix or the last suffix — so one or two factors cost no product
+    /// at all, and `n ≥ 3` factors cost `3n − 6`.
     ///
     /// # Errors
-    /// [`CoreError::DeadlineExceeded`] when the domain's token trips.
+    /// [`CoreError::DeadlineExceeded`] when the domain's token trips; it
+    /// is charged once per product.
     fn leave_one_out(
         &self,
         factors: &[&Self::Value],
-        seed: &Self::Value,
-        threads: usize,
         phase: &'static str,
     ) -> Result<Vec<Self::Value>, CoreError> {
-        let _ = (threads, phase);
-        // prefixes[i] = seed ⊛ factors[..i]; the suffix products are
-        // folded from the right while the environments are emitted.
-        let mut prefixes = Vec::with_capacity(factors.len());
-        let mut acc = seed.clone();
-        for &factor in factors {
-            let next = self.combine(&acc, factor);
-            prefixes.push(std::mem::replace(&mut acc, next));
+        // `acc ⊛ factor`, with `None` the empty product.
+        let times = |acc: Option<&Self::Value>, factor: &Self::Value| -> Result<_, CoreError> {
+            match acc {
+                None => Ok(factor.clone()),
+                Some(acc) => {
+                    self.checkpoint(phase)?;
+                    Ok(self.combine(acc, factor))
+                }
+            }
+        };
+        let n = factors.len();
+        // prefixes[i] = ⊛ factors[..i].
+        let mut prefixes: Vec<Option<Self::Value>> = Vec::with_capacity(n);
+        let mut acc: Option<Self::Value> = None;
+        for &factor in factors.iter().take(n.saturating_sub(1)) {
+            let next = times(acc.as_ref(), factor)?;
+            prefixes.push(acc.replace(next));
         }
-        let mut suffix = self.one();
-        let mut envs = Vec::with_capacity(factors.len());
-        for (&factor, prefix) in factors.iter().zip(prefixes).rev() {
-            envs.push(self.combine(&prefix, &suffix));
-            suffix = self.combine(&suffix, factor);
+        prefixes.push(acc);
+        // The suffix products are folded from the right while the
+        // environments are emitted.
+        let mut suffix: Option<Self::Value> = None;
+        let mut envs = Vec::with_capacity(n);
+        for (i, (&factor, prefix)) in factors.iter().zip(prefixes).enumerate().rev() {
+            envs.push(match &suffix {
+                Some(suffix) => times(prefix.as_ref(), suffix)?,
+                None => prefix.unwrap_or_else(|| self.one()),
+            });
+            if i > 0 {
+                suffix = Some(times(suffix.as_ref(), factor)?);
+            }
         }
         envs.reverse();
         Ok(envs)
@@ -282,19 +310,6 @@ impl EvalDomain for CountingDomain {
         let refs: Vec<&[BigUint]> = factors.iter().map(|f| f.as_slice()).collect();
         let cancel = self.cancel.as_ref();
         poly::product_tree(&refs, threads, cancel).map_err(|e| budget::tripped(e, cancel, phase))
-    }
-
-    fn leave_one_out(
-        &self,
-        factors: &[&Vec<BigUint>],
-        seed: &Vec<BigUint>,
-        threads: usize,
-        phase: &'static str,
-    ) -> Result<Vec<Vec<BigUint>>, CoreError> {
-        let refs: Vec<&[BigUint]> = factors.iter().map(|f| f.as_slice()).collect();
-        let cancel = self.cancel.as_ref();
-        poly::leave_one_out_products(&refs, seed, threads, cancel)
-            .map_err(|e| budget::tripped(e, cancel, phase))
     }
 
     fn canon_determines_value(&self) -> bool {
@@ -638,7 +653,11 @@ pub(crate) fn probability_by_enumeration_cancel(
     };
     let bits = m - usize::from(forced.is_some());
     if bits > limit {
-        return Err(CoreError::TooManyEndogenousFacts { count: bits, limit });
+        return Err(CoreError::TooManyEndogenousFacts {
+            count: bits,
+            limit,
+            kind: EnumerationLimit::Worlds,
+        });
     }
     let compiled = q.compile(db);
     // Per-position presence/absence weights (exogenous facts are
@@ -829,6 +848,77 @@ mod tests {
             probability_by_enumeration(&db, AnyQuery::Cq(&q), &probs, None, 4),
             Err(CoreError::TooManyEndogenousFacts { .. })
         ));
+    }
+
+    /// `⊛_{j≠i} factors[j]` folded directly: the oracle of the descent.
+    fn naive_leave_one_out<D: EvalDomain>(dom: &D, factors: &[D::Value]) -> Vec<D::Value> {
+        (0..factors.len())
+            .map(|i| {
+                factors
+                    .iter()
+                    .enumerate()
+                    .filter(|&(j, _)| j != i)
+                    .fold(dom.one(), |acc, (_, f)| dom.combine(&acc, f))
+            })
+            .collect()
+    }
+
+    /// Runs the descent over every rotation of `pool` cut to 0, 1, 2
+    /// and 5 factors against the naive products, and checks that it
+    /// charges one unit per product: none for up to two factors,
+    /// `3n − 6` for `n ≥ 3`.
+    fn descent_matches_naive<D: EvalDomain>(dom: impl Fn(CancelToken) -> D, pool: &[D::Value; 5]) {
+        for n in [0usize, 1, 2, 5] {
+            for r in 0..pool.len() {
+                let token = CancelToken::unlimited();
+                let dom = dom(token.clone());
+                let factors: Vec<D::Value> =
+                    (0..n).map(|i| pool[(i + r) % pool.len()].clone()).collect();
+                let refs: Vec<&D::Value> = factors.iter().collect();
+                let envs = dom.leave_one_out(&refs, "test").unwrap();
+                assert_eq!(
+                    envs,
+                    naive_leave_one_out(&dom, &factors),
+                    "n = {n}, r = {r}"
+                );
+                let products = if n < 3 { 0 } else { 3 * n as u64 - 6 };
+                assert_eq!(token.work_done(), products, "n = {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn leave_one_out_descent_matches_naive_products() {
+        let poly = |c: &[u64]| c.iter().map(|&x| BigUint::from_u64(x)).collect::<Vec<_>>();
+        // A zero factor (all coefficients zero) lands at every position
+        // of the 5-factor rotations.
+        let counts = [
+            poly(&[1, 2]),
+            poly(&[0, 0, 0]),
+            poly(&[3, 1, 4]),
+            poly(&[1]),
+            poly(&[2, 0, 5, 1]),
+        ];
+        descent_matches_naive(|t| CountingDomain::new(Some(t)), &counts);
+        let probs = [rat(1, 3), rat(0, 1), rat(5, 7), rat(1, 1), rat(2, 9)];
+        descent_matches_naive(
+            |t| ProbabilityDomain::new(FactProbabilities::uniform(rat(1, 2)), Some(t)),
+            &probs,
+        );
+    }
+
+    #[test]
+    fn tripped_leave_one_out_names_the_phase() {
+        let token = CancelToken::unlimited();
+        token.cancel();
+        let dom = CountingDomain::new(Some(token));
+        let f = vec![BigUint::one(), BigUint::one()];
+        // Two factors need no product, so nothing polls the token.
+        assert!(dom.leave_one_out(&[&f, &f], "compile").is_ok());
+        match dom.leave_one_out(&[&f, &f, &f], "compile") {
+            Err(CoreError::DeadlineExceeded { phase, .. }) => assert_eq!(phase, "compile"),
+            other => panic!("expected a deadline, got {other:?}"),
+        }
     }
 
     #[test]

@@ -22,6 +22,36 @@ pub struct PartialProgress {
     pub answers: Vec<(usize, BigRational)>,
 }
 
+/// The enumeration limit that refused an input in
+/// [`CoreError::TooManyEndogenousFacts`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EnumerationLimit {
+    /// [`crate::ShapleyOptions::brute_force_limit`], checked when a
+    /// strategy is resolved.
+    BruteForce,
+    /// [`crate::ShapleyOptions::permutation_limit`] of the permutation
+    /// oracle.
+    Permutations,
+    /// The world bits of probability by enumeration.
+    Worlds,
+    /// The subsets of brute-force relevance.
+    Relevance,
+    /// The subsets of the brute-force satisfying-subset counter.
+    SatCount,
+}
+
+impl fmt::Display for EnumerationLimit {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            EnumerationLimit::BruteForce => "brute-force limit",
+            EnumerationLimit::Permutations => "permutation limit",
+            EnumerationLimit::Worlds => "world-enumeration limit",
+            EnumerationLimit::Relevance => "relevance-enumeration limit",
+            EnumerationLimit::SatCount => "subset-counting limit",
+        })
+    }
+}
+
 /// Errors raised by the Shapley computation pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CoreError {
@@ -55,12 +85,14 @@ pub enum CoreError {
         /// The fact, rendered.
         fact: String,
     },
-    /// Brute-force enumeration was requested but `|Dn|` exceeds the limit.
+    /// An enumeration was requested but `|Dn|` exceeds its limit.
     TooManyEndogenousFacts {
-        /// `|Dn|` of the input.
+        /// `|Dn|` of the input (the free bits of the enumeration).
         count: usize,
         /// The configured limit.
         limit: usize,
+        /// Which limit refused.
+        kind: EnumerationLimit,
     },
     /// A subset of a union's disjuncts conjoins into a query outside the
     /// compiled tractable fragment (self-join induced across disjuncts,
@@ -143,8 +175,8 @@ impl fmt::Display for CoreError {
             CoreError::FactNotEndogenous { fact } => {
                 write!(f, "fact {fact} is not endogenous")
             }
-            CoreError::TooManyEndogenousFacts { count, limit } => {
-                write!(f, "|Dn| = {count} exceeds the brute-force limit {limit}")
+            CoreError::TooManyEndogenousFacts { count, limit, kind } => {
+                write!(f, "|Dn| = {count} exceeds the {kind} {limit}")
             }
             CoreError::IntractableIntersection {
                 intersection,

@@ -23,10 +23,6 @@
 //! preserved — the Shapley value of every endogenous fact is unchanged,
 //! and the probability domain reuses the same rewriting for Theorem 4.10
 //! (see the crate-private `plan` module).
-#![expect(
-    clippy::indexing_slicing,
-    reason = "rewrite tables are indexed by positions computed from the same atom"
-)]
 
 use std::collections::{BTreeSet, HashSet};
 
@@ -149,10 +145,15 @@ pub fn rewrite(
     let mut remove: BTreeSet<usize> = BTreeSet::new();
     let mut replacements: Vec<(usize, Atom)> = Vec::new();
     for comp in components {
+        // Union-find components are never empty.
+        let Some(&first) = comp.first() else {
+            continue;
+        };
+        let members: Vec<&Atom> = comp.iter().filter_map(|&i| atoms.get(i)).collect();
         // Variables of the component in first-occurrence order.
         let mut comp_vars: Vec<Var> = Vec::new();
-        for &i in &comp {
-            for t in &atoms[i].terms {
+        for atom in &members {
+            for t in &atom.terms {
                 if let Term::Var(v) = t {
                     if !comp_vars.contains(v) {
                         comp_vars.push(*v);
@@ -168,11 +169,11 @@ pub fn rewrite(
             .collect();
 
         // Join the component over the (exogenous) data.
-        let sub_atoms: Vec<Atom> = comp
+        let sub_atoms: Vec<Atom> = members
             .iter()
-            .map(|&i| Atom {
+            .map(|&atom| Atom {
                 negated: false,
-                ..atoms[i].clone()
+                ..atom.clone()
             })
             .collect();
         let tuples = join_component(&work, q, &sub_atoms, &comp_vars, tuple_budget)?;
@@ -194,7 +195,7 @@ pub fn rewrite(
         }
         exo_names.insert(merged_name.clone());
         replacements.push((
-            comp[0],
+            first,
             Atom {
                 relation: merged_name,
                 terms: comp_vars.iter().map(|&v| Term::Var(v)).collect(),
@@ -204,7 +205,9 @@ pub fn rewrite(
         remove.extend(comp.iter().skip(1).copied());
     }
     for (idx, atom) in replacements {
-        atoms[idx] = atom;
+        if let Some(slot) = atoms.get_mut(idx) {
+            *slot = atom;
+        }
     }
     let mut atoms: Vec<Atom> = atoms
         .into_iter()
@@ -279,7 +282,11 @@ pub fn rewrite(
         let mut projected: BTreeSet<Vec<ConstId>> = BTreeSet::new();
         for &fid in work.relation_facts(rel) {
             let vals = work.fact(fid).tuple.values();
-            projected.insert(keep_positions.iter().map(|&p| vals[p]).collect());
+            let row: Option<Vec<ConstId>> = keep_positions
+                .iter()
+                .map(|&p| vals.get(p).copied())
+                .collect();
+            projected.extend(row);
         }
         // Pad with every combination of domain values for the extra vars.
         let extra: Vec<Var> = target
@@ -310,38 +317,25 @@ pub fn rewrite(
         for p in &projected {
             let mut combo = vec![0usize; extra.len()];
             loop {
-                let tuple: Vec<ConstId> = target
+                let tuple: Option<Vec<ConstId>> = target
                     .iter()
                     .map(|v| match keep.iter().position(|k| k == v) {
-                        Some(i) => p[i],
-                        None => {
-                            #[expect(
-                                clippy::expect_used,
-                                reason = "v was selected from extra by the enclosing loop"
-                            )]
-                            let e = extra.iter().position(|x| x == v).expect("var is extra");
-                            domain[combo[e]]
-                        }
+                        Some(i) => p.get(i).copied(),
+                        None => extra
+                            .iter()
+                            .position(|x| x == v)
+                            .and_then(|e| combo.get(e))
+                            .and_then(|&c| domain.get(c))
+                            .copied(),
                     })
                     .collect();
+                let tuple = tuple.ok_or_else(|| {
+                    CoreError::Unsupported(
+                        "internal: a padding variable is neither kept nor extra".into(),
+                    )
+                })?;
                 work.insert_tuple(padded_rel, Tuple::from(tuple), Provenance::Exogenous)?;
-                // Odometer over `extra`.
-                let mut pos = extra.len();
-                loop {
-                    if pos == 0 {
-                        break;
-                    }
-                    pos -= 1;
-                    combo[pos] += 1;
-                    if combo[pos] < domain.len() {
-                        break;
-                    }
-                    combo[pos] = 0;
-                    if pos == 0 {
-                        break;
-                    }
-                }
-                if extra.is_empty() || combo.iter().all(|&c| c == 0) {
+                if !advance_odometer(&mut combo, domain.len()) {
                     break;
                 }
             }
@@ -384,6 +378,20 @@ pub fn rewrite(
         always_false: false,
         stages,
     })
+}
+
+/// Advances `digits` (each in `0..base`, the last fastest) to the next
+/// combination; `false` once they wrap around to all zeros.
+// cqshap-lint: allow(cancellation-reachability) -- bounded: one pass over the padding variables
+fn advance_odometer(digits: &mut [usize], base: usize) -> bool {
+    for d in digits.iter_mut().rev() {
+        *d += 1;
+        if *d < base {
+            return true;
+        }
+        *d = 0;
+    }
+    false
 }
 
 // cqshap-lint: allow(cancellation-reachability) -- bounded: one pass over one query atom's terms
@@ -449,47 +457,46 @@ fn exogenous_variables(
 
 /// Connected components of the exogenous atom graph over the current
 /// atom list: exogenous atoms joined by shared *exogenous* variables.
-#[expect(clippy::needless_range_loop, reason = "union-find over index pairs")]
 fn atom_components(
     q: &ConjunctiveQuery,
     atoms: &[Atom],
     exo_names: &HashSet<String>,
 ) -> Vec<Vec<usize>> {
     let exo_vs = exogenous_variables(q, atoms, exo_names);
-    let idx: Vec<usize> = atoms
+    let (idx, vars): (Vec<usize>, Vec<Vec<Var>>) = atoms
         .iter()
         .enumerate()
         .filter(|(_, a)| exo_names.contains(&a.relation))
-        .map(|(i, _)| i)
-        .collect();
+        .map(|(i, a)| (i, distinct_vars(a)))
+        .unzip();
     let mut parent: Vec<usize> = (0..idx.len()).collect();
-    fn find(parent: &mut Vec<usize>, a: usize) -> usize {
-        if parent[a] == a {
-            a
-        } else {
-            let r = find(parent, parent[a]);
-            parent[a] = r;
-            r
+    fn find(parent: &mut [usize], a: usize) -> usize {
+        match parent.get(a).copied() {
+            Some(p) if p != a => {
+                let r = find(parent, p);
+                if let Some(slot) = parent.get_mut(a) {
+                    *slot = r;
+                }
+                r
+            }
+            _ => a,
         }
     }
-    for i in 0..idx.len() {
-        for j in i + 1..idx.len() {
-            let vi: BTreeSet<Var> = distinct_vars(&atoms[idx[i]]).into_iter().collect();
-            let shared = distinct_vars(&atoms[idx[j]])
-                .into_iter()
-                .any(|v| vi.contains(&v) && exo_vs.contains(&v));
+    for (i, vi) in vars.iter().enumerate() {
+        for (j, vj) in vars.iter().enumerate().skip(i + 1) {
+            let shared = vj.iter().any(|v| vi.contains(v) && exo_vs.contains(v));
             if shared {
                 let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-                if ri != rj {
-                    parent[ri] = rj;
+                if let Some(slot) = parent.get_mut(ri).filter(|_| ri != rj) {
+                    *slot = rj;
                 }
             }
         }
     }
     let mut comps: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
-    for i in 0..idx.len() {
+    for (i, &atom) in idx.iter().enumerate() {
         let r = find(&mut parent, i);
-        comps.entry(r).or_default().push(idx[i]);
+        comps.entry(r).or_default().push(atom);
     }
     comps.into_values().collect()
 }

@@ -82,7 +82,7 @@ pub use compiled::{CompiledCount, CompiledProbability, EngineUpdate};
 pub use domain::{
     probability_by_enumeration, CountingDomain, EvalDomain, FactProbabilities, ProbabilityDomain,
 };
-pub use error::{CoreError, PartialProgress};
+pub use error::{CoreError, EnumerationLimit, PartialProgress};
 pub use exoshap::{rewrite, RewriteOutcome};
 pub use satcount::{
     count_sat_hierarchical, count_sat_hierarchical_masked, BruteForceCounter, HierarchicalCounter,

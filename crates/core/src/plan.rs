@@ -532,6 +532,8 @@ impl TermList<CompiledCount> {
     }
 
     /// The signed sum of the terms' Shapley numerators over `lcm(1..m)`.
+    /// Each term contracts over its own non-null players `m′` and lifts
+    /// its numerator to the session's `lcm(1..m)` before the sum.
     fn shapley_numerator(&self, db: &Database, f: FactId) -> Result<BigInt, CoreError> {
         if db.endo_index(f).is_none() {
             return Err(CoreError::FactNotEndogenous {
@@ -546,7 +548,8 @@ impl TermList<CompiledCount> {
     }
 
     /// `num / lcm(1..m)` in lowest terms, through the first term's
-    /// memoized reduction (every term shares `m`).
+    /// memoized reduction over `lcm(1..m)` (every term shares `m`, and
+    /// none reduces over its own weights' `lcm(1..m′)`).
     fn normalize_numerator(&self, num: BigInt) -> BigRational {
         match self.terms.first() {
             Some(t) => t.engine.normalize_numerator(num),

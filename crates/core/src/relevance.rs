@@ -22,7 +22,7 @@ use cqshap_query::analysis::Polarity;
 use cqshap_query::ConjunctiveQuery;
 
 use crate::anyquery::AnyQuery;
-use crate::error::CoreError;
+use crate::error::{CoreError, EnumerationLimit};
 
 /// `Neg_q(Dn)`: the endogenous facts whose relation occurs negatively in
 /// the (polarity-consistent) query.
@@ -231,6 +231,7 @@ pub fn brute_force_relevance(
         return Err(CoreError::TooManyEndogenousFacts {
             count: m - 1,
             limit,
+            kind: EnumerationLimit::Relevance,
         });
     }
     let compiled = q.compile(db);

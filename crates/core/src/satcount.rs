@@ -34,7 +34,7 @@ use cqshap_query::{has_self_join, is_hierarchical, ConjunctiveQuery, Term};
 
 use crate::anyquery::AnyQuery;
 use crate::budget::{self, CancelToken};
-use crate::error::CoreError;
+use crate::error::{CoreError, EnumerationLimit};
 
 /// Anything that can compute the full vector
 /// `[|Sat(D,q,0)|, …, |Sat(D,q,|Dn|)|]`.
@@ -556,6 +556,7 @@ impl BruteForceCounter {
             return Err(CoreError::TooManyEndogenousFacts {
                 count: bits,
                 limit: self.limit,
+                kind: EnumerationLimit::SatCount,
             });
         }
         let compiled = q.compile(db);
@@ -870,7 +871,11 @@ mod tests {
         let small = BruteForceCounter::new(4, 0, None);
         assert!(matches!(
             small.counts(&db, AnyQuery::Cq(&q)),
-            Err(CoreError::TooManyEndogenousFacts { count: 5, limit: 4 })
+            Err(CoreError::TooManyEndogenousFacts {
+                count: 5,
+                limit: 4,
+                kind: EnumerationLimit::SatCount
+            })
         ));
         // The masked instances drop to 4 endogenous facts and fit.
         let f = db.endo_facts()[0];

@@ -28,7 +28,7 @@ use cqshap_query::{
 use crate::anyquery::AnyQuery;
 use crate::budget::{Budget, CancelToken};
 use crate::compiled::CompiledCount;
-use crate::error::CoreError;
+use crate::error::{CoreError, EnumerationLimit};
 use crate::plan::Enumeration;
 use crate::satcount::{BruteForceCounter, SatCountOracle};
 
@@ -234,7 +234,11 @@ pub fn shapley_by_permutations(
         })?;
     let m = db.endo_count();
     if m > limit {
-        return Err(CoreError::TooManyEndogenousFacts { count: m, limit });
+        return Err(CoreError::TooManyEndogenousFacts {
+            count: m,
+            limit,
+            kind: EnumerationLimit::Permutations,
+        });
     }
     let compiled = q.compile(db);
     let mut order: Vec<usize> = (0..m).collect();
@@ -374,6 +378,7 @@ pub(crate) fn resolve_strategy(
                     return Err(CoreError::TooManyEndogenousFacts {
                         count: db.endo_count(),
                         limit: options.brute_force_limit,
+                        kind: EnumerationLimit::BruteForce,
                     });
                 }
             } else {

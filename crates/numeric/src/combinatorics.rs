@@ -168,11 +168,8 @@ struct PrimePowers {
 fn lcm_prime_powers(m: usize) -> Vec<PrimePowers> {
     let mut groups: Vec<PrimePowers> = Vec::new();
     for p in primes_up_to(m) {
-        let (mut power, mut e) = (p, 1u32);
-        while power.checked_mul(p).is_some_and(|q| q <= m as u64) {
-            power *= p;
-            e += 1;
-        }
+        let e = prime_exponent(p, m);
+        let power = p.pow(e);
         match groups.last_mut() {
             Some(g) if g.modulus.checked_mul(power).is_some() => {
                 g.modulus *= power;
@@ -185,6 +182,109 @@ fn lcm_prime_powers(m: usize) -> Vec<PrimePowers> {
         }
     }
     groups
+}
+
+/// The common denominator `lcm(1..m)` of an `m`-player game's Shapley
+/// values, as its prime powers packed into word moduli. It reduces a
+/// numerator over `lcm(1..m)` to lowest terms, and lifts a numerator
+/// over a smaller game's `lcm(1..k)` to it.
+#[derive(Debug, Clone, Default)]
+pub struct LcmDenominator {
+    /// The number of players `m`.
+    players: usize,
+    /// `lcm(1..m)`'s prime powers, packed into word moduli.
+    moduli: Vec<PrimePowers>,
+}
+
+impl LcmDenominator {
+    /// `lcm(1..m)` (the unit for `m = 0`).
+    pub fn new(m: usize) -> Self {
+        LcmDenominator {
+            players: m,
+            moduli: lcm_prime_powers(m),
+        }
+    }
+
+    /// The number of players `m`.
+    pub fn players(&self) -> usize {
+        self.players
+    }
+
+    /// `lcm(1..m) / lcm(1..k)` for `k ≤ m`: the integer that carries a
+    /// numerator over a `k`-player game's denominator to this one's.
+    /// Each prime `p ≤ m` contributes `p^(⌊log_p m⌋ − ⌊log_p k⌋)`.
+    // cqshap-lint: allow(cancellation-reachability) -- bounded: one pass over lcm(1..m)'s primes, at most log_p(m) word products each
+    pub fn lift_from(&self, k: usize) -> BigUint {
+        debug_assert!(
+            k <= self.players,
+            "lift from {k} to {} players",
+            self.players
+        );
+        let mut lift = BigUint::one();
+        let mut word = 1u64;
+        for &(p, e) in self.moduli.iter().flat_map(|g| &g.primes) {
+            for _ in prime_exponent(p, k)..e {
+                word = match word.checked_mul(p) {
+                    Some(w) => w,
+                    None => {
+                        lift.mul_u64_assign(word);
+                        p
+                    }
+                };
+            }
+        }
+        lift.mul_u64_assign(word);
+        lift
+    }
+
+    /// `num / lcm(1..m)` in lowest terms, without a general gcd: each
+    /// prime `p ≤ m` divides the denominator `⌊log_p m⌋` times, so one
+    /// word remainder per packed group of prime powers tells how often
+    /// each of its primes divides `num` (up to that bound), and one word
+    /// division strips them all. This is the per-value normalization of
+    /// every batched Shapley report.
+    // cqshap-lint: allow(cancellation-reachability) -- bounded: one pass over lcm(1..m)'s packed prime groups, at most log_p(m) steps per prime
+    pub fn reduce(&self, num: BigInt) -> BigRational {
+        if num.is_zero() {
+            return BigRational::zero();
+        }
+        let sign = num.sign();
+        let mut mag = num.into_magnitude();
+        let mut den = BigUint::one();
+        for group in &self.moduli {
+            // p^j | num ⟺ p^j | num mod modulus, for every j ≤ e.
+            let rem = mag.rem_u64(group.modulus);
+            let mut strip = 1u64;
+            for &(p, e) in &group.primes {
+                let mut r = rem;
+                for _ in 0..e {
+                    if !r.is_multiple_of(p) {
+                        break;
+                    }
+                    r /= p;
+                    strip *= p;
+                }
+            }
+            if strip > 1 {
+                mag.div_rem_u64_assign(strip);
+            }
+            if strip < group.modulus {
+                den.mul_u64_assign(group.modulus / strip);
+            }
+        }
+        BigRational::from_coprime_parts(BigInt::from_sign_magnitude(sign, mag), den)
+    }
+}
+
+/// `⌊log_p k⌋`: the exponent of the prime `p` in `lcm(1..k)`.
+// cqshap-lint: allow(cancellation-reachability) -- bounded: at most log_p(k) word products
+fn prime_exponent(p: u64, k: usize) -> u32 {
+    let (mut power, mut e) = (1u64, 0u32);
+    while power.checked_mul(p).is_some_and(|q| q <= k as u64) {
+        power *= p;
+        e += 1;
+    }
+    e
 }
 
 /// All Shapley weights of an `m`-player game over their common
@@ -217,8 +317,8 @@ pub struct ShapleyWeights {
     steps: Vec<u64>,
     /// Coalition sizes per block, `B`.
     block_len: usize,
-    /// `lcm(1..m)`'s prime powers, packed into word moduli.
-    moduli: Vec<PrimePowers>,
+    /// `lcm(1..m)`, the weights' common denominator.
+    denominator: LcmDenominator,
 }
 
 impl ShapleyWeights {
@@ -228,10 +328,10 @@ impl ShapleyWeights {
         let Some(last) = m.checked_sub(1) else {
             return ShapleyWeights::default();
         };
-        let moduli = lcm_prime_powers(m);
+        let denominator = LcmDenominator::new(m);
         // ω_0 = lcm(1..m)/m.
         let mut omega = BigUint::one();
-        for g in &moduli {
+        for g in &denominator.moduli {
             omega.mul_u64_assign(g.modulus);
         }
         let rem = omega.div_rem_u64_assign(m as u64);
@@ -273,7 +373,7 @@ impl ShapleyWeights {
             blocks,
             steps,
             block_len,
-            moduli,
+            denominator,
         }
     }
 
@@ -371,42 +471,9 @@ impl ShapleyWeights {
         total.into_bigint()
     }
 
-    /// `num / lcm(1..m)` in lowest terms, without a general gcd: each
-    /// prime `p ≤ m` divides the denominator `⌊log_p m⌋` times, so one
-    /// word remainder per packed group of prime powers tells how often
-    /// each of its primes divides `num` (up to that bound), and one word
-    /// division strips them all. This is the per-value normalization of
-    /// every batched Shapley report.
-    // cqshap-lint: allow(cancellation-reachability) -- bounded: one pass over lcm(1..m)'s packed prime groups, at most log_p(m) steps per prime
+    /// `num / lcm(1..m)` in lowest terms ([`LcmDenominator::reduce`]).
     pub fn reduce(&self, num: BigInt) -> BigRational {
-        if num.is_zero() {
-            return BigRational::zero();
-        }
-        let sign = num.sign();
-        let mut mag = num.into_magnitude();
-        let mut den = BigUint::one();
-        for group in &self.moduli {
-            // p^j | num ⟺ p^j | num mod modulus, for every j ≤ e.
-            let rem = mag.rem_u64(group.modulus);
-            let mut strip = 1u64;
-            for &(p, e) in &group.primes {
-                let mut r = rem;
-                for _ in 0..e {
-                    if !r.is_multiple_of(p) {
-                        break;
-                    }
-                    r /= p;
-                    strip *= p;
-                }
-            }
-            if strip > 1 {
-                mag.div_rem_u64_assign(strip);
-            }
-            if strip < group.modulus {
-                den.mul_u64_assign(group.modulus / strip);
-            }
-        }
-        BigRational::from_coprime_parts(BigInt::from_sign_magnitude(sign, mag), den)
+        self.denominator.reduce(num)
     }
 }
 
@@ -831,6 +898,30 @@ mod tests {
             ShapleyWeights::new(0).reduce(BigInt::from_i64(-5)),
             BigRational::from(-5i64)
         );
+    }
+
+    #[test]
+    fn lifts_are_quotients_of_the_lcms() {
+        for m in [0usize, 1, 2, 7, 8, 9, 64, 127, 128, 129, 300] {
+            let den = LcmDenominator::new(m);
+            assert_eq!(den.players(), m);
+            let lcm_m = lcm_upto(m);
+            for k in [0, 1, m / 3, m / 2, m.saturating_sub(1), m]
+                .into_iter()
+                .filter(|&k| k <= m)
+            {
+                let (q, r) = lcm_m.div_rem(&lcm_upto(k));
+                assert!(r.is_zero(), "lcm(1..{k}) divides lcm(1..{m})");
+                assert_eq!(den.lift_from(k), q, "lcm(1..{m})/lcm(1..{k})");
+            }
+            // A value over the smaller game reduces identically once
+            // lifted to the larger denominator.
+            let small = LcmDenominator::new(m / 2);
+            let num = BigInt::from_i64(-36);
+            let lifted =
+                BigInt::from_sign_magnitude(num.sign(), num.magnitude() * &den.lift_from(m / 2));
+            assert_eq!(den.reduce(lifted), small.reduce(num), "m = {m}");
+        }
     }
 
     #[test]

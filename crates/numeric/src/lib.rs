@@ -11,8 +11,8 @@
 //! * [`BigUint`] — arbitrary-precision unsigned integers,
 //! * [`BigInt`] — signed integers,
 //! * [`BigRational`] — normalized rationals,
-//! * [`FactorialTable`], [`ShapleyWeights`] and [`binomial`] — exact
-//!   combinatorics,
+//! * [`FactorialTable`], [`ShapleyWeights`], [`LcmDenominator`] and
+//!   [`binomial`] — exact combinatorics,
 //! * [`poly`] — fast polynomial arithmetic over `BigUint` coefficient
 //!   vectors: shape-dispatched multiplication (schoolbook below
 //!   [`poly::KARATSUBA_MIN`] = 24 coefficients, then a work model
@@ -62,7 +62,9 @@ pub mod rational;
 pub use bigint::{BigInt, Sign};
 pub use biguint::BigUint;
 pub use cancel::{Budget, CancelToken, Stopwatch};
-pub use combinatorics::{binomial, factorial, BinomialCache, FactorialTable, ShapleyWeights};
+pub use combinatorics::{
+    binomial, factorial, BinomialCache, FactorialTable, LcmDenominator, ShapleyWeights,
+};
 pub use error::NumericError;
 pub use linalg::RationalMatrix;
 pub use rational::BigRational;

@@ -210,6 +210,35 @@ fn report_command_accepts_aggregates() {
 }
 
 #[test]
+fn an_enumeration_refusal_names_its_limit() {
+    // 11 endogenous facts: past the permutation limit (9), well inside
+    // the brute-force limit (26). The error names the one that refused.
+    let mut text = String::new();
+    for i in 1..=6 {
+        text.push_str(&format!("endo W(y{i}, {i})\n"));
+    }
+    for i in 1..=5 {
+        text.push_str(&format!("endo B(y{i})\n"));
+    }
+    let db = temp_db_file("permutation-limit", &text);
+    let out = cqshap(&[
+        "report",
+        db.path(),
+        "qv(w) :- W(y, w), !B(y)",
+        "--agg",
+        "sum:w",
+        "--strategy",
+        "permutations",
+    ]);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("error: |Dn| = 11 exceeds the permutation limit 9"),
+        "stderr: {err}"
+    );
+}
+
+#[test]
 fn shapley_strategies_agree() {
     let db = figure_1_file("strategies");
     for strategy in ["auto", "hierarchical", "brute", "permutations"] {
