@@ -36,7 +36,7 @@ impl<'a> AnyQuery<'a> {
 
     /// How each relation occurs across the query's atoms (all disjuncts,
     /// for a union). Relations the query never mentions are absent.
-    pub fn polarities(&self) -> BTreeMap<String, Polarity> {
+    pub(crate) fn polarities(&self) -> BTreeMap<String, Polarity> {
         match self {
             AnyQuery::Cq(q) => polarity_map(q),
             AnyQuery::Union(u) => polarity_map_union(u),
@@ -44,7 +44,7 @@ impl<'a> AnyQuery<'a> {
     }
 
     /// Compiles against `db` (a CQ becomes a one-disjunct union).
-    pub fn compile(&self, db: &Database) -> CompiledAnyQuery {
+    pub(crate) fn compile(&self, db: &Database) -> CompiledAnyQuery {
         match self {
             AnyQuery::Cq(q) => CompiledAnyQuery {
                 disjuncts: vec![CompiledQuery::compile(db, q)],
@@ -70,13 +70,13 @@ impl<'a> From<&'a UnionQuery> for AnyQuery<'a> {
 
 /// A compiled [`AnyQuery`], cheap to evaluate over many worlds.
 #[derive(Debug, Clone)]
-pub struct CompiledAnyQuery {
+pub(crate) struct CompiledAnyQuery {
     disjuncts: Vec<CompiledQuery>,
 }
 
 impl CompiledAnyQuery {
     /// Does `Dx ∪ E ⊨ q` hold?
-    pub fn satisfied(&self, db: &Database, world: &World) -> bool {
+    pub(crate) fn satisfied(&self, db: &Database, world: &World) -> bool {
         self.disjuncts
             .iter()
             .any(|d| satisfies_compiled(db, world, d))

@@ -25,8 +25,8 @@
 //!    common denominator `lcm(1..m′)` of the `m′` non-null players. A
 //!    group's leave-one-out environment is derived from the component
 //!    product on demand, and so is the full-database value
-//!    ([`CompiledCount::total_counts`], [`CompiledProbability::probability`]),
-//!    which no report reads.
+//!    ([`CompiledProbability::probability`], and the counting totals
+//!    the tests read), which no report reads.
 //! 3. **Recount** — for fact `f`, walk from `f`'s leaf in its group's
 //!    tree to the tree's root under the two [`FactMask`] views (`f`
 //!    removed, `f` exogenized; no database clones): one exact division
@@ -44,8 +44,8 @@
 //! change when a null player joins or leaves the game, they enter no
 //! cached value either. Every polynomial above runs over the non-null
 //! facts only, and the binomial row `(1+x)^k` of the `k` null players
-//! is multiplied in only where a full-database count is read
-//! ([`CompiledCount::total_counts`], [`CompiledCount::counts_pair`]).
+//! is multiplied in only where a full-database count is read (the
+//! totals and masked count pairs the tests compare to the oracles).
 //! For the contraction this is the identity
 //! `Σ_t (d ⊛ (1+x)^k)[t]·t!(m−1−t)!/m! = Σ_s d[s]·s!(m′−1−s)!/m′!`
 //! with `m′ = m − k`.
@@ -88,6 +88,11 @@
 //! denominator `lcm(1..m)` and normalized once, and every maintained
 //! polynomial is recomputed exactly (division of exact factors), so a
 //! maintained engine agrees bit-for-bit with a freshly compiled one.
+//!
+//! Both engines are internal to the crate: a [`crate::ShapleySession`]
+//! compiles, maintains and reads them through its routing plan, and the
+//! engine-level checks (count pairs, totals, conditionals, raw update
+//! sequences) are this module's unit tests.
 
 use std::collections::HashMap;
 use std::convert::Infallible;
@@ -124,7 +129,7 @@ static NUMERATOR_MEMO_MISS: Counter = Counter::new(obs_phase::CTR_NUMERATOR_MEMO
 /// caches from the post-update state (retracted facts stay readable
 /// through their tombstones).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineUpdate {
+pub(crate) enum EngineUpdate {
     /// A freshly inserted fact.
     Inserted(FactId),
     /// A fact retracted in place ([`Database::retract_fact`]).
@@ -331,7 +336,7 @@ struct CompiledEngine<D: EvalDomain> {
 /// `E`. `genv` itself is not stored: the report derives it per class
 /// from the component's maintained factor product, so an update never
 /// touches the untouched groups.
-pub struct CompiledCount {
+pub(crate) struct CompiledCount {
     eng: CompiledEngine<CountingDomain>,
     /// The Shapley weights of the non-null players,
     /// `ω[k] = lcm(1..m′)·k!(m′−1−k)!/m′!`, `k < m′`.
@@ -465,7 +470,7 @@ impl<K: Hash + Eq, V: Clone> OnceMemo<K, V> {
 /// walks; and [`CompiledProbability::update`] maintains the compile
 /// across database updates exactly like the counting engine (a declined
 /// update means the caller recompiles).
-pub struct CompiledProbability {
+pub(crate) struct CompiledProbability {
     eng: CompiledEngine<ProbabilityDomain>,
 }
 
@@ -1305,7 +1310,7 @@ impl CompiledCount {
     /// [`crate::satcount::count_sat_hierarchical`]:
     /// [`CoreError::NotSelfJoinFree`] / [`CoreError::NotHierarchical`];
     /// [`CoreError::DeadlineExceeded`] when `cancel` trips.
-    pub fn compile(
+    pub(crate) fn compile(
         db: &Database,
         q: &ConjunctiveQuery,
         threads: usize,
@@ -1367,7 +1372,11 @@ impl CompiledCount {
     ///
     /// # Errors
     /// Anything the touched root group's tree walk (or build) raises.
-    pub fn update(&mut self, db: &Database, change: EngineUpdate) -> Result<bool, CoreError> {
+    pub(crate) fn update(
+        &mut self,
+        db: &Database,
+        change: EngineUpdate,
+    ) -> Result<bool, CoreError> {
         let _span = Span::enter(obs_phase::UPDATE);
         if !self.eng.update(db, change)? {
             return Ok(false);
@@ -1376,27 +1385,9 @@ impl CompiledCount {
         Ok(true)
     }
 
-    /// `|Dn|` of the compiled database.
-    pub fn endo_count(&self) -> usize {
-        self.eng.m
-    }
-
-    /// The compiled query.
-    pub fn query(&self) -> &ConjunctiveQuery {
-        &self.eng.query
-    }
-
-    /// `[|Sat(D,q,k)|]_{k=0..m}` for the unmodified database — what
-    /// [`crate::satcount::count_sat_hierarchical`] computes. Derived on
-    /// the first call after a compile or an update (the null players'
-    /// binomial row is multiplied in here, once); no report reads it.
-    pub fn total_counts(&self) -> &[BigUint] {
-        self.eng.total()
-    }
-
     /// Is `f`'s Shapley value known to be zero without any recounting?
     /// (True for facts outside every atom scope and for junk facts.)
-    pub fn is_structurally_null(&self, f: FactId) -> bool {
+    pub(crate) fn is_structurally_null(&self, f: FactId) -> bool {
         self.eng.is_structurally_null(f)
     }
 
@@ -1404,22 +1395,13 @@ impl CompiledCount {
     /// structurally-null facts map to bucket 0, and every root group
     /// (resp. ground component) gets its own bucket. Chunking a report's
     /// fan-out by bucket keeps each group's work on one thread.
-    pub fn bucket_of(&self, f: FactId) -> usize {
+    pub(crate) fn bucket_of(&self, f: FactId) -> usize {
         self.eng.bucket_of(f)
     }
 
     /// Total number of bucket ids (all in `0..buckets()`).
-    pub fn buckets(&self) -> usize {
+    pub(crate) fn buckets(&self) -> usize {
         self.eng.buckets
-    }
-
-    /// The exact Shapley value of `f`.
-    ///
-    /// # Errors
-    /// [`CoreError::FactNotEndogenous`] if `f ∉ Dn`.
-    pub fn value(&self, db: &Database, f: FactId) -> Result<BigRational, CoreError> {
-        let num = self.shapley_numerator(db, f)?;
-        Ok(self.normalize_numerator(num))
     }
 
     /// The Shapley numerator of `f` over the common denominator
@@ -1430,7 +1412,7 @@ impl CompiledCount {
     ///
     /// # Errors
     /// [`CoreError::FactNotEndogenous`] if `f ∉ Dn`.
-    pub fn shapley_numerator(&self, db: &Database, f: FactId) -> Result<BigInt, CoreError> {
+    pub(crate) fn shapley_numerator(&self, db: &Database, f: FactId) -> Result<BigInt, CoreError> {
         self.eng.check_endogenous(db, f)?;
         if self.is_structurally_null(f) {
             return Ok(BigInt::zero());
@@ -1514,28 +1496,13 @@ impl CompiledCount {
 
     /// `num / lcm(1..m)` in lowest terms, memoized per distinct
     /// numerator (facts of isomorphic root groups share theirs).
-    pub fn normalize_numerator(&self, num: BigInt) -> BigRational {
+    pub(crate) fn normalize_numerator(&self, num: BigInt) -> BigRational {
         self.reduced
             .get_or_insert_with(num.clone(), || {
                 let _span = Span::enter(obs_phase::NORMALIZE);
                 self.denominator.reduce(num)
             })
             .0
-    }
-
-    /// The `(N_k, N⁺_k)` count vectors of the reduction for `f` — the
-    /// counts of `D ∖ {f}` and of `D` with `f` exogenized, each of
-    /// length `m`. Equals what the per-fact oracles compute on the
-    /// materialized modified databases; used for cross-checking.
-    ///
-    /// # Errors
-    /// [`CoreError::FactNotEndogenous`] if `f ∉ Dn`.
-    pub fn counts_pair(
-        &self,
-        db: &Database,
-        f: FactId,
-    ) -> Result<(Vec<BigUint>, Vec<BigUint>), CoreError> {
-        self.eng.value_pair(db, f)
     }
 
     /// [`CompiledEngine::group_pair`] for a grouped fact, memoized by
@@ -1578,7 +1545,7 @@ impl CompiledProbability {
     ///
     /// # Errors
     /// The same errors as [`CompiledCount::compile`].
-    pub fn compile(
+    pub(crate) fn compile(
         db: &Database,
         q: &ConjunctiveQuery,
         probs: FactProbabilities,
@@ -1594,41 +1561,8 @@ impl CompiledProbability {
     /// `Pr[q]` under the compiled per-fact probabilities: the product of
     /// the components' probabilities, derived on the first call after a
     /// compile or an update — no traversal.
-    pub fn probability(&self) -> &BigRational {
+    pub(crate) fn probability(&self) -> &BigRational {
         self.eng.total()
-    }
-
-    /// The per-fact probabilities the engine was compiled at.
-    pub fn probabilities(&self) -> &FactProbabilities {
-        self.eng.dom.probabilities()
-    }
-
-    /// `|Dn|` of the compiled database.
-    pub fn endo_count(&self) -> usize {
-        self.eng.m
-    }
-
-    /// The compiled query.
-    pub fn query(&self) -> &ConjunctiveQuery {
-        &self.eng.query
-    }
-
-    /// Is `f`'s presence irrelevant to `Pr[q]` by structure alone?
-    pub fn is_structurally_null(&self, f: FactId) -> bool {
-        self.eng.is_structurally_null(f)
-    }
-
-    /// The conditionals `(Pr[q | f absent], Pr[q | f present])`, by
-    /// one masked walk of `f`'s root group's tree.
-    ///
-    /// # Errors
-    /// [`CoreError::FactNotEndogenous`] if `f ∉ Dn`.
-    pub fn conditioned_pair(
-        &self,
-        db: &Database,
-        f: FactId,
-    ) -> Result<(BigRational, BigRational), CoreError> {
-        self.eng.value_pair(db, f)
     }
 
     /// The expected influence of `f` on the query answer:
@@ -1637,7 +1571,11 @@ impl CompiledProbability {
     ///
     /// # Errors
     /// [`CoreError::FactNotEndogenous`] if `f ∉ Dn`.
-    pub fn expected_marginal(&self, db: &Database, f: FactId) -> Result<BigRational, CoreError> {
+    pub(crate) fn expected_marginal(
+        &self,
+        db: &Database,
+        f: FactId,
+    ) -> Result<BigRational, CoreError> {
         let (absent, present) = self.eng.value_pair(db, f)?;
         Ok(present - absent)
     }
@@ -1651,7 +1589,11 @@ impl CompiledProbability {
     ///
     /// # Errors
     /// Anything the touched root group's tree walk (or build) raises.
-    pub fn update(&mut self, db: &Database, change: EngineUpdate) -> Result<bool, CoreError> {
+    pub(crate) fn update(
+        &mut self,
+        db: &Database,
+        change: EngineUpdate,
+    ) -> Result<bool, CoreError> {
         let _span = Span::enter(obs_phase::UPDATE);
         self.eng.update(db, change)
     }
@@ -1665,6 +1607,53 @@ mod tests {
     use crate::shapley::shapley_via_counts;
     use cqshap_db::Provenance;
     use cqshap_query::parse_cq;
+
+    /// Reads that only the tests make: what the per-fact oracles and
+    /// fresh compiles are compared against. No report reads them.
+    impl CompiledCount {
+        /// `[|Sat(D,q,k)|]_{k=0..m}` for the unmodified database — what
+        /// [`count_sat_hierarchical`] computes. Derived on the first call
+        /// after a compile or an update (the null players' binomial row
+        /// is multiplied in here, once).
+        pub(crate) fn total_counts(&self) -> &[BigUint] {
+            self.eng.total()
+        }
+
+        /// The exact Shapley value of `f`.
+        pub(crate) fn value(&self, db: &Database, f: FactId) -> Result<BigRational, CoreError> {
+            let num = self.shapley_numerator(db, f)?;
+            Ok(self.normalize_numerator(num))
+        }
+
+        /// The `(N_k, N⁺_k)` count vectors of the reduction for `f` — the
+        /// counts of `D ∖ {f}` and of `D` with `f` exogenized, each of
+        /// length `m`, as the per-fact oracles compute them on the
+        /// materialized modified databases.
+        pub(crate) fn counts_pair(
+            &self,
+            db: &Database,
+            f: FactId,
+        ) -> Result<(Vec<BigUint>, Vec<BigUint>), CoreError> {
+            self.eng.value_pair(db, f)
+        }
+    }
+
+    impl CompiledProbability {
+        /// The per-fact probabilities the engine was compiled at.
+        pub(crate) fn probabilities(&self) -> &FactProbabilities {
+            self.eng.dom.probabilities()
+        }
+
+        /// The conditionals `(Pr[q | f absent], Pr[q | f present])`, by
+        /// one masked walk of `f`'s root group's tree.
+        pub(crate) fn conditioned_pair(
+            &self,
+            db: &Database,
+            f: FactId,
+        ) -> Result<(BigRational, BigRational), CoreError> {
+            self.eng.value_pair(db, f)
+        }
+    }
 
     fn university() -> Database {
         Database::parse(
@@ -2197,6 +2186,1098 @@ mod tests {
                 &q,
                 EngineUpdate::ProvenanceFlipped(adam_os),
             );
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // Engine-level property tests on random and generated instances
+    // -----------------------------------------------------------------
+
+    /// SplitMix-style mixer shared by the update streams below.
+    fn hash(seed: u64, k: u64) -> u64 {
+        (seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .wrapping_mul(0xBF58_476D_1CE4_E5B9)
+            .rotate_left(29)
+    }
+
+    /// The count pairs against materialized modified databases, and the
+    /// compiled totals at sizes where the fast `poly` backends engage.
+    mod counts {
+        use super::*;
+        use cqshap_workloads::random_db::RandomDbConfig;
+        use cqshap_workloads::{queries, report_benchmark_db};
+        use proptest::prelude::*;
+
+        /// Hierarchical CQ¬s with positive atoms, negated atoms, and
+        /// constants.
+        const HIERARCHICAL: &[&str] = &[
+            "q() :- A(x), !B(x), C(x, y)",
+            "q() :- A(x), B(x)",
+            "q() :- C(x, y), !D(x, y)",
+            "q() :- A(x), C(x, y), !D(x, y), E(x, y, z)",
+            "q() :- A(x), !B(x), F(y), !G(y)",
+            "q() :- C(x, 'd0'), !B(x)",
+            "q() :- A(x), !B(x), C(x, y), !D(x, y)",
+        ];
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            /// The batched counts pair is bit-identical to the per-fact
+            /// oracle on the materialized modified databases.
+            #[test]
+            fn batched_counts_match_materialized_copies(
+                qi in 0..HIERARCHICAL.len(),
+                seed in 0u64..3000,
+            ) {
+                let q = parse_cq(HIERARCHICAL[qi]).unwrap();
+                let db = RandomDbConfig {
+                    domain: 3,
+                    facts_per_relation: 4,
+                    seed,
+                    ..Default::default()
+                }
+                .generate(&q);
+                prop_assume!(db.endo_count() >= 1 && db.endo_count() <= 12);
+                let compiled = CompiledCount::compile(&db, &q, 0, None).unwrap();
+                for &f in db.endo_facts() {
+                    let (n_minus, n_plus) = compiled.counts_pair(&db, f).unwrap();
+                    let (db_minus, _) = db.without_fact(f).unwrap();
+                    let (db_plus, _) = db.with_fact_exogenous(f).unwrap();
+                    let want_minus = HierarchicalCounter.counts(&db_minus, AnyQuery::Cq(&q)).unwrap();
+                    let want_plus = HierarchicalCounter.counts(&db_plus, AnyQuery::Cq(&q)).unwrap();
+                    prop_assert_eq!(&n_minus, &want_minus, "N_k of {} on\n{}", db.render_fact(f), db);
+                    prop_assert_eq!(&n_plus, &want_plus, "N⁺_k of {} on\n{}", db.render_fact(f), db);
+                }
+            }
+        }
+
+        /// Large enough that the compile-stage products leave the pure
+        /// schoolbook band, small enough for a per-fact cross-check.
+        const M: usize = 192;
+
+        #[test]
+        fn large_compile_matches_per_fact_counting() {
+            let db = report_benchmark_db(M);
+            let q1 = queries::q1();
+            let compiled = CompiledCount::compile(&db, &q1, 0, None).unwrap();
+            // The total counts recompose through a different convolution
+            // order (sequential recursion vs leave-one-out descent), so
+            // agreement cross-validates the subsystem on real count
+            // polynomials.
+            assert_eq!(
+                compiled.total_counts(),
+                &count_sat_hierarchical(&db, &q1).unwrap()[..]
+            );
+            // Spot-check a spread of facts against the independent
+            // reduction.
+            for &f in db.endo_facts().iter().step_by(M / 8) {
+                let want =
+                    shapley_via_counts(&db, AnyQuery::Cq(&q1), f, &HierarchicalCounter).unwrap();
+                assert_eq!(
+                    compiled.value(&db, f).unwrap(),
+                    want,
+                    "{}",
+                    db.render_fact(f)
+                );
+            }
+        }
+    }
+
+    /// The cross-domain identity: with every endogenous fact at the same
+    /// `p`, a session's `Pr[q]` equals the compiled counting engine's
+    /// totals weighted by `p^k (1 − p)^(m − k)`.
+    mod weighted_counts {
+        use super::*;
+        use crate::exoshap::rewrite;
+        use crate::session::ShapleySession;
+        use crate::shapley::ShapleyOptions;
+        use cqshap_workloads::random_db::RandomDbConfig;
+        use proptest::prelude::*;
+
+        const CQS: &[&str] = &[
+            "q() :- A(x), !B(x), C(x, y)",
+            "q() :- A(x), B(x)",
+            "q() :- C(x, y), !D(x, y)",
+            "q() :- A(x), C(x, y), !D(x, y), E(x, y, z)",
+            "q() :- A(x), !B(x), F(y), !G(y)",
+            "q() :- C(x, 'd0'), !B(x)",
+            "q() :- A(x), C(x, y), E(x, y, z)",
+        ];
+
+        /// CQ¬s outside the hierarchical fragment that `ExoShap`
+        /// rewrites once `A` is exogenous.
+        const EXOSHAP_CQS: &[&str] = &["q() :- A(x), C(x, y), F(y)", "q() :- A(x), C(x, y), !F(y)"];
+
+        /// `Σ_k counts[k] · p^k · (1 − p)^(m − k)` for `counts` of
+        /// length `m + 1`.
+        fn weighted_counts(counts: &[BigUint], p: &BigRational) -> BigRational {
+            let m = counts.len() - 1;
+            let q = BigRational::one() - p.clone();
+            let power = |x: &BigRational, e: usize| {
+                let mut acc = BigRational::one();
+                for _ in 0..e {
+                    acc = &acc * x;
+                }
+                acc
+            };
+            let mut total = BigRational::zero();
+            for (k, c) in counts.iter().enumerate() {
+                total += &(BigRational::from(c.clone()) * power(p, k) * power(&q, m - k));
+            }
+            total
+        }
+
+        fn session_probability(
+            db: &Database,
+            q: &ConjunctiveQuery,
+            p: &BigRational,
+        ) -> BigRational {
+            let mut session =
+                ShapleySession::prepare(db, AnyQuery::Cq(q), &ShapleyOptions::auto()).unwrap();
+            session.set_default_probability(p.clone()).unwrap();
+            session.probability().unwrap()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            /// Counts from the compiled counting engine for hierarchical
+            /// CQ¬s, and from it on the rewritten database for `ExoShap`
+            /// CQ¬s, weighted at a dyadic and a non-dyadic `p`.
+            #[test]
+            fn cq_probability_matches_weighted_counts(
+                qi in 0..CQS.len() + EXOSHAP_CQS.len(),
+                pi in 0usize..2,
+                seed in 0u64..4000,
+            ) {
+                let exoshap = qi >= CQS.len();
+                let text = if exoshap { EXOSHAP_CQS[qi - CQS.len()] } else { CQS[qi] };
+                let q = parse_cq(text).unwrap();
+                let cfg = RandomDbConfig {
+                    domain: 3,
+                    facts_per_relation: 3,
+                    seed,
+                    exogenous_relations: if exoshap { vec!["A".to_string()] } else { Vec::new() },
+                    ..Default::default()
+                };
+                let db = cfg.generate(&q);
+                prop_assume!(db.endo_count() <= 10);
+                let counts = if exoshap {
+                    let outcome = rewrite(&db, &q, 1 << 16).unwrap();
+                    if outcome.always_false {
+                        vec![BigUint::zero(); db.endo_count() + 1]
+                    } else {
+                        CompiledCount::compile(&outcome.db, &outcome.query, 0, None)
+                            .unwrap()
+                            .total_counts()
+                            .to_vec()
+                    }
+                } else {
+                    CompiledCount::compile(&db, &q, 0, None).unwrap().total_counts().to_vec()
+                };
+                let p = [rat(1, 2), rat(3, 10)][pi].clone();
+                prop_assert_eq!(
+                    session_probability(&db, &q, &p),
+                    weighted_counts(&counts, &p),
+                    "{} over\n{}", text, db
+                );
+            }
+        }
+    }
+
+    /// The on-demand numerator contraction under maintenance, on the
+    /// skewed databases of the integration suite's contraction tests.
+    mod contraction {
+        use super::*;
+        use proptest::prelude::*;
+
+        const CQ: &str = "q() :- Stud(x), !TA(x), Reg(x, y), Lab(z), Flag('on')";
+
+        /// SplitMix64 over `(seed, k)`.
+        fn mix(seed: u64, k: u64) -> u64 {
+            let mut z = seed
+                .wrapping_add(k.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                .wrapping_add(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        /// Five pinned students with 1–5 `Reg` facts and an endogenous
+        /// `TA`, random students beside them (some with exogenous `TA`),
+        /// `Lab`/`Closed` facts, a ground `Flag('on')` and a free
+        /// `Other` fact.
+        fn skewed_db(seed: u64, extra_students: usize) -> Database {
+            let mut db = Database::new();
+            for s in 0..5 + extra_students {
+                let name = format!("s{s}");
+                db.add_exo("Stud", &[&name]).unwrap();
+                let r = mix(seed, s as u64);
+                let (regs, ta) = if s < 5 {
+                    (s + 1, 0)
+                } else {
+                    (1 + (r % 4) as usize, (r >> 8) % 3)
+                };
+                match ta {
+                    0 => {
+                        db.add_endo("TA", &[&name]).unwrap();
+                    }
+                    1 => {
+                        db.add_exo("TA", &[&name]).unwrap();
+                    }
+                    _ => {}
+                }
+                for c in 0..regs {
+                    let course = format!("c{}", (s + c) % 7);
+                    db.add_endo("Reg", &[&name, &course]).unwrap();
+                }
+            }
+            for l in 0..2 + (seed % 2) as usize {
+                let lab = format!("l{l}");
+                db.add_endo("Lab", &[&lab]).unwrap();
+                if l % 2 == 0 {
+                    db.add_endo("Closed", &[&lab]).unwrap();
+                }
+            }
+            db.add_endo("Flag", &["on"]).unwrap();
+            db.add_endo("Other", &["o"]).unwrap();
+            db
+        }
+
+        /// Flip a live fact's provenance, insert a fresh fact, or
+        /// retract a live fact, drawn from `(seed, step)`.
+        fn apply_update(db: &mut Database, seed: u64, step: u64) -> Option<EngineUpdate> {
+            let r = mix(seed ^ 0xC0FF_EE00, step);
+            let live: Vec<FactId> = (0..db.fact_count() as u32)
+                .map(FactId)
+                .filter(|&f| !db.is_retracted(f))
+                .collect();
+            let pick = live[(r >> 8) as usize % live.len()];
+            match r % 3 {
+                0 => {
+                    let to = if db.fact(pick).provenance == Provenance::Endogenous {
+                        Provenance::Exogenous
+                    } else {
+                        Provenance::Endogenous
+                    };
+                    db.set_fact_provenance(pick, to).ok()?;
+                    Some(EngineUpdate::ProvenanceFlipped(pick))
+                }
+                1 => {
+                    let student = format!("s{}", (r >> 16) % 9);
+                    let f = match (r >> 24) % 3 {
+                        0 => db.add_endo("Reg", &[&student, &format!("c{}", (r >> 32) % 9)]),
+                        1 => db.add_endo("TA", &[&student]),
+                        _ => db.add_endo("Lab", &[&format!("l{}", (r >> 32) % 4)]),
+                    }
+                    .ok()?;
+                    Some(EngineUpdate::Inserted(f))
+                }
+                _ => {
+                    db.retract_fact(pick).ok()?;
+                    Some(EngineUpdate::Retracted(pick))
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(16))]
+
+            /// A maintained engine equals a fresh compile after every
+            /// step of a random flip / insert / retract sequence.
+            #[test]
+            fn maintained_engine_matches_fresh_compiles(seed in 0u64..10_000, extra in 0usize..5) {
+                let mut db = skewed_db(seed, extra);
+                let q = parse_cq(CQ).unwrap();
+                let mut engine = CompiledCount::compile(&db, &q, 2, None).unwrap();
+                for step in 0..8 {
+                    let Some(change) = apply_update(&mut db, seed, step) else {
+                        continue;
+                    };
+                    if !engine.update(&db, change).unwrap() {
+                        engine = CompiledCount::compile(&db, &q, 2, None).unwrap();
+                    }
+                    let fresh = CompiledCount::compile(&db, &q, 0, None).unwrap();
+                    prop_assert_eq!(engine.total_counts(), fresh.total_counts(), "after {:?}", change);
+                    for &f in db.endo_facts() {
+                        prop_assert_eq!(
+                            engine.value(&db, f).unwrap(),
+                            fresh.value(&db, f).unwrap(),
+                            "{} after {:?} on\n{}",
+                            db.render_fact(f),
+                            change,
+                            db
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The compiled recursion trees against the uncompiled recursion
+    /// and world enumeration, fresh and under maintenance, on a catalog
+    /// that ends in a query four splits deep with negated atoms below
+    /// the root-group level.
+    mod recursion_tree {
+        use super::*;
+        use crate::domain::probability_by_enumeration;
+        use crate::satcount::count_sat_hierarchical_masked;
+        use cqshap_workloads::random_db::RandomDbConfig;
+        use proptest::prelude::*;
+
+        const QUERIES: &[&str] = &[
+            "q() :- A(x), !B(x), C(x, y)",
+            "q() :- A(x), B(x)",
+            "q() :- C(x, y), !D(x, y)",
+            "q() :- A(x), C(x, y), !D(x, y), E(x, y, z)",
+            "q() :- A(x), !B(x), F(y), !G(y)",
+            "q() :- C(x, 'd0'), !B(x)",
+            // Splits on x (the root groups), y, z and w; `D` and `H` are
+            // negated below the root-group level.
+            "q() :- A(x), C(x, y), !D(x, y), E(x, y, z), F(x, y, z, w), !H(x, y, z, w)",
+        ];
+
+        fn random_db(q: &ConjunctiveQuery, seed: u64, facts: usize) -> Database {
+            // Two constants keep the deep query's nested splits populated.
+            RandomDbConfig {
+                domain: 2,
+                facts_per_relation: facts,
+                seed,
+                ..Default::default()
+            }
+            .generate(q)
+        }
+
+        /// Per-fact probabilities cycling through a few exact values.
+        fn cycled_probs(db: &Database) -> FactProbabilities {
+            let cycle = [rat(1, 3), rat(1, 2), rat(3, 4), rat(2, 5)];
+            let mut probs = FactProbabilities::uniform(rat(1, 2));
+            for (f, p) in db.endo_facts().iter().zip(cycle.iter().cycle()) {
+                probs.set(*f, p.clone());
+            }
+            probs
+        }
+
+        /// Every endogenous fact's masked counts equal the uncompiled
+        /// recursion on the masked database.
+        fn assert_counts_match_recursion(
+            db: &Database,
+            q: &ConjunctiveQuery,
+            engine: &CompiledCount,
+        ) {
+            for &f in db.endo_facts() {
+                let masked = |mask| count_sat_hierarchical_masked(db, q, mask).unwrap();
+                assert_eq!(
+                    engine.counts_pair(db, f).unwrap(),
+                    (masked(FactMask::Removed(f)), masked(FactMask::Exogenous(f))),
+                    "{} for {q} over\n{db}",
+                    db.render_fact(f)
+                );
+            }
+        }
+
+        /// A maintained counting engine equals a fresh compile and the
+        /// uncompiled recursion.
+        fn assert_count_matches_fresh(db: &Database, q: &ConjunctiveQuery, engine: &CompiledCount) {
+            let fresh = CompiledCount::compile(db, q, 0, None).unwrap();
+            assert_eq!(
+                engine.total_counts(),
+                fresh.total_counts(),
+                "totals for {q} over\n{db}"
+            );
+            assert_counts_match_recursion(db, q, engine);
+            for &f in db.endo_facts() {
+                assert_eq!(
+                    engine.value(db, f).unwrap(),
+                    fresh.value(db, f).unwrap(),
+                    "{} for {q} over\n{db}",
+                    db.render_fact(f)
+                );
+            }
+        }
+
+        /// A maintained probability engine equals a fresh compile.
+        fn assert_probability_matches_fresh(
+            db: &Database,
+            q: &ConjunctiveQuery,
+            engine: &CompiledProbability,
+        ) {
+            let fresh =
+                CompiledProbability::compile(db, q, engine.probabilities().clone(), 0, None)
+                    .unwrap();
+            assert_eq!(
+                engine.probability(),
+                fresh.probability(),
+                "Pr[q] for {q} over\n{db}"
+            );
+            for &f in db.endo_facts() {
+                assert_eq!(
+                    engine.conditioned_pair(db, f).unwrap(),
+                    fresh.conditioned_pair(db, f).unwrap(),
+                    "{} conditionals for {q} over\n{db}",
+                    db.render_fact(f)
+                );
+            }
+        }
+
+        /// Applies the update drawn from `h`: flip or retract a live
+        /// fact of the query's relations, or insert a fresh tuple (over
+        /// the two generated constants and one new one). `None` when the
+        /// draw hits an existing tuple.
+        fn random_update(db: &mut Database, q: &ConjunctiveQuery, h: u64) -> Option<EngineUpdate> {
+            let live: Vec<FactId> = db.fact_ids().collect();
+            match h % 3 {
+                0 if !live.is_empty() => {
+                    let f = live[(h >> 8) as usize % live.len()];
+                    let to = if db.fact(f).provenance.is_endogenous() {
+                        Provenance::Exogenous
+                    } else {
+                        Provenance::Endogenous
+                    };
+                    db.set_fact_provenance(f, to).ok()?;
+                    Some(EngineUpdate::ProvenanceFlipped(f))
+                }
+                1 if !live.is_empty() => {
+                    let f = live[(h >> 8) as usize % live.len()];
+                    db.retract_fact(f).ok()?;
+                    Some(EngineUpdate::Retracted(f))
+                }
+                _ => {
+                    let atoms = q.atoms();
+                    let atom = &atoms[(h >> 8) as usize % atoms.len()];
+                    let names = ["d0", "d1", "n"];
+                    let tuple: Vec<&str> = (0..atom.terms.len())
+                        .map(|i| names[(h >> (16 + 2 * i)) as usize % names.len()])
+                        .collect();
+                    let provenance = if (h >> 40).is_multiple_of(3) {
+                        Provenance::Exogenous
+                    } else {
+                        Provenance::Endogenous
+                    };
+                    let f = db.insert(&atom.relation, &tuple, provenance).ok()?;
+                    Some(EngineUpdate::Inserted(f))
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// One walk per fact reproduces the uncompiled recursion under
+            /// both masks.
+            #[test]
+            fn masked_walks_match_the_recursion(qi in 0..QUERIES.len(), seed in 0u64..5000, facts in 2usize..8) {
+                let q = parse_cq(QUERIES[qi]).unwrap();
+                let db = random_db(&q, seed, facts);
+                let engine = CompiledCount::compile(&db, &q, 0, None).unwrap();
+                assert_counts_match_recursion(&db, &q, &engine);
+            }
+
+            /// The probability domain's walks are the conditionals of
+            /// world enumeration.
+            #[test]
+            fn conditioned_walks_match_enumeration(qi in 0..QUERIES.len(), seed in 0u64..5000, facts in 2usize..6) {
+                let q = parse_cq(QUERIES[qi]).unwrap();
+                let db = random_db(&q, seed, facts);
+                prop_assume!(db.endo_count() <= 12);
+                let probs = cycled_probs(&db);
+                let engine = CompiledProbability::compile(&db, &q, probs.clone(), 0, None).unwrap();
+                let enumerate = |forced| {
+                    probability_by_enumeration(&db, AnyQuery::Cq(&q), &probs, forced, 16).unwrap()
+                };
+                prop_assert_eq!(engine.probability(), &enumerate(None), "{} over\n{}", q, db);
+                for &f in db.endo_facts() {
+                    prop_assert_eq!(
+                        engine.conditioned_pair(&db, f).unwrap(),
+                        (enumerate(Some((f, false))), enumerate(Some((f, true)))),
+                        "{} for {} over\n{}",
+                        db.render_fact(f),
+                        q,
+                        db
+                    );
+                }
+            }
+
+            /// Engines maintained through random flips, inserts and
+            /// retractions equal fresh compiles after every step.
+            #[test]
+            fn maintained_trees_match_fresh_compiles(qi in 0..QUERIES.len(), seed in 0u64..5000, facts in 2usize..6) {
+                let q = parse_cq(QUERIES[qi]).unwrap();
+                let mut db = random_db(&q, seed, facts);
+                let mut count = CompiledCount::compile(&db, &q, 0, None).unwrap();
+                let probs = FactProbabilities::uniform(rat(1, 3));
+                let mut prob = CompiledProbability::compile(&db, &q, probs.clone(), 0, None).unwrap();
+                for step in 0..12u64 {
+                    let Some(change) = random_update(&mut db, &q, hash(seed, step)) else {
+                        continue;
+                    };
+                    if !count.update(&db, change).unwrap() {
+                        count = CompiledCount::compile(&db, &q, 0, None).unwrap();
+                    }
+                    if !prob.update(&db, change).unwrap() {
+                        prob = CompiledProbability::compile(&db, &q, probs.clone(), 0, None).unwrap();
+                    }
+                    assert_count_matches_fresh(&db, &q, &count);
+                    assert_probability_matches_fresh(&db, &q, &prob);
+                }
+            }
+        }
+
+        /// Root values appearing and dying below the root group are
+        /// absorbed without a recompile: an insert founds a new `z` value
+        /// inside the `y = b` child, another completes the support of
+        /// `y = b2` out of a junk `E` fact, and retractions end both
+        /// again.
+        #[test]
+        fn inner_root_values_come_and_go_without_recompiling() {
+            let q = parse_cq("q() :- A(x), C(x, y), !D(x, y), E(x, y, z)").unwrap();
+            let mut db = Database::parse(
+                "exo A(a)\nendo C(a, b)\nendo D(a, b)\nendo E(a, b, z1)\n\
+                 endo E(a, b2, z1)\nendo A(a2)\nendo C(a2, b)\nendo E(a2, b, z1)\n",
+            )
+            .unwrap();
+            let mut count = CompiledCount::compile(&db, &q, 0, None).unwrap();
+            let probs = FactProbabilities::uniform(rat(2, 5));
+            let mut prob = CompiledProbability::compile(&db, &q, probs, 0, None).unwrap();
+            let mut apply = |db: &Database, change: EngineUpdate| {
+                assert!(count.update(db, change).unwrap(), "{change:?} recompiled");
+                assert!(prob.update(db, change).unwrap(), "{change:?} recompiled");
+                assert_count_matches_fresh(db, &q, &count);
+                assert_probability_matches_fresh(db, &q, &prob);
+            };
+            // A new z value under y = b.
+            let z2 = db.add_endo("E", &["a", "b", "z2"]).unwrap();
+            apply(&db, EngineUpdate::Inserted(z2));
+            // C(a, b2) gives the junk E(a, b2, z1) a root value y = b2.
+            let b2 = db.add_endo("C", &["a", "b2"]).unwrap();
+            apply(&db, EngineUpdate::Inserted(b2));
+            // A negated fact inside the new child.
+            let d2 = db.add_endo("D", &["a", "b2"]).unwrap();
+            apply(&db, EngineUpdate::Inserted(d2));
+            db.set_fact_provenance(d2, Provenance::Exogenous).unwrap();
+            apply(&db, EngineUpdate::ProvenanceFlipped(d2));
+            // Retracting z2's only E fact ends that z value ...
+            db.retract_fact(z2).unwrap();
+            apply(&db, EngineUpdate::Retracted(z2));
+            // ... and retracting C(a, b2) turns y = b2's facts back into junk.
+            db.retract_fact(b2).unwrap();
+            apply(&db, EngineUpdate::Retracted(b2));
+            // A junk fact flips and leaves.
+            let junk = db.find_fact("E", &["a", "b2", "z1"]).unwrap();
+            db.set_fact_provenance(junk, Provenance::Exogenous).unwrap();
+            apply(&db, EngineUpdate::ProvenanceFlipped(junk));
+            db.retract_fact(junk).unwrap();
+            apply(&db, EngineUpdate::Retracted(junk));
+        }
+    }
+
+    /// Always-satisfied root groups (identically zero `unsat` factors)
+    /// under incremental maintenance: for `Stud(x), !TA(x), Reg(x, y)`,
+    /// a student with an exogenous `Reg` fact and no `TA` fact satisfies
+    /// the query in every coalition, and in the probability domain a
+    /// `Reg` fact present with probability 1 does the same. Flip /
+    /// insert / retract sequences that keep creating and clearing such
+    /// groups must stay incremental and bit-identical to fresh compiles.
+    mod zero_factors {
+        use super::*;
+        use proptest::prelude::*;
+
+        const Q: &str = "q() :- Stud(x), !TA(x), Reg(x, y)";
+
+        /// The database under test plus the bookkeeping the update stream
+        /// draws from: every live `Reg` fact by student, every live `TA` fact.
+        struct Instance {
+            db: Database,
+            regs: Vec<Vec<FactId>>,
+            tas: Vec<Option<FactId>>,
+            courses: usize,
+        }
+
+        /// `students` students with 1–3 `Reg` facts each and an endogenous,
+        /// exogenous or absent `TA` fact. Student 0 starts always satisfied
+        /// (one exogenous `Reg`, no `TA`) and is the only such student: a
+        /// student without `TA` gets endogenous `Reg` facts only.
+        fn instance(seed: u64, students: usize) -> Instance {
+            let mut db = Database::new();
+            // Declared up front: a relation first seen after compiling would
+            // change how the query resolves, which is structural.
+            db.add_relation("TA", 1).unwrap();
+            let mut regs = Vec::new();
+            let mut tas = Vec::new();
+            let mut courses = 0;
+            for s in 0..students {
+                let name = format!("s{s}");
+                db.add_exo("Stud", &[&name]).unwrap();
+                let h = hash(seed, s as u64);
+                let ta = match (s, h % 3) {
+                    (0, _) | (_, 2) => None,
+                    (_, 0) => Some(db.add_endo("TA", &[&name]).unwrap()),
+                    _ => Some(db.add_exo("TA", &[&name]).unwrap()),
+                };
+                let mut mine = Vec::new();
+                for r in 0..1 + (h >> 8) % 3 {
+                    let course = format!("c{courses}");
+                    courses += 1;
+                    let exo = if s == 0 {
+                        r == 0
+                    } else {
+                        ta.is_some() && (h >> (16 + r)).is_multiple_of(3)
+                    };
+                    mine.push(if exo {
+                        db.add_exo("Reg", &[&name, &course]).unwrap()
+                    } else {
+                        db.add_endo("Reg", &[&name, &course]).unwrap()
+                    });
+                }
+                regs.push(mine);
+                tas.push(ta);
+            }
+            Instance {
+                db,
+                regs,
+                tas,
+                courses,
+            }
+        }
+
+        /// Default probability 1/2, except student 0's first `Reg` fact at 1:
+        /// student 0 stays always satisfied in the probability domain whichever
+        /// way that fact is flipped, while any other student needs an
+        /// exogenous `Reg` fact for that.
+        fn probabilities(inst: &Instance) -> FactProbabilities {
+            let mut probs = FactProbabilities::uniform(BigRational::from_i64_ratio(1, 2));
+            probs.set(inst.regs[0][0], BigRational::one());
+            probs
+        }
+
+        impl Instance {
+            /// Applies the update drawn from `h` — flip a `Reg` or `TA` fact,
+            /// insert a `Reg` or `TA` fact, or retract one — and returns it.
+            /// Every update keeps each student's root group alive (a student
+            /// keeps at least one `Reg`), so none of them is structural.
+            fn step(&mut self, h: u64) -> EngineUpdate {
+                let s = (h >> 4) as usize % self.regs.len();
+                let name = format!("s{s}");
+                let provenance = if (h >> 12).is_multiple_of(2) {
+                    Provenance::Endogenous
+                } else {
+                    Provenance::Exogenous
+                };
+                let flip = |db: &mut Database, f: FactId| {
+                    let to = if db.fact(f).provenance.is_endogenous() {
+                        Provenance::Exogenous
+                    } else {
+                        Provenance::Endogenous
+                    };
+                    db.set_fact_provenance(f, to).unwrap();
+                    EngineUpdate::ProvenanceFlipped(f)
+                };
+                match h % 5 {
+                    0 | 1 => {
+                        let mine = &self.regs[s];
+                        let f = mine[(h >> 20) as usize % mine.len()];
+                        flip(&mut self.db, f)
+                    }
+                    2 => {
+                        let course = format!("c{}", self.courses);
+                        self.courses += 1;
+                        let f = self
+                            .db
+                            .insert("Reg", &[&name, &course], provenance)
+                            .unwrap();
+                        self.regs[s].push(f);
+                        EngineUpdate::Inserted(f)
+                    }
+                    3 if self.regs[s].len() > 1 => {
+                        let len = self.regs[s].len();
+                        let f = self.regs[s].swap_remove((h >> 20) as usize % len);
+                        self.db.retract_fact(f).unwrap();
+                        EngineUpdate::Retracted(f)
+                    }
+                    _ => match self.tas[s].take() {
+                        Some(f) if (h >> 24).is_multiple_of(2) => {
+                            self.tas[s] = Some(f);
+                            flip(&mut self.db, f)
+                        }
+                        Some(f) => {
+                            self.db.retract_fact(f).unwrap();
+                            EngineUpdate::Retracted(f)
+                        }
+                        None => {
+                            let f = self.db.insert("TA", &[&name], provenance).unwrap();
+                            self.tas[s] = Some(f);
+                            EngineUpdate::Inserted(f)
+                        }
+                    },
+                }
+            }
+
+            /// Flips student 0's first `Reg` fact. Exogenous, it makes the
+            /// student always satisfied (unless the stream gave it a `TA`
+            /// fact); endogenous, it clears that. The sequences alternate these
+            /// toggles with random updates, so zero factors keep appearing and
+            /// disappearing, sometimes several at once.
+            fn toggle_student_zero(&mut self) -> EngineUpdate {
+                let f = self.regs[0][0];
+                let to = if self.db.fact(f).provenance.is_endogenous() {
+                    Provenance::Exogenous
+                } else {
+                    Provenance::Endogenous
+                };
+                self.db.set_fact_provenance(f, to).unwrap();
+                EngineUpdate::ProvenanceFlipped(f)
+            }
+        }
+
+        /// Maintained counting engine ≡ fresh compile, bit for bit, and its
+        /// masked counts ≡ the per-fact counting oracle.
+        fn assert_count_matches_fresh(db: &Database, q: &ConjunctiveQuery, engine: &CompiledCount) {
+            let fresh = CompiledCount::compile(db, q, 0, None).unwrap();
+            assert_eq!(
+                engine.total_counts(),
+                fresh.total_counts(),
+                "totals over\n{db}"
+            );
+            let oracle = HierarchicalCounter;
+            for &f in db.endo_facts() {
+                assert_eq!(
+                    engine.value(db, f).unwrap(),
+                    fresh.value(db, f).unwrap(),
+                    "{} over\n{db}",
+                    db.render_fact(f)
+                );
+                let masked = |mask| oracle.counts_masked(db, AnyQuery::Cq(q), mask).unwrap();
+                assert_eq!(
+                    engine.counts_pair(db, f).unwrap(),
+                    (masked(FactMask::Removed(f)), masked(FactMask::Exogenous(f))),
+                    "{} counts over\n{db}",
+                    db.render_fact(f)
+                );
+            }
+        }
+
+        /// Maintained probability engine ≡ fresh compile, bit for bit, and
+        /// each conditional ≡ `Pr[q]` of a fresh compile with the fact's
+        /// probability pinned to 0 or 1 — a total computed without deriving
+        /// any group environment.
+        fn assert_probability_matches_fresh(
+            db: &Database,
+            q: &ConjunctiveQuery,
+            engine: &CompiledProbability,
+        ) {
+            let fresh =
+                CompiledProbability::compile(db, q, engine.probabilities().clone(), 0, None)
+                    .unwrap();
+            assert_eq!(
+                engine.probability(),
+                fresh.probability(),
+                "Pr[q] over\n{db}"
+            );
+            let pinned = |f: FactId, p: BigRational| {
+                let mut probs = engine.probabilities().clone();
+                probs.set(f, p);
+                let pinned = CompiledProbability::compile(db, q, probs, 0, None).unwrap();
+                pinned.probability().clone()
+            };
+            for &f in db.endo_facts() {
+                let pair = engine.conditioned_pair(db, f).unwrap();
+                assert_eq!(
+                    pair,
+                    fresh.conditioned_pair(db, f).unwrap(),
+                    "{} conditionals over\n{db}",
+                    db.render_fact(f)
+                );
+                assert_eq!(
+                    pair,
+                    (
+                        pinned(f, BigRational::zero()),
+                        pinned(f, BigRational::one())
+                    ),
+                    "{} conditionals vs pinned probabilities over\n{db}",
+                    db.render_fact(f)
+                );
+            }
+        }
+
+        /// Is some root group always satisfied, i.e. every coalition satisfies
+        /// the query (`|Sat(D, q, k)| = C(m, k)` for every `k`)?
+        fn always_satisfied(engine: &CompiledCount) -> bool {
+            let m = engine.total_counts().len() - 1;
+            let mut row = BigUint::one();
+            for (k, count) in engine.total_counts().iter().enumerate() {
+                if *count != row {
+                    return false;
+                }
+                row.mul_u64_assign((m - k) as u64);
+                row.div_rem_u64_assign(k as u64 + 1);
+            }
+            true
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            /// Both engines absorb every update incrementally — creating and
+            /// clearing zero factors included — and stay bit-identical to
+            /// fresh compiles.
+            #[test]
+            fn zero_factor_updates_stay_incremental_and_exact(
+                seed in 0u64..1_000_000,
+                students in 2usize..5,
+                steps in 2usize..8,
+            ) {
+                let q = parse_cq(Q).unwrap();
+                let mut inst = instance(seed, students);
+                let mut count = CompiledCount::compile(&inst.db, &q, 0, None).unwrap();
+                let mut prob =
+                    CompiledProbability::compile(&inst.db, &q, probabilities(&inst), 0, None).unwrap();
+                prop_assert!(always_satisfied(&count), "student 0 starts always satisfied");
+                let mut cleared = false;
+                for step in 0..steps as u64 {
+                    let change = if step % 2 == 0 {
+                        inst.toggle_student_zero()
+                    } else {
+                        inst.step(hash(seed, 100 + step))
+                    };
+                    prop_assert!(count.update(&inst.db, change).unwrap(), "{change:?} recompiled");
+                    prop_assert!(prob.update(&inst.db, change).unwrap(), "{change:?} recompiled");
+                    assert_count_matches_fresh(&inst.db, &q, &count);
+                    assert_probability_matches_fresh(&inst.db, &q, &prob);
+                    cleared |= !always_satisfied(&count);
+                }
+                prop_assert!(cleared, "the zero factor was never cleared");
+            }
+        }
+    }
+
+    /// Free facts (outside every scope) and junk facts (root values
+    /// without positive support) are null players, left out of every
+    /// cached polynomial: the full-database counts and the masked count
+    /// pairs, which multiply their binomial row back in, must equal the
+    /// counting oracles on fresh engines and after update sequences
+    /// that create and remove them.
+    mod null_players {
+        use super::*;
+        use proptest::prelude::*;
+
+        const Q1: &str = "q1() :- Stud(x), !TA(x), Reg(x, y)";
+
+        fn provenance(h: u64) -> Provenance {
+            if h.is_multiple_of(3) {
+                Provenance::Exogenous
+            } else {
+                Provenance::Endogenous
+            }
+        }
+
+        /// Students with an endogenous, exogenous or absent `TA` fact and 1–3
+        /// `Reg` facts, plus labs with 1–2 `Asst` facts and an optional
+        /// endogenous `Closed` fact: every root value of `Q1` and `Q2` has full
+        /// positive support. The query relations and the free relation `Note`
+        /// are declared up front, so no later insert changes how a query
+        /// resolves.
+        fn university(seed: u64, students: u64, labs: u64) -> Database {
+            let mut db = Database::new();
+            for (rel, arity) in [("TA", 1), ("Closed", 1), ("Note", 1)] {
+                db.add_relation(rel, arity).unwrap();
+            }
+            for s in 0..students {
+                let name = format!("s{s}");
+                let h = hash(seed, s);
+                db.add_exo("Stud", &[&name]).unwrap();
+                if !h.is_multiple_of(4) {
+                    db.insert("TA", &[&name], provenance(h >> 2)).unwrap();
+                }
+                for r in 0..1 + (h >> 8) % 3 {
+                    let course = format!("c{}", (h >> (12 + r)) % 5);
+                    if db.find_fact("Reg", &[&name, &course]).is_none() {
+                        db.insert("Reg", &[&name, &course], provenance(h >> (20 + r)))
+                            .unwrap();
+                    }
+                }
+            }
+            for l in 0..labs {
+                let name = format!("l{l}");
+                let h = hash(seed, 1000 + l);
+                db.add_exo("Lab", &[&name]).unwrap();
+                for a in 0..1 + (h >> 4) % 2 {
+                    db.insert("Asst", &[&name, &format!("a{a}")], provenance(h >> (8 + a)))
+                        .unwrap();
+                }
+                if h.is_multiple_of(2) {
+                    db.add_endo("Closed", &[&name]).unwrap();
+                }
+            }
+            db
+        }
+
+        fn args(values: &[&str]) -> Vec<String> {
+            values.iter().map(|s| s.to_string()).collect()
+        }
+
+        /// The null facts of `Q1`/`Q2` over a university: free `Note` facts,
+        /// junk `TA`/`Reg` facts of a student without a `Stud` fact, and a junk
+        /// `Closed` fact of a lab without a `Lab` fact.
+        fn university_nulls(seed: u64) -> Vec<(&'static str, Vec<String>)> {
+            let mut nulls = vec![
+                ("Note", args(&["n0"])),
+                ("TA", args(&["ghost"])),
+                ("Reg", args(&["ghost", "c0"])),
+                ("Closed", args(&["no_lab"])),
+            ];
+            for i in 1..1 + hash(seed, 7) % 3 {
+                nulls.push(("Note", vec![format!("n{i}")]));
+            }
+            nulls
+        }
+
+        /// Maintained engine ≡ fresh compile ≡ the counting oracles: totals
+        /// against the hierarchical counter, each count pair against the
+        /// per-fact masked counts, and every null fact's value exactly 0.
+        fn assert_counts_match_oracles(
+            db: &Database,
+            q: &ConjunctiveQuery,
+            engine: &CompiledCount,
+        ) {
+            let fresh = CompiledCount::compile(db, q, 0, None).unwrap();
+            let want = count_sat_hierarchical(db, q).unwrap();
+            assert_eq!(
+                engine.total_counts(),
+                &want[..],
+                "totals for {q} over\n{db}"
+            );
+            assert_eq!(fresh.total_counts(), &want[..], "fresh totals for {q}");
+            let oracle = HierarchicalCounter;
+            for &f in db.endo_facts() {
+                let masked = |mask| oracle.counts_masked(db, AnyQuery::Cq(q), mask).unwrap();
+                let pair = (masked(FactMask::Removed(f)), masked(FactMask::Exogenous(f)));
+                let fact = db.render_fact(f);
+                assert_eq!(engine.counts_pair(db, f).unwrap(), pair, "{fact} for {q}");
+                assert_eq!(
+                    fresh.counts_pair(db, f).unwrap(),
+                    pair,
+                    "fresh {fact} for {q}"
+                );
+                let value = engine.value(db, f).unwrap();
+                assert_eq!(value, fresh.value(db, f).unwrap(), "{fact} for {q}");
+                if engine.is_structurally_null(f) {
+                    assert_eq!(value, BigRational::zero(), "null {fact} for {q}");
+                }
+            }
+        }
+
+        /// One update that creates, flips or removes a free or junk fact, or
+        /// moves a non-null `Reg` fact, drawn from `h`. Returns the change.
+        fn null_step(
+            db: &mut Database,
+            nulls: &mut Vec<FactId>,
+            h: u64,
+            step: u64,
+        ) -> EngineUpdate {
+            let p = provenance(h >> 16);
+            match h % 6 {
+                0 => {
+                    let f = db.insert("Note", &[&format!("x{step}")], p).unwrap();
+                    nulls.push(f);
+                    EngineUpdate::Inserted(f)
+                }
+                1 => {
+                    let f = db.insert("TA", &[&format!("g{step}")], p).unwrap();
+                    nulls.push(f);
+                    EngineUpdate::Inserted(f)
+                }
+                2 => {
+                    let ghost = format!("g{step}");
+                    let f = db.insert("Reg", &[&ghost, "c0"], p).unwrap();
+                    nulls.push(f);
+                    EngineUpdate::Inserted(f)
+                }
+                3 if !nulls.is_empty() => {
+                    let f = nulls.swap_remove((h >> 8) as usize % nulls.len());
+                    db.retract_fact(f).unwrap();
+                    EngineUpdate::Retracted(f)
+                }
+                4 if !nulls.is_empty() => {
+                    let f = nulls[(h >> 8) as usize % nulls.len()];
+                    let to = if db.fact(f).provenance.is_endogenous() {
+                        Provenance::Exogenous
+                    } else {
+                        Provenance::Endogenous
+                    };
+                    db.set_fact_provenance(f, to).unwrap();
+                    EngineUpdate::ProvenanceFlipped(f)
+                }
+                _ => {
+                    // Flip a `Reg` fact of a supported student: the non-null
+                    // player count moves while the null count stays.
+                    let regs: Vec<FactId> = db
+                        .endo_facts()
+                        .iter()
+                        .copied()
+                        .filter(|&f| {
+                            let text = db.render_fact(f);
+                            text.starts_with("Reg(s")
+                        })
+                        .collect();
+                    match regs.get((h >> 8) as usize % regs.len().max(1)) {
+                        Some(&f) => {
+                            db.set_fact_provenance(f, Provenance::Exogenous).unwrap();
+                            EngineUpdate::ProvenanceFlipped(f)
+                        }
+                        None => {
+                            let f = db.insert("Note", &[&format!("x{step}")], p).unwrap();
+                            nulls.push(f);
+                            EngineUpdate::Inserted(f)
+                        }
+                    }
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            /// The full-database counts and masked count pairs equal the
+            /// counting oracles on fresh engines and after update sequences
+            /// that create and remove free and junk facts, for a one-, two- and
+            /// three-component query.
+            #[test]
+            fn counts_with_null_players_match_the_oracles(
+                seed in 0u64..1_000_000,
+                students in 1u64..4,
+                steps in 1u64..7,
+            ) {
+                for text in [
+                    Q1,
+                    "q() :- Stud(x), !TA(x), Reg(x, y), Lab(l), Asst(l, s), !Closed(l)",
+                    "q() :- Reg(x, y), Lab(l), !Closed(l), Note('n0')",
+                ] {
+                    let q = parse_cq(text).unwrap();
+                    let mut db = university(seed, students, 2);
+                    let mut nulls = Vec::new();
+                    for (rel, a) in university_nulls(seed) {
+                        let a: Vec<&str> = a.iter().map(String::as_str).collect();
+                        nulls.push(db.add_endo(rel, &a).unwrap());
+                    }
+                    let mut engine = CompiledCount::compile(&db, &q, 0, None).unwrap();
+                    if text == Q1 {
+                        // Free (`Note`, `Closed`) and junk (`TA`/`Reg` of a
+                        // student without `Stud`) alike.
+                        for &f in &nulls {
+                            prop_assert!(engine.is_structurally_null(f), "{}", db.render_fact(f));
+                        }
+                    }
+                    assert_counts_match_oracles(&db, &q, &engine);
+                    for step in 0..steps {
+                        let change = null_step(&mut db, &mut nulls, hash(seed, 200 + step), step);
+                        if !engine.update(&db, change).unwrap() {
+                            engine = CompiledCount::compile(&db, &q, 0, None).unwrap();
+                        }
+                        assert_counts_match_oracles(&db, &q, &engine);
+                    }
+                }
+            }
         }
     }
 }

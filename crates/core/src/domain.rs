@@ -36,6 +36,11 @@
 //! recursion compiled once into trees (`crate::tree`), so a per-fact
 //! recount or an update walks one leaf-to-root path instead of
 //! re-running it.
+//!
+//! The domains are internal to the crate; of this module only
+//! [`FactProbabilities`] (a session's probability input) and
+//! [`probability_by_enumeration`] (the world-enumeration oracle) are
+//! public, re-exported at the crate root.
 
 use std::collections::HashMap;
 
@@ -85,7 +90,7 @@ use crate::satcount::{
 /// [`leave_one_out`](EvalDomain::leave_one_out). A product that finds the
 /// domain's token tripped returns [`CoreError::DeadlineExceeded`] for the
 /// caller's `phase` instead of a value, so every `Ok` value is exact.
-pub trait EvalDomain: Sync {
+pub(crate) trait EvalDomain: Sync {
     /// The value type: coalition-count polynomials for counting, exact
     /// probabilities for the tuple-independent domain.
     type Value: Clone + PartialEq + Send + Sync + std::fmt::Debug + 'static;
@@ -236,7 +241,7 @@ pub trait EvalDomain: Sync {
 /// [`BigUint`]. Owns a [`BinomialCache`] so the binomial rows consumed
 /// by [`EvalDomain::free`] are shared across the engine's lifetime.
 #[derive(Debug, Default)]
-pub struct CountingDomain {
+pub(crate) struct CountingDomain {
     binoms: BinomialCache,
     cancel: Option<CancelToken>,
 }
@@ -244,7 +249,7 @@ pub struct CountingDomain {
 impl CountingDomain {
     /// A counting domain with an empty binomial cache, polling `cancel`
     /// (if any) from the recursion and the polynomial kernels.
-    pub fn new(cancel: Option<CancelToken>) -> Self {
+    pub(crate) fn new(cancel: Option<CancelToken>) -> Self {
         CountingDomain {
             binoms: BinomialCache::default(),
             cancel,
@@ -398,7 +403,7 @@ impl FactProbabilities {
 /// structure in this domain *is* lifted inference — same recursion,
 /// scalar arithmetic.
 #[derive(Debug, Clone)]
-pub struct ProbabilityDomain {
+pub(crate) struct ProbabilityDomain {
     probs: FactProbabilities,
     cancel: Option<CancelToken>,
 }
@@ -414,13 +419,8 @@ impl PartialEq for ProbabilityDomain {
 impl ProbabilityDomain {
     /// A domain evaluating at `probs`, polling `cancel` (if any) from
     /// the recursion.
-    pub fn new(probs: FactProbabilities, cancel: Option<CancelToken>) -> Self {
+    pub(crate) fn new(probs: FactProbabilities, cancel: Option<CancelToken>) -> Self {
         ProbabilityDomain { probs, cancel }
-    }
-
-    /// The per-fact probabilities.
-    pub fn probabilities(&self) -> &FactProbabilities {
-        &self.probs
     }
 }
 
@@ -715,6 +715,14 @@ pub(crate) fn probability_by_enumeration_cancel(
 mod tests {
     use super::*;
     use cqshap_query::parse_cq;
+
+    impl ProbabilityDomain {
+        /// The per-fact probabilities (read by the compiled engines'
+        /// tests).
+        pub(crate) fn probabilities(&self) -> &FactProbabilities {
+            &self.probs
+        }
+    }
 
     fn rat(p: i64, q: i64) -> BigRational {
         BigRational::from_i64_ratio(p, q)

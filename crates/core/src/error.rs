@@ -136,7 +136,7 @@ impl CoreError {
     /// [`CoreError::DeadlineExceeded`]; every other error passes
     /// through untouched.
     #[must_use]
-    pub fn with_partial_answers(self, answers: Vec<(usize, BigRational)>) -> CoreError {
+    pub(crate) fn with_partial_answers(self, answers: Vec<(usize, BigRational)>) -> CoreError {
         match self {
             CoreError::DeadlineExceeded {
                 phase,

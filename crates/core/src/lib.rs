@@ -13,8 +13,10 @@
 //! * [`shapley::shapley_value`] / [`shapley::shapley_report`] — exact
 //!   values, with automatic strategy selection along the paper's
 //!   dichotomies (Theorems 3.1 and 4.3);
-//! * [`satcount`] — the `CntSat` counting algorithm (Lemma 3.2) and the
-//!   brute-force oracle;
+//! * [`count_sat_hierarchical`] — the `CntSat` counting algorithm
+//!   (Lemma 3.2); it and the brute-force oracle are the
+//!   [`SatCountOracle`]s ([`HierarchicalCounter`], [`BruteForceCounter`])
+//!   that [`shapley::shapley_via_counts`] reduces a value to;
 //! * [`exoshap`] — the `ExoShap` rewriting (Algorithm 1) for queries
 //!   without a non-hierarchical path;
 //! * [`approx`] — the additive Monte-Carlo FPRAS of Section 5.1;
@@ -34,10 +36,20 @@
 //!   the graceful-degradation ladder behind
 //!   [`session::ShapleySession::report_tiered`];
 //! * [`gap`] — the Theorem 5.1 construction showing the gap property
-//!   fails for every natural CQ¬ with negation.
+//!   fails for every natural CQ¬ with negation;
+//! * [`reference`](mod@reference) — the independent per-fact and
+//!   lifted-inference oracles, plus [`probability_by_enumeration`].
+//!
+//! How a session counts its way to an answer is internal: the compiled
+//! counting and probability engines, the evaluation domains they are
+//! generic over, the recursion trees and the routing plan are
+//! crate-private, so changing them changes no public API.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+// Every `pub` item is reachable from the crate root: the public API is
+// what this file exports, and engine internals stay `pub(crate)`.
+#![deny(unreachable_pub)]
 // Panic-freedom: library code returns typed errors instead of panicking.
 // Clippy enforces it; each sound exception carries
 // `#[expect(clippy::…, reason = "…")]`. Test code is exempt. cqshap-lint's
@@ -60,8 +72,8 @@ pub mod aggregates;
 pub mod anyquery;
 pub mod approx;
 pub mod budget;
-pub mod compiled;
-pub mod domain;
+pub(crate) mod compiled;
+pub(crate) mod domain;
 pub mod error;
 pub mod exoshap;
 pub mod gap;
@@ -69,7 +81,7 @@ pub(crate) mod parallel;
 pub(crate) mod plan;
 pub mod reference;
 pub mod relevance;
-pub mod satcount;
+pub(crate) mod satcount;
 pub mod session;
 pub mod shapley;
 pub(crate) mod tree;
@@ -78,15 +90,11 @@ pub mod wsms;
 pub use anyquery::AnyQuery;
 pub use approx::{AnytimeParams, AnytimeReport, FactEstimate};
 pub use budget::{Budget, CancelToken};
-pub use compiled::{CompiledCount, CompiledProbability, EngineUpdate};
-pub use domain::{
-    probability_by_enumeration, CountingDomain, EvalDomain, FactProbabilities, ProbabilityDomain,
-};
+pub use domain::{probability_by_enumeration, FactProbabilities};
 pub use error::{CoreError, EnumerationLimit, PartialProgress};
 pub use exoshap::{rewrite, RewriteOutcome};
 pub use satcount::{
-    count_sat_hierarchical, count_sat_hierarchical_masked, BruteForceCounter, HierarchicalCounter,
-    SatCountOracle,
+    count_sat_hierarchical, BruteForceCounter, HierarchicalCounter, SatCountOracle,
 };
 pub use session::{SessionStats, ShapleySession, TierPolicy, TieredAnswer};
 pub use shapley::{

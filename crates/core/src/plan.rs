@@ -67,7 +67,7 @@ use crate::anyquery::AnyQuery;
 use crate::compiled::{CompiledCount, CompiledProbability, EngineUpdate};
 use crate::error::CoreError;
 use crate::exoshap;
-use crate::shapley::{resolve_strategy, BatchedEngine, ResolvedStrategy, ShapleyOptions, Strategy};
+use crate::shapley::{resolve_strategy, ResolvedStrategy, ShapleyOptions, Strategy};
 
 /// Cap on the number of disjuncts of a union (the expansion has
 /// `2^d − 1` subset conjunctions).
@@ -534,7 +534,7 @@ impl TermList<CompiledCount> {
     /// The signed sum of the terms' Shapley numerators over `lcm(1..m)`.
     /// Each term contracts over its own non-null players `m′` and lifts
     /// its numerator to the session's `lcm(1..m)` before the sum.
-    fn shapley_numerator(&self, db: &Database, f: FactId) -> Result<BigInt, CoreError> {
+    pub(crate) fn shapley_numerator(&self, db: &Database, f: FactId) -> Result<BigInt, CoreError> {
         if db.endo_index(f).is_none() {
             return Err(CoreError::FactNotEndogenous {
                 fact: db.render_fact(f),
@@ -550,7 +550,7 @@ impl TermList<CompiledCount> {
     /// `num / lcm(1..m)` in lowest terms, through the first term's
     /// memoized reduction over `lcm(1..m)` (every term shares `m`, and
     /// none reduces over its own weights' `lcm(1..m′)`).
-    fn normalize_numerator(&self, num: BigInt) -> BigRational {
+    pub(crate) fn normalize_numerator(&self, num: BigInt) -> BigRational {
         match self.terms.first() {
             Some(t) => t.engine.normalize_numerator(num),
             None => BigRational::zero(),
@@ -573,26 +573,22 @@ impl TermList<CompiledCount> {
             (bucket_ids, key_ids.len().max(1))
         })
     }
-}
 
-impl BatchedEngine for TermList<CompiledCount> {
-    fn buckets(&self, db: &Database) -> usize {
+    /// Total number of bucket ids (see [`TermList::bucket_of`]).
+    pub(crate) fn buckets(&self, db: &Database) -> usize {
         match self.terms.as_slice() {
             [t] => t.engine.buckets(),
             _ => self.bucket_index(db).1,
         }
     }
-    fn bucket_of(&self, db: &Database, f: FactId) -> usize {
+
+    /// The recount-state bucket of `f`: a one-term list uses its
+    /// engine's buckets, a longer one the combined layout.
+    pub(crate) fn bucket_of(&self, db: &Database, f: FactId) -> usize {
         match self.terms.as_slice() {
             [t] => t.engine.bucket_of(f),
             _ => self.bucket_index(db).0.get(&f).copied().unwrap_or(0),
         }
-    }
-    fn numerator(&self, db: &Database, f: FactId) -> Result<BigInt, CoreError> {
-        self.shapley_numerator(db, f)
-    }
-    fn normalize(&self, num: BigInt) -> BigRational {
-        self.normalize_numerator(num)
     }
 }
 

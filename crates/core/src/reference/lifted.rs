@@ -1,14 +1,14 @@
 //! The seed lifted-inference traversal, kept as the probability oracle.
 //!
-//! Production evaluation routes through [`crate::CompiledProbability`],
-//! the compiled pipeline instantiated at the probability domain. This
-//! module is an *independent implementation of the same recursion*
-//! (`CntSat` with probabilities in place of counts: component
-//! probabilities multiply, the disjunction over root values becomes
-//! `1 − Π (1 − P_c)`), used by the proptests to pin the compiled path
-//! and by the bench harness as the uncompiled baseline. Arithmetic is
-//! exact [`BigRational`], so oracle comparisons are bit-identical, not
-//! epsilon-close.
+//! Production evaluation routes through
+//! [`crate::compiled::CompiledProbability`], the compiled pipeline
+//! instantiated at the probability domain. This module is an
+//! *independent implementation of the same recursion* (`CntSat` with
+//! probabilities in place of counts: component probabilities multiply,
+//! the disjunction over root values becomes `1 − Π (1 − P_c)`), used by
+//! the proptests to pin the compiled path and by the bench harness as
+//! the uncompiled baseline. Arithmetic is exact [`BigRational`], so
+//! oracle comparisons are bit-identical, not epsilon-close.
 
 use cqshap_db::{ConstId, Database, FactId};
 use cqshap_numeric::BigRational;

@@ -332,7 +332,7 @@ pub fn count_sat_hierarchical(
 /// [`count_sat_hierarchical`] on the database seen through `mask` — the
 /// counts of `D ∖ {f}` or of `D` with `f` exogenized, without building
 /// either copy.
-pub fn count_sat_hierarchical_masked(
+pub(crate) fn count_sat_hierarchical_masked(
     db: &Database,
     q: &ConjunctiveQuery,
     mask: FactMask,
@@ -536,11 +536,6 @@ impl BruteForceCounter {
             cancel: cancel.cloned(),
             threads,
         }
-    }
-
-    /// The configured `|Dn|` cap.
-    pub fn limit(&self) -> usize {
-        self.limit
     }
 
     /// Enumerates worlds whose bit at `forced_pos` (if any) is pinned to

@@ -2,7 +2,8 @@
 //!
 //! The free functions of [`crate::shapley`] and [`crate::aggregates`]
 //! re-resolve atoms and recompile the counting structures on every
-//! call, even though [`CompiledCount`] is compile-once by design. A
+//! call, even though the compiled counting engine is compile-once by
+//! design. A
 //! session is the prepared-statement view of the same machinery:
 //! [`ShapleySession::prepare`] classifies the query and resolves the
 //! strategy *once* into a routing plan — signed conjunctive terms (one
@@ -46,9 +47,8 @@
 //! compiled terms across the update in both domains: the update walks
 //! one leaf-to-root path of the touched root group's compiled
 //! recursion tree, the cached leave-one-out
-//! environments are patched by exact factor swaps, and the weight
-//! correlations are refreshed in parallel (see
-//! [`CompiledCount::update`]). An aggregate session first re-derives
+//! environments are patched by exact factor swaps, and the Shapley
+//! weights follow the non-null player count. An aggregate session first re-derives
 //! its pruned candidate list, and its terms are maintained only while
 //! that list is unchanged. Structural drift — a root group appearing or
 //! dying, a query atom resolving differently, terms rewritten from the
@@ -684,8 +684,8 @@ impl ShapleySession {
     /// Test hook: forces the session into the poisoned state so
     /// recovery paths can be exercised without constructing a genuine
     /// mid-maintenance failure.
-    #[doc(hidden)]
-    pub fn poison_for_tests(&mut self, reason: &str) {
+    #[cfg(test)]
+    pub(crate) fn poison_for_tests(&mut self, reason: &str) {
         self.state = EngineState::Poisoned(reason.to_string());
     }
 
@@ -1885,5 +1885,88 @@ mod tests {
             "estimate {}",
             est.estimate
         );
+    }
+
+    /// After a poisoning, `recover()` must leave the session
+    /// bit-identical to a fresh prepare, on the same random CQ¬
+    /// instances the integration suite's update proptests draw.
+    mod recovery {
+        use super::*;
+        use cqshap_workloads::random_db::RandomDbConfig;
+        use proptest::prelude::*;
+
+        const CQS: &[&str] = &[
+            "q() :- A(x), !B(x), C(x, y)",
+            "q() :- A(x), B(x)",
+            "q() :- C(x, y), !D(x, y)",
+            "q() :- A(x), C(x, y), !D(x, y), E(x, y, z)",
+            "q() :- A(x), !B(x), F(y), !G(y)",
+            "q() :- C(x, 'd0'), !B(x)",
+            "q() :- A(x), C(x, y), E(x, y, z)",
+        ];
+
+        const EXO_MIXES: &[&[&str]] = &[&[], &["A"], &["C"]];
+
+        /// Maintained session ≡ fresh prepare, bit for bit, and the
+        /// efficiency axiom holds.
+        fn assert_matches_fresh(
+            session: &ShapleySession,
+            query: AnyQuery<'_>,
+            opts: &ShapleyOptions,
+        ) {
+            let fresh = ShapleySession::prepare(session.database(), query, opts).unwrap();
+            let (a, b) = (session.report().unwrap(), fresh.report().unwrap());
+            assert!(
+                a.efficiency_holds(),
+                "efficiency after update over\n{}",
+                session.database()
+            );
+            assert_eq!(a.entries.len(), b.entries.len());
+            for (x, y) in a.entries.iter().zip(&b.entries) {
+                assert_eq!(
+                    x.value,
+                    y.value,
+                    "maintained vs fresh at {} over\n{}",
+                    x.rendered,
+                    session.database()
+                );
+                // The single-value path serves the same number.
+                assert_eq!(session.value(x.fact).unwrap(), x.value, "{}", x.rendered);
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            /// A session whose engine failed (poisoned) recovers in place:
+            /// after `recover()` every value is bit-identical to a session
+            /// freshly prepared on the same database.
+            #[test]
+            fn recovered_sessions_match_fresh_prepare(
+                qi in 0..CQS.len(),
+                mix in 0usize..3,
+                seed in 0u64..4000,
+            ) {
+                let q = parse_cq(CQS[qi]).unwrap();
+                let exo: Vec<String> = EXO_MIXES[mix].iter().map(|s| s.to_string()).collect();
+                let cfg = RandomDbConfig {
+                    domain: 3,
+                    facts_per_relation: 3,
+                    seed,
+                    exogenous_relations: exo,
+                    ..Default::default()
+                };
+                let db = cfg.generate(&q);
+                prop_assume!(db.endo_count() >= 1 && db.endo_count() <= 12);
+                let opts = ShapleyOptions::auto();
+                let mut session = ShapleySession::prepare(&db, AnyQuery::Cq(&q), &opts).unwrap();
+                session.poison_for_tests("synthetic maintenance failure");
+                prop_assert!(session.is_poisoned());
+                prop_assert!(session.report().is_err());
+                session.recover().unwrap();
+                prop_assert!(!session.is_poisoned());
+                assert_matches_fresh(&session, AnyQuery::Cq(&q), &opts);
+            }
+        }
     }
 }

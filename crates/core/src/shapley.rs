@@ -29,7 +29,7 @@ use crate::anyquery::AnyQuery;
 use crate::budget::{Budget, CancelToken};
 use crate::compiled::CompiledCount;
 use crate::error::{CoreError, EnumerationLimit};
-use crate::plan::Enumeration;
+use crate::plan::{Enumeration, TermList};
 use crate::satcount::{BruteForceCounter, SatCountOracle};
 
 /// How to compute an exact Shapley value.
@@ -448,7 +448,7 @@ pub struct ShapleyReport {
 impl ShapleyReport {
     /// Builds a report from its entries, computing the value total and
     /// the fact-lookup index.
-    pub fn new(entries: Vec<ShapleyEntry>, expected_total: BigRational) -> Self {
+    pub(crate) fn new(entries: Vec<ShapleyEntry>, expected_total: BigRational) -> Self {
         let mut total = BigRational::zero();
         let mut index = HashMap::with_capacity(entries.len());
         for (i, e) in entries.iter().enumerate() {
@@ -469,7 +469,7 @@ impl ShapleyReport {
     /// denominator `lcm(1..m)`, avoiding a rational reduction per
     /// entry).
     /// Debug builds verify the total against the entries.
-    pub fn with_precomputed_total(
+    pub(crate) fn with_precomputed_total(
         entries: Vec<ShapleyEntry>,
         total: BigRational,
         expected_total: BigRational,
@@ -500,7 +500,7 @@ impl ShapleyReport {
     }
 
     /// Attaches evaluation statistics.
-    pub fn with_stats(mut self, stats: ReportStats) -> Self {
+    pub(crate) fn with_stats(mut self, stats: ReportStats) -> Self {
         self.stats = stats;
         self
     }
@@ -578,44 +578,13 @@ fn report_entries(db: &Database, values: Vec<BigRational>) -> Vec<ShapleyEntry> 
         .collect()
 }
 
-/// What the chunked report fan-out needs from a compiled engine —
-/// implemented by [`CompiledCount`] and by a session's signed term
-/// list. Engines do not borrow the database, so each call re-supplies
-/// it.
-pub(crate) trait BatchedEngine: Sync {
-    /// Total number of bucket ids.
-    fn buckets(&self, db: &Database) -> usize;
-    /// The recount-state bucket of `f`.
-    fn bucket_of(&self, db: &Database, f: FactId) -> usize;
-    /// The Shapley numerator of `f` over the common denominator
-    /// `lcm(1..m)`.
-    fn numerator(&self, db: &Database, f: FactId) -> Result<BigInt, CoreError>;
-    /// `num / lcm(1..m)` in lowest terms (memoized by the engine).
-    fn normalize(&self, num: BigInt) -> BigRational;
-}
-
-impl BatchedEngine for CompiledCount {
-    fn buckets(&self, _db: &Database) -> usize {
-        CompiledCount::buckets(self)
-    }
-    fn bucket_of(&self, _db: &Database, f: FactId) -> usize {
-        CompiledCount::bucket_of(self, f)
-    }
-    fn numerator(&self, db: &Database, f: FactId) -> Result<BigInt, CoreError> {
-        CompiledCount::shapley_numerator(self, db, f)
-    }
-    fn normalize(&self, num: BigInt) -> BigRational {
-        CompiledCount::normalize_numerator(self, num)
-    }
-}
-
-/// Computes all values through a batched compiled engine:
+/// Computes all values through a session's compiled counting terms:
 /// compile once, then fan the per-fact recounts out across threads
 /// **chunked by root group**, so every thread works against the shared
 /// compiled state and a group's recount locality stays on one core.
 pub(crate) fn engine_values(
     db: &Database,
-    compiled: &dyn BatchedEngine,
+    compiled: &TermList<CompiledCount>,
     facts: &[FactId],
     threads: usize,
 ) -> Result<Vec<BigRational>, CoreError> {
@@ -628,12 +597,12 @@ pub(crate) fn engine_values(
 /// costs a gcd per fact and dominates large reports.
 pub(crate) fn engine_report_values(
     db: &Database,
-    compiled: &dyn BatchedEngine,
+    compiled: &TermList<CompiledCount>,
     facts: &[FactId],
     threads: usize,
 ) -> Result<(Vec<BigRational>, BigRational), CoreError> {
     let (values, total) = engine_numerator_values(db, compiled, facts, threads)?;
-    Ok((values, compiled.normalize(total)))
+    Ok((values, compiled.normalize_numerator(total)))
 }
 
 #[expect(
@@ -642,7 +611,7 @@ pub(crate) fn engine_report_values(
 )]
 fn engine_numerator_values(
     db: &Database,
-    compiled: &dyn BatchedEngine,
+    compiled: &TermList<CompiledCount>,
     facts: &[FactId],
     threads: usize,
 ) -> Result<(Vec<BigRational>, BigInt), CoreError> {
@@ -671,9 +640,9 @@ fn engine_numerator_values(
     let computed = crate::parallel::par_map_with(threads, assignments.len(), |t| {
         let mut done = Vec::new();
         for &i in &assignments[t] {
-            match compiled.numerator(db, facts[i]) {
+            match compiled.shapley_numerator(db, facts[i]) {
                 Ok(num) => {
-                    let value = compiled.normalize(num.clone());
+                    let value = compiled.normalize_numerator(num.clone());
                     done.push((i, num, value));
                 }
                 Err(e) => return (done, Some(e)),
@@ -756,7 +725,7 @@ pub(crate) fn par_values(
 /// Computes the Shapley value of *every* endogenous fact of `db`.
 ///
 /// The hierarchical strategies (including the shared-once `ExoShap`
-/// rewriting) run through the batched [`CompiledCount`] engine —
+/// rewriting) run through the crate's batched compiled counting engine —
 /// compile-once, amortized `O(|group|)` per fact, no database clones.
 /// Brute-force strategies fall back to independent per-fact runs.
 pub fn shapley_report(

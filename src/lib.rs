@@ -59,6 +59,23 @@
 //! assert!(session.report().unwrap().efficiency_holds());
 //! assert_eq!(session.stats().incremental_updates, 1);
 //! ```
+//!
+//! The session is the engine's whole surface. The compiled counting and
+//! probability engines, their evaluation domains and the routing plan
+//! are internal to [`core`], so none of these paths resolves:
+//!
+//! ```compile_fail,E0603
+//! use cqshap::core::CompiledCount;
+//! ```
+//! ```compile_fail,E0603
+//! use cqshap::core::compiled;
+//! ```
+//! ```compile_fail,E0603
+//! use cqshap::core::domain::EvalDomain;
+//! ```
+//! ```compile_fail,E0432
+//! use cqshap::prelude::EngineUpdate;
+//! ```
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -90,10 +107,9 @@ pub mod prelude {
         rewrite, shapley_by_permutations, shapley_report, shapley_report_union, shapley_value,
         shapley_value_union, shapley_via_counts,
         wsms::{wsms_report, WsmsEntry, WsmsReport, WsmsWeight},
-        AnyQuery, BruteForceCounter, CompiledCount, CompiledProbability, CoreError, EngineUpdate,
-        FactProbabilities, HierarchicalCounter, ReportStats, ResolvedStrategy, SatCountOracle,
-        SessionStats, ShapleyEntry, ShapleyOptions, ShapleyReport, ShapleySession, Strategy,
-        TierPolicy, TieredAnswer,
+        AnyQuery, BruteForceCounter, CoreError, FactProbabilities, HierarchicalCounter,
+        ReportStats, ResolvedStrategy, SatCountOracle, SessionStats, ShapleyEntry, ShapleyOptions,
+        ShapleyReport, ShapleySession, Strategy, TierPolicy, TieredAnswer,
     };
     pub use cqshap_db::{Database, FactId, FactMask, Provenance, World};
     pub use cqshap_numeric::{BigInt, BigRational, BigUint};

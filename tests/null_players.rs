@@ -11,15 +11,23 @@
 //! * on random CQ¬, UCQ¬ and ExoShap instances, inserting free and junk
 //!   facts keeps every other value bit-identical and gives the new
 //!   facts exactly 0;
-//! * the full-database counts (`total_counts`) and the masked count
-//!   pairs (`counts_pair`), which multiply the null players' binomial
-//!   row back in, equal the hierarchical counter and the per-fact
-//!   counting oracle;
+//! * a session's `Pr[q]` at probability 1/2, which counts every
+//!   satisfying coalition null players included, equals the
+//!   hierarchical counter's totals over `2^m`, and each value equals
+//!   the reduction over the per-fact counting oracle;
 //! * that stays true after random flip / insert / retract sequences
 //!   that create and remove free and junk facts.
+//!
+//! The compiled engine's own full-database counts and masked count
+//! pairs, which multiply the null players' binomial row back in, are
+//! pinned against the same oracles by a unit test of `cqshap-core`'s
+//! `compiled` module.
+
+mod common;
 
 use std::collections::HashMap;
 
+use common::{replay, Update};
 use cqshap::core::count_sat_hierarchical;
 use cqshap::prelude::Strategy;
 use cqshap::prelude::*;
@@ -178,62 +186,74 @@ fn university_nulls(seed: u64) -> Vec<(&'static str, Vec<String>)> {
     nulls
 }
 
-/// Maintained engine ≡ fresh compile ≡ the counting oracles: totals
-/// against the hierarchical counter, each count pair against the
-/// per-fact masked counts, and every null fact's value exactly 0.
-fn assert_counts_match_oracles(db: &Database, q: &ConjunctiveQuery, engine: &CompiledCount) {
-    let fresh = CompiledCount::compile(db, q, 0, None).unwrap();
-    let want = count_sat_hierarchical(db, q).unwrap();
+/// Maintained session ≡ fresh prepare ≡ the counting oracles: `Pr[q]`
+/// at probability 1/2 against the hierarchical counter's totals over
+/// `2^m`, each value against the reduction over the per-fact masked
+/// counts, and each fact of `zero` valued exactly 0.
+fn assert_counts_match_oracles(
+    session: &mut ShapleySession,
+    q: &ConjunctiveQuery,
+    zero: &[FactId],
+) {
+    let db = session.database().clone();
+    let totals = count_sat_hierarchical(&db, q).unwrap();
+    let satisfying = totals
+        .into_iter()
+        .fold(BigRational::zero(), |acc, c| acc + BigRational::from(c));
+    let worlds = (0..db.endo_count()).fold(BigRational::one(), |acc, _| {
+        acc * BigRational::from_i64_ratio(2, 1)
+    });
     assert_eq!(
-        engine.total_counts(),
-        &want[..],
+        session.probability().unwrap(),
+        satisfying / worlds,
         "totals for {q} over\n{db}"
     );
-    assert_eq!(fresh.total_counts(), &want[..], "fresh totals for {q}");
-    let oracle = HierarchicalCounter;
-    for &f in db.endo_facts() {
-        let masked = |mask| oracle.counts_masked(db, AnyQuery::Cq(q), mask).unwrap();
-        let pair = (masked(FactMask::Removed(f)), masked(FactMask::Exogenous(f)));
-        let fact = db.render_fact(f);
-        assert_eq!(engine.counts_pair(db, f).unwrap(), pair, "{fact} for {q}");
-        assert_eq!(
-            fresh.counts_pair(db, f).unwrap(),
-            pair,
-            "fresh {fact} for {q}"
-        );
-        let value = engine.value(db, f).unwrap();
-        assert_eq!(value, fresh.value(db, f).unwrap(), "{fact} for {q}");
-        if engine.is_structurally_null(f) {
-            assert_eq!(value, BigRational::zero(), "null {fact} for {q}");
+    let fresh = ShapleySession::prepare(&db, AnyQuery::Cq(q), &ShapleyOptions::auto()).unwrap();
+    let (a, b) = (session.report().unwrap(), fresh.report().unwrap());
+    assert!(a.efficiency_holds(), "efficiency for {q} over\n{db}");
+    for (x, y) in a.entries.iter().zip(&b.entries) {
+        let fact = &x.rendered;
+        let want = shapley_via_counts(&db, AnyQuery::Cq(q), x.fact, &HierarchicalCounter).unwrap();
+        assert_eq!(x.value, want, "{fact} for {q}");
+        assert_eq!(x.value, y.value, "fresh {fact} for {q}");
+    }
+    for &f in zero {
+        if db.endo_index(f).is_some() {
+            let fact = db.render_fact(f);
+            assert_eq!(
+                a.entry(f).unwrap().value,
+                BigRational::zero(),
+                "null {fact} for {q}"
+            );
         }
     }
 }
 
 /// One update that creates, flips or removes a free or junk fact, or
 /// moves a non-null `Reg` fact, drawn from `h`. Returns the change.
-fn null_step(db: &mut Database, nulls: &mut Vec<FactId>, h: u64, step: u64) -> EngineUpdate {
+fn null_step(db: &mut Database, nulls: &mut Vec<FactId>, h: u64, step: u64) -> Update {
     let p = provenance(h >> 16);
     match h % 6 {
         0 => {
             let f = db.insert("Note", &[&format!("x{step}")], p).unwrap();
             nulls.push(f);
-            EngineUpdate::Inserted(f)
+            Update::Inserted(f)
         }
         1 => {
             let f = db.insert("TA", &[&format!("g{step}")], p).unwrap();
             nulls.push(f);
-            EngineUpdate::Inserted(f)
+            Update::Inserted(f)
         }
         2 => {
             let ghost = format!("g{step}");
             let f = db.insert("Reg", &[&ghost, "c0"], p).unwrap();
             nulls.push(f);
-            EngineUpdate::Inserted(f)
+            Update::Inserted(f)
         }
         3 if !nulls.is_empty() => {
             let f = nulls.swap_remove((h >> 8) as usize % nulls.len());
             db.retract_fact(f).unwrap();
-            EngineUpdate::Retracted(f)
+            Update::Retracted(f)
         }
         4 if !nulls.is_empty() => {
             let f = nulls[(h >> 8) as usize % nulls.len()];
@@ -243,7 +263,7 @@ fn null_step(db: &mut Database, nulls: &mut Vec<FactId>, h: u64, step: u64) -> E
                 Provenance::Endogenous
             };
             db.set_fact_provenance(f, to).unwrap();
-            EngineUpdate::ProvenanceFlipped(f)
+            Update::Flipped(f)
         }
         _ => {
             // Flip a `Reg` fact of a supported student: the non-null
@@ -260,12 +280,12 @@ fn null_step(db: &mut Database, nulls: &mut Vec<FactId>, h: u64, step: u64) -> E
             match regs.get((h >> 8) as usize % regs.len().max(1)) {
                 Some(&f) => {
                     db.set_fact_provenance(f, Provenance::Exogenous).unwrap();
-                    EngineUpdate::ProvenanceFlipped(f)
+                    Update::Flipped(f)
                 }
                 None => {
                     let f = db.insert("Note", &[&format!("x{step}")], p).unwrap();
                     nulls.push(f);
-                    EngineUpdate::Inserted(f)
+                    Update::Inserted(f)
                 }
             }
         }
@@ -302,10 +322,10 @@ proptest! {
         assert_nulls_change_nothing(&exo, AnyQuery::Cq(&qe), Strategy::ExoShap, &exo_nulls, seed);
     }
 
-    /// The full-database counts and masked count pairs equal the
-    /// counting oracles on fresh engines and after update sequences
-    /// that create and remove free and junk facts, for a one-, two- and
-    /// three-component query.
+    /// The full-database counts (through `Pr[q]` at 1/2) and the values
+    /// equal the counting oracles on fresh sessions and after update
+    /// sequences that create and remove free and junk facts, for a one-,
+    /// two- and three-component query.
     #[test]
     fn counts_with_null_players_match_the_oracles(
         seed in 0u64..1_000_000,
@@ -324,21 +344,17 @@ proptest! {
                 let a: Vec<&str> = a.iter().map(String::as_str).collect();
                 nulls.push(db.add_endo(rel, &a).unwrap());
             }
-            let mut engine = CompiledCount::compile(&db, &q, 0, None).unwrap();
-            if text == Q1 {
-                // Free (`Note`, `Closed`) and junk (`TA`/`Reg` of a
-                // student without `Stud`) alike.
-                for &f in &nulls {
-                    prop_assert!(engine.is_structurally_null(f), "{}", db.render_fact(f));
-                }
-            }
-            assert_counts_match_oracles(&db, &q, &engine);
+            let mut session = ShapleySession::prepare(&db, AnyQuery::Cq(&q), &ShapleyOptions::auto()).unwrap();
+            session.set_default_probability(BigRational::from_i64_ratio(1, 2)).unwrap();
+            // Free (`Note`, `Closed`) and junk (`TA`/`Reg` of a student
+            // without `Stud`) facts alike are null players of `Q1`.
+            let zero = |nulls: &[FactId]| if text == Q1 { nulls.to_vec() } else { Vec::new() };
+            assert_counts_match_oracles(&mut session, &q, &zero(&nulls));
             for step in 0..steps {
-                let change = null_step(&mut db, &mut nulls, hash(seed, 200 + step), step);
-                if !engine.update(&db, change).unwrap() {
-                    engine = CompiledCount::compile(&db, &q, 0, None).unwrap();
-                }
-                assert_counts_match_oracles(&db, &q, &engine);
+                let mut next = session.database().clone();
+                let change = null_step(&mut next, &mut nulls, hash(seed, 200 + step), step);
+                replay(&mut session, &next, change).unwrap();
+                assert_counts_match_oracles(&mut session, &q, &zero(&nulls));
             }
         }
     }

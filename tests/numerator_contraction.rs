@@ -17,10 +17,15 @@
 //! * `Closed` and `Other` facts lie outside the CQ¬'s scopes (free
 //!   facts), and the union query adds `!Closed(z)`.
 //!
-//! Reports must equal the per-fact reference paths bit for bit, and an
-//! engine maintained across random flip / insert / retract sequences
-//! must equal a fresh compile after every step.
+//! Reports must equal the per-fact reference paths bit for bit, and a
+//! session maintained across random flip / insert / retract sequences
+//! must equal a fresh prepare after every step. The engine-level
+//! version of the maintenance check (totals and values of the compiled
+//! engine itself) is a unit test of `cqshap-core`'s `compiled` module.
 
+mod common;
+
+use common::{replay, Update};
 use cqshap::core::reference::{shapley_report_per_fact, shapley_report_union_per_fact};
 use cqshap::prelude::*;
 use proptest::prelude::*;
@@ -91,7 +96,7 @@ fn assert_reports_equal(got: &ShapleyReport, want: &ShapleyReport, what: &str, d
 /// One deterministic update derived from `(seed, step)`: flip a live
 /// fact's provenance, insert a fresh fact, or retract a live fact.
 /// Returns `None` when the database rejects the drawn change.
-fn apply_update(db: &mut Database, seed: u64, step: u64) -> Option<EngineUpdate> {
+fn apply_update(db: &mut Database, seed: u64, step: u64) -> Option<Update> {
     let r = mix(seed ^ 0xC0FF_EE00, step);
     let live: Vec<FactId> = (0..db.fact_count() as u32)
         .map(FactId)
@@ -106,7 +111,7 @@ fn apply_update(db: &mut Database, seed: u64, step: u64) -> Option<EngineUpdate>
                 Provenance::Endogenous
             };
             db.set_fact_provenance(pick, to).ok()?;
-            Some(EngineUpdate::ProvenanceFlipped(pick))
+            Some(Update::Flipped(pick))
         }
         1 => {
             let student = format!("s{}", (r >> 16) % 9);
@@ -116,11 +121,11 @@ fn apply_update(db: &mut Database, seed: u64, step: u64) -> Option<EngineUpdate>
                 _ => db.add_endo("Lab", &[&format!("l{}", (r >> 32) % 4)]),
             }
             .ok()?;
-            Some(EngineUpdate::Inserted(f))
+            Some(Update::Inserted(f))
         }
         _ => {
             db.retract_fact(pick).ok()?;
-            Some(EngineUpdate::Retracted(pick))
+            Some(Update::Retracted(pick))
         }
     }
 }
@@ -151,32 +156,28 @@ proptest! {
         assert_reports_equal(&batched, &reference, UNION, &db);
     }
 
-    /// A maintained engine equals a fresh compile after every step of a
-    /// random flip / insert / retract sequence.
+    /// A maintained CQ¬ session equals a freshly prepared one after every
+    /// step of a random flip / insert / retract sequence.
     #[test]
     fn maintained_engine_matches_fresh_compiles(seed in 0u64..10_000, extra in 0usize..5) {
-        let mut db = skewed_db(seed, extra);
+        let db = skewed_db(seed, extra);
         let q = parse_cq(CQ).unwrap();
-        let mut engine = CompiledCount::compile(&db, &q, 2, None).unwrap();
+        let opts = ShapleyOptions::auto().threads(2);
+        let mut session = ShapleySession::prepare(&db, AnyQuery::Cq(&q), &opts).unwrap();
         for step in 0..8 {
-            let Some(change) = apply_update(&mut db, seed, step) else {
+            let mut next = session.database().clone();
+            let Some(change) = apply_update(&mut next, seed, step) else {
                 continue;
             };
-            if !engine.update(&db, change).unwrap() {
-                engine = CompiledCount::compile(&db, &q, 2, None).unwrap();
+            if replay(&mut session, &next, change).is_err() {
+                continue;
             }
-            let fresh = CompiledCount::compile(&db, &q, 0, None).unwrap();
-            prop_assert_eq!(engine.total_counts(), fresh.total_counts(), "after {:?}", change);
-            for &f in db.endo_facts() {
-                prop_assert_eq!(
-                    engine.value(&db, f).unwrap(),
-                    fresh.value(&db, f).unwrap(),
-                    "{} after {:?} on\n{}",
-                    db.render_fact(f),
-                    change,
-                    db
-                );
-            }
+            let maintained = session.report().unwrap();
+            let fresh = ShapleySession::prepare(session.database(), AnyQuery::Cq(&q), &opts)
+                .unwrap()
+                .report()
+                .unwrap();
+            assert_reports_equal(&maintained, &fresh, CQ, session.database());
         }
     }
 
@@ -191,23 +192,7 @@ proptest! {
         for step in 0..6 {
             let mut next = session.database().clone();
             let applied = match apply_update(&mut next, seed, step) {
-                Some(EngineUpdate::ProvenanceFlipped(f)) => {
-                    let exogenous = next.fact(f).provenance == Provenance::Exogenous;
-                    session.set_exogenous(f, exogenous).is_ok()
-                }
-                Some(EngineUpdate::Inserted(f)) => {
-                    let fact = next.fact(f);
-                    let name = next.schema().name(fact.rel).to_string();
-                    let consts: Vec<String> = fact
-                        .tuple
-                        .values()
-                        .iter()
-                        .map(|&c| next.interner().resolve(c).to_string())
-                        .collect();
-                    let refs: Vec<&str> = consts.iter().map(String::as_str).collect();
-                    session.insert_fact(&name, &refs, Provenance::Endogenous).is_ok()
-                }
-                Some(EngineUpdate::Retracted(f)) => session.retract_fact(f).is_ok(),
+                Some(change) => replay(&mut session, &next, change).is_ok(),
                 None => false,
             };
             if !applied {

@@ -9,9 +9,10 @@
 //! be bit-identical to the independent per-fact counting path.
 
 use cqshap::core::{
-    count_sat_hierarchical, shapley_via_counts, AnyQuery, CompiledCount, HierarchicalCounter,
-    ShapleyOptions, ShapleySession,
+    count_sat_hierarchical, shapley_via_counts, AnyQuery, HierarchicalCounter, ShapleyOptions,
+    ShapleySession,
 };
+use cqshap::numeric::BigRational;
 use cqshap::workloads::{self, queries};
 
 /// Large enough that the compile-stage products leave the pure
@@ -23,23 +24,29 @@ const M: usize = 192;
 fn large_compile_matches_per_fact_counting() {
     let db = workloads::report_benchmark_db(M);
     let q1 = queries::q1();
-    let compiled = CompiledCount::compile(&db, &q1, 0, None).unwrap();
-    // The total counts recompose through a different convolution order
-    // (sequential recursion vs leave-one-out division), so agreement
-    // cross-validates the subsystem on real count polynomials.
-    assert_eq!(
-        compiled.total_counts(),
-        &count_sat_hierarchical(&db, &q1).unwrap()[..]
-    );
+    let mut session =
+        ShapleySession::prepare(&db, AnyQuery::Cq(&q1), &ShapleyOptions::auto()).unwrap();
+    // At p = 1/2 every world is equally likely, so the compiled
+    // probability domain's `Pr[q]` is the uncompiled recursion's
+    // satisfying-set count over `2^m`: the two recompose the same
+    // product in different orders. (The compiled counting engine's own
+    // totals are pinned against the recursion by a unit test of
+    // `cqshap-core`'s `compiled` module.)
+    session
+        .set_default_probability(BigRational::from_i64_ratio(1, 2))
+        .unwrap();
+    let satisfying = count_sat_hierarchical(&db, &q1)
+        .unwrap()
+        .into_iter()
+        .fold(BigRational::zero(), |acc, c| acc + BigRational::from(c));
+    let worlds = (0..M).fold(BigRational::one(), |acc, _| {
+        acc * BigRational::from_i64_ratio(2, 1)
+    });
+    assert_eq!(session.probability().unwrap(), satisfying / worlds);
     // Spot-check a spread of facts against the independent reduction.
     for &f in db.endo_facts().iter().step_by(M / 8) {
         let want = shapley_via_counts(&db, AnyQuery::Cq(&q1), f, &HierarchicalCounter).unwrap();
-        assert_eq!(
-            compiled.value(&db, f).unwrap(),
-            want,
-            "{}",
-            db.render_fact(f)
-        );
+        assert_eq!(session.value(f).unwrap(), want, "{}", db.render_fact(f));
     }
 }
 

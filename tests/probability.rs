@@ -1,16 +1,18 @@
 //! Property-based pinning of the unified probability path.
 //!
-//! The tentpole claim of the evaluation-domain refactor is that the
-//! compiled engine instantiated at the probability domain computes the
-//! *same function* as both (a) the seed lifted-inference traversal
-//! (kept in `cqshap_core::reference` as an independent oracle) and (b)
-//! brute-force world enumeration. These proptests check all three on
+//! The claim of the evaluation-domain design is that the compiled
+//! engine instantiated at the probability domain, as a session serves
+//! it, computes the *same function* as both (a) the seed
+//! lifted-inference traversal (kept in `cqshap_core::reference` as an
+//! independent oracle) and (b) brute-force world enumeration. These
+//! proptests check all three on
 //! random tuple-independent CQ¬ instances with exact dyadic
 //! probabilities — equality is bit-for-bit on `BigRational`, never
 //! epsilon-close. A second group pins `ShapleySession` incremental
 //! maintenance: after every random update, `probability()` and
 //! `expected_shapley()` must match a freshly prepared session exactly.
 
+use cqshap::core::count_sat_hierarchical;
 use cqshap::core::reference::oracle_probability;
 use cqshap::prelude::*;
 use cqshap::workloads::random_db::RandomDbConfig;
@@ -165,10 +167,16 @@ proptest! {
         prop_assume!(db.endo_count() <= 12);
         let probs = assign_probs(&db, seed);
 
-        let unified = CompiledProbability::compile(&db, &q, probs.clone(), 0, None)
-            .unwrap()
-            .probability()
-            .clone();
+        // A hierarchical CQ¬'s session serves `Pr[q]` from the compiled
+        // probability domain.
+        let mut session =
+            ShapleySession::prepare(&db, AnyQuery::Cq(&q), &ShapleyOptions::auto()).unwrap();
+        prop_assert_eq!(session.strategy(), Some(ResolvedStrategy::Hierarchical));
+        session.set_default_probability(probs.default_probability().clone()).unwrap();
+        for &f in db.endo_facts() {
+            session.set_probability(f, probs.get(f).clone()).unwrap();
+        }
+        let unified = session.probability().unwrap();
         let oracle = oracle_probability(&db, &probs, &q).unwrap();
         prop_assert_eq!(&unified, &oracle, "compiled vs seed oracle over\n{}", db);
         let enumerated =
@@ -176,9 +184,8 @@ proptest! {
         prop_assert_eq!(&unified, &enumerated, "compiled vs enumeration over\n{}", db);
 
         // Conditioned marginals against forced enumeration too.
-        let engine = CompiledProbability::compile(&db, &q, probs.clone(), 0, None).unwrap();
         for f in db.fact_ids().filter(|&f| db.endo_index(f).is_some()).take(3) {
-            let expected = engine.expected_marginal(&db, f).unwrap();
+            let expected = session.expected_shapley(f).unwrap();
             let present =
                 probability_by_enumeration(&db, AnyQuery::Cq(&q), &probs, Some((f, true)), 14)
                     .unwrap();
@@ -302,8 +309,10 @@ proptest! {
     /// Counting and probability agree: with every endogenous fact at
     /// the same `p`, the session's `Pr[q]` equals the satisfying-set
     /// counts weighted by `p^k (1 − p)^(m − k)` — counts from the
-    /// compiled counting engine for hierarchical CQ¬s, from it on the
-    /// rewritten database for `ExoShap` CQ¬s.
+    /// `CntSat` recursion for hierarchical CQ¬s, from it on the
+    /// rewritten database for `ExoShap` CQ¬s. (A unit test of
+    /// `cqshap-core`'s `compiled` module checks the same identity with
+    /// the compiled counting engine's totals.)
     #[test]
     fn cq_probability_matches_weighted_counts(
         qi in 0..CQS.len() + EXOSHAP_CQS.len(),
@@ -327,13 +336,10 @@ proptest! {
             if outcome.always_false {
                 vec![BigUint::zero(); db.endo_count() + 1]
             } else {
-                CompiledCount::compile(&outcome.db, &outcome.query, 0, None)
-                    .unwrap()
-                    .total_counts()
-                    .to_vec()
+                count_sat_hierarchical(&outcome.db, &outcome.query).unwrap()
             }
         } else {
-            CompiledCount::compile(&db, &q, 0, None).unwrap().total_counts().to_vec()
+            count_sat_hierarchical(&db, &q).unwrap()
         };
         let p = uniform_p(pi);
         prop_assert_eq!(

@@ -1,15 +1,21 @@
-//! The compiled recursion trees against the uncompiled recursion.
+//! The compiled recursion trees against the uncompiled recursion, as
+//! a session serves them.
 //!
 //! A fact's masked pair is one walk of its root group's tree, and an
 //! update is the same walk with the new values kept. On random small
-//! databases, every walk must reproduce the uncompiled counting
-//! recursion (`count_sat_hierarchical_masked`) and world enumeration
-//! bit for bit, and an engine maintained through random flip, insert
-//! and retract sequences must equal a fresh compile. The catalog is
-//! `cross_validation.rs`'s hierarchical one plus a query four splits
-//! deep with negated atoms below the root-group level.
+//! databases, a session's values must reproduce the reduction over the
+//! uncompiled counting recursion, and its probabilities and expected
+//! marginals world enumeration, bit for bit; a session maintained
+//! through random flip, insert and retract sequences must equal a fresh
+//! prepare. The catalog is `cross_validation.rs`'s hierarchical one
+//! plus a query four splits deep with negated atoms below the
+//! root-group level. The walks themselves (masked count pairs,
+//! conditionals, raw update sequences) are pinned by the unit tests of
+//! `cqshap-core`'s `compiled` module.
 
-use cqshap::core::count_sat_hierarchical_masked;
+mod common;
+
+use common::{replay, Update};
 use cqshap::prelude::*;
 use cqshap::workloads::random_db::RandomDbConfig;
 use proptest::prelude::*;
@@ -57,58 +63,40 @@ fn hash(seed: u64, k: u64) -> u64 {
         .rotate_left(29)
 }
 
-/// Every endogenous fact's masked counts equal the uncompiled
-/// recursion on the masked database.
-fn assert_counts_match_recursion(db: &Database, q: &ConjunctiveQuery, engine: &CompiledCount) {
+/// A session over `db` with the per-fact probabilities `probs`.
+fn session_at(db: &Database, q: &ConjunctiveQuery, probs: &FactProbabilities) -> ShapleySession {
+    let mut session =
+        ShapleySession::prepare(db, AnyQuery::Cq(q), &ShapleyOptions::auto()).unwrap();
+    session
+        .set_default_probability(probs.default_probability().clone())
+        .unwrap();
     for &f in db.endo_facts() {
-        let masked = |mask| count_sat_hierarchical_masked(db, q, mask).unwrap();
-        assert_eq!(
-            engine.counts_pair(db, f).unwrap(),
-            (masked(FactMask::Removed(f)), masked(FactMask::Exogenous(f))),
-            "{} for {q} over\n{db}",
-            db.render_fact(f)
-        );
+        session.set_probability(f, probs.get(f).clone()).unwrap();
     }
+    session
 }
 
-/// A maintained counting engine equals a fresh compile and the
-/// uncompiled recursion.
-fn assert_count_matches_fresh(db: &Database, q: &ConjunctiveQuery, engine: &CompiledCount) {
-    let fresh = CompiledCount::compile(db, q, 0, None).unwrap();
-    assert_eq!(
-        engine.total_counts(),
-        fresh.total_counts(),
-        "totals for {q} over\n{db}"
-    );
-    assert_counts_match_recursion(db, q, engine);
-    for &f in db.endo_facts() {
-        assert_eq!(
-            engine.value(db, f).unwrap(),
-            fresh.value(db, f).unwrap(),
-            "{} for {q} over\n{db}",
-            db.render_fact(f)
-        );
+/// A maintained session equals a fresh prepare at the same
+/// probabilities: every value, `Pr[q]` and every expected marginal.
+fn assert_session_matches_fresh(session: &mut ShapleySession, q: &ConjunctiveQuery) {
+    let db = session.database().clone();
+    let probs = session.probabilities().clone();
+    let mut fresh = session_at(&db, q, &probs);
+    let (a, b) = (session.report().unwrap(), fresh.report().unwrap());
+    assert!(a.efficiency_holds(), "efficiency for {q} over\n{db}");
+    for (x, y) in a.entries.iter().zip(&b.entries) {
+        assert_eq!(x.value, y.value, "{} for {q} over\n{db}", x.rendered);
     }
-}
-
-/// A maintained probability engine equals a fresh compile.
-fn assert_probability_matches_fresh(
-    db: &Database,
-    q: &ConjunctiveQuery,
-    engine: &CompiledProbability,
-) {
-    let fresh =
-        CompiledProbability::compile(db, q, engine.probabilities().clone(), 0, None).unwrap();
     assert_eq!(
-        engine.probability(),
-        fresh.probability(),
+        session.probability().unwrap(),
+        fresh.probability().unwrap(),
         "Pr[q] for {q} over\n{db}"
     );
     for &f in db.endo_facts() {
         assert_eq!(
-            engine.conditioned_pair(db, f).unwrap(),
-            fresh.conditioned_pair(db, f).unwrap(),
-            "{} conditionals for {q} over\n{db}",
+            session.expected_shapley(f).unwrap(),
+            fresh.expected_shapley(f).unwrap(),
+            "{} marginal for {q} over\n{db}",
             db.render_fact(f)
         );
     }
@@ -118,7 +106,7 @@ fn assert_probability_matches_fresh(
 /// the query's relations, or insert a fresh tuple (over the two
 /// generated constants and one new one). `None` when the draw hits an
 /// existing tuple.
-fn random_update(db: &mut Database, q: &ConjunctiveQuery, h: u64) -> Option<EngineUpdate> {
+fn random_update(db: &mut Database, q: &ConjunctiveQuery, h: u64) -> Option<Update> {
     let live: Vec<FactId> = db.fact_ids().collect();
     match h % 3 {
         0 if !live.is_empty() => {
@@ -129,12 +117,12 @@ fn random_update(db: &mut Database, q: &ConjunctiveQuery, h: u64) -> Option<Engi
                 Provenance::Endogenous
             };
             db.set_fact_provenance(f, to).ok()?;
-            Some(EngineUpdate::ProvenanceFlipped(f))
+            Some(Update::Flipped(f))
         }
         1 if !live.is_empty() => {
             let f = live[(h >> 8) as usize % live.len()];
             db.retract_fact(f).ok()?;
-            Some(EngineUpdate::Retracted(f))
+            Some(Update::Retracted(f))
         }
         _ => {
             let atoms = q.atoms();
@@ -149,7 +137,7 @@ fn random_update(db: &mut Database, q: &ConjunctiveQuery, h: u64) -> Option<Engi
                 Provenance::Endogenous
             };
             let f = db.insert(&atom.relation, &tuple, provenance).ok()?;
-            Some(EngineUpdate::Inserted(f))
+            Some(Update::Inserted(f))
         }
     }
 }
@@ -157,17 +145,20 @@ fn random_update(db: &mut Database, q: &ConjunctiveQuery, h: u64) -> Option<Engi
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// One walk per fact reproduces the uncompiled recursion under both
-    /// masks.
+    /// Every value equals the reduction over the uncompiled recursion's
+    /// masked counts.
     #[test]
     fn masked_walks_match_the_recursion(qi in 0..QUERIES.len(), seed in 0u64..5000, facts in 2usize..8) {
         let q = parse_cq(QUERIES[qi]).unwrap();
         let db = random_db(&q, seed, facts);
-        let engine = CompiledCount::compile(&db, &q, 0, None).unwrap();
-        assert_counts_match_recursion(&db, &q, &engine);
+        let session = ShapleySession::prepare(&db, AnyQuery::Cq(&q), &ShapleyOptions::auto()).unwrap();
+        for &f in db.endo_facts() {
+            let want = shapley_via_counts(&db, AnyQuery::Cq(&q), f, &HierarchicalCounter).unwrap();
+            prop_assert_eq!(session.value(f).unwrap(), want, "{} for {} over\n{}", db.render_fact(f), q, db);
+        }
     }
 
-    /// The probability domain's walks are the conditionals of world
+    /// `Pr[q]` and every expected marginal are those of world
     /// enumeration.
     #[test]
     fn conditioned_walks_match_enumeration(qi in 0..QUERIES.len(), seed in 0u64..5000, facts in 2usize..6) {
@@ -175,15 +166,15 @@ proptest! {
         let db = random_db(&q, seed, facts);
         prop_assume!(db.endo_count() <= 12);
         let probs = cycled_probs(&db);
-        let engine = CompiledProbability::compile(&db, &q, probs.clone(), 0, None).unwrap();
+        let mut session = session_at(&db, &q, &probs);
         let enumerate = |forced| {
             probability_by_enumeration(&db, AnyQuery::Cq(&q), &probs, forced, 16).unwrap()
         };
-        prop_assert_eq!(engine.probability(), &enumerate(None), "{} over\n{}", q, db);
+        prop_assert_eq!(session.probability().unwrap(), enumerate(None), "{} over\n{}", q, db);
         for &f in db.endo_facts() {
             prop_assert_eq!(
-                engine.conditioned_pair(&db, f).unwrap(),
-                (enumerate(Some((f, false))), enumerate(Some((f, true)))),
+                session.expected_shapley(f).unwrap(),
+                enumerate(Some((f, true))) - enumerate(Some((f, false))),
                 "{} for {} over\n{}",
                 db.render_fact(f),
                 q,
@@ -192,27 +183,25 @@ proptest! {
         }
     }
 
-    /// Engines maintained through random flips, inserts and retractions
-    /// equal fresh compiles after every step.
+    /// Sessions maintained through random flips, inserts and
+    /// retractions equal fresh prepares after every step.
     #[test]
     fn maintained_trees_match_fresh_compiles(qi in 0..QUERIES.len(), seed in 0u64..5000, facts in 2usize..6) {
         let q = parse_cq(QUERIES[qi]).unwrap();
-        let mut db = random_db(&q, seed, facts);
-        let mut count = CompiledCount::compile(&db, &q, 0, None).unwrap();
-        let probs = FactProbabilities::uniform(rat(1, 3));
-        let mut prob = CompiledProbability::compile(&db, &q, probs.clone(), 0, None).unwrap();
+        let db = random_db(&q, seed, facts);
+        let mut session = session_at(&db, &q, &FactProbabilities::uniform(rat(1, 3)));
+        // Build both domains, so the updates maintain them.
+        session.report().unwrap();
+        session.probability().unwrap();
         for step in 0..12u64 {
-            let Some(change) = random_update(&mut db, &q, hash(seed, step)) else {
+            let mut next = session.database().clone();
+            let Some(change) = random_update(&mut next, &q, hash(seed, step)) else {
                 continue;
             };
-            if !count.update(&db, change).unwrap() {
-                count = CompiledCount::compile(&db, &q, 0, None).unwrap();
+            if replay(&mut session, &next, change).is_err() {
+                continue;
             }
-            if !prob.update(&db, change).unwrap() {
-                prob = CompiledProbability::compile(&db, &q, probs.clone(), 0, None).unwrap();
-            }
-            assert_count_matches_fresh(&db, &q, &count);
-            assert_probability_matches_fresh(&db, &q, &prob);
+            assert_session_matches_fresh(&mut session, &q);
         }
     }
 }
@@ -224,41 +213,46 @@ proptest! {
 #[test]
 fn inner_root_values_come_and_go_without_recompiling() {
     let q = parse_cq("q() :- A(x), C(x, y), !D(x, y), E(x, y, z)").unwrap();
-    let mut db = Database::parse(
+    let db = Database::parse(
         "exo A(a)\nendo C(a, b)\nendo D(a, b)\nendo E(a, b, z1)\n\
          endo E(a, b2, z1)\nendo A(a2)\nendo C(a2, b)\nendo E(a2, b, z1)\n",
     )
     .unwrap();
-    let mut count = CompiledCount::compile(&db, &q, 0, None).unwrap();
-    let probs = FactProbabilities::uniform(rat(2, 5));
-    let mut prob = CompiledProbability::compile(&db, &q, probs, 0, None).unwrap();
-    let mut apply = |db: &Database, change: EngineUpdate| {
-        assert!(count.update(db, change).unwrap(), "{change:?} recompiled");
-        assert!(prob.update(db, change).unwrap(), "{change:?} recompiled");
-        assert_count_matches_fresh(db, &q, &count);
-        assert_probability_matches_fresh(db, &q, &prob);
+    let mut session = session_at(&db, &q, &FactProbabilities::uniform(rat(2, 5)));
+    session.report().unwrap();
+    session.probability().unwrap();
+    let endo = Provenance::Endogenous;
+    let check = |session: &mut ShapleySession, what: &str| {
+        assert_eq!(session.stats().full_recompiles, 0, "{what} recompiled");
+        assert_session_matches_fresh(session, &q);
     };
     // A new z value under y = b.
-    let z2 = db.add_endo("E", &["a", "b", "z2"]).unwrap();
-    apply(&db, EngineUpdate::Inserted(z2));
+    let z2 = session.insert_fact("E", &["a", "b", "z2"], endo).unwrap();
+    check(&mut session, "E(a, b, z2)");
     // C(a, b2) gives the junk E(a, b2, z1) a root value y = b2.
-    let b2 = db.add_endo("C", &["a", "b2"]).unwrap();
-    apply(&db, EngineUpdate::Inserted(b2));
+    let b2 = session.insert_fact("C", &["a", "b2"], endo).unwrap();
+    check(&mut session, "C(a, b2)");
     // A negated fact inside the new child.
-    let d2 = db.add_endo("D", &["a", "b2"]).unwrap();
-    apply(&db, EngineUpdate::Inserted(d2));
-    db.set_fact_provenance(d2, Provenance::Exogenous).unwrap();
-    apply(&db, EngineUpdate::ProvenanceFlipped(d2));
+    let d2 = session.insert_fact("D", &["a", "b2"], endo).unwrap();
+    check(&mut session, "D(a, b2)");
+    session.set_exogenous(d2, true).unwrap();
+    check(&mut session, "exogenous D(a, b2)");
     // Retracting z2's only E fact ends that z value ...
-    db.retract_fact(z2).unwrap();
-    apply(&db, EngineUpdate::Retracted(z2));
+    session.retract_fact(z2).unwrap();
+    check(&mut session, "retracted E(a, b, z2)");
     // ... and retracting C(a, b2) turns y = b2's facts back into junk.
-    db.retract_fact(b2).unwrap();
-    apply(&db, EngineUpdate::Retracted(b2));
+    session.retract_fact(b2).unwrap();
+    check(&mut session, "retracted C(a, b2)");
     // A junk fact flips and leaves.
-    let junk = db.find_fact("E", &["a", "b2", "z1"]).unwrap();
-    db.set_fact_provenance(junk, Provenance::Exogenous).unwrap();
-    apply(&db, EngineUpdate::ProvenanceFlipped(junk));
-    db.retract_fact(junk).unwrap();
-    apply(&db, EngineUpdate::Retracted(junk));
+    let junk = session
+        .database()
+        .find_fact("E", &["a", "b2", "z1"])
+        .unwrap();
+    session.set_exogenous(junk, true).unwrap();
+    check(&mut session, "exogenous E(a, b2, z1)");
+    session.retract_fact(junk).unwrap();
+    check(&mut session, "retracted E(a, b2, z1)");
+    let stats = session.stats();
+    assert_eq!(stats.incremental_updates, 8, "{stats:?}");
+    assert_eq!(stats.updates, 8, "{stats:?}");
 }

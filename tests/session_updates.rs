@@ -172,36 +172,6 @@ proptest! {
         }
     }
 
-    /// A session whose engine failed (poisoned) recovers in place:
-    /// after `recover()` every value is bit-identical to a session
-    /// freshly prepared on the same database.
-    #[test]
-    fn recovered_sessions_match_fresh_prepare(
-        qi in 0..CQS.len(),
-        mix in 0usize..3,
-        seed in 0u64..4000,
-    ) {
-        let q = parse_cq(CQS[qi]).unwrap();
-        let exo: Vec<String> = EXO_MIXES[mix].iter().map(|s| s.to_string()).collect();
-        let cfg = RandomDbConfig {
-            domain: 3,
-            facts_per_relation: 3,
-            seed,
-            exogenous_relations: exo,
-            ..Default::default()
-        };
-        let db = cfg.generate(&q);
-        prop_assume!(db.endo_count() >= 1 && db.endo_count() <= 12);
-        let opts = ShapleyOptions::auto();
-        let mut session = ShapleySession::prepare(&db, AnyQuery::Cq(&q), &opts).unwrap();
-        session.poison_for_tests("synthetic maintenance failure");
-        prop_assert!(session.is_poisoned());
-        prop_assert!(session.report().is_err());
-        session.recover().unwrap();
-        prop_assert!(!session.is_poisoned());
-        assert_matches_fresh(&session, AnyQuery::Cq(&q), &opts);
-    }
-
     /// A rejected update (the post-update rebuild fails) rolls the
     /// database back completely: same facts, same provenance, same
     /// values, and the session keeps serving.

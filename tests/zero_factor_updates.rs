@@ -9,11 +9,15 @@
 //! always-satisfied group's own environment matters. The compiled
 //! engines count such zero factors instead of multiplying
 //! them into the component product, so creating or clearing one is an
-//! ordinary incremental update. Random flip / insert / retract
-//! sequences that keep creating and clearing them must leave the
-//! maintained engines bit-identical to fresh compiles, and a session
-//! driven through them must never recompile.
+//! ordinary incremental update. A session driven through random flip /
+//! insert / retract sequences that keep creating and clearing them must
+//! never recompile and must stay bit-identical to fresh prepares. (The
+//! same sequences on the bare compiled engines are a unit test of
+//! `cqshap-core`'s `compiled` module.)
 
+mod common;
+
+use common::{replay, Update};
 use cqshap::prelude::*;
 use proptest::prelude::*;
 
@@ -96,7 +100,7 @@ impl Instance {
     /// insert a `Reg` or `TA` fact, or retract one — and returns it.
     /// Every update keeps each student's root group alive (a student
     /// keeps at least one `Reg`), so none of them is structural.
-    fn step(&mut self, h: u64) -> EngineUpdate {
+    fn step(&mut self, h: u64) -> Update {
         let s = (h >> 4) as usize % self.regs.len();
         let name = format!("s{s}");
         let provenance = if (h >> 12).is_multiple_of(2) {
@@ -111,7 +115,7 @@ impl Instance {
                 Provenance::Endogenous
             };
             db.set_fact_provenance(f, to).unwrap();
-            EngineUpdate::ProvenanceFlipped(f)
+            Update::Flipped(f)
         };
         match h % 5 {
             0 | 1 => {
@@ -127,13 +131,13 @@ impl Instance {
                     .insert("Reg", &[&name, &course], provenance)
                     .unwrap();
                 self.regs[s].push(f);
-                EngineUpdate::Inserted(f)
+                Update::Inserted(f)
             }
             3 if self.regs[s].len() > 1 => {
                 let len = self.regs[s].len();
                 let f = self.regs[s].swap_remove((h >> 20) as usize % len);
                 self.db.retract_fact(f).unwrap();
-                EngineUpdate::Retracted(f)
+                Update::Retracted(f)
             }
             _ => match self.tas[s].take() {
                 Some(f) if (h >> 24).is_multiple_of(2) => {
@@ -142,12 +146,12 @@ impl Instance {
                 }
                 Some(f) => {
                     self.db.retract_fact(f).unwrap();
-                    EngineUpdate::Retracted(f)
+                    Update::Retracted(f)
                 }
                 None => {
                     let f = self.db.insert("TA", &[&name], provenance).unwrap();
                     self.tas[s] = Some(f);
-                    EngineUpdate::Inserted(f)
+                    Update::Inserted(f)
                 }
             },
         }
@@ -158,7 +162,7 @@ impl Instance {
     /// fact); endogenous, it clears that. The sequences alternate these
     /// toggles with random updates, so zero factors keep appearing and
     /// disappearing, sometimes several at once.
-    fn toggle_student_zero(&mut self) -> EngineUpdate {
+    fn toggle_student_zero(&mut self) -> Update {
         let f = self.regs[0][0];
         let to = if self.db.fact(f).provenance.is_endogenous() {
             Provenance::Exogenous
@@ -166,100 +170,101 @@ impl Instance {
             Provenance::Endogenous
         };
         self.db.set_fact_provenance(f, to).unwrap();
-        EngineUpdate::ProvenanceFlipped(f)
+        Update::Flipped(f)
     }
 }
 
-/// Maintained counting engine ≡ fresh compile, bit for bit, and its
-/// masked counts ≡ the per-fact counting oracle.
-fn assert_count_matches_fresh(db: &Database, q: &ConjunctiveQuery, engine: &CompiledCount) {
-    let fresh = CompiledCount::compile(db, q, 0, None).unwrap();
-    assert_eq!(
-        engine.total_counts(),
-        fresh.total_counts(),
-        "totals over\n{db}"
-    );
-    let oracle = HierarchicalCounter;
-    for &f in db.endo_facts() {
-        assert_eq!(
-            engine.value(db, f).unwrap(),
-            fresh.value(db, f).unwrap(),
-            "{} over\n{db}",
-            db.render_fact(f)
-        );
-        let masked = |mask| oracle.counts_masked(db, AnyQuery::Cq(q), mask).unwrap();
-        assert_eq!(
-            engine.counts_pair(db, f).unwrap(),
-            (masked(FactMask::Removed(f)), masked(FactMask::Exogenous(f))),
-            "{} counts over\n{db}",
-            db.render_fact(f)
-        );
+/// A session over `inst` at its probabilities, with both domains built
+/// so that updates maintain them.
+fn session(inst: &Instance, q: &ConjunctiveQuery) -> ShapleySession {
+    let mut session =
+        ShapleySession::prepare(&inst.db, AnyQuery::Cq(q), &ShapleyOptions::auto()).unwrap();
+    set_probabilities(&mut session, &probabilities(inst));
+    session.report().unwrap();
+    session.probability().unwrap();
+    session
+}
+
+fn set_probabilities(session: &mut ShapleySession, probs: &FactProbabilities) {
+    session
+        .set_default_probability(probs.default_probability().clone())
+        .unwrap();
+    let endo = session.database().endo_facts().to_vec();
+    for f in endo {
+        session.set_probability(f, probs.get(f).clone()).unwrap();
     }
 }
 
-/// Maintained probability engine ≡ fresh compile, bit for bit, and
-/// each conditional ≡ `Pr[q]` of a fresh compile with the fact's
-/// probability pinned to 0 or 1 — a total computed without deriving
-/// any group environment.
-fn assert_probability_matches_fresh(
-    db: &Database,
-    q: &ConjunctiveQuery,
-    engine: &CompiledProbability,
-) {
-    let fresh =
-        CompiledProbability::compile(db, q, engine.probabilities().clone(), 0, None).unwrap();
+/// Maintained session ≡ fresh prepare, bit for bit; every value ≡ the
+/// per-fact counting oracle; and each expected marginal ≡ `Pr[q]` of a
+/// fresh session with the fact's probability pinned to 1, minus pinned
+/// to 0 — totals computed without deriving any group environment.
+fn assert_session_matches_fresh(session: &mut ShapleySession, q: &ConjunctiveQuery) {
+    let db = session.database().clone();
+    let probs = session.probabilities().clone();
+    let fresh = |probs: &FactProbabilities| {
+        let mut fresh =
+            ShapleySession::prepare(&db, AnyQuery::Cq(q), &ShapleyOptions::auto()).unwrap();
+        set_probabilities(&mut fresh, probs);
+        fresh
+    };
+    let mut same = fresh(&probs);
+    let (a, b) = (session.report().unwrap(), same.report().unwrap());
+    assert!(a.efficiency_holds(), "efficiency over\n{db}");
+    for (x, y) in a.entries.iter().zip(&b.entries) {
+        assert_eq!(x.value, y.value, "{} over\n{db}", x.rendered);
+        let want = shapley_via_counts(&db, AnyQuery::Cq(q), x.fact, &HierarchicalCounter).unwrap();
+        assert_eq!(
+            x.value, want,
+            "{} against the oracle over\n{db}",
+            x.rendered
+        );
+    }
     assert_eq!(
-        engine.probability(),
-        fresh.probability(),
+        session.probability().unwrap(),
+        same.probability().unwrap(),
         "Pr[q] over\n{db}"
     );
     let pinned = |f: FactId, p: BigRational| {
-        let mut probs = engine.probabilities().clone();
+        let mut probs = probs.clone();
         probs.set(f, p);
-        let pinned = CompiledProbability::compile(db, q, probs, 0, None).unwrap();
-        pinned.probability().clone()
+        fresh(&probs).probability().unwrap()
     };
     for &f in db.endo_facts() {
-        let pair = engine.conditioned_pair(db, f).unwrap();
+        let marginal = session.expected_shapley(f).unwrap();
         assert_eq!(
-            pair,
-            fresh.conditioned_pair(db, f).unwrap(),
-            "{} conditionals over\n{db}",
+            marginal,
+            same.expected_shapley(f).unwrap(),
+            "{} marginal over\n{db}",
             db.render_fact(f)
         );
         assert_eq!(
-            pair,
-            (
-                pinned(f, BigRational::zero()),
-                pinned(f, BigRational::one())
-            ),
-            "{} conditionals vs pinned probabilities over\n{db}",
+            marginal,
+            pinned(f, BigRational::one()) - pinned(f, BigRational::zero()),
+            "{} marginal vs pinned probabilities over\n{db}",
             db.render_fact(f)
         );
     }
 }
 
 /// Is some root group always satisfied, i.e. every coalition satisfies
-/// the query (`|Sat(D, q, k)| = C(m, k)` for every `k`)?
-fn always_satisfied(engine: &CompiledCount) -> bool {
-    let m = engine.endo_count();
-    let mut row = BigUint::one();
-    for (k, count) in engine.total_counts().iter().enumerate() {
-        if *count != row {
-            return false;
-        }
-        row.mul_u64_assign((m - k) as u64);
-        row.div_rem_u64_assign(k as u64 + 1);
-    }
-    true
+/// the query? Exactly when `Pr[q] = 1` with every endogenous fact
+/// present with probability 1/2 (`Σ_k |Sat(D, q, k)| = 2^m`).
+fn always_satisfied(db: &Database, q: &ConjunctiveQuery) -> bool {
+    let mut session =
+        ShapleySession::prepare(db, AnyQuery::Cq(q), &ShapleyOptions::auto()).unwrap();
+    session
+        .set_default_probability(BigRational::from_i64_ratio(1, 2))
+        .unwrap();
+    session.probability().unwrap() == BigRational::one()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Both engines absorb every update incrementally — creating and
-    /// clearing zero factors included — and stay bit-identical to
-    /// fresh compiles.
+    /// A session absorbs every update incrementally — creating and
+    /// clearing zero factors included — and stays bit-identical to
+    /// fresh prepares and the per-fact oracles.
     #[test]
     fn zero_factor_updates_stay_incremental_and_exact(
         seed in 0u64..1_000_000,
@@ -268,10 +273,8 @@ proptest! {
     ) {
         let q = parse_cq(Q).unwrap();
         let mut inst = instance(seed, students);
-        let mut count = CompiledCount::compile(&inst.db, &q, 0, None).unwrap();
-        let mut prob =
-            CompiledProbability::compile(&inst.db, &q, probabilities(&inst), 0, None).unwrap();
-        prop_assert!(always_satisfied(&count), "student 0 starts always satisfied");
+        let mut session = session(&inst, &q);
+        prop_assert!(always_satisfied(&inst.db, &q), "student 0 starts always satisfied");
         let mut cleared = false;
         for step in 0..steps as u64 {
             let change = if step % 2 == 0 {
@@ -279,11 +282,10 @@ proptest! {
             } else {
                 inst.step(hash(seed, 100 + step))
             };
-            prop_assert!(count.update(&inst.db, change).unwrap(), "{change:?} recompiled");
-            prop_assert!(prob.update(&inst.db, change).unwrap(), "{change:?} recompiled");
-            assert_count_matches_fresh(&inst.db, &q, &count);
-            assert_probability_matches_fresh(&inst.db, &q, &prob);
-            cleared |= !always_satisfied(&count);
+            replay(&mut session, &inst.db, change).unwrap();
+            prop_assert_eq!(session.stats().full_recompiles, 0, "{:?} recompiled", change);
+            assert_session_matches_fresh(&mut session, &q);
+            cleared |= !always_satisfied(&inst.db, &q);
         }
         prop_assert!(cleared, "the zero factor was never cleared");
     }
@@ -312,22 +314,7 @@ proptest! {
             } else {
                 shadow.step(hash(seed, 100 + step))
             };
-            match change {
-                EngineUpdate::ProvenanceFlipped(f) => {
-                    let exo = !shadow.db.fact(f).provenance.is_endogenous();
-                    session.set_exogenous(f, exo).unwrap();
-                }
-                EngineUpdate::Retracted(f) => session.retract_fact(f).unwrap(),
-                EngineUpdate::Inserted(f) => {
-                    let text = shadow.db.render_fact(f);
-                    let (rel, args) = text.trim_end_matches(')').split_once('(').unwrap();
-                    let args: Vec<&str> = args.split(", ").collect();
-                    let got = session
-                        .insert_fact(rel, &args, shadow.db.fact(f).provenance)
-                        .unwrap();
-                    prop_assert_eq!(got, f, "the session assigns the shadow's fact id");
-                }
-            }
+            replay(&mut session, &shadow.db, change).unwrap();
             let mut fresh = ShapleySession::prepare(session.database(), AnyQuery::Cq(&q), &opts)
                 .unwrap();
             fresh.set_default_probability(BigRational::one()).unwrap();
