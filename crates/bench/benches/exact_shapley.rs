@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use cqshap_core::reference::shapley_report_per_fact;
 use cqshap_core::{
-    shapley_report, shapley_via_counts, AnyQuery, BruteForceCounter, ShapleyOptions,
+    shapley_via_counts, AnyQuery, BruteForceCounter, ShapleyOptions, ShapleySession,
 };
 use cqshap_workloads::queries;
 use cqshap_workloads::university::UniversityConfig;
@@ -26,7 +26,11 @@ fn bench_hierarchical_scaling(c: &mut Criterion) {
         .generate();
         group.bench_with_input(BenchmarkId::from_parameter(students), &db, |b, db| {
             b.iter(|| {
-                let report = shapley_report(db, &q1, &ShapleyOptions::default()).unwrap();
+                let report =
+                    ShapleySession::prepare(db, AnyQuery::Cq(&q1), &ShapleyOptions::default())
+                        .unwrap()
+                        .report()
+                        .unwrap();
                 assert!(report.efficiency_holds());
             })
         });
@@ -66,11 +70,19 @@ fn bench_batched_vs_per_fact(c: &mut Criterion) {
     for m in [64usize, 256] {
         let db = cqshap_workloads::report_benchmark_db(m);
         group.bench_with_input(BenchmarkId::new("batched", m), &db, |b, db| {
-            b.iter(|| shapley_report(db, &q1, &ShapleyOptions::default()).unwrap())
+            b.iter(|| {
+                ShapleySession::prepare(db, AnyQuery::Cq(&q1), &ShapleyOptions::default())
+                    .unwrap()
+                    .report()
+                    .unwrap()
+            })
         });
         if m <= 64 {
             group.bench_with_input(BenchmarkId::new("per_fact", m), &db, |b, db| {
-                b.iter(|| shapley_report_per_fact(db, &q1, &ShapleyOptions::default()).unwrap())
+                b.iter(|| {
+                    shapley_report_per_fact(db, AnyQuery::Cq(&q1), &ShapleyOptions::default())
+                        .unwrap()
+                })
             });
         }
     }

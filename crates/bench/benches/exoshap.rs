@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use cqshap_core::{rewrite, shapley_report, ShapleyOptions, Strategy};
+use cqshap_core::{rewrite, AnyQuery, ShapleyOptions, ShapleySession, Strategy};
 use cqshap_workloads::academic::{citations_query, AcademicConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -37,7 +37,10 @@ fn bench_full_pipeline(c: &mut Criterion) {
         .generate();
         group.bench_with_input(BenchmarkId::from_parameter(authors), &db, |b, db| {
             b.iter(|| {
-                let report = shapley_report(db, &q, &opts).unwrap();
+                let report = ShapleySession::prepare(db, AnyQuery::Cq(&q), &opts)
+                    .unwrap()
+                    .report()
+                    .unwrap();
                 assert!(report.efficiency_holds());
             })
         });

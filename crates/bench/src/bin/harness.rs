@@ -1,5 +1,7 @@
-//! The experiment harness: regenerates every experiment table of
-//! `DESIGN.md` (E1–E14), printing Markdown to stdout.
+//! The experiment harness: regenerates the experiment tables E1–E14,
+//! printing Markdown to stdout. `main`'s `experiments` list names the
+//! paper result each one reproduces (E1 is Example 2.3, E4 Theorem 4.3
+//! and Algorithm 1, E12 Theorem 4.10, …).
 //!
 //! ```sh
 //! cargo run -p cqshap-bench --release --bin harness            # all
@@ -60,20 +62,18 @@ use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 use cqshap_bench::Table;
-use cqshap_core::aggregates::{
-    aggregate_report, aggregate_shapley, aggregate_value, AggregateFunction,
-};
+use cqshap_core::aggregates::{aggregate_value, AggregateFunction};
 use cqshap_core::approx::{required_samples, shapley_sampled, AnytimeParams};
 use cqshap_core::budget::Budget;
 use cqshap_core::gap::section_5_1_example;
-use cqshap_core::reference::{shapley_report_per_fact, shapley_report_union_per_fact};
+use cqshap_core::reference::{aggregate_shapley_per_fact, shapley_report_per_fact};
 use cqshap_core::relevance::{
     brute_force_relevance, is_negatively_relevant, is_positively_relevant,
 };
 use cqshap_core::{
-    rewrite, shapley_by_permutations, shapley_report, shapley_report_union, shapley_value,
-    shapley_via_counts, AnyQuery, BruteForceCounter, CoreError, ResolvedStrategy, ShapleyOptions,
-    ShapleySession, Strategy, TierPolicy, TieredAnswer,
+    rewrite, shapley_by_permutations, shapley_via_counts, AnyQuery, BruteForceCounter, CoreError,
+    ResolvedStrategy, ShapleyOptions, ShapleyReport, ShapleySession, Strategy, TierPolicy,
+    TieredAnswer,
 };
 use cqshap_db::{Database, World};
 use cqshap_gadgets::coloring::{coloring_to_3p2n, to_224};
@@ -171,6 +171,26 @@ fn opts() -> ShapleyOptions {
     ShapleyOptions::default()
 }
 
+/// The all-facts report of a session prepared for `q`.
+fn session_report(
+    db: &Database,
+    q: AnyQuery<'_>,
+    options: &ShapleyOptions,
+) -> Result<ShapleyReport, CoreError> {
+    ShapleySession::prepare(db, q, options)?.report()
+}
+
+/// The all-facts report of a session prepared for the aggregate `agg`
+/// over `q`.
+fn aggregate_session_report(
+    db: &Database,
+    q: &cqshap_query::ConjunctiveQuery,
+    agg: &AggregateFunction,
+    options: &ShapleyOptions,
+) -> Result<ShapleyReport, CoreError> {
+    ShapleySession::prepare_aggregate(db, q, agg.clone(), options)?.report()
+}
+
 fn ms(d: std::time::Duration) -> String {
     format!("{:.3} ms", d.as_secs_f64() * 1e3)
 }
@@ -199,7 +219,7 @@ fn host_meta_json() -> String {
     format!("\"host_cores\": {host_cores},\n  \"thread_cap\": {host_cores}")
 }
 
-/// Times the batched [`shapley_report`] against the seed per-fact path
+/// Times the batched [`ShapleySession::report`] against the seed per-fact path
 /// ([`shapley_report_per_fact`]) on the deterministic university
 /// workload at `m ∈ {64, 256, 1024, 4096}` endogenous facts, and
 /// writes the medians as JSON. `--quick` lowers the sample count and
@@ -269,8 +289,9 @@ fn bench_report(args: &[String]) {
     // be bit-identical to the seed path.
     {
         let db = cqshap_workloads::report_benchmark_db(64);
-        let batched = shapley_report(&db, &q1, &options).expect("hierarchical");
-        let per_fact = shapley_report_per_fact(&db, &q1, &options).expect("hierarchical");
+        let batched = session_report(&db, AnyQuery::Cq(&q1), &options).expect("hierarchical");
+        let per_fact =
+            shapley_report_per_fact(&db, AnyQuery::Cq(&q1), &options).expect("hierarchical");
         assert!(batched.efficiency_holds(), "efficiency axiom violated");
         for (a, b) in batched.entries.iter().zip(&per_fact.entries) {
             assert_eq!(a.value, b.value, "batched vs per-fact at {}", a.rendered);
@@ -285,7 +306,8 @@ fn bench_report(args: &[String]) {
             (0..samples)
                 .map(|_| {
                     time_ms(|| {
-                        let r = shapley_report(&db, &q1, &options).expect("hierarchical");
+                        let r =
+                            session_report(&db, AnyQuery::Cq(&q1), &options).expect("hierarchical");
                         assert!(r.efficiency_holds());
                     })
                 })
@@ -302,8 +324,8 @@ fn bench_report(args: &[String]) {
                 (0..n)
                     .map(|_| {
                         time_ms(|| {
-                            let r =
-                                shapley_report_per_fact(&db, &q1, &options).expect("hierarchical");
+                            let r = shapley_report_per_fact(&db, AnyQuery::Cq(&q1), &options)
+                                .expect("hierarchical");
                             assert!(r.efficiency_holds());
                         })
                     })
@@ -1154,9 +1176,10 @@ fn bench_union_aggregate(ucq: bool, aggregate: bool, quick: bool, samples: usize
         // engine must be bit-identical to the per-fact path.
         {
             let db = cqshap_workloads::union_benchmark_db(64);
-            let batched = shapley_report_union(&db, &u, &options).expect("tractable union");
-            let per_fact =
-                shapley_report_union_per_fact(&db, &u, &options).expect("tractable union");
+            let batched =
+                session_report(&db, AnyQuery::Union(&u), &options).expect("tractable union");
+            let per_fact = shapley_report_per_fact(&db, AnyQuery::Union(&u), &options)
+                .expect("tractable union");
             assert!(batched.efficiency_holds(), "union efficiency violated");
             for (a, b) in batched.entries.iter().zip(&per_fact.entries) {
                 assert_eq!(
@@ -1173,7 +1196,8 @@ fn bench_union_aggregate(ucq: bool, aggregate: bool, quick: bool, samples: usize
                 (0..samples)
                     .map(|_| {
                         time_ms(|| {
-                            let r = shapley_report_union(&db, &u, &options).expect("tractable");
+                            let r = session_report(&db, AnyQuery::Union(&u), &options)
+                                .expect("tractable");
                             assert!(r.efficiency_holds());
                         })
                     })
@@ -1184,7 +1208,7 @@ fn bench_union_aggregate(ucq: bool, aggregate: bool, quick: bool, samples: usize
                 (0..n)
                     .map(|_| {
                         time_ms(|| {
-                            let r = shapley_report_union_per_fact(&db, &u, &options)
+                            let r = shapley_report_per_fact(&db, AnyQuery::Union(&u), &options)
                                 .expect("tractable");
                             assert!(r.efficiency_holds());
                         })
@@ -1202,10 +1226,12 @@ fn bench_union_aggregate(ucq: bool, aggregate: bool, quick: bool, samples: usize
         // the per-fact aggregate decomposition.
         {
             let db = cqshap_workloads::report_benchmark_db(64);
-            let report = aggregate_report(&db, &q, &agg, &options).expect("tractable aggregate");
+            let report =
+                aggregate_session_report(&db, &q, &agg, &options).expect("tractable aggregate");
             assert!(report.efficiency_holds(), "aggregate efficiency violated");
             for entry in &report.entries {
-                let v = aggregate_shapley(&db, &q, &agg, entry.fact, &options).expect("tractable");
+                let v = aggregate_shapley_per_fact(&db, &q, &agg, entry.fact, &options)
+                    .expect("tractable");
                 assert_eq!(
                     entry.value, v,
                     "aggregate report vs per-fact at {}",
@@ -1219,7 +1245,8 @@ fn bench_union_aggregate(ucq: bool, aggregate: bool, quick: bool, samples: usize
                 (0..samples)
                     .map(|_| {
                         time_ms(|| {
-                            let r = aggregate_report(&db, &q, &agg, &options).expect("tractable");
+                            let r = aggregate_session_report(&db, &q, &agg, &options)
+                                .expect("tractable");
                             assert!(r.efficiency_holds());
                         })
                     })
@@ -1236,7 +1263,7 @@ fn bench_union_aggregate(ucq: bool, aggregate: bool, quick: bool, samples: usize
                         .map(|_| {
                             time_ms(|| {
                                 for &f in db.endo_facts() {
-                                    aggregate_shapley(&db, &q, &agg, f, &options)
+                                    aggregate_shapley_per_fact(&db, &q, &agg, f, &options)
                                         .expect("tractable");
                                 }
                             })
@@ -1269,7 +1296,7 @@ fn bench_union_aggregate(ucq: bool, aggregate: bool, quick: bool, samples: usize
 fn e1() {
     let db = figure_1_database();
     let q1 = queries::q1();
-    let report = shapley_report(&db, &q1, &opts()).expect("hierarchical");
+    let report = session_report(&db, AnyQuery::Cq(&q1), &opts()).expect("hierarchical");
     let paper = [
         ("TA(Adam)", "-3/28"),
         ("TA(Ben)", "-2/35"),
@@ -1371,7 +1398,7 @@ fn e3() {
         }
         .generate();
         let t0 = Instant::now();
-        let report = shapley_report(&db, &q1, &opts()).expect("hierarchical");
+        let report = session_report(&db, AnyQuery::Cq(&q1), &opts()).expect("hierarchical");
         let fast = t0.elapsed();
         assert!(report.efficiency_holds());
         let brute = if db.endo_count() <= 22 {
@@ -1405,10 +1432,12 @@ fn e4() {
     let q2 = queries::q2();
     let exo_opts = ShapleyOptions::with_strategy(Strategy::ExoShap);
     let bf_opts = ShapleyOptions::with_strategy(Strategy::BruteForceSubsets);
+    let exo = ShapleySession::prepare(&db, AnyQuery::Cq(&q2), &exo_opts).expect("rewritable");
+    let bf = ShapleySession::prepare(&db, AnyQuery::Cq(&q2), &bf_opts).expect("small");
     let mut t = Table::new(&["fact", "ExoShap", "brute force", "match"]);
     for &f in db.endo_facts() {
-        let a = shapley_value(&db, &q2, f, &exo_opts).expect("rewritable");
-        let b = shapley_value(&db, &q2, f, &bf_opts).expect("small");
+        let a = exo.value(f).expect("rewritable");
+        let b = bf.value(f).expect("small");
         let ok = if a == b { "✓" } else { "✗" };
         t.row(&[
             db.render_fact(f),
@@ -1437,7 +1466,7 @@ fn e4() {
         }
         .generate();
         let t0 = Instant::now();
-        let report = shapley_report(&adb, &q, &exo_opts).expect("rewritable");
+        let report = session_report(&adb, AnyQuery::Cq(&q), &exo_opts).expect("rewritable");
         assert!(report.efficiency_holds());
         t2.row(&[
             authors.to_string(),
@@ -1488,7 +1517,7 @@ fn e5() {
 fn e6() {
     let db = figure_1_database();
     let q1 = queries::q1();
-    let exact = shapley_report(&db, &q1, &opts()).expect("hierarchical");
+    let exact = session_report(&db, AnyQuery::Cq(&q1), &opts()).expect("hierarchical");
     let mut t = Table::new(&[
         "ε",
         "δ",
@@ -1852,9 +1881,10 @@ fn e13() {
     let empty = aggregate_value(&db, &World::empty(&db), &q, &agg).expect("evaluates");
     println!("Count{{c | Farmer(m), Export(m,p,c), ¬Grows(c,p)}}: D → {full}, Dx → {empty}\n");
     let mut t = Table::new(&["fact", "aggregate Shapley value", "sign as predicted"]);
+    let session = ShapleySession::prepare_aggregate(&db, &q, agg.clone(), &opts()).expect("small");
     let mut total = BigRational::zero();
     for &f in db.endo_facts() {
-        let v = aggregate_shapley(&db, &q, &agg, f, &opts()).expect("small");
+        let v = session.value(f).expect("small");
         let rel = db.schema().name(db.fact(f).rel).to_string();
         let sign_ok = match rel.as_str() {
             "Farmer" => !v.is_negative(),

@@ -28,11 +28,11 @@
 //! Candidates whose value vector is provably zero are pruned before
 //! planning.
 //!
-//! * [`crate::session::ShapleySession::prepare_aggregate`] (and
-//!   [`aggregate_report`] over it) compiles that plan like a Boolean
-//!   one and maintains it across updates that keep the candidate list;
-//! * [`aggregate_shapley`] evaluates the same plan for one fact, term
-//!   by term, through the per-fact path of [`crate::reference`].
+//! * [`crate::session::ShapleySession::prepare_aggregate`] compiles
+//!   that plan like a Boolean one and maintains it across updates that
+//!   keep the candidate list;
+//! * [`crate::reference::aggregate_shapley_per_fact`] evaluates the
+//!   same plan for one fact, term by term.
 
 use std::collections::BTreeSet;
 
@@ -46,11 +46,8 @@ use crate::anyquery::AnyQuery;
 use crate::budget::{self, CancelToken};
 use crate::error::CoreError;
 use crate::plan::{cq_plan, Enumeration, Plan, PlanTerm};
-use crate::reference::terms_value;
-use crate::satcount::HierarchicalCounter;
 use crate::shapley::{
-    enumerated_values, resolve_strategy, shapley_via_counts, ReportStats, ResolvedStrategy,
-    ShapleyOptions, ShapleyReport,
+    enumerated_values, resolve_strategy, ReportStats, ResolvedStrategy, ShapleyOptions,
 };
 
 /// The supported aggregate functions.
@@ -296,7 +293,7 @@ pub(crate) fn candidates(
 ) -> Result<(Vec<Candidate>, ReportStats), CoreError> {
     if q.head().is_empty() {
         return Err(CoreError::Unsupported(
-            "aggregate queries need head variables; use shapley_value for Boolean queries".into(),
+            "aggregate queries need head variables; prepare Boolean queries with ShapleySession::prepare".into(),
         ));
     }
     let total = Counter::new(obs_phase::CTR_AGG_CANDIDATES);
@@ -401,41 +398,6 @@ pub(crate) fn weighted_enumerated_values(
     Ok(acc)
 }
 
-/// `Shapley_agg(D, q, f)` by linearity over the candidate answers:
-/// the aggregate's plan evaluated for `f` alone, each term with the
-/// hierarchical `CntSat` oracle (or each candidate by enumeration).
-///
-/// # Errors
-/// Anything the counting layer raises for a substituted Boolean query,
-/// plus [`CoreError::Unsupported`] for malformed aggregate specs.
-pub fn aggregate_shapley(
-    db: &Database,
-    q: &ConjunctiveQuery,
-    agg: &AggregateFunction,
-    f: FactId,
-    options: &ShapleyOptions,
-) -> Result<BigRational, CoreError> {
-    // One armed token for the whole call: the deadline bounds the sum
-    // over candidates, not each candidate.
-    let cancel = options.cancel_token();
-    let (candidates, _) = candidates(db, q, agg)?;
-    match plan(db, &candidates, options, cancel.as_ref())? {
-        Plan::Terms { terms, .. } => terms_value(db, &terms, |db, q| {
-            shapley_via_counts(db, q, f, &HierarchicalCounter)
-        }),
-        Plan::Enumerate(enumeration) => Ok(weighted_enumerated_values(
-            db,
-            &candidates,
-            &[f],
-            enumeration,
-            options,
-            cancel.as_ref(),
-        )?
-        .pop()
-        .unwrap_or_else(BigRational::zero)),
-    }
-}
-
 /// `agg(D) − agg(Dx)` — the expected total of an aggregate report.
 pub(crate) fn aggregate_efficiency_target(
     db: &Database,
@@ -447,29 +409,22 @@ pub(crate) fn aggregate_efficiency_target(
     Ok(full - empty)
 }
 
-/// `Shapley_agg(D, q, f)` for *every* endogenous fact at once, through
-/// the aggregate's compiled plan: one batched `CompiledCount` engine
-/// per candidate term, shared by every fact's recount, with the
-/// weighted numerators summed over the common denominator. The
-/// report's expected total is `agg(D) − agg(Dx)`, which the value total
-/// must equal by linearity of the efficiency axiom; its
-/// [`ShapleyReport::stats`] carry the candidate-pruning counters.
-///
-/// A thin compatibility wrapper over
-/// [`crate::session::ShapleySession::prepare_aggregate`].
-pub fn aggregate_report(
-    db: &Database,
-    q: &ConjunctiveQuery,
-    agg: &AggregateFunction,
-    options: &ShapleyOptions,
-) -> Result<ShapleyReport, CoreError> {
-    crate::session::ShapleySession::prepare_aggregate(db, q, agg.clone(), options)?.report()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::aggregate_shapley_per_fact;
+    use crate::session::ShapleySession;
+    use crate::shapley::ShapleyReport;
     use cqshap_query::parse_cq;
+
+    fn session_report(
+        db: &Database,
+        q: &ConjunctiveQuery,
+        agg: &AggregateFunction,
+        options: &ShapleyOptions,
+    ) -> Result<ShapleyReport, CoreError> {
+        ShapleySession::prepare_aggregate(db, q, agg.clone(), options)?.report()
+    }
 
     /// The introduction's exports scenario:
     /// Count{c | Farmer(m), Export(m,p,c), ¬Grows(c,p)}.
@@ -496,19 +451,19 @@ mod tests {
         let empty = aggregate_value(&db, &World::empty(&db), &q, &agg).unwrap();
         let mut total = BigRational::zero();
         for &f in db.endo_facts() {
-            total += &aggregate_shapley(&db, &q, &agg, f, &opts).unwrap();
+            total += &aggregate_shapley_per_fact(&db, &q, &agg, f, &opts).unwrap();
         }
         assert_eq!(total, &full - &empty);
 
         // The batched report computes the same values and checks the
         // same identity internally.
-        let report = aggregate_report(&db, &q, &agg, &opts).unwrap();
+        let report = session_report(&db, &q, &agg, &opts).unwrap();
         assert!(report.efficiency_holds());
         assert_eq!(report.expected_total, full - empty);
         for &f in db.endo_facts() {
             assert_eq!(
                 report.entry(f).unwrap().value,
-                aggregate_shapley(&db, &q, &agg, f, &opts).unwrap(),
+                aggregate_shapley_per_fact(&db, &q, &agg, f, &opts).unwrap(),
                 "{}",
                 db.render_fact(f)
             );
@@ -551,7 +506,7 @@ mod tests {
         // The single endogenous fact Grows(egypt, rice) carries the whole
         // difference: Shapley = -5.
         let f = db.find_fact("Grows", &["egypt", "rice"]).unwrap();
-        let v = aggregate_shapley(&db, &q, &agg, f, &ShapleyOptions::default()).unwrap();
+        let v = aggregate_shapley_per_fact(&db, &q, &agg, f, &ShapleyOptions::default()).unwrap();
         assert_eq!(v, BigRational::from(-5i64));
     }
 
@@ -572,7 +527,7 @@ mod tests {
         let empty = aggregate_value(&db, &World::empty(&db), &q, &agg).unwrap();
         assert_eq!(empty.to_string(), "12345678901234567890");
         let f = db.find_fact("Grows", &["norway", "wheat"]).unwrap();
-        let v = aggregate_shapley(&db, &q, &agg, f, &ShapleyOptions::default()).unwrap();
+        let v = aggregate_shapley_per_fact(&db, &q, &agg, f, &ShapleyOptions::default()).unwrap();
         assert_eq!(v.to_string(), "-12345678901234567890");
         // Negative weights round-trip too.
         let db2 = Database::parse(
@@ -582,7 +537,8 @@ mod tests {
         )
         .unwrap();
         let f2 = db2.find_fact("Grows", &["norway", "wheat"]).unwrap();
-        let v2 = aggregate_shapley(&db2, &q, &agg, f2, &ShapleyOptions::default()).unwrap();
+        let v2 =
+            aggregate_shapley_per_fact(&db2, &q, &agg, f2, &ShapleyOptions::default()).unwrap();
         assert_eq!(v2.to_string(), "98765432109876543210");
     }
 
@@ -602,13 +558,13 @@ mod tests {
         let q = parse_cq("q(f) :- Reg(s, c), Course(c, f)").unwrap();
         let agg = AggregateFunction::Count;
         let opts = ShapleyOptions::default();
-        let report = aggregate_report(&db, &q, &agg, &opts).unwrap();
+        let report = session_report(&db, &q, &agg, &opts).unwrap();
         assert!(report.efficiency_holds());
         // Reg(alice, db) is the only fact driving the 'CS' candidate:
         // its aggregate Shapley value is exactly 1 (one answer gained).
         let f = db.find_fact("Reg", &["alice", "db"]).unwrap();
         assert_eq!(
-            aggregate_shapley(&db, &q, &agg, f, &opts).unwrap(),
+            aggregate_shapley_per_fact(&db, &q, &agg, f, &opts).unwrap(),
             BigRational::one()
         );
         // The substituted queries resolve the quoted name verbatim: the
@@ -627,11 +583,11 @@ mod tests {
         let q = parse_cq("q() :- Farmer(m)").unwrap();
         let f = db.find_fact("Farmer", &["miller"]).unwrap();
         assert!(matches!(
-            aggregate_shapley(&db, &q, &AggregateFunction::Count, f, &Default::default()),
+            aggregate_shapley_per_fact(&db, &q, &AggregateFunction::Count, f, &Default::default()),
             Err(CoreError::Unsupported(_))
         ));
         assert!(matches!(
-            aggregate_report(&db, &q, &AggregateFunction::Count, &Default::default()),
+            session_report(&db, &q, &AggregateFunction::Count, &Default::default()),
             Err(CoreError::Unsupported(_))
         ));
     }
@@ -646,7 +602,7 @@ mod tests {
                 weight_var: bad.into(),
             };
             assert!(matches!(
-                aggregate_shapley(&db, &q, &agg, f, &Default::default()),
+                aggregate_shapley_per_fact(&db, &q, &agg, f, &Default::default()),
                 Err(CoreError::Unsupported(_))
             ));
         }
@@ -655,7 +611,7 @@ mod tests {
             weight_var: "c".into(),
         };
         assert!(matches!(
-            aggregate_shapley(&db, &q, &agg, f, &Default::default()),
+            aggregate_shapley_per_fact(&db, &q, &agg, f, &Default::default()),
             Err(CoreError::Unsupported(_))
         ));
     }

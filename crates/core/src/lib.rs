@@ -10,9 +10,11 @@
 //! `Dx ∪ E`; the Shapley value of a fact measures its contribution to
 //! the answer. This crate provides:
 //!
-//! * [`shapley::shapley_value`] / [`shapley::shapley_report`] — exact
-//!   values, with automatic strategy selection along the paper's
-//!   dichotomies (Theorems 3.1 and 4.3);
+//! * [`session`] — [`ShapleySession`], the one exact entry point:
+//!   prepared for a CQ¬, a UCQ¬ or an aggregate, it routes along the
+//!   paper's dichotomies (Theorems 3.1 and 4.3), serves values,
+//!   reports and probabilities, and maintains them across database
+//!   updates;
 //! * [`count_sat_hierarchical`] — the `CntSat` counting algorithm
 //!   (Lemma 3.2); it and the brute-force oracle are the
 //!   [`SatCountOracle`]s ([`HierarchicalCounter`], [`BruteForceCounter`])
@@ -25,9 +27,6 @@
 //!   brute-force relevance and Shapley zeroness (Propositions 5.5–5.8);
 //! * [`aggregates`] — Shapley attribution for `Count`/`Sum` aggregates
 //!   by linearity (the "Remarks" of Section 3);
-//! * [`session`] — [`session::ShapleySession`], the prepared, updatable
-//!   engine handle unifying CQ¬ / UCQ¬ / aggregate computation with
-//!   incremental maintenance across database updates;
 //! * [`budget`] — deadlines and cooperative cancellation
 //!   ([`Budget`] / [`CancelToken`] /
 //!   [`CoreError::DeadlineExceeded`]) for the `FP^{#P}`-hard regime,
@@ -98,8 +97,7 @@ pub use satcount::{
 };
 pub use session::{SessionStats, ShapleySession, TierPolicy, TieredAnswer};
 pub use shapley::{
-    shapley_by_permutations, shapley_report, shapley_report_union, shapley_value,
-    shapley_value_union, shapley_via_counts, ReportStats, ResolvedStrategy, ShapleyEntry,
+    shapley_by_permutations, shapley_via_counts, ReportStats, ResolvedStrategy, ShapleyEntry,
     ShapleyOptions, ShapleyReport, Strategy,
 };
 pub use wsms::{WsmsEntry, WsmsReport, WsmsWeight};

@@ -1,11 +1,10 @@
 //! Reference paths: answers computed from scratch, with no compiled
 //! state shared between facts or terms.
 //!
-//! The per-fact Shapley paths route like the batched paths (the same
+//! [`shapley_report_per_fact`] and [`aggregate_shapley_per_fact`] route
+//! like a [`ShapleySession`](crate::session::ShapleySession) (the same
 //! routing plan), then evaluate each term per fact with the
-//! hierarchical `CntSat` oracle or by enumeration; so does
-//! [`crate::aggregates::aggregate_shapley`], through the same per-fact
-//! term evaluation.
+//! hierarchical `CntSat` oracle or by enumeration.
 //! [`oracle_probability`] is the seed lifted-inference traversal for
 //! `Pr[q]`. All are kept as cross-check oracles for the compiled
 //! engines and as the baselines `cqshap-bench`'s `bench-report`
@@ -13,8 +12,9 @@
 
 use cqshap_db::{Database, FactId};
 use cqshap_numeric::{BigInt, BigRational, FactorialTable};
-use cqshap_query::{ConjunctiveQuery, UnionQuery};
+use cqshap_query::ConjunctiveQuery;
 
+use crate::aggregates::{self, AggregateFunction};
 use crate::anyquery::AnyQuery;
 use crate::error::CoreError;
 use crate::plan::{resolve, signed_sum, Enumeration, Plan, PlanTerm};
@@ -28,45 +28,23 @@ mod lifted;
 
 pub use lifted::oracle_probability;
 
-/// The seed per-fact path of [`crate::shapley::shapley_report`]: every
-/// fact pays two materialized database copies and two from-scratch
-/// oracle runs.
+/// The per-fact path of
+/// [`ShapleySession::report`](crate::session::ShapleySession::report):
+/// every fact is evaluated on its own. A CQ¬ pays two materialized
+/// database copies and two from-scratch oracle runs per fact; a UCQ¬
+/// pays the full inclusion–exclusion sum with from-scratch
+/// hierarchical DP runs over masked views (or enumeration).
 ///
 /// # Errors
 /// What strategy resolution and the per-fact oracles raise.
 pub fn shapley_report_per_fact(
     db: &Database,
-    q: &ConjunctiveQuery,
-    options: &ShapleyOptions,
-) -> Result<ShapleyReport, CoreError> {
-    per_fact_report(db, AnyQuery::Cq(q), options, true)
-}
-
-/// The per-fact path of [`crate::shapley::shapley_report_union`]: every
-/// fact pays the full inclusion–exclusion sum with from-scratch
-/// hierarchical DP runs (or enumeration).
-///
-/// # Errors
-/// What strategy resolution and the per-fact oracles raise.
-pub fn shapley_report_union_per_fact(
-    db: &Database,
-    u: &UnionQuery,
-    options: &ShapleyOptions,
-) -> Result<ShapleyReport, CoreError> {
-    per_fact_report(db, AnyQuery::Union(u), options, false)
-}
-
-/// Resolves `query` and evaluates every fact on its own, through
-/// materialized modified databases when `materialize` is set and
-/// through masked views otherwise.
-fn per_fact_report(
-    db: &Database,
     query: AnyQuery<'_>,
     options: &ShapleyOptions,
-    materialize: bool,
 ) -> Result<ShapleyReport, CoreError> {
     let facts = db.endo_facts();
     let cancel = options.cancel_token();
+    let materialize = matches!(query, AnyQuery::Cq(_));
     let value = |db: &Database, q: AnyQuery<'_>, f: FactId, oracle: &dyn SatCountOracle| {
         if materialize {
             shapley_via_materialized_counts(db, q, f, oracle)
@@ -89,13 +67,50 @@ fn per_fact_report(
     Ok(assemble_report(db, values, efficiency_target(db, query)))
 }
 
+/// `Shapley_agg(D, q, f)` by linearity over the candidate answers: the
+/// aggregate's routing plan evaluated for `f` alone, each term with the
+/// hierarchical `CntSat` oracle (or each candidate by enumeration) —
+/// the per-fact path of
+/// [`ShapleySession::prepare_aggregate`](crate::session::ShapleySession::prepare_aggregate).
+///
+/// # Errors
+/// Anything the counting layer raises for a substituted Boolean query,
+/// plus [`CoreError::Unsupported`] for malformed aggregate specs.
+pub fn aggregate_shapley_per_fact(
+    db: &Database,
+    q: &ConjunctiveQuery,
+    agg: &AggregateFunction,
+    f: FactId,
+    options: &ShapleyOptions,
+) -> Result<BigRational, CoreError> {
+    // One armed token for the whole call: the deadline bounds the sum
+    // over candidates, not each candidate.
+    let cancel = options.cancel_token();
+    let (candidates, _) = aggregates::candidates(db, q, agg)?;
+    match aggregates::plan(db, &candidates, options, cancel.as_ref())? {
+        Plan::Terms { terms, .. } => terms_value(db, &terms, |db, q| {
+            shapley_via_counts(db, q, f, &HierarchicalCounter)
+        }),
+        Plan::Enumerate(enumeration) => Ok(aggregates::weighted_enumerated_values(
+            db,
+            &candidates,
+            &[f],
+            enumeration,
+            options,
+            cancel.as_ref(),
+        )?
+        .pop()
+        .unwrap_or_else(BigRational::zero)),
+    }
+}
+
 /// One fact's value under a plan's `terms`: the signed sum of `value`
 /// over each term's query on the term's database, with no state shared
 /// between terms.
 ///
 /// # Errors
 /// The first error `value` returns.
-pub(crate) fn terms_value(
+fn terms_value(
     db: &Database,
     terms: &[PlanTerm],
     value: impl Fn(&Database, AnyQuery<'_>) -> Result<BigRational, CoreError>,

@@ -394,15 +394,15 @@ mod tests {
     fn zeroness_matches_exact_shapley() {
         let db = university();
         let q1 = parse_cq("q1() :- Stud(x), !TA(x), Reg(x, y)").unwrap();
+        let session = crate::session::ShapleySession::prepare(
+            &db,
+            AnyQuery::Cq(&q1),
+            &crate::shapley::ShapleyOptions::default(),
+        )
+        .unwrap();
         for &f in db.endo_facts() {
             let zero = shapley_is_zero(&db, AnyQuery::Cq(&q1), f).unwrap();
-            let v = crate::shapley::shapley_value(
-                &db,
-                &q1,
-                f,
-                &crate::shapley::ShapleyOptions::default(),
-            )
-            .unwrap();
+            let v = session.value(f).unwrap();
             assert_eq!(zero, v.is_zero(), "{}", db.render_fact(f));
         }
     }

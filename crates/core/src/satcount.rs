@@ -39,8 +39,10 @@ use crate::error::{CoreError, EnumerationLimit};
 /// Anything that can compute the full vector
 /// `[|Sat(D,q,0)|, …, |Sat(D,q,|Dn|)|]`.
 ///
-/// Oracles must be `Sync`: [`crate::shapley::shapley_report`] fans the
-/// per-fact computations out across threads.
+/// Oracles must be `Sync`: an enumerating
+/// [`ShapleySession`](crate::session::ShapleySession) report and the
+/// per-fact paths of [`crate::reference`] fan the per-fact computations
+/// out across threads.
 pub trait SatCountOracle: Sync {
     /// Computes `counts[k] = |Sat(D, q, k)|` for `k = 0 ..= |Dn|`.
     fn counts(&self, db: &Database, q: AnyQuery<'_>) -> Result<Vec<BigUint>, CoreError>;

@@ -1,10 +1,7 @@
-//! [`ShapleySession`] — a prepared, updatable Shapley engine handle.
+//! [`ShapleySession`] — a prepared, updatable Shapley engine handle,
+//! and the crate's one exact entry point.
 //!
-//! The free functions of [`crate::shapley`] and [`crate::aggregates`]
-//! re-resolve atoms and recompile the counting structures on every
-//! call, even though the compiled counting engine is compile-once by
-//! design. A
-//! session is the prepared-statement view of the same machinery:
+//! A session is the prepared-statement view of the counting machinery:
 //! [`ShapleySession::prepare`] classifies the query and resolves the
 //! strategy *once* into a routing plan — signed conjunctive terms (one
 //! for a CQ¬, the inclusion–exclusion expansion for a UCQ¬, each
@@ -459,9 +456,10 @@ impl ShapleySession {
     /// read the probability terms.
     ///
     /// # Errors
-    /// Everything strategy resolution can raise — the intractability
-    /// and brute-force-limit refusals of the corresponding free
-    /// functions.
+    /// Everything strategy resolution can raise: the intractability
+    /// refusals ([`CoreError::HasNonHierarchicalPath`],
+    /// [`CoreError::IntractableIntersection`]) and
+    /// [`CoreError::TooManyEndogenousFacts`] past an enumeration limit.
     pub fn prepare(
         db: &Database,
         query: AnyQuery<'_>,
@@ -797,19 +795,6 @@ impl ShapleySession {
             }
         }
         .with_stats(stats))
-    }
-    /// The aggregate report — [`ShapleySession::report`] restricted to
-    /// aggregate sessions.
-    ///
-    /// # Errors
-    /// [`CoreError::Unsupported`] on Boolean sessions.
-    pub fn aggregate_report(&self) -> Result<ShapleyReport, CoreError> {
-        match &self.spec {
-            QuerySpec::Aggregate { .. } => self.report(),
-            _ => Err(CoreError::Unsupported(
-                "aggregate_report needs a session prepared with prepare_aggregate".into(),
-            )),
-        }
     }
 
     /// Monte-Carlo additive approximation of `f`'s value by permutation
@@ -1290,6 +1275,74 @@ mod tests {
     }
 
     #[test]
+    fn every_route_rejects_non_endogenous_facts() {
+        let db = university();
+        let q1 = parse_cq("q1() :- Stud(x), !TA(x), Reg(x, y)").unwrap();
+        let u = parse_ucq("q1() :- Stud(x), !TA(x), Reg(x, y); q2() :- Adv(a, s), Course(c, d)")
+            .unwrap();
+        let qa = parse_cq("qa(y) :- Stud(x), !TA(x), Reg(x, y)").unwrap();
+        let auto = ShapleyOptions::auto();
+        let subsets = ShapleyOptions::with_strategy(Strategy::BruteForceSubsets);
+        let permutations = ShapleyOptions::with_strategy(Strategy::BruteForcePermutations);
+        let count = || AggregateFunction::Count;
+        let routes = [
+            (
+                "CQ compiled",
+                ShapleySession::prepare(&db, AnyQuery::Cq(&q1), &auto),
+                ResolvedStrategy::Hierarchical,
+            ),
+            (
+                "CQ subsets",
+                ShapleySession::prepare(&db, AnyQuery::Cq(&q1), &subsets),
+                ResolvedStrategy::BruteForce,
+            ),
+            (
+                "CQ permutations",
+                ShapleySession::prepare(&db, AnyQuery::Cq(&q1), &permutations),
+                ResolvedStrategy::Permutations,
+            ),
+            (
+                "UCQ compiled",
+                ShapleySession::prepare(&db, AnyQuery::Union(&u), &auto),
+                ResolvedStrategy::Hierarchical,
+            ),
+            (
+                "aggregate compiled",
+                ShapleySession::prepare_aggregate(&db, &qa, count(), &auto),
+                ResolvedStrategy::Hierarchical,
+            ),
+            (
+                "aggregate enumerated",
+                ShapleySession::prepare_aggregate(&db, &qa, count(), &subsets),
+                ResolvedStrategy::BruteForce,
+            ),
+        ];
+        let adam = db.find_fact("TA", &["Adam"]).unwrap();
+        let stud = db.find_fact("Stud", &["Adam"]).unwrap();
+        let david = db.find_fact("TA", &["David"]).unwrap();
+        for (route, session, strategy) in routes {
+            let mut session = session.unwrap();
+            assert_eq!(session.strategy(), Some(strategy), "{route}");
+            let rejects = |session: &ShapleySession, f: FactId, what: &str| {
+                assert!(
+                    matches!(session.value(f), Err(CoreError::FactNotEndogenous { .. })),
+                    "{route}: value of the {what} fact"
+                );
+                assert!(
+                    matches!(
+                        session.values(&[adam, f]),
+                        Err(CoreError::FactNotEndogenous { .. })
+                    ),
+                    "{route}: values with the {what} fact"
+                );
+            };
+            rejects(&session, stud, "exogenous");
+            session.retract_fact(david).unwrap();
+            rejects(&session, david, "retracted");
+        }
+    }
+
+    #[test]
     fn prepared_session_serves_values_and_reports() {
         let db = university();
         let q1 = parse_cq("q1() :- Stud(x), !TA(x), Reg(x, y)").unwrap();
@@ -1410,8 +1463,7 @@ mod tests {
     #[test]
     fn session_value_equals_report_for_every_strategy_and_fact() {
         // The strategy is resolved once per session, so the single-value
-        // and report paths can never diverge (the old free functions
-        // could route differently under Auto).
+        // and report paths can never diverge under Auto.
         let db = Database::parse(
             "exo Stud(a)\nexo Stud(b)\n\
              endo TA(a)\nendo Reg(a, c1)\nendo Reg(b, c2)\n\
@@ -1528,17 +1580,9 @@ mod tests {
         // Every candidate shares one route: the exports candidates have
         // a non-hierarchical path, so Auto enumerates them.
         assert_eq!(session.strategy(), Some(ResolvedStrategy::BruteForce));
-        let report = session.aggregate_report().unwrap();
+        let report = session.report().unwrap();
         assert!(report.efficiency_holds());
         assert_eq!(report.stats.aggregate_candidates, 2);
-        // Boolean sessions refuse aggregate_report.
-        let q1 = parse_cq("q1() :- Farmer(m)").unwrap();
-        let boolean =
-            ShapleySession::prepare(&db, AnyQuery::Cq(&q1), &ShapleyOptions::auto()).unwrap();
-        assert!(matches!(
-            boolean.aggregate_report(),
-            Err(CoreError::Unsupported(_))
-        ));
     }
 
     #[test]
@@ -1555,12 +1599,14 @@ mod tests {
         )
         .unwrap();
         let q = parse_cq("q(c) :- Farmer(m), Export(m, p, c), !Grows(c, p)").unwrap();
-        let report = crate::aggregates::aggregate_report(
+        let report = ShapleySession::prepare_aggregate(
             &db,
             &q,
-            &AggregateFunction::Count,
+            AggregateFunction::Count,
             &ShapleyOptions::auto(),
         )
+        .unwrap()
+        .report()
         .unwrap();
         assert!(report.efficiency_holds());
         assert_eq!(report.stats.aggregate_candidates, 2);

@@ -21,9 +21,7 @@ use std::collections::HashMap;
 
 use cqshap_db::{Database, FactId, FactMask, World};
 use cqshap_numeric::{BigInt, BigRational, FactorialTable};
-use cqshap_query::{
-    classify_with_exo, has_self_join, ConjunctiveQuery, ExactComplexity, UnionQuery,
-};
+use cqshap_query::{classify_with_exo, has_self_join, ConjunctiveQuery, ExactComplexity};
 
 use crate::anyquery::AnyQuery;
 use crate::budget::{Budget, CancelToken};
@@ -285,61 +283,6 @@ fn permute(order: &mut Vec<usize>, k: usize, visit: &mut impl FnMut(&[usize]) ->
         }
     }
     true
-}
-
-/// Computes `Shapley(D, q, f)` for a CQ¬ using `options.strategy`.
-///
-/// A thin compatibility wrapper over
-/// [`crate::session::ShapleySession`]: prepares a session for `(db, q)`
-/// and serves the one value. Callers computing several values against
-/// one database should prepare the session themselves and reuse it.
-pub fn shapley_value(
-    db: &Database,
-    q: &ConjunctiveQuery,
-    f: FactId,
-    options: &ShapleyOptions,
-) -> Result<BigRational, CoreError> {
-    crate::session::ShapleySession::prepare(db, AnyQuery::Cq(q), options)?.value(f)
-}
-
-/// Computes `Shapley(D, U, f)` for a UCQ¬.
-///
-/// `Auto` and `Hierarchical` route through the compiled
-/// inclusion–exclusion terms whenever every non-empty intersection
-/// of disjuncts conjoins into the compiled fragment (Section 5.2's
-/// extension of the tractability frontier to UCQ¬s); `Auto` then tries
-/// the per-conjunction `ExoShap` rewriting (the union analogue of the
-/// single-CQ¬ dichotomy ladder) and finally brute force. `ExoShap`
-/// applies the rewriting to every subset conjunction (the Shapley value
-/// is linear in the signed count sums, so each term may be rewritten
-/// independently). Explicit strategies error only when genuinely
-/// inapplicable, with [`CoreError::IntractableIntersection`] naming the
-/// offending disjunct intersection.
-pub fn shapley_value_union(
-    db: &Database,
-    u: &UnionQuery,
-    f: FactId,
-    options: &ShapleyOptions,
-) -> Result<BigRational, CoreError> {
-    if db.endo_index(f).is_none() {
-        return Err(CoreError::FactNotEndogenous {
-            fact: db.render_fact(f),
-        });
-    }
-    crate::session::ShapleySession::prepare(db, AnyQuery::Union(u), options)?.value(f)
-}
-
-/// Computes the Shapley value of *every* endogenous fact of `db` for a
-/// UCQ¬, strategy-routed like [`shapley_value_union`] but with the
-/// compiled paths batched: the inclusion–exclusion terms are compiled
-/// once and the per-fact recounts fan out across threads chunked by the
-/// terms' combined root-group buckets.
-pub fn shapley_report_union(
-    db: &Database,
-    u: &UnionQuery,
-    options: &ShapleyOptions,
-) -> Result<ShapleyReport, CoreError> {
-    crate::session::ShapleySession::prepare(db, AnyQuery::Union(u), options)?.report()
 }
 
 /// The concrete algorithm a [`Strategy`] resolved to for one input —
@@ -722,25 +665,29 @@ pub(crate) fn par_values(
         .collect()
 }
 
-/// Computes the Shapley value of *every* endogenous fact of `db`.
-///
-/// The hierarchical strategies (including the shared-once `ExoShap`
-/// rewriting) run through the crate's batched compiled counting engine —
-/// compile-once, amortized `O(|group|)` per fact, no database clones.
-/// Brute-force strategies fall back to independent per-fact runs.
-pub fn shapley_report(
-    db: &Database,
-    q: &ConjunctiveQuery,
-    options: &ShapleyOptions,
-) -> Result<ShapleyReport, CoreError> {
-    crate::session::ShapleySession::prepare(db, AnyQuery::Cq(q), options)?.report()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::satcount::HierarchicalCounter;
+    use crate::session::ShapleySession;
     use cqshap_query::parse_cq;
+
+    fn value(
+        db: &Database,
+        q: AnyQuery<'_>,
+        f: FactId,
+        options: &ShapleyOptions,
+    ) -> Result<BigRational, CoreError> {
+        ShapleySession::prepare(db, q, options)?.value(f)
+    }
+
+    fn report(
+        db: &Database,
+        q: AnyQuery<'_>,
+        options: &ShapleyOptions,
+    ) -> Result<ShapleyReport, CoreError> {
+        ShapleySession::prepare(db, q, options)?.report()
+    }
 
     fn university() -> Database {
         Database::parse(
@@ -769,7 +716,7 @@ mod tests {
         let db = university();
         let q1 = parse_cq("q1() :- Stud(x), !TA(x), Reg(x, y)").unwrap();
         let opts = ShapleyOptions::default();
-        let report = shapley_report(&db, &q1, &opts).unwrap();
+        let report = report(&db, AnyQuery::Cq(&q1), &opts).unwrap();
         assert!(report.efficiency_holds());
         assert_eq!(report.expected_total, BigRational::one());
 
@@ -831,7 +778,7 @@ mod tests {
         let q = parse_cq("q() :- R(x), S(x, y), !R(y)").unwrap();
         let f = db.find_fact("R", &["cx0"]).unwrap();
         // Self-join → Auto uses brute force.
-        let v = shapley_value(&db, &q, f, &ShapleyOptions::default()).unwrap();
+        let v = value(&db, AnyQuery::Cq(&q), f, &ShapleyOptions::default()).unwrap();
         assert_eq!(v, rat(1, 30));
         let p = shapley_by_permutations(&db, AnyQuery::Cq(&q), f, 9, None).unwrap();
         assert_eq!(p, rat(1, 30));
@@ -844,13 +791,13 @@ mod tests {
         let q1 = parse_cq("q1() :- Stud(x), !TA(x), Reg(x, y)").unwrap();
         let f = db.find_fact("TA", &["Adam"]).unwrap();
         assert_eq!(
-            shapley_value(&db, &q1, f, &ShapleyOptions::default()).unwrap(),
+            value(&db, AnyQuery::Cq(&q1), f, &ShapleyOptions::default()).unwrap(),
             rat(-3, 28)
         );
         // Non-hierarchical without exogenous declarations: |Dn| = 8 ≤
         // limit → brute force matches permutations.
         let q2 = parse_cq("q2() :- Stud(x), !TA(x), Reg(x, y), !Course(y, 'CS')").unwrap();
-        let v = shapley_value(&db, &q2, f, &ShapleyOptions::default()).unwrap();
+        let v = value(&db, AnyQuery::Cq(&q2), f, &ShapleyOptions::default()).unwrap();
         let p = shapley_by_permutations(&db, AnyQuery::Cq(&q2), f, 9, None).unwrap();
         assert_eq!(v, p);
     }
@@ -876,25 +823,14 @@ mod tests {
             ..Default::default()
         };
         for &f in db.endo_facts() {
-            let a = shapley_value(&db, &q2, f, &exo_opts).unwrap();
-            let b = shapley_value(&db, &q2, f, &bf_opts).unwrap();
+            let a = value(&db, AnyQuery::Cq(&q2), f, &exo_opts).unwrap();
+            let b = value(&db, AnyQuery::Cq(&q2), f, &bf_opts).unwrap();
             assert_eq!(a, b, "{}", db.render_fact(f));
         }
         // Auto picks ExoShap here.
         let f = db.find_fact("TA", &["Adam"]).unwrap();
-        let auto = shapley_value(&db, &q2, f, &ShapleyOptions::default()).unwrap();
-        assert_eq!(auto, shapley_value(&db, &q2, f, &exo_opts).unwrap());
-    }
-
-    #[test]
-    fn non_endogenous_fact_rejected() {
-        let db = university();
-        let q1 = parse_cq("q1() :- Stud(x), !TA(x), Reg(x, y)").unwrap();
-        let f = db.find_fact("Stud", &["Adam"]).unwrap();
-        assert!(matches!(
-            shapley_value(&db, &q1, f, &ShapleyOptions::default()),
-            Err(CoreError::FactNotEndogenous { .. })
-        ));
+        let auto = value(&db, AnyQuery::Cq(&q2), f, &ShapleyOptions::default()).unwrap();
+        assert_eq!(auto, value(&db, AnyQuery::Cq(&q2), f, &exo_opts).unwrap());
     }
 
     #[test]
@@ -902,7 +838,7 @@ mod tests {
         let db = Database::parse("endo R(a)\nendo S(b)\n").unwrap();
         let u = cqshap_query::parse_ucq("q() :- R(x); q() :- S(x)").unwrap();
         let f = db.find_fact("R", &["a"]).unwrap();
-        let v = shapley_value_union(&db, &u, f, &ShapleyOptions::default()).unwrap();
+        let v = value(&db, AnyQuery::Union(&u), f, &ShapleyOptions::default()).unwrap();
         // Symmetric players of a 2-player OR game: each gets 1/2.
         assert_eq!(v, rat(1, 2));
         let p = shapley_by_permutations(&db, AnyQuery::Union(&u), f, 9, None).unwrap();
@@ -912,7 +848,10 @@ mod tests {
             strategy: Strategy::BruteForceSubsets,
             ..Default::default()
         };
-        assert_eq!(shapley_value_union(&db, &u, f, &brute).unwrap(), rat(1, 2));
+        assert_eq!(
+            value(&db, AnyQuery::Union(&u), f, &brute).unwrap(),
+            rat(1, 2)
+        );
     }
 
     #[test]
@@ -927,10 +866,10 @@ mod tests {
         db.add_endo("T", &["t0"]).unwrap();
         let u = cqshap_query::parse_ucq("q1() :- R(x); q2() :- T(y)").unwrap();
         let f = db.find_fact("T", &["t0"]).unwrap();
-        let v = shapley_value_union(&db, &u, f, &ShapleyOptions::default()).unwrap();
+        let v = value(&db, AnyQuery::Union(&u), f, &ShapleyOptions::default()).unwrap();
         // 31 symmetric players of an OR game: each gets 1/31.
         assert_eq!(v, rat(1, 31));
-        let report = shapley_report_union(&db, &u, &ShapleyOptions::default()).unwrap();
+        let report = report(&db, AnyQuery::Union(&u), &ShapleyOptions::default()).unwrap();
         assert!(report.efficiency_holds());
         assert_eq!(report.expected_total, BigRational::one());
         assert_eq!(report.entry(f).unwrap().value, rat(1, 31));
@@ -946,17 +885,20 @@ mod tests {
         };
         // Tractable union: the explicit strategy now succeeds.
         let ok = cqshap_query::parse_ucq("q1() :- R(x); q2() :- S(x)").unwrap();
-        assert_eq!(shapley_value_union(&db, &ok, f, &hier).unwrap(), rat(1, 2));
+        assert_eq!(
+            value(&db, AnyQuery::Union(&ok), f, &hier).unwrap(),
+            rat(1, 2)
+        );
         // Intractable intersection: the error names it; Auto absorbs it
         // into brute force instead of erroring.
         let bad = cqshap_query::parse_ucq("qa() :- R(x); qb() :- R(y), S(z)").unwrap();
-        match shapley_value_union(&db, &bad, f, &hier) {
+        match value(&db, AnyQuery::Union(&bad), f, &hier) {
             Err(CoreError::IntractableIntersection { intersection, .. }) => {
                 assert_eq!(intersection, "qa ∧ qb");
             }
             other => panic!("expected IntractableIntersection, got {other:?}"),
         }
-        let auto = shapley_value_union(&db, &bad, f, &ShapleyOptions::default()).unwrap();
+        let auto = value(&db, AnyQuery::Union(&bad), f, &ShapleyOptions::default()).unwrap();
         let p = shapley_by_permutations(&db, AnyQuery::Union(&bad), f, 9, None).unwrap();
         assert_eq!(auto, p);
     }
@@ -990,10 +932,10 @@ mod tests {
             ExactComplexity::TractableViaExoShap
         ));
         let f = db.find_fact("Author", &["a0", "t0"]).unwrap();
-        let auto = shapley_value_union(&db, &u, f, &ShapleyOptions::default()).unwrap();
-        let exo = shapley_value_union(
+        let auto = value(&db, AnyQuery::Union(&u), f, &ShapleyOptions::default()).unwrap();
+        let exo = value(
             &db,
-            &u,
+            AnyQuery::Union(&u),
             f,
             &ShapleyOptions {
                 strategy: Strategy::ExoShap,
@@ -1002,12 +944,15 @@ mod tests {
         )
         .unwrap();
         assert_eq!(auto, exo);
-        let report = shapley_report_union(&db, &u, &ShapleyOptions::default()).unwrap();
+        let report = report(&db, AnyQuery::Union(&u), &ShapleyOptions::default()).unwrap();
         assert!(report.efficiency_holds());
         assert_eq!(report.entry(f).unwrap().value, auto);
-        let per_fact =
-            crate::reference::shapley_report_union_per_fact(&db, &u, &ShapleyOptions::default())
-                .unwrap();
+        let per_fact = crate::reference::shapley_report_per_fact(
+            &db,
+            AnyQuery::Union(&u),
+            &ShapleyOptions::default(),
+        )
+        .unwrap();
         assert_eq!(per_fact.entry(f).unwrap().value, auto);
     }
 
@@ -1033,11 +978,11 @@ mod tests {
             ..Default::default()
         };
         for &f in db.endo_facts() {
-            let a = shapley_value_union(&db, &u, f, &exo).unwrap();
-            let b = shapley_value_union(&db, &u, f, &brute).unwrap();
+            let a = value(&db, AnyQuery::Union(&u), f, &exo).unwrap();
+            let b = value(&db, AnyQuery::Union(&u), f, &brute).unwrap();
             assert_eq!(a, b, "{}", db.render_fact(f));
         }
-        let report = shapley_report_union(&db, &u, &exo).unwrap();
+        let report = report(&db, AnyQuery::Union(&u), &exo).unwrap();
         assert!(report.efficiency_holds());
     }
 
@@ -1055,9 +1000,10 @@ mod tests {
         )
         .unwrap();
         let opts = ShapleyOptions::default();
-        let batched = shapley_report_union(&db, &u, &opts).unwrap();
+        let batched = report(&db, AnyQuery::Union(&u), &opts).unwrap();
         assert!(batched.efficiency_holds());
-        let per_fact = crate::reference::shapley_report_union_per_fact(&db, &u, &opts).unwrap();
+        let per_fact =
+            crate::reference::shapley_report_per_fact(&db, AnyQuery::Union(&u), &opts).unwrap();
         for &f in db.endo_facts() {
             let b = &batched.entry(f).unwrap().value;
             assert_eq!(

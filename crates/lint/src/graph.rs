@@ -170,6 +170,9 @@ pub struct Graph {
     pub lock_sites: Vec<GraphLockSite>,
     /// Every lock-bearing declaration.
     pub lock_decls: Vec<LockDecl>,
+    /// `(crate, type name)` → is some non-test `struct`/`enum`/`trait`
+    /// of that name in the crate unrestricted `pub`?
+    type_vis: HashMap<(String, String), bool>,
 }
 
 /// Parent pointers from a [`Graph::reach`] traversal: for each fn,
@@ -188,7 +191,13 @@ impl Graph {
         let mut fns = Vec::new();
         let mut rwlock_names: BTreeSet<String> = BTreeSet::new();
         let mut lock_decls = Vec::new();
+        let mut type_vis: HashMap<(String, String), bool> = HashMap::new();
         for input in inputs {
+            for (name, is_pub) in &input.parsed.type_decls {
+                *type_vis
+                    .entry((input.krate.clone(), name.clone()))
+                    .or_default() |= is_pub;
+            }
             for (name, lock_type, line) in &input.parsed.lock_decls {
                 if lock_type == "RwLock" {
                     rwlock_names.insert(name.clone());
@@ -330,7 +339,26 @@ impl Graph {
             lock_ids,
             lock_sites,
             lock_decls,
+            type_vis,
         }
+    }
+
+    /// Can callers outside its crate name fn `i`? A `pub` fn can be
+    /// named, and so can a trait-impl method unless its self type is
+    /// declared in the crate and never `pub` there. A self type the
+    /// crate does not declare (a foreign type, `Vec<T>`) keeps the
+    /// method nameable, so the answer errs toward more roots.
+    pub(crate) fn is_api(&self, i: usize) -> bool {
+        let f = &self.fns[i];
+        let self_type_nameable = || {
+            f.item.impl_type.as_ref().is_none_or(|t| {
+                self.type_vis
+                    .get(&(f.krate.clone(), t.clone()))
+                    .copied()
+                    .unwrap_or(true)
+            })
+        };
+        f.item.is_pub || (f.item.impl_trait.is_some() && self_type_nameable())
     }
 
     /// Forward reachability from `roots` over both edge kinds, with

@@ -48,8 +48,9 @@ pub struct GraphRuleOutcome {
 }
 
 /// `transitive-no-panic`: a public engine API is panic-free iff every
-/// fn reachable from it is. Roots are the non-test public fns and
-/// trait-impl methods of the `no_panic_crates`; panic `sites` (from
+/// fn reachable from it is. Roots are the non-test fns of the
+/// `no_panic_crates` that callers outside the crate can name (see
+/// `Graph::is_api`); panic `sites` (from
 /// [`crate::rules::panic_sites`]) in fns unreachable from every root
 /// are proven safe (the code cannot run under any public entry point),
 /// and reachable sites get an explanation path. The per-root
@@ -64,11 +65,11 @@ pub fn transitive_no_panic(
         .fns
         .iter()
         .enumerate()
-        .filter(|(_, f)| {
+        .filter(|&(i, f)| {
             no_panic_crates.contains(&f.krate.as_str())
                 && !f.item.is_test
                 && !f.is_binary
-                && (f.item.is_pub || f.item.impl_trait.is_some())
+                && graph.is_api(i)
         })
         .map(|(i, _)| i)
         .collect();
@@ -83,13 +84,12 @@ pub fn transitive_no_panic(
         };
         let gf = &graph.fns[inner];
         let reachable = parents[inner].is_some();
-        let root_eligible = gf.item.is_pub || gf.item.impl_trait.is_some();
-        if !reachable && !root_eligible && !gf.item.is_test {
+        if !reachable && !graph.is_api(inner) && !gf.item.is_test {
             out.proven.push(ProvenSite {
                 file: f.file.clone(),
                 line: f.line,
                 why: format!(
-                    "`{}` is unreachable from every public fn or trait impl of the panic-free crates",
+                    "`{}` is unreachable from every nameable API of the panic-free crates",
                     gf.qualname
                 ),
             });

@@ -177,6 +177,10 @@ pub struct ParsedFile {
     /// `(declared name, type ident, line)` — the lock-order rule's
     /// coverage universe.
     pub lock_decls: Vec<(String, String, u32)>,
+    /// Non-test `struct`/`enum`/`trait` declarations, as `(name,
+    /// unrestricted pub)` — what decides whether a trait impl's methods
+    /// are nameable outside the crate.
+    pub(crate) type_decls: Vec<(String, bool)>,
 }
 
 /// Identifier evidence that a body participates in cooperative
@@ -272,6 +276,7 @@ impl<'s> Parser<'s> {
     fn run(self) -> ParsedFile {
         let mut fns = Vec::new();
         let mut lock_decls = Vec::new();
+        let mut type_decls = Vec::new();
         // Scope stack entries are (scope, closing sig index).
         let mut stack: Vec<(Scope, usize)> = Vec::new();
         let mut k = 0usize;
@@ -319,6 +324,12 @@ impl<'s> Parser<'s> {
                         None => k += 1,
                     }
                 }
+                (TokenKind::Ident, "struct" | "enum" | "trait")
+                    if self.is_ident(k + 1) && !self.map.in_test(t.start) =>
+                {
+                    type_decls.push((self.text(k + 1).to_string(), self.visibility_before(k)));
+                    k += 2;
+                }
                 (TokenKind::Ident, "Mutex" | "RwLock" | "OnceLock")
                     if self.is_punct(k + 1, "<") =>
                 {
@@ -330,7 +341,11 @@ impl<'s> Parser<'s> {
                 _ => k += 1,
             }
         }
-        ParsedFile { fns, lock_decls }
+        ParsedFile {
+            fns,
+            lock_decls,
+            type_decls,
+        }
     }
 
     /// Walks back from a `Mutex<`/`RwLock<`/`OnceLock<` type token to
@@ -499,9 +514,10 @@ impl<'s> Parser<'s> {
         ))
     }
 
-    /// Was the item at significant index `k` (its `fn` keyword)
-    /// declared unrestricted-`pub`? Scans back over the modifier run
-    /// (`pub const unsafe extern "C" async fn`).
+    /// Was the item at significant index `k` (its `fn`, `struct`,
+    /// `enum` or `trait` keyword) declared unrestricted-`pub`? Scans
+    /// back over the modifier run (`pub const unsafe extern "C" async
+    /// fn`).
     fn visibility_before(&self, k: usize) -> bool {
         let mut j = k;
         while j > 0 {
@@ -1095,6 +1111,22 @@ mod tests {
         assert_eq!(fmt.impl_trait.as_deref(), Some("Display"));
         assert!(p.fns[4].impl_type.is_none());
         assert!(p.fns[4].is_pub);
+        assert_eq!(p.type_decls, [("Foo".to_string(), true)]);
+    }
+
+    #[test]
+    fn type_declarations_record_their_visibility() {
+        let src = "#[derive(Debug)]\npub(crate) struct A;\npub enum B { X }\npub(super) trait C {}\nunsafe trait D {}\n#[cfg(test)]\nmod tests {\n  pub struct T;\n}\n";
+        let p = parse_source(src);
+        assert_eq!(
+            p.type_decls,
+            [
+                ("A".to_string(), false),
+                ("B".to_string(), true),
+                ("C".to_string(), false),
+                ("D".to_string(), false),
+            ]
+        );
     }
 
     #[test]

@@ -234,6 +234,28 @@ fn reachable_panic_site_is_counted_with_path() {
 }
 
 #[test]
+fn trait_impls_are_roots_only_on_nameable_types() {
+    // `impl Display` on a `pub(crate)` struct is no API; the same impl
+    // on a `pub` struct is. A self type the crate does not declare
+    // (`Vec<u8>`) stays a root.
+    let out = run_core("tnp_impl_roots.rs");
+    assert!(out
+        .graph
+        .fns
+        .iter()
+        .any(|f| f.qualname == "core::fixture::Hidden::fmt"));
+    let (_, tnp) = out
+        .sections
+        .iter()
+        .find(|(k, _)| *k == "transitive_no_panic")
+        .expect("section");
+    assert!(tnp.starts_with("{\"roots\": 2,"), "{tnp}");
+    assert!(!tnp.contains("Hidden"), "{tnp}");
+    assert!(tnp.contains("core::fixture::Shown::fmt"), "{tnp}");
+    assert!(tnp.contains("core::fixture::Vec::width"), "{tnp}");
+}
+
+#[test]
 fn tuple_field_index_is_a_panic_site() {
     // `self.0[i]`: the token before `[` is a number literal after `.`.
     let out = run_core("tnp_tuple_index.rs");

@@ -10,7 +10,6 @@
 //! they do not grow? Aggregates decompose over answers by linearity
 //! (the "Remarks" of Section 3).
 
-use cqshap::core::aggregates::{aggregate_shapley, aggregate_value, AggregateFunction};
 use cqshap::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -41,12 +40,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\ncount over D = {full}, count over Dx = {empty}");
 
     println!("\n== Aggregate Shapley attribution ==");
-    let mut total = BigRational::zero();
-    for &f in db.endo_facts() {
-        let v = aggregate_shapley(&db, &q_count, &agg, f, &opts)?;
-        total += &v;
-        println!("  {:<24} {}", db.render_fact(f), v);
+    let session = ShapleySession::prepare_aggregate(&db, &q_count, agg.clone(), &opts)?;
+    let report = session.report()?;
+    for entry in &report.entries {
+        println!("  {:<24} {}", entry.rendered, entry.value);
     }
+    let total = report.total.clone();
     println!("  {:<24} {}", "Σ", total);
 
     // Efficiency by linearity: the attributions sum to the change the
@@ -55,9 +54,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nefficiency Σ = count(D) − count(Dx) ✓");
 
     // Farmer facts only help (≥ 0); Grows facts only hurt (≤ 0).
-    for &f in db.endo_facts() {
-        let v = aggregate_shapley(&db, &q_count, &agg, f, &opts)?;
-        match db.schema().name(db.fact(f).rel) {
+    for entry in &report.entries {
+        let v = &entry.value;
+        match db.schema().name(db.fact(entry.fact).rel) {
             "Farmer" => assert!(!v.is_negative()),
             "Grows" => assert!(!v.is_positive()),
             other => panic!("unexpected endogenous relation {other}"),

@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(is_hierarchical(&outcome.query));
 
     let opts = ShapleyOptions::with_strategy(Strategy::ExoShap);
-    let report = shapley_report(&db, &q, &opts)?;
+    let report = ShapleySession::prepare(&db, AnyQuery::Cq(&q), &opts)?.report()?;
     println!("\n== Shapley values via ExoShap ==");
     for entry in &report.entries {
         println!("  {:<28} {}", entry.rendered, entry.value);
@@ -47,9 +47,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(report.efficiency_holds());
 
     // Cross-check against brute force (small |Dn| makes this feasible).
-    let bf = ShapleyOptions::with_strategy(Strategy::BruteForceSubsets);
+    let bf = ShapleySession::prepare(
+        &db,
+        AnyQuery::Cq(&q),
+        &ShapleyOptions::with_strategy(Strategy::BruteForceSubsets),
+    )?;
     for entry in &report.entries {
-        let v = shapley_value(&db, &q, entry.fact, &bf)?;
+        let v = bf.value(entry.fact)?;
         assert_eq!(v, entry.value, "{}", entry.rendered);
     }
     println!("\nall values match the brute-force oracle ✓");
@@ -68,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "  Thm 4.3 verdict with X = {{Stud, Course, Adv}}: {}",
         classify_with_exo(&q2, &exo2)
     );
-    let report2 = shapley_report(&uni, &q2, &opts)?;
+    let report2 = ShapleySession::prepare(&uni, AnyQuery::Cq(&q2), &opts)?.report()?;
     println!("\n== Shapley values for q2 (polynomial, via ExoShap) ==");
     for entry in &report2.entries {
         println!("  {:<24} {}", entry.rendered, entry.value);

@@ -35,7 +35,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // q1 is hierarchical: exact values in polynomial time (Example 2.3).
     let q1 = parse_cq("q1() :- Stud(x), !TA(x), Reg(x, y)")?;
-    let report = shapley_report(&db, &q1, &ShapleyOptions::default())?;
+    let report =
+        ShapleySession::prepare(&db, AnyQuery::Cq(&q1), &ShapleyOptions::default())?.report()?;
     println!("\n== Exact Shapley values for {q1} ==");
     for entry in &report.entries {
         println!("  Shapley(D, q1, {:<20}) = {}", entry.rendered, entry.value);

@@ -20,6 +20,14 @@
 //!
 //! ## Quickstart
 //!
+//! Every exact answer comes from a
+//! [`ShapleySession`](cqshap_core::session::ShapleySession), prepared
+//! once for a database and a query. It keeps one routing plan; the
+//! Shapley reads and the probability reads (`probability`,
+//! `expected_shapley`, Theorem 4.10) each compile their domain from it
+//! on first use and serve every later read from it, and updates
+//! maintain it in place:
+//!
 //! ```
 //! use cqshap::prelude::*;
 //!
@@ -28,36 +36,31 @@
 //! let q1 = parse_cq("q1() :- Stud(x), !TA(x), Reg(x, y)").unwrap();
 //!
 //! // q1 is hierarchical, so exact Shapley values are polynomial-time.
-//! let report = shapley_report(&db, &q1, &ShapleyOptions::default()).unwrap();
-//! let ta_adam = db.find_fact("TA", &["Adam"]).unwrap();
-//! assert_eq!(report.entry(ta_adam).unwrap().value.to_string(), "-3/28");
-//! assert!(report.efficiency_holds());
-//! ```
-//!
-//! ## Sessions
-//!
-//! For repeated queries against one database — and for incremental
-//! maintenance across updates — prepare a
-//! [`ShapleySession`](cqshap_core::session::ShapleySession) once. It
-//! keeps one routing plan; the Shapley reads and the probability reads
-//! (`probability`, `expected_shapley`, Theorem 4.10) each compile their
-//! domain from it on first use and serve every later read from it:
-//!
-//! ```
-//! use cqshap::prelude::*;
-//!
-//! let db = cqshap::workloads::figure_1_database();
-//! let q1 = parse_cq("q1() :- Stud(x), !TA(x), Reg(x, y)").unwrap();
 //! let mut session = ShapleySession::prepare(&db, AnyQuery::Cq(&q1), &ShapleyOptions::auto()).unwrap();
 //! assert_eq!(session.strategy(), Some(ResolvedStrategy::Hierarchical));
-//!
-//! let ta_adam = session.database().find_fact("TA", &["Adam"]).unwrap();
+//! let report = session.report().unwrap();
+//! let ta_adam = db.find_fact("TA", &["Adam"]).unwrap();
+//! assert_eq!(report.entry(ta_adam).unwrap().value.to_string(), "-3/28");
 //! assert_eq!(session.value(ta_adam).unwrap().to_string(), "-3/28");
+//! assert!(report.efficiency_holds());
 //!
 //! // In-place update: only TA(Adam)'s root group is recounted.
 //! session.set_exogenous(ta_adam, true).unwrap();
 //! assert!(session.report().unwrap().efficiency_holds());
 //! assert_eq!(session.stats().incremental_updates, 1);
+//! ```
+//!
+//! The one-shot free functions that only prepared such a session are
+//! gone, so none of these paths resolves:
+//!
+//! ```compile_fail,E0432
+//! use cqshap::core::shapley_report;
+//! ```
+//! ```compile_fail,E0432
+//! use cqshap::prelude::shapley_value_union;
+//! ```
+//! ```compile_fail,E0432
+//! use cqshap::core::aggregates::aggregate_report;
 //! ```
 //!
 //! The session is the engine's whole surface. The compiled counting and
@@ -92,7 +95,7 @@ pub use cqshap_workloads as workloads;
 /// The most commonly used items, for glob import.
 pub mod prelude {
     pub use cqshap_core::{
-        aggregates::{aggregate_report, aggregate_shapley, aggregate_value, AggregateFunction},
+        aggregates::{aggregate_value, AggregateFunction},
         approx::{
             required_samples, shapley_additive_approx, shapley_anytime, shapley_sampled,
             AnytimeParams, AnytimeReport, AnytimeState, FactEstimate, SampleParams,
@@ -104,8 +107,7 @@ pub mod prelude {
             brute_force_relevance, is_negatively_relevant, is_positively_relevant, is_relevant,
             shapley_is_zero,
         },
-        rewrite, shapley_by_permutations, shapley_report, shapley_report_union, shapley_value,
-        shapley_value_union, shapley_via_counts,
+        rewrite, shapley_by_permutations, shapley_via_counts,
         wsms::{wsms_report, WsmsEntry, WsmsReport, WsmsWeight},
         AnyQuery, BruteForceCounter, CoreError, FactProbabilities, HierarchicalCounter,
         ReportStats, ResolvedStrategy, SatCountOracle, SessionStats, ShapleyEntry, ShapleyOptions,
@@ -130,7 +132,10 @@ mod tests {
         let q1 = parse_cq("q1() :- Stud(x), !TA(x), Reg(x, y)").unwrap();
         assert_eq!(classify(&q1), ExactComplexity::TractableHierarchical);
         let f = db.find_fact("Reg", &["Caroline", "DB"]).unwrap();
-        let v = shapley_value(&db, &q1, f, &ShapleyOptions::default()).unwrap();
+        let v = ShapleySession::prepare(&db, AnyQuery::Cq(&q1), &ShapleyOptions::default())
+            .unwrap()
+            .value(f)
+            .unwrap();
         assert_eq!(v, BigRational::from_i64_ratio(13, 42));
     }
 }

@@ -100,7 +100,10 @@ fn anytime_intervals_contain_exact_values_on_tractable_instances() {
     // stopping rule's coverage erosion.
     let db = cqshap::workloads::figure_1_database();
     let q1 = parse_cq("q1() :- Stud(x), !TA(x), Reg(x, y)").unwrap();
-    let exact = shapley_report(&db, &q1, &ShapleyOptions::default()).unwrap();
+    let exact = ShapleySession::prepare(&db, AnyQuery::Cq(&q1), &ShapleyOptions::default())
+        .unwrap()
+        .report()
+        .unwrap();
     let mut state = None;
     let report = shapley_anytime(
         &db,
@@ -268,11 +271,17 @@ fn anytime_intervals_miss_at_most_delta_of_the_time() {
     assert_eq!(db.endo_count(), 12);
     let subsets = ShapleyOptions::default().strategy(Strategy::BruteForceSubsets);
     let q = parse_cq(Q_RST).unwrap();
-    let exact = shapley_report(&db, &q, &subsets).unwrap();
+    let exact = ShapleySession::prepare(&db, AnyQuery::Cq(&q), &subsets)
+        .unwrap()
+        .report()
+        .unwrap();
     let rate = miss_rate(&db, AnyQuery::Cq(&q), &exact, 200);
     assert!(rate <= 0.05, "q_RS¬T: pooled miss rate {rate}");
     let u = parse_ucq(U_MIXED).unwrap();
-    let exact = shapley_report_union(&db, &u, &subsets).unwrap();
+    let exact = ShapleySession::prepare(&db, AnyQuery::Union(&u), &subsets)
+        .unwrap()
+        .report()
+        .unwrap();
     let rate = miss_rate(&db, AnyQuery::Union(&u), &exact, 200);
     assert!(rate <= 0.05, "U_MIXED: pooled miss rate {rate}");
 }

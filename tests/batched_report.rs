@@ -12,6 +12,15 @@ use cqshap::prelude::*;
 use cqshap::workloads::random_db::RandomDbConfig;
 use proptest::prelude::*;
 
+/// The batched report of a session prepared for `q`.
+fn session_report(
+    db: &Database,
+    q: &ConjunctiveQuery,
+    options: &ShapleyOptions,
+) -> Result<ShapleyReport, CoreError> {
+    ShapleySession::prepare(db, AnyQuery::Cq(q), options)?.report()
+}
+
 /// Hierarchical CQ¬s with positive atoms, negated atoms, and constants.
 const HIERARCHICAL: &[&str] = &[
     "q() :- A(x), !B(x), C(x, y)",
@@ -78,9 +87,9 @@ proptest! {
         let (q, db) = build(qi, mix, seed, dom, facts);
         prop_assume!(db.endo_count() >= 1 && db.endo_count() <= 16);
         let opts = ShapleyOptions::default();
-        let report = shapley_report(&db, &q, &opts).unwrap();
+        let report = session_report(&db, &q, &opts).unwrap();
         prop_assert!(report.efficiency_holds(), "efficiency on {} over\n{}", q, db);
-        let baseline = shapley_report_per_fact(&db, &q, &opts).unwrap();
+        let baseline = shapley_report_per_fact(&db, AnyQuery::Cq(&q), &opts).unwrap();
         for &f in db.endo_facts() {
             let entry = report.entry(f).unwrap();
             prop_assert_eq!(entry.fact, f);
@@ -120,7 +129,7 @@ proptest! {
     ) {
         let (q, db) = build(qi, mix, seed, 3, 3);
         prop_assume!(db.endo_count() >= 1 && db.endo_count() <= 7);
-        let report = shapley_report(&db, &q, &ShapleyOptions::default()).unwrap();
+        let report = session_report(&db, &q, &ShapleyOptions::default()).unwrap();
         prop_assert!(report.efficiency_holds());
         for &f in db.endo_facts() {
             let p = shapley_by_permutations(&db, AnyQuery::Cq(&q), f, 9, None).unwrap();
@@ -154,9 +163,9 @@ fn exoshap_report_is_batched_and_matches_brute_force() {
         let exo = ShapleyOptions::with_strategy(cqshap::core::shapley::Strategy::ExoShap);
         let brute =
             ShapleyOptions::with_strategy(cqshap::core::shapley::Strategy::BruteForceSubsets);
-        let batched = shapley_report(&db, &q, &exo).unwrap();
+        let batched = session_report(&db, &q, &exo).unwrap();
         assert!(batched.efficiency_holds(), "seed {seed}");
-        let reference = shapley_report(&db, &q, &brute).unwrap();
+        let reference = session_report(&db, &q, &brute).unwrap();
         for &f in db.endo_facts() {
             assert_eq!(
                 batched.entry(f).unwrap().value,
@@ -178,7 +187,7 @@ fn always_false_rewrite_gives_zero_report() {
     db.declare_exogenous_relation(r).unwrap();
     let q = parse_cq("q() :- S(x), R(u)").unwrap();
     let options = ShapleyOptions::with_strategy(cqshap::core::shapley::Strategy::ExoShap);
-    let report = shapley_report(&db, &q, &options).unwrap();
+    let report = session_report(&db, &q, &options).unwrap();
     assert!(report.efficiency_holds());
     assert!(report.total.is_zero());
     for &f in db.endo_facts() {
@@ -192,7 +201,7 @@ fn always_false_rewrite_gives_zero_report() {
 fn report_entry_lookup() {
     let db = cqshap::workloads::figure_1_database();
     let q1 = parse_cq("q1() :- Stud(x), !TA(x), Reg(x, y)").unwrap();
-    let report = shapley_report(&db, &q1, &ShapleyOptions::default()).unwrap();
+    let report = session_report(&db, &q1, &ShapleyOptions::default()).unwrap();
     for &f in db.endo_facts() {
         assert_eq!(report.entry(f).unwrap().fact, f);
     }

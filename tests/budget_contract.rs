@@ -3,7 +3,7 @@
 //! `DeadlineExceeded` — never a different error, never a value that
 //! differs from the unbudgeted answer.
 
-use cqshap::core::reference::shapley_report_union_per_fact;
+use cqshap::core::reference::shapley_report_per_fact;
 use cqshap::obs;
 use cqshap::prelude::*;
 
@@ -42,7 +42,7 @@ fn union_brute_force_budget_bounds_the_whole_report() {
     let facts: Vec<FactId> = db.endo_facts().to_vec();
     assert_brute_force_deadline(session.values(&facts), "session values");
     assert_brute_force_deadline(
-        shapley_report_union_per_fact(&db, &u, &capped),
+        shapley_report_per_fact(&db, AnyQuery::Union(&u), &capped),
         "per-fact reference report",
     );
 
@@ -54,8 +54,11 @@ fn union_brute_force_budget_bounds_the_whole_report() {
         .unwrap();
     assert!(full.efficiency_holds());
     for strategy in [Strategy::Hierarchical, Strategy::BruteForcePermutations] {
-        let other =
-            shapley_report_union(&db, &u, &ShapleyOptions::with_strategy(strategy)).unwrap();
+        let options = ShapleyOptions::with_strategy(strategy);
+        let other = ShapleySession::prepare(&db, AnyQuery::Union(&u), &options)
+            .unwrap()
+            .report()
+            .unwrap();
         for e in &full.entries {
             assert_eq!(
                 e.value,
@@ -65,7 +68,7 @@ fn union_brute_force_budget_bounds_the_whole_report() {
             );
         }
     }
-    let reference = shapley_report_union_per_fact(&db, &u, &brute).unwrap();
+    let reference = shapley_report_per_fact(&db, AnyQuery::Union(&u), &brute).unwrap();
     for e in &full.entries {
         assert_eq!(e.value, reference.entry(e.fact).unwrap().value);
     }

@@ -62,7 +62,10 @@ proptest! {
         let q = parse_cq(HIERARCHICAL[qi]).unwrap();
         let cfg = RandomDbConfig { domain: 3, facts_per_relation: facts, seed, ..Default::default() };
         let db = cfg.generate(&q);
-        let report = shapley_report(&db, &q, &ShapleyOptions::default()).unwrap();
+        let report = ShapleySession::prepare(&db, AnyQuery::Cq(&q), &ShapleyOptions::default())
+            .unwrap()
+            .report()
+            .unwrap();
         prop_assert!(report.efficiency_holds(), "query {} on\n{}", q, db);
     }
 
@@ -112,12 +115,16 @@ proptest! {
         };
         let db = cfg.generate(&q);
         prop_assume!(db.endo_count() >= 1 && db.endo_count() <= 10);
-        let exo_opts = ShapleyOptions::with_strategy(cqshap::core::Strategy::ExoShap);
-        let bf_opts = ShapleyOptions::with_strategy(cqshap::core::Strategy::BruteForceSubsets);
+        let prepare = |strategy| {
+            ShapleySession::prepare(&db, AnyQuery::Cq(&q), &ShapleyOptions::with_strategy(strategy))
+                .unwrap()
+        };
+        let exo = prepare(cqshap::core::Strategy::ExoShap);
+        let bf = prepare(cqshap::core::Strategy::BruteForceSubsets);
         for &f in db.endo_facts() {
             prop_assert_eq!(
-                shapley_value(&db, &q, f, &exo_opts).unwrap(),
-                shapley_value(&db, &q, f, &bf_opts).unwrap(),
+                exo.value(f).unwrap(),
+                bf.value(f).unwrap(),
                 "{} on\n{}", db.render_fact(f), db
             );
         }
@@ -152,7 +159,10 @@ proptest! {
 fn sampler_tracks_exact_values() {
     let db = cqshap::workloads::figure_1_database();
     let q1 = parse_cq("q1() :- Stud(x), !TA(x), Reg(x, y)").unwrap();
-    let report = shapley_report(&db, &q1, &ShapleyOptions::default()).unwrap();
+    let report = ShapleySession::prepare(&db, AnyQuery::Cq(&q1), &ShapleyOptions::default())
+        .unwrap()
+        .report()
+        .unwrap();
     for entry in &report.entries {
         let approx = shapley_sampled(&db, AnyQuery::Cq(&q1), entry.fact, 30_000, 2024, 0).unwrap();
         let exact = entry.value.to_f64();

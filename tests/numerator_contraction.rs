@@ -26,7 +26,7 @@
 mod common;
 
 use common::{replay, Update};
-use cqshap::core::reference::{shapley_report_per_fact, shapley_report_union_per_fact};
+use cqshap::core::reference::shapley_report_per_fact;
 use cqshap::prelude::*;
 use proptest::prelude::*;
 
@@ -139,8 +139,8 @@ proptest! {
         let db = skewed_db(seed, extra);
         let q = parse_cq(CQ).unwrap();
         let opts = ShapleyOptions::auto().threads(2);
-        let batched = shapley_report(&db, &q, &opts).unwrap();
-        let reference = shapley_report_per_fact(&db, &q, &opts).unwrap();
+        let batched = ShapleySession::prepare(&db, AnyQuery::Cq(&q), &opts).unwrap().report().unwrap();
+        let reference = shapley_report_per_fact(&db, AnyQuery::Cq(&q), &opts).unwrap();
         assert_reports_equal(&batched, &reference, CQ, &db);
     }
 
@@ -151,8 +151,8 @@ proptest! {
         let db = skewed_db(seed, extra);
         let u = parse_ucq(UNION).unwrap();
         let opts = ShapleyOptions::auto().threads(2);
-        let batched = shapley_report_union(&db, &u, &opts).unwrap();
-        let reference = shapley_report_union_per_fact(&db, &u, &opts).unwrap();
+        let batched = ShapleySession::prepare(&db, AnyQuery::Union(&u), &opts).unwrap().report().unwrap();
+        let reference = shapley_report_per_fact(&db, AnyQuery::Union(&u), &opts).unwrap();
         assert_reports_equal(&batched, &reference, UNION, &db);
     }
 

@@ -178,8 +178,14 @@ fn aggregate_stats_view_matches_trace_counters() {
     let t = trace();
     let db = workloads::report_benchmark_db(64);
     let q = queries::per_course_count();
-    let report = aggregate_report(&db, &q, &AggregateFunction::Count, &ShapleyOptions::auto())
-        .expect("tractable aggregate");
+    let report = ShapleySession::prepare_aggregate(
+        &db,
+        &q,
+        AggregateFunction::Count,
+        &ShapleyOptions::auto(),
+    )
+    .and_then(|session| session.report())
+    .expect("tractable aggregate");
     assert!(report.stats.aggregate_candidates > 0, "no candidates found");
     assert_eq!(
         t.counter_value(obs::phase::CTR_AGG_CANDIDATES) as usize,

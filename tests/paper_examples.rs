@@ -29,11 +29,16 @@ fn example_2_3_values_by_all_strategies() {
         Strategy::BruteForceSubsets,
         Strategy::BruteForcePermutations,
     ] {
-        let opts = ShapleyOptions::with_strategy(strategy);
+        let session = ShapleySession::prepare(
+            &db,
+            AnyQuery::Cq(&q1),
+            &ShapleyOptions::with_strategy(strategy),
+        )
+        .unwrap();
         for (rel, args, want) in &expected {
             let refs: Vec<&str> = args.to_vec();
             let f = db.find_fact(rel, &refs).unwrap();
-            let got = shapley_value(&db, &q1, f, &opts).unwrap();
+            let got = session.value(f).unwrap();
             assert_eq!(&got, want, "{rel}{args:?} under {strategy:?}");
         }
     }
@@ -44,7 +49,10 @@ fn example_2_3_values_by_all_strategies() {
 fn example_2_3_efficiency() {
     let db = cqshap::workloads::figure_1_database();
     let q1 = parse_cq("q1() :- Stud(x), !TA(x), Reg(x, y)").unwrap();
-    let report = shapley_report(&db, &q1, &ShapleyOptions::default()).unwrap();
+    let report = ShapleySession::prepare(&db, AnyQuery::Cq(&q1), &ShapleyOptions::default())
+        .unwrap()
+        .report()
+        .unwrap();
     assert_eq!(report.total, BigRational::one());
     assert!(report.efficiency_holds());
 }
@@ -70,12 +78,20 @@ fn section_4_tractability_flip() {
         let rel = db.schema().id(name).unwrap();
         db.declare_exogenous_relation(rel).unwrap();
     }
-    let exo_opts = ShapleyOptions::with_strategy(Strategy::ExoShap);
-    let bf_opts = ShapleyOptions::with_strategy(Strategy::BruteForceSubsets);
+    let prepare = |strategy| {
+        ShapleySession::prepare(
+            &db,
+            AnyQuery::Cq(&q2),
+            &ShapleyOptions::with_strategy(strategy),
+        )
+        .unwrap()
+    };
+    let exo = prepare(Strategy::ExoShap);
+    let bf = prepare(Strategy::BruteForceSubsets);
     for &f in db.endo_facts() {
         assert_eq!(
-            shapley_value(&db, &q2, f, &exo_opts).unwrap(),
-            shapley_value(&db, &q2, f, &bf_opts).unwrap(),
+            exo.value(f).unwrap(),
+            bf.value(f).unwrap(),
             "{}",
             db.render_fact(f)
         );

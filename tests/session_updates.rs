@@ -232,11 +232,11 @@ proptest! {
         for step in 0..steps as u64 {
             apply_update(&mut session, seed.wrapping_add(step).wrapping_mul(0x1B873593));
             prop_assume!(session.database().endo_count() <= 12);
-            let report = session.aggregate_report().unwrap();
+            let report = session.report().unwrap();
             prop_assert!(report.efficiency_holds(), "over\n{}", session.database());
-            // Per-fact free function agrees with the session's engines.
+            // The per-fact reference path agrees with the session's engines.
             for entry in &report.entries {
-                let v = aggregate_shapley(
+                let v = cqshap::core::reference::aggregate_shapley_per_fact(
                     session.database(), &q, &AggregateFunction::Count, entry.fact, &opts,
                 ).unwrap();
                 prop_assert_eq!(&entry.value, &v, "{}", &entry.rendered);

@@ -9,6 +9,15 @@ use cqshap::prelude::*;
 use cqshap::workloads::random_db::RandomDbConfig;
 use proptest::prelude::*;
 
+/// `Shapley(D, q, f)`, served by a session prepared with the default
+/// options.
+fn value(db: &Database, q: &ConjunctiveQuery, f: FactId) -> BigRational {
+    ShapleySession::prepare(db, AnyQuery::Cq(q), &ShapleyOptions::default())
+        .unwrap()
+        .value(f)
+        .unwrap()
+}
+
 const QUERIES: &[&str] = &[
     "q() :- A(x), !B(x), C(x, y)",
     "q() :- A(x), C(x, y), !D(x, y)",
@@ -29,7 +38,7 @@ proptest! {
         prop_assume!(db.endo_count() >= 1 && db.endo_count() <= 12);
         for &f in db.endo_facts() {
             let relevant = is_relevant(&db, AnyQuery::Cq(&q), f).unwrap();
-            let v = shapley_value(&db, &q, f, &ShapleyOptions::default()).unwrap();
+            let v = value(&db, &q, f);
             if !relevant {
                 prop_assert!(v.is_zero(), "{} on\n{}", db.render_fact(f), db);
             } else {
@@ -57,8 +66,8 @@ proptest! {
         for j in 0..extra {
             db.add_endo("B", &[&format!("y{j}")]).unwrap();
         }
-        let a = shapley_value(&db, &q, f1, &ShapleyOptions::default()).unwrap();
-        let b = shapley_value(&db, &q, f2, &ShapleyOptions::default()).unwrap();
+        let a = value(&db, &q, f1);
+        let b = value(&db, &q, f2);
         prop_assert_eq!(a, b);
     }
 
@@ -75,7 +84,7 @@ proptest! {
         let polarity = cqshap::query::analysis::polarity_map(&q);
         for &f in db.endo_facts() {
             let rel = db.schema().name(db.fact(f).rel).to_string();
-            let v = shapley_value(&db, &q, f, &ShapleyOptions::default()).unwrap();
+            let v = value(&db, &q, f);
             match polarity.get(&rel) {
                 Some(cqshap::query::analysis::Polarity::Positive) => {
                     prop_assert!(!v.is_negative(), "{} on\n{}", db.render_fact(f), db)
@@ -93,24 +102,26 @@ proptest! {
     /// v = v1 + v2 − v1·v2 is NOT the sum — but for the *numeric* game
     /// q1 + q2 it is. We check the exact additive identity through
     /// aggregate machinery instead: Shapley is additive over candidate
-    /// answers (that is how `aggregate_shapley` is computed), so
+    /// answers (that is how an aggregate session plans), so
     /// re-summing per-answer values reproduces the whole.
     #[test]
     fn linearity_over_answers(seed in 0u64..1500) {
-        use cqshap::core::aggregates::{aggregate_shapley, AggregateFunction};
+        use cqshap::core::aggregates::AggregateFunction;
+        use cqshap::core::reference::aggregate_shapley_per_fact;
         let q = parse_cq("qa(y) :- A(x), C(x, y), !B(y)").unwrap();
         let cfg = RandomDbConfig { domain: 3, facts_per_relation: 4, seed, ..Default::default() };
         let db = cfg.generate(&q);
         prop_assume!(db.endo_count() >= 1 && db.endo_count() <= 10);
         let opts = ShapleyOptions::default();
         for &f in db.endo_facts().iter().take(3) {
-            let whole = aggregate_shapley(&db, &q, &AggregateFunction::Count, f, &opts).unwrap();
+            let whole =
+                aggregate_shapley_per_fact(&db, &q, &AggregateFunction::Count, f, &opts).unwrap();
             let mut sum = BigRational::zero();
             for a in cqshap::core::aggregates::candidate_answers(&db, &q) {
                 // Rebuild the per-answer Boolean query by substitution.
                 let name = db.interner().resolve(a[0]).to_string();
                 let qa = parse_cq(&format!("qa() :- A(x), C(x, '{name}'), !B('{name}')")).unwrap();
-                sum = sum + shapley_value(&db, &qa, f, &opts).unwrap();
+                sum = sum + value(&db, &qa, f);
             }
             prop_assert_eq!(whole, sum, "{} on\n{}", db.render_fact(f), db);
         }
@@ -123,7 +134,7 @@ fn null_player_running_example() {
     let db = cqshap::workloads::figure_1_database();
     let q1 = parse_cq("q1() :- Stud(x), !TA(x), Reg(x, y)").unwrap();
     let f = db.find_fact("TA", &["David"]).unwrap();
-    let v = shapley_value(&db, &q1, f, &ShapleyOptions::default()).unwrap();
+    let v = value(&db, &q1, f);
     assert!(v.is_zero());
     assert!(shapley_is_zero(&db, AnyQuery::Cq(&q1), f).unwrap());
 }

@@ -1,20 +1,42 @@
 //! Property-based equivalence of the inclusion–exclusion union engine
 //! and the aggregate decomposition.
 //!
-//! `shapley_report_union` must be *bit-identical* (exact rationals) to
-//! the per-fact brute-force path on randomized 2–3-disjunct UCQ¬
+//! A union session's report must be *bit-identical* (exact rationals)
+//! to the per-fact brute-force path on randomized 2–3-disjunct UCQ¬
 //! instances — disjoint and overlapping relation sets, exogenous mixes
 //! — and must satisfy the efficiency axiom on every generated instance;
 //! `shapley_by_permutations` ties it back to the textbook definition on
-//! the small ones. `aggregate_shapley` / `aggregate_report` must
-//! satisfy the efficiency axiom `Σ_f Shapley_agg(f) = agg(D) − agg(Dx)`
-//! on random Count and Sum instances, agreeing with each other.
+//! the small ones. An aggregate session's report and the per-fact
+//! `aggregate_shapley_per_fact` must satisfy the efficiency axiom
+//! `Σ_f Shapley_agg(f) = agg(D) − agg(Dx)` on random Count and Sum
+//! instances, agreeing with each other.
 
-use cqshap::core::reference::shapley_report_union_per_fact;
+use cqshap::core::reference::{aggregate_shapley_per_fact, shapley_report_per_fact};
 use cqshap::core::Strategy;
 use cqshap::prelude::*;
 use cqshap::workloads::random_db::RandomDbConfig;
 use proptest::prelude::*;
+
+/// The report of a session prepared for the union `u`.
+fn union_report(db: &Database, u: &UnionQuery, options: &ShapleyOptions) -> ShapleyReport {
+    ShapleySession::prepare(db, AnyQuery::Union(u), options)
+        .unwrap()
+        .report()
+        .unwrap()
+}
+
+/// The report of a session prepared for the aggregate `agg` over `q`.
+fn aggregate_session_report(
+    db: &Database,
+    q: &ConjunctiveQuery,
+    agg: &AggregateFunction,
+    options: &ShapleyOptions,
+) -> ShapleyReport {
+    ShapleySession::prepare_aggregate(db, q, agg.clone(), options)
+        .unwrap()
+        .report()
+        .unwrap()
+}
 
 /// 2–3-disjunct UCQ¬ catalog: the first four route through the compiled
 /// inclusion–exclusion engine (all intersections hierarchical and
@@ -72,7 +94,7 @@ proptest! {
         let (u, db) = build_union(ui, mix, seed, dom, facts);
         prop_assume!(db.endo_count() >= 1 && db.endo_count() <= 14);
         let opts = ShapleyOptions::default();
-        let report = shapley_report_union(&db, &u, &opts).unwrap();
+        let report = union_report(&db, &u, &opts);
         prop_assert!(report.efficiency_holds(), "efficiency on {} over\n{}", u, db);
         let brute = BruteForceCounter::default();
         for &f in db.endo_facts() {
@@ -81,7 +103,7 @@ proptest! {
             prop_assert_eq!(&entry.value, &want, "{} on\n{}", db.render_fact(f), db);
         }
         // The per-fact reference path is bit-identical too.
-        let per_fact = shapley_report_union_per_fact(&db, &u, &opts).unwrap();
+        let per_fact = shapley_report_per_fact(&db, AnyQuery::Union(&u), &opts).unwrap();
         for &f in db.endo_facts() {
             prop_assert_eq!(
                 &report.entry(f).unwrap().value,
@@ -101,7 +123,7 @@ proptest! {
     ) {
         let (u, db) = build_union(ui, mix, seed, 3, 2);
         prop_assume!(db.endo_count() >= 1 && db.endo_count() <= 7);
-        let report = shapley_report_union(&db, &u, &ShapleyOptions::default()).unwrap();
+        let report = union_report(&db, &u, &ShapleyOptions::default());
         prop_assert!(report.efficiency_holds());
         for &f in db.endo_facts() {
             let p = shapley_by_permutations(&db, AnyQuery::Union(&u), f, 9, None).unwrap();
@@ -113,8 +135,8 @@ proptest! {
     }
 
     /// `Σ_f Shapley_agg(f) = agg(D) − agg(Dx)` (efficiency by linearity)
-    /// on random Count instances, with `aggregate_report` agreeing with
-    /// the per-fact `aggregate_shapley` decomposition.
+    /// on random Count instances, with the session's report agreeing
+    /// with the per-fact `aggregate_shapley_per_fact` decomposition.
     #[test]
     fn aggregate_count_efficiency(
         qi in 0usize..3,
@@ -138,14 +160,14 @@ proptest! {
         prop_assume!(db.endo_count() >= 1 && db.endo_count() <= 12);
         let agg = AggregateFunction::Count;
         let opts = ShapleyOptions::default();
-        let report = aggregate_report(&db, &q, &agg, &opts).unwrap();
+        let report = aggregate_session_report(&db, &q, &agg, &opts);
         prop_assert!(report.efficiency_holds(), "efficiency on {} over\n{}", q, db);
         let full = aggregate_value(&db, &World::full(&db), &q, &agg).unwrap();
         let empty = aggregate_value(&db, &World::empty(&db), &q, &agg).unwrap();
         prop_assert_eq!(&report.expected_total, &(full - empty));
         let mut total = BigRational::zero();
         for &f in db.endo_facts() {
-            let v = aggregate_shapley(&db, &q, &agg, f, &opts).unwrap();
+            let v = aggregate_shapley_per_fact(&db, &q, &agg, f, &opts).unwrap();
             prop_assert_eq!(&v, &report.entry(f).unwrap().value, "{}", db.render_fact(f));
             total += &v;
         }
@@ -182,14 +204,14 @@ proptest! {
         let q = parse_cq("qs(w) :- P(x, w), !B(x)").unwrap();
         let agg = AggregateFunction::Sum { weight_var: "w".into() };
         let opts = ShapleyOptions::default();
-        let report = aggregate_report(&db, &q, &agg, &opts).unwrap();
+        let report = aggregate_session_report(&db, &q, &agg, &opts);
         prop_assert!(report.efficiency_holds(), "efficiency over\n{db}");
         let full = aggregate_value(&db, &World::full(&db), &q, &agg).unwrap();
         let empty = aggregate_value(&db, &World::empty(&db), &q, &agg).unwrap();
         prop_assert_eq!(&report.expected_total, &(full - empty));
         let mut total = BigRational::zero();
         for &f in db.endo_facts() {
-            total += &aggregate_shapley(&db, &q, &agg, f, &opts).unwrap();
+            total += &aggregate_shapley_per_fact(&db, &q, &agg, f, &opts).unwrap();
         }
         prop_assert_eq!(&total, &report.expected_total);
     }
@@ -203,9 +225,9 @@ fn union_benchmark_workload_is_compiled_and_consistent() {
     let u = cqshap::workloads::queries::union_benchmark();
     let db = cqshap::workloads::union_benchmark_db(32);
     let opts = ShapleyOptions::default();
-    let batched = shapley_report_union(&db, &u, &opts).unwrap();
+    let batched = union_report(&db, &u, &opts);
     assert!(batched.efficiency_holds());
-    let per_fact = shapley_report_union_per_fact(&db, &u, &opts).unwrap();
+    let per_fact = shapley_report_per_fact(&db, AnyQuery::Union(&u), &opts).unwrap();
     for &f in db.endo_facts() {
         assert_eq!(
             batched.entry(f).unwrap().value,
@@ -216,17 +238,17 @@ fn union_benchmark_workload_is_compiled_and_consistent() {
     }
     // m = 64 > brute limit: only the compiled engine can answer Auto.
     let big = cqshap::workloads::union_benchmark_db(64);
-    let report = shapley_report_union(&big, &u, &opts).unwrap();
+    let report = union_report(&big, &u, &opts);
     assert!(report.efficiency_holds());
     // The explicit Hierarchical strategy takes the same path.
     let hier = ShapleyOptions::with_strategy(cqshap::core::shapley::Strategy::Hierarchical);
-    let hreport = shapley_report_union(&big, &u, &hier).unwrap();
+    let hreport = union_report(&big, &u, &hier);
     for (a, b) in report.entries.iter().zip(&hreport.entries) {
         assert_eq!(a.value, b.value, "{}", a.rendered);
     }
 }
 
-/// The aggregate benchmark pairing: `aggregate_report` over the
+/// The aggregate benchmark pairing: the session report of the
 /// per-course count on the report workload agrees with the per-fact
 /// decomposition and satisfies efficiency.
 #[test]
@@ -235,10 +257,10 @@ fn aggregate_benchmark_workload_is_consistent() {
     let db = cqshap::workloads::report_benchmark_db(32);
     let agg = AggregateFunction::Count;
     let opts = ShapleyOptions::default();
-    let report = aggregate_report(&db, &q, &agg, &opts).unwrap();
+    let report = aggregate_session_report(&db, &q, &agg, &opts);
     assert!(report.efficiency_holds());
     for entry in report.entries.iter().take(8) {
-        let v = aggregate_shapley(&db, &q, &agg, entry.fact, &opts).unwrap();
+        let v = aggregate_shapley_per_fact(&db, &q, &agg, entry.fact, &opts).unwrap();
         assert_eq!(entry.value, v, "{}", entry.rendered);
     }
 }
@@ -292,7 +314,7 @@ fn next_permutation(order: &mut [usize]) -> bool {
 
 /// The session's aggregate report equals the permutation oracle per
 /// fact, on every route a candidate shape can take, for Count and Sum
-/// (with weights beyond 2^64), and `aggregate_shapley` agrees.
+/// (with weights beyond 2^64), and `aggregate_shapley_per_fact` agrees.
 #[test]
 fn aggregate_report_matches_the_permutation_oracle() {
     // Hierarchical candidates, with a weight above 2^64.
@@ -373,7 +395,7 @@ fn aggregate_report_matches_the_permutation_oracle() {
         for (&f, want) in db.endo_facts().iter().zip(&oracle) {
             let entry = report.entry(f).unwrap();
             assert_eq!(&entry.value, want, "{query}: {}", entry.rendered);
-            let single = aggregate_shapley(&db, &q, &agg, f, &opts).unwrap();
+            let single = aggregate_shapley_per_fact(&db, &q, &agg, f, &opts).unwrap();
             assert_eq!(&single, want, "{query}: {}", entry.rendered);
         }
         assert!(
