@@ -1,15 +1,18 @@
 //! E3 timing: exact Shapley values for the hierarchical q1 (Theorem 3.1
 //! positive side) vs the brute-force oracle (the only exact option on
-//! the hardness side).
+//! the hardness side), and the batched all-facts reports of a CQ¬, a
+//! UCQ¬ and an aggregate against their per-fact reference paths.
 
 use std::time::Duration;
 
-use cqshap_core::reference::shapley_report_per_fact;
+use cqshap_core::aggregates::AggregateFunction;
+use cqshap_core::reference::{aggregate_shapley_per_fact, shapley_report_per_fact};
 use cqshap_core::{
-    shapley_via_counts, AnyQuery, BruteForceCounter, ShapleyOptions, ShapleySession,
+    shapley_via_counts, AnyQuery, BruteForceCounter, ShapleyOptions, ShapleyReport, ShapleySession,
 };
-use cqshap_workloads::queries;
+use cqshap_db::Database;
 use cqshap_workloads::university::UniversityConfig;
+use cqshap_workloads::{queries, report_benchmark_db, union_benchmark_db};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_hierarchical_scaling(c: &mut Criterion) {
@@ -61,28 +64,85 @@ fn bench_brute_force_wall(c: &mut Criterion) {
     group.finish();
 }
 
-/// Batched compile-once engine vs the seed per-fact path on the
-/// deterministic report workload — the `bench-report` harness emits the
-/// same comparison as JSON for CI.
+/// Batched compile-once session reports against the per-fact reference
+/// paths on the deterministic report workloads: `q1` over
+/// `report_benchmark_db` (up to m = 4096), the 2-disjunct union over
+/// `union_benchmark_db`, and the per-course count aggregate over
+/// `report_benchmark_db`. The per-fact paths recompute every fact from
+/// scratch, so they run at the smallest size only.
 fn bench_batched_vs_per_fact(c: &mut Criterion) {
+    let options = ShapleyOptions::default();
     let q1 = queries::q1();
-    let mut group = c.benchmark_group("exact/report_engine");
-    for m in [64usize, 256] {
-        let db = cqshap_workloads::report_benchmark_db(m);
-        group.bench_with_input(BenchmarkId::new("batched", m), &db, |b, db| {
-            b.iter(|| {
-                ShapleySession::prepare(db, AnyQuery::Cq(&q1), &ShapleyOptions::default())
-                    .unwrap()
-                    .report()
-                    .unwrap()
-            })
-        });
-        if m <= 64 {
-            group.bench_with_input(BenchmarkId::new("per_fact", m), &db, |b, db| {
-                b.iter(|| {
-                    shapley_report_per_fact(db, AnyQuery::Cq(&q1), &ShapleyOptions::default())
+    let union = queries::union_benchmark();
+    let count = queries::per_course_count();
+    batched_vs_per_fact(
+        c,
+        "exact/report_engine",
+        &[64, 256, 1024, 4096],
+        report_benchmark_db,
+        |db| {
+            ShapleySession::prepare(db, AnyQuery::Cq(&q1), &options)
+                .unwrap()
+                .report()
+                .unwrap()
+        },
+        |db| shapley_report_per_fact(db, AnyQuery::Cq(&q1), &options).unwrap(),
+    );
+    batched_vs_per_fact(
+        c,
+        "exact/union_report",
+        &[64, 256],
+        union_benchmark_db,
+        |db| {
+            ShapleySession::prepare(db, AnyQuery::Union(&union), &options)
+                .unwrap()
+                .report()
+                .unwrap()
+        },
+        |db| shapley_report_per_fact(db, AnyQuery::Union(&union), &options).unwrap(),
+    );
+    batched_vs_per_fact(
+        c,
+        "exact/aggregate_report",
+        &[64, 256],
+        report_benchmark_db,
+        |db| {
+            ShapleySession::prepare_aggregate(db, &count, AggregateFunction::Count, &options)
+                .unwrap()
+                .report()
+                .unwrap()
+        },
+        |db| {
+            db.endo_facts()
+                .iter()
+                .map(|&f| {
+                    aggregate_shapley_per_fact(db, &count, &AggregateFunction::Count, f, &options)
                         .unwrap()
                 })
+                .collect::<Vec<_>>()
+        },
+    );
+}
+
+/// One group timing `batched` on `workload(m)` for every `m` in
+/// `sizes`, and `per_fact` at the smallest size.
+fn batched_vs_per_fact<O>(
+    c: &mut Criterion,
+    name: &str,
+    sizes: &[usize],
+    workload: fn(usize) -> Database,
+    batched: impl Fn(&Database) -> ShapleyReport,
+    per_fact: impl Fn(&Database) -> O,
+) {
+    let mut group = c.benchmark_group(name);
+    for (i, &m) in sizes.iter().enumerate() {
+        let db = workload(m);
+        group.bench_with_input(BenchmarkId::new("batched", m), &db, |b, db| {
+            b.iter(|| batched(db))
+        });
+        if i == 0 {
+            group.bench_with_input(BenchmarkId::new("per_fact", m), &db, |b, db| {
+                b.iter(|| per_fact(db))
             });
         }
     }

@@ -1,6 +1,7 @@
 //! E12 timing: lifted probabilistic inference (Section 4.3 /
 //! Theorem 4.10), one prepared session and probability read per
-//! iteration.
+//! iteration, and the expected-marginal reads a compiled session
+//! serves.
 
 use std::time::Duration;
 
@@ -9,8 +10,8 @@ use cqshap_db::Database;
 use cqshap_numeric::BigRational;
 use cqshap_query::ConjunctiveQuery;
 use cqshap_workloads::academic::{citations_query, AcademicConfig};
-use cqshap_workloads::queries;
 use cqshap_workloads::university::UniversityConfig;
+use cqshap_workloads::{queries, report_benchmark_db};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 /// `Pr[D ⊨ q]` with every endogenous fact present with probability
@@ -61,6 +62,36 @@ fn bench_theorem_4_10(c: &mut Criterion) {
     group.finish();
 }
 
+/// One expected marginal `Pr[q | f present] − Pr[q | f absent]` per
+/// iteration, read from a session whose probability terms are already
+/// compiled; the reads and the dyadic probabilities both cycle over
+/// `Dn`. The two sizes show how the cost of one read grows with the
+/// database.
+fn bench_expected_shapley(c: &mut Criterion) {
+    const DYADIC: [(i64, i64); 6] = [(1, 2), (1, 4), (3, 4), (1, 8), (5, 8), (7, 8)];
+    let q1 = queries::q1();
+    let mut group = c.benchmark_group("probdb/expected_shapley");
+    for m in [1024usize, 4096] {
+        let db = report_benchmark_db(m);
+        let mut session =
+            ShapleySession::prepare(&db, AnyQuery::Cq(&q1), &ShapleyOptions::auto()).unwrap();
+        for (&f, &(n, d)) in db.endo_facts().iter().zip(DYADIC.iter().cycle()) {
+            session
+                .set_probability(f, BigRational::from_i64_ratio(n, d))
+                .unwrap();
+        }
+        session.probability().unwrap();
+        let mut facts = db.endo_facts().iter().copied().cycle();
+        group.bench_function(BenchmarkId::from_parameter(m), |b| {
+            b.iter(|| {
+                let f = facts.next().unwrap();
+                session.expected_shapley(f).unwrap()
+            })
+        });
+    }
+    group.finish();
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -71,6 +102,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_lifted_hierarchical, bench_theorem_4_10
+    targets = bench_lifted_hierarchical, bench_theorem_4_10, bench_expected_shapley
 }
 criterion_main!(benches);

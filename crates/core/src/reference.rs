@@ -7,8 +7,8 @@
 //! hierarchical `CntSat` oracle or by enumeration.
 //! [`oracle_probability`] is the seed lifted-inference traversal for
 //! `Pr[q]`. All are kept as cross-check oracles for the compiled
-//! engines and as the baselines `cqshap-bench`'s `bench-report`
-//! measures them against.
+//! engines and as the baselines `cqshap-bench`'s Criterion groups
+//! measure them against.
 
 use cqshap_db::{Database, FactId};
 use cqshap_numeric::{BigInt, BigRational, FactorialTable};

@@ -236,10 +236,6 @@ enum Engine<'a> {
 enum EngineState {
     /// The kept plan and its counting domain.
     Planned(Counting),
-    /// A failed rebuild left no usable engine; reads surface the stored
-    /// reason until [`ShapleySession::recover`] or a successful update
-    /// re-prepares.
-    Poisoned(String),
     /// No plan was resolved (see
     /// [`ShapleySession::prepare_with_fallback`]): stores the
     /// intractability rejection, which no retry can change. The
@@ -601,18 +597,13 @@ impl ShapleySession {
 
     /// The engine an exact read serves from, compiling the counting terms
     /// under the budget the read armed if no earlier call has. A
-    /// poisoned session fails with its stored reason, and one rejected
-    /// as intractable fails fast with the stored rejection.
+    /// session rejected as intractable fails fast with the stored
+    /// rejection.
     fn engine(&self) -> Result<Engine<'_>, CoreError> {
         match &self.state {
             EngineState::Planned(counting) => {
                 counting.engine(&self.db, &self.spec, &self.options, self.cancel.as_ref())
             }
-            EngineState::Poisoned(reason) => Err(CoreError::Unsupported(format!(
-                "the session engine could not be rebuilt after an update ({reason}); call \
-                 recover() to rebuild from the retained database, or apply a further update that \
-                 restores a preparable state"
-            ))),
             EngineState::ExactUnavailable(cause) => Err(CoreError::Unsupported(format!(
                 "no exact engine was prepared ({cause}); serve this session through \
                  report_tiered(), anytime(), or wsms()"
@@ -627,12 +618,6 @@ impl ShapleySession {
         self.state = state;
     }
 
-    /// Is the session poisoned (no usable engine after a failed
-    /// rebuild)? [`ShapleySession::recover`] clears the condition.
-    pub fn is_poisoned(&self) -> bool {
-        matches!(self.state, EngineState::Poisoned(_))
-    }
-
     /// Does the session lack an exact engine (prepared via
     /// [`ShapleySession::prepare_with_fallback`] on an intractable or
     /// over-budget query)? Degraded tiers still serve, and an
@@ -642,49 +627,7 @@ impl ShapleySession {
         match &self.state {
             EngineState::ExactUnavailable(_) => true,
             EngineState::Planned(counting) => counting.tripped && counting.terms.get().is_none(),
-            _ => false,
         }
-    }
-
-    /// Rebuilds the engine from the session's retained database,
-    /// clearing a [`Poisoned`](Self::is_poisoned) state. A no-op on
-    /// healthy sessions. On failure the session stays poisoned (with
-    /// the new failure as the stored reason) and the error propagates —
-    /// `recover` can be retried, e.g. after raising the budget via a
-    /// fresh prepare.
-    ///
-    /// # Errors
-    /// Anything strategy resolution and engine compilation raise.
-    pub fn recover(&mut self) -> Result<(), CoreError> {
-        if !self.is_poisoned() {
-            return Ok(());
-        }
-        self.rearm();
-        match build(
-            &self.db,
-            &self.spec,
-            &self.options,
-            self.cancel.as_ref(),
-            true,
-        ) {
-            Ok(state) => {
-                self.install(state);
-                self.prob = Probability::default();
-                Ok(())
-            }
-            Err(e) => {
-                self.state = EngineState::Poisoned(e.to_string());
-                Err(e)
-            }
-        }
-    }
-
-    /// Test hook: forces the session into the poisoned state so
-    /// recovery paths can be exercised without constructing a genuine
-    /// mid-maintenance failure.
-    #[cfg(test)]
-    pub(crate) fn poison_for_tests(&mut self, reason: &str) {
-        self.state = EngineState::Poisoned(reason.to_string());
     }
 
     /// The exact Shapley value of `f`, served from the prepared engine.
@@ -1219,7 +1162,7 @@ impl ShapleySession {
     }
 
     /// Restores the pre-update database, so a failed update is
-    /// *rejected* rather than poisoning the session: the kept plan
+    /// *rejected* and the session keeps serving: the kept plan
     /// still describes the restored database, and compiled terms the
     /// update may have half-patched are dropped for the next read or
     /// update to recompile. Returns the error to surface for the
@@ -1633,41 +1576,16 @@ mod tests {
             .insert_fact("R", &["c", "d"], Provenance::Endogenous)
             .unwrap_err();
         assert!(matches!(err, CoreError::TooManyEndogenousFacts { .. }));
-        // Rolled back: same fact count, same answers, healthy session.
-        assert!(!session.is_poisoned());
+        // Rolled back: same fact count, same answers, and the whole
+        // report still serves.
         assert_eq!(session.database().endo_count(), 3);
         assert_eq!(session.value(f).unwrap(), before);
+        assert!(session.report().unwrap().efficiency_holds());
         assert_eq!(session.stats().rolled_back, 1);
         assert_eq!(session.stats().updates, 0);
         // And the session still accepts updates that fit the strategy.
         session.retract_fact(f).unwrap();
         assert_eq!(session.database().endo_count(), 2);
-    }
-
-    #[test]
-    fn poisoned_sessions_recover_in_place() {
-        let db = university();
-        let q1 = parse_cq("q1() :- Stud(x), !TA(x), Reg(x, y)").unwrap();
-        let mut session =
-            ShapleySession::prepare(&db, AnyQuery::Cq(&q1), &ShapleyOptions::auto()).unwrap();
-        let adam = db.find_fact("TA", &["Adam"]).unwrap();
-        let before = session.value(adam).unwrap();
-        session.poison_for_tests("synthetic maintenance failure");
-        assert!(session.is_poisoned());
-        assert!(matches!(
-            session.value(adam),
-            Err(CoreError::Unsupported(_))
-        ));
-        assert!(matches!(session.report(), Err(CoreError::Unsupported(_))));
-        // recover() rebuilds from the retained database: answers are
-        // bit-identical to the pre-poisoning state.
-        session.recover().unwrap();
-        assert!(!session.is_poisoned());
-        assert_eq!(session.value(adam).unwrap(), before);
-        assert_eq!(session.strategy(), Some(ResolvedStrategy::Hierarchical));
-        // recover() on a healthy session is a no-op.
-        session.recover().unwrap();
-        assert_eq!(session.value(adam).unwrap(), before);
     }
 
     /// A non-hierarchical instance (path x–y between R(x) and T(y))
@@ -1694,7 +1612,6 @@ mod tests {
         let mut session =
             ShapleySession::prepare_with_fallback(&db, AnyQuery::Cq(&q), &opts).unwrap();
         assert!(session.is_exact_unavailable());
-        assert!(!session.is_poisoned());
         let f = session.database().endo_facts()[0];
         assert!(matches!(session.value(f), Err(CoreError::Unsupported(_))));
         assert!(matches!(session.report(), Err(CoreError::Unsupported(_))));
@@ -1931,88 +1848,5 @@ mod tests {
             "estimate {}",
             est.estimate
         );
-    }
-
-    /// After a poisoning, `recover()` must leave the session
-    /// bit-identical to a fresh prepare, on the same random CQ¬
-    /// instances the integration suite's update proptests draw.
-    mod recovery {
-        use super::*;
-        use cqshap_workloads::random_db::RandomDbConfig;
-        use proptest::prelude::*;
-
-        const CQS: &[&str] = &[
-            "q() :- A(x), !B(x), C(x, y)",
-            "q() :- A(x), B(x)",
-            "q() :- C(x, y), !D(x, y)",
-            "q() :- A(x), C(x, y), !D(x, y), E(x, y, z)",
-            "q() :- A(x), !B(x), F(y), !G(y)",
-            "q() :- C(x, 'd0'), !B(x)",
-            "q() :- A(x), C(x, y), E(x, y, z)",
-        ];
-
-        const EXO_MIXES: &[&[&str]] = &[&[], &["A"], &["C"]];
-
-        /// Maintained session ≡ fresh prepare, bit for bit, and the
-        /// efficiency axiom holds.
-        fn assert_matches_fresh(
-            session: &ShapleySession,
-            query: AnyQuery<'_>,
-            opts: &ShapleyOptions,
-        ) {
-            let fresh = ShapleySession::prepare(session.database(), query, opts).unwrap();
-            let (a, b) = (session.report().unwrap(), fresh.report().unwrap());
-            assert!(
-                a.efficiency_holds(),
-                "efficiency after update over\n{}",
-                session.database()
-            );
-            assert_eq!(a.entries.len(), b.entries.len());
-            for (x, y) in a.entries.iter().zip(&b.entries) {
-                assert_eq!(
-                    x.value,
-                    y.value,
-                    "maintained vs fresh at {} over\n{}",
-                    x.rendered,
-                    session.database()
-                );
-                // The single-value path serves the same number.
-                assert_eq!(session.value(x.fact).unwrap(), x.value, "{}", x.rendered);
-            }
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(24))]
-
-            /// A session whose engine failed (poisoned) recovers in place:
-            /// after `recover()` every value is bit-identical to a session
-            /// freshly prepared on the same database.
-            #[test]
-            fn recovered_sessions_match_fresh_prepare(
-                qi in 0..CQS.len(),
-                mix in 0usize..3,
-                seed in 0u64..4000,
-            ) {
-                let q = parse_cq(CQS[qi]).unwrap();
-                let exo: Vec<String> = EXO_MIXES[mix].iter().map(|s| s.to_string()).collect();
-                let cfg = RandomDbConfig {
-                    domain: 3,
-                    facts_per_relation: 3,
-                    seed,
-                    exogenous_relations: exo,
-                    ..Default::default()
-                };
-                let db = cfg.generate(&q);
-                prop_assume!(db.endo_count() >= 1 && db.endo_count() <= 12);
-                let opts = ShapleyOptions::auto();
-                let mut session = ShapleySession::prepare(&db, AnyQuery::Cq(&q), &opts).unwrap();
-                session.poison_for_tests("synthetic maintenance failure");
-                prop_assert!(session.is_poisoned());
-                prop_assert!(session.report().is_err());
-                session.recover().unwrap();
-                prop_assert!(!session.is_poisoned());
-                assert_matches_fresh(&session, AnyQuery::Cq(&q), &opts);
-            }
-        }
     }
 }

@@ -78,8 +78,7 @@ pub struct ShapleyOptions {
     /// Worker cap for every thread fan-out — the compile-stage product
     /// trees, weight correlations, and report recounts. `0` (the
     /// default) means "all available cores"; any other value pins the
-    /// count, which is what `--threads N` on the CLI and the
-    /// `bench-report` scaling rows rely on.
+    /// count, which is what `--threads N` on the CLI relies on.
     pub threads: usize,
     /// Wall-clock / work-unit budget for exact computation. The
     /// default ([`Budget::UNLIMITED`]) never trips; any cap makes the

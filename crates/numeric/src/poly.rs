@@ -402,19 +402,6 @@ pub fn product_tree(
     grouped_product(polys, &classes, resolve_threads(threads), cancel)
 }
 
-/// The balanced tree of [`product_tree`] over every factor (equal
-/// factors are not grouped) through an explicit [`Backend`], without a
-/// token.
-pub fn product_tree_with(polys: &[&[BigUint]], threads: usize, backend: Backend) -> Vec<BigUint> {
-    // Without a token nothing cancels, so the `Err` arm never runs; it
-    // recomputes by a sequential fold rather than panic.
-    tree_product(polys, resolve_threads(threads), backend, None).unwrap_or_else(|_| {
-        polys
-            .iter()
-            .fold(vec![BigUint::one()], |acc, p| mul_with(&acc, p, backend))
-    })
-}
-
 /// For each `i`, `seed ⊛ ⊛_{j≠i} polys[j]` — the engines'
 /// leave-one-out environments.
 ///
@@ -971,7 +958,6 @@ const PARALLEL_MIN_COEFFS: usize = 128;
 fn tree_product(
     polys: &[&[BigUint]],
     threads: usize,
-    backend: Backend,
     cancel: Option<&CancelToken>,
 ) -> Result<Vec<BigUint>, NumericError> {
     match polys {
@@ -988,10 +974,10 @@ fn tree_product(
             let (lp, rp) = join_halves(
                 threads,
                 work_size(polys),
-                || tree_product(left, threads - threads / 2, backend, cancel),
-                || tree_product(right, threads / 2, backend, cancel),
+                || tree_product(left, threads - threads / 2, cancel),
+                || tree_product(right, threads / 2, cancel),
             );
-            mul_impl(&lp?, &rp?, backend, cancel)
+            mul_impl(&lp?, &rp?, Backend::Auto, cancel)
         }
     }
 }
@@ -1027,7 +1013,7 @@ fn grouped_product(
     cancel: Option<&CancelToken>,
 ) -> Result<Vec<BigUint>, NumericError> {
     if classes.len() == polys.len() {
-        return tree_product(polys, threads, Backend::Auto, cancel);
+        return tree_product(polys, threads, cancel);
     }
     let singles: Vec<&[BigUint]> = classes
         .iter()
@@ -1039,7 +1025,7 @@ fn grouped_product(
         parts.push(power(u, n, threads, cancel)?);
     }
     if !singles.is_empty() {
-        parts.push(tree_product(&singles, threads, Backend::Auto, cancel)?);
+        parts.push(tree_product(&singles, threads, cancel)?);
     }
     // Always multiply the two shortest parts (Huffman's order): parts
     // of equal length pair up as in a balanced tree, and a long part
@@ -1079,7 +1065,7 @@ fn power(
         RECURRENCE.incr();
         return Ok(p);
     }
-    tree_product(&vec![u; n], threads, Backend::Auto, cancel)
+    tree_product(&vec![u; n], threads, cancel)
 }
 
 /// `u^n` by J.C.P. Miller's recurrence, or `None` when it does not
@@ -1245,8 +1231,8 @@ fn fill_leave_one_out(
             let (left_product, right_product) = join_halves(
                 threads,
                 size,
-                || tree_product(left, threads - threads / 2, Backend::Auto, cancel),
-                || tree_product(right, threads / 2, Backend::Auto, cancel),
+                || tree_product(left, threads - threads / 2, cancel),
+                || tree_product(right, threads / 2, cancel),
             );
             let (left_product, right_product) = (left_product?, right_product?);
             let (lo, ro) = join_halves(

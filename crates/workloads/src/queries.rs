@@ -117,8 +117,8 @@ pub fn polarity_consistent_union() -> UnionQuery {
     parse_ucq("qa() :- R(x), !S(x); qb() :- R(x), T(x)").expect("static query")
 }
 
-/// The 2-disjunct hierarchical union of the `bench-report --ucq`
-/// workload ([`crate::union_benchmark_db`]): `q1` on the student side,
+/// The 2-disjunct hierarchical union of the union report benchmark
+/// ([`crate::union_benchmark_db`]): `q1` on the student side,
 /// a structurally identical rule on the disjoint lab side, so every
 /// disjunct intersection stays self-join-free and hierarchical.
 pub fn union_benchmark() -> UnionQuery {
@@ -129,8 +129,8 @@ pub fn union_benchmark() -> UnionQuery {
     .expect("static query")
 }
 
-/// The aggregate of the `bench-report --aggregate` workload: the
-/// per-course count of registrations by non-TA students over
+/// The aggregate of the aggregate report benchmark: the per-course
+/// count of registrations by non-TA students over
 /// [`crate::report_benchmark_db`]. Every residual query `q[c ↦ const]`
 /// is hierarchical, so the aggregate decomposition runs entirely on the
 /// compiled engines.

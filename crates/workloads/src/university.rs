@@ -21,8 +21,8 @@ pub fn figure_1_database() -> Database {
 }
 
 /// A deterministic university workload with *exactly* `m` endogenous
-/// facts, for the all-facts report benchmarks (`bench-report` in the
-/// `cqshap-bench` harness): each of the `m / 4` students contributes
+/// facts, for the all-facts report benchmarks (the Criterion groups of
+/// `cqshap-bench`): each of the `m / 4` students contributes
 /// one endogenous `TA` fact and three endogenous `Reg` facts, so the
 /// hierarchical `q1` recursion sees `m / 4` root groups of four facts.
 ///
@@ -55,10 +55,10 @@ pub fn report_benchmark_db(m: usize) -> Database {
 }
 
 /// A deterministic two-scenario workload with *exactly* `m` endogenous
-/// facts for the union report benchmarks (`bench-report --ucq`): the
-/// first half is the [`report_benchmark_db`] student side (`TA`/`Reg`),
-/// the second half a disjoint lab side (`Asst`/`Closed`) with the same
-/// group shape, so the 2-disjunct union
+/// facts for the union report benchmarks: the first half is the
+/// [`report_benchmark_db`] student side (`TA`/`Reg`), the second half a
+/// disjoint lab side (`Asst`/`Closed`) with the same group shape, so the
+/// 2-disjunct union
 /// [`crate::queries::union_benchmark`] is hierarchical disjunct-wise
 /// *and* in every intersection (the sides share no relation).
 ///
@@ -174,7 +174,7 @@ mod tests {
 
     #[test]
     fn report_benchmark_db_has_exact_endo_count() {
-        for m in [4usize, 64, 256] {
+        for m in [4usize, 64, 256, 1024, 4096] {
             let db = report_benchmark_db(m);
             assert_eq!(db.endo_count(), m, "m = {m}");
         }

@@ -26,10 +26,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     .generate();
     let q = cqshap::workloads::academic::citations_query();
 
-    let exo: HashSet<String> = db.exogenous_relation_names().into_iter().collect();
+    // Sorted names, so the printed set is the same on every run.
+    let names = db.exogenous_relation_names();
+    let exo: HashSet<String> = names.iter().cloned().collect();
     println!("query: {q}");
     println!("  without exogenous knowledge: {}", classify(&q));
-    println!("  with X = {exo:?}: {}", classify_with_exo(&q, &exo));
+    println!(
+        "  with X = {{{}}}: {}",
+        names.join(", "),
+        classify_with_exo(&q, &exo)
+    );
 
     let outcome = rewrite(&db, &q, 1_000_000)?;
     println!("\n== ExoShap rewriting trace (cf. Figure 3) ==");

@@ -208,3 +208,19 @@ fn report_entry_lookup() {
     let exo_fact = db.find_fact("Stud", &["Adam"]).unwrap();
     assert!(report.entry(exo_fact).is_none());
 }
+
+/// On the report benchmark workload, the batched report is efficient
+/// and bit-identical to the per-fact reference report.
+#[test]
+fn report_workload_matches_per_fact_reference() {
+    let db = cqshap::workloads::report_benchmark_db(64);
+    let q1 = cqshap::workloads::queries::q1();
+    let opts = ShapleyOptions::default();
+    let batched = session_report(&db, &q1, &opts).unwrap();
+    assert!(batched.efficiency_holds());
+    let per_fact = shapley_report_per_fact(&db, AnyQuery::Cq(&q1), &opts).unwrap();
+    assert_eq!(batched.entries.len(), per_fact.entries.len());
+    for (a, b) in batched.entries.iter().zip(&per_fact.entries) {
+        assert_eq!((a.fact, &a.value), (b.fact, &b.value), "{}", a.rendered);
+    }
+}

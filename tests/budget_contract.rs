@@ -123,7 +123,9 @@ fn reference(db: &Database, q: &ConjunctiveQuery) -> (Vec<(FactId, BigRational)>
 /// deadline; so does the session after one insert into an existing
 /// root group (incremental maintenance) and one that founds a new root
 /// group (a recompile). A rejected insert leaves the session serving
-/// the pre-update database and report.
+/// the pre-update database and report. Some cap lets `prepare` finish
+/// and then cuts the compiled hierarchical report short, so the
+/// deadline path of the exact report is exercised deterministically.
 #[test]
 fn capped_calls_are_exact_or_deadline() {
     let db = many_groups();
@@ -140,6 +142,7 @@ fn capped_calls_are_exact_or_deadline() {
         .collect();
 
     let mut all_exact_from = None;
+    let mut report_deadlines = 0usize;
     for cap in (0..4000u64).step_by(3) {
         let options = ShapleyOptions::auto()
             .threads(1)
@@ -151,9 +154,15 @@ fn capped_calls_are_exact_or_deadline() {
         ) else {
             continue;
         };
+        assert_eq!(
+            session.strategy(),
+            Some(ResolvedStrategy::Hierarchical),
+            "{what}"
+        );
         let report = exact_or_deadline(session.report(), &what).map(|r| values(&r));
-        if let Some(v) = &report {
-            assert_eq!(v, &want.0, "{what}: report");
+        match &report {
+            Some(v) => assert_eq!(v, &want.0, "{what}: report"),
+            None => report_deadlines += 1,
         }
         let p = exact_or_deadline(session.probability(), &what);
         if let Some(p) = &p {
@@ -174,7 +183,11 @@ fn capped_calls_are_exact_or_deadline() {
                 }
                 Err(CoreError::DeadlineExceeded { .. }) => {
                     assert_eq!(s.database().endo_count(), db.endo_count(), "{what}");
-                    assert!(!s.is_poisoned(), "{what}: a rejected update poisons");
+                    assert_eq!(
+                        s.strategy(),
+                        Some(ResolvedStrategy::Hierarchical),
+                        "{what}: the kept plan"
+                    );
                     // The work is deterministic at one thread, so the
                     // restored session trips (or not) exactly where the
                     // fresh one did.
@@ -193,5 +206,9 @@ fn capped_calls_are_exact_or_deadline() {
     assert!(
         all_exact_from.is_some_and(|cap| cap > 0),
         "the sweep never reached an uncut run"
+    );
+    assert!(
+        report_deadlines > 0,
+        "no cap let prepare finish and then tripped the compiled report"
     );
 }

@@ -529,3 +529,45 @@ fn forced_strategy_sessions_read_probabilities_through_auto() {
         }
     }
 }
+
+/// On the report benchmark workload with dyadic probabilities cycled
+/// over `Dn`: a provenance flip and its inverse are maintained in place,
+/// and the session's `Pr[q]` and every expected marginal equal the seed
+/// traversal's, a marginal being the oracle with the fact's probability
+/// pinned to 1 minus the oracle with it pinned to 0.
+#[test]
+fn report_workload_marginals_match_the_oracle() {
+    let db = cqshap::workloads::report_benchmark_db(64);
+    let q = cqshap::workloads::queries::q1();
+    let mut session =
+        ShapleySession::prepare(&db, AnyQuery::Cq(&q), &ShapleyOptions::auto()).unwrap();
+    for (&f, &(n, d)) in db.endo_facts().iter().zip(PROBS.iter().cycle()) {
+        session
+            .set_probability(f, BigRational::from_i64_ratio(n, d))
+            .unwrap();
+    }
+    session.probability().unwrap();
+    let f0 = db.endo_facts()[0];
+    session.set_exogenous(f0, true).unwrap();
+    session.set_exogenous(f0, false).unwrap();
+    assert_eq!(session.stats().incremental_updates, 2);
+
+    let probs = session.probabilities().clone();
+    assert_eq!(
+        session.probability().unwrap(),
+        oracle_probability(&db, &probs, &q).unwrap()
+    );
+    for &f in db.endo_facts() {
+        let mut forced = probs.clone();
+        forced.set(f, BigRational::one());
+        let present = oracle_probability(&db, &forced, &q).unwrap();
+        forced.set(f, BigRational::zero());
+        let absent = oracle_probability(&db, &forced, &q).unwrap();
+        assert_eq!(
+            session.expected_shapley(f).unwrap(),
+            present - absent,
+            "{}",
+            db.render_fact(f)
+        );
+    }
+}
