@@ -47,7 +47,7 @@ use crate::budget::{self, CancelToken};
 use crate::error::CoreError;
 use crate::plan::{cq_plan, Enumeration, Plan, PlanTerm};
 use crate::shapley::{
-    enumerated_values, resolve_strategy, ReportStats, ResolvedStrategy, ShapleyOptions,
+    enumerated_value, resolve_strategy, ReportStats, ResolvedStrategy, ShapleyOptions,
 };
 
 /// The supported aggregate functions.
@@ -363,37 +363,26 @@ pub(crate) fn plan(
     })
 }
 
-/// `Σ_c weight_c · Shapley(D, q_c, f)` for every fact of `facts`, each
-/// candidate enumerated on its own; `cancel` is polled between
-/// candidates.
+/// `Σ_c weight_c · Shapley(D, q_c, f)`, each candidate enumerated on
+/// its own; `cancel` is polled between candidates.
 ///
 /// # Errors
-/// What [`enumerated_values`] raises.
-pub(crate) fn weighted_enumerated_values(
+/// What [`enumerated_value`] raises.
+pub(crate) fn weighted_enumerated_value(
     db: &Database,
     candidates: &[Candidate],
-    facts: &[FactId],
+    f: FactId,
     enumeration: Enumeration,
     options: &ShapleyOptions,
     cancel: Option<&CancelToken>,
-) -> Result<Vec<BigRational>, CoreError> {
-    let mut acc = vec![BigRational::zero(); facts.len()];
+) -> Result<BigRational, CoreError> {
+    let mut acc = BigRational::zero();
     for c in candidates {
         if let Some(token) = cancel {
             budget::check(token, obs_phase::AGGREGATE)?;
         }
-        let weight = BigRational::from_int(c.weight.clone());
-        let values = enumerated_values(
-            db,
-            AnyQuery::Cq(&c.query),
-            facts,
-            enumeration,
-            options,
-            cancel,
-        )?;
-        for (a, v) in acc.iter_mut().zip(values) {
-            *a += &(&weight * &v);
-        }
+        let value = enumerated_value(db, AnyQuery::Cq(&c.query), f, enumeration, options, cancel)?;
+        acc += &(BigRational::from_int(c.weight.clone()) * value);
     }
     Ok(acc)
 }

@@ -308,10 +308,6 @@ struct CompiledEngine<D: EvalDomain> {
     total: OnceLock<D::Value>,
     components: Vec<Component<D::Value>>,
     locs: HashMap<FactId, Loc>,
-    /// Per-component offset of its groups' bucket ids (see
-    /// [`CompiledEngine::bucket_of`]).
-    group_bucket_base: Vec<usize>,
-    buckets: usize,
 }
 
 /// A `(db, query)` pair compiled for batched all-facts Shapley
@@ -590,8 +586,6 @@ impl<D: EvalDomain> CompiledEngine<D> {
                     total: OnceLock::new(),
                     components: Vec::new(),
                     locs: HashMap::new(),
-                    group_bucket_base: Vec::new(),
-                    buckets: 1,
                 });
             }
             ResolvedQuery::Atoms {
@@ -726,15 +720,6 @@ impl<D: EvalDomain> CompiledEngine<D> {
 
         let null_endo = m - components.iter().map(|c| c.endo).sum::<usize>();
 
-        // Bucket layout: 0 = all zero-valued facts (free + junk), then
-        // one bucket per ground component, then one per root group.
-        let mut group_bucket_base = Vec::with_capacity(components.len());
-        let mut next = 1 + components.len();
-        for comp in &components {
-            group_bucket_base.push(next);
-            next += comp.groups().len();
-        }
-
         let mut engine = CompiledEngine {
             dom,
             query: q.clone(),
@@ -746,8 +731,6 @@ impl<D: EvalDomain> CompiledEngine<D> {
             total: OnceLock::new(),
             components,
             locs,
-            group_bucket_base,
-            buckets: next,
         };
         engine.refresh_envs(obs_phase::COMPILE)?;
         Ok(engine)
@@ -1125,24 +1108,6 @@ impl<D: EvalDomain> CompiledEngine<D> {
         !self.satisfiable || !self.locs.contains_key(&f)
     }
 
-    /// An opaque bucket id grouping facts that share recount state: all
-    /// structurally-null facts map to bucket 0, and every root group
-    /// (resp. ground component) gets its own bucket. Chunking a report's
-    /// fan-out by bucket keeps each group's work on one thread.
-    fn bucket_of(&self, f: FactId) -> usize {
-        if !self.satisfiable {
-            return 0;
-        }
-        match self.locs.get(&f) {
-            None => 0,
-            Some(&Loc::Ground { comp }) => 1 + comp,
-            Some(&Loc::Grouped { comp, group }) => self
-                .group_bucket_base
-                .get(comp)
-                .map_or(0, |base| base + group),
-        }
-    }
-
     /// The masked value pair of `f` — the full-query value of `D ∖ {f}`
     /// and of `D` with `f` exogenized (counting: the `(N_k, N⁺_k)`
     /// count vectors of the reduction, each of length `m`; probability:
@@ -1385,25 +1350,6 @@ impl CompiledCount {
         Ok(true)
     }
 
-    /// Is `f`'s Shapley value known to be zero without any recounting?
-    /// (True for facts outside every atom scope and for junk facts.)
-    pub(crate) fn is_structurally_null(&self, f: FactId) -> bool {
-        self.eng.is_structurally_null(f)
-    }
-
-    /// An opaque bucket id grouping facts that share recount state: all
-    /// structurally-null facts map to bucket 0, and every root group
-    /// (resp. ground component) gets its own bucket. Chunking a report's
-    /// fan-out by bucket keeps each group's work on one thread.
-    pub(crate) fn bucket_of(&self, f: FactId) -> usize {
-        self.eng.bucket_of(f)
-    }
-
-    /// Total number of bucket ids (all in `0..buckets()`).
-    pub(crate) fn buckets(&self) -> usize {
-        self.eng.buckets
-    }
-
     /// The Shapley numerator of `f` over the common denominator
     /// `lcm(1..m)`: `value(f) = shapley_numerator(f) / lcm(1..m)`.
     /// Report paths accumulate these with plain integer additions
@@ -1414,7 +1360,7 @@ impl CompiledCount {
     /// [`CoreError::FactNotEndogenous`] if `f ∉ Dn`.
     pub(crate) fn shapley_numerator(&self, db: &Database, f: FactId) -> Result<BigInt, CoreError> {
         self.eng.check_endogenous(db, f)?;
-        if self.is_structurally_null(f) {
+        if self.eng.is_structurally_null(f) {
             return Ok(BigInt::zero());
         }
         let (comp, class, (sat_minus, sat_plus)) = match self.eng.locs.get(&f) {
@@ -1508,7 +1454,7 @@ impl CompiledCount {
     /// [`CompiledEngine::group_pair`] for a grouped fact, memoized by
     /// `(group isomorphism class, role of f)`: uniform workloads
     /// recount one representative per class instead of every fact, and
-    /// concurrent report lanes asking for one key recount it once. The
+    /// concurrent report workers asking for one key recount it once. The
     /// memo is sound because counting values are canon-determined —
     /// probability evaluation must not (and does not) use it.
     fn cached_group_pair(
@@ -1771,32 +1717,15 @@ mod tests {
         let q1 = parse_cq("q1() :- Stud(x), !TA(x), Reg(x, y)").unwrap();
         let compiled = CompiledCount::compile(&db, &q1, 0, None).unwrap();
         let david = db.find_fact("TA", &["David"]).unwrap();
-        assert!(compiled.is_structurally_null(david));
-        assert_eq!(compiled.bucket_of(david), 0);
+        assert!(compiled.eng.is_structurally_null(david));
         let adam = db.find_fact("TA", &["Adam"]).unwrap();
-        assert!(!compiled.is_structurally_null(adam));
+        assert!(!compiled.eng.is_structurally_null(adam));
         // Facts outside every scope are free.
         let q_ta = parse_cq("q() :- TA(x)").unwrap();
         let c2 = CompiledCount::compile(&db, &q_ta, 0, None).unwrap();
         let reg = db.find_fact("Reg", &["Adam", "OS"]).unwrap();
-        assert!(c2.is_structurally_null(reg));
+        assert!(c2.eng.is_structurally_null(reg));
         assert_eq!(c2.value(&db, reg).unwrap(), BigRational::zero());
-    }
-
-    #[test]
-    fn buckets_partition_by_group() {
-        let db = university();
-        let q1 = parse_cq("q1() :- Stud(x), !TA(x), Reg(x, y)").unwrap();
-        let compiled = CompiledCount::compile(&db, &q1, 0, None).unwrap();
-        // Same student → same root group → same bucket.
-        let f1 = db.find_fact("Reg", &["Adam", "OS"]).unwrap();
-        let f2 = db.find_fact("Reg", &["Adam", "AI"]).unwrap();
-        let f3 = db.find_fact("TA", &["Adam"]).unwrap();
-        assert_eq!(compiled.bucket_of(f1), compiled.bucket_of(f2));
-        assert_eq!(compiled.bucket_of(f1), compiled.bucket_of(f3));
-        let g1 = db.find_fact("Reg", &["Caroline", "DB"]).unwrap();
-        assert_ne!(compiled.bucket_of(f1), compiled.bucket_of(g1));
-        assert!(compiled.bucket_of(g1) < compiled.buckets());
     }
 
     #[test]
@@ -3161,7 +3090,7 @@ mod tests {
                 );
                 let value = engine.value(db, f).unwrap();
                 assert_eq!(value, fresh.value(db, f).unwrap(), "{fact} for {q}");
-                if engine.is_structurally_null(f) {
+                if engine.eng.is_structurally_null(f) {
                     assert_eq!(value, BigRational::zero(), "null {fact} for {q}");
                 }
             }
@@ -3265,7 +3194,7 @@ mod tests {
                         // Free (`Note`, `Closed`) and junk (`TA`/`Reg` of a
                         // student without `Stud`) alike.
                         for &f in &nulls {
-                            prop_assert!(engine.is_structurally_null(f), "{}", db.render_fact(f));
+                            prop_assert!(engine.eng.is_structurally_null(f), "{}", db.render_fact(f));
                         }
                     }
                     assert_counts_match_oracles(&db, &q, &engine);

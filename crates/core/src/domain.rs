@@ -681,11 +681,7 @@ pub(crate) fn probability_by_enumeration_cancel(
         if e & 0xFFF == 0 {
             if let Some(token) = cancel {
                 if token.charge(1) {
-                    return Err(CoreError::DeadlineExceeded {
-                        phase: "probability".to_string(),
-                        elapsed: token.elapsed(),
-                        partial: None,
-                    });
+                    return Err(budget::deadline(token, cqshap_obs::phase::PROBABILITY));
                 }
             }
         }

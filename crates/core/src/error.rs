@@ -133,23 +133,19 @@ pub enum CoreError {
 
 impl CoreError {
     /// Attaches salvaged per-fact `answers` to a
-    /// [`CoreError::DeadlineExceeded`]; every other error passes
-    /// through untouched.
+    /// [`CoreError::DeadlineExceeded`]; every other error, and an empty
+    /// salvage, passes through untouched.
     #[must_use]
     pub(crate) fn with_partial_answers(self, answers: Vec<(usize, BigRational)>) -> CoreError {
         match self {
-            CoreError::DeadlineExceeded {
-                phase,
-                elapsed,
-                partial,
-            } => {
-                let mut p = partial.unwrap_or_default();
-                p.completed = p.completed.max(answers.len());
-                p.answers = answers;
+            CoreError::DeadlineExceeded { phase, elapsed, .. } if !answers.is_empty() => {
                 CoreError::DeadlineExceeded {
                     phase,
                     elapsed,
-                    partial: Some(p),
+                    partial: Some(PartialProgress {
+                        completed: answers.len(),
+                        answers,
+                    }),
                 }
             }
             other => other,

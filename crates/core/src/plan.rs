@@ -54,7 +54,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::{Add, Mul, Neg};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use cqshap_db::{Database, FactId};
 use cqshap_numeric::{BigInt, BigRational};
@@ -419,10 +419,6 @@ struct Term<E> {
 pub(crate) struct TermList<E> {
     terms: Vec<Term<E>>,
     rewritten: bool,
-    /// Dense combined bucket id per endogenous fact plus the bucket
-    /// count (see [`TermList::bucket_index`]), built lazily on first
-    /// use — the single-fact value paths never consult it.
-    bucket_index: OnceLock<(HashMap<FactId, usize>, usize)>,
 }
 
 impl<E: TermEngine> TermList<E> {
@@ -449,16 +445,7 @@ impl<E: TermEngine> TermList<E> {
                 })
             })
             .collect::<Result<_, CoreError>>()?;
-        Ok(TermList {
-            terms,
-            rewritten,
-            bucket_index: OnceLock::new(),
-        })
-    }
-
-    /// Does the list have no term (the query is false on every world)?
-    pub(crate) fn is_empty(&self) -> bool {
-        self.terms.is_empty()
+        Ok(TermList { terms, rewritten })
     }
 
     /// Patches every term after one in-place update of the session
@@ -481,7 +468,6 @@ impl<E: TermEngine> TermList<E> {
                 return Ok(false);
             }
         }
-        self.bucket_index = OnceLock::new();
         Ok(true)
     }
 
@@ -521,16 +507,6 @@ where
 }
 
 impl TermList<CompiledCount> {
-    /// The exact Shapley value of `f`: the signed numerator sum over the
-    /// shared `lcm(1..m)`, normalized once.
-    ///
-    /// # Errors
-    /// [`CoreError::FactNotEndogenous`] if `f ∉ Dn`.
-    pub(crate) fn value(&self, db: &Database, f: FactId) -> Result<BigRational, CoreError> {
-        let num = self.shapley_numerator(db, f)?;
-        Ok(self.normalize_numerator(num))
-    }
-
     /// The signed sum of the terms' Shapley numerators over `lcm(1..m)`.
     /// Each term contracts over its own non-null players `m′` and lifts
     /// its numerator to the session's `lcm(1..m)` before the sum.
@@ -554,40 +530,6 @@ impl TermList<CompiledCount> {
         match self.terms.first() {
             Some(t) => t.engine.normalize_numerator(num),
             None => BigRational::zero(),
-        }
-    }
-
-    /// Combined bucket layout: facts sharing every term's bucket share
-    /// recount state across the whole signed sum, so the report fan-out
-    /// keeps them on one thread.
-    fn bucket_index(&self, db: &Database) -> &(HashMap<FactId, usize>, usize) {
-        self.bucket_index.get_or_init(|| {
-            let mut key_ids: HashMap<Vec<usize>, usize> = HashMap::new();
-            let mut bucket_ids = HashMap::with_capacity(db.endo_count());
-            for &f in db.endo_facts() {
-                let key: Vec<usize> = self.terms.iter().map(|t| t.engine.bucket_of(f)).collect();
-                let next = key_ids.len();
-                let id = *key_ids.entry(key).or_insert(next);
-                bucket_ids.insert(f, id);
-            }
-            (bucket_ids, key_ids.len().max(1))
-        })
-    }
-
-    /// Total number of bucket ids (see [`TermList::bucket_of`]).
-    pub(crate) fn buckets(&self, db: &Database) -> usize {
-        match self.terms.as_slice() {
-            [t] => t.engine.buckets(),
-            _ => self.bucket_index(db).1,
-        }
-    }
-
-    /// The recount-state bucket of `f`: a one-term list uses its
-    /// engine's buckets, a longer one the combined layout.
-    pub(crate) fn bucket_of(&self, db: &Database, f: FactId) -> usize {
-        match self.terms.as_slice() {
-            [t] => t.engine.bucket_of(f),
-            _ => self.bucket_index(db).0.get(&f).copied().unwrap_or(0),
         }
     }
 }
@@ -667,7 +609,7 @@ mod tests {
         let brute = BruteForceCounter::default();
         for &f in db.endo_facts() {
             let want = shapley_via_counts(db, AnyQuery::Union(u), f, &brute).unwrap();
-            let got = compiled.value(db, f).unwrap();
+            let got = compiled.normalize_numerator(compiled.shapley_numerator(db, f).unwrap());
             assert_eq!(got, want, "{} for {u}", db.render_fact(f));
         }
     }
@@ -719,7 +661,7 @@ mod tests {
         let cq_engine = CompiledCount::compile(&db, &u.disjuncts()[0], 0, None).unwrap();
         for &f in db.endo_facts() {
             assert_eq!(
-                compiled.value(&db, f).unwrap(),
+                compiled.normalize_numerator(compiled.shapley_numerator(&db, f).unwrap()),
                 cq_engine.value(&db, f).unwrap()
             );
         }
@@ -770,22 +712,12 @@ mod tests {
     }
 
     #[test]
-    fn buckets_cover_all_facts() {
-        let db = db_two_sides();
-        let compiled = compiled_terms(&db, &union_two_sides());
-        assert!(compiled.terms.len() >= 2);
-        for &f in db.endo_facts() {
-            assert!(compiled.bucket_of(&db, f) < compiled.buckets(&db));
-        }
-    }
-
-    #[test]
     fn non_endogenous_fact_rejected() {
         let db = db_two_sides();
         let compiled = compiled_terms(&db, &union_two_sides());
         let stud = db.find_fact("Stud", &["a"]).unwrap();
         assert!(matches!(
-            compiled.value(&db, stud),
+            compiled.shapley_numerator(&db, stud),
             Err(CoreError::FactNotEndogenous { .. })
         ));
     }

@@ -20,8 +20,8 @@ use crate::error::CoreError;
 use crate::plan::{resolve, signed_sum, Enumeration, Plan, PlanTerm};
 use crate::satcount::{BruteForceCounter, HierarchicalCounter, SatCountOracle};
 use crate::shapley::{
-    assemble_report, efficiency_target, enumerated_values, par_values, shapley_via_counts,
-    zero_report, ShapleyOptions, ShapleyReport,
+    efficiency_target, enumerated_value, per_fact, shapley_via_counts, ShapleyOptions,
+    ShapleyReport,
 };
 
 mod lifted;
@@ -42,7 +42,6 @@ pub fn shapley_report_per_fact(
     query: AnyQuery<'_>,
     options: &ShapleyOptions,
 ) -> Result<ShapleyReport, CoreError> {
-    let facts = db.endo_facts();
     let cancel = options.cancel_token();
     let materialize = matches!(query, AnyQuery::Cq(_));
     let value = |db: &Database, q: AnyQuery<'_>, f: FactId, oracle: &dyn SatCountOracle| {
@@ -52,19 +51,24 @@ pub fn shapley_report_per_fact(
             shapley_via_counts(db, q, f, oracle)
         }
     };
-    let values = match resolve(db, query, options.strategy, options)? {
-        Plan::Terms { terms, .. } if terms.is_empty() => return Ok(zero_report(db)),
-        Plan::Terms { terms, .. } => par_values(options.threads, facts, |f| {
-            terms_value(db, &terms, |db, q| value(db, q, f, &HierarchicalCounter))
-        })?,
-        Plan::Enumerate(Enumeration::Subsets) => {
-            let oracle =
-                BruteForceCounter::new(options.brute_force_limit, options.threads, cancel.as_ref());
-            par_values(options.threads, facts, |f| value(db, query, f, &oracle))?
-        }
-        Plan::Enumerate(e) => enumerated_values(db, query, facts, e, options, cancel.as_ref())?,
-    };
-    Ok(assemble_report(db, values, efficiency_target(db, query)))
+    let plan = resolve(db, query, options.strategy, options)?;
+    let oracle =
+        BruteForceCounter::new(options.brute_force_limit, options.threads, cancel.as_ref());
+    let values = per_fact(
+        options.threads,
+        db.endo_facts(),
+        |f| match &plan {
+            Plan::Terms { terms, .. } => {
+                terms_value(db, terms, |db, q| value(db, q, f, &HierarchicalCounter))
+            }
+            Plan::Enumerate(Enumeration::Subsets) => value(db, query, f, &oracle),
+            Plan::Enumerate(e) => enumerated_value(db, query, f, *e, options, cancel.as_ref()),
+        },
+        |v| v,
+    )?;
+    let total = values.iter().fold(BigRational::zero(), |sum, v| sum + v);
+    let expected = efficiency_target(db, query);
+    Ok(ShapleyReport::new(db, values, total, expected))
 }
 
 /// `Shapley_agg(D, q, f)` by linearity over the candidate answers: the
@@ -91,16 +95,14 @@ pub fn aggregate_shapley_per_fact(
         Plan::Terms { terms, .. } => terms_value(db, &terms, |db, q| {
             shapley_via_counts(db, q, f, &HierarchicalCounter)
         }),
-        Plan::Enumerate(enumeration) => Ok(aggregates::weighted_enumerated_values(
+        Plan::Enumerate(enumeration) => aggregates::weighted_enumerated_value(
             db,
             &candidates,
-            &[f],
+            f,
             enumeration,
             options,
             cancel.as_ref(),
-        )?
-        .pop()
-        .unwrap_or_else(BigRational::zero)),
+        ),
     }
 }
 

@@ -84,7 +84,7 @@ use std::collections::HashSet;
 use std::sync::OnceLock;
 
 use cqshap_db::{Database, DbError, FactId, Provenance};
-use cqshap_numeric::BigRational;
+use cqshap_numeric::{BigInt, BigRational};
 use cqshap_query::{classify_with_exo, ConjunctiveQuery, ExactComplexity, UnionQuery};
 
 use crate::aggregates::{self, aggregate_efficiency_target, AggregateFunction, Candidate};
@@ -99,8 +99,7 @@ use crate::domain::{probability_by_enumeration_cancel, FactProbabilities};
 use crate::error::CoreError;
 use crate::plan::{resolve, Enumeration, Plan, TermList};
 use crate::shapley::{
-    assemble_report, assemble_report_with_total, efficiency_target, engine_report_values,
-    engine_values, enumerated_values, zero_report, ReportStats, ResolvedStrategy, ShapleyOptions,
+    efficiency_target, enumerated_value, per_fact, ReportStats, ResolvedStrategy, ShapleyOptions,
     ShapleyReport, Strategy,
 };
 use crate::wsms::{wsms_report, WsmsReport, WsmsWeight};
@@ -637,64 +636,73 @@ impl ShapleySession {
     /// per-fact fallback strategies raise.
     pub fn value(&self, f: FactId) -> Result<BigRational, CoreError> {
         self.rearm();
-        match self.engine()? {
-            Engine::Terms(terms) => terms.value(&self.db, f),
-            // Enumeration serves one fact as a batch of one.
-            #[expect(
-                clippy::expect_used,
-                reason = "the batch requested exactly one fact, so exactly one value exists"
-            )]
-            other => Ok(self
-                .values_from(other, &[f])?
-                .pop()
-                .expect("one fact requested")),
-        }
+        // A batch of one, whose total is the fact's value.
+        Ok(self.exact_values(self.engine()?, &[f])?.1)
     }
 
     /// The exact Shapley values of a fact slice, batched through the
-    /// prepared engine (root-group-chunked thread fan-out on the
-    /// compiled paths).
+    /// prepared engine.
     ///
     /// # Errors
-    /// As [`ShapleySession::value`], for any fact of the slice.
+    /// As [`ShapleySession::value`], for any fact of the slice; a
+    /// tripped budget carries the facts that finished.
     pub fn values(&self, facts: &[FactId]) -> Result<Vec<BigRational>, CoreError> {
         self.rearm();
-        self.values_from(self.engine()?, facts)
+        Ok(self.exact_values(self.engine()?, facts)?.0)
     }
 
-    /// [`ShapleySession::values`] from `engine` without re-arming the
-    /// budget, for internal callers that already armed it for a larger
-    /// phase.
-    fn values_from(
+    /// Every fact's exact value through `engine`, and their total: one
+    /// ordered per-fact fan-out ([`per_fact`]), on the compiled terms as
+    /// on either enumeration.
+    fn exact_values(
         &self,
         engine: Engine<'_>,
         facts: &[FactId],
-    ) -> Result<Vec<BigRational>, CoreError> {
+    ) -> Result<(Vec<BigRational>, BigRational), CoreError> {
+        let (db, options, cancel) = (&self.db, &self.options, self.cancel.as_ref());
         match engine {
+            // The terms sum the numerators over the common denominator
+            // `lcm(1..m)` and normalize once: summing the reduced
+            // per-fact rationals instead costs a gcd per fact.
             Engine::Terms(terms) => {
-                for &f in facts {
-                    self.check_endogenous(f)?;
+                let answers = per_fact(
+                    options.threads,
+                    facts,
+                    |f| {
+                        let num = terms.shapley_numerator(db, f)?;
+                        let value = terms.normalize_numerator(num.clone());
+                        Ok((num, value))
+                    },
+                    |(_, value)| value,
+                )?;
+                let mut total = BigInt::zero();
+                let mut values = Vec::with_capacity(answers.len());
+                for (num, value) in answers {
+                    total += &num;
+                    values.push(value);
                 }
-                engine_values(&self.db, terms, facts, self.options.threads)
+                Ok((values, terms.normalize_numerator(total)))
             }
-            Engine::Enumerate(enumeration, candidates) => match &self.spec {
-                QuerySpec::Aggregate { .. } => aggregates::weighted_enumerated_values(
-                    &self.db,
-                    candidates,
+            Engine::Enumerate(enumeration, candidates) => {
+                let values = per_fact(
+                    options.threads,
                     facts,
-                    enumeration,
-                    &self.options,
-                    self.cancel.as_ref(),
-                ),
-                spec => enumerated_values(
-                    &self.db,
-                    spec.query(),
-                    facts,
-                    enumeration,
-                    &self.options,
-                    self.cancel.as_ref(),
-                ),
-            },
+                    |f| match &self.spec {
+                        QuerySpec::Aggregate { .. } => aggregates::weighted_enumerated_value(
+                            db,
+                            candidates,
+                            f,
+                            enumeration,
+                            options,
+                            cancel,
+                        ),
+                        spec => enumerated_value(db, spec.query(), f, enumeration, options, cancel),
+                    },
+                    |value| value,
+                )?;
+                let total = values.iter().fold(BigRational::zero(), |sum, v| sum + v);
+                Ok((values, total))
+            }
         }
     }
 
@@ -712,32 +720,14 @@ impl ShapleySession {
             EngineState::Planned(counting) => counting.stats,
             _ => ReportStats::default(),
         };
-        if let Engine::Terms(terms) = engine {
-            if terms.is_empty() {
-                return Ok(zero_report(&self.db).with_stats(stats));
-            }
-        }
-        let facts: Vec<FactId> = self.db.endo_facts().to_vec();
         let expected = match &self.spec {
             QuerySpec::Aggregate { query, agg } => {
                 aggregate_efficiency_target(&self.db, query, agg)?
             }
             spec => efficiency_target(&self.db, spec.query()),
         };
-        Ok(match engine {
-            // Term lists accumulate the value total over the common
-            // denominator `lcm(1..m)` (one normalization) — summing the
-            // reduced per-fact rationals instead costs a gcd per entry.
-            Engine::Terms(terms) => {
-                let (values, total) =
-                    engine_report_values(&self.db, terms, &facts, self.options.threads)?;
-                assemble_report_with_total(&self.db, values, total, expected)
-            }
-            Engine::Enumerate(..) => {
-                assemble_report(&self.db, self.values_from(engine, &facts)?, expected)
-            }
-        }
-        .with_stats(stats))
+        let (values, total) = self.exact_values(engine, self.db.endo_facts())?;
+        Ok(ShapleyReport::new(&self.db, values, total, expected).with_stats(stats))
     }
 
     /// Monte-Carlo additive approximation of `f`'s value by permutation
@@ -1364,43 +1354,69 @@ mod tests {
         assert!(salvaged, "no work cap tripped mid-batch with answers");
     }
 
+    type Prepare<'a> = &'a dyn Fn(&ShapleyOptions) -> Result<ShapleySession, CoreError>;
+
     #[test]
-    fn tripped_compiled_budget_surfaces_completed_answers() {
-        // Same contract on the batched compiled-engine lanes: whatever
-        // lanes finished before the trip rides along on the error.
+    fn tripped_budget_surfaces_final_answers_on_every_route() {
+        // Same contract on the compiled terms and on both enumerations:
+        // the facts that finished before the trip ride along, each with
+        // its final value. The aggregate row catches a fan-out over
+        // candidates, whose salvage would be one candidate's values.
         let db = university();
         let q = parse_cq("q1() :- Stud(x), !TA(x), Reg(x, y)").unwrap();
-        let opts = ShapleyOptions::with_strategy(Strategy::Hierarchical);
-        let full = ShapleySession::prepare(&db, AnyQuery::Cq(&q), &opts).unwrap();
-        let exact = full.report().unwrap();
+        let qc = parse_cq("qc(y) :- Stud(x), !TA(x), Reg(x, y)").unwrap();
+        let cq: Prepare<'_> = &|o| ShapleySession::prepare(&db, AnyQuery::Cq(&q), o);
+        let count: Prepare<'_> =
+            &|o| ShapleySession::prepare_aggregate(&db, &qc, AggregateFunction::Count, o);
+        let rows = [
+            ("CQ Hierarchical", Strategy::Hierarchical, cq),
+            ("CQ BruteForceSubsets", Strategy::BruteForceSubsets, cq),
+            (
+                "Count BruteForceSubsets",
+                Strategy::BruteForceSubsets,
+                count,
+            ),
+        ];
         let facts: Vec<FactId> = db.endo_facts().to_vec();
-        let mut salvaged = false;
-        for cap in 1..10_000u64 {
-            let capped = ShapleyOptions::with_strategy(Strategy::Hierarchical)
-                .budget(crate::Budget::work_units(cap));
-            let session = match ShapleySession::prepare(&db, AnyQuery::Cq(&q), &capped) {
-                Ok(session) => session,
-                Err(CoreError::DeadlineExceeded { .. }) => continue,
-                Err(other) => panic!("unexpected prepare error under cap {cap}: {other:?}"),
-            };
-            match session.values(&facts) {
-                Ok(_) => break,
-                Err(CoreError::DeadlineExceeded {
-                    partial: Some(p), ..
-                }) => {
-                    assert_eq!(p.answers.len(), p.completed);
-                    for (i, v) in &p.answers {
-                        assert_eq!(v, &exact.entry(facts[*i]).unwrap().value);
+        for (row, strategy, prepare) in rows {
+            let opts = ShapleyOptions::with_strategy(strategy);
+            let exact = prepare(&opts).unwrap().values(&facts).unwrap();
+            let mut salvaged = false;
+            for cap in 1..10_000u64 {
+                // One worker: facts finish in order, so the sweep trips
+                // mid-batch deterministically.
+                let capped = opts.threads(1).budget(crate::Budget::work_units(cap));
+                let session = match prepare(&capped) {
+                    Ok(session) => session,
+                    Err(CoreError::DeadlineExceeded { .. }) => continue,
+                    Err(other) => {
+                        panic!("{row}: unexpected prepare error under cap {cap}: {other:?}")
                     }
-                    if !p.answers.is_empty() {
+                };
+                match session.values(&facts) {
+                    Ok(values) => {
+                        assert_eq!(values, exact, "{row}");
+                        break;
+                    }
+                    Err(CoreError::DeadlineExceeded {
+                        partial: Some(p), ..
+                    }) => {
+                        assert_eq!(p.answers.len(), p.completed, "{row}");
+                        assert!(!p.answers.is_empty(), "{row}");
+                        for (i, v) in &p.answers {
+                            assert_eq!(v, &exact[*i], "{row}: fact {i} under cap {cap}");
+                        }
                         salvaged = true;
                     }
+                    Err(CoreError::DeadlineExceeded { partial: None, .. }) => {}
+                    Err(other) => panic!("{row}: unexpected error under cap {cap}: {other:?}"),
                 }
-                Err(CoreError::DeadlineExceeded { partial: None, .. }) => {}
-                Err(other) => panic!("unexpected error under cap {cap}: {other:?}"),
             }
+            assert!(
+                salvaged,
+                "{row}: no work cap tripped mid-batch with answers"
+            );
         }
-        assert!(salvaged, "no work cap tripped mid-batch with answers");
     }
 
     #[test]

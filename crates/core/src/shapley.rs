@@ -25,9 +25,8 @@ use cqshap_query::{classify_with_exo, has_self_join, ConjunctiveQuery, ExactComp
 
 use crate::anyquery::AnyQuery;
 use crate::budget::{Budget, CancelToken};
-use crate::compiled::CompiledCount;
 use crate::error::{CoreError, EnumerationLimit};
-use crate::plan::{Enumeration, TermList};
+use crate::plan::Enumeration;
 use crate::satcount::{BruteForceCounter, SatCountOracle};
 
 /// How to compute an exact Shapley value.
@@ -388,45 +387,33 @@ pub struct ShapleyReport {
 }
 
 impl ShapleyReport {
-    /// Builds a report from its entries, computing the value total and
-    /// the fact-lookup index.
-    pub(crate) fn new(entries: Vec<ShapleyEntry>, expected_total: BigRational) -> Self {
-        let mut total = BigRational::zero();
-        let mut index = HashMap::with_capacity(entries.len());
-        for (i, e) in entries.iter().enumerate() {
-            total += &e.value;
-            index.insert(e.fact, i);
-        }
-        ShapleyReport {
-            entries,
-            total,
-            expected_total,
-            stats: ReportStats::default(),
-            index,
-        }
-    }
-
-    /// Builds a report from entries whose exact value total the caller
-    /// already holds (engine paths accumulate it over the common
-    /// denominator `lcm(1..m)`, avoiding a rational reduction per
-    /// entry).
-    /// Debug builds verify the total against the entries.
-    pub(crate) fn with_precomputed_total(
-        entries: Vec<ShapleyEntry>,
+    /// The report of `values`, one per endogenous fact of `db` in `Dn`
+    /// order, whose exact sum the caller already holds as `total` (the
+    /// compiled terms accumulate it over the common denominator
+    /// `lcm(1..m)` instead of reducing a rational per entry). Debug
+    /// builds verify the total against the values.
+    pub(crate) fn new(
+        db: &Database,
+        values: Vec<BigRational>,
         total: BigRational,
         expected_total: BigRational,
     ) -> Self {
+        debug_assert_eq!(values.len(), db.endo_count());
         debug_assert_eq!(
-            {
-                let mut check = BigRational::zero();
-                for e in &entries {
-                    check += &e.value;
-                }
-                check
-            },
+            values.iter().fold(BigRational::zero(), |sum, v| sum + v),
             total,
-            "precomputed total disagrees with the entries"
+            "the total disagrees with the values"
         );
+        let entries: Vec<ShapleyEntry> = db
+            .endo_facts()
+            .iter()
+            .zip(values)
+            .map(|(&f, value)| ShapleyEntry {
+                fact: f,
+                rendered: db.render_fact(f),
+                value,
+            })
+            .collect();
         let index = entries
             .iter()
             .enumerate()
@@ -468,20 +455,6 @@ impl ShapleyReport {
     }
 }
 
-/// All-zero report (the `always_false` rewriting outcome).
-pub(crate) fn zero_report(db: &Database) -> ShapleyReport {
-    let entries = db
-        .endo_facts()
-        .iter()
-        .map(|&f| ShapleyEntry {
-            fact: f,
-            rendered: db.render_fact(f),
-            value: BigRational::zero(),
-        })
-        .collect();
-    ShapleyReport::new(entries, BigRational::zero())
-}
-
 /// `q(D) − q(Dx)` — what the value total must equal by efficiency.
 pub(crate) fn efficiency_target(db: &Database, q: AnyQuery<'_>) -> BigRational {
     let compiled = q.compile(db);
@@ -490,178 +463,61 @@ pub(crate) fn efficiency_target(db: &Database, q: AnyQuery<'_>) -> BigRational {
     BigRational::from(full - empty)
 }
 
-pub(crate) fn assemble_report(
-    db: &Database,
-    values: Vec<BigRational>,
-    expected_total: BigRational,
-) -> ShapleyReport {
-    ShapleyReport::new(report_entries(db, values), expected_total)
-}
-
-/// [`assemble_report`] with the exact value total already in hand.
-pub(crate) fn assemble_report_with_total(
-    db: &Database,
-    values: Vec<BigRational>,
-    total: BigRational,
-    expected_total: BigRational,
-) -> ShapleyReport {
-    ShapleyReport::with_precomputed_total(report_entries(db, values), total, expected_total)
-}
-
-fn report_entries(db: &Database, values: Vec<BigRational>) -> Vec<ShapleyEntry> {
-    db.endo_facts()
-        .iter()
-        .zip(values)
-        .map(|(&f, value)| ShapleyEntry {
-            fact: f,
-            rendered: db.render_fact(f),
-            value,
-        })
-        .collect()
-}
-
-/// Computes all values through a session's compiled counting terms:
-/// compile once, then fan the per-fact recounts out across threads
-/// **chunked by root group**, so every thread works against the shared
-/// compiled state and a group's recount locality stays on one core.
-pub(crate) fn engine_values(
-    db: &Database,
-    compiled: &TermList<CompiledCount>,
-    facts: &[FactId],
-    threads: usize,
-) -> Result<Vec<BigRational>, CoreError> {
-    Ok(engine_numerator_values(db, compiled, facts, threads)?.0)
-}
-
-/// [`engine_values`] plus the exact value total, accumulated over the
-/// engine's common denominator `lcm(1..m)` with plain integer additions
-/// and normalized once — summing the already-reduced rationals instead
-/// costs a gcd per fact and dominates large reports.
-pub(crate) fn engine_report_values(
-    db: &Database,
-    compiled: &TermList<CompiledCount>,
-    facts: &[FactId],
-    threads: usize,
-) -> Result<(Vec<BigRational>, BigRational), CoreError> {
-    let (values, total) = engine_numerator_values(db, compiled, facts, threads)?;
-    Ok((values, compiled.normalize_numerator(total)))
-}
-
-#[expect(
-    clippy::indexing_slicing,
-    reason = "bucket, lane and value tables are sized before they are indexed"
-)]
-fn engine_numerator_values(
-    db: &Database,
-    compiled: &TermList<CompiledCount>,
-    facts: &[FactId],
-    threads: usize,
-) -> Result<(Vec<BigRational>, BigInt), CoreError> {
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); compiled.buckets(db)];
-    for (i, &f) in facts.iter().enumerate() {
-        buckets[compiled.bucket_of(db, f)].push(i);
-    }
-    buckets.retain(|b| !b.is_empty());
-    let lanes = crate::parallel::resolve_thread_cap(threads).min(buckets.len().max(1));
-    // Largest-first greedy assignment of whole buckets to worker lanes.
-    buckets.sort_by_key(|b| std::cmp::Reverse(b.len()));
-    let mut assignments: Vec<Vec<usize>> = vec![Vec::new(); lanes];
-    let mut loads = vec![0usize; lanes];
-    for bucket in buckets {
-        #[expect(
-            clippy::expect_used,
-            clippy::indexing_slicing,
-            reason = "lanes >= 1, so the minimum over 0..lanes exists"
-        )]
-        let t = (0..lanes).min_by_key(|&t| loads[t]).expect("lanes >= 1");
-        loads[t] += bucket.len();
-        assignments[t].extend(bucket);
-    }
-    // Lanes return their completed prefix alongside any error so a
-    // tripped deadline can report how many facts finished.
-    let computed = crate::parallel::par_map_with(threads, assignments.len(), |t| {
-        let mut done = Vec::new();
-        for &i in &assignments[t] {
-            match compiled.shapley_numerator(db, facts[i]) {
-                Ok(num) => {
-                    let value = compiled.normalize_numerator(num.clone());
-                    done.push((i, num, value));
-                }
-                Err(e) => return (done, Some(e)),
-            }
-        }
-        (done, None)
-    });
-    let mut values: Vec<Option<BigRational>> = vec![None; facts.len()];
-    let mut total = BigInt::zero();
-    let mut completed = 0usize;
-    let mut failure: Option<CoreError> = None;
-    for (part, err) in computed {
-        for (i, num, v) in part {
-            total += &num;
-            values[i] = Some(v);
-            completed += 1;
-        }
-        if failure.is_none() {
-            failure = err;
-        }
-    }
-    if let Some(e) = failure {
-        // Salvage the finished answers: the lanes that completed hold
-        // exact values the caller should not have to recompute.
-        let answers: Vec<(usize, BigRational)> = values
-            .iter()
-            .enumerate()
-            .filter_map(|(i, v)| v.clone().map(|v| (i, v)))
-            .collect();
-        debug_assert_eq!(answers.len(), completed);
-        return Err(e.with_partial_answers(answers));
-    }
-    #[expect(
-        clippy::expect_used,
-        reason = "the bucket partition assigns every fact exactly once"
-    )]
-    let values = values
-        .into_iter()
-        .map(|v| v.expect("every fact assigned to exactly one bucket"))
-        .collect();
-    Ok((values, total))
-}
-
-/// Per-fact values by enumeration, fanned out across threads by raw
-/// fact index, every worker lane polling the caller's token: the
-/// deadline bounds the whole batch, not each fact.
-pub(crate) fn enumerated_values(
-    db: &Database,
-    q: AnyQuery<'_>,
-    facts: &[FactId],
-    enumeration: Enumeration,
-    options: &ShapleyOptions,
-    cancel: Option<&CancelToken>,
-) -> Result<Vec<BigRational>, CoreError> {
-    let oracle = BruteForceCounter::new(options.brute_force_limit, options.threads, cancel);
-    par_values(options.threads, facts, |f| match enumeration {
-        Enumeration::Subsets => shapley_via_counts(db, q, f, &oracle),
-        Enumeration::Permutations => {
-            shapley_by_permutations(db, q, f, options.permutation_limit, cancel)
-        }
-    })
-}
-
-/// Maps `value` over `facts` across at most `threads` workers,
-/// preserving order; the first error wins.
+/// Every fact's exact answer, in `facts` order: the one per-fact
+/// fan-out behind every exact read, over at most `threads` workers.
+/// Facts share repeated work through the compiled engines' memos, not
+/// through the schedule. When some fact fails, the first error in
+/// `facts` order comes back carrying every completed fact's final
+/// `value`, by position in `facts`.
+///
+/// # Errors
+/// The first error `answer` returns.
 #[expect(
     clippy::indexing_slicing,
     reason = "the fan-out maps exactly the positions 0..facts.len()"
 )]
-pub(crate) fn par_values(
+pub(crate) fn per_fact<T: Send>(
     threads: usize,
     facts: &[FactId],
-    value: impl Fn(FactId) -> Result<BigRational, CoreError> + Sync,
-) -> Result<Vec<BigRational>, CoreError> {
-    crate::parallel::par_map_with(threads, facts.len(), |i| value(facts[i]))
+    answer: impl Fn(FactId) -> Result<T, CoreError> + Sync,
+    value: impl Fn(&T) -> &BigRational,
+) -> Result<Vec<T>, CoreError> {
+    let results = crate::parallel::par_map_with(threads, facts.len(), |i| answer(facts[i]));
+    if results.iter().all(Result::is_ok) {
+        return results.into_iter().collect();
+    }
+    let completed = results
+        .iter()
+        .enumerate()
+        .filter_map(|(i, r)| Some((i, value(r.as_ref().ok()?).clone())))
+        .collect();
+    results
         .into_iter()
-        .collect()
+        .collect::<Result<Vec<T>, CoreError>>()
+        .map_err(|e| e.with_partial_answers(completed))
+}
+
+/// One fact's value by enumeration, polling `cancel`.
+///
+/// # Errors
+/// What the enumeration oracle raises.
+pub(crate) fn enumerated_value(
+    db: &Database,
+    q: AnyQuery<'_>,
+    f: FactId,
+    enumeration: Enumeration,
+    options: &ShapleyOptions,
+    cancel: Option<&CancelToken>,
+) -> Result<BigRational, CoreError> {
+    match enumeration {
+        Enumeration::Subsets => {
+            let oracle = BruteForceCounter::new(options.brute_force_limit, options.threads, cancel);
+            shapley_via_counts(db, q, f, &oracle)
+        }
+        Enumeration::Permutations => {
+            shapley_by_permutations(db, q, f, options.permutation_limit, cancel)
+        }
+    }
 }
 
 #[cfg(test)]

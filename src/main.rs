@@ -218,6 +218,43 @@ fn parse_strategy(name: &str) -> Result<Strategy, String> {
     })
 }
 
+/// The exact-computation options of `strategy` with the `--threads`
+/// and `--deadline-ms` flags applied.
+fn exact_options(opts: &Options, strategy: Strategy) -> Result<ShapleyOptions, String> {
+    Ok(ShapleyOptions::with_strategy(strategy)
+        .threads(parse_threads(opts.threads.as_deref())?)
+        .budget(parse_budget(opts.deadline_ms.as_deref())?))
+}
+
+/// A query as `report` and `prob` read it: a UCQ¬ when it has more
+/// than one rule, else a CQ¬.
+enum ParsedQuery {
+    Cq(ConjunctiveQuery),
+    Union(UnionQuery),
+}
+
+impl ParsedQuery {
+    fn any(&self) -> AnyQuery<'_> {
+        match self {
+            ParsedQuery::Cq(q) => AnyQuery::Cq(q),
+            ParsedQuery::Union(u) => AnyQuery::Union(u),
+        }
+    }
+}
+
+/// Parses a [`ParsedQuery`]. A UCQ¬ parse also accepts single Boolean
+/// rules; queries with a head (which unions reject) fall back to the
+/// single-CQ¬ parse.
+fn parse_query(query: &str) -> Result<ParsedQuery, String> {
+    match parse_ucq(query) {
+        Ok(u) if u.disjuncts().len() > 1 => Ok(ParsedQuery::Union(u)),
+        Ok(u) => Ok(ParsedQuery::Cq(u.disjuncts()[0].clone())),
+        Err(_) => parse_cq(query)
+            .map(ParsedQuery::Cq)
+            .map_err(|e| e.to_string()),
+    }
+}
+
 /// Parses `"R(a, b)"` into a fact lookup.
 fn find_fact(db: &Database, spec: &str) -> Result<FactId, String> {
     let open = spec
@@ -327,9 +364,7 @@ fn cmd_shapley(opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     let db = load_db(db_path)?;
     let q = parse_cq(query).map_err(|e| e.to_string())?;
     let strategy = parse_strategy(opts.strategy.as_deref().unwrap_or("auto"))?;
-    let options = ShapleyOptions::with_strategy(strategy)
-        .threads(parse_threads(opts.threads.as_deref())?)
-        .budget(parse_budget(opts.deadline_ms.as_deref())?);
+    let options = exact_options(opts, strategy)?;
     // One prepared session serves both the single-fact and the
     // all-facts form, so they can never route differently.
     let session =
@@ -392,35 +427,22 @@ fn cmd_report(opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     };
     let db = load_db(db_path)?;
     let strategy = parse_strategy(opts.strategy.as_deref().unwrap_or("auto"))?;
-    let options = ShapleyOptions::with_strategy(strategy)
-        .threads(parse_threads(opts.threads.as_deref())?)
-        .budget(parse_budget(opts.deadline_ms.as_deref())?);
+    let options = exact_options(opts, strategy)?;
     let t0 = std::time::Instant::now();
     let session = if let Some(spec) = &opts.agg {
         let agg = parse_aggregate(spec)?;
         let q = parse_cq(query).map_err(|e| e.to_string())?;
         ShapleySession::prepare_aggregate(&db, &q, agg, &options).map_err(|e| e.to_string())?
     } else {
-        // A UCQ¬ parse also accepts single Boolean rules; queries with a
-        // head (which unions reject) fall back to the single-CQ¬ path.
         // With --tier, a query the exact engines reject at prepare time
         // still gets a session: the degraded tiers serve it.
-        let prepare = |db: &Database, q: AnyQuery<'_>, options: &ShapleyOptions| {
-            if opts.tier {
-                ShapleySession::prepare_with_fallback(db, q, options)
-            } else {
-                ShapleySession::prepare(db, q, options)
-            }
-        };
-        let prepared = match parse_ucq(query) {
-            Ok(u) if u.disjuncts().len() > 1 => prepare(&db, AnyQuery::Union(&u), &options),
-            Ok(u) => prepare(&db, AnyQuery::Cq(&u.disjuncts()[0]), &options),
-            Err(_) => {
-                let q = parse_cq(query).map_err(|e| e.to_string())?;
-                prepare(&db, AnyQuery::Cq(&q), &options)
-            }
-        };
-        prepared.map_err(|e| e.to_string())?
+        let q = parse_query(query)?;
+        if opts.tier {
+            ShapleySession::prepare_with_fallback(&db, q.any(), &options)
+        } else {
+            ShapleySession::prepare(&db, q.any(), &options)
+        }
+        .map_err(|e| e.to_string())?
     };
     let prepared_ms = t0.elapsed().as_secs_f64() * 1e3;
     if opts.tier {
@@ -558,22 +580,9 @@ fn cmd_prob(opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
         return Err("--default-p must lie in [0, 1]".into());
     }
     let db = load_db(db_path)?;
-    let options = ShapleyOptions::auto()
-        .threads(parse_threads(opts.threads.as_deref())?)
-        .budget(parse_budget(opts.deadline_ms.as_deref())?);
-    // Same UCQ-with-fallback idiom as `report`: multi-rule queries route
-    // through inclusion–exclusion, headed rules through the CQ¬ path.
-    let mut session = match parse_ucq(query) {
-        Ok(u) if u.disjuncts().len() > 1 => {
-            ShapleySession::prepare(&db, AnyQuery::Union(&u), &options)
-        }
-        Ok(u) => ShapleySession::prepare(&db, AnyQuery::Cq(&u.disjuncts()[0]), &options),
-        Err(_) => {
-            let q = parse_cq(query).map_err(|e| e.to_string())?;
-            ShapleySession::prepare(&db, AnyQuery::Cq(&q), &options)
-        }
-    }
-    .map_err(|e| e.to_string())?;
+    let options = exact_options(opts, Strategy::Auto)?;
+    let q = parse_query(query)?;
+    let mut session = ShapleySession::prepare(&db, q.any(), &options).map_err(|e| e.to_string())?;
     session
         .set_default_probability(p.clone())
         .map_err(|e| e.to_string())?;

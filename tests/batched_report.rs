@@ -181,7 +181,7 @@ fn exoshap_report_is_batched_and_matches_brute_force() {
 /// An `always_false` rewriting outcome (empty fully-exogenous
 /// component) must yield an all-zero report that satisfies efficiency.
 #[test]
-fn always_false_rewrite_gives_zero_report() {
+fn always_false_rewrite_gives_all_zero_values() {
     let mut db = Database::parse("endo S(a)\nendo S(b)\n").unwrap();
     let r = db.add_relation("R", 1).unwrap();
     db.declare_exogenous_relation(r).unwrap();

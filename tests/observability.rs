@@ -84,38 +84,49 @@ fn spans_since(
 #[test]
 fn deadline_trip_phase_appears_in_trace() {
     let t = trace();
+    let options = ShapleyOptions::auto().budget(Budget::wall_ms(0));
     let db = workloads::report_benchmark_db(64);
     let q1 = queries::q1();
-    let options = ShapleyOptions::auto().budget(Budget::wall_ms(0));
-    let err = ShapleySession::prepare(&db, AnyQuery::Cq(&q1), &options)
-        .and_then(|s| s.report())
-        .expect_err("a zero budget must trip at the first checkpoint");
-    let CoreError::DeadlineExceeded { phase, .. } = err else {
-        panic!("expected DeadlineExceeded, got {err}");
-    };
-    // The error's label is drawn from the shared vocabulary…
-    let known = [
-        obs::phase::COMPILE,
-        obs::phase::UPDATE,
-        obs::phase::RECOUNT,
-        obs::phase::UNION_COMPILE,
-        obs::phase::UNION_TERMS,
-        obs::phase::AGGREGATE,
-        obs::phase::AGGREGATE_PREPARE,
-        obs::phase::EVALUATE,
-        obs::phase::PERMUTATIONS,
-        obs::phase::BRUTE_FORCE,
-        obs::phase::WSMS,
-    ];
-    assert!(
-        known.contains(&phase.as_str()),
-        "deadline phase {phase:?} is not an obs phase key"
-    );
-    // …and the trip itself was recorded under that exact label.
-    assert!(
-        t.has_event(obs::phase::EV_DEADLINE_TRIP, &phase),
-        "no deadline.trip event with detail {phase:?} in the trace"
-    );
+    let report = ShapleySession::prepare(&db, AnyQuery::Cq(&q1), &options).and_then(|s| s.report());
+    // A non-hierarchical CQ¬: only world enumeration serves its
+    // probability.
+    let small = Database::parse("endo R(a)\nendo S(a, b)\nendo T(b)\n").expect("valid db");
+    let hard = parse_cq("q() :- R(x), S(x, y), !T(y)").expect("valid query");
+    let probability = ShapleySession::prepare(&small, AnyQuery::Cq(&hard), &options)
+        .and_then(|mut s| s.probability());
+    for (read, result) in [
+        ("report", report.map(drop)),
+        ("probability", probability.map(drop)),
+    ] {
+        let err = result.expect_err("a zero budget must trip at the first checkpoint");
+        let CoreError::DeadlineExceeded { phase, .. } = err else {
+            panic!("{read}: expected DeadlineExceeded, got {err}");
+        };
+        // The error's label is drawn from the shared vocabulary…
+        let known = [
+            obs::phase::COMPILE,
+            obs::phase::UPDATE,
+            obs::phase::RECOUNT,
+            obs::phase::UNION_COMPILE,
+            obs::phase::UNION_TERMS,
+            obs::phase::AGGREGATE,
+            obs::phase::AGGREGATE_PREPARE,
+            obs::phase::EVALUATE,
+            obs::phase::PERMUTATIONS,
+            obs::phase::BRUTE_FORCE,
+            obs::phase::PROBABILITY,
+            obs::phase::WSMS,
+        ];
+        assert!(
+            known.contains(&phase.as_str()),
+            "{read}: deadline phase {phase:?} is not an obs phase key"
+        );
+        // …and the trip itself was recorded under that exact label.
+        assert!(
+            t.has_event(obs::phase::EV_DEADLINE_TRIP, &phase),
+            "{read}: no deadline.trip event with detail {phase:?} in the trace"
+        );
+    }
 }
 
 /// The tentpole coverage check: one prepared session driven through
