@@ -71,7 +71,7 @@ impl<'a> From<&'a UnionQuery> for AnyQuery<'a> {
 /// A compiled [`AnyQuery`], cheap to evaluate over many worlds.
 #[derive(Debug, Clone)]
 pub(crate) struct CompiledAnyQuery {
-    disjuncts: Vec<CompiledQuery>,
+    pub(crate) disjuncts: Vec<CompiledQuery>,
 }
 
 impl CompiledAnyQuery {

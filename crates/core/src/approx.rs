@@ -32,30 +32,52 @@
 //!
 //! ## Cost of a walk
 //!
-//! A walk reuses one [`World`], cleared and then filled position by
-//! position, and evaluates the query through its compiled hash-indexed
-//! join. The walk carries the query's answer from step to step, so the
-//! answer before a fact joins is never re-evaluated; the answer after
-//! it joins often needs no evaluation either. When the fact's relation
-//! occurs only positively, the fact cannot falsify `q`, so a satisfied
-//! coalition stays satisfied; when it occurs only negatively, the fact
-//! cannot satisfy `q`, so an unsatisfied coalition stays unsatisfied. A
-//! fact whose relation the query never mentions needs no evaluation at
-//! all. Mixed-polarity relations (Example 5.3) and unions that use a
-//! relation with both signs evaluate every step. The `approx.evals` and
-//! `approx.evals.skipped` counters, recorded once per call, add up to
-//! one per walk step (`m` per walk), and `approx.walks` counts the
-//! walks. [`shapley_sampled`] draws one coalition per sample for a
-//! single fact instead, and needs the answer on both sides of it: its
-//! counters add up to two per draw.
-#![expect(
-    clippy::indexing_slicing,
-    reason = "samplers index permutation and tally arrays sized to m in the same scope"
-)]
+//! Before its first walk, [`shapley_anytime`] builds the query's
+//! *lineage* over `D`. Each homomorphism of a disjunct's positive atoms
+//! into all of `D` is a *match*. A match is kept as its distinct
+//! endogenous positive facts and its *blockers*: the endogenous facts
+//! its negative atoms ground to. A match that an exogenous fact blocks,
+//! or that needs one fact both present and absent, holds on no
+//! coalition and is dropped. A coalition satisfies `q` exactly when
+//! some kept match has all its positive facts in it and none of its
+//! blockers. The lineage is stored by fact: each endogenous fact lists
+//! the matches it enters, and with which sign.
+//!
+//! A walk keeps one count per match: its positive facts still missing
+//! plus its blockers already in. A match is live when its count is 0.
+//! When a fact joins, only its own entries change: a positive entry
+//! decrements its match's count, a negative one increments it, and the
+//! number of live matches follows. The answer after the step is
+//! whether any match is live. So a walk costs time linear in `m` plus
+//! the lineage's size, and runs no query evaluation. This covers CQ¬s
+//! and UCQ¬s alike, self-joins and mixed polarity (Example 5.3)
+//! included. A match without endogenous facts is live on every
+//! coalition, so the enumeration stops at the first one.
+//!
+//! A lineage of more than a fixed number of entries is not built, and
+//! the walks evaluate instead. Such a walk reuses one [`World`],
+//! cleared and then filled position by position, and evaluates the
+//! query through its compiled hash-indexed join. It carries the
+//! query's answer from step to step, so the answer before a fact joins
+//! is never re-evaluated. When the fact's relation occurs only
+//! positively, the fact cannot falsify `q`, so a satisfied coalition
+//! stays satisfied; when it occurs only negatively, the fact cannot
+//! satisfy `q`, so an unsatisfied coalition stays unsatisfied. A fact
+//! whose relation the query never mentions needs no evaluation at all.
+//!
+//! The `approx.evals` and `approx.evals.skipped` counters, recorded
+//! once per call, add up to one per walk step (`m` per walk); a step
+//! answered from the lineage counts as skipped. `approx.walks` counts
+//! the walks, and `approx.lineage.matches` the lineage's matches (0
+//! when the walks evaluate). [`shapley_sampled`] draws one coalition
+//! per sample for a single fact instead, and always evaluates: it
+//! needs the answer on both sides of the fact, and its counters add up
+//! to two per draw.
 
 use std::time::Duration;
 
 use cqshap_db::{Database, FactId, World};
+use cqshap_engine::{for_each_positive_homomorphism, FactScope};
 use cqshap_obs::{phase as obs_phase, Histogram, Span};
 use cqshap_query::analysis::Polarity;
 use rand::rngs::StdRng;
@@ -500,8 +522,142 @@ struct Marginals<'a> {
     compiled: &'a CompiledAnyQuery,
     /// The coalition of the current draw or walk.
     world: World,
+    /// When set, walks are answered from it instead of evaluating.
+    lineage: Option<Lineage>,
     evals: u64,
     skipped: u64,
+}
+
+/// The most incidence entries a [`Lineage`] may hold. A walk touches
+/// every entry once and keeps one count per match, so a walk's time
+/// and memory grow with the entries. At 8 bytes an entry the bound is
+/// 8 MiB of incidence; a query whose lineage would be larger is
+/// evaluated at every walk step instead.
+const MAX_LINEAGE_ENTRIES: usize = 1 << 20;
+
+/// One entry of a [`Lineage`]: a match the fact enters, and how.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    /// The match.
+    matched: u32,
+    /// Does the fact block the match (occur in a negative atom), rather
+    /// than satisfy one of its positive atoms?
+    blocks: bool,
+}
+
+/// The query's lineage over `D`, stored by endogenous position (see
+/// the [module docs](self)).
+#[derive(Debug)]
+struct Lineage {
+    /// Position `p`'s entries are `entries[offsets[p]..offsets[p + 1]]`.
+    offsets: Vec<usize>,
+    /// Each position's entries, in match order.
+    entries: Vec<Entry>,
+    /// Each match's count on the empty coalition: its endogenous
+    /// positive facts, all still missing.
+    start: Vec<u32>,
+    /// Matches live on the empty coalition: those without endogenous
+    /// positive facts.
+    live: usize,
+    /// Each match's count in the current walk.
+    counts: Vec<u32>,
+}
+
+impl Lineage {
+    /// The lineage of `compiled` over `db`, or `None` when it would
+    /// hold more than `limit` entries. A match without endogenous facts
+    /// is live on every coalition, and so is `q`: it is kept without
+    /// entries, and the matches after it are not enumerated.
+    fn build(db: &Database, compiled: &CompiledAnyQuery, limit: usize) -> Option<Lineage> {
+        // (endogenous position, entry) pairs, in match order.
+        let mut staged: Vec<(usize, Entry)> = Vec::new();
+        let mut start: Vec<u32> = Vec::new();
+        let mut always = false;
+        let (mut positives, mut blockers): (Vec<usize>, Vec<usize>) = (Vec::new(), Vec::new());
+        for query in &compiled.disjuncts {
+            let complete = for_each_positive_homomorphism(db, FactScope::All, query, &mut |hit| {
+                positives.clear();
+                blockers.clear();
+                for f in query.negative_facts(hit.assignment) {
+                    match db.endo_index(f) {
+                        Some(p) => blockers.push(p),
+                        // Blocked on every coalition.
+                        None => return true,
+                    }
+                }
+                positives.extend(hit.matched_facts.iter().filter_map(|&f| db.endo_index(f)));
+                positives.sort_unstable();
+                positives.dedup();
+                blockers.sort_unstable();
+                blockers.dedup();
+                if blockers.iter().any(|p| positives.binary_search(p).is_ok()) {
+                    return true; // needs a fact both present and absent
+                }
+                if staged.len() + positives.len() + blockers.len() > limit {
+                    return false;
+                }
+                let Ok(matched) = u32::try_from(start.len()) else {
+                    return false;
+                };
+                let entry = |blocks| move |&p: &usize| (p, Entry { matched, blocks });
+                staged.extend(positives.iter().map(entry(false)));
+                staged.extend(blockers.iter().map(entry(true)));
+                // At most one positive fact per atom of the query.
+                start.push(positives.len() as u32);
+                always = positives.is_empty() && blockers.is_empty();
+                !always
+            });
+            if always {
+                break;
+            }
+            if !complete {
+                return None;
+            }
+        }
+        // A stable sort groups the entries by position, each group
+        // keeping match order.
+        staged.sort_by_key(|&(p, _)| p);
+        let offsets = (0..=db.endo_count())
+            .map(|p| staged.partition_point(|&(q, _)| q < p))
+            .collect();
+        Some(Lineage {
+            offsets,
+            entries: staged.into_iter().map(|(_, entry)| entry).collect(),
+            live: start.iter().filter(|&&count| count == 0).count(),
+            counts: start.clone(),
+            start,
+        })
+    }
+
+    /// The number of matches kept.
+    fn matches(&self) -> usize {
+        self.start.len()
+    }
+
+    /// One permutation walk over the endogenous positions of `order`;
+    /// `visit` as for [`Marginals::walk`].
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the step loop: build() makes offsets m + 1 long and ascending, and every entry's match index a counts index"
+    )]
+    fn walk(&mut self, order: &[usize], mut visit: impl FnMut(usize, usize, i64)) {
+        self.counts.copy_from_slice(&self.start);
+        let mut live = self.live;
+        for (k, &p) in order.iter().enumerate() {
+            let before = live > 0;
+            for entry in &self.entries[self.offsets[p]..self.offsets[p + 1]] {
+                let count = &mut self.counts[entry.matched as usize];
+                if entry.blocks {
+                    live -= usize::from(*count == 0);
+                    *count += 1;
+                } else {
+                    *count -= 1;
+                    live += usize::from(*count == 0);
+                }
+            }
+            visit(k, p, i64::from(live > 0) - i64::from(before));
+        }
+    }
 }
 
 /// Does the polarity rule settle the answer with a fact of this
@@ -522,6 +678,7 @@ impl<'a> Marginals<'a> {
             db,
             compiled,
             world: World::empty(db),
+            lineage: None,
             evals: 0,
             skipped: 0,
         }
@@ -560,11 +717,13 @@ impl<'a> Marginals<'a> {
         }
     }
 
-    /// One permutation walk: clears the world, then inserts the
-    /// endogenous positions of `order` one by one, carrying the answer
-    /// from step to step (`empty` is the answer on the exogenous facts
-    /// alone). `visit(k, p, x)` receives each step's position `k`, the
-    /// fact's endogenous position `p` and its marginal contribution `x`.
+    /// One permutation walk: inserts the endogenous positions of
+    /// `order` one by one into an empty coalition, answered from the
+    /// lineage when there is one. Otherwise it clears the world and
+    /// carries the evaluated answer from step to step (`empty` is the
+    /// answer on the exogenous facts alone). `visit(k, p, x)` receives
+    /// each step's position `k`, the fact's endogenous position `p` and
+    /// its marginal contribution `x`.
     fn walk(
         &mut self,
         order: &[usize],
@@ -572,10 +731,15 @@ impl<'a> Marginals<'a> {
         empty: bool,
         mut visit: impl FnMut(usize, usize, i64),
     ) {
+        if let Some(lineage) = &mut self.lineage {
+            lineage.walk(order, visit);
+            self.skipped += order.len() as u64;
+            return;
+        }
         self.world.clear();
         let mut answer = empty;
         for (k, &p) in order.iter().enumerate() {
-            let after = self.insert(p, polarities[p], answer);
+            let after = self.insert(p, polarities.get(p).copied().flatten(), answer);
             visit(k, p, after as i64 - answer as i64);
             answer = after;
         }
@@ -653,6 +817,10 @@ pub fn shapley_anytime(
     let compiled = q.compile(db);
     let polarities = fact_polarities(db, q);
     let mut marginals = Marginals::new(db, &compiled);
+    marginals.lineage = {
+        let _span = Span::enter(obs_phase::ANYTIME_LINEAGE);
+        Lineage::build(db, &compiled, MAX_LINEAGE_ENTRIES)
+    };
     let empty = compiled.satisfied(db, &marginals.world);
     let strata = state.strata.clone();
     // The stratum of each walk position.
@@ -673,10 +841,13 @@ pub fn shapley_anytime(
 
     let refine_span = Span::enter(obs_phase::ANYTIME_REFINE);
     loop {
-        let still_wide = (0..m)
-            .map(|i| (wide + i) % m)
-            .find(|&target| fact_interval(&state.stats[target], &strata, m, z).1 > params.epsilon);
-        let Some(target) = still_wide else {
+        let cells = state.stats.iter().enumerate();
+        let still_wide = cells
+            .clone()
+            .skip(wide)
+            .chain(cells.take(wide))
+            .find(|(_, stats)| fact_interval(stats, &strata, m, z).1 > params.epsilon);
+        let Some((target, _)) = still_wide else {
             break; // every fact is within ±ε
         };
         wide = target;
@@ -687,7 +858,12 @@ pub fn shapley_anytime(
         order.shuffle(&mut rng);
         let stats = &mut state.stats;
         marginals.walk(&order, &polarities, empty, |k, p, x| {
-            stats[p][stratum_of[k]].record(x);
+            let cell = stratum_of
+                .get(k)
+                .and_then(|&s| stats.get_mut(p)?.get_mut(s));
+            if let Some(cell) = cell {
+                cell.record(x);
+            }
         });
         walks += 1;
     }
@@ -696,6 +872,10 @@ pub fn shapley_anytime(
     state.draws += spent;
     record_evals(marginals.evals, marginals.skipped);
     cqshap_obs::counter(obs_phase::CTR_APPROX_WALKS, walks);
+    cqshap_obs::counter(
+        obs_phase::CTR_APPROX_LINEAGE_MATCHES,
+        marginals.lineage.as_ref().map_or(0, |l| l.matches() as u64),
+    );
 
     // Sampler-exit observability: cumulative marginals per stratum and
     // the final interval widths, recorded once per call.
@@ -712,9 +892,8 @@ pub fn shapley_anytime(
 
     let mut entries = Vec::with_capacity(m);
     let mut converged = true;
-    for target in 0..m {
-        let (estimate, half_width, samples) = fact_interval(&state.stats[target], &strata, m, z);
-        let fact = state.facts[target];
+    for (stats, &fact) in state.stats.iter().zip(&state.facts) {
+        let (estimate, half_width, samples) = fact_interval(stats, &strata, m, z);
         let done = half_width <= params.epsilon;
         converged &= done;
         if cqshap_obs::enabled() {
@@ -744,7 +923,10 @@ pub fn shapley_anytime(
 mod tests {
     use super::*;
     use crate::budget::Budget;
+    use cqshap_db::Provenance;
     use cqshap_query::parse_cq;
+    use proptest::prelude::*;
+    use rand::Rng;
 
     #[test]
     fn sample_count_formula() {
@@ -942,14 +1124,20 @@ mod tests {
         (marginals.evals, marginals.skipped)
     }
 
-    /// Every marginal of `walks` seeded permutation walks equals the
-    /// difference of two full evaluations of the coalitions before and
-    /// after the step; evaluations run plus skipped come to one per
-    /// step, `walks × m` in all.
-    fn check_walks(db: &Database, q: AnyQuery<'_>, walks: u64) -> (u64, u64) {
+    /// Runs `walks` seeded permutation walks twice over the same
+    /// orders: evaluating, and from the lineage built under `limit`
+    /// entries (which evaluates too when the lineage is over it). Every
+    /// marginal of both equals the difference of two full evaluations
+    /// of the coalitions before and after the step. Each walk's
+    /// evaluations run plus skipped come to one per step, `walks × m`
+    /// in all, and a walk answered from the lineage runs none. Returns
+    /// the evaluating walk's tallies.
+    fn check_walks(db: &Database, q: AnyQuery<'_>, walks: u64, limit: usize) -> (u64, u64) {
         let compiled = q.compile(db);
         let polarities = fact_polarities(db, q);
-        let mut marginals = Marginals::new(db, &compiled);
+        let mut evaluating = Marginals::new(db, &compiled);
+        let mut lineage = Marginals::new(db, &compiled);
+        lineage.lineage = Lineage::build(db, &compiled, limit);
         let empty = compiled.satisfied(db, &World::empty(db));
         let m = db.endo_count();
         let mut rng = StdRng::seed_from_u64(17);
@@ -957,8 +1145,8 @@ mod tests {
         for _ in 0..walks {
             order.shuffle(&mut rng);
             let mut world = World::empty(db);
-            let mut steps = 0;
-            marginals.walk(&order, &polarities, empty, |k, p, x| {
+            let mut want = Vec::new();
+            evaluating.walk(&order, &polarities, empty, |k, p, x| {
                 assert_eq!(order[k], p);
                 let before = compiled.satisfied(db, &world);
                 world.insert_pos(p);
@@ -969,12 +1157,239 @@ mod tests {
                     "{} at position {k} of {order:?}",
                     db.render_fact(db.endo_facts()[p])
                 );
-                steps += 1;
+                want.push(x);
             });
-            assert_eq!(steps, m);
+            assert_eq!(want.len(), m);
+            let mut got = Vec::new();
+            lineage.walk(&order, &polarities, empty, |k, p, x| {
+                assert_eq!(order[k], p);
+                got.push(x);
+            });
+            assert_eq!(got, want, "lineage walk over {order:?} on\n{db}");
         }
-        assert_eq!(marginals.evals + marginals.skipped, walks * m as u64);
-        (marginals.evals, marginals.skipped)
+        for tallies in [&evaluating, &lineage] {
+            assert_eq!(tallies.evals + tallies.skipped, walks * m as u64);
+        }
+        if lineage.lineage.is_some() {
+            assert_eq!(lineage.evals, 0);
+        }
+        (evaluating.evals, evaluating.skipped)
+    }
+
+    /// Each position's `(match, blocks)` entries.
+    fn incidence(lineage: &Lineage) -> Vec<Vec<(u32, bool)>> {
+        lineage
+            .offsets
+            .windows(2)
+            .map(|w| {
+                lineage.entries[w[0]..w[1]]
+                    .iter()
+                    .map(|e| (e.matched, e.blocks))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// A position enters each match at most once, and a match starts
+    /// with one count per positive entry.
+    fn check_incidence(lineage: &Lineage) {
+        let mut positives = vec![0; lineage.matches()];
+        for entries in incidence(lineage) {
+            assert!(entries.windows(2).all(|w| w[0].0 < w[1].0), "{entries:?}");
+            for (matched, blocks) in entries {
+                positives[matched as usize] += u32::from(!blocks);
+            }
+        }
+        assert_eq!(positives, lineage.start);
+    }
+
+    #[test]
+    fn lineage_keeps_each_fact_of_a_match_once_and_drops_dead_matches() {
+        // Endogenous positions: E(a, a) 0, A(a) 1, E(b, b) 2, E(c, d) 3,
+        // E(d, c) 4; A(b) is exogenous.
+        let db = Database::parse(
+            "endo E(a, a)\nendo A(a)\nendo E(b, b)\nexo A(b)\n\
+             endo E(c, d)\nendo E(d, c)\n",
+        )
+        .unwrap();
+        let q = parse_cq("q() :- E(x, y), E(y, x), !A(x), !A(y)").unwrap();
+        let lineage =
+            Lineage::build(&db, &AnyQuery::Cq(&q).compile(&db), MAX_LINEAGE_ENTRIES).unwrap();
+        // x = y = a: E(a, a) fills both positive atoms and A(a) both
+        // negative ones, each entered once. The exogenous A(b) blocks
+        // x = y = b. Then x, y = c, d and x, y = d, c.
+        assert_eq!(lineage.start, [1, 2, 2]);
+        assert_eq!(lineage.live, 0);
+        assert_eq!(
+            incidence(&lineage),
+            [
+                vec![(0, false)],
+                vec![(0, true)],
+                vec![],
+                vec![(1, false), (2, false)],
+                vec![(1, false), (2, false)],
+            ]
+        );
+        // Example 5.3's shape: E(a, a) and E(b, b) would each have to be
+        // both present and absent.
+        let q = parse_cq("q() :- E(x, y), !E(y, x)").unwrap();
+        let compiled = AnyQuery::Cq(&q).compile(&db);
+        let lineage = Lineage::build(&db, &compiled, MAX_LINEAGE_ENTRIES).unwrap();
+        assert_eq!(lineage.start, [1, 1]);
+        assert_eq!(lineage.entries.len(), 4);
+        // Over the bound, no lineage: the walks evaluate.
+        assert!(Lineage::build(&db, &compiled, 3).is_none());
+        // A(a) needs itself. A(b) alone is a match without endogenous
+        // facts: live on every coalition, without entries.
+        let q = parse_cq("q() :- A(x), !B(x)").unwrap();
+        let lineage =
+            Lineage::build(&db, &AnyQuery::Cq(&q).compile(&db), MAX_LINEAGE_ENTRIES).unwrap();
+        assert_eq!(
+            (lineage.start.as_slice(), lineage.live),
+            ([1, 0].as_slice(), 1)
+        );
+        assert_eq!(lineage.entries.len(), 1);
+        // Such a match settles q, so the enumeration stops at it: A(a),
+        // after it, enters no match.
+        let db = Database::parse("exo A(b)\nendo A(a)\n").unwrap();
+        let lineage =
+            Lineage::build(&db, &AnyQuery::Cq(&q).compile(&db), MAX_LINEAGE_ENTRIES).unwrap();
+        assert_eq!(
+            (lineage.start.as_slice(), lineage.live),
+            ([0].as_slice(), 1)
+        );
+        assert!(lineage.entries.is_empty());
+    }
+
+    /// Relations of the random instances, with their arities.
+    const RELATIONS: &[(&str, usize)] = &[("A", 1), ("B", 1), ("E", 2), ("F", 2)];
+
+    /// A random database over [`RELATIONS`] and the constants `c0..c2`:
+    /// each candidate fact present with probability 1/2, a third of
+    /// those exogenous, then about one in eight retracted.
+    fn random_db(rng: &mut StdRng) -> Database {
+        let mut db = Database::new();
+        for &(rel, arity) in RELATIONS {
+            for code in 0..3usize.pow(arity as u32) {
+                if rng.gen_bool(0.5) {
+                    continue;
+                }
+                let args: Vec<String> = (0..arity)
+                    .map(|i| format!("c{}", code / 3usize.pow(i as u32) % 3))
+                    .collect();
+                let args: Vec<&str> = args.iter().map(String::as_str).collect();
+                let provenance = if rng.gen_bool(1.0 / 3.0) {
+                    Provenance::Exogenous
+                } else {
+                    Provenance::Endogenous
+                };
+                db.insert(rel, &args, provenance).unwrap();
+            }
+        }
+        let live: Vec<FactId> = db.fact_ids().collect();
+        for f in live {
+            if rng.gen_bool(0.125) {
+                db.retract_fact(f).unwrap();
+            }
+        }
+        db
+    }
+
+    /// A random safe Boolean CQ¬ body: one to three positive atoms over
+    /// `x, y, z`, then up to two negative atoms over the variables they
+    /// bind. Terms are mostly variables (so self-joins and `E(x, x)`
+    /// arise), sometimes the known constant `'c1'` or the unknown
+    /// `'zz'`; an atom now and then names the unknown relation `Nope`.
+    fn random_body(rng: &mut StdRng) -> String {
+        let relation = |rng: &mut StdRng| {
+            if rng.gen_bool(0.05) {
+                ("Nope", 1)
+            } else {
+                RELATIONS[rng.gen_range(0..RELATIONS.len())]
+            }
+        };
+        let term = |rng: &mut StdRng, vars: &[&str]| -> String {
+            match rng.gen_range(0..20) {
+                0 | 1 => "'c1'".into(),
+                2 => "'zz'".into(),
+                _ => vars[rng.gen_range(0..vars.len())].into(),
+            }
+        };
+        let mut atoms = Vec::new();
+        let mut bound: Vec<&str> = Vec::new();
+        for _ in 0..rng.gen_range(1..4) {
+            let (rel, arity) = relation(rng);
+            let args: Vec<String> = (0..arity).map(|_| term(rng, &["x", "y", "z"])).collect();
+            for v in ["x", "y", "z"] {
+                if args.iter().any(|a| a == v) && !bound.contains(&v) {
+                    bound.push(v);
+                }
+            }
+            atoms.push(format!("{rel}({})", args.join(", ")));
+        }
+        for _ in 0..rng.gen_range(0..3) {
+            let (rel, arity) = relation(rng);
+            let args: Vec<String> = (0..arity)
+                .map(|_| {
+                    if bound.is_empty() {
+                        "'c0'".into()
+                    } else {
+                        term(rng, &bound)
+                    }
+                })
+                .collect();
+            atoms.push(format!("!{rel}({})", args.join(", ")));
+        }
+        atoms.join(", ")
+    }
+
+    /// Queries the random ones might miss: ground-only negation,
+    /// `E(x, x)`, Example 5.3's mixed-polarity self-join, a union using
+    /// `A` and `B` with both signs, and a positive self-join.
+    const FIXED: &[&str] = &[
+        "q() :- !A('c0')",
+        "q() :- E(x, x), !A(x)",
+        "q() :- E(x, y), !E(y, x)",
+        "q() :- A(x), E(x, y), !B(y); q() :- B(y), E(x, y), !A(x)",
+        "q() :- E(x, y), E(y, x), !F(x, y)",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Walks answered from the lineage agree with evaluating walks
+        /// on every marginal, and the lineage is built exactly when its
+        /// entries fit the bound (the walks evaluate otherwise).
+        #[test]
+        fn lineage_walks_match_evaluating_walks(
+            seed in 0u64..1_000_000,
+            pick in 0..FIXED.len() + 2,
+            bound in 0usize..4,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let db = random_db(&mut rng);
+            let text = match FIXED.get(pick) {
+                Some(fixed) => (*fixed).to_string(),
+                None if pick == FIXED.len() => format!("q() :- {}", random_body(&mut rng)),
+                None => format!(
+                    "q() :- {}; q() :- {}",
+                    random_body(&mut rng),
+                    random_body(&mut rng)
+                ),
+            };
+            let u = cqshap_query::parse_ucq(&text).unwrap();
+            let q = AnyQuery::Union(&u);
+            let compiled = q.compile(&db);
+            let full = Lineage::build(&db, &compiled, usize::MAX).unwrap();
+            check_incidence(&full);
+            let limit = [0, 2, 5, MAX_LINEAGE_ENTRIES][bound];
+            prop_assert_eq!(
+                Lineage::build(&db, &compiled, limit).is_some(),
+                full.entries.len() <= limit,
+                "{} under {} entries on\n{}", text, limit, db
+            );
+            check_walks(&db, q, 12, limit);
+        }
     }
 
     #[test]
@@ -987,7 +1402,7 @@ mod tests {
         let q = parse_cq("q() :- R(x), S(x, y), !T(y)").unwrap();
         let (evals, skipped) = check_marginals(&db, AnyQuery::Cq(&q));
         assert!(evals > 0 && skipped > 0);
-        let (evals, skipped) = check_walks(&db, AnyQuery::Cq(&q), 200);
+        let (evals, skipped) = check_walks(&db, AnyQuery::Cq(&q), 200, MAX_LINEAGE_ENTRIES);
         assert!(evals > 0 && skipped > 0);
         // U occurs nowhere in q: its marginal is 0 without evaluating.
         let u = db.find_fact("U", &["a"]).unwrap();
@@ -1006,7 +1421,10 @@ mod tests {
         let db = Database::parse("endo R(1, 2)\nendo R(2, 1)\nendo R(3, 3)\n").unwrap();
         let q = parse_cq("q() :- R(x, y), !R(y, x)").unwrap();
         assert_eq!(check_marginals(&db, AnyQuery::Cq(&q)).1, 0);
-        assert_eq!(check_walks(&db, AnyQuery::Cq(&q), 50).1, 0);
+        assert_eq!(
+            check_walks(&db, AnyQuery::Cq(&q), 50, MAX_LINEAGE_ENTRIES).1,
+            0
+        );
         // A union with R positive in one disjunct, negative in the other.
         let db = Database::parse("endo R(a)\nendo R(b)\nendo S(a)\nendo T(b)\n").unwrap();
         let u = cqshap_query::parse_ucq("q() :- R(x), S(x); q() :- T(x), !R(x)").unwrap();
@@ -1015,7 +1433,7 @@ mod tests {
         let (evals, skipped) = check_marginals(&db, AnyQuery::Union(&u));
         // Only the one-sided S and T facts are ever settled early.
         assert!(evals > 0 && skipped > 0);
-        let (evals, skipped) = check_walks(&db, AnyQuery::Union(&u), 100);
+        let (evals, skipped) = check_walks(&db, AnyQuery::Union(&u), 100, MAX_LINEAGE_ENTRIES);
         assert!(evals > 0 && skipped > 0);
         let compiled = AnyQuery::Union(&u).compile(&db);
         let mut mixed = Marginals::new(&db, &compiled);

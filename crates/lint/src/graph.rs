@@ -183,10 +183,10 @@ pub type Parents = Vec<Option<Option<usize>>>;
 impl Graph {
     /// Builds the graph from parsed files. A call or reference only
     /// resolves to fns of crates in the caller crate's dependency
-    /// closure (`deps`). Call resolution order for a bare name: same
-    /// file+module → same impl type → same crate → whole workspace
-    /// (first non-empty tier wins); qualified paths filter by the
-    /// qualifying segment (impl type, module, or crate).
+    /// closure (`deps`). A bare name resolves only to free fns, in the
+    /// order same file+module → same crate → whole workspace (first
+    /// non-empty tier wins); qualified paths filter by the qualifying
+    /// segment (impl type, module, or crate).
     pub fn build(inputs: Vec<GraphInput>, deps: &CrateDeps) -> Graph {
         let mut fns = Vec::new();
         let mut rwlock_names: BTreeSet<String> = BTreeSet::new();
@@ -768,9 +768,14 @@ fn resolve_call(
         return (guessed, true);
     }
     if segments.len() == 1 {
-        // Bare name: same file+module → same impl type → same crate →
-        // workspace.
-        let same_module: Vec<usize> = cands
+        // Bare name: Rust calls no method or associated fn by its bare
+        // name, so only free fns are candidates. Same file+module →
+        // same crate → workspace.
+        let free: Vec<usize> = cands
+            .into_iter()
+            .filter(|&t| fns[t].item.impl_type.is_none())
+            .collect();
+        let same_module: Vec<usize> = free
             .iter()
             .copied()
             .filter(|&t| fns[t].file == cf.file && fns[t].item.modules == cf.item.modules)
@@ -778,15 +783,7 @@ fn resolve_call(
         if !same_module.is_empty() {
             return tag(same_module);
         }
-        let same_impl: Vec<usize> = cands
-            .iter()
-            .copied()
-            .filter(|&t| cf.item.impl_type.is_some() && fns[t].item.impl_type == cf.item.impl_type)
-            .collect();
-        if !same_impl.is_empty() {
-            return tag(same_impl);
-        }
-        let same_crate: Vec<usize> = cands
+        let same_crate: Vec<usize> = free
             .iter()
             .copied()
             .filter(|&t| fns[t].krate == cf.krate)
@@ -794,7 +791,7 @@ fn resolve_call(
         if !same_crate.is_empty() {
             return tag(same_crate);
         }
-        return tag(cands);
+        return tag(free);
     }
     // Qualified: filter by the segment before the name.
     let qual = &segments[segments.len() - 2];

@@ -228,6 +228,8 @@ enum Scope {
         self_type: Option<String>,
         trait_name: Option<String>,
     },
+    /// A fn body: a fn nested in it is free, even inside an impl.
+    FnBody,
     Other,
 }
 
@@ -311,7 +313,7 @@ impl<'s> Parser<'s> {
                     if self.is_ident(k + 1) && !self.is_ident_text(k + 1, "fn") =>
                 {
                     match self.parse_fn(k, &stack) {
-                        Some((item, _body_open)) => {
+                        Some((item, body_open)) => {
                             // Keep walking token by token: every `fn`
                             // position is considered independently,
                             // so on malformed input further items can
@@ -319,6 +321,7 @@ impl<'s> Parser<'s> {
                             // nested fns inside the body are found by
                             // the same loop either way.
                             fns.push(item);
+                            stack.push((Scope::FnBody, self.match_brace(body_open)));
                             k += 1;
                         }
                         None => k += 1,
@@ -484,6 +487,10 @@ impl<'s> Parser<'s> {
                 } => {
                     impl_type = self_type.clone();
                     impl_trait = trait_name.clone();
+                }
+                Scope::FnBody => {
+                    impl_type = None;
+                    impl_trait = None;
                 }
                 Scope::Other => {}
             }
@@ -1112,6 +1119,25 @@ mod tests {
         assert!(p.fns[4].impl_type.is_none());
         assert!(p.fns[4].is_pub);
         assert_eq!(p.type_decls, [("Foo".to_string(), true)]);
+    }
+
+    #[test]
+    fn fns_nested_in_methods_are_free() {
+        let src = "impl Foo {\n  fn method(&self) {\n    fn helper() {}\n    helper();\n  }\n  fn after(&self) {}\n}\n";
+        let p = parse_source(src);
+        let impls: Vec<(&str, Option<&str>)> = p
+            .fns
+            .iter()
+            .map(|f| (f.name.as_str(), f.impl_type.as_deref()))
+            .collect();
+        assert_eq!(
+            impls,
+            [
+                ("method", Some("Foo")),
+                ("helper", None),
+                ("after", Some("Foo"))
+            ]
+        );
     }
 
     #[test]

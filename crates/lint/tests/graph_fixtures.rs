@@ -356,6 +356,39 @@ fn method_calls_resolve_only_into_the_dependency_closure() {
 }
 
 #[test]
+fn bare_calls_never_resolve_to_methods() {
+    // `join_component` calls the imported free fn `answers`. The
+    // caller's crate also has a private method `Session::answers`, which
+    // Rust cannot call by its bare name: it must draw no edge.
+    let files = [
+        ("crates/core/src/fixture.rs", "core", "bare_call_caller.rs"),
+        (
+            "crates/engine/src/fixture.rs",
+            "engine",
+            "bare_call_free.rs",
+        ),
+    ];
+    let direct: BTreeMap<String, BTreeSet<String>> =
+        [("core".to_string(), BTreeSet::from(["engine".to_string()]))].into();
+    let out = run_with_deps(&files, &CrateDeps::from_direct(&direct));
+    let g = &out.graph;
+    let caller = g
+        .fns
+        .iter()
+        .position(|f| f.item.name == "join_component")
+        .expect("fn join_component");
+    let callees: Vec<(String, bool)> = g.out[caller]
+        .iter()
+        .map(|&e| (g.fns[g.edges[e].to].qualname.clone(), g.edges[e].approx))
+        .collect();
+    assert_eq!(
+        callees,
+        [("engine::fixture::answers".to_string(), false)],
+        "{callees:?}"
+    );
+}
+
+#[test]
 fn panic_sites_are_not_counted_outside_panic_free_crates() {
     let out = run_workloads("tnp_reachable.rs");
     assert!(out.report.findings.is_empty(), "{:?}", out.report.findings);

@@ -97,6 +97,9 @@ pub const ANYTIME: &str = "anytime";
 /// the key stays so readers of older traces and the benchmark's fixed
 /// metric set keep resolving it.
 pub const ANYTIME_BOOTSTRAP: &str = "anytime.bootstrap";
+/// Anytime sampler: building the query's lineage, which the walks are
+/// answered from.
+pub const ANYTIME_LINEAGE: &str = "anytime.lineage";
 /// Anytime sampler: the deadline-bounded permutation walks.
 pub const ANYTIME_REFINE: &str = "anytime.refine";
 
@@ -144,14 +147,18 @@ pub const CTR_CONTRACT_TERMS: &str = "compiled.contract.terms";
 /// Query evaluations the permutation samplers ran: two per
 /// single-fact draw and one per walk step, less the skipped ones.
 pub const CTR_APPROX_EVALS: &str = "approx.evals";
-/// Query evaluations the permutation samplers skipped because the
-/// fact's relation occurs with one polarity and the coalition's own
+/// Query evaluations the permutation samplers skipped: every step of a
+/// walk answered from the query's lineage, and otherwise those where
+/// the fact's relation occurs with one polarity and the coalition's own
 /// answer already fixes the marginal at 0 (every evaluation of a fact
 /// whose relation the query never mentions).
 pub const CTR_APPROX_EVALS_SKIPPED: &str = "approx.evals.skipped";
 /// Permutation walks of the anytime sampler (each yields one marginal
 /// per endogenous fact).
 pub const CTR_APPROX_WALKS: &str = "approx.walks";
+/// Matches in the lineage the anytime sampler's walks were answered
+/// from, recorded once per call; 0 when the walks evaluated the query.
+pub const CTR_APPROX_LINEAGE_MATCHES: &str = "approx.lineage.matches";
 
 /// Aggregate candidate groups discovered during prepare.
 pub const CTR_AGG_CANDIDATES: &str = "aggregate.candidates";

@@ -254,14 +254,20 @@ fn miss_rate(db: &Database, q: AnyQuery<'_>, exact: &ShapleyReport, runs: u64) -
     for seed in 0..runs {
         let params = AnytimeParams { seed, ..params };
         let report = shapley_anytime(db, q, &params, None, &mut None).unwrap();
-        assert!(report.converged);
-        for e in &report.entries {
-            let truth = exact.entry(e.fact).unwrap().value.to_f64();
-            misses += usize::from((e.estimate - truth).abs() > e.half_width);
-            intervals += 1;
-        }
+        misses += count_misses(&report, exact);
+        intervals += report.entries.len();
     }
     misses as f64 / intervals as f64
+}
+
+/// How many of a converged report's intervals miss the exact value.
+fn count_misses(report: &AnytimeReport, exact: &ShapleyReport) -> usize {
+    assert!(report.converged);
+    report
+        .entries
+        .iter()
+        .filter(|e| (e.estimate - exact.entry(e.fact).unwrap().value.to_f64()).abs() > e.half_width)
+        .count()
 }
 
 #[test]
@@ -285,4 +291,47 @@ fn anytime_intervals_miss_at_most_delta_of_the_time() {
         .unwrap();
     let rate = miss_rate(&db, AnyQuery::Union(&u), &exact, 200);
     assert!(rate <= 0.05, "U_MIXED: pooled miss rate {rate}");
+}
+
+/// A resumed state keeps the coverage of a fresh run, whether the
+/// first call was cut short by its budget or converged at a wider ε.
+#[test]
+fn resumed_anytime_intervals_miss_at_most_delta_of_the_time() {
+    let db = rst_instance(3, 2);
+    let subsets = ShapleyOptions::default().strategy(Strategy::BruteForceSubsets);
+    let q = parse_cq(Q_RST).unwrap();
+    let exact = ShapleySession::prepare(&db, AnyQuery::Cq(&q), &subsets)
+        .unwrap()
+        .report()
+        .unwrap();
+    let q = AnyQuery::Cq(&q);
+    let at = |epsilon, seed| AnytimeParams {
+        epsilon,
+        delta: 0.05,
+        seed,
+    };
+    let (mut misses, mut intervals) = (0, 0);
+    for seed in 0..200 {
+        // Each walk charges m = 12 units: the budget stops the first
+        // call after 10 walks, well short of ±0.1.
+        let mut state = None;
+        let budget = Budget::work_units(120).token();
+        let cut = shapley_anytime(&db, q, &at(0.1, seed), Some(&budget), &mut state).unwrap();
+        assert!(cut.deadline_hit);
+        let resumed = shapley_anytime(&db, q, &at(0.1, seed), None, &mut state).unwrap();
+        // A run converged at ±0.2, resumed to ±0.1.
+        let mut state = None;
+        assert!(
+            shapley_anytime(&db, q, &at(0.2, seed), None, &mut state)
+                .unwrap()
+                .converged
+        );
+        let halved = shapley_anytime(&db, q, &at(0.1, seed), None, &mut state).unwrap();
+        for report in [&resumed, &halved] {
+            misses += count_misses(report, &exact);
+            intervals += report.entries.len();
+        }
+    }
+    let rate = misses as f64 / intervals as f64;
+    assert!(rate <= 0.05, "resumed runs: pooled miss rate {rate}");
 }

@@ -213,8 +213,9 @@ fn aggregate_stats_view_matches_trace_counters() {
 /// The sampler's evaluation counters are exact: a single-fact draw
 /// needs the query on the coalition with and without the drawn fact,
 /// a walk step only with it (the walk carries the answer without it),
-/// and each of those evaluations is either run or skipped (this is the
-/// only test in the binary driving the samplers).
+/// and each of those evaluations is either run or skipped. The walks
+/// here are answered from the query's lineage, so every step is
+/// skipped (this is the only test in the binary driving the samplers).
 #[test]
 fn sampler_evaluation_counters_account_for_every_marginal() {
     let t = trace();
@@ -230,16 +231,27 @@ fn sampler_evaluation_counters_account_for_every_marginal() {
     };
     let report =
         shapley_anytime(&db, AnyQuery::Cq(&q), &params, None, &mut None).expect("valid params");
-    let t_fact = db.find_fact("T", &["c"]).expect("exists");
-    let sampled = shapley_sampled(&db, AnyQuery::Cq(&q), t_fact, 500, 1, 2).expect("endogenous");
     let walks = t.counter_value(obs::phase::CTR_APPROX_WALKS);
     assert_eq!(report.spent_samples, walks * db.endo_count() as u64);
+    assert_eq!(t.counter_value(obs::phase::CTR_APPROX_EVALS), 0);
+    assert_eq!(
+        t.counter_value(obs::phase::CTR_APPROX_EVALS_SKIPPED),
+        report.spent_samples
+    );
+    // One match per S fact: its R fact and itself, blocked by its T fact.
+    assert_eq!(t.counter_value(obs::phase::CTR_APPROX_LINEAGE_MATCHES), 3);
+    assert_eq!(t.span_count(obs::phase::ANYTIME_LINEAGE), 1);
+    let t_fact = db.find_fact("T", &["c"]).expect("exists");
+    let sampled = shapley_sampled(&db, AnyQuery::Cq(&q), t_fact, 500, 1, 2).expect("endogenous");
     let evals = t.counter_value(obs::phase::CTR_APPROX_EVALS);
     let skipped = t.counter_value(obs::phase::CTR_APPROX_EVALS_SKIPPED);
     assert_eq!(evals + skipped, report.spent_samples + 2 * sampled.samples);
-    // R and S occur only positively, T only negatively, U not at all:
-    // every relation here lets some evaluations be skipped.
-    assert!(evals > 0 && skipped > 0, "{evals} run, {skipped} skipped");
+    // The single-fact draws evaluate. T occurs only negatively, so a
+    // coalition that fails q settles T(c)'s marginal at 0 unevaluated.
+    assert!(
+        evals > 0 && skipped > report.spent_samples,
+        "{evals} run, {skipped} skipped"
+    );
 }
 
 /// A probability read attributes all its work: after a traced prepare,
